@@ -1,28 +1,520 @@
 /**
  * @file
- * The bsim driver binary with perf telemetry and the serving layer
- * wired in: identical to examples/bsim_cli except that sweep-backed
- * runs (--shards) append a record to BENCH_perf.json via
- * bench::reportSweepPerf, and `bsim --serve` / `bsim --connect`
- * delegate to src/serve (bsimd and its client). See sim/bsim_driver.hh
- * for the flag set, docs/TRACES.md for the trace workflow and
- * docs/SERVE.md for the wire protocol.
+ * bsim: the command-line front end. Runs any cache organisation, named
+ * by a `--cache` spec (cache/cache_spec.hh; default
+ * bcache:16kB,mf=8,bas=8), over any input — a named synthetic
+ * workload, a trace file (streamed in O(chunk) memory via
+ * workload/trace_reader), a sharded parallel trace replay on the sweep
+ * engine, or the timed OOO-core model — and prints the standard
+ * statistics readout or JSON. Sweep-backed runs (--shards) append a
+ * record to BENCH_perf.json via bench::reportSweepPerf.
+ * docs/TRACES.md walks through the trace-facing flags; usage() below
+ * is the authoritative flag list.
  */
 
+#include <cctype>
+#include <cerrno>
+#include <cstdio>
+#include <cstdlib>
+#include <cstring>
+#include <limits>
+#include <string>
+
 #include "bench/bench_json.hh"
-#include "serve/client.hh"
-#include "serve/server.hh"
-#include "sim/bsim_driver.hh"
+#include "common/strings.hh"
+#include "common/table.hh"
+#include "observe/export.hh"
+#include "power/cacti_lite.hh"
+#include "sim/report.hh"
+#include "sim/trace_replay.hh"
+#include "timing/storage_model.hh"
+#include "workload/spec2k.hh"
+#include "workload/trace_format.hh"
+#include "workload/trace_reader.hh"
+
+namespace bsim {
+
+namespace {
+
+[[noreturn]] void
+usage(const char *msg = nullptr)
+{
+    if (msg)
+        std::fprintf(stderr, "error: %s\n", msg);
+    std::fprintf(stderr,
+                 "usage: bsim [--cache SPEC] [--list-caches]\n"
+                 "  --cache SPEC     declarative cache spec, e.g. "
+                 "bcache:16kB,mf=8,bas=8,\n"
+                 "                   sa:16kB,8w, dm:16kB+victim:16 "
+                 "(--list-caches for the\n"
+                 "                   registered grammar; default "
+                 "bcache:16kB,mf=8,bas=8)\n"
+                 "  [--workload NAME] [--side data|inst] [--seed N]\n"
+                 "  [--trace FILE]   replay a trace (.bst, .din/text, "
+                 "or either .gz);\n"
+                 "                   streamed chunk by chunk, O(chunk) "
+                 "memory\n"
+                 "  [--shards N]     split the trace into N windows and "
+                 "replay them\n"
+                 "                   in parallel on the sweep engine "
+                 "(cold cache per\n"
+                 "                   shard; see docs/TRACES.md)\n"
+                 "  [--jobs N]       sweep worker threads for --shards "
+                 "(BSIM_JOBS)\n"
+                 "  [--batch N]      accessBatch span length (BSIM_BATCH;"
+                 " 0/1 =\n"
+                 "                   per-access path)\n"
+                 "  [--accesses N]   synthetic run length, or a cap on "
+                 "trace replay\n"
+                 "                   (traces default to the whole file)\n"
+                 "  [--sample U:P:W] sampled run: measure U accesses "
+                 "every P, after\n"
+                 "                   W of functional warmup; reports a "
+                 "miss-ratio\n"
+                 "                   estimate with stderr and 95%% CI "
+                 "(EXPERIMENTS.md\n"
+                 "                   cookbook; not with --timed/"
+                 "--heatmap/--interval)\n"
+                 "  [--trace-info FILE]  print a trace's header/format "
+                 "and exit\n"
+                 "  [--timed]        OOO-core/Table-4 processor model "
+                 "(workload-\n"
+                 "                   driven only)\n"
+                 "  [--stats-json F] write a bsim-stats-v1 document "
+                 "(per-set\n"
+                 "                   histograms, balance metrics, decoder"
+                 " telemetry)\n"
+                 "                   to F ('-' = stdout, suppresses the "
+                 "report);\n"
+                 "                   enables the observer\n"
+                 "  [--heatmap F]    write the per-set access/miss/"
+                 "eviction\n"
+                 "                   histogram as CSV to F ('-' = stdout)"
+                 "\n"
+                 "  [--interval N]   windowed time-series every N "
+                 "accesses;\n"
+                 "                   embedded in --stats-json, or CSV to "
+                 "stdout\n"
+                 "  [--json]         one JSON result on stdout\n");
+    std::exit(2);
+}
+
+/**
+ * Parse a flag's unsigned value into T: decimal, hex (0x) or octal
+ * (leading 0), no sign, and no value that T cannot hold — anything
+ * else is a usage error instead of a silent wrap or narrowing.
+ */
+template <typename T = std::uint64_t>
+T
+parseNum(const char *flag, const char *s)
+{
+    char *end = nullptr;
+    errno = 0;
+    const unsigned long long v = std::strtoull(s, &end, 0);
+    if (!std::isdigit(static_cast<unsigned char>(*s)) || *end ||
+        errno == ERANGE || v > std::numeric_limits<T>::max())
+        usage((std::string("bad number for ") + flag + ": '" + s +
+               "'")
+                  .c_str());
+    return static_cast<T>(v);
+}
+
+/** --trace-info: the header/probe readout, no records replayed. */
+int
+printTraceInfo(const std::string &path)
+{
+    const TraceInfo info = probeTrace(path);
+    std::printf("trace    : %s\n", path.c_str());
+    std::printf("format   : %s%s\n", info.format.c_str(),
+                info.compressed ? " (gzip)" : "");
+    if (info.recordCount == kUnknownRecordCount)
+        std::printf("records  : unknown (text traces carry no header; "
+                    "convert to .bst)\n");
+    else
+        std::printf("records  : %llu\n",
+                    static_cast<unsigned long long>(info.recordCount));
+    if (info.format == "BST2") {
+        const Bst2Header h{info.recordCount, info.addrBits,
+                           info.chunkLen, 0};
+        std::printf("chunking : %u records/chunk, %llu chunks\n",
+                    info.chunkLen,
+                    static_cast<unsigned long long>(h.chunks()));
+        std::printf("addr bits: %u\n", info.addrBits);
+        std::printf("zero-copy: %s\n",
+                    !info.compressed && kBst2RecordMatchesMemAccess
+                        ? "yes (mmap spans feed accessBatch directly)"
+                        : info.compressed
+                              ? "no (gzip inflates into a chunk buffer)"
+                              : "no (host layout differs; records are "
+                                "converted per chunk)");
+    }
+    return 0;
+}
+
+/**
+ * The human-readable estimate lines shared by all sampled drivers.
+ * Every printer below takes @p out because a '-' export owns stdout:
+ * the report then moves to stderr instead of being suppressed, so one
+ * invocation can pipe clean JSON while a human still watches the run.
+ */
+void
+printSampled(const SampledStats &s, std::FILE *out)
+{
+    const SampleEstimate e = s.estimate();
+    std::fprintf(out,
+                 "sample   : U=%llu P=%llu W=%llu over %llu records "
+                 "(%llu units, %.4f%% measured)\n",
+                 static_cast<unsigned long long>(s.plan.unitLen),
+                 static_cast<unsigned long long>(s.plan.period),
+                 static_cast<unsigned long long>(s.plan.warmup),
+                 static_cast<unsigned long long>(s.records),
+                 static_cast<unsigned long long>(e.units),
+                 100.0 * e.sampledFraction);
+    std::fprintf(out,
+                 "estimate : miss ratio %.6f (stderr %.6f, 95%% CI "
+                 "[%.6f, %.6f], MPKI %.2f)\n",
+                 e.value, e.stderrValue, e.ciLo, e.ciHi,
+                 1000.0 * e.value);
+}
+
+void
+printMissRate(const MissRateResult &r, const CacheConfig &cfg,
+              const std::string &driver_desc, std::FILE *out)
+{
+    std::fprintf(out, "config   : %s (%s, %s, %s)\n", cfg.label.c_str(),
+                 sizeString(cfg.sizeBytes).c_str(),
+                 replPolicyName(cfg.repl),
+                 writePolicyName(cfg.writePolicy));
+    std::fprintf(out, "driver   : %s\n", driver_desc.c_str());
+    std::fprintf(out, "accesses : %llu\n",
+                 static_cast<unsigned long long>(r.stats.accesses));
+    std::fprintf(out, "miss rate: %.4f%%  (hits %llu, misses %llu)\n",
+                 100.0 * r.missRate(),
+                 static_cast<unsigned long long>(r.stats.hits),
+                 static_cast<unsigned long long>(r.stats.misses));
+    std::fprintf(out,
+                 "traffic  : refills %llu, writebacks %llu, "
+                 "writethroughs %llu\n",
+                 static_cast<unsigned long long>(r.stats.refills),
+                 static_cast<unsigned long long>(r.stats.writebacks),
+                 static_cast<unsigned long long>(r.stats.writethroughs));
+    if (r.pd)
+        std::fprintf(out,
+                     "PD       : hit-on-miss %.2f%%, predicted misses "
+                     "%.2f%%\n",
+                     100.0 * r.pd->pdHitRateOnMiss(),
+                     100.0 * r.pd->missPredictionRate());
+    if (r.victimHits)
+        std::fprintf(out, "victim   : %llu buffer hits\n",
+                     static_cast<unsigned long long>(r.victimHits));
+    if (r.sampled) {
+        printSampled(*r.sampled, out);
+        return; // no balance: per-unit caches have no aggregate usage
+    }
+    std::fprintf(out, "balance  : %s\n", r.balance.toString().c_str());
+}
+
+void
+printBCacheCosts(const CacheConfig &cfg, std::FILE *out)
+{
+    if (cfg.kind != CacheKind::BCache)
+        return;
+    const BCacheParams p = cfg.bcacheParams();
+    std::fprintf(out, "layout   : %s\n",
+                 deriveLayout(p).toString().c_str());
+    std::fprintf(out, "area     : %+.2f%% vs same-sized direct-mapped\n",
+                 areaOverheadPct(
+                     conventionalStorage(p.sizeBytes, p.lineBytes, 1),
+                     bcacheStorage(p)));
+    std::fprintf(out, "energy   : %.1f pJ/access (DM baseline %.1f)\n",
+                 CactiLite::bcache(p).total(), [&] {
+                     CacheOrg o;
+                     o.sizeBytes = p.sizeBytes;
+                     o.lineBytes = p.lineBytes;
+                     o.ways = 1;
+                     return CactiLite::conventional(o).total();
+                 }());
+}
+
+/** --shards: parallel replay, per-shard table + merged totals. */
+int
+runSharded(const std::string &trace_path, const CacheConfig &cfg,
+           unsigned shards, unsigned jobs, std::size_t batch,
+           std::uint64_t max_accesses,
+           const std::optional<SamplePlan> &sample, bool json,
+           const StatsExport &ex)
+{
+    SweepOptions opts;
+    opts.jobs = jobs;
+    TraceReplayOptions replay;
+    replay.batchLen = batch;
+    // Sampled jobs run per-unit caches and cannot be observed; the
+    // flag combinations that would need an observer are rejected in
+    // bsimMain before we get here. maxAccesses caps the sampled
+    // *population*; full sharded replay keeps its per-window semantics.
+    if (sample)
+        replay.maxAccesses = max_accesses;
+    else
+        replay.observe = ex.observerConfig();
+    const TraceSweepResult res =
+        sample ? runTraceSampledSharded(trace_path, cfg, *sample,
+                                        shards, opts, replay)
+               : runTraceSharded(trace_path, cfg, shards, opts, replay);
+
+    if (json) {
+        // A JSON array of per-shard MissRateResult records; merged
+        // totals are the field-wise sums (trace-sampling semantics).
+        // json + a '-' export is rejected up front, so stdout is ours.
+        std::printf("[");
+        for (std::size_t i = 0; i < res.shards.size(); ++i)
+            std::printf("%s%s", i ? ",\n " : "",
+                        toJson(res.shards[i]).c_str());
+        std::printf("]\n");
+    } else {
+        // A "-" export owns stdout; the report moves to stderr so the
+        // piped JSON stays clean while a human still watches the run.
+        std::FILE *out = ex.claimsStdout() ? stderr : stdout;
+        Table t({"shard", "window", "accesses", "misses", "miss%"});
+        for (std::size_t i = 0; i < res.shards.size(); ++i) {
+            const MissRateResult &s = res.shards[i];
+            const std::size_t win = s.workload.find('[');
+            std::string window = win == std::string::npos
+                                     ? std::string("[whole file)")
+                                     : s.workload.substr(win);
+            // Sampled jobs own unit ranges, not record windows.
+            if (s.sampled && !s.sampled->units.empty())
+                window = "units[" +
+                         std::to_string(s.sampled->units.front().unit) +
+                         "+" + std::to_string(s.sampled->units.size()) +
+                         ")";
+            t.row()
+                .cell(std::uint64_t(i))
+                .cell(window)
+                .cell(s.stats.accesses)
+                .cell(s.stats.misses)
+                .cell(100.0 * s.missRate(), 4);
+        }
+        t.print((sample ? "sharded sampled replay of "
+                        : "sharded replay of ") +
+                    trace_path + " on " + cfg.label,
+                out);
+        std::fprintf(out, "merged   : %s\n",
+                     res.total.toString().c_str());
+        if (res.sampled)
+            printSampled(*res.sampled, out);
+        if (res.victimHits)
+            std::fprintf(out, "victim   : %llu buffer hits\n",
+                         static_cast<unsigned long long>(
+                             res.victimHits));
+        if (res.pd)
+            std::fprintf(out,
+                         "PD       : %llu hit-on-miss, %llu predicted "
+                         "misses\n",
+                         static_cast<unsigned long long>(
+                             res.pd->pdHitCacheMiss),
+                         static_cast<unsigned long long>(res.pd->pdMiss));
+        printSweepSummary(res.summary, out);
+    }
+    if (!ex.statsJsonPath.empty())
+        writeTextOutput(ex.statsJsonPath,
+                        toStatsJson(res, "trace:" + trace_path,
+                                    cfg.label) +
+                            "\n");
+    if (res.observer)
+        writeObserverExports(ex, *res.observer);
+    bench::reportSweepPerf("bsim", cfg.label, res.summary);
+    return 0;
+}
+
+/** The cache a run without --cache simulates: the paper's design point. */
+constexpr const char *kDefaultCacheSpec = "bcache:16kB,mf=8,bas=8";
+
+int
+bsimMain(int argc, char **argv)
+{
+    std::string cacheSpec = kDefaultCacheSpec;
+    std::string workload = "gcc";
+    std::string side = "data";
+    std::string trace_path;
+    std::uint64_t accesses = 1'000'000;
+    bool accesses_set = false;
+    std::uint64_t seed = kDefaultSeed;
+    unsigned shards = 0;
+    unsigned jobs = 0;
+    std::size_t batch = 0;
+    std::optional<SamplePlan> sample;
+    bool json = false;
+    bool timed = false;
+    StatsExport ex;
+
+    for (int i = 1; i < argc; ++i) {
+        const char *flag = argv[i];
+        auto need = [&]() -> const char * {
+            if (i + 1 >= argc)
+                usage(flag);
+            return argv[++i];
+        };
+        if (!std::strcmp(flag, "--cache"))
+            cacheSpec = need();
+        else if (!std::strcmp(flag, "--list-caches")) {
+            std::fputs(listCacheSpecs().c_str(), stdout);
+            return 0;
+        }
+        else if (!std::strcmp(flag, "--workload"))
+            workload = need();
+        else if (!std::strcmp(flag, "--side"))
+            side = need();
+        else if (!std::strcmp(flag, "--trace"))
+            trace_path = need();
+        else if (!std::strcmp(flag, "--trace-info"))
+            return printTraceInfo(need());
+        else if (!std::strcmp(flag, "--shards"))
+            shards = parseNum<unsigned>(flag, need());
+        else if (!std::strcmp(flag, "--jobs"))
+            jobs = parseNum<unsigned>(flag, need());
+        else if (!std::strcmp(flag, "--batch"))
+            batch = parseNum<std::size_t>(flag, need());
+        else if (!std::strcmp(flag, "--accesses")) {
+            accesses = parseNum(flag, need());
+            accesses_set = true;
+        }
+        else if (!std::strcmp(flag, "--sample"))
+            sample = parseSamplePlan(need());
+        else if (!std::strcmp(flag, "--seed"))
+            seed = parseNum(flag, need());
+        else if (!std::strcmp(flag, "--stats-json"))
+            ex.statsJsonPath = need();
+        else if (!std::strcmp(flag, "--heatmap"))
+            ex.heatmapPath = need();
+        else if (!std::strcmp(flag, "--interval"))
+            ex.interval = parseNum(flag, need());
+        else if (!std::strcmp(flag, "--json"))
+            json = true;
+        else if (!std::strcmp(flag, "--timed"))
+            timed = true;
+        else if (!std::strcmp(flag, "--help") || !std::strcmp(flag, "-h"))
+            usage();
+        else
+            usage(flag);
+    }
+
+    // One parser names every cache; a malformed spec surfaces its
+    // actionable message as usage text.
+    CacheConfig cfg;
+    try {
+        cfg = parseCacheSpec(cacheSpec);
+    } catch (const CacheSpecError &e) {
+        usage(e.what());
+    }
+
+    if (json && ex.claimsStdout())
+        usage("--json and a '-' export both claim stdout");
+
+    if (sample) {
+        if (timed)
+            usage("--sample estimates miss ratios, not --timed runs");
+        if (!ex.heatmapPath.empty() || ex.interval > 0)
+            usage("--sample runs a fresh cache per unit, so there is "
+                  "no aggregate state for --heatmap/--interval "
+                  "(--stats-json still works: it carries the estimate)");
+    }
+
+    if (timed) {
+        if (!trace_path.empty())
+            usage("--timed drives workloads, not traces");
+        if (ex.wantsObserver())
+            usage("--stats-json/--heatmap/--interval observe the "
+                  "standalone miss-rate drivers, not --timed");
+        if (!isSpec2kName(workload))
+            usage("unknown --workload");
+        const TimedResult tr = runTimed(workload, cfg, accesses, seed);
+        if (json) {
+            std::printf("%s\n", toJson(tr).c_str());
+            return 0;
+        }
+        std::printf("config   : %s\n", cfg.label.c_str());
+        std::printf("workload : %s (%llu uops)\n", workload.c_str(),
+                    static_cast<unsigned long long>(tr.cpu.uops));
+        std::printf("IPC      : %.3f  (%llu cycles)\n", tr.ipc(),
+                    static_cast<unsigned long long>(tr.cpu.cycles));
+        std::printf("L1I      : %s\n", tr.l1i.toString().c_str());
+        std::printf("L1D      : %s\n", tr.l1d.toString().c_str());
+        std::printf("L2       : %s\n", tr.l2.toString().c_str());
+        std::printf("stalls   : I$ %llu cyc, load-miss %llu cyc, "
+                    "mispredict %llu cyc (overlapping)\n",
+                    static_cast<unsigned long long>(
+                        tr.cpu.icacheStallCycles),
+                    static_cast<unsigned long long>(
+                        tr.cpu.loadMissCycles),
+                    static_cast<unsigned long long>(
+                        tr.cpu.mispredictCycles));
+        return 0;
+    }
+
+    if (shards > 0) {
+        if (trace_path.empty())
+            usage("--shards needs --trace");
+        return runSharded(trace_path, cfg, shards, jobs, batch,
+                          accesses_set ? accesses : 0, sample, json,
+                          ex);
+    }
+
+    MissRateResult r;
+    if (!trace_path.empty()) {
+        // Streamed replay: O(chunk) resident memory regardless of the
+        // file's record count (no whole-trace vector).
+        TraceReplayOptions opts;
+        opts.maxAccesses = accesses_set ? accesses : 0;
+        opts.batchLen = batch;
+        if (sample) {
+            r = runTraceSampled(trace_path, cfg, *sample, opts);
+        } else {
+            opts.observe = ex.observerConfig();
+            r = runTraceReplay(trace_path, cfg, TraceShard{}, opts);
+        }
+    } else {
+        if (!isSpec2kName(workload))
+            usage("unknown --workload");
+        const StreamSide s = side == "inst" ? StreamSide::Inst
+                                            : StreamSide::Data;
+        if (sample)
+            r = runMissRateSampled(workload, s, cfg, accesses, *sample,
+                                   seed);
+        else
+            r = runMissRate(workload, s, cfg, accesses, seed,
+                            ex.observerConfig());
+    }
+
+    if (!ex.statsJsonPath.empty())
+        writeTextOutput(ex.statsJsonPath,
+                        toStatsJson(r, trace_path.empty() ? "workload"
+                                                          : "trace") +
+                            "\n");
+    if (r.observer)
+        writeObserverExports(ex, *r.observer);
+
+    if (json) {
+        // json + a '-' export is rejected up front; stdout is ours.
+        std::printf("%s\n", toJson(r).c_str());
+        return 0;
+    }
+
+    // A "-" export owns stdout; the human report moves to stderr.
+    std::FILE *out = ex.claimsStdout() ? stderr : stdout;
+    printMissRate(r, cfg,
+                  trace_path.empty() ? workload + " (" + side + ")"
+                                     : trace_path,
+                  out);
+    printBCacheCosts(cfg, out);
+    return 0;
+}
+
+} // namespace
+
+} // namespace bsim
 
 int
 main(int argc, char **argv)
 {
-    bsim::BsimHooks hooks;
-    hooks.onSweepDone = [](const std::string &config,
-                           const bsim::SweepSummary &summary) {
-        bsim::bench::reportSweepPerf("bsim", config, summary);
-    };
-    hooks.serveMain = bsim::serve::serveMain;
-    hooks.connectMain = bsim::serve::connectMain;
-    return bsim::bsimMain(argc, argv, hooks);
+    return bsim::bsimMain(argc, argv);
 }

@@ -1,7 +1,6 @@
 #!/bin/sh
-# Line-coverage gate for the cache model, the sim drivers and the
-# serving layer (src/cache + src/sim + src/serve), built on the
-# BSIM_COVERAGE CMake option (gcov
+# Line-coverage gate for the cache model and the sim drivers
+# (src/cache + src/sim), built on the BSIM_COVERAGE CMake option (gcov
 # instrumentation; see the "coverage" preset in CMakePresets.json).
 #
 # Usage:
@@ -61,8 +60,7 @@ fi
 report=$(mktemp)
 trap 'rm -f "$report"' EXIT
 found=0
-for dir in "$build_dir/src/cache" "$build_dir/src/sim" \
-           "$build_dir/src/serve"; do
+for dir in "$build_dir/src/cache" "$build_dir/src/sim"; do
     [ -d "$dir" ] || continue
     for gcda in $(find "$dir" -name '*.gcda'); do
         found=1
@@ -87,7 +85,7 @@ summary=$(awk -v root="$repo_root" '
         f = $0
         sub(/^File +/, "", f)
         gsub(/\x27/, "", f)
-        keep = (f ~ /src\/(cache|sim|serve)\//)
+        keep = (f ~ /src\/(cache|sim)\//)
         next
     }
     keep && /^Lines executed:/ {
@@ -108,18 +106,18 @@ coverage=$(echo "$summary" | cut -d' ' -f1)
 total=$(echo "$summary" | cut -d' ' -f2)
 
 if [ "$total" = "0" ]; then
-    echo "check_coverage: gcov reported no src/{cache,sim,serve} lines" >&2
+    echo "check_coverage: gcov reported no src/{cache,sim} lines" >&2
     exit 1
 fi
 
-echo "check_coverage: src/{cache,sim,serve} line coverage ${coverage}%" \
+echo "check_coverage: src/{cache,sim} line coverage ${coverage}%" \
      "of ${total} lines (floor ${floor}%)"
 
 # The declarative DUT layer must be exercised, not just present: the
 # spec grammar and the session runner are the entry points every
 # harness now funnels through, so a report that never ran them means
 # the gate is measuring the wrong binaries.
-for required in cache_spec.cc session.cc request.cc; do
+for required in cache_spec.cc session.cc; do
     if ! grep -A1 "File .*/$required" "$report" |
             grep -q "^Lines executed:[1-9]"; then
         echo "check_coverage: FAIL: no coverage recorded for" \

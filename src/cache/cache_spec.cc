@@ -4,6 +4,7 @@
 #include <cctype>
 #include <cstdlib>
 
+#include "common/bits.hh"
 #include "common/json.hh"
 #include "common/logging.hh"
 #include "common/strings.hh"
@@ -120,6 +121,44 @@ applyCommon(CacheConfig &c, SpecParams &p, bool with_wp)
         c.repl = replFromSpec(p.word("repl", "lru"));
     if (with_wp && p.has("wp"))
         c.writePolicy = writePolicyFromSpec(p.word("wp", "wb"));
+}
+
+// The require* checks reject at parse time every shape a variant's
+// constructor would refuse, so an accepted spec always builds.
+
+void
+require(bool ok, const std::string &kind, const std::string &why)
+{
+    if (!ok)
+        throw CacheSpecError(kind + ": " + why);
+}
+
+/**
+ * CacheGeometry's rules (mem/geometry.hh): power-of-two size, line and
+ * ways, and at least one whole set. Returns the set count.
+ */
+std::uint64_t
+requireGeometry(const std::string &kind, std::uint64_t size,
+                std::uint64_t line, std::uint64_t ways)
+{
+    require(isPowerOfTwo(size), kind,
+            "size " + std::to_string(size) + " is not a power of two");
+    require(isPowerOfTwo(line), kind,
+            "line=" + std::to_string(line) + " is not a power of two");
+    require(isPowerOfTwo(ways), kind,
+            std::to_string(ways) + " ways is not a power of two");
+    require(size >= line * ways, kind,
+            "size " + std::to_string(size) +
+                " is smaller than one set (line x ways = " +
+                std::to_string(line * ways) + ")");
+    return size / line / ways;
+}
+
+void
+requireEntries(std::size_t entries)
+{
+    require(entries > 0, "victim",
+            "the buffer needs at least one entry (1e)");
 }
 
 } // namespace
@@ -285,6 +324,7 @@ BSIM_REGISTER_CACHE_SPEC(
              size, static_cast<std::uint32_t>(p.count("line", 32)));
          applyCommon(c, p, true);
          p.finish("line=, repl=, wp=");
+         requireGeometry("dm", size, c.lineBytes, 1);
          return c;
      },
      nullptr /* printed via the "sa" entry below */})
@@ -308,6 +348,7 @@ BSIM_REGISTER_CACHE_SPEC(
                                    line);
          applyCommon(c, p, true);
          p.finish("Nw, repl=, wp=, line=");
+         requireGeometry("sa", size, line, ways);
          return c;
      },
      [](const CacheConfig &c) {
@@ -329,6 +370,8 @@ BSIM_REGISTER_CACHE_SPEC(
              size, static_cast<std::size_t>(p.suffixed('e', 16)),
              static_cast<std::uint32_t>(p.count("line", 32)));
          p.finish("Ne, line=");
+         requireGeometry("victim", size, c.lineBytes, 1);
+         requireEntries(c.victimEntries);
          return c;
      },
      [](const CacheConfig &c) {
@@ -353,6 +396,17 @@ BSIM_REGISTER_CACHE_SPEC(
              static_cast<std::uint32_t>(p.count("line", 32)));
          applyCommon(c, p, true);
          p.finish("mf=, bas=, repl=, wp=, line=");
+         const std::uint64_t sets =
+             requireGeometry("bcache", size, c.lineBytes, 1);
+         require(isPowerOfTwo(c.mf), "bcache",
+                 "mf=" + std::to_string(c.mf) + " is not a power of two");
+         require(isPowerOfTwo(c.bas), "bcache",
+                 "bas=" + std::to_string(c.bas) +
+                     " is not a power of two");
+         require(c.bas <= sets, "bcache",
+                 "bas=" + std::to_string(c.bas) +
+                     " exceeds the number of sets (" +
+                     std::to_string(sets) + ")");
          return c;
      },
      [](const CacheConfig &c) {
@@ -371,6 +425,8 @@ BSIM_REGISTER_CACHE_SPEC(
          CacheConfig c = CacheConfig::columnAssoc(
              size, static_cast<std::uint32_t>(p.count("line", 32)));
          p.finish("line=");
+         require(requireGeometry("column", size, c.lineBytes, 1) >= 2,
+                 "column", "the rehash needs at least two sets");
          return c;
      },
      [](const CacheConfig &c) {
@@ -390,6 +446,7 @@ BSIM_REGISTER_CACHE_SPEC(
          CacheConfig c = CacheConfig::skewed(
              size, static_cast<std::uint32_t>(p.count("line", 32)));
          p.finish("line=");
+         requireGeometry("skew", size, c.lineBytes, 2);
          return c;
      },
      [](const CacheConfig &c) {
@@ -411,6 +468,15 @@ BSIM_REGISTER_CACHE_SPEC(
              static_cast<std::uint32_t>(p.count("line", 32)));
          applyCommon(c, p, false);
          p.finish("sub=, repl=, line=");
+         // One subarray is one fully associative set of sub/line ways.
+         requireGeometry("hac", size, c.lineBytes, 1);
+         require(isPowerOfTwo(c.hacSubarrayBytes) &&
+                     c.hacSubarrayBytes >= c.lineBytes,
+                 "hac",
+                 "sub=" + std::to_string(c.hacSubarrayBytes) +
+                     " is not a power-of-two number of lines");
+         requireGeometry("hac", size, c.lineBytes,
+                         c.hacSubarrayBytes / c.lineBytes);
          return c;
      },
      [](const CacheConfig &c) {
@@ -431,6 +497,7 @@ BSIM_REGISTER_CACHE_SPEC(
          CacheConfig c = CacheConfig::xorDm(
              size, static_cast<std::uint32_t>(p.count("line", 32)));
          p.finish("line=");
+         requireGeometry("xor", size, c.lineBytes, 1);
          return c;
      },
      [](const CacheConfig &c) {
@@ -453,6 +520,12 @@ BSIM_REGISTER_CACHE_SPEC(
              static_cast<std::uint32_t>(p.count("line", 32)));
          applyCommon(c, p, false);
          p.finish("Nw, bits=, repl=, line=");
+         requireGeometry("pad", size, c.lineBytes, c.ways);
+         require(c.ways >= 2, "pad",
+                 "way prediction needs at least 2 ways (2w)");
+         require(c.partialBits >= 1 && c.partialBits <= 29, "pad",
+                 "bits=" + std::to_string(c.partialBits) +
+                     " is outside 1..29");
          return c;
      },
      [](const CacheConfig &c) {
@@ -519,11 +592,11 @@ parseCacheSpec(const std::string &spec)
                 "bad composition '" + spec +
                 "': a victim buffer attaches to a direct-mapped base "
                 "(dm:<size>)");
-        return CacheConfig::victim(
-            base.sizeBytes,
-            static_cast<std::size_t>(
-                parseCount(tail.substr(7), "victim entries")),
-            base.lineBytes);
+        const auto entries = static_cast<std::size_t>(
+            parseCount(tail.substr(7), "victim entries"));
+        requireEntries(entries);
+        return CacheConfig::victim(base.sizeBytes, entries,
+                                   base.lineBytes);
     }
     return parseOneSpec(spec);
 }
@@ -794,6 +867,8 @@ parseHierarchySpec(const std::string &spec)
             h.params.l2HitLatency = static_cast<Cycles>(
                 p.suffixed('c', h.params.l2HitLatency));
             p.finish("Nw, Nl, Nc");
+            requireGeometry("l2", h.params.l2SizeBytes,
+                            h.params.l2LineBytes, h.params.l2Ways);
         } else if (s.rfind("mem:", 0) == 0) {
             std::string lat = s.substr(4);
             if (!lat.empty() && lat.back() == 'c')

@@ -247,8 +247,9 @@ struct CacheSpecRegistrar
 
 /**
  * Parse a spec string. Throws CacheSpecError with an actionable message
- * on malformed input; never fatals (CLIs turn the message into usage
- * text, fuzzers catch it).
+ * on malformed input, or on a well-formed spec the variant cannot build
+ * (so an accepted spec always builds); never fatals (CLIs turn the
+ * message into usage text, fuzzers catch it).
  */
 CacheConfig parseCacheSpec(const std::string &spec);
 

@@ -27,7 +27,7 @@ void informImpl(const std::string &msg);
 /**
  * What bsim_fatal throws when fatal-throw mode is on (see
  * setFatalThrows). what() carries the message without the file:line
- * suffix, so it can be surfaced verbatim to an RPC client.
+ * suffix, so a caller can report it verbatim.
  */
 class FatalError : public std::runtime_error
 {
@@ -38,11 +38,10 @@ class FatalError : public std::runtime_error
 /**
  * Switch bsim_fatal from exit(1) to throwing FatalError, process-wide.
  * One-shot binaries keep the default (a configuration error ends the
- * run), but a resident server (serve/) must survive a bad request: it
- * enables this once at startup and converts the thrown FatalError into
- * a typed RPC error response. Process-wide rather than thread-local
- * because request work fans out onto sweep-pool worker threads, which
- * already capture per-job exceptions.
+ * run); a driver that must outlive one bad job (the perfbench
+ * benchmark) enables this once and catches the thrown FatalError.
+ * Process-wide rather than thread-local because job work fans out onto
+ * sweep-pool worker threads, which already capture per-job exceptions.
  */
 void setFatalThrows(bool enable);
 bool fatalThrows();

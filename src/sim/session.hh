@@ -38,10 +38,9 @@ struct TraceReplayOptions
     ObserverConfig observe;
     /**
      * Shared open-trace handle (workload/trace_reader.hh). When set,
-     * readers are opened from it — the serving layer's TraceRegistry
-     * reuses one mmap across concurrent requests this way. The trace
-     * path must match the handle's; results are bit-identical to the
-     * per-request open (same bytes, same windows).
+     * readers are opened from it, so concurrent runs reuse one mmap.
+     * The trace path must match the handle's; results are bit-identical
+     * to a per-run open (same bytes, same windows).
      */
     TraceHandlePtr handle;
 };

@@ -124,14 +124,13 @@ TraceInfo probeTrace(const std::string &path);
 /**
  * A shared, immutable handle to an open trace: the probed TraceInfo
  * plus — for uncompressed BST2 files — the mmap of the whole file, held
- * once and shared by every reader opened from the handle. This is the
- * registry hook the serving layer (src/serve/trace_registry.hh) builds
- * on: a resident server opens each trace once and hands concurrent
- * requests zero-copy TraceShard windows over the same mapping, instead
- * of re-opening and re-mapping the file per request.
+ * once and shared by every reader opened from the handle. A driver that
+ * replays one trace many times opens it once and hands each run
+ * zero-copy TraceShard windows over the same mapping, instead of
+ * re-opening and re-mapping the file per run.
  *
  * Readers over a shared mapping never MADV_DONTNEED consumed chunks
- * (another request may be replaying them); the single-shot
+ * (another run may be replaying them); the single-shot
  * openTraceReader(path) path keeps its O(chunk) resident-set behaviour.
  * Formats without a mappable payload (BST1, gzip, text) still get a
  * handle — openTraceReader(handle) falls back to a per-reader open of

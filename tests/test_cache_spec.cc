@@ -154,6 +154,14 @@ TEST(CacheSpec, MalformedSpecsThrowActionableErrors)
     expectError("sa:16kB,wp=sideways", "write policy");
     expectError("dm:16kB+victim:", "entries");
     expectError("dm:16kB+elephant:4", "+victim");
+    // Well-formed but unbuildable: rejected here, not by a constructor.
+    expectError("victim:16kB,0e", "at least one entry");
+    expectError("dm:16kB+victim:0", "at least one entry");
+    expectError("pad:16kB,bits=64", "bits=64 is outside");
+    expectError("pad:16kB,4w,bits=0", "bits=0 is outside");
+    expectError("column:32,line=32", "at least two sets");
+    expectError("sa:16kB,3w", "3 ways is not a power of two");
+    expectError("bcache:3kB", "size 3072 is not a power of two");
 }
 
 TEST(CacheSpec, JsonObjectFormMatchesStringForm)
@@ -198,6 +206,7 @@ TEST(CacheSpec, HierarchySpecRoundTrips)
     EXPECT_EQ(parseHierarchySpec(printHierarchySpec(full)), full);
 
     EXPECT_THROW(parseHierarchySpec("dm:16kB/l3:1MB"), CacheSpecError);
+    EXPECT_THROW(parseHierarchySpec("dm:16kB/l2:3kB"), CacheSpecError);
 }
 
 TEST(CacheSpec, FuzzRandomPrintableSpecsNeverCrash)
@@ -217,7 +226,7 @@ TEST(CacheSpec, FuzzRandomPrintableSpecsNeverCrash)
         "dm:16kB+victim:16",
     };
     std::uint64_t parsed = 0, rejected = 0;
-    for (int i = 0; i < 4000; ++i) {
+    for (int i = 0; i < 8000; ++i) {
         std::string s;
         if (i % 2 == 0) {
             const std::size_t n = rng.nextBounded(24);
@@ -252,7 +261,9 @@ TEST(CacheSpec, FuzzRandomPrintableSpecsNeverCrash)
             ++rejected;
         }
     }
-    // The mutation half must actually exercise both outcomes.
+    // The mutation half must actually exercise both outcomes. Most
+    // size mutations ("16kB" -> "6kB") are unbuildable and rejected at
+    // parse time, so it takes 8000 draws to reach the parsed floor.
     EXPECT_GT(parsed, 100u);
     EXPECT_GT(rejected, 1000u);
 }
