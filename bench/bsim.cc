@@ -1,7 +1,7 @@
 /**
  * @file
  * bsim: the command-line front end. Runs any cache organisation, named
- * by a `--cache` spec (cache/cache_spec.hh; default
+ * by a `--cache` spec (sim/cache_spec.hh; default
  * bcache:16kB,mf=8,bas=8), over any input — a named synthetic
  * workload, a trace file (streamed in O(chunk) memory via
  * workload/trace_reader), a sharded parallel trace replay on the sweep

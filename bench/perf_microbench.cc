@@ -25,7 +25,7 @@
 #include <vector>
 
 #include "bench/bench_json.hh"
-#include "cache/cache_spec.hh"
+#include "sim/cache_spec.hh"
 #include "workload/spec2k.hh"
 
 namespace bsim {

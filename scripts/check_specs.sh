@@ -6,7 +6,7 @@
 #
 # Keeps the three faces of the spec grammar in sync:
 #  1. The registry source of truth: the BSIM_REGISTER_CACHE_SPEC
-#     entries in src/cache/cache_spec.cc (nine kinds).
+#     entries in src/sim/cache_spec.cc (nine kinds).
 #  2. `bsim --list-caches` (when the driver binary is passed or found
 #     in build/bench/): every registered kind must appear with its
 #     synopsis, so the CLI help cannot drift from the registry.
@@ -16,7 +16,10 @@
 # Also enforces the declarative-DUT contract on the harnesses: no
 # bench/ or examples/ file may construct a cache variant directly —
 # neither `make_unique<...Cache>` nor the CacheConfig:: factory helpers;
-# everything goes through parseCacheSpec() (cache/cache_spec.hh).
+# everything goes through parseCacheSpec() (sim/cache_spec.hh). And it
+# keeps per-variant behaviour in the registry entries: no
+# `case CacheKind::` under src/, bench/ or examples/, and no
+# `dynamic_cast<` under src/sim/ except harvestObserver()'s.
 set -eu
 
 repo_root=$(CDPATH= cd -- "$(dirname -- "$0")/.." && pwd)
@@ -25,11 +28,11 @@ cd "$repo_root"
 fail=0
 
 # ---- the registry: kind tokens from cache_spec.cc ----
-kinds=$(sed -n 's/^ *{"\([a-z]*\)",$/\1/p' src/cache/cache_spec.cc)
+kinds=$(sed -n 's/^ *{\.name = "\([a-z]*\)",$/\1/p' src/sim/cache_spec.cc)
 n_kinds=$(echo "$kinds" | wc -w)
 if [ "$n_kinds" -ne 9 ]; then
     echo "check_specs: expected 9 registered kinds in" \
-         "src/cache/cache_spec.cc, found $n_kinds: $kinds" >&2
+         "src/sim/cache_spec.cc, found $n_kinds: $kinds" >&2
     fail=1
 fi
 
@@ -80,10 +83,27 @@ if matches=$(grep -rn \
     fail=1
 fi
 
+# ---- pass 5: variant behaviour lives in the registry entries ----
+if matches=$(grep -rn "case CacheKind::" src/ bench/ examples/); then
+    echo "check_specs: per-kind switch outside the registry (add a" \
+         "CacheSpecEntry hook in src/sim/cache_spec.cc):" >&2
+    echo "$matches" >&2
+    fail=1
+fi
+# harvestObserver() keeps its one cast: callers without a config use it.
+if matches=$(grep -rn "dynamic_cast<" src/sim/ |
+        grep -v "dynamic_cast<BCache \*>(&cache)"); then
+    echo "check_specs: dynamic_cast in src/sim (read variant counters" \
+         "through CacheConfig::sideCounters):" >&2
+    echo "$matches" >&2
+    fail=1
+fi
+
 if [ "$fail" -ne 0 ]; then
     echo "check_specs: FAIL" >&2
     exit 1
 fi
 echo "check_specs: OK ($n_kinds kinds; registry, --list-caches and" \
-     "ARCHITECTURE.md grammar table in sync; harnesses declarative)"
+     "ARCHITECTURE.md grammar table in sync; harnesses declarative;" \
+     "no kind switches or casts outside the registry)"
 exit 0

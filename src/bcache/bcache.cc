@@ -302,13 +302,6 @@ BCache::groupOccupancy() const
     return occ;
 }
 
-std::unique_ptr<BCache>
-makeBCache(const std::string &name, const BCacheParams &params,
-           Cycles hit_latency, MemLevel *next)
-{
-    return std::make_unique<BCache>(name, params, hit_latency, next);
-}
-
 // Emit the engine here, next to the hook definitions (see the extern
 // template declaration in the header).
 template class TagArrayEngine<BCache>;

@@ -278,11 +278,6 @@ class BCache : public TagArrayEngine<BCache>
 /** Engine compiled once, in bcache.cc, next to the hook definitions. */
 extern template class TagArrayEngine<BCache>;
 
-/** Convenience factory returning a BCache as a BaseCache pointer. */
-std::unique_ptr<BCache>
-makeBCache(const std::string &name, const BCacheParams &params,
-           Cycles hit_latency = 1, MemLevel *next = nullptr);
-
 } // namespace bsim
 
 #endif // BSIM_BCACHE_BCACHE_HH

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/strings.hh"
-#include "timing/decoder_model.hh"
 
 namespace bsim {
 
@@ -20,43 +19,8 @@ evaluateAmat(const CacheConfig &config, double miss_rate,
              double slow_hit_fraction, const AmatParams &params)
 {
     AmatResult r;
-    switch (config.kind) {
-      case CacheKind::SetAssoc:
-        r.accessTimeNs = cacheAccessTime(config.sizeBytes,
-                                         config.lineBytes, config.ways);
-        break;
-      case CacheKind::Victim:
-      case CacheKind::ColumnAssoc:
-      case CacheKind::BCache:
-      case CacheKind::XorDm:
-        // Direct-mapped array access time; B-Cache by the Table 1 slack
-        // argument, victim/column because the primary probe is the
-        // plain direct-mapped array.
-        r.accessTimeNs =
-            cacheAccessTime(config.sizeBytes, config.lineBytes, 1);
-        break;
-      case CacheKind::Skewed:
-        r.accessTimeNs = cacheAccessTime(config.sizeBytes,
-                                         config.lineBytes, 2);
-        break;
-      case CacheKind::PartialMatch:
-        // The PAD comparison replaces the full-tag way select, so the
-        // first cycle runs near direct-mapped speed; mispredictions pay
-        // a second cycle (the slow-hit fraction).
-        r.accessTimeNs =
-            cacheAccessTime(config.sizeBytes, config.lineBytes, 1);
-        break;
-      case CacheKind::Hac: {
-        // Serial subarray decode + wide CAM search (Section 6.7).
-        const std::uint32_t ways = static_cast<std::uint32_t>(
-            config.hacSubarrayBytes / config.lineBytes);
-        r.accessTimeNs =
-            cacheAccessTime(config.sizeBytes, config.lineBytes, 1) +
-            camSearchDelay(26, ways);
-        break;
-      }
-    }
-
+    r.accessTimeNs =
+        CacheFactory::instance().entryFor(config.kind)->accessTime(config);
     r.clockNs = std::max(params.coreFloorNs, r.accessTimeNs);
     r.missRate = miss_rate;
     r.slowHitFraction = slow_hit_fraction;

@@ -1,13 +1,23 @@
-#include "cache/cache_spec.hh"
+#include "sim/cache_spec.hh"
 
 #include <algorithm>
 #include <cctype>
+#include <cerrno>
 #include <cstdlib>
 
+#include "alt/column_assoc_cache.hh"
+#include "alt/hac_cache.hh"
+#include "alt/partial_match_cache.hh"
+#include "alt/skewed_assoc_cache.hh"
+#include "alt/xor_index_cache.hh"
+#include "cache/set_assoc_cache.hh"
+#include "cache/victim_cache.hh"
 #include "common/bits.hh"
-#include "common/json.hh"
 #include "common/logging.hh"
 #include "common/strings.hh"
+#include "power/cacti_lite.hh"
+#include "timing/decoder_model.hh"
+#include "timing/logical_effort.hh"
 
 namespace bsim {
 
@@ -51,6 +61,23 @@ writePolicySpecToken(WritePolicy p)
     return p == WritePolicy::WriteBackAllocate ? "wb" : "wt";
 }
 
+/** True when @p text starts with a decimal digit (no sign, no blank). */
+bool
+leadsWithDigit(const std::string &text)
+{
+    return !text.empty() &&
+           std::isdigit(static_cast<unsigned char>(text[0]));
+}
+
+CacheSpecError
+outOfRange(const std::string &what, const std::string &token,
+           std::uint64_t max)
+{
+    return CacheSpecError(what + " '" + token +
+                          "' is out of range (at most " +
+                          std::to_string(max) + ")");
+}
+
 /**
  * Parse "16kB" / "16k" / "2MB" / "16384" into bytes. The canonical
  * printer uses sizeString(), so its kB/MB forms must parse back.
@@ -61,9 +88,13 @@ parseSize(const std::string &text, const std::string &what)
     if (text.empty())
         throw CacheSpecError("empty " + what +
                              "; expected e.g. 16kB, 32k or 16384");
+    // strtoull would accept a sign (wrapping "-16kB") and leading
+    // blanks, so the digits must come first.
     char *end = nullptr;
-    const unsigned long long n = std::strtoull(text.c_str(), &end, 10);
-    if (end == text.c_str())
+    errno = 0;
+    const unsigned long long n =
+        leadsWithDigit(text) ? std::strtoull(text.c_str(), &end, 10) : 0;
+    if (end == nullptr)
         throw CacheSpecError("bad " + what + " '" + text +
                              "'; expected e.g. 16kB, 32k or 16384");
     std::string suffix = toLower(end);
@@ -79,25 +110,31 @@ parseSize(const std::string &text, const std::string &what)
                              "or a plain byte count");
     if (n == 0)
         throw CacheSpecError(what + " must be nonzero in '" + text + "'");
+    const std::uint64_t max = ~std::uint64_t{0};
+    if (errno == ERANGE || n > max / scale)
+        throw outOfRange(what, text, max);
     return n * scale;
 }
 
+/**
+ * Parse the decimal count @p digits, at most @p max; errors quote
+ * @p token, the parameter as typed.
+ */
 std::uint64_t
-parseCount(const std::string &text, const std::string &what)
+parseCount(const std::string &digits, const std::string &what,
+           std::uint64_t max, const std::string &token)
 {
     char *end = nullptr;
-    const unsigned long long n = std::strtoull(text.c_str(), &end, 10);
-    if (text.empty() || end == text.c_str() || *end)
-        throw CacheSpecError("bad " + what + " '" + text +
+    errno = 0;
+    const unsigned long long n =
+        leadsWithDigit(digits) ? std::strtoull(digits.c_str(), &end, 10)
+                               : 0;
+    if (end == nullptr || *end)
+        throw CacheSpecError("bad " + what + " '" + token +
                              "'; expected a decimal count");
+    if (errno == ERANGE || n > max)
+        throw outOfRange(what, token, max);
     return n;
-}
-
-/** "16kB" -> "16kB"; used for canonical size tokens in printed specs. */
-std::string
-sizeToken(std::uint64_t bytes)
-{
-    return sizeString(bytes);
 }
 
 /** Shared `[,repl=R][,wp=P][,line=B]` canonical tail. */
@@ -112,6 +149,14 @@ commonTail(const CacheConfig &c, bool with_wp)
     if (c.lineBytes != 32)
         out += ",line=" + std::to_string(c.lineBytes);
     return out;
+}
+
+/** The `[,line=B]` tail of the variants with no other parameter. */
+std::string
+lineTail(const CacheConfig &c)
+{
+    return c.lineBytes != 32 ? ",line=" + std::to_string(c.lineBytes)
+                             : std::string();
 }
 
 void
@@ -217,13 +262,14 @@ SpecParams::has(const std::string &key) const
 }
 
 std::uint64_t
-SpecParams::count(const std::string &key, std::uint64_t fallback)
+SpecParams::count(const std::string &key, std::uint64_t fallback,
+                  std::uint64_t max)
 {
     Token *t = find(key);
     if (!t)
         return fallback;
     t->used = true;
-    return parseCount(t->value, kind_ + " parameter " + key);
+    return parseCount(t->value, kind_ + " parameter", max, t->text);
 }
 
 std::uint64_t
@@ -244,12 +290,6 @@ SpecParams::word(const std::string &key, const std::string &fallback)
         return fallback;
     t->used = true;
     return t->value;
-}
-
-std::uint64_t
-SpecParams::suffixed(char suffix, std::uint64_t fallback)
-{
-    return count(std::string(1, suffix), fallback);
 }
 
 void
@@ -308,18 +348,125 @@ CacheSpecRegistrar::CacheSpecRegistrar(CacheSpecEntry entry)
 }
 
 // ---------------------------------------------------------------------
-// The nine built-in grammars. Each parse hook funnels through the same
-// CacheConfig factory helper the harnesses use, so a parsed config is
-// field-for-field (and label-for-label) identical to a hand-built one.
+// Hooks shared by several variants
+
+namespace {
+
+/** Tag width the HAC's CAM search compares (timing and energy). */
+constexpr unsigned kCamTagBits = 26;
+
+CacheGeometry
+geometryOf(const CacheConfig &c, std::uint32_t ways)
+{
+    return CacheGeometry(c.sizeBytes, c.lineBytes, ways);
+}
+
+/** Build hook of a variant constructed as T(name, geometry, lat, next). */
+template <class T, std::uint32_t Ways>
+std::unique_ptr<BaseCache>
+buildPlain(const CacheConfig &c, const std::string &name, Cycles lat,
+           MemLevel *next)
+{
+    return std::make_unique<T>(name, geometryOf(c, Ways), lat, next);
+}
+
+/**
+ * Access time of the plain direct-mapped array of the config's size:
+ * the B-Cache's by the Table 1 slack argument, and the first probe of
+ * the victim, column, XOR and PAD organisations.
+ */
+NanoSeconds
+dmAccessTime(const CacheConfig &c)
+{
+    return cacheAccessTime(c.sizeBytes, c.lineBytes, 1);
+}
+
+CacheOrg
+orgOf(const CacheConfig &c, std::uint32_t ways)
+{
+    CacheOrg org;
+    org.sizeBytes = c.sizeBytes;
+    org.lineBytes = c.lineBytes;
+    org.ways = ways;
+    return org;
+}
+
+/** The L1 terms of an L1 whose every access costs @p access. */
+EnergyRates
+l1Energy(PicoJoules access)
+{
+    EnergyRates r;
+    r.l1iAccess = r.l1dAccess = access;
+    return r;
+}
+
+/** A conventional @p ways-way array of the config's size and line. */
+EnergyRates
+conventionalEnergy(const CacheConfig &c, std::uint32_t ways)
+{
+    return l1Energy(CactiLite::conventional(orgOf(c, ways)).total());
+}
+
+/**
+ * The direct-mapped array's energy: the column cache's, and the XOR
+ * cache's (its index stage is a handful of gates).
+ */
+EnergyRates
+dmEnergy(const CacheConfig &c)
+{
+    return conventionalEnergy(c, 1);
+}
+
+// dm and sa are one organisation under two spellings; skew's timing and
+// energy are a 2-way array's, and pad's energy an SA array read in full.
+
+/** `[,<N>w]` (a 1-way config prints as dm:) and the common tail. */
+std::string
+setAssocTail(const CacheConfig &c)
+{
+    return (c.ways == 1 ? std::string()
+                        : "," + std::to_string(c.ways) + "w") +
+           commonTail(c, true);
+}
+
+std::unique_ptr<BaseCache>
+buildSetAssoc(const CacheConfig &c, const std::string &name, Cycles lat,
+              MemLevel *next)
+{
+    return std::make_unique<SetAssocCache>(name, geometryOf(c, c.ways),
+                                           lat, next, c.repl,
+                                           /*repl_seed=*/1,
+                                           c.writePolicy);
+}
+
+NanoSeconds
+setAssocAccessTime(const CacheConfig &c)
+{
+    return cacheAccessTime(c.sizeBytes, c.lineBytes, c.ways);
+}
+
+EnergyRates
+setAssocEnergy(const CacheConfig &c)
+{
+    return conventionalEnergy(c, c.ways);
+}
+
+} // namespace
+
+// ---------------------------------------------------------------------
+// The nine built-in variants, one block each. Each parse hook funnels
+// through the same CacheConfig factory helper the harnesses use, so a
+// parsed config is field-for-field (and label-for-label) identical to a
+// hand-built one.
 
 BSIM_REGISTER_CACHE_SPEC(
     regDm,
-    {"dm",
-     {"direct", "directmapped"},
-     "dm:<size>[,line=B]",
-     "direct-mapped baseline (conventional decoder)",
-     CacheKind::SetAssoc,
-     [](std::uint64_t size, SpecParams &p) {
+    {.name = "dm",
+     .aliases = {"direct", "directmapped"},
+     .synopsis = "dm:<size>[,line=B]",
+     .help = "direct-mapped baseline (conventional decoder)",
+     .kind = CacheKind::SetAssoc,
+     .parse = [](std::uint64_t size, SpecParams &p) {
          CacheConfig c = CacheConfig::directMapped(
              size, static_cast<std::uint32_t>(p.count("line", 32)));
          applyCommon(c, p, true);
@@ -327,68 +474,86 @@ BSIM_REGISTER_CACHE_SPEC(
          requireGeometry("dm", size, c.lineBytes, 1);
          return c;
      },
-     nullptr /* printed via the "sa" entry below */})
+     .printParams = setAssocTail,
+     .build = buildSetAssoc,
+     .accessTime = setAssocAccessTime,
+     .energy = setAssocEnergy})
 
 BSIM_REGISTER_CACHE_SPEC(
     regSa,
-    {"sa",
-     {"setassoc"},
-     "sa:<size>,<N>w[,repl=R][,wp=wb|wt][,line=B]",
-     "set-associative (LRU default; ways=1 prints as dm:)",
-     CacheKind::SetAssoc,
-     [](std::uint64_t size, SpecParams &p) {
-         const auto ways =
-             static_cast<std::uint32_t>(p.suffixed('w', 1));
-         const auto line =
-             static_cast<std::uint32_t>(p.count("line", 32));
+    {.name = "sa",
+     .aliases = {"setassoc"},
+     .synopsis = "sa:<size>,<N>w[,repl=R][,wp=wb|wt][,line=B]",
+     .help = "set-associative (LRU default; ways=1 prints as dm:)",
+     .kind = CacheKind::SetAssoc,
+     .parse = [](std::uint64_t size, SpecParams &p) {
+         const auto ways = static_cast<std::uint32_t>(p.count("w", 1));
+         const auto line = static_cast<std::uint32_t>(p.count("line", 32));
          CacheConfig c = ways == 1
                              ? CacheConfig::directMapped(size, line)
                              : CacheConfig::setAssoc(
-                                   size, ways, ReplPolicyKind::LRU,
-                                   line);
+                                   size, ways, ReplPolicyKind::LRU, line);
          applyCommon(c, p, true);
          p.finish("Nw, repl=, wp=, line=");
          requireGeometry("sa", size, line, ways);
          return c;
      },
-     [](const CacheConfig &c) {
-         // ways=1 canonicalizes to the dm: spelling.
-         if (c.ways == 1)
-             return std::string("@dm") + commonTail(c, true);
-         return "," + std::to_string(c.ways) + "w" + commonTail(c, true);
-     }})
+     .printParams = setAssocTail,
+     .build = buildSetAssoc,
+     .accessTime = setAssocAccessTime,
+     .energy = setAssocEnergy})
 
 BSIM_REGISTER_CACHE_SPEC(
     regVictim,
-    {"victim",
-     {},
-     "victim:<size>[,<N>e][,line=B]   (also: dm:<size>+victim:<N>)",
-     "direct-mapped + fully associative victim buffer",
-     CacheKind::Victim,
-     [](std::uint64_t size, SpecParams &p) {
+    {.name = "victim",
+     .synopsis =
+         "victim:<size>[,<N>e][,line=B]   (also: dm:<size>+victim:<N>)",
+     .help = "direct-mapped + fully associative victim buffer",
+     .kind = CacheKind::Victim,
+     .parse = [](std::uint64_t size, SpecParams &p) {
          CacheConfig c = CacheConfig::victim(
-             size, static_cast<std::size_t>(p.suffixed('e', 16)),
+             size, p.count("e", 16, kMaxVictimEntries),
              static_cast<std::uint32_t>(p.count("line", 32)));
          p.finish("Ne, line=");
          requireGeometry("victim", size, c.lineBytes, 1);
          requireEntries(c.victimEntries);
          return c;
      },
-     [](const CacheConfig &c) {
+     .printParams = [](const CacheConfig &c) {
          std::string out = "," + std::to_string(c.victimEntries) + "e";
          if (c.lineBytes != 32)
              out += ",line=" + std::to_string(c.lineBytes);
          return out;
+     },
+     .build = [](const CacheConfig &c, const std::string &name, Cycles lat,
+                 MemLevel *next) -> std::unique_ptr<BaseCache> {
+         return std::make_unique<VictimCache>(name, geometryOf(c, 1), lat,
+                                              next, c.victimEntries);
+     },
+     .accessTime = dmAccessTime,
+     .energy = [](const CacheConfig &c) {
+         EnergyRates r = dmEnergy(c);
+         r.victimProbe = CactiLite::victimBufferProbeEnergy(
+             c.victimEntries, c.lineBytes);
+         return r;
+     },
+     .side = [](const BaseCache &cache) {
+         const auto &vc = static_cast<const VictimCache &>(cache);
+         SideCounters s;
+         s.victimHits = vc.victimHits();
+         s.victimProbes = vc.victimProbes();
+         return s;
      }})
 
 BSIM_REGISTER_CACHE_SPEC(
     regBCache,
-    {"bcache",
-     {"bc"},
-     "bcache:<size>[,mf=N][,bas=N][,repl=R][,wp=wb|wt][,line=B]",
-     "the paper's B-Cache (programmable decoder, MF/BAS)",
-     CacheKind::BCache,
-     [](std::uint64_t size, SpecParams &p) {
+    {.name = "bcache",
+     .aliases = {"bc"},
+     .synopsis =
+         "bcache:<size>[,mf=N][,bas=N][,repl=R][,wp=wb|wt][,line=B]",
+     .help = "the paper's B-Cache (programmable decoder, MF/BAS)",
+     .kind = CacheKind::BCache,
+     .parse = [](std::uint64_t size, SpecParams &p) {
          CacheConfig c = CacheConfig::bcache(
              size, static_cast<std::uint32_t>(p.count("mf", 8)),
              static_cast<std::uint32_t>(p.count("bas", 8)),
@@ -409,19 +574,38 @@ BSIM_REGISTER_CACHE_SPEC(
                      std::to_string(sets) + ")");
          return c;
      },
-     [](const CacheConfig &c) {
+     .printParams = [](const CacheConfig &c) {
          return ",mf=" + std::to_string(c.mf) +
                 ",bas=" + std::to_string(c.bas) + commonTail(c, true);
+     },
+     .build = [](const CacheConfig &c, const std::string &name, Cycles lat,
+                 MemLevel *next) -> std::unique_ptr<BaseCache> {
+         return std::make_unique<BCache>(name, c.bcacheParams(), lat, next);
+     },
+     .accessTime = dmAccessTime,
+     .energy = [](const CacheConfig &c) {
+         const CacheEnergyBreakdown e = CactiLite::bcache(c.bcacheParams());
+         EnergyRates r = l1Energy(e.total());
+         // A PD-predicted miss skips the SRAM array reads; only the CAM
+         // search and decode energy is spent.
+         r.pdMissRefund = e.tagSense + e.tagBitWordline + e.dataSense +
+                          e.dataBitWordline + e.dataOther;
+         return r;
+     },
+     .side = [](const BaseCache &cache) {
+         SideCounters s;
+         s.pd = static_cast<const BCache &>(cache).pdStats();
+         return s;
      }})
 
 BSIM_REGISTER_CACHE_SPEC(
     regColumn,
-    {"column",
-     {"ca"},
-     "column:<size>[,line=B]",
-     "column-associative DM (rehash second location)",
-     CacheKind::ColumnAssoc,
-     [](std::uint64_t size, SpecParams &p) {
+    {.name = "column",
+     .aliases = {"ca"},
+     .synopsis = "column:<size>[,line=B]",
+     .help = "column-associative DM (rehash second location)",
+     .kind = CacheKind::ColumnAssoc,
+     .parse = [](std::uint64_t size, SpecParams &p) {
          CacheConfig c = CacheConfig::columnAssoc(
              size, static_cast<std::uint32_t>(p.count("line", 32)));
          p.finish("line=");
@@ -429,40 +613,37 @@ BSIM_REGISTER_CACHE_SPEC(
                  "column", "the rehash needs at least two sets");
          return c;
      },
-     [](const CacheConfig &c) {
-         return c.lineBytes != 32
-                    ? ",line=" + std::to_string(c.lineBytes)
-                    : std::string();
-     }})
+     .printParams = lineTail,
+     .build = buildPlain<ColumnAssocCache, 1>,
+     .accessTime = dmAccessTime,
+     .energy = dmEnergy})
 
 BSIM_REGISTER_CACHE_SPEC(
     regSkew,
-    {"skew",
-     {"skewed"},
-     "skew:<size>[,line=B]",
-     "two-way skewed-associative (per-bank hash)",
-     CacheKind::Skewed,
-     [](std::uint64_t size, SpecParams &p) {
+    {.name = "skew",
+     .aliases = {"skewed"},
+     .synopsis = "skew:<size>[,line=B]",
+     .help = "two-way skewed-associative (per-bank hash)",
+     .kind = CacheKind::Skewed,
+     .parse = [](std::uint64_t size, SpecParams &p) {
          CacheConfig c = CacheConfig::skewed(
              size, static_cast<std::uint32_t>(p.count("line", 32)));
          p.finish("line=");
          requireGeometry("skew", size, c.lineBytes, 2);
          return c;
      },
-     [](const CacheConfig &c) {
-         return c.lineBytes != 32
-                    ? ",line=" + std::to_string(c.lineBytes)
-                    : std::string();
-     }})
+     .printParams = lineTail,
+     .build = buildPlain<SkewedAssocCache, 2>,
+     .accessTime = setAssocAccessTime,
+     .energy = setAssocEnergy})
 
 BSIM_REGISTER_CACHE_SPEC(
     regHac,
-    {"hac",
-     {},
-     "hac:<size>[,sub=S][,repl=R][,line=B]",
-     "highly associative CAM-tag cache (per-subarray FA)",
-     CacheKind::Hac,
-     [](std::uint64_t size, SpecParams &p) {
+    {.name = "hac",
+     .synopsis = "hac:<size>[,sub=S][,repl=R][,line=B]",
+     .help = "highly associative CAM-tag cache (per-subarray FA)",
+     .kind = CacheKind::Hac,
+     .parse = [](std::uint64_t size, SpecParams &p) {
          CacheConfig c = CacheConfig::hac(
              size, p.size("sub", 1024),
              static_cast<std::uint32_t>(p.count("line", 32)));
@@ -479,43 +660,63 @@ BSIM_REGISTER_CACHE_SPEC(
                          c.hacSubarrayBytes / c.lineBytes);
          return c;
      },
-     [](const CacheConfig &c) {
+     .printParams = [](const CacheConfig &c) {
          std::string out;
          if (c.hacSubarrayBytes != 1024)
-             out += ",sub=" + sizeToken(c.hacSubarrayBytes);
+             out += ",sub=" + sizeString(c.hacSubarrayBytes);
          return out + commonTail(c, false);
+     },
+     .build = [](const CacheConfig &c, const std::string &name, Cycles lat,
+                 MemLevel *next) -> std::unique_ptr<BaseCache> {
+         return std::make_unique<HacCache>(name, c.sizeBytes, c.lineBytes,
+                                           c.hacSubarrayBytes, lat, next,
+                                           c.repl);
+     },
+     .accessTime = [](const CacheConfig &c) {
+         // Serial subarray decode + wide CAM search (Section 6.7).
+         return dmAccessTime(c) +
+                camSearchDelay(kCamTagBits,
+                               c.hacSubarrayBytes / c.lineBytes);
+     },
+     .energy = [](const CacheConfig &c) {
+         // CAM tag search replaces the tag read; approximate with the
+         // conventional organisation plus a full-tag CAM search.
+         const auto ways =
+             static_cast<std::uint32_t>(c.hacSubarrayBytes / c.lineBytes);
+         CacheEnergyBreakdown e = CactiLite::conventional(orgOf(c, ways));
+         e.camSearch = CactiLite::camSearchEnergy(kCamTagBits, ways);
+         return l1Energy(e.total());
      }})
 
 BSIM_REGISTER_CACHE_SPEC(
     regXor,
-    {"xor",
-     {"xordm"},
-     "xor:<size>[,line=B]",
-     "XOR-mapped direct-mapped (tag-xor index hash)",
-     CacheKind::XorDm,
-     [](std::uint64_t size, SpecParams &p) {
+    {.name = "xor",
+     .aliases = {"xordm"},
+     .synopsis = "xor:<size>[,line=B]",
+     .help = "XOR-mapped direct-mapped (tag-xor index hash)",
+     .kind = CacheKind::XorDm,
+     .parse = [](std::uint64_t size, SpecParams &p) {
          CacheConfig c = CacheConfig::xorDm(
              size, static_cast<std::uint32_t>(p.count("line", 32)));
          p.finish("line=");
          requireGeometry("xor", size, c.lineBytes, 1);
          return c;
      },
-     [](const CacheConfig &c) {
-         return c.lineBytes != 32
-                    ? ",line=" + std::to_string(c.lineBytes)
-                    : std::string();
-     }})
+     .printParams = lineTail,
+     .build = buildPlain<XorIndexCache, 1>,
+     .accessTime = dmAccessTime,
+     .energy = dmEnergy})
 
 BSIM_REGISTER_CACHE_SPEC(
     regPad,
-    {"pad",
-     {"partial", "pmatch"},
-     "pad:<size>[,<N>w][,bits=N][,repl=R][,line=B]",
-     "partial-address-matching way predictor over an SA array",
-     CacheKind::PartialMatch,
-     [](std::uint64_t size, SpecParams &p) {
+    {.name = "pad",
+     .aliases = {"partial", "pmatch"},
+     .synopsis = "pad:<size>[,<N>w][,bits=N][,repl=R][,line=B]",
+     .help = "partial-address-matching way predictor over an SA array",
+     .kind = CacheKind::PartialMatch,
+     .parse = [](std::uint64_t size, SpecParams &p) {
          CacheConfig c = CacheConfig::partialMatch(
-             size, static_cast<std::uint32_t>(p.suffixed('w', 2)),
+             size, static_cast<std::uint32_t>(p.count("w", 2)),
              static_cast<unsigned>(p.count("bits", 5)),
              static_cast<std::uint32_t>(p.count("line", 32)));
          applyCommon(c, p, false);
@@ -528,11 +729,20 @@ BSIM_REGISTER_CACHE_SPEC(
                      " is outside 1..29");
          return c;
      },
-     [](const CacheConfig &c) {
-         std::string out = "," + std::to_string(c.ways) + "w,bits=" +
-                           std::to_string(c.partialBits);
-         return out + commonTail(c, false);
-     }})
+     .printParams = [](const CacheConfig &c) {
+         return "," + std::to_string(c.ways) + "w,bits=" +
+                std::to_string(c.partialBits) + commonTail(c, false);
+     },
+     .build = [](const CacheConfig &c, const std::string &name, Cycles lat,
+                 MemLevel *next) -> std::unique_ptr<BaseCache> {
+         return std::make_unique<PartialMatchCache>(
+             name, geometryOf(c, c.ways), lat, next, c.partialBits, c.repl);
+     },
+     // The PAD comparison replaces the full-tag way select, so the first
+     // cycle runs near direct-mapped speed; mispredictions pay a second
+     // cycle (the slow-hit fraction).
+     .accessTime = dmAccessTime,
+     .energy = setAssocEnergy})
 
 // ---------------------------------------------------------------------
 // Parse / print
@@ -592,8 +802,8 @@ parseCacheSpec(const std::string &spec)
                 "bad composition '" + spec +
                 "': a victim buffer attaches to a direct-mapped base "
                 "(dm:<size>)");
-        const auto entries = static_cast<std::size_t>(
-            parseCount(tail.substr(7), "victim entries"));
+        const std::uint64_t entries = parseCount(
+            tail.substr(7), "victim entries", kMaxVictimEntries, tail);
         requireEntries(entries);
         return CacheConfig::victim(base.sizeBytes, entries,
                                    base.lineBytes);
@@ -605,18 +815,13 @@ std::string
 printCacheSpec(const CacheConfig &config)
 {
     const CacheFactory &f = CacheFactory::instance();
-    const CacheSpecEntry *entry = f.entryFor(config.kind);
-    bsim_assert(entry, "unregistered cache kind");
-    // SetAssoc registers twice (dm/sa); the sa entry owns printing.
-    if (config.kind == CacheKind::SetAssoc)
-        entry = f.find("sa");
-    std::string tail = entry->printParams
-                           ? entry->printParams(config)
-                           : std::string();
-    // "@dm" redirects: canonical spelling of a 1-way SA config is dm:.
-    if (tail.rfind("@dm", 0) == 0)
-        return "dm:" + sizeToken(config.sizeBytes) + tail.substr(3);
-    return entry->name + ":" + sizeToken(config.sizeBytes) + tail;
+    // SetAssoc registers twice; a 1-way config spells itself dm:.
+    const CacheSpecEntry *entry =
+        config.kind == CacheKind::SetAssoc && config.ways > 1
+            ? f.find("sa")
+            : f.entryFor(config.kind);
+    return entry->name + ":" + sizeString(config.sizeBytes) +
+           entry->printParams(config);
 }
 
 std::string
@@ -630,81 +835,40 @@ listCacheSpecs()
         out += "\n";
     }
     out += "compositions:\n"
-           "  dm:<size>+victim:<N>      sugar for victim:<size>,<N>e\n"
-           "  <l1>/l2:<size>,<N>w,<B>l,<C>c/mem:<C>c"
-           "   hierarchy spec (timed runs)\n";
+           "  dm:<size>+victim:<N>      sugar for victim:<size>,<N>e\n";
     return out;
 }
 
 // ---------------------------------------------------------------------
-// Equality (the round-trip contract)
+// Dispatch through the registry
 
-bool
-operator==(const CacheConfig &a, const CacheConfig &b)
+std::unique_ptr<BaseCache>
+CacheConfig::build(const std::string &name, Cycles hit_latency,
+                   MemLevel *next) const
 {
-    if (a.kind != b.kind || a.label != b.label ||
-        a.sizeBytes != b.sizeBytes || a.lineBytes != b.lineBytes ||
-        a.repl != b.repl)
-        return false;
-    switch (a.kind) {
-      case CacheKind::SetAssoc:
-        return a.ways == b.ways && a.writePolicy == b.writePolicy;
-      case CacheKind::Victim:
-        return a.victimEntries == b.victimEntries;
-      case CacheKind::BCache:
-        return a.mf == b.mf && a.bas == b.bas &&
-               a.writePolicy == b.writePolicy;
-      case CacheKind::Hac:
-        return a.hacSubarrayBytes == b.hacSubarrayBytes;
-      case CacheKind::PartialMatch:
-        return a.ways == b.ways && a.partialBits == b.partialBits;
-      case CacheKind::ColumnAssoc:
-      case CacheKind::Skewed:
-      case CacheKind::XorDm:
-        return true;
-    }
-    return false;
+    return CacheFactory::instance().entryFor(kind)->build(
+        *this, name, hit_latency, next);
 }
 
-// ---------------------------------------------------------------------
-// JSON form
-
-CacheConfig
-cacheSpecFromJson(const JsonValue &v)
+SideCounters
+CacheConfig::sideCounters(const BaseCache &cache) const
 {
-    if (!v.isObject())
-        throw CacheSpecError("cache spec JSON must be an object");
-    // Funnel through the string grammar: one parser, one error set.
-    const JsonValue *kind = v.find("kind");
-    if (!kind || !kind->isString())
-        throw CacheSpecError(
-            "cache spec JSON needs a string \"kind\" member");
-    std::string spec = kind->string + ":";
-    const JsonValue *size = v.find("size");
-    if (!size || !(size->isString() || size->isNumber()))
-        throw CacheSpecError("cache spec JSON needs a \"size\" member "
-                             "(a byte count or a size string)");
-    // Numbers keep their verbatim source lexeme in `string`.
-    spec += size->string;
-    for (const auto &[key, val] : v.object) {
-        if (key == "kind" || key == "size")
-            continue;
-        std::string value;
-        if (val.isString())
-            value = val.string;
-        else if (val.isNumber())
-            value = val.string; // verbatim integer lexeme
-        else
-            throw CacheSpecError("cache spec JSON member \"" + key +
-                                 "\" must be a string or number");
-        if (key == "ways")
-            spec += "," + value + "w";
-        else if (key == "entries")
-            spec += "," + value + "e";
-        else
-            spec += "," + key + "=" + value;
-    }
-    return parseCacheSpec(spec);
+    const CacheSpecEntry *entry = CacheFactory::instance().entryFor(kind);
+    return entry->side ? entry->side(cache) : SideCounters{};
+}
+
+BCacheParams
+CacheConfig::bcacheParams() const
+{
+    bsim_assert(kind == CacheKind::BCache);
+    BCacheParams p;
+    p.sizeBytes = sizeBytes;
+    p.lineBytes = lineBytes;
+    p.mf = mf;
+    p.bas = bas;
+    p.repl = repl;
+    p.writePolicy = writePolicy;
+    return p;
 }
 
 // ---------------------------------------------------------------------
@@ -825,83 +989,6 @@ CacheConfig::partialMatch(std::uint64_t size, std::uint32_t ways,
     c.partialBits = partial_bits;
     c.label = strprintf("pad%u-%uway", partial_bits, ways);
     return c;
-}
-
-// ---------------------------------------------------------------------
-// Hierarchy specs
-
-bool
-operator==(const HierarchySpec &a, const HierarchySpec &b)
-{
-    return a.l1 == b.l1 &&
-           a.params.l1HitLatency == b.params.l1HitLatency &&
-           a.params.l2SizeBytes == b.params.l2SizeBytes &&
-           a.params.l2LineBytes == b.params.l2LineBytes &&
-           a.params.l2Ways == b.params.l2Ways &&
-           a.params.l2HitLatency == b.params.l2HitLatency &&
-           a.params.memLatency == b.params.memLatency;
-}
-
-HierarchySpec
-parseHierarchySpec(const std::string &spec)
-{
-    const std::vector<std::string> stages = split(spec, '/');
-    if (stages.empty())
-        throw CacheSpecError("empty hierarchy spec");
-    HierarchySpec h;
-    h.l1 = parseCacheSpec(stages.front());
-    for (std::size_t i = 1; i < stages.size(); ++i) {
-        const std::string &s = stages[i];
-        if (s.rfind("l2:", 0) == 0) {
-            std::vector<std::string> fields = split(s.substr(3), ',');
-            if (fields.empty())
-                throw CacheSpecError("l2 stage needs a size: '" + s +
-                                     "'");
-            h.params.l2SizeBytes = parseSize(fields.front(), "l2 size");
-            fields.erase(fields.begin());
-            SpecParams p("l2", std::move(fields));
-            h.params.l2Ways = static_cast<std::uint32_t>(
-                p.suffixed('w', h.params.l2Ways));
-            h.params.l2LineBytes = static_cast<std::uint32_t>(
-                p.suffixed('l', h.params.l2LineBytes));
-            h.params.l2HitLatency = static_cast<Cycles>(
-                p.suffixed('c', h.params.l2HitLatency));
-            p.finish("Nw, Nl, Nc");
-            requireGeometry("l2", h.params.l2SizeBytes,
-                            h.params.l2LineBytes, h.params.l2Ways);
-        } else if (s.rfind("mem:", 0) == 0) {
-            std::string lat = s.substr(4);
-            if (!lat.empty() && lat.back() == 'c')
-                lat.pop_back();
-            h.params.memLatency = static_cast<Cycles>(
-                parseCount(lat, "memory latency"));
-        } else {
-            throw CacheSpecError(
-                "unknown hierarchy stage '" + s +
-                "'; expected l2:<size>,<N>w,<B>l,<C>c or mem:<C>c");
-        }
-    }
-    return h;
-}
-
-std::string
-printHierarchySpec(const HierarchySpec &spec)
-{
-    const HierarchyParams defaults;
-    std::string out = printCacheSpec(spec.l1);
-    const HierarchyParams &p = spec.params;
-    if (p.l2SizeBytes != defaults.l2SizeBytes ||
-        p.l2Ways != defaults.l2Ways ||
-        p.l2LineBytes != defaults.l2LineBytes ||
-        p.l2HitLatency != defaults.l2HitLatency) {
-        out += "/l2:" + sizeToken(p.l2SizeBytes) + "," +
-               std::to_string(p.l2Ways) + "w," +
-               std::to_string(p.l2LineBytes) + "l," +
-               std::to_string(p.l2HitLatency) + "c";
-    }
-    if (p.memLatency != defaults.memLatency)
-        out += "/mem:" + std::to_string(p.memLatency) + "c";
-    return out;
 }
 
 } // namespace bsim

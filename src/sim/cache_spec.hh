@@ -6,12 +6,11 @@
  * A *cache spec* is a short string naming one cache organisation and its
  * parameters, e.g. `bcache:16kB,mf=8,bas=8`, `sa:16kB,8w`,
  * `victim:16kB,16e` (also reachable as `dm:16kB+victim:16`). Every
- * registered variant can be parsed from such a string (or the JSON
- * object equivalent), printed back to its canonical form, and
- * instantiated — `parseCacheSpec(printCacheSpec(c)) == c` holds for any
- * config the registry can produce, which is what lets experiment
- * definitions round-trip through files, CLIs and JSON telemetry without
- * per-variant glue code.
+ * registered variant can be parsed from such a string, printed back to
+ * its canonical form, and instantiated — `parseCacheSpec(printCacheSpec(c))
+ * == c` holds for any config the registry can produce, which is what
+ * lets experiment definitions round-trip through CLIs and JSON
+ * telemetry without per-variant glue code.
  *
  * Grammar (see docs/ARCHITECTURE.md "Cache-spec registry & sessions"
  * for the authoritative table; scripts/check_specs.sh keeps the two in
@@ -23,38 +22,38 @@
  *     size      := integer with optional k/kB/M/MB suffix (powers of two
  *                  not required by the grammar; variants validate)
  *
- * Kinds register themselves with the CacheFactory singleton (the
- * BSIM_REGISTER_CACHE_SPEC registrar in cache_spec.cc), carrying their
- * parse/print hooks, synopsis and help text — `bsim --list-caches`
- * enumerates the registry, and adding a tenth variant is one
- * registration, not a scatter of switch statements.
+ * Each variant is one BSIM_REGISTER_CACHE_SPEC block in cache_spec.cc
+ * carrying everything that differs between organisations: its
+ * parse/print hooks, synopsis and help text, and its build, access-time,
+ * energy and side-counter hooks. `bsim --list-caches` enumerates the
+ * registry; CacheConfig::build(), evaluateAmat() and energyRatesFor()
+ * dispatch through it, so adding a tenth variant is one registration,
+ * not a scatter of switch statements.
  *
- * Layering: this header owns the *description* (CacheKind, CacheConfig,
- * the grammar, the registry). Instantiation needs every concrete
- * variant, so CacheConfig::build()/bcacheParams() are defined in
- * sim/config.cc — the one translation unit that already links the
- * bcache and alt libraries (and whose direct constructor references
- * keep those objects linked into every binary, so the registry is never
- * silently missing a variant).
+ * Layering: the registry lives in sim/ because its hooks need every
+ * concrete variant (cache/, bcache/, alt/) and the power/ and timing/
+ * models, and bsim_sim is the library that links them all. The
+ * registrars sit in the same translation unit as parseCacheSpec() and
+ * CacheConfig::build(), so any binary that names a cache links every
+ * variant.
  */
 
-#ifndef BSIM_CACHE_CACHE_SPEC_HH
-#define BSIM_CACHE_CACHE_SPEC_HH
+#ifndef BSIM_SIM_CACHE_SPEC_HH
+#define BSIM_SIM_CACHE_SPEC_HH
 
 #include <functional>
 #include <memory>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "bcache/bcache.hh"
 #include "cache/base_cache.hh"
-#include "cache/hierarchy.hh"
 #include "cache/replacement.hh"
+#include "power/energy_model.hh"
 
 namespace bsim {
-
-struct BCacheParams;
-struct JsonValue;
 
 /** Which organisation a CacheConfig describes. */
 enum class CacheKind : std::uint8_t {
@@ -66,6 +65,23 @@ enum class CacheKind : std::uint8_t {
     Hac,          ///< highly associative CAM-tag cache (Section 6.7)
     XorDm,        ///< XOR-mapped direct-mapped (indexing optimisation)
     PartialMatch, ///< way-predicting SA cache (Section 7.2)
+};
+
+/** Largest value a spec count may carry (CacheConfig's 32-bit fields). */
+inline constexpr std::uint64_t kMaxSpecCount = 0xffffffffu;
+
+/** Largest victim buffer a spec may ask for (`<N>e`, `+victim:<N>`). */
+inline constexpr std::uint64_t kMaxVictimEntries = 65536;
+
+/**
+ * The counters only some variants keep, beyond CacheStats. Variants
+ * without one leave it at its zero default.
+ */
+struct SideCounters
+{
+    std::optional<PdStats> pd;      ///< B-Cache decoder taxonomy
+    std::uint64_t victimHits = 0;   ///< victim buffer hits
+    std::uint64_t victimProbes = 0; ///< victim buffer searches
 };
 
 /**
@@ -88,13 +104,16 @@ struct CacheConfig
     std::uint64_t hacSubarrayBytes = 1024;
     unsigned partialBits = 5; ///< PartialMatch only
 
-    /**
-     * Instantiate the described cache (defined in sim/config.cc, the
-     * unit that links every variant library).
-     */
+    /** Instantiate the described cache (the registry's build hook). */
     std::unique_ptr<BaseCache> build(const std::string &name,
                                      Cycles hit_latency = 1,
                                      MemLevel *next = nullptr) const;
+
+    /**
+     * The variant's side counters, read off @p cache — which must have
+     * been built from this config (the registry's side hook).
+     */
+    SideCounters sideCounters(const BaseCache &cache) const;
 
     /** B-Cache parameter block (kind must be BCache). */
     BCacheParams bcacheParams() const;
@@ -123,15 +142,10 @@ struct CacheConfig
                                     std::uint32_t ways = 2,
                                     unsigned partial_bits = 5,
                                     std::uint32_t line = 32);
-};
 
-/** Field-wise equality (the round-trip contract compares with this). */
-bool operator==(const CacheConfig &a, const CacheConfig &b);
-inline bool
-operator!=(const CacheConfig &a, const CacheConfig &b)
-{
-    return !(a == b);
-}
+    /** Field-wise equality (the round-trip contract compares with this). */
+    bool operator==(const CacheConfig &) const = default;
+};
 
 /**
  * A malformed spec. The message always names the offending token and
@@ -157,17 +171,18 @@ class SpecParams
   public:
     SpecParams(std::string kind, std::vector<std::string> tokens);
 
-    /** The value of @p key, or @p fallback when absent. */
-    std::uint64_t count(const std::string &key, std::uint64_t fallback);
+    /**
+     * The value of @p key ("line" for "line=64", the suffix "w" for a
+     * suffixed count like "8w"), or @p fallback when absent. A signed,
+     * overflowing or above-@p max value throws, quoting the token; the
+     * default bound is the 32-bit range of CacheConfig's count fields.
+     */
+    std::uint64_t count(const std::string &key, std::uint64_t fallback,
+                        std::uint64_t max = kMaxSpecCount);
     /** A size-valued parameter ("sub=1kB"). */
     std::uint64_t size(const std::string &key, std::uint64_t fallback);
     /** A string-valued parameter ("repl=random"). */
     std::string word(const std::string &key, const std::string &fallback);
-    /**
-     * A bare suffixed count like "8w" / "16e"; @p fallback when no token
-     * carries the suffix.
-     */
-    std::uint64_t suffixed(char suffix, std::uint64_t fallback);
     /** True when the key or suffix was present at all. */
     bool has(const std::string &key) const;
 
@@ -178,7 +193,7 @@ class SpecParams
     struct Token
     {
         std::string text;  ///< verbatim, for diagnostics
-        std::string key;   ///< empty for suffixed counts
+        std::string key;   ///< the suffix letter for suffixed counts
         std::string value; ///< value text (or the count digits)
         bool used = false;
     };
@@ -188,13 +203,17 @@ class SpecParams
     std::vector<Token> tokens_;
 };
 
-/** One registered cache organisation. */
+/**
+ * One registered cache organisation: everything that differs between
+ * variants. The hooks after printParams take a config this entry
+ * parsed (or a factory helper of its kind built).
+ */
 struct CacheSpecEntry
 {
     /** Canonical kind token ("bcache"); printCacheSpec leads with it. */
     std::string name;
     /** Accepted alternative tokens ("setassoc" for "sa"). */
-    std::vector<std::string> aliases;
+    std::vector<std::string> aliases = {};
     /** Grammar synopsis, e.g. "bcache:<size>[,mf=N][,bas=N]...". */
     std::string synopsis;
     /** One-line description for --list-caches. */
@@ -205,6 +224,24 @@ struct CacheSpecEntry
         parse;
     /** Canonical parameter tail ("" when size alone round-trips). */
     std::function<std::string(const CacheConfig &)> printParams;
+    /** Instantiate the cache (CacheConfig::build). */
+    std::function<std::unique_ptr<BaseCache>(
+        const CacheConfig &, const std::string &name, Cycles hit_latency,
+        MemLevel *next)>
+        build;
+    /** Raw L1 access time, which sets the clock in evaluateAmat(). */
+    std::function<NanoSeconds(const CacheConfig &)> accessTime;
+    /**
+     * Per-access L1 energy: l1iAccess = l1dAccess, plus victimProbe and
+     * pdMissRefund where the variant has them. energyRatesFor() adds
+     * the shared L2, refill and off-chip terms.
+     */
+    std::function<EnergyRates(const CacheConfig &)> energy;
+    /**
+     * Side counters of a cache this entry built; null for variants
+     * that keep none.
+     */
+    std::function<SideCounters(const BaseCache &)> side = nullptr;
 };
 
 /**
@@ -221,7 +258,10 @@ class CacheFactory
 
     /** Entry by name or alias (case-insensitive); null when unknown. */
     const CacheSpecEntry *find(const std::string &name) const;
-    /** Entry that prints configs of @p kind; never null once built. */
+    /**
+     * The entry whose hooks serve configs of @p kind (for SetAssoc, the
+     * first of dm/sa, which share them); never null once built.
+     */
     const CacheSpecEntry *entryFor(CacheKind kind) const;
     /** All entries, registration order. */
     const std::vector<CacheSpecEntry> &entries() const
@@ -235,7 +275,7 @@ class CacheFactory
 };
 
 /** Registrar: constructing one registers the entry (used at namespace
- * scope in cache_spec.cc so every grammar lives next to the registry —
+ * scope in cache_spec.cc so every variant lives next to the registry —
  * one TU, so no static-init-order or dead-stripping hazards). */
 struct CacheSpecRegistrar
 {
@@ -260,39 +300,9 @@ CacheConfig parseCacheSpec(const std::string &spec);
  */
 std::string printCacheSpec(const CacheConfig &config);
 
-/**
- * Parse the JSON object form: {"kind": "bcache", "size": "16kB",
- * "mf": 8, ...} — keys match the grammar's parameter names, size-valued
- * fields accept either a number or a size string. Throws CacheSpecError.
- */
-CacheConfig cacheSpecFromJson(const JsonValue &v);
-
 /** The `--list-caches` readout: one block per registered variant. */
 std::string listCacheSpecs();
 
-/**
- * A composed hierarchy description: L1 spec (itself possibly a
- * `dm+victim` composition) over the shared L2 and main memory of
- * cache/hierarchy.hh.
- */
-struct HierarchySpec
-{
-    CacheConfig l1;
-    HierarchyParams params;
-};
-
-bool operator==(const HierarchySpec &a, const HierarchySpec &b);
-
-/**
- * Parse `<l1-spec>[/l2:<size>,<N>w,<B>l,<C>c][/mem:<C>c]`, e.g.
- * `bcache:16kB,mf=8,bas=8/l2:256kB,4w,128l,6c/mem:100c`. Omitted
- * stages keep the paper's Table 4 defaults. Throws CacheSpecError.
- */
-HierarchySpec parseHierarchySpec(const std::string &spec);
-
-/** Canonical form; parseHierarchySpec(printHierarchySpec(h)) == h. */
-std::string printHierarchySpec(const HierarchySpec &spec);
-
 } // namespace bsim
 
-#endif // BSIM_CACHE_CACHE_SPEC_HH
+#endif // BSIM_SIM_CACHE_SPEC_HH

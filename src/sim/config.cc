@@ -3,79 +3,9 @@
 #include <cstdlib>
 #include <thread>
 
-#include "alt/column_assoc_cache.hh"
-#include "alt/hac_cache.hh"
-#include "alt/partial_match_cache.hh"
-#include "alt/skewed_assoc_cache.hh"
-#include "alt/xor_index_cache.hh"
-#include "bcache/bcache.hh"
-#include "cache/set_assoc_cache.hh"
-#include "cache/victim_cache.hh"
 #include "common/logging.hh"
-#include "common/strings.hh"
 
 namespace bsim {
-
-// CacheConfig itself (and its factory helpers) lives in
-// cache/cache_spec.cc; build()/bcacheParams() are defined here because
-// instantiation needs every concrete variant, and this is the unit that
-// links the bcache and alt libraries. The direct constructor references
-// below also keep those objects linked into every binary, so the spec
-// registry is never silently missing a variant to dead-stripping.
-
-BCacheParams
-CacheConfig::bcacheParams() const
-{
-    bsim_assert(kind == CacheKind::BCache);
-    BCacheParams p;
-    p.sizeBytes = sizeBytes;
-    p.lineBytes = lineBytes;
-    p.mf = mf;
-    p.bas = bas;
-    p.repl = repl;
-    p.writePolicy = writePolicy;
-    return p;
-}
-
-std::unique_ptr<BaseCache>
-CacheConfig::build(const std::string &name, Cycles hit_latency,
-                   MemLevel *next) const
-{
-    switch (kind) {
-      case CacheKind::SetAssoc:
-        return std::make_unique<SetAssocCache>(
-            name, CacheGeometry(sizeBytes, lineBytes, ways), hit_latency,
-            next, repl, /*repl_seed=*/1, writePolicy);
-      case CacheKind::Victim:
-        return std::make_unique<VictimCache>(
-            name, CacheGeometry(sizeBytes, lineBytes, 1), hit_latency,
-            next, victimEntries);
-      case CacheKind::BCache:
-        return std::make_unique<BCache>(name, bcacheParams(),
-                                        hit_latency, next);
-      case CacheKind::ColumnAssoc:
-        return std::make_unique<ColumnAssocCache>(
-            name, CacheGeometry(sizeBytes, lineBytes, 1), hit_latency,
-            next);
-      case CacheKind::Skewed:
-        return std::make_unique<SkewedAssocCache>(
-            name, CacheGeometry(sizeBytes, lineBytes, 2), hit_latency,
-            next);
-      case CacheKind::Hac:
-        return std::make_unique<HacCache>(name, sizeBytes, lineBytes,
-                                          hacSubarrayBytes, hit_latency,
-                                          next, repl);
-      case CacheKind::XorDm:
-        return std::make_unique<XorIndexCache>(
-            name, CacheGeometry(sizeBytes, lineBytes, 1), hit_latency,
-            next);
-      case CacheKind::PartialMatch:
-        return std::make_unique<PartialMatchCache>(
-            name, CacheGeometry(sizeBytes, lineBytes, ways), hit_latency,
-            next, partialBits, repl);
-    }
-    bsim_panic("bad cache kind");
-}
 
 std::vector<CacheConfig>
 figure4Configs(std::uint64_t size_bytes)

@@ -5,12 +5,8 @@
  * `--jobs` plumbing.
  *
  * The declarative cache description itself (CacheKind, CacheConfig, the
- * spec grammar and registry) lives in cache/cache_spec.hh; this header
- * re-exports it so existing `#include "sim/config.hh"` consumers keep
- * compiling unchanged. CacheConfig::build()/bcacheParams() are *defined*
- * here in sim/config.cc — the translation unit that links every variant
- * library — keeping the cache/ layer free of bcache/ and alt/
- * dependencies.
+ * spec grammar and the variant registry) lives in sim/cache_spec.hh,
+ * which this header includes for the CacheConfig it returns.
  */
 
 #ifndef BSIM_SIM_CONFIG_HH
@@ -18,9 +14,8 @@
 
 #include <vector>
 
-#include "bcache/bcache_params.hh"
-#include "cache/cache_spec.hh"
 #include "cache/hierarchy.hh"
+#include "sim/cache_spec.hh"
 
 namespace bsim {
 

@@ -2,7 +2,6 @@
 
 #include <cstdlib>
 
-#include "cache/victim_cache.hh"
 #include "common/logging.hh"
 #include "power/cacti_lite.hh"
 #include "sim/session.hh"
@@ -152,14 +151,12 @@ runTimed(const std::string &workload_name, const CacheConfig &config,
     a.l2Misses = r.l2.misses;
     a.offchipAccesses = hier.memory().totalAccesses();
     a.cycles = cpu.cycles;
-    if (auto *vi = dynamic_cast<VictimCache *>(&hier.l1i()))
-        a.victimProbes += vi->victimProbes();
-    if (auto *vd = dynamic_cast<VictimCache *>(&hier.l1d()))
-        a.victimProbes += vd->victimProbes();
-    if (auto *bi = dynamic_cast<BCache *>(&hier.l1i()))
-        a.pdPredictedMisses += bi->pdStats().pdMiss;
-    if (auto *bd = dynamic_cast<BCache *>(&hier.l1d()))
-        a.pdPredictedMisses += bd->pdStats().pdMiss;
+    for (const BaseCache *l1 : {&hier.l1i(), &hier.l1d()}) {
+        const SideCounters side = config.sideCounters(*l1);
+        a.victimProbes += side.victimProbes;
+        if (side.pd)
+            a.pdPredictedMisses += side.pd->pdMiss;
+    }
     return r;
 }
 
@@ -174,55 +171,8 @@ energyRatesFor(const CacheConfig &config, PicoJoules static_per_cycle)
     const PicoJoules base_l1 =
         CactiLite::conventional(base_org).total();
 
-    EnergyRates r;
-    switch (config.kind) {
-      case CacheKind::SetAssoc: {
-        CacheOrg org = base_org;
-        org.ways = config.ways;
-        r.l1iAccess = r.l1dAccess = CactiLite::conventional(org).total();
-        break;
-      }
-      case CacheKind::XorDm:
-        // The XOR stage is a handful of gates; per-access energy is the
-        // direct-mapped array's.
-        r.l1iAccess = r.l1dAccess = base_l1;
-        break;
-      case CacheKind::Victim:
-        r.l1iAccess = r.l1dAccess = base_l1;
-        r.victimProbe = CactiLite::victimBufferProbeEnergy(
-            config.victimEntries, config.lineBytes);
-        break;
-      case CacheKind::BCache: {
-        const CacheEnergyBreakdown e =
-            CactiLite::bcache(config.bcacheParams());
-        r.l1iAccess = r.l1dAccess = e.total();
-        // A PD-predicted miss skips the SRAM array reads; only the CAM
-        // search and decode energy is spent.
-        r.pdMissRefund = e.tagSense + e.tagBitWordline + e.dataSense +
-                         e.dataBitWordline + e.dataOther;
-        break;
-      }
-      case CacheKind::ColumnAssoc:
-      case CacheKind::Skewed:
-      case CacheKind::PartialMatch: {
-        CacheOrg org = base_org;
-        org.ways = config.kind == CacheKind::ColumnAssoc ? 1
-                                                         : config.ways;
-        r.l1iAccess = r.l1dAccess = CactiLite::conventional(org).total();
-        break;
-      }
-      case CacheKind::Hac: {
-        CacheOrg org = base_org;
-        org.ways = static_cast<std::uint32_t>(config.hacSubarrayBytes /
-                                              config.lineBytes);
-        // CAM tag search replaces the tag read; approximate with the
-        // conventional organisation plus a full-tag CAM search.
-        CacheEnergyBreakdown e = CactiLite::conventional(org);
-        e.camSearch = CactiLite::camSearchEnergy(26, org.ways);
-        r.l1iAccess = r.l1dAccess = e.total();
-        break;
-      }
-    }
+    EnergyRates r =
+        CacheFactory::instance().entryFor(config.kind)->energy(config);
 
     CacheOrg l2_org;
     l2_org.sizeBytes = kTable4Hierarchy.l2SizeBytes;

@@ -4,7 +4,6 @@
 #include <cstdio>
 #include <vector>
 
-#include "cache/victim_cache.hh"
 #include "common/logging.hh"
 #include "observe/export.hh"
 
@@ -67,10 +66,9 @@ Session::finish(BaseCache &cache, const StatsObserver *obs,
     if (!collect_aggregates)
         return r; // sampled: per-unit caches, no aggregate state
     r.balance = analyzeBalance(cache.setUsage());
-    if (auto *bc = dynamic_cast<BCache *>(&cache))
-        r.pd = bc->pdStats();
-    if (auto *vc = dynamic_cast<VictimCache *>(&cache))
-        r.victimHits = vc->victimHits();
+    const SideCounters side = config_.sideCounters(cache);
+    r.pd = side.pd;
+    r.victimHits = side.victimHits;
     r.observer = harvestObserver(obs, cache);
     return r;
 }
@@ -214,8 +212,10 @@ Session::runSampled(const SamplePlan &plan, std::uint64_t first_unit,
         if (first_unit != 0 || unit_count != 0)
             bsim_fatal("sampled unit ranges need a seekable trace "
                        "source; streams run the full unit list");
+        // No reserve: a stream's population is only a cap (it may be
+        // 2^64 - 1, a run until stopped), so the unit list grows as
+        // units complete.
         AccessStream &stream = *stream_;
-        sampled.units.reserve(static_cast<std::size_t>(n_units));
         std::vector<MemAccess> reqs(batch_len);
 
         // One forward pass: streams cannot seek, so records between
@@ -348,15 +348,6 @@ writeObserverExports(const StatsExport &ex, const ObserverReport &rep)
     // written; --interval alone dumps it as CSV on stdout.
     if (ex.interval > 0 && ex.statsJsonPath.empty())
         std::fputs(intervalCsv(rep).c_str(), stdout);
-}
-
-CacheHierarchy
-makeHierarchy(const HierarchySpec &spec)
-{
-    CacheHierarchy hier(spec.params);
-    hier.setL1I(spec.l1.build("L1I", spec.params.l1HitLatency, nullptr));
-    hier.setL1D(spec.l1.build("L1D", spec.params.l1HitLatency, nullptr));
-    return hier;
 }
 
 } // namespace bsim

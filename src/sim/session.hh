@@ -2,7 +2,7 @@
  * @file
  * The unified experiment session: one object that owns the access
  * source (synthetic workload stream, trace window, or sampled trace),
- * the DUT built from a declarative CacheConfig (cache/cache_spec.hh),
+ * the DUT built from a declarative CacheConfig (sim/cache_spec.hh),
  * the observer wiring, and the export sinks (human report suppression,
  * bsim-stats-v1 JSON, per-set heatmap CSV, interval series).
  *
@@ -162,13 +162,6 @@ void writeTextOutput(const std::string &path, const std::string &text);
 /** Emit the heatmap/interval CSV exports for one observed run. */
 void writeObserverExports(const StatsExport &ex,
                           const ObserverReport &rep);
-
-/**
- * Compose a two-level hierarchy from a declarative HierarchySpec: both
- * L1 slots built from spec.l1, the shared L2 and memory from
- * spec.params (defaults = kTable4Hierarchy).
- */
-CacheHierarchy makeHierarchy(const HierarchySpec &spec);
 
 } // namespace bsim
 

@@ -3,17 +3,13 @@
 #include <vector>
 
 #include "alt/column_assoc_cache.hh"
-#include "alt/hac_cache.hh"
 #include "alt/partial_match_cache.hh"
-#include "alt/skewed_assoc_cache.hh"
 #include "alt/way_halting_cache.hh"
-#include "alt/xor_index_cache.hh"
-#include "cache/cache_spec.hh"
-#include "cache/set_assoc_cache.hh"
 #include "cache/victim_cache.hh"
 #include "common/logging.hh"
 #include "common/random.hh"
 #include "common/strings.hh"
+#include "sim/cache_spec.hh"
 #include "verify/residency_model.hh"
 
 namespace bsim {
@@ -214,34 +210,13 @@ randomAltFuzzSpec(std::uint64_t seed)
 std::unique_ptr<BaseCache>
 makeAltCache(const AltFuzzSpec &spec, std::string name, MemLevel *next)
 {
-    const CacheGeometry geom(spec.sizeBytes, spec.lineBytes, spec.ways);
-    switch (spec.kind) {
-      case AltKind::Victim:
-        return std::make_unique<VictimCache>(std::move(name), geom, 1,
-                                             next, spec.victimEntries);
-      case AltKind::XorDm:
-        return std::make_unique<XorIndexCache>(std::move(name), geom, 1,
-                                               next);
-      case AltKind::ColumnAssoc:
-        return std::make_unique<ColumnAssocCache>(std::move(name), geom,
-                                                  1, next);
-      case AltKind::Skewed:
-        return std::make_unique<SkewedAssocCache>(std::move(name), geom,
-                                                  1, next);
-      case AltKind::WayHalting:
-        return std::make_unique<WayHaltingCache>(std::move(name), geom, 1,
-                                                 next, spec.haltBits,
-                                                 spec.repl);
-      case AltKind::PartialMatch:
-        return std::make_unique<PartialMatchCache>(
-            std::move(name), geom, 1, next, spec.partialBits, spec.repl);
-      case AltKind::Hac:
-        return std::make_unique<HacCache>(std::move(name), spec.sizeBytes,
-                                          spec.lineBytes,
-                                          spec.subarrayBytes, 1, next,
-                                          spec.repl);
-    }
-    return nullptr;
+    // Registered variants build through their registry entry.
+    if (spec.kind != AltKind::WayHalting)
+        return parseCacheSpec(spec.cacheSpec()).build(name, 1, next);
+    return std::make_unique<WayHaltingCache>(
+        std::move(name),
+        CacheGeometry(spec.sizeBytes, spec.lineBytes, spec.ways), 1, next,
+        spec.haltBits, spec.repl);
 }
 
 BatchEquivResult

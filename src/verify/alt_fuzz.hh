@@ -65,7 +65,7 @@ struct AltFuzzSpec
     std::string toString() const;
 
     /**
-     * The sampled DUT in the cache-spec grammar (cache/cache_spec.hh),
+     * The sampled DUT in the cache-spec grammar (sim/cache_spec.hh),
      * or "" for WayHalting, which has no registered spec kind.
      * runAltFuzzCase() asserts print -> parse -> print is a fixed
      * point, so alt campaigns double as parser coverage for the
@@ -83,7 +83,10 @@ struct AltFuzzSpec
  */
 AltFuzzSpec randomAltFuzzSpec(std::uint64_t seed);
 
-/** Instantiate the variant @p spec describes on top of @p next. */
+/**
+ * Instantiate the variant @p spec describes on top of @p next: through
+ * the spec registry's build hook, except for WayHalting.
+ */
 std::unique_ptr<BaseCache> makeAltCache(const AltFuzzSpec &spec,
                                         std::string name, MemLevel *next);
 

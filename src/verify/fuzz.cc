@@ -3,11 +3,11 @@
 #include <algorithm>
 #include <memory>
 
-#include "cache/cache_spec.hh"
 #include "common/bits.hh"
 #include "common/logging.hh"
 #include "common/random.hh"
 #include "common/strings.hh"
+#include "sim/cache_spec.hh"
 #include "workload/generators.hh"
 
 namespace bsim {

@@ -33,7 +33,7 @@ struct FuzzSpec
     std::string toString() const;
 
     /**
-     * The sampled DUT in the cache-spec grammar (cache/cache_spec.hh),
+     * The sampled DUT in the cache-spec grammar (sim/cache_spec.hh),
      * e.g. "bcache:16kB,mf=8,bas=8,repl=fifo". replSeed, addrBits and
      * the workload knobs are harness state, not part of the grammar;
      * every mapping-relevant field round-trips. runFuzzCase() asserts

@@ -1,18 +1,19 @@
 /**
  * @file
- * The cache-spec grammar (cache/cache_spec.hh): golden round-trips for
- * every registered variant, typed errors with actionable messages for
- * malformed specs, JSON-object parsing, hierarchy composition, and a
- * bounded fuzz case that throws random printable strings at the parser
+ * The cache-spec grammar (sim/cache_spec.hh): golden round-trips for
+ * every registered variant, the per-variant access time and energy the
+ * registry hooks produce, typed errors with actionable messages for
+ * malformed specs, and a bounded fuzz case that throws random printable strings at the parser
  * (asan/ubsan builds make that a UB hunt, not just a crash hunt).
  */
 
 #include <gtest/gtest.h>
 
-#include "cache/cache_spec.hh"
-#include "common/json.hh"
+#include "sim/cache_spec.hh"
 #include "common/random.hh"
+#include "sim/amat.hh"
 #include "sim/config.hh"
+#include "sim/runner.hh"
 
 namespace bsim {
 namespace {
@@ -126,6 +127,49 @@ TEST(CacheSpec, WaysOneCanonicalizesToDm)
     EXPECT_EQ(printCacheSpec(c), "dm:16kB");
 }
 
+TEST(CacheSpec, AccessTimeAndEnergyPinnedPerVariant)
+{
+    // One spec per registered name: the AMAT access time / clock / AMAT
+    // and the L1 energy terms, exact to the last bit (%.17g prints).
+    const struct
+    {
+        const char *spec;
+        double accessNs, clockNs, amatNs;
+        double l1dAccess, victimProbe, pdMissRefund;
+    } pinned[] = {
+        {"dm:16kB", 0.83839999999999992, 0.83839999999999992,
+         1.2534080000000001, 890.38400000000001, 0, 0},
+        {"sa:16kB,4w", 0.9403999999999999, 0.9403999999999999,
+         1.4058979999999999, 2061.9613873194844, 0, 0},
+        {"victim:16kB,16e", 0.83839999999999992, 0.83839999999999992,
+         1.2534080000000001, 890.38400000000001, 685.03599999999994, 0},
+        {"bcache:16kB,mf=8,bas=8", 0.83839999999999992,
+         0.83839999999999992, 1.2534080000000001, 984.94399999999996, 0,
+         813.16799999999989},
+        {"column:16kB", 0.83839999999999992, 0.83839999999999992,
+         1.2534080000000001, 890.38400000000001, 0, 0},
+        {"skew:16kB", 0.94639999999999991, 0.94639999999999991,
+         1.414868, 1361.7192395292532, 0, 0},
+        {"hac:16kB", 1.1375, 1.1375, 1.7005625, 7331.0273405356629, 0, 0},
+        {"xor:16kB", 0.83839999999999992, 0.83839999999999992,
+         1.2534080000000001, 890.38400000000001, 0, 0},
+        {"pad:16kB,2w", 0.83839999999999992, 0.83839999999999992,
+         1.2534080000000001, 1361.7192395292532, 0, 0},
+    };
+    ASSERT_EQ(std::size(pinned), CacheFactory::instance().entries().size());
+    for (const auto &p : pinned) {
+        const CacheConfig c = parseCacheSpec(p.spec);
+        const AmatResult a = evaluateAmat(c, 0.05, 0.1);
+        EXPECT_EQ(a.accessTimeNs, p.accessNs) << p.spec;
+        EXPECT_EQ(a.clockNs, p.clockNs) << p.spec;
+        EXPECT_EQ(a.amatNs, p.amatNs) << p.spec;
+        const EnergyRates e = energyRatesFor(c);
+        EXPECT_EQ(e.l1dAccess, p.l1dAccess) << p.spec;
+        EXPECT_EQ(e.victimProbe, p.victimProbe) << p.spec;
+        EXPECT_EQ(e.pdMissRefund, p.pdMissRefund) << p.spec;
+    }
+}
+
 /** The error message must name the offender and what was accepted. */
 void
 expectError(const std::string &spec, const std::string &needle)
@@ -162,51 +206,21 @@ TEST(CacheSpec, MalformedSpecsThrowActionableErrors)
     expectError("column:32,line=32", "at least two sets");
     expectError("sa:16kB,3w", "3 ways is not a power of two");
     expectError("bcache:3kB", "size 3072 is not a power of two");
-}
-
-TEST(CacheSpec, JsonObjectFormMatchesStringForm)
-{
-    const auto fromJson = [](const std::string &text) {
-        const auto v = parseJson(text);
-        EXPECT_TRUE(v.has_value()) << text;
-        return cacheSpecFromJson(*v);
-    };
-    EXPECT_EQ(fromJson(R"({"kind":"bcache","size":"16kB",)"
-                       R"("mf":8,"bas":8})"),
-              parseCacheSpec("bcache:16kB,mf=8,bas=8"));
-    EXPECT_EQ(fromJson(R"({"kind":"dm","size":16384})"),
-              parseCacheSpec("dm:16kB"));
-    EXPECT_EQ(fromJson(R"({"kind":"sa","size":"32kB","ways":4,)"
-                       R"("repl":"random"})"),
-              parseCacheSpec("sa:32kB,4w,repl=random"));
-    EXPECT_EQ(fromJson(R"({"kind":"victim","size":"16kB",)"
-                       R"("entries":8})"),
-              parseCacheSpec("victim:16kB,8e"));
-    EXPECT_THROW(fromJson(R"({"size":"16kB"})"), CacheSpecError);
-    EXPECT_THROW(fromJson(R"({"kind":"dm"})"), CacheSpecError);
-    EXPECT_THROW(fromJson(R"({"kind":"dm","size":"16kB","zap":1})"),
-                 CacheSpecError);
-}
-
-TEST(CacheSpec, HierarchySpecRoundTrips)
-{
-    // Bare L1 keeps the paper's Table 4 L2/memory.
-    const HierarchySpec bare = parseHierarchySpec("dm:16kB");
-    EXPECT_EQ(bare.params.l2SizeBytes, kTable4Hierarchy.l2SizeBytes);
-    EXPECT_EQ(bare.params.memLatency, kTable4Hierarchy.memLatency);
-    EXPECT_EQ(printHierarchySpec(bare), "dm:16kB");
-
-    const HierarchySpec full = parseHierarchySpec(
-        "bcache:16kB,mf=8,bas=8/l2:512kB,8w,64l,12c/mem:200c");
-    EXPECT_EQ(full.params.l2SizeBytes, 512u * 1024);
-    EXPECT_EQ(full.params.l2Ways, 8u);
-    EXPECT_EQ(full.params.l2LineBytes, 64u);
-    EXPECT_EQ(full.params.l2HitLatency, 12u);
-    EXPECT_EQ(full.params.memLatency, 200u);
-    EXPECT_EQ(parseHierarchySpec(printHierarchySpec(full)), full);
-
-    EXPECT_THROW(parseHierarchySpec("dm:16kB/l3:1MB"), CacheSpecError);
-    EXPECT_THROW(parseHierarchySpec("dm:16kB/l2:3kB"), CacheSpecError);
+    // Signed, overflowing or field-overflowing numbers are rejected
+    // with the token as typed, not wrapped or narrowed into range.
+    expectError("dm:16kB,line=4294967328", "'line=4294967328' is out of");
+    expectError("sa:16kB,4294967298w", "'4294967298w' is out of range");
+    expectError("bcache:16kB,mf=4294967304", "'mf=4294967304' is out");
+    expectError("pad:16kB,2w,bits=4294967301", "'bits=4294967301' is");
+    expectError("victim:16kB,4294967297e", "at most 65536");
+    expectError("victim:16kB,18446744073709551632e",
+                "'18446744073709551632e' is out of range");
+    expectError("dm:16kB+victim:18446744073709551632",
+                "'victim:18446744073709551632' is out of range");
+    expectError("dm:-16kB", "bad dm size '-16kB'");
+    expectError("dm:18446744073709551616",
+                "'18446744073709551616' is out of range");
+    expectError("dm:18014398509481984kB", "'18014398509481984kB' is out");
 }
 
 TEST(CacheSpec, FuzzRandomPrintableSpecsNeverCrash)
