@@ -25,28 +25,6 @@ namespace bench {
 /** Miss rates of one workload across configurations, keyed by label. */
 using MissRow = std::map<std::string, MissRateResult>;
 
-/**
- * Run one workload side through the baseline plus @p configs; returns
- * results keyed by config label, with "baseline" holding the
- * direct-mapped reference.
- */
-inline MissRow
-runRow(const std::string &workload, StreamSide side,
-       const std::vector<CacheConfig> &configs, std::uint64_t size_bytes,
-       std::uint64_t accesses)
-{
-    MissRow row;
-    row.emplace("baseline",
-                runMissRate(workload, side,
-                            parseCacheSpec(
-                                "dm:" + std::to_string(size_bytes)),
-                            accesses));
-    for (const auto &cfg : configs)
-        row.emplace(cfg.label,
-                    runMissRate(workload, side, cfg, accesses));
-    return row;
-}
-
 /** Rows of a whole benchmark suite plus the sweep-engine metrics. */
 struct RowSweep
 {
@@ -55,9 +33,12 @@ struct RowSweep
 };
 
 /**
- * Parallel equivalent of calling runRow() once per benchmark: one sweep
- * over benchmarks x (baseline + configs), executed by the sweep engine
- * (worker count from @p options — `--jobs` / BSIM_JOBS). Jobs pin
+ * Run each benchmark's @p side through the @p size_bytes direct-mapped
+ * baseline plus @p configs: one sweep over benchmarks x (baseline +
+ * configs), executed by the sweep engine (worker count from @p options
+ * — `--jobs` / BSIM_JOBS), which generates each benchmark's stream once
+ * for all of its caches. Rows are keyed by benchmark, then by config
+ * label, with "baseline" holding the direct-mapped reference. Jobs pin
  * kDefaultSeed so the tables match the serial runs in EXPERIMENTS.md.
  */
 inline RowSweep

@@ -4,6 +4,9 @@
  * of 32 kB and 8 kB (data and instruction caches) for 2/4/8-way caches,
  * victim16 and the B-Cache MF x BAS grid (MF in {2,4,8,16}, BAS in
  * {4,8}).
+ *
+ * Each column is one sweep on the parallel sweep engine (`--jobs N` /
+ * BSIM_JOBS selects the worker count).
  */
 
 #include "bench/bench_util.hh"
@@ -14,44 +17,49 @@ using namespace bsim::bench;
 
 namespace {
 
-void
-column(Table &t, std::uint64_t size, StreamSide side,
+/** Suite-average reduction of each Figure 12 config at one size/side. */
+std::vector<double>
+column(std::uint64_t size, StreamSide side,
        const std::vector<std::string> &benchmarks, std::uint64_t n,
-       std::vector<std::vector<double>> &cells)
+       const SweepOptions &options)
 {
-    (void)t;
     const auto configs = figure12Configs(size);
+    const RowSweep sweep =
+        runRows(benchmarks, side, configs, size, n, options);
     std::vector<RunningStat> avg(configs.size());
     for (const auto &b : benchmarks) {
-        const MissRow row = runRow(b, side, configs, size, n);
+        const MissRow &row = sweep.rows.at(b);
         for (std::size_t i = 0; i < configs.size(); ++i)
             avg[i].add(reductionOf(row, configs[i].label));
     }
     std::vector<double> col;
     for (const auto &a : avg)
         col.push_back(a.mean());
-    cells.push_back(std::move(col));
+    return col;
 }
 
 } // namespace
 
 int
-main()
+main(int argc, char **argv)
 {
     banner("fig12_sizes",
            "Figure 12 (miss-rate reductions at 32 kB and 8 kB)");
     const std::uint64_t n = defaultAccesses(500'000);
+    SweepOptions options;
+    options.jobs = consumeJobsFlag(argc, argv);
 
     const auto configs = figure12Configs(8 * 1024); // labels only
     Table t({"config", "32K D$", "32K I$", "8K D$", "8K I$"});
 
-    std::vector<std::vector<double>> cols;
-    column(t, 32 * 1024, StreamSide::Data, spec2kNames(), n, cols);
-    column(t, 32 * 1024, StreamSide::Inst,
-           spec2kIcacheReportedNames(), n, cols);
-    column(t, 8 * 1024, StreamSide::Data, spec2kNames(), n, cols);
-    column(t, 8 * 1024, StreamSide::Inst, spec2kIcacheReportedNames(),
-           n, cols);
+    const std::vector<std::vector<double>> cols = {
+        column(32 * 1024, StreamSide::Data, spec2kNames(), n, options),
+        column(32 * 1024, StreamSide::Inst, spec2kIcacheReportedNames(),
+               n, options),
+        column(8 * 1024, StreamSide::Data, spec2kNames(), n, options),
+        column(8 * 1024, StreamSide::Inst, spec2kIcacheReportedNames(),
+               n, options),
+    };
 
     for (std::size_t i = 0; i < configs.size(); ++i) {
         t.row().cell(configs[i].label);

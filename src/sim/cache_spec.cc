@@ -79,8 +79,9 @@ outOfRange(const std::string &what, const std::string &token,
 }
 
 /**
- * Parse "16kB" / "16k" / "2MB" / "16384" into bytes. The canonical
- * printer uses sizeString(), so its kB/MB forms must parse back.
+ * Parse "16kB" / "16k" / "2MB" / "16384" into bytes, at most
+ * kMaxSpecBytes. The canonical printer uses sizeString(), so its kB/MB
+ * forms must parse back.
  */
 std::uint64_t
 parseSize(const std::string &text, const std::string &what)
@@ -110,9 +111,8 @@ parseSize(const std::string &text, const std::string &what)
                              "or a plain byte count");
     if (n == 0)
         throw CacheSpecError(what + " must be nonzero in '" + text + "'");
-    const std::uint64_t max = ~std::uint64_t{0};
-    if (errno == ERANGE || n > max / scale)
-        throw outOfRange(what, text, max);
+    if (errno == ERANGE || n > kMaxSpecBytes / scale)
+        throw outOfRange(what, text, kMaxSpecBytes);
     return n * scale;
 }
 

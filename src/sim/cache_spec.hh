@@ -19,8 +19,9 @@
  *     spec      := kind ":" size ( "," param )* ( "+victim:" entries )?
  *     param     := count suffix            e.g. "8w" ways, "16e" entries
  *                | key "=" value           e.g. "mf=8", "repl=random"
- *     size      := integer with optional k/kB/M/MB suffix (powers of two
- *                  not required by the grammar; variants validate)
+ *     size      := integer with optional k/kB/M/MB suffix, at most
+ *                  kMaxSpecBytes (powers of two not required by the
+ *                  grammar; variants validate)
  *
  * Each variant is one BSIM_REGISTER_CACHE_SPEC block in cache_spec.cc
  * carrying everything that differs between organisations: its
@@ -72,6 +73,15 @@ inline constexpr std::uint64_t kMaxSpecCount = 0xffffffffu;
 
 /** Largest victim buffer a spec may ask for (`<N>e`, `+victim:<N>`). */
 inline constexpr std::uint64_t kMaxVictimEntries = 65536;
+
+/**
+ * Largest size a spec may name (the cache size and `sub=`): 64 MB. The
+ * largest cache any harness simulates is the 256 kB Table 4 L2, so the
+ * cap leaves a 256x margin, while every accepted spec still builds in a
+ * few hundred MB of host memory (a 64 MB direct-mapped cache is 2 M
+ * lines) instead of dying in the allocator.
+ */
+inline constexpr std::uint64_t kMaxSpecBytes = std::uint64_t{64} << 20;
 
 /**
  * The counters only some variants keep, beyond CacheStats. Variants

@@ -1,7 +1,9 @@
 #include "sim/session.hh"
 
 #include <algorithm>
+#include <chrono>
 #include <cstdio>
+#include <functional>
 #include <vector>
 
 #include "common/logging.hh"
@@ -10,6 +12,8 @@
 namespace bsim {
 
 namespace {
+
+using Clock = std::chrono::steady_clock;
 
 std::string
 replayLabel(const std::string &path, const TraceShard &shard)
@@ -30,19 +34,28 @@ replayLabel(const std::string &path, const TraceShard &shard)
 Session::Session(AccessStream &stream, const CacheConfig &config,
                  std::uint64_t accesses, std::string label,
                  const ObserverConfig &observe, std::size_t batch_len)
-    : config_(config),
+    : Session(stream, std::vector<CacheConfig>{config}, accesses,
+              std::move(label), observe, batch_len)
+{
+}
+
+Session::Session(AccessStream &stream, std::vector<CacheConfig> configs,
+                 std::uint64_t accesses, std::string label,
+                 const ObserverConfig &observe, std::size_t batch_len)
+    : configs_(std::move(configs)),
       label_(std::move(label)),
       observe_(observe),
       maxAccesses_(accesses),
       batchLen_(batch_len),
       stream_(&stream)
 {
+    bsim_assert(!configs_.empty());
 }
 
 Session::Session(std::string trace_path, const CacheConfig &config,
                  const TraceShard &shard,
                  const TraceReplayOptions &options)
-    : config_(config),
+    : configs_{config},
       label_(replayLabel(trace_path, shard)),
       observe_(options.observe),
       maxAccesses_(options.maxAccesses),
@@ -56,116 +69,162 @@ Session::Session(std::string trace_path, const CacheConfig &config,
 }
 
 MissRateResult
-Session::finish(BaseCache &cache, const StatsObserver *obs,
-                bool collect_aggregates) const
+Session::finish(const CacheConfig &config, BaseCache &cache,
+                const StatsObserver *obs) const
 {
     MissRateResult r;
     r.workload = label_;
-    r.config = config_.label;
+    r.config = config.label;
     r.stats = cache.stats();
-    if (!collect_aggregates)
-        return r; // sampled: per-unit caches, no aggregate state
     r.balance = analyzeBalance(cache.setUsage());
-    const SideCounters side = config_.sideCounters(cache);
+    const SideCounters side = config.sideCounters(cache);
     r.pd = side.pd;
     r.victimHits = side.victimHits;
     r.observer = harvestObserver(obs, cache);
     return r;
 }
 
+namespace {
+
+/** One cache under test while a session runs. */
+struct Dut
+{
+    std::unique_ptr<BaseCache> cache; ///< null once the DUT has failed
+    std::unique_ptr<StatsObserver> obs;
+    DutRun run;
+
+    /**
+     * Run @p step on this DUT's clock. A throw fails the DUT alone: the
+     * exception is kept for its DutRun and the cache is dropped, so no
+     * further records reach it.
+     */
+    template <class Step>
+    void
+    timed(Step &&step)
+    {
+        const auto start = Clock::now();
+        try {
+            step();
+        } catch (...) {
+            run.error = std::current_exception();
+            cache.reset();
+            obs.reset();
+        }
+        run.seconds +=
+            std::chrono::duration<double>(Clock::now() - start).count();
+    }
+};
+
+} // namespace
+
+std::vector<DutRun>
+Session::runEach()
+{
+    std::vector<Dut> duts(configs_.size());
+    for (std::size_t i = 0; i < duts.size(); ++i) {
+        Dut &d = duts[i];
+        d.timed([&] {
+            d.cache = configs_[i].build(configs_[i].label, 1, nullptr);
+            d.obs = attachObserver(*d.cache, observe_);
+        });
+    }
+    auto alive = [&] {
+        return std::any_of(duts.begin(), duts.end(),
+                           [](const Dut &d) { return d.cache != nullptr; });
+    };
+
+    // BSIM_BATCH=0/1 selects the per-access path: records still come
+    // off the source a chunk at a time (the stream's own next(), one
+    // call per record), and each cache sees them one access() at a
+    // time. Otherwise stream and cache both work in batches, which is
+    // bit-identical (see MemLevel::accessBatch).
+    const std::size_t batch_len =
+        batchLen_ ? batchLen_ : defaultBatchLen();
+    const bool per_access = batch_len <= 1;
+    const std::size_t chunk = per_access ? kDefaultBatchLen : batch_len;
+    std::vector<MemAccess> reqs;
+    std::vector<AccessOutcome> outs(per_access ? 0 : chunk);
+
+    // Where the records come from. Trace readers and span streams
+    // (trace-backed AccessStreams) hand out views of their own chunk
+    // buffer — the mmap itself for uncompressed BST2 — so nothing is
+    // copied per record on the way into accessBatch; spans stop at
+    // chunk edges, and the accessBatch contract (verify/batch_equiv)
+    // is boundary-independent. An empty span means a bounded source
+    // ran out; the run ends there. Generators fill `reqs`.
+    TraceReaderPtr reader;
+    std::function<std::span<const MemAccess>(std::size_t)> pull;
+    if (!stream_) {
+        if (alive())
+            reader = handle_ ? openTraceReader(handle_, shard_)
+                             : openTraceReader(tracePath_, shard_);
+        pull = [&](std::size_t n) { return reader->nextSpan(n); };
+    } else if (!per_access && stream_->hasSpanBatches()) {
+        pull = [&](std::size_t n) { return stream_->nextSpan(n); };
+    } else {
+        reqs.resize(chunk);
+        pull = [&](std::size_t n) {
+            if (per_access)
+                for (std::size_t i = 0; i < n; ++i)
+                    reqs[i] = stream_->next();
+            else
+                stream_->nextBatch(reqs.data(), n);
+            return std::span<const MemAccess>(reqs.data(), n);
+        };
+    }
+
+    // A trace window with no maxAccesses runs to its end; a stream is
+    // unbounded, so its run length is exactly maxAccesses.
+    std::uint64_t left = (stream_ || maxAccesses_) ? maxAccesses_
+                                                   : ~std::uint64_t{0};
+    while (left > 0 && alive()) {
+        const std::size_t want = static_cast<std::size_t>(
+            std::min<std::uint64_t>(left, chunk));
+        // Re-clamp what actually came back: a source promises at most
+        // `want` records, but `left -= size` is an unsigned subtraction
+        // that would wrap past maxAccesses if one ever over-delivered
+        // (turning a bounded run into a near-unbounded one), and the
+        // clamp also keeps it from overrunning `outs`.
+        std::span<const MemAccess> s = pull(want);
+        s = s.first(std::min(s.size(), want));
+        if (s.empty())
+            break;
+        for (Dut &d : duts) {
+            if (!d.cache)
+                continue;
+            d.timed([&] {
+                if (per_access)
+                    for (const MemAccess &a : s)
+                        d.cache->access(a);
+                else
+                    d.cache->accessBatch(s, outs.data());
+            });
+        }
+        left -= s.size();
+    }
+
+    std::vector<DutRun> runs;
+    runs.reserve(duts.size());
+    for (std::size_t i = 0; i < duts.size(); ++i) {
+        Dut &d = duts[i];
+        if (d.cache)
+            d.timed([&] {
+                d.run.result =
+                    finish(configs_[i], *d.cache, d.obs.get());
+            });
+        runs.push_back(std::move(d.run));
+    }
+    return runs;
+}
+
 MissRateResult
 Session::run()
 {
-    auto cache = config_.build(config_.label, 1, nullptr);
-    auto obs = attachObserver(*cache, observe_);
-    const std::size_t batch_len =
-        batchLen_ ? batchLen_ : defaultBatchLen();
-
-    if (stream_) {
-        AccessStream &stream = *stream_;
-        const std::uint64_t accesses = maxAccesses_;
-        if (batch_len <= 1) {
-            for (std::uint64_t i = 0; i < accesses; ++i)
-                cache->access(stream.next());
-        } else if (stream.hasSpanBatches()) {
-            // Zero-copy hot loop for trace-backed streams: the stream
-            // hands out views of its own chunk buffer (the mmap itself
-            // for uncompressed BST2), which go straight into
-            // accessBatch with no per-record copy. Batch boundaries
-            // differ from the copying path (spans stop at chunk edges)
-            // but results are bit-identical — the accessBatch contract
-            // (verify/batch_equiv) is boundary-independent. An empty
-            // span means the bounded, non-cycling trace ran out before
-            // @p accesses; the run ends there.
-            std::vector<AccessOutcome> outs(batch_len);
-            for (std::uint64_t left = accesses; left > 0;) {
-                const std::span<const MemAccess> s = stream.nextSpan(
-                    static_cast<std::size_t>(
-                        std::min<std::uint64_t>(batch_len, left)));
-                if (s.empty())
-                    break;
-                cache->accessBatch(s, outs.data());
-                left -= s.size();
-            }
-        } else {
-            // Hot loop of every miss-rate experiment: stream and cache
-            // both work in fixed-size batches (bit-identical to the
-            // per-access path — see MemLevel::accessBatch).
-            std::vector<MemAccess> reqs(batch_len);
-            std::vector<AccessOutcome> outs(batch_len);
-            for (std::uint64_t left = accesses; left > 0;) {
-                const std::size_t n = static_cast<std::size_t>(
-                    std::min<std::uint64_t>(batch_len, left));
-                stream.nextBatch(reqs.data(), n);
-                cache->accessBatch({reqs.data(), n}, outs.data());
-                left -= n;
-            }
-        }
-        return finish(*cache, obs.get(), true);
-    }
-
-    TraceReaderPtr reader = handle_ ? openTraceReader(handle_, shard_)
-                                    : openTraceReader(tracePath_, shard_);
-    std::uint64_t left =
-        maxAccesses_ ? maxAccesses_ : ~std::uint64_t{0};
-    if (batch_len <= 1) {
-        // Per-access path (BSIM_BATCH=0/1): still streamed one chunk at
-        // a time, just replayed record by record.
-        while (left > 0) {
-            const std::size_t want = static_cast<std::size_t>(
-                std::min<std::uint64_t>(left, 65536));
-            // Re-clamp what actually came back: nextSpan() promises at
-            // most `want` records, but `left -= size` is an unsigned
-            // subtraction that would wrap past maxAccesses if a reader
-            // ever over-delivered, so don't let a buggy reader turn a
-            // bounded replay into a (near-)unbounded one.
-            std::span<const MemAccess> s = reader->nextSpan(want);
-            s = s.first(std::min(s.size(), want));
-            if (s.empty())
-                break;
-            for (const MemAccess &a : s)
-                cache->access(a);
-            left -= s.size();
-        }
-    } else {
-        // Batched hot loop: spans come straight from the reader's chunk
-        // buffer (the mmap itself for uncompressed BST2), so nothing is
-        // copied per record on the way into accessBatch.
-        std::vector<AccessOutcome> outs(batch_len);
-        while (left > 0) {
-            const std::size_t want = static_cast<std::size_t>(
-                std::min<std::uint64_t>(left, batch_len));
-            // Same defensive clamp as above; it also keeps an
-            // over-delivering reader from overrunning `outs`.
-            std::span<const MemAccess> s = reader->nextSpan(want);
-            s = s.first(std::min(s.size(), want));
-            if (s.empty())
-                break;
-            cache->accessBatch(s, outs.data());
-            left -= s.size();
-        }
-    }
-    return finish(*cache, obs.get(), true);
+    bsim_assert(configs_.size() == 1);
+    DutRun only = std::move(runEach().front());
+    if (only.error)
+        std::rethrow_exception(only.error);
+    return std::move(*only.result);
 }
 
 std::uint64_t
@@ -193,6 +252,7 @@ MissRateResult
 Session::runSampled(const SamplePlan &plan, std::uint64_t first_unit,
                     std::uint64_t unit_count)
 {
+    bsim_assert(configs_.size() == 1);
     if (observe_.enabled)
         bsim_fatal("sampled replay cannot ride an observer: each unit "
                    "runs its own short-lived cache, so there is no "
@@ -260,7 +320,7 @@ Session::runSampled(const SamplePlan &plan, std::uint64_t first_unit,
             const std::uint64_t w0 =
                 std::max(s0 >= plan.warmup ? s0 - plan.warmup : 0, pos);
             pump(w0 - pos, nullptr);
-            auto cache = config_.build(config_.label, 1, nullptr);
+            auto cache = configs_.front().build(configs_.front().label, 1, nullptr);
             pump(s0 - pos, cache.get());
             const CacheStats after_warmup = cache->stats();
             pump(e - pos, cache.get());
@@ -306,7 +366,7 @@ Session::runSampled(const SamplePlan &plan, std::uint64_t first_unit,
             const std::uint64_t warm_start =
                 start >= plan.warmup ? start - plan.warmup : 0;
             reader->skipTo(warm_start);
-            auto cache = config_.build(config_.label, 1, nullptr);
+            auto cache = configs_.front().build(configs_.front().label, 1, nullptr);
             pump(*cache, start - warm_start);
             const CacheStats after_warmup = cache->stats();
             pump(*cache, end - start);
@@ -319,7 +379,7 @@ Session::runSampled(const SamplePlan &plan, std::uint64_t first_unit,
 
     MissRateResult r;
     r.workload = label_;
-    r.config = config_.label;
+    r.config = configs_.front().label;
     r.stats = total;
     r.sampled = std::move(sampled);
     return r;

@@ -2,9 +2,15 @@
  * @file
  * The unified experiment session: one object that owns the access
  * source (synthetic workload stream, trace window, or sampled trace),
- * the DUT built from a declarative CacheConfig (sim/cache_spec.hh),
+ * the DUTs built from declarative CacheConfigs (sim/cache_spec.hh),
  * the observer wiring, and the export sinks (human report suppression,
  * bsim-stats-v1 JSON, per-set heatmap CSV, interval series).
+ *
+ * A stream session may drive several DUTs: each batch is pulled from
+ * the source once and fed to every cache in turn, so a grid of caches
+ * over one workload stream generates that stream once. Every cache
+ * sees exactly the records it would see alone, so each result is
+ * bit-identical to a single-DUT run.
  *
  * Before this layer, runner.cc, trace_replay.cc and the bsim driver
  * each re-implemented DUT setup, the batched access loops, observer
@@ -18,9 +24,11 @@
 #ifndef BSIM_SIM_SESSION_HH
 #define BSIM_SIM_SESSION_HH
 
+#include <exception>
 #include <memory>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "sim/runner.hh"
 #include "workload/trace_reader.hh"
@@ -46,9 +54,27 @@ struct TraceReplayOptions
 };
 
 /**
- * One experiment run: a source, a DUT, an observer, a result.
+ * One DUT's part of a Session::runEach() run. A DUT whose config fails
+ * to build, or whose run throws, carries the exception instead of a
+ * result; the session's other DUTs are unaffected.
+ */
+struct DutRun
+{
+    std::optional<MissRateResult> result;
+    std::exception_ptr error;
+    /**
+     * This DUT's own time: cache build, accesses and result assembly.
+     * Pulling records from the source is shared by every DUT and is
+     * not included.
+     */
+    double seconds = 0.0;
+};
+
+/**
+ * One experiment run: a source, its DUTs, an observer per DUT, a result
+ * per DUT.
  *
- * A Session is single-shot — construct, then call run() or
+ * A Session is single-shot — construct, then call run(), runEach() or
  * runSampled() exactly once (the source is consumed). Stream sources
  * are caller-owned and borrowed; trace sources are opened and owned by
  * the session.
@@ -67,6 +93,16 @@ class Session
             std::size_t batch_len = 0);
 
     /**
+     * Session feeding one caller-owned stream to every cache in
+     * @p configs. Each cache gets its own observer when @p observe is
+     * enabled. Only run() and runEach() accept several DUTs.
+     */
+    Session(AccessStream &stream, std::vector<CacheConfig> configs,
+            std::uint64_t accesses, std::string label,
+            const ObserverConfig &observe = {},
+            std::size_t batch_len = 0);
+
+    /**
      * Session over one window of a trace file (options.maxAccesses 0 =
      * the whole window). The trace is opened lazily at run time, so
      * constructing a Session for a missing file only fails when run.
@@ -79,8 +115,18 @@ class Session
     Session &operator=(Session &&) = default;
 
     /**
-     * Full run: every record of the source window through one DUT.
-     * The miss-rate analogue of the old runMissRateOn/runTraceReplay.
+     * Full run: every record of the source window through every DUT,
+     * one result per DUT in config order. The source is pulled once per
+     * batch and the batch fed to each cache in turn; BSIM_BATCH=0/1
+     * feeds the same records one access at a time. Errors of the
+     * source itself (a missing trace) propagate; a DUT's own failure
+     * lands in its DutRun.
+     */
+    std::vector<DutRun> runEach();
+
+    /**
+     * runEach() for a single-DUT session: its result, or its error
+     * rethrown.
      */
     MissRateResult run();
 
@@ -91,7 +137,8 @@ class Session
      * and accept a unit range [first_unit, first_unit + unit_count)
      * for sharding (unit_count 0 = through the last unit); stream
      * sources are consumed in one forward pass, discarding records
-     * between units, and must run the full unit list.
+     * between units, and must run the full unit list. Single-DUT
+     * sessions only.
      */
     MissRateResult runSampled(const SamplePlan &plan,
                               std::uint64_t first_unit = 0,
@@ -101,11 +148,12 @@ class Session
     const std::string &label() const { return label_; }
 
   private:
-    MissRateResult finish(BaseCache &cache, const StatsObserver *obs,
-                          bool collect_aggregates) const;
+    /** One DUT's result once every record has reached it. */
+    MissRateResult finish(const CacheConfig &config, BaseCache &cache,
+                          const StatsObserver *obs) const;
     std::uint64_t sampledPopulation() const;
 
-    CacheConfig config_;
+    std::vector<CacheConfig> configs_; ///< one per DUT
     std::string label_;
     ObserverConfig observe_;
     std::uint64_t maxAccesses_ = 0;

@@ -1,15 +1,20 @@
 #include "sim/sweep.hh"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <exception>
+#include <map>
 #include <mutex>
 #include <stdexcept>
 #include <thread>
+#include <tuple>
 
 #include "common/logging.hh"
 #include "common/strings.hh"
 #include "common/table.hh"
 #include "sim/config.hh"
+#include "sim/session.hh"
 #include "sim/trace_replay.hh"
 
 namespace bsim {
@@ -37,13 +42,26 @@ eventsOf(const SweepOutcome &out)
     return 0;
 }
 
-/** Run one job; every failure is captured in the outcome. */
+/** The message of a captured job failure. */
+std::string
+errorOf(std::exception_ptr error)
+{
+    try {
+        std::rethrow_exception(error);
+    } catch (const std::exception &e) {
+        return e.what();
+    } catch (...) {
+        return "unknown exception";
+    }
+}
+
+/** Run one job on its own; every failure is captured in the outcome. */
 SweepOutcome
-runOne(const SweepJob &job, std::size_t index, std::uint64_t base_seed)
+runOne(const SweepJob &job, std::size_t index, std::uint64_t seed)
 {
     SweepOutcome out;
     out.index = index;
-    out.seed = job.seed ? *job.seed : sweepSeed(base_seed, index);
+    out.seed = seed;
     const auto start = Clock::now();
     try {
         // Custom jobs carry their own workload in the callable and
@@ -96,13 +114,107 @@ runOne(const SweepJob &job, std::size_t index, std::uint64_t base_seed)
             break;
           }
         }
-    } catch (const std::exception &e) {
-        out.error = e.what();
     } catch (...) {
-        out.error = "unknown exception";
+        out.error = errorOf(std::current_exception());
     }
     out.seconds = secondsSince(start);
     return out;
+}
+
+/**
+ * Run the MissRate jobs @p members, which share (workload, side, seed,
+ * length), off one generated stream: Session::runEach() pulls each
+ * batch once and feeds it to every member's cache, so each result is
+ * bit-identical to the member's own runMissRate(). A member whose cache
+ * fails fails alone. Its seconds are its own time plus an equal share
+ * of the rest of the unit (workload construction and stream
+ * generation), so the members' seconds sum to the unit's wall time.
+ */
+void
+runShared(const std::vector<SweepJob> &jobs,
+          const std::vector<std::size_t> &members, std::uint64_t seed,
+          std::vector<SweepOutcome> &outcomes)
+{
+    const auto start = Clock::now();
+    const SweepJob &lead = jobs[members.front()];
+    std::vector<CacheConfig> configs;
+    configs.reserve(members.size());
+    for (const std::size_t i : members)
+        configs.push_back(jobs[i].config);
+    std::vector<DutRun> duts(members.size());
+    std::string error; // the shared source failed: every member fails
+    try {
+        SpecWorkload wl = makeSpecWorkload(lead.workload, seed);
+        AccessStream &stream =
+            lead.side == StreamSide::Inst ? *wl.inst : *wl.data;
+        duts = Session(stream, std::move(configs), lead.length,
+                       lead.workload)
+                   .runEach();
+    } catch (...) {
+        error = errorOf(std::current_exception());
+    }
+    double own = 0.0;
+    for (const DutRun &d : duts)
+        own += d.seconds;
+    const double share =
+        (secondsSince(start) - own) / double(members.size());
+    for (std::size_t k = 0; k < members.size(); ++k) {
+        SweepOutcome &out = outcomes[members[k]];
+        out.index = members[k];
+        out.seed = seed;
+        if (!error.empty())
+            out.error = error;
+        else if (duts[k].error)
+            out.error = errorOf(duts[k].error);
+        else
+            out.miss = std::move(duts[k].result);
+        out.seconds = duts[k].seconds + share;
+    }
+}
+
+/**
+ * Partition the jobs into work units: unsampled MissRate jobs that
+ * share (workload, side, resolved seed, length) form one unit, which
+ * generates that stream once for all of them; every other job is a
+ * unit of its own. Units are ordered by their first job. While there
+ * are fewer units than @p threads, the largest unit is split in half,
+ * so a sweep over one workload still keeps every worker busy.
+ */
+std::vector<std::vector<std::size_t>>
+planUnits(const std::vector<SweepJob> &jobs,
+          const std::vector<std::uint64_t> &seeds, unsigned threads)
+{
+    using Key = std::tuple<std::string, StreamSide, std::uint64_t,
+                           std::uint64_t>;
+    std::map<Key, std::size_t> shared;
+    std::vector<std::vector<std::size_t>> units;
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+        const SweepJob &j = jobs[i];
+        // Invalid jobs stay on their own so runOne reports them.
+        if (j.kind != SweepJob::Kind::MissRate || j.sample ||
+            !isSpec2kName(j.workload) || j.length == 0) {
+            units.push_back({i});
+            continue;
+        }
+        const auto [it, fresh] = shared.try_emplace(
+            Key{j.workload, j.side, seeds[i], j.length}, units.size());
+        if (fresh)
+            units.emplace_back();
+        units[it->second].push_back(i);
+    }
+    while (units.size() < threads) {
+        const auto largest = std::max_element(
+            units.begin(), units.end(),
+            [](const auto &a, const auto &b) { return a.size() < b.size(); });
+        if (largest->size() < 2)
+            break;
+        const auto half =
+            largest->begin() + std::ptrdiff_t(largest->size() / 2);
+        std::vector<std::size_t> tail(half, largest->end());
+        largest->erase(half, largest->end());
+        units.insert(largest + 1, std::move(tail));
+    }
+    return units;
 }
 
 } // namespace
@@ -217,6 +329,12 @@ runSweep(const std::vector<SweepJob> &jobs, const SweepOptions &options)
     const unsigned threads = static_cast<unsigned>(
         std::min<std::size_t>(std::max(requested, 1u), jobs.size()));
 
+    std::vector<std::uint64_t> seeds(jobs.size());
+    for (std::size_t i = 0; i < jobs.size(); ++i)
+        seeds[i] = jobs[i].seed ? *jobs[i].seed
+                                : sweepSeed(options.baseSeed, i);
+    const auto units = planUnits(jobs, seeds, threads);
+
     const auto start = Clock::now();
     std::atomic<std::size_t> next{0};
     std::mutex progress_mutex;
@@ -225,22 +343,30 @@ runSweep(const std::vector<SweepJob> &jobs, const SweepOptions &options)
 
     auto worker = [&] {
         for (;;) {
-            const std::size_t i =
+            const std::size_t u =
                 next.fetch_add(1, std::memory_order_relaxed);
-            if (i >= jobs.size())
+            if (u >= units.size())
                 return;
-            run.outcomes[i] = runOne(jobs[i], i, options.baseSeed);
+            const std::vector<std::size_t> &members = units[u];
+            const std::size_t first = members.front();
+            if (members.size() == 1)
+                run.outcomes[first] =
+                    runOne(jobs[first], first, seeds[first]);
+            else
+                runShared(jobs, members, seeds[first], run.outcomes);
 
             std::lock_guard<std::mutex> lock(progress_mutex);
-            ++done;
-            events += eventsOf(run.outcomes[i]);
-            if (options.onProgress) {
-                SweepProgress p;
-                p.done = done;
-                p.total = jobs.size();
-                p.events = events;
-                p.seconds = secondsSince(start);
-                options.onProgress(p);
+            for (const std::size_t i : members) {
+                ++done;
+                events += eventsOf(run.outcomes[i]);
+                if (options.onProgress) {
+                    SweepProgress p;
+                    p.done = done;
+                    p.total = jobs.size();
+                    p.events = events;
+                    p.seconds = secondsSince(start);
+                    options.onProgress(p);
+                }
             }
         }
     };

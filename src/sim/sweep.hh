@@ -4,12 +4,25 @@
  * (workload x side x CacheConfig x run length) on a fixed-size worker
  * pool and returns results in submission order.
  *
+ * Work units: unsampled MissRate jobs that share (workload, side,
+ * resolved seed, run length) are one unit. The unit builds the workload
+ * once and feeds each generated batch to every member's cache
+ * (Session::runEach), so a grid of N caches over one stream generates
+ * that stream once instead of N times. Every other job — Timed, Trace,
+ * Custom, sampled, and MissRate jobs whose stream no other job shares —
+ * is a unit of its own and runs exactly as a serial runner call would.
+ * When there are fewer units than worker threads, the largest units are
+ * split in half until every worker has one.
+ *
  * Determinism contract: a job's workload seed depends only on the job
  * itself — either the explicit SweepJob::seed, or
  * sweepSeed(SweepOptions::baseSeed, job_index) — never on thread count
- * or scheduling, so an N-thread sweep is bit-identical to the same
- * sweep on one thread. Jobs share no mutable state (each builds its own
- * workload and cache models), which is what makes the fan-out safe.
+ * or scheduling. Each cache sees exactly the records its job's own
+ * stream would give it, whichever unit it lands in and however units
+ * are split, so an N-thread sweep is bit-identical to the same sweep on
+ * one thread and to one serial runner call per job. Units share no
+ * mutable state — a unit owns its workload and every cache model it
+ * feeds — which is what makes the fan-out safe.
  */
 
 #ifndef BSIM_SIM_SWEEP_HH
@@ -136,8 +149,15 @@ struct SweepOutcome
     std::optional<TimedResult> timed;   ///< Timed jobs
     /** Custom jobs: events the callable reported. */
     std::optional<std::uint64_t> customEvents;
-    std::string error;    ///< non-empty if the job threw
-    double seconds = 0.0; ///< wall time of this job
+    std::string error; ///< non-empty if the job threw
+    /**
+     * Host time of this job. A job that ran alone reports its wall
+     * time. A job that shared a stream reports its own cache's build,
+     * access and result time plus 1/N of the rest of its N-job unit
+     * (workload construction and stream generation), so the members'
+     * seconds sum to the unit's wall time.
+     */
+    double seconds = 0.0;
 
     bool ok() const { return error.empty(); }
 };
@@ -186,8 +206,10 @@ struct SweepOptions
     /** Base for per-job seed derivation (jobs without explicit seeds). */
     std::uint64_t baseSeed = kDefaultSeed;
     /**
-     * Invoked after each job completes. Calls are serialized (a mutex)
-     * but may come from any worker thread; the hook must not throw.
+     * Invoked once per job, when the job's work unit completes (the
+     * members of a shared unit report back to back). Calls are
+     * serialized (a mutex) but may come from any worker thread; the
+     * hook must not throw.
      */
     std::function<void(const SweepProgress &)> onProgress;
 };
@@ -207,9 +229,11 @@ struct SweepRun
 std::uint64_t sweepSeed(std::uint64_t base_seed, std::size_t job_index);
 
 /**
- * Execute every job on min(options.jobs, jobs.size()) worker threads.
- * A job that throws is captured in its outcome's `error` field; the
- * remaining jobs still run and the call always returns (no deadlock).
+ * Execute every job on min(options.jobs, jobs.size()) worker threads,
+ * grouped into work units as described at the top of this file. A job
+ * that throws is captured in its outcome's `error` field; the remaining
+ * jobs still run (a shared unit's other members included) and the call
+ * always returns (no deadlock). onProgress fires once per job.
  */
 SweepRun runSweep(const std::vector<SweepJob> &jobs,
                   const SweepOptions &options = {});

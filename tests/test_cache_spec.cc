@@ -223,6 +223,27 @@ TEST(CacheSpec, MalformedSpecsThrowActionableErrors)
     expectError("dm:18014398509481984kB", "'18014398509481984kB' is out");
 }
 
+TEST(CacheSpec, SizesAboveTheCapAreRejected)
+{
+    // kMaxSpecBytes is 64 MB: the cap itself parses, one step past it
+    // (in any unit, for the cache size and for hac's sub=) is a typed
+    // error instead of a multi-gigabyte allocation at build time.
+    ASSERT_EQ(kMaxSpecBytes, std::uint64_t{64} << 20);
+    EXPECT_EQ(parseCacheSpec("dm:64MB").sizeBytes, kMaxSpecBytes);
+    EXPECT_EQ(parseCacheSpec("dm:65536kB").sizeBytes, kMaxSpecBytes);
+    EXPECT_EQ(parseCacheSpec("dm:67108864").sizeBytes, kMaxSpecBytes);
+    EXPECT_EQ(parseCacheSpec("hac:64MB,sub=64MB").hacSubarrayBytes,
+              kMaxSpecBytes);
+    expectError("dm:4096MB", "dm size '4096MB' is out of range (at most "
+                             "67108864)");
+    expectError("dm:1048576MB", "'1048576MB' is out of range");
+    expectError("dm:65MB", "'65MB' is out of range");
+    expectError("bcache:65537kB", "'65537kB' is out of range");
+    expectError("sa:67108865,8w", "'67108865' is out of range");
+    expectError("dm:128MB+victim:16", "'128MB' is out of range");
+    expectError("hac:16kB,sub=128MB", "parameter sub '128MB' is out of");
+}
+
 TEST(CacheSpec, FuzzRandomPrintableSpecsNeverCrash)
 {
     // Random printable strings, plus mutations of valid specs (the

@@ -6,6 +6,7 @@
 #include <cstring>
 #include <vector>
 
+#include "common/logging.hh"
 #include "sim/sweep.hh"
 
 namespace bsim {
@@ -33,6 +34,30 @@ mixedJobs(std::uint64_t accesses)
 
 /** Every counter that a bit-identical run must reproduce. */
 void
+expectSameResult(const MissRateResult &a, const MissRateResult &b)
+{
+    EXPECT_EQ(a.workload, b.workload);
+    EXPECT_EQ(a.config, b.config);
+    EXPECT_EQ(a.stats.accesses, b.stats.accesses);
+    EXPECT_EQ(a.stats.hits, b.stats.hits);
+    EXPECT_EQ(a.stats.misses, b.stats.misses);
+    EXPECT_EQ(a.stats.writebacks, b.stats.writebacks);
+    EXPECT_EQ(a.stats.refills, b.stats.refills);
+    EXPECT_EQ(a.victimHits, b.victimHits);
+    EXPECT_EQ(a.pd.has_value(), b.pd.has_value());
+    if (a.pd && b.pd) {
+        EXPECT_EQ(a.pd->pdHitCacheMiss, b.pd->pdHitCacheMiss);
+        EXPECT_EQ(a.pd->pdMiss, b.pd->pdMiss);
+    }
+    EXPECT_DOUBLE_EQ(a.balance.cmPct, b.balance.cmPct);
+    EXPECT_DOUBLE_EQ(a.balance.chPct, b.balance.chPct);
+    EXPECT_EQ(a.sampled.has_value(), b.sampled.has_value());
+    if (a.sampled && b.sampled) {
+        EXPECT_EQ(a.sampled->units.size(), b.sampled->units.size());
+    }
+}
+
+void
 expectIdentical(const SweepOutcome &a, const SweepOutcome &b)
 {
     ASSERT_TRUE(a.ok()) << a.error;
@@ -41,22 +66,80 @@ expectIdentical(const SweepOutcome &a, const SweepOutcome &b)
     EXPECT_EQ(a.seed, b.seed);
     ASSERT_TRUE(a.miss.has_value());
     ASSERT_TRUE(b.miss.has_value());
-    EXPECT_EQ(a.miss->workload, b.miss->workload);
-    EXPECT_EQ(a.miss->config, b.miss->config);
-    EXPECT_EQ(a.miss->stats.accesses, b.miss->stats.accesses);
-    EXPECT_EQ(a.miss->stats.hits, b.miss->stats.hits);
-    EXPECT_EQ(a.miss->stats.misses, b.miss->stats.misses);
-    EXPECT_EQ(a.miss->stats.writebacks, b.miss->stats.writebacks);
-    EXPECT_EQ(a.miss->stats.refills, b.miss->stats.refills);
-    EXPECT_EQ(a.miss->victimHits, b.miss->victimHits);
-    EXPECT_EQ(a.miss->pd.has_value(), b.miss->pd.has_value());
-    if (a.miss->pd) {
-        EXPECT_EQ(a.miss->pd->pdHitCacheMiss, b.miss->pd->pdHitCacheMiss);
-        EXPECT_EQ(a.miss->pd->pdMiss, b.miss->pd->pdMiss);
-    }
-    EXPECT_DOUBLE_EQ(a.miss->balance.cmPct, b.miss->balance.cmPct);
-    EXPECT_DOUBLE_EQ(a.miss->balance.chPct, b.miss->balance.chPct);
+    expectSameResult(*a.miss, *b.miss);
 }
+
+/** What the job's own serial runner returns for the seed it used. */
+MissRateResult
+serialRun(const SweepJob &job, std::uint64_t seed)
+{
+    if (job.sample)
+        return runMissRateSampled(job.workload, job.side, job.config,
+                                  job.length, *job.sample, seed);
+    return runMissRate(job.workload, job.side, job.config, job.length,
+                       seed);
+}
+
+/** Every outcome is either the job's serial result or a failure. */
+void
+expectMatchesSerial(const std::vector<SweepJob> &jobs,
+                    const SweepRun &run)
+{
+    ASSERT_EQ(run.outcomes.size(), jobs.size());
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+        const SweepOutcome &out = run.outcomes[i];
+        EXPECT_EQ(out.index, i);
+        if (!out.ok())
+            continue;
+        ASSERT_TRUE(out.miss.has_value()) << "job " << i;
+        expectSameResult(serialRun(jobs[i], out.seed), *out.miss);
+    }
+}
+
+/**
+ * A mixed list for the grouped sweep: streams shared by several caches
+ * (Data and Inst sides of one workload), index-derived seeds that share
+ * nothing, a sampled job on a shared stream, and two invalid jobs
+ * whose key matches a real group.
+ */
+std::vector<SweepJob>
+groupedJobs(std::uint64_t accesses)
+{
+    const std::vector<CacheConfig> configs = {
+        CacheConfig::directMapped(16 * 1024),
+        CacheConfig::setAssoc(16 * 1024, 4),
+        CacheConfig::bcache(16 * 1024, 8, 8),
+        CacheConfig::victim(16 * 1024, 16),
+    };
+    std::vector<SweepJob> jobs;
+    for (const auto &cfg : configs) {
+        jobs.push_back(SweepJob::missRate("gcc", StreamSide::Data, cfg,
+                                          accesses, 7));
+        jobs.push_back(SweepJob::missRate("gcc", StreamSide::Inst, cfg,
+                                          accesses, 7));
+        jobs.push_back(SweepJob::missRate("equake", StreamSide::Data,
+                                          cfg, accesses));
+    }
+    SweepJob sampled = SweepJob::missRate(
+        "gcc", StreamSide::Data, configs[2], accesses, 7);
+    sampled.sample = SamplePlan{1000, 5000, 500};
+    jobs.insert(jobs.begin() + 3, sampled);
+    jobs.push_back(SweepJob::missRate("no-such-bench", StreamSide::Data,
+                                      configs[0], accesses, 7));
+    jobs.push_back(SweepJob::missRate("gcc", StreamSide::Data,
+                                      configs[1], 0, 7));
+    jobs.push_back(SweepJob::missRate("gcc", StreamSide::Data,
+                                      CacheConfig::setAssoc(16 * 1024, 8),
+                                      accesses, 7));
+    return jobs;
+}
+
+/** Turn bsim_fatal into a thrown FatalError for one scope. */
+struct FatalThrowsScope
+{
+    FatalThrowsScope() { setFatalThrows(true); }
+    ~FatalThrowsScope() { setFatalThrows(false); }
+};
 
 TEST(Sweep, ResultsInSubmissionOrder)
 {
@@ -193,6 +276,139 @@ TEST(Sweep, ProgressHookSeesEveryJob)
     EXPECT_TRUE(monotone);
     EXPECT_EQ(last_done, jobs.size());
     EXPECT_EQ(run.summary.jobs, jobs.size());
+}
+
+TEST(SweepGrouped, MixedJobsMatchTheirSerialRunners)
+{
+    const auto jobs = groupedJobs(20000);
+    for (const unsigned threads : {1u, 2u, 7u}) {
+        SCOPED_TRACE(threads);
+        SweepOptions opt;
+        opt.jobs = threads;
+        opt.baseSeed = 99;
+        const SweepRun run = runSweep(jobs, opt);
+        expectMatchesSerial(jobs, run);
+        EXPECT_EQ(run.summary.threads, threads);
+        // Exactly the two invalid jobs fail, each with its own reason.
+        ASSERT_EQ(run.summary.failed, 2u);
+        const std::size_t n = jobs.size();
+        EXPECT_NE(run.outcomes[n - 3].error.find("no-such-bench"),
+                  std::string::npos);
+        EXPECT_NE(run.outcomes[n - 2].error.find("zero-length"),
+                  std::string::npos);
+        // Explicit seeds are kept; unset ones still derive from the
+        // job index, so those jobs share no stream.
+        EXPECT_EQ(run.outcomes[0].seed, 7u);
+        EXPECT_EQ(run.outcomes[2].seed, sweepSeed(99, 2));
+        EXPECT_NE(run.outcomes[2].seed, run.outcomes[6].seed);
+        ASSERT_TRUE(run.outcomes[3].ok()) << run.outcomes[3].error;
+        EXPECT_TRUE(run.outcomes[3].miss->sampled.has_value());
+    }
+}
+
+TEST(SweepGrouped, BadConfigFailsOnlyItsMember)
+{
+    FatalThrowsScope fatal_throws;
+    CacheConfig bad = CacheConfig::setAssoc(16 * 1024, 4);
+    bad.ways = 3; // CacheGeometry refuses it at build time
+    bad.label = "3way";
+    std::vector<SweepJob> jobs;
+    for (const CacheConfig &cfg :
+         {CacheConfig::directMapped(16 * 1024), bad,
+          CacheConfig::bcache(16 * 1024, 8, 8)})
+        jobs.push_back(SweepJob::missRate("twolf", StreamSide::Data, cfg,
+                                          20000, 7));
+    for (const unsigned threads : {1u, 2u}) {
+        SCOPED_TRACE(threads);
+        SweepOptions opt;
+        opt.jobs = threads;
+        const SweepRun run = runSweep(jobs, opt);
+        ASSERT_TRUE(run.outcomes[0].ok()) << run.outcomes[0].error;
+        EXPECT_FALSE(run.outcomes[1].ok());
+        EXPECT_NE(run.outcomes[1].error.find("associativity"),
+                  std::string::npos)
+            << run.outcomes[1].error;
+        EXPECT_FALSE(run.outcomes[1].miss.has_value());
+        ASSERT_TRUE(run.outcomes[2].ok()) << run.outcomes[2].error;
+        EXPECT_EQ(run.summary.failed, 1u);
+        EXPECT_EQ(run.summary.events, 40000u);
+        expectMatchesSerial(jobs, run);
+    }
+}
+
+TEST(SweepGrouped, PerAccessAndDefaultBatchAgree)
+{
+    const auto jobs = groupedJobs(15000);
+    SweepOptions opt;
+    opt.jobs = 2;
+    ::setenv("BSIM_BATCH", "0", 1);
+    const SweepRun per_access = runSweep(jobs, opt);
+    expectMatchesSerial(jobs, per_access);
+    ::unsetenv("BSIM_BATCH");
+    const SweepRun batched = runSweep(jobs, opt);
+    expectMatchesSerial(jobs, batched);
+    for (std::size_t i = 0; i < jobs.size(); ++i)
+        if (batched.outcomes[i].ok())
+            expectIdentical(per_access.outcomes[i], batched.outcomes[i]);
+}
+
+TEST(SweepGrouped, SplitGroupsAreBitIdenticalAtAnyThreadCount)
+{
+    // One stream, nine caches: fewer groups than workers, so the group
+    // is split until every worker has a unit of its own.
+    std::vector<SweepJob> jobs;
+    for (std::uint32_t mf = 2; mf <= 512; mf *= 2)
+        jobs.push_back(SweepJob::missRate(
+            "wupwise", StreamSide::Data,
+            CacheConfig::bcache(16 * 1024, mf, 8), 20000, kDefaultSeed));
+    std::vector<SweepRun> runs;
+    for (const unsigned threads : {1u, 2u, 7u}) {
+        SweepOptions opt;
+        opt.jobs = threads;
+        runs.push_back(runSweep(jobs, opt));
+        EXPECT_EQ(runs.back().summary.threads, threads);
+    }
+    expectMatchesSerial(jobs, runs.front());
+    for (const SweepRun &r : runs)
+        for (std::size_t i = 0; i < jobs.size(); ++i)
+            expectIdentical(runs.front().outcomes[i], r.outcomes[i]);
+}
+
+TEST(SweepGrouped, OrderProgressAndSecondsPerJob)
+{
+    // One shared stream, four caches, one worker: the unit is nearly
+    // the whole sweep, so the members' seconds (own time plus an equal
+    // share of the generation time) must add up to about its wall time.
+    std::vector<SweepJob> jobs;
+    for (const CacheConfig &cfg :
+         {CacheConfig::directMapped(16 * 1024),
+          CacheConfig::setAssoc(16 * 1024, 8),
+          CacheConfig::bcache(16 * 1024, 8, 8),
+          CacheConfig::victim(16 * 1024, 16)})
+        jobs.push_back(SweepJob::missRate("gcc", StreamSide::Data, cfg,
+                                          200000, 7));
+    std::size_t calls = 0;
+    SweepOptions opt;
+    opt.jobs = 1;
+    opt.onProgress = [&](const SweepProgress &p) {
+        ++calls;
+        EXPECT_EQ(p.done, calls);
+        EXPECT_EQ(p.total, jobs.size());
+        EXPECT_EQ(p.events, calls * 200000u);
+    };
+    const SweepRun run = runSweep(jobs, opt);
+    EXPECT_EQ(calls, jobs.size());
+    double sum = 0.0;
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+        const SweepOutcome &out = run.outcomes[i];
+        EXPECT_EQ(out.index, i);
+        ASSERT_TRUE(out.ok()) << out.error;
+        EXPECT_EQ(out.miss->config, jobs[i].config.label);
+        EXPECT_GT(out.seconds, 0.0);
+        sum += out.seconds;
+    }
+    EXPECT_LE(sum, run.summary.wallSeconds);
+    EXPECT_GE(sum, 0.9 * run.summary.wallSeconds);
 }
 
 TEST(Sweep, DefaultJobsHonoursEnv)
