@@ -5,6 +5,9 @@
  * the baseline grows with the miss penalty (each removed conflict miss
  * is worth more) — evidence the paper's Table 4 numbers are not a
  * sweet-spot artefact.
+ *
+ * Each latency point is one sweep on the parallel sweep engine
+ * (`--jobs N` / BSIM_JOBS selects the worker count).
  */
 
 #include "bench/bench_util.hh"
@@ -15,15 +18,24 @@ using namespace bsim;
 using namespace bsim::bench;
 
 int
-main()
+main(int argc, char **argv)
 {
     banner("ablation_l2",
            "design study (IPC gains vs L2/memory latency)");
     const std::uint64_t uops = defaultUops(200'000);
+    SweepOptions options;
+    options.jobs = consumeJobsFlag(argc, argv);
 
     // A representative slice: conflict-heavy, streaming, pointer-chase.
-    const char *sample[] = {"equake", "crafty", "twolf", "swim", "mcf",
-                            "gcc"};
+    const std::vector<std::string> sample = {"equake", "crafty", "twolf",
+                                             "swim",   "mcf",    "gcc"};
+    // The direct-mapped baseline first, then the three contenders.
+    const std::vector<CacheConfig> configs = {
+        parseCacheSpec("dm:16kB"),
+        parseCacheSpec("sa:16kB,8w"),
+        parseCacheSpec("bcache:16kB,mf=8,bas=8"),
+        parseCacheSpec("dm:16kB+victim:16"),
+    };
 
     Table t({"L2-hit", "mem-lat", "8way IPC-gain%", "B-Cache IPC-gain%",
              "victim16 IPC-gain%"});
@@ -38,26 +50,12 @@ main()
         hp.l2HitLatency = pt.l2;
         hp.memLatency = pt.mem;
         RunningStat g8, gbc, gv;
-        for (const char *b : sample) {
-            const double base =
-                runTimed(b, parseCacheSpec("dm:16kB"), uops,
-                         0xb5eedULL, hp)
-                    .ipc();
-            const double w8 =
-                runTimed(b, parseCacheSpec("sa:16kB,8w"), uops,
-                         0xb5eedULL, hp)
-                    .ipc();
-            const double bc =
-                runTimed(b, parseCacheSpec("bcache:16kB,mf=8,bas=8"), uops,
-                         0xb5eedULL, hp)
-                    .ipc();
-            const double vc =
-                runTimed(b, parseCacheSpec("dm:16kB+victim:16"), uops,
-                         0xb5eedULL, hp)
-                    .ipc();
-            g8.add(100.0 * (w8 - base) / base);
-            gbc.add(100.0 * (bc - base) / base);
-            gv.add(100.0 * (vc - base) / base);
+        for (const TimedRow &row :
+             runTimedRows(sample, configs, uops, options, hp)) {
+            const double base = row[0].ipc();
+            g8.add(100.0 * (row[1].ipc() - base) / base);
+            gbc.add(100.0 * (row[2].ipc() - base) / base);
+            gv.add(100.0 * (row[3].ipc() - base) / base);
         }
         t.row()
             .cell(strprintf("%llu",

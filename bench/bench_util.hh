@@ -83,6 +83,39 @@ runRows(const std::vector<std::string> &benchmarks, StreamSide side,
     return rs;
 }
 
+/** Timed results of one benchmark, one per config in config order. */
+using TimedRow = std::vector<TimedResult>;
+
+/**
+ * Run each benchmark through the OOO core once per config in
+ * @p configs under @p hierarchy: one sweep over benchmarks x configs
+ * (worker count from @p options — `--jobs` / BSIM_JOBS), which
+ * generates each benchmark's µop stream once for all of its cores.
+ * Rows come back in benchmark order. Jobs pin kDefaultSeed, so every
+ * result equals the serial runTimed() call behind EXPERIMENTS.md.
+ */
+inline std::vector<TimedRow>
+runTimedRows(const std::vector<std::string> &benchmarks,
+             const std::vector<CacheConfig> &configs, std::uint64_t uops,
+             const SweepOptions &options,
+             const HierarchyParams &hierarchy = {})
+{
+    std::vector<SweepJob> jobs;
+    jobs.reserve(benchmarks.size() * configs.size());
+    for (const auto &b : benchmarks)
+        for (const auto &cfg : configs)
+            jobs.push_back(
+                SweepJob::timed(b, cfg, uops, kDefaultSeed, hierarchy));
+    const SweepRun run = runSweep(jobs, options);
+
+    std::vector<TimedRow> rows(benchmarks.size());
+    for (std::size_t bi = 0; bi < benchmarks.size(); ++bi)
+        for (std::size_t ci = 0; ci < configs.size(); ++ci)
+            rows[bi].push_back(timedResult(
+                run.outcomes[bi * configs.size() + ci]));
+    return rows;
+}
+
 /** Reduction (%) of config @p label over the row's baseline. */
 inline double
 reductionOf(const MissRow &row, const std::string &label)

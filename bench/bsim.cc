@@ -18,6 +18,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <limits>
+#include <set>
 #include <string>
 
 #include "bench/bench_json.hh"
@@ -79,7 +80,10 @@ usage(const char *msg = nullptr)
                  "and exit\n"
                  "  [--timed]        OOO-core/Table-4 processor model "
                  "(workload-\n"
-                 "                   driven only)\n"
+                 "                   driven only; --accesses is the "
+                 "uop count;\n"
+                 "                   not with --shards/--side/--batch/"
+                 "--jobs)\n"
                  "  [--stats-json F] write a bsim-stats-v1 document "
                  "(per-set\n"
                  "                   histograms, balance metrics, decoder"
@@ -346,9 +350,11 @@ bsimMain(int argc, char **argv)
     bool json = false;
     bool timed = false;
     StatsExport ex;
+    std::set<std::string> given; // every flag on the command line
 
     for (int i = 1; i < argc; ++i) {
         const char *flag = argv[i];
+        given.insert(flag);
         auto need = [&]() -> const char * {
             if (i + 1 >= argc)
                 usage(flag);
@@ -425,6 +431,15 @@ bsimMain(int argc, char **argv)
         if (ex.wantsObserver())
             usage("--stats-json/--heatmap/--interval observe the "
                   "standalone miss-rate drivers, not --timed");
+        // One core over one workload: no trace windows, no stream side
+        // (it runs both), no accessBatch spans and no sweep workers.
+        for (const char *f : {"--shards", "--side", "--batch", "--jobs"})
+            if (given.count(f))
+                usage((std::string(f) + " does not apply to --timed")
+                          .c_str());
+        if (accesses == 0)
+            usage("--timed needs --accesses of at least 1 (the uop "
+                  "count)");
         if (!isSpec2kName(workload))
             usage("unknown --workload");
         const TimedResult tr = runTimed(workload, cfg, accesses, seed);

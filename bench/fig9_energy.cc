@@ -5,6 +5,9 @@
  * the 16 kB direct-mapped baseline, using the Figure 10 equations with
  * the paper's methodology (off-chip = 100x baseline L1 access energy,
  * k_static = 0.5 calibrated on the baseline).
+ *
+ * The timed runs are one sweep on the parallel sweep engine (`--jobs N`
+ * / BSIM_JOBS selects the worker count).
  */
 
 #include "bench/bench_util.hh"
@@ -26,11 +29,13 @@ evaluate(const CacheConfig &cfg, const TimedResult &run,
 } // namespace
 
 int
-main()
+main(int argc, char **argv)
 {
     banner("fig9_energy",
            "Figure 9 (normalized memory-related energy)");
     const std::uint64_t uops = defaultUops(400'000);
+    SweepOptions options;
+    options.jobs = consumeJobsFlag(argc, argv);
 
     const std::vector<CacheConfig> configs = {
         parseCacheSpec("sa:16kB,2w"),
@@ -46,10 +51,15 @@ main()
     Table t(headers);
     std::vector<RunningStat> avg(configs.size());
 
-    for (const auto &b : spec2kNames()) {
-        const CacheConfig base_cfg =
-            parseCacheSpec("dm:16kB");
-        const TimedResult base_run = runTimed(b, base_cfg, uops);
+    // Column 0 of each row is the direct-mapped baseline.
+    const CacheConfig base_cfg = parseCacheSpec("dm:16kB");
+    std::vector<CacheConfig> grid{base_cfg};
+    grid.insert(grid.end(), configs.begin(), configs.end());
+    const std::vector<TimedRow> rows =
+        runTimedRows(spec2kNames(), grid, uops, options);
+
+    for (std::size_t bi = 0; bi < rows.size(); ++bi) {
+        const TimedResult &base_run = rows[bi][0];
         // Calibrate static power on this benchmark's baseline run.
         const double base_dyn =
             SystemEnergyModel(energyRatesFor(base_cfg))
@@ -60,11 +70,11 @@ main()
         const double base_total =
             evaluate(base_cfg, base_run, per_cycle).total();
 
-        t.row().cell(b);
+        t.row().cell(spec2kNames()[bi]);
         for (std::size_t i = 0; i < configs.size(); ++i) {
-            const TimedResult run = runTimed(b, configs[i], uops);
             const double norm =
-                evaluate(configs[i], run, per_cycle).total() /
+                evaluate(configs[i], rows[bi][i + 1], per_cycle)
+                    .total() /
                 base_total;
             t.cell(norm, 3);
             avg[i].add(norm);

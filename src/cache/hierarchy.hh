@@ -8,6 +8,7 @@
 #ifndef BSIM_CACHE_HIERARCHY_HH
 #define BSIM_CACHE_HIERARCHY_HH
 
+#include <compare>
 #include <memory>
 
 #include "cache/set_assoc_cache.hh"
@@ -24,6 +25,9 @@ struct HierarchyParams
     std::uint32_t l2Ways = 4;
     Cycles l2HitLatency = 6;
     Cycles memLatency = 100;
+
+    /** Member-wise, so a key holding the struct compares all of it. */
+    auto operator<=>(const HierarchyParams &) const = default;
 };
 
 /**

@@ -11,31 +11,74 @@ OooCore::OooCore(const CoreParams &params, CacheHierarchy &hierarchy)
 {
     bsim_assert(params_.fetchWidth > 0 && params_.commitWidth > 0 &&
                 params_.windowSize > 0 && params_.numFus > 0);
+    begin();
+}
+
+void
+OooCore::begin()
+{
+    completion_.assign(params_.windowSize, 0);
+    commit_.assign(params_.windowSize, 0);
+    fuFree_.assign(params_.numFus, 0);
+    fetchCycle_ = 1;
+    fetchedInCycle_ = 0;
+    lastCommit_ = 0;
+    committedInCycle_ = 0;
+    commitCycleOfLast_ = 0;
+    lastFetchLine_ = ~Addr{0};
+    n_ = 0;
+    res_ = CpuResult{};
+}
+
+CpuResult
+OooCore::result() const
+{
+    CpuResult res = res_;
+    res.uops = n_;
+    res.cycles = lastCommit_;
+    return res;
 }
 
 CpuResult
 OooCore::run(SyntheticProgram &program, std::uint64_t num_uops)
 {
+    begin();
+    std::vector<MicroOp> batch(kBatchLen);
+    for (std::uint64_t left = num_uops; left > 0;) {
+        const std::size_t n = static_cast<std::size_t>(
+            std::min<std::uint64_t>(left, kBatchLen));
+        for (std::size_t i = 0; i < n; ++i)
+            batch[i] = program.next();
+        step({batch.data(), n});
+        left -= n;
+    }
+    return result();
+}
+
+void
+OooCore::step(std::span<const MicroOp> ops)
+{
     const std::uint32_t W = params_.windowSize;
     const std::uint32_t FUS = params_.numFus;
-
-    // Ring buffers over the last W µops.
-    std::vector<Cycles> completion(W, 0); // execution completion time
-    std::vector<Cycles> commit(W, 0);     // in-order commit time
-    std::vector<Cycles> fuFree(FUS, 0);   // next free cycle per FU
-
-    Cycles fetch_cycle = 1;      // cycle the next fetch group starts
-    std::uint32_t fetched_in_cycle = 0;
-    Cycles last_commit = 0;
-    std::uint32_t committed_in_cycle = 0;
-    Cycles commit_cycle_of_last = 0;
-
+    const Cycles hit_latency = hier_.params().l1HitLatency;
     const std::uint32_t line_bytes = hier_.l1i().geometry().lineBytes();
-    Addr last_fetch_line = ~Addr{0};
 
-    CpuResult res;
-    for (std::uint64_t n = 0; n < num_uops; ++n) {
-        const MicroOp op = program.next();
+    // The hierarchy calls below are opaque, so state left in members
+    // would be reloaded after each one; work on local copies and write
+    // them back at the end of the step.
+    Cycles *const completion = completion_.data();
+    Cycles *const commit = commit_.data();
+    Cycles *const fuFree = fuFree_.data();
+    Cycles fetch_cycle = fetchCycle_;
+    std::uint32_t fetched_in_cycle = fetchedInCycle_;
+    Cycles last_commit = lastCommit_;
+    std::uint32_t committed_in_cycle = committedInCycle_;
+    Cycles commit_cycle_of_last = commitCycleOfLast_;
+    Addr last_fetch_line = lastFetchLine_;
+    std::uint64_t n = n_;
+    CpuResult res = res_;
+
+    for (const MicroOp &op : ops) {
         ++res.perClass[static_cast<std::size_t>(op.cls)];
         const std::uint32_t slot = n % W;
 
@@ -53,10 +96,9 @@ OooCore::run(SyntheticProgram &program, std::uint64_t num_uops)
         if (line != last_fetch_line) {
             last_fetch_line = line;
             const AccessOutcome ic = hier_.fetch(op.pc);
-            if (ic.latency > hier_.params().l1HitLatency) {
+            if (ic.latency > hit_latency) {
                 // Front end stalls for the extra fill latency.
-                const Cycles stall =
-                    ic.latency - hier_.params().l1HitLatency;
+                const Cycles stall = ic.latency - hit_latency;
                 res.icacheStallCycles += stall;
                 fetch_cycle = ft + stall;
                 fetched_in_cycle = 0;
@@ -89,14 +131,13 @@ OooCore::run(SyntheticProgram &program, std::uint64_t num_uops)
         Cycles lat = op.latency;
         if (op.cls == OpClass::Load) {
             lat = hier_.load(op.mem).latency;
-            if (lat > hier_.params().l1HitLatency)
-                res.loadMissCycles +=
-                    lat - hier_.params().l1HitLatency;
+            if (lat > hit_latency)
+                res.loadMissCycles += lat - hit_latency;
         } else if (op.cls == OpClass::Store) {
             // Stores commit through a write buffer; the D$ access happens
             // but does not stall the pipe beyond the hit latency.
             hier_.store(op.mem);
-            lat = hier_.params().l1HitLatency;
+            lat = hit_latency;
         }
         const Cycles done = issue + lat;
         completion[slot] = done;
@@ -123,11 +164,17 @@ OooCore::run(SyntheticProgram &program, std::uint64_t num_uops)
             fetched_in_cycle = 0;
             last_fetch_line = ~Addr{0};
         }
+        ++n;
     }
 
-    res.uops = num_uops;
-    res.cycles = last_commit;
-    return res;
+    fetchCycle_ = fetch_cycle;
+    fetchedInCycle_ = fetched_in_cycle;
+    lastCommit_ = last_commit;
+    committedInCycle_ = committed_in_cycle;
+    commitCycleOfLast_ = commit_cycle_of_last;
+    lastFetchLine_ = last_fetch_line;
+    n_ = n;
+    res_ = res;
 }
 
 } // namespace bsim

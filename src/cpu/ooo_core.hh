@@ -16,6 +16,7 @@
 #ifndef BSIM_CPU_OOO_CORE_HH
 #define BSIM_CPU_OOO_CORE_HH
 
+#include <span>
 #include <vector>
 
 #include "cache/hierarchy.hh"
@@ -58,19 +59,59 @@ struct CpuResult
     std::uint64_t mispredicts = 0;
 };
 
+/**
+ * The core is steppable: begin() starts a run, each step() feeds the
+ * next µops in program order, and result() reads the run so far. The
+ * µop stream is open-loop (the core never feeds back into it), so a
+ * caller may generate one stream and step several cores, each with its
+ * own hierarchy, over the same batches; every core ends exactly where a
+ * run() over the same µops would. Batch boundaries do not matter.
+ */
 class OooCore
 {
   public:
+    /** µops run() pulls from its program per step() (and runTimedEach). */
+    static constexpr std::size_t kBatchLen = 1024;
+
     OooCore(const CoreParams &params, CacheHierarchy &hierarchy);
 
-    /** Run @p num_uops µops from @p program; hierarchy keeps its state. */
+    /**
+     * Run @p num_uops µops from @p program; hierarchy keeps its state.
+     * Equivalent to begin(), step() over the µops, then result().
+     */
     CpuResult run(SyntheticProgram &program, std::uint64_t num_uops);
+
+    /**
+     * Start a new run: empty window, idle units, zero counters. The
+     * constructor starts one, so a fresh core can step() right away.
+     */
+    void begin();
+
+    /** Fetch, execute and commit @p ops, the run's next µops. */
+    void step(std::span<const MicroOp> ops);
+
+    /** The run so far: every µop stepped since begin(). */
+    CpuResult result() const;
 
     const CoreParams &params() const { return params_; }
 
   private:
     CoreParams params_;
     CacheHierarchy &hier_;
+
+    // Pipeline state carried from one step() to the next. Ring buffers
+    // over the last windowSize µops, plus the fetch and commit cursors.
+    std::vector<Cycles> completion_; ///< execution completion time
+    std::vector<Cycles> commit_;     ///< in-order commit time
+    std::vector<Cycles> fuFree_;     ///< next free cycle per FU
+    Cycles fetchCycle_ = 1;          ///< cycle the next fetch group starts
+    std::uint32_t fetchedInCycle_ = 0;
+    Cycles lastCommit_ = 0;
+    std::uint32_t committedInCycle_ = 0;
+    Cycles commitCycleOfLast_ = 0;
+    Addr lastFetchLine_ = ~Addr{0};
+    std::uint64_t n_ = 0; ///< µops stepped since begin()
+    CpuResult res_;
 };
 
 } // namespace bsim

@@ -1,5 +1,6 @@
 #include "sim/runner.hh"
 
+#include <algorithm>
 #include <cstdlib>
 
 #include "common/logging.hh"
@@ -120,20 +121,32 @@ runMissRate(const std::string &workload_name, StreamSide side,
                          observe);
 }
 
-TimedResult
-runTimed(const std::string &workload_name, const CacheConfig &config,
-         std::uint64_t uops, std::uint64_t seed,
-         const HierarchyParams &hierarchy_params)
+namespace {
+
+/** One config's models while a runTimedEach() run steps them. */
+struct TimedMember
 {
-    CacheHierarchy hier(hierarchy_params);
-    hier.setL1I(config.build("L1I", 1, nullptr));
-    hier.setL1D(config.build("L1D", 1, nullptr));
+    std::unique_ptr<CacheHierarchy> hier; ///< null once failed
+    std::unique_ptr<OooCore> core;
+    TimedDutRun run;
 
-    SpecWorkload wl = makeSpecWorkload(workload_name, seed);
-    SyntheticProgram program(std::move(wl), seed ^ 0xc0ffee);
-    OooCore core(CoreParams{}, hier);
-    const CpuResult cpu = core.run(program, uops);
+    /** Run @p step on this member's clock; a throw drops its models. */
+    template <class Step>
+    void
+    timed(Step &&step)
+    {
+        if (!run.timed(step)) {
+            core.reset();
+            hier.reset();
+        }
+    }
+};
 
+/** The TimedResult of a finished run over @p hier. */
+TimedResult
+timedResultOf(const std::string &workload_name, const CacheConfig &config,
+              const CacheHierarchy &hier, const CpuResult &cpu)
+{
     TimedResult r;
     r.workload = workload_name;
     r.config = config.label;
@@ -158,6 +171,72 @@ runTimed(const std::string &workload_name, const CacheConfig &config,
             a.pdPredictedMisses += side.pd->pdMiss;
     }
     return r;
+}
+
+} // namespace
+
+std::vector<TimedDutRun>
+runTimedEach(const std::string &workload_name,
+             const std::vector<CacheConfig> &configs, std::uint64_t uops,
+             std::uint64_t seed, const HierarchyParams &hierarchy_params)
+{
+    std::vector<TimedMember> members(configs.size());
+    for (std::size_t i = 0; i < members.size(); ++i) {
+        TimedMember &m = members[i];
+        m.timed([&] {
+            m.hier = std::make_unique<CacheHierarchy>(hierarchy_params);
+            m.hier->setL1I(configs[i].build("L1I", 1, nullptr));
+            m.hier->setL1D(configs[i].build("L1D", 1, nullptr));
+            m.core = std::make_unique<OooCore>(CoreParams{}, *m.hier);
+        });
+    }
+    auto alive = [&] {
+        return std::any_of(
+            members.begin(), members.end(),
+            [](const TimedMember &m) { return m.core != nullptr; });
+    };
+
+    SyntheticProgram program(makeSpecWorkload(workload_name, seed),
+                             seed ^ 0xc0ffee);
+    std::vector<MicroOp> batch(OooCore::kBatchLen);
+    for (std::uint64_t left = uops; left > 0 && alive();) {
+        const std::size_t n = static_cast<std::size_t>(
+            std::min<std::uint64_t>(left, OooCore::kBatchLen));
+        for (std::size_t i = 0; i < n; ++i)
+            batch[i] = program.next();
+        const std::span<const MicroOp> ops(batch.data(), n);
+        for (TimedMember &m : members)
+            if (m.core)
+                m.timed([&] { m.core->step(ops); });
+        left -= n;
+    }
+
+    std::vector<TimedDutRun> runs;
+    runs.reserve(members.size());
+    for (std::size_t i = 0; i < members.size(); ++i) {
+        TimedMember &m = members[i];
+        if (m.core)
+            m.timed([&] {
+                m.run.result = timedResultOf(workload_name, configs[i],
+                                             *m.hier, m.core->result());
+            });
+        runs.push_back(std::move(m.run));
+    }
+    return runs;
+}
+
+TimedResult
+runTimed(const std::string &workload_name, const CacheConfig &config,
+         std::uint64_t uops, std::uint64_t seed,
+         const HierarchyParams &hierarchy_params)
+{
+    TimedDutRun only = std::move(
+        runTimedEach(workload_name, {config}, uops, seed,
+                     hierarchy_params)
+            .front());
+    if (only.error)
+        std::rethrow_exception(only.error);
+    return std::move(*only.result);
 }
 
 EnergyRates

@@ -9,7 +9,10 @@
 #ifndef BSIM_SIM_RUNNER_HH
 #define BSIM_SIM_RUNNER_HH
 
+#include <chrono>
+#include <exception>
 #include <optional>
+#include <vector>
 
 #include "bcache/balance.hh"
 #include "bcache/bcache.hh"
@@ -27,6 +30,47 @@ enum class StreamSide : std::uint8_t { Inst, Data };
 
 /** Workload seed behind every table in EXPERIMENTS.md. */
 inline constexpr std::uint64_t kDefaultSeed = 0xb5eedULL;
+
+/**
+ * One member's part of a run that feeds one source to several cache
+ * configs (Session::runEach, runTimedEach). A member whose config fails
+ * to build, or whose run throws, carries the exception instead of a
+ * result; the other members are unaffected.
+ */
+template <class Result>
+struct DutRunOf
+{
+    std::optional<Result> result;
+    std::exception_ptr error;
+    /**
+     * This member's own time: its build, its share of the simulation
+     * and its result assembly. Pulling records or µops from the source
+     * is shared by every member and is not included.
+     */
+    double seconds = 0.0;
+
+    /**
+     * Run @p step on this member's clock. A throw is kept in `error`
+     * and false returned, so the caller can drop the member's models.
+     */
+    template <class Step>
+    bool
+    timed(Step &&step)
+    {
+        const auto start = std::chrono::steady_clock::now();
+        bool ok = true;
+        try {
+            step();
+        } catch (...) {
+            error = std::current_exception();
+            ok = false;
+        }
+        seconds += std::chrono::duration<double>(
+                       std::chrono::steady_clock::now() - start)
+                       .count();
+        return ok;
+    }
+};
 
 /** Result of a standalone miss-rate run. */
 struct MissRateResult
@@ -107,14 +151,33 @@ struct TimedResult
     double ipc() const { return cpu.ipc(); }
 };
 
+/** One config's part of a runTimedEach() run. */
+using TimedDutRun = DutRunOf<TimedResult>;
+
 /**
  * Run @p uops through the OOO core (paper Table 4 processor) with both L1
  * caches built from @p config, a shared 256 kB L2 and 100-cycle memory.
+ * The one-config case of runTimedEach(); a failure is rethrown.
  */
 TimedResult runTimed(const std::string &workload_name,
                      const CacheConfig &config, std::uint64_t uops,
                      std::uint64_t seed = kDefaultSeed,
                      const HierarchyParams &hierarchy_params = {});
+
+/**
+ * runTimed() for every config in @p configs off one µop stream: the
+ * workload's SyntheticProgram is built once, and each batch of
+ * OooCore::kBatchLen µops it generates is stepped through every
+ * member's own core and hierarchy. The program is open-loop, so each
+ * result is bit-identical to the member's own runTimed(). Results come
+ * back in config order; a member whose config fails to build or whose
+ * run throws fails alone. An error of the workload itself propagates.
+ */
+std::vector<TimedDutRun> runTimedEach(
+    const std::string &workload_name,
+    const std::vector<CacheConfig> &configs, std::uint64_t uops,
+    std::uint64_t seed = kDefaultSeed,
+    const HierarchyParams &hierarchy_params = {});
 
 /** Per-event energy rates for @p config (CactiLite + paper methodology). */
 EnergyRates energyRatesFor(const CacheConfig &config,

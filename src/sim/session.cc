@@ -1,7 +1,6 @@
 #include "sim/session.hh"
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <functional>
 #include <vector>
@@ -12,8 +11,6 @@
 namespace bsim {
 
 namespace {
-
-using Clock = std::chrono::steady_clock;
 
 std::string
 replayLabel(const std::string &path, const TraceShard &shard)
@@ -102,16 +99,10 @@ struct Dut
     void
     timed(Step &&step)
     {
-        const auto start = Clock::now();
-        try {
-            step();
-        } catch (...) {
-            run.error = std::current_exception();
+        if (!run.timed(step)) {
             cache.reset();
             obs.reset();
         }
-        run.seconds +=
-            std::chrono::duration<double>(Clock::now() - start).count();
     }
 };
 

@@ -24,7 +24,6 @@
 #ifndef BSIM_SIM_SESSION_HH
 #define BSIM_SIM_SESSION_HH
 
-#include <exception>
 #include <memory>
 #include <optional>
 #include <string>
@@ -53,22 +52,8 @@ struct TraceReplayOptions
     TraceHandlePtr handle;
 };
 
-/**
- * One DUT's part of a Session::runEach() run. A DUT whose config fails
- * to build, or whose run throws, carries the exception instead of a
- * result; the session's other DUTs are unaffected.
- */
-struct DutRun
-{
-    std::optional<MissRateResult> result;
-    std::exception_ptr error;
-    /**
-     * This DUT's own time: cache build, accesses and result assembly.
-     * Pulling records from the source is shared by every DUT and is
-     * not included.
-     */
-    double seconds = 0.0;
-};
+/** One DUT's part of a Session::runEach() run (sim/runner.hh). */
+using DutRun = DutRunOf<MissRateResult>;
 
 /**
  * One experiment run: a source, its DUTs, an observer per DUT, a result

@@ -8,7 +8,6 @@
 #include <mutex>
 #include <stdexcept>
 #include <thread>
-#include <tuple>
 
 #include "common/logging.hh"
 #include "common/strings.hh"
@@ -122,42 +121,25 @@ runOne(const SweepJob &job, std::size_t index, std::uint64_t seed)
 }
 
 /**
- * Run the MissRate jobs @p members, which share (workload, side, seed,
- * length), off one generated stream: Session::runEach() pulls each
- * batch once and feeds it to every member's cache, so each result is
- * bit-identical to the member's own runMissRate(). A member whose cache
- * fails fails alone. Its seconds are its own time plus an equal share
- * of the rest of the unit (workload construction and stream
- * generation), so the members' seconds sum to the unit's wall time.
+ * Hand each member of a shared unit its DutRunOf result (into
+ * @p slot of its outcome), or its own error, or the unit's @p error.
+ * Its seconds are its own time plus an equal share of the rest of the
+ * unit's @p wall time (source construction and generation), so the
+ * members' seconds sum to the unit's wall time.
  */
+template <class Result>
 void
-runShared(const std::vector<SweepJob> &jobs,
-          const std::vector<std::size_t> &members, std::uint64_t seed,
-          std::vector<SweepOutcome> &outcomes)
+settle(std::vector<DutRunOf<Result>> &duts,
+       std::optional<Result> SweepOutcome::*slot,
+       const std::vector<std::size_t> &members, std::uint64_t seed,
+       const std::string &error, double wall,
+       std::vector<SweepOutcome> &outcomes)
 {
-    const auto start = Clock::now();
-    const SweepJob &lead = jobs[members.front()];
-    std::vector<CacheConfig> configs;
-    configs.reserve(members.size());
-    for (const std::size_t i : members)
-        configs.push_back(jobs[i].config);
-    std::vector<DutRun> duts(members.size());
-    std::string error; // the shared source failed: every member fails
-    try {
-        SpecWorkload wl = makeSpecWorkload(lead.workload, seed);
-        AccessStream &stream =
-            lead.side == StreamSide::Inst ? *wl.inst : *wl.data;
-        duts = Session(stream, std::move(configs), lead.length,
-                       lead.workload)
-                   .runEach();
-    } catch (...) {
-        error = errorOf(std::current_exception());
-    }
+    duts.resize(members.size()); // empty when the source failed
     double own = 0.0;
-    for (const DutRun &d : duts)
+    for (const DutRunOf<Result> &d : duts)
         own += d.seconds;
-    const double share =
-        (secondsSince(start) - own) / double(members.size());
+    const double share = (wall - own) / double(members.size());
     for (std::size_t k = 0; k < members.size(); ++k) {
         SweepOutcome &out = outcomes[members[k]];
         out.index = members[k];
@@ -167,37 +149,105 @@ runShared(const std::vector<SweepJob> &jobs,
         else if (duts[k].error)
             out.error = errorOf(duts[k].error);
         else
-            out.miss = std::move(duts[k].result);
+            out.*slot = std::move(duts[k].result);
         out.seconds = duts[k].seconds + share;
     }
 }
 
 /**
- * Partition the jobs into work units: unsampled MissRate jobs that
+ * Run the jobs @p members, which share one planUnits() key, off one
+ * generated source: MissRate units through Session::runEach(), which
+ * feeds each access batch to every member's cache, and Timed units
+ * through runTimedEach(), which steps every member's core over each
+ * µop batch. Each result is bit-identical to the member's own serial
+ * runner call; a member whose config fails fails alone.
+ */
+void
+runShared(const std::vector<SweepJob> &jobs,
+          const std::vector<std::size_t> &members, std::uint64_t seed,
+          std::vector<SweepOutcome> &outcomes)
+{
+    const auto start = Clock::now();
+    const SweepJob &lead = jobs[members.front()];
+    const bool timed = lead.kind == SweepJob::Kind::Timed;
+    std::vector<CacheConfig> configs;
+    configs.reserve(members.size());
+    for (const std::size_t i : members)
+        configs.push_back(jobs[i].config);
+    std::vector<DutRun> miss;
+    std::vector<TimedDutRun> cores;
+    std::string error; // the shared source failed: every member fails
+    try {
+        if (timed) {
+            cores = runTimedEach(lead.workload, configs, lead.length,
+                                 seed, lead.hierarchy);
+        } else {
+            SpecWorkload wl = makeSpecWorkload(lead.workload, seed);
+            AccessStream &stream =
+                lead.side == StreamSide::Inst ? *wl.inst : *wl.data;
+            miss = Session(stream, std::move(configs), lead.length,
+                           lead.workload)
+                       .runEach();
+        }
+    } catch (...) {
+        error = errorOf(std::current_exception());
+    }
+    const double wall = secondsSince(start);
+    if (timed)
+        settle(cores, &SweepOutcome::timed, members, seed, error, wall,
+               outcomes);
+    else
+        settle(miss, &SweepOutcome::miss, members, seed, error, wall,
+               outcomes);
+}
+
+/** What jobs must agree on to share one generated source. */
+struct UnitKey
+{
+    SweepJob::Kind kind;
+    std::string workload;
+    StreamSide side;           ///< MissRate only; Data for Timed
+    std::uint64_t seed;        ///< resolved
+    std::uint64_t length;      ///< accesses or µops
+    HierarchyParams hierarchy; ///< Timed only; default for MissRate
+
+    auto operator<=>(const UnitKey &) const = default;
+};
+
+/**
+ * Partition the jobs into work units. Unsampled MissRate jobs that
  * share (workload, side, resolved seed, length) form one unit, which
- * generates that stream once for all of them; every other job is a
- * unit of its own. Units are ordered by their first job. While there
- * are fewer units than @p threads, the largest unit is split in half,
- * so a sweep over one workload still keeps every worker busy.
+ * generates that stream once for all of them; Timed jobs that share
+ * (workload, resolved seed, length, HierarchyParams) form one unit,
+ * which generates that µop stream once for all of their cores. Every
+ * other job is a unit of its own. Units are ordered by their first
+ * job. While there are fewer units than @p threads, the largest unit
+ * is split in half, so a sweep over one workload still keeps every
+ * worker busy.
  */
 std::vector<std::vector<std::size_t>>
 planUnits(const std::vector<SweepJob> &jobs,
           const std::vector<std::uint64_t> &seeds, unsigned threads)
 {
-    using Key = std::tuple<std::string, StreamSide, std::uint64_t,
-                           std::uint64_t>;
-    std::map<Key, std::size_t> shared;
+    std::map<UnitKey, std::size_t> shared;
     std::vector<std::vector<std::size_t>> units;
     for (std::size_t i = 0; i < jobs.size(); ++i) {
         const SweepJob &j = jobs[i];
+        const bool miss = j.kind == SweepJob::Kind::MissRate && !j.sample;
+        const bool timed = j.kind == SweepJob::Kind::Timed;
         // Invalid jobs stay on their own so runOne reports them.
-        if (j.kind != SweepJob::Kind::MissRate || j.sample ||
-            !isSpec2kName(j.workload) || j.length == 0) {
+        if (!(miss || timed) || !isSpec2kName(j.workload) ||
+            j.length == 0) {
             units.push_back({i});
             continue;
         }
-        const auto [it, fresh] = shared.try_emplace(
-            Key{j.workload, j.side, seeds[i], j.length}, units.size());
+        const UnitKey key{j.kind,
+                          j.workload,
+                          miss ? j.side : StreamSide::Data,
+                          seeds[i],
+                          j.length,
+                          timed ? j.hierarchy : HierarchyParams{}};
+        const auto [it, fresh] = shared.try_emplace(key, units.size());
         if (fresh)
             units.emplace_back();
         units[it->second].push_back(i);

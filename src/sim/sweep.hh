@@ -8,9 +8,12 @@
  * resolved seed, run length) are one unit. The unit builds the workload
  * once and feeds each generated batch to every member's cache
  * (Session::runEach), so a grid of N caches over one stream generates
- * that stream once instead of N times. Every other job — Timed, Trace,
- * Custom, sampled, and MissRate jobs whose stream no other job shares —
- * is a unit of its own and runs exactly as a serial runner call would.
+ * that stream once instead of N times. Timed jobs that share (workload,
+ * resolved seed, run length, HierarchyParams) are one unit the same
+ * way: runTimedEach() generates each µop batch once and steps every
+ * member's own core and hierarchy over it. Every other job — Trace,
+ * Custom, sampled, and jobs whose stream no other job shares — is a
+ * unit of its own and runs exactly as a serial runner call would.
  * When there are fewer units than worker threads, the largest units are
  * split in half until every worker has one.
  *
@@ -46,7 +49,7 @@ struct SweepJob
     /** Which runner executes the cell. */
     enum class Kind : std::uint8_t {
         MissRate, ///< standalone cache via runMissRate()
-        Timed,    ///< OOO core + two-level hierarchy via runTimed()
+        Timed,    ///< OOO core + two-level hierarchy via runTimedEach()
         Custom,   ///< caller-supplied callable (e.g. a verify fuzz case)
         Trace,    ///< trace-window replay via runTraceReplay()
     };
@@ -152,10 +155,10 @@ struct SweepOutcome
     std::string error; ///< non-empty if the job threw
     /**
      * Host time of this job. A job that ran alone reports its wall
-     * time. A job that shared a stream reports its own cache's build,
-     * access and result time plus 1/N of the rest of its N-job unit
-     * (workload construction and stream generation), so the members'
-     * seconds sum to the unit's wall time.
+     * time. A job that shared a stream reports its own build,
+     * simulation and result time plus 1/N of the rest of its N-job
+     * unit (workload construction and access or µop generation), so
+     * the members' seconds sum to the unit's wall time.
      */
     double seconds = 0.0;
 

@@ -204,6 +204,102 @@ TEST(OooCore, StallAttributionTracksCacheQuality)
               rdm.mispredicts * CoreParams{}.mispredictPenalty);
 }
 
+/** Every counter a bit-identical run must reproduce. */
+void
+expectSameCpu(const CpuResult &a, const CpuResult &b)
+{
+    EXPECT_EQ(a.uops, b.uops);
+    EXPECT_EQ(a.cycles, b.cycles);
+    for (std::size_t c = 0; c < 5; ++c)
+        EXPECT_EQ(a.perClass[c], b.perClass[c]) << opClassName(OpClass(c));
+    EXPECT_EQ(a.icacheStallCycles, b.icacheStallCycles);
+    EXPECT_EQ(a.loadMissCycles, b.loadMissCycles);
+    EXPECT_EQ(a.mispredictCycles, b.mispredictCycles);
+    EXPECT_EQ(a.mispredicts, b.mispredicts);
+}
+
+void
+expectSameStats(const CacheStats &a, const CacheStats &b)
+{
+    EXPECT_EQ(a.accesses, b.accesses);
+    EXPECT_EQ(a.hits, b.hits);
+    EXPECT_EQ(a.misses, b.misses);
+    EXPECT_EQ(a.writebacks, b.writebacks);
+    EXPECT_EQ(a.writethroughs, b.writethroughs);
+    EXPECT_EQ(a.refills, b.refills);
+    for (const AccessType t :
+         {AccessType::Read, AccessType::Write, AccessType::Fetch}) {
+        EXPECT_EQ(a.typeAccess(t), b.typeAccess(t));
+        EXPECT_EQ(a.typeMiss(t), b.typeMiss(t));
+    }
+}
+
+TEST(OooCore, UnevenStepsMatchOneRun)
+{
+    // step() carries the whole pipeline across calls: batches of 1, 7
+    // and 1024 µops, then the rest, end exactly where one run() does,
+    // on the core's counters and on every level of the hierarchy. A
+    // fresh core needs no begin(); the stepped one calls it anyway.
+    constexpr std::uint64_t kUops = 60000;
+    auto bcacheHierarchy = [] {
+        CacheHierarchy h;
+        h.setL1I(CacheConfig::bcache(16 * 1024, 8, 8).build("L1I"));
+        h.setL1D(CacheConfig::bcache(16 * 1024, 8, 8).build("L1D"));
+        return h;
+    };
+    CacheHierarchy hr = bcacheHierarchy(), hs = bcacheHierarchy();
+    OooCore whole(CoreParams{}, hr);
+    SyntheticProgram pr = program("equake");
+    const CpuResult ran = whole.run(pr, kUops);
+
+    OooCore stepped(CoreParams{}, hs);
+    SyntheticProgram ps = program("equake");
+    std::vector<MicroOp> ops(kUops);
+    for (MicroOp &op : ops)
+        op = ps.next();
+    stepped.begin();
+    std::size_t at = 0;
+    for (const std::size_t n :
+         {std::size_t{1}, std::size_t{7}, std::size_t{1024},
+          std::size_t(kUops) - 1032}) {
+        stepped.step({ops.data() + at, n});
+        at += n;
+    }
+    ASSERT_EQ(at, kUops);
+    const CpuResult got = stepped.result();
+
+    expectSameCpu(ran, got);
+    expectSameStats(hr.l1i().stats(), hs.l1i().stats());
+    expectSameStats(hr.l1d().stats(), hs.l1d().stats());
+    expectSameStats(hr.l2().stats(), hs.l2().stats());
+    EXPECT_GT(got.loadMissCycles, 0u);
+
+    // The extreme: every µop its own step, so every cursor crosses a
+    // step boundary at every µop.
+    CacheHierarchy h1 = bcacheHierarchy();
+    OooCore single(CoreParams{}, h1);
+    for (const MicroOp &op : ops)
+        single.step({&op, 1});
+    expectSameCpu(ran, single.result());
+    expectSameStats(hr.l1i().stats(), h1.l1i().stats());
+    expectSameStats(hr.l1d().stats(), h1.l1d().stats());
+    expectSameStats(hr.l2().stats(), h1.l2().stats());
+}
+
+TEST(OooCore, BeginStartsAFreshRun)
+{
+    // A second run() on the same core restarts the pipeline (the
+    // hierarchy keeps its state), so it equals a fresh core's run over
+    // a hierarchy warmed the same way.
+    CacheHierarchy h1 = dmHierarchy(), h2 = dmHierarchy();
+    OooCore c1(CoreParams{}, h1), c2(CoreParams{}, h2);
+    SyntheticProgram p1 = program("gcc"), p2 = program("gcc");
+    c1.run(p1, 20000);
+    c2.run(p2, 20000);
+    OooCore fresh(CoreParams{}, h2);
+    expectSameCpu(c1.run(p1, 20000), fresh.run(p2, 20000));
+}
+
 TEST(OooCore, DeterministicRuns)
 {
     CacheHierarchy h1 = dmHierarchy(), h2 = dmHierarchy();

@@ -411,6 +411,217 @@ TEST(SweepGrouped, OrderProgressAndSecondsPerJob)
     EXPECT_GE(sum, 0.9 * run.summary.wallSeconds);
 }
 
+/** Every cache counter a bit-identical timed run must reproduce. */
+void
+expectSameStats(const CacheStats &a, const CacheStats &b)
+{
+    EXPECT_EQ(a.accesses, b.accesses);
+    EXPECT_EQ(a.hits, b.hits);
+    EXPECT_EQ(a.misses, b.misses);
+    EXPECT_EQ(a.writebacks, b.writebacks);
+    EXPECT_EQ(a.writethroughs, b.writethroughs);
+    EXPECT_EQ(a.refills, b.refills);
+}
+
+/** Every counter of a timed run: core, three caches, energy inputs. */
+void
+expectSameTimed(const TimedResult &a, const TimedResult &b)
+{
+    EXPECT_EQ(a.workload, b.workload);
+    EXPECT_EQ(a.config, b.config);
+    EXPECT_EQ(a.cpu.uops, b.cpu.uops);
+    EXPECT_EQ(a.cpu.cycles, b.cpu.cycles);
+    for (std::size_t c = 0; c < 5; ++c)
+        EXPECT_EQ(a.cpu.perClass[c], b.cpu.perClass[c]);
+    EXPECT_EQ(a.cpu.icacheStallCycles, b.cpu.icacheStallCycles);
+    EXPECT_EQ(a.cpu.loadMissCycles, b.cpu.loadMissCycles);
+    EXPECT_EQ(a.cpu.mispredictCycles, b.cpu.mispredictCycles);
+    EXPECT_EQ(a.cpu.mispredicts, b.cpu.mispredicts);
+    expectSameStats(a.l1i, b.l1i);
+    expectSameStats(a.l1d, b.l1d);
+    expectSameStats(a.l2, b.l2);
+    const ActivityCounts &x = a.activity, &y = b.activity;
+    EXPECT_EQ(x.l1iAccesses, y.l1iAccesses);
+    EXPECT_EQ(x.l1iMisses, y.l1iMisses);
+    EXPECT_EQ(x.l1dAccesses, y.l1dAccesses);
+    EXPECT_EQ(x.l1dMisses, y.l1dMisses);
+    EXPECT_EQ(x.l2Accesses, y.l2Accesses);
+    EXPECT_EQ(x.l2Misses, y.l2Misses);
+    EXPECT_EQ(x.offchipAccesses, y.offchipAccesses);
+    EXPECT_EQ(x.cycles, y.cycles);
+    EXPECT_EQ(x.victimProbes, y.victimProbes);
+    EXPECT_EQ(x.pdPredictedMisses, y.pdPredictedMisses);
+}
+
+/**
+ * Every outcome is either a failure or exactly what the job's own
+ * serial runner returns (runTimed for Timed jobs, runMissRate for the
+ * rest) for the seed it used.
+ */
+void
+expectTimedMatchesSerial(const std::vector<SweepJob> &jobs,
+                         const SweepRun &run)
+{
+    ASSERT_EQ(run.outcomes.size(), jobs.size());
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+        SCOPED_TRACE(i);
+        const SweepOutcome &out = run.outcomes[i];
+        const SweepJob &j = jobs[i];
+        EXPECT_EQ(out.index, i);
+        if (!out.ok())
+            continue;
+        if (j.kind != SweepJob::Kind::Timed) {
+            ASSERT_TRUE(out.miss.has_value());
+            expectSameResult(serialRun(j, out.seed), *out.miss);
+            continue;
+        }
+        ASSERT_TRUE(out.timed.has_value());
+        expectSameTimed(runTimed(j.workload, j.config, j.length,
+                                 out.seed, j.hierarchy),
+                        *out.timed);
+    }
+}
+
+/** The Figure 8 organisations: baseline, 4-way, B-Cache, victim. */
+std::vector<CacheConfig>
+timedConfigs()
+{
+    return {CacheConfig::directMapped(16 * 1024),
+            CacheConfig::setAssoc(16 * 1024, 4),
+            CacheConfig::bcache(16 * 1024, 8, 8),
+            CacheConfig::victim(16 * 1024, 16)};
+}
+
+TEST(SweepGroupedTimed, BitIdenticalToSerialAtAnyThreadCount)
+{
+    // Two uop streams, four cores each. At 4 threads the two units are
+    // split until every worker has one, so split units are covered.
+    std::vector<SweepJob> jobs;
+    for (const char *b : {"gcc", "equake"})
+        for (const CacheConfig &cfg : timedConfigs())
+            jobs.push_back(SweepJob::timed(b, cfg, 20000, kDefaultSeed));
+    std::vector<SweepRun> runs;
+    for (const unsigned threads : {1u, 2u, 4u}) {
+        SCOPED_TRACE(threads);
+        SweepOptions opt;
+        opt.jobs = threads;
+        runs.push_back(runSweep(jobs, opt));
+        EXPECT_EQ(runs.back().summary.threads, threads);
+        EXPECT_EQ(runs.back().summary.failed, 0u);
+        EXPECT_EQ(runs.back().summary.events, jobs.size() * 20000u);
+        expectTimedMatchesSerial(jobs, runs.back());
+    }
+    for (const SweepRun &r : runs)
+        for (std::size_t i = 0; i < jobs.size(); ++i)
+            expectSameTimed(*runs.front().outcomes[i].timed,
+                            *r.outcomes[i].timed);
+}
+
+TEST(SweepGroupedTimed, BadConfigFailsOnlyItsMember)
+{
+    FatalThrowsScope fatal_throws;
+    CacheConfig bad = CacheConfig::setAssoc(16 * 1024, 4);
+    bad.ways = 3; // CacheGeometry refuses it at build time
+    bad.label = "3way";
+    std::vector<SweepJob> jobs;
+    for (const CacheConfig &cfg :
+         {CacheConfig::directMapped(16 * 1024), bad,
+          CacheConfig::bcache(16 * 1024, 8, 8)})
+        jobs.push_back(SweepJob::timed("twolf", cfg, 20000, 7));
+    for (const unsigned threads : {1u, 2u}) {
+        SCOPED_TRACE(threads);
+        SweepOptions opt;
+        opt.jobs = threads;
+        const SweepRun run = runSweep(jobs, opt);
+        ASSERT_TRUE(run.outcomes[0].ok()) << run.outcomes[0].error;
+        EXPECT_FALSE(run.outcomes[1].ok());
+        EXPECT_NE(run.outcomes[1].error.find("associativity"),
+                  std::string::npos)
+            << run.outcomes[1].error;
+        EXPECT_FALSE(run.outcomes[1].timed.has_value());
+        ASSERT_TRUE(run.outcomes[2].ok()) << run.outcomes[2].error;
+        EXPECT_EQ(run.summary.failed, 1u);
+        EXPECT_EQ(run.summary.events, 40000u);
+        expectTimedMatchesSerial(jobs, run);
+    }
+}
+
+TEST(SweepGroupedTimed, DifferentKeysNeverShareAUnit)
+{
+    // Pairs of cores that differ from the first pair only in one field
+    // of HierarchyParams, the seed or the length — or that are
+    // miss-rate jobs over the same workload, seed and length. Had any
+    // of them joined another pair's unit, it would have run the other
+    // pair's stream or memory system, and its result would differ from
+    // its own serial run.
+    std::vector<HierarchyParams> hps(4);
+    hps[1].l2HitLatency = 12;
+    hps[2].memLatency = 200;
+    hps[3].l2Ways = 8;
+    std::vector<SweepJob> jobs;
+    auto pair = [&](std::uint64_t uops, std::uint64_t seed,
+                    const HierarchyParams &hp) {
+        for (const CacheConfig &cfg :
+             {CacheConfig::directMapped(16 * 1024),
+              CacheConfig::bcache(16 * 1024, 8, 8)})
+            jobs.push_back(SweepJob::timed("mcf", cfg, uops, seed, hp));
+    };
+    for (const HierarchyParams &hp : hps)
+        pair(20000, 7, hp);
+    pair(20000, 8, hps[0]);
+    pair(25000, 7, hps[0]);
+    jobs.push_back(SweepJob::missRate("mcf", StreamSide::Data,
+                                      CacheConfig::directMapped(16 * 1024),
+                                      20000, 7));
+    for (const unsigned threads : {1u, 3u}) {
+        SCOPED_TRACE(threads);
+        SweepOptions opt;
+        opt.jobs = threads;
+        const SweepRun run = runSweep(jobs, opt);
+        EXPECT_EQ(run.summary.failed, 0u);
+        expectTimedMatchesSerial(jobs, run);
+    }
+    // The fields really matter: each variant moved the baseline's cycles.
+    const TimedResult base =
+        runTimed("mcf", CacheConfig::directMapped(16 * 1024), 20000, 7);
+    for (std::size_t v = 1; v < hps.size(); ++v)
+        EXPECT_NE(runTimed("mcf", CacheConfig::directMapped(16 * 1024),
+                           20000, 7, hps[v])
+                      .cpu.cycles,
+                  base.cpu.cycles)
+            << v;
+}
+
+TEST(SweepGroupedTimed, SecondsSumToTheUnitsWallTime)
+{
+    // One uop stream, four cores, one worker: the unit is nearly the
+    // whole sweep, so the members' seconds (own time plus an equal
+    // share of the generation time) must add up to about its wall time.
+    std::vector<SweepJob> jobs;
+    for (const CacheConfig &cfg : timedConfigs())
+        jobs.push_back(SweepJob::timed("gcc", cfg, 100000, 7));
+    std::size_t calls = 0;
+    SweepOptions opt;
+    opt.jobs = 1;
+    opt.onProgress = [&](const SweepProgress &p) {
+        ++calls;
+        EXPECT_EQ(p.done, calls);
+        EXPECT_EQ(p.events, calls * 100000u);
+    };
+    const SweepRun run = runSweep(jobs, opt);
+    EXPECT_EQ(calls, jobs.size());
+    double sum = 0.0;
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+        const SweepOutcome &out = run.outcomes[i];
+        ASSERT_TRUE(out.ok()) << out.error;
+        EXPECT_EQ(out.timed->config, jobs[i].config.label);
+        EXPECT_GT(out.seconds, 0.0);
+        sum += out.seconds;
+    }
+    EXPECT_LE(sum, run.summary.wallSeconds);
+    EXPECT_GE(sum, 0.9 * run.summary.wallSeconds);
+}
+
 TEST(Sweep, DefaultJobsHonoursEnv)
 {
     ::setenv("BSIM_JOBS", "3", 1);
