@@ -64,7 +64,7 @@ usage(const char *msg = nullptr)
                  "(BSIM_JOBS)\n"
                  "  [--batch N]      accessBatch span length (BSIM_BATCH;"
                  " 0/1 =\n"
-                 "                   per-access path)\n"
+                 "                   per-access path; at most %zu)\n"
                  "  [--accesses N]   synthetic run length, or a cap on "
                  "trace replay\n"
                  "                   (traces default to the whole file)\n"
@@ -99,7 +99,10 @@ usage(const char *msg = nullptr)
                  "accesses;\n"
                  "                   embedded in --stats-json, or CSV to "
                  "stdout\n"
-                 "  [--json]         one JSON result on stdout\n");
+                 "  [--json]         the bsim-stats-v1 document on stdout"
+                 "\n"
+                 "                   (--timed: one JSON result line)\n",
+                 kMaxBatchLen);
     std::exit(2);
 }
 
@@ -266,14 +269,12 @@ runSharded(const std::string &trace_path, const CacheConfig &cfg,
                : runTraceSharded(trace_path, cfg, shards, opts, replay);
 
     if (json) {
-        // A JSON array of per-shard MissRateResult records; merged
-        // totals are the field-wise sums (trace-sampling semantics).
-        // json + a '-' export is rejected up front, so stdout is ours.
-        std::printf("[");
-        for (std::size_t i = 0; i < res.shards.size(); ++i)
-            std::printf("%s%s", i ? ",\n " : "",
-                        toJson(res.shards[i]).c_str());
-        std::printf("]\n");
+        // The sharded bsim-stats-v1 document: merged totals plus the
+        // per-shard runs. json + a '-' export is rejected up front, so
+        // stdout is ours.
+        std::printf("%s\n", toStatsJson(res, "trace:" + trace_path,
+                                        cfg.label)
+                                .c_str());
     } else {
         // A "-" export owns stdout; the report moves to stderr so the
         // piped JSON stays clean while a human still watches the run.
@@ -378,8 +379,14 @@ bsimMain(int argc, char **argv)
             shards = parseNum<unsigned>(flag, need());
         else if (!std::strcmp(flag, "--jobs"))
             jobs = parseNum<unsigned>(flag, need());
-        else if (!std::strcmp(flag, "--batch"))
+        else if (!std::strcmp(flag, "--batch")) {
             batch = parseNum<std::size_t>(flag, need());
+            if (batch > kMaxBatchLen)
+                usage(("--batch " + std::to_string(batch) +
+                       " is above the cap of " +
+                       std::to_string(kMaxBatchLen))
+                          .c_str());
+        }
         else if (!std::strcmp(flag, "--accesses")) {
             accesses = parseNum(flag, need());
             accesses_set = true;
@@ -510,7 +517,9 @@ bsimMain(int argc, char **argv)
 
     if (json) {
         // json + a '-' export is rejected up front; stdout is ours.
-        std::printf("%s\n", toJson(r).c_str());
+        std::printf("%s\n", toStatsJson(r, trace_path.empty() ? "workload"
+                                                              : "trace")
+                                .c_str());
         return 0;
     }
 

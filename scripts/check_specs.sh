@@ -6,7 +6,7 @@
 #
 # Keeps the three faces of the spec grammar in sync:
 #  1. The registry source of truth: the BSIM_REGISTER_CACHE_SPEC
-#     entries in src/sim/cache_spec.cc (nine kinds).
+#     entries in src/sim/cache_spec.cc (ten kinds).
 #  2. `bsim --list-caches` (when the driver binary is passed or found
 #     in build/bench/): every registered kind must appear with its
 #     synopsis, so the CLI help cannot drift from the registry.
@@ -20,6 +20,11 @@
 # keeps per-variant behaviour in the registry entries: no
 # `case CacheKind::` under src/, bench/ or examples/, and no
 # `dynamic_cast<` under src/sim/ except harvestObserver()'s.
+#
+# And it keeps src/verify/ generic over the registry: one twin driver
+# (only verify/batch_equiv.cc and the oracle checker's one-element mode
+# call accessBatch), no per-kind casts or kind enums there, and none of
+# the retired per-kind twin drivers anywhere.
 set -eu
 
 repo_root=$(CDPATH= cd -- "$(dirname -- "$0")/.." && pwd)
@@ -30,8 +35,8 @@ fail=0
 # ---- the registry: kind tokens from cache_spec.cc ----
 kinds=$(sed -n 's/^ *{\.name = "\([a-z]*\)",$/\1/p' src/sim/cache_spec.cc)
 n_kinds=$(echo "$kinds" | wc -w)
-if [ "$n_kinds" -ne 9 ]; then
-    echo "check_specs: expected 9 registered kinds in" \
+if [ "$n_kinds" -ne 10 ]; then
+    echo "check_specs: expected 10 registered kinds in" \
          "src/sim/cache_spec.cc, found $n_kinds: $kinds" >&2
     fail=1
 fi
@@ -75,7 +80,7 @@ if matches=$(grep -rn "make_unique<[A-Za-z]*Cache" bench/ examples/); then
     fail=1
 fi
 if matches=$(grep -rn \
-        "CacheConfig::\(directMapped\|setAssoc\|victim\|bcache\|columnAssoc\|skewed\|hac\|xorDm\|partialMatch\)(" \
+        "CacheConfig::\(directMapped\|setAssoc\|victim\|bcache\|columnAssoc\|skewed\|hac\|xorDm\|partialMatch\|wayHalting\)(" \
         bench/ examples/); then
     echo "check_specs: CacheConfig factory calls in the harnesses" \
          "(use parseCacheSpec):" >&2
@@ -99,11 +104,36 @@ if matches=$(grep -rn "dynamic_cast<" src/sim/ |
     fail=1
 fi
 
+# ---- pass 6: src/verify is one registry-driven twin driver ----
+if matches=$(grep -rn \
+        "static_cast<const [A-Za-z]*Cache &>\|dynamic_cast<\|AltKind" \
+        src/verify/); then
+    echo "check_specs: per-kind code in src/verify (read variant" \
+         "counters through CacheConfig::sideCounters):" >&2
+    echo "$matches" >&2
+    fail=1
+fi
+if matches=$(grep -rln "accessBatch(" src/verify/ --include='*.cc' |
+        grep -v "src/verify/\(batch_equiv\|oracle_checker\)\.cc"); then
+    echo "check_specs: a second batched driver in src/verify (twin" \
+         "checks go through verify/batch_equiv):" >&2
+    echo "$matches" >&2
+    fail=1
+fi
+if matches=$(grep -rnw \
+        "makeAltCache\|compareSideCounters\|twinDrive\|twinVariantCase" \
+        src/ tests/ bench/); then
+    echo "check_specs: a retired per-kind twin driver is back:" >&2
+    echo "$matches" >&2
+    fail=1
+fi
+
 if [ "$fail" -ne 0 ]; then
     echo "check_specs: FAIL" >&2
     exit 1
 fi
 echo "check_specs: OK ($n_kinds kinds; registry, --list-caches and" \
      "ARCHITECTURE.md grammar table in sync; harnesses declarative;" \
-     "no kind switches or casts outside the registry)"
+     "no kind switches or casts outside the registry; one twin" \
+     "driver in src/verify)"
 exit 0

@@ -9,6 +9,7 @@
 #include "alt/hac_cache.hh"
 #include "alt/partial_match_cache.hh"
 #include "alt/skewed_assoc_cache.hh"
+#include "alt/way_halting_cache.hh"
 #include "alt/xor_index_cache.hh"
 #include "cache/set_assoc_cache.hh"
 #include "cache/victim_cache.hh"
@@ -454,7 +455,7 @@ setAssocEnergy(const CacheConfig &c)
 } // namespace
 
 // ---------------------------------------------------------------------
-// The nine built-in variants, one block each. Each parse hook funnels
+// The ten built-in variants, one block each. Each parse hook funnels
 // through the same CacheConfig factory helper the harnesses use, so a
 // parsed config is field-for-field (and label-for-label) identical to a
 // hand-built one.
@@ -537,12 +538,10 @@ BSIM_REGISTER_CACHE_SPEC(
              c.victimEntries, c.lineBytes);
          return r;
      },
-     .side = [](const BaseCache &cache) {
+     .side = [](const BaseCache &cache) -> SideCounters {
          const auto &vc = static_cast<const VictimCache &>(cache);
-         SideCounters s;
-         s.victimHits = vc.victimHits();
-         s.victimProbes = vc.victimProbes();
-         return s;
+         return {{"victimHits", vc.victimHits()},
+                 {"victimProbes", vc.victimProbes()}};
      }})
 
 BSIM_REGISTER_CACHE_SPEC(
@@ -592,10 +591,10 @@ BSIM_REGISTER_CACHE_SPEC(
                           e.dataBitWordline + e.dataOther;
          return r;
      },
-     .side = [](const BaseCache &cache) {
-         SideCounters s;
-         s.pd = static_cast<const BCache &>(cache).pdStats();
-         return s;
+     .side = [](const BaseCache &cache) -> SideCounters {
+         const PdStats &pd = static_cast<const BCache &>(cache).pdStats();
+         return {{"pdHitCacheMiss", pd.pdHitCacheMiss},
+                 {"pdMiss", pd.pdMiss}};
      }})
 
 BSIM_REGISTER_CACHE_SPEC(
@@ -616,7 +615,12 @@ BSIM_REGISTER_CACHE_SPEC(
      .printParams = lineTail,
      .build = buildPlain<ColumnAssocCache, 1>,
      .accessTime = dmAccessTime,
-     .energy = dmEnergy})
+     .energy = dmEnergy,
+     .side = [](const BaseCache &cache) -> SideCounters {
+         const auto &ca = static_cast<const ColumnAssocCache &>(cache);
+         return {{"firstHits", ca.firstHits()},
+                 {"rehashHits", ca.rehashHits()}};
+     }})
 
 BSIM_REGISTER_CACHE_SPEC(
     regSkew,
@@ -742,7 +746,55 @@ BSIM_REGISTER_CACHE_SPEC(
      // cycle runs near direct-mapped speed; mispredictions pay a second
      // cycle (the slow-hit fraction).
      .accessTime = dmAccessTime,
-     .energy = setAssocEnergy})
+     .energy = setAssocEnergy,
+     .side = [](const BaseCache &cache) -> SideCounters {
+         const auto &pm = static_cast<const PartialMatchCache &>(cache);
+         return {{"slowHits", pm.slowHits()},
+                 {"padAliases", pm.padAliases()}};
+     }})
+
+BSIM_REGISTER_CACHE_SPEC(
+    regHalt,
+    {.name = "halt",
+     .synopsis = "halt:<size>[,<N>w][,bits=N][,repl=R][,line=B]",
+     .help = "way-halting SA array (halt-tag filter; hits and misses "
+             "equal sa:, the saving shows only in its side counters)",
+     .kind = CacheKind::WayHalting,
+     .parse = [](std::uint64_t size, SpecParams &p) {
+         CacheConfig c = CacheConfig::wayHalting(
+             size, static_cast<std::uint32_t>(p.count("w", 4)),
+             static_cast<unsigned>(p.count("bits", 4)),
+             static_cast<std::uint32_t>(p.count("line", 32)));
+         applyCommon(c, p, false);
+         p.finish("Nw, bits=, repl=, line=");
+         requireGeometry("halt", size, c.lineBytes, c.ways);
+         require(c.ways >= 2, "halt",
+                 "way halting needs at least 2 ways (2w)");
+         require(c.partialBits >= 1 && c.partialBits <= 29, "halt",
+                 "bits=" + std::to_string(c.partialBits) +
+                     " is outside 1..29");
+         return c;
+     },
+     .printParams = [](const CacheConfig &c) {
+         std::string out = "," + std::to_string(c.ways) + "w";
+         if (c.partialBits != 4)
+             out += ",bits=" + std::to_string(c.partialBits);
+         return out + commonTail(c, false);
+     },
+     .build = [](const CacheConfig &c, const std::string &name, Cycles lat,
+                 MemLevel *next) -> std::unique_ptr<BaseCache> {
+         return std::make_unique<WayHaltingCache>(
+             name, geometryOf(c, c.ways), lat, next, c.partialBits, c.repl);
+     },
+     // Timing and energy are the plain SA array's: the model reports the
+     // halting saving only through the side counters below.
+     .accessTime = setAssocAccessTime,
+     .energy = setAssocEnergy,
+     .side = [](const BaseCache &cache) -> SideCounters {
+         const auto &wh = static_cast<const WayHaltingCache &>(cache);
+         return {{"haltedWays", wh.haltedWays()},
+                 {"activatedWays", wh.activatedWays()}};
+     }})
 
 // ---------------------------------------------------------------------
 // Parse / print
@@ -855,6 +907,15 @@ CacheConfig::sideCounters(const BaseCache &cache) const
 {
     const CacheSpecEntry *entry = CacheFactory::instance().entryFor(kind);
     return entry->side ? entry->side(cache) : SideCounters{};
+}
+
+std::optional<std::uint64_t>
+findSideCounter(const SideCounters &counters, std::string_view name)
+{
+    for (const SideCounter &c : counters)
+        if (c.name == name)
+            return c.value;
+    return std::nullopt;
 }
 
 BCacheParams
@@ -988,6 +1049,20 @@ CacheConfig::partialMatch(std::uint64_t size, std::uint32_t ways,
     c.ways = ways;
     c.partialBits = partial_bits;
     c.label = strprintf("pad%u-%uway", partial_bits, ways);
+    return c;
+}
+
+CacheConfig
+CacheConfig::wayHalting(std::uint64_t size, std::uint32_t ways,
+                        unsigned halt_bits, std::uint32_t line)
+{
+    CacheConfig c;
+    c.kind = CacheKind::WayHalting;
+    c.sizeBytes = size;
+    c.lineBytes = line;
+    c.ways = ways;
+    c.partialBits = halt_bits;
+    c.label = strprintf("halt%u-%uway", halt_bits, ways);
     return c;
 }
 

@@ -28,7 +28,7 @@
  * parse/print hooks, synopsis and help text, and its build, access-time,
  * energy and side-counter hooks. `bsim --list-caches` enumerates the
  * registry; CacheConfig::build(), evaluateAmat() and energyRatesFor()
- * dispatch through it, so adding a tenth variant is one registration,
+ * dispatch through it, so adding a variant is one registration,
  * not a scatter of switch statements.
  *
  * Layering: the registry lives in sim/ because its hooks need every
@@ -47,6 +47,7 @@
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "bcache/bcache.hh"
@@ -66,6 +67,7 @@ enum class CacheKind : std::uint8_t {
     Hac,          ///< highly associative CAM-tag cache (Section 6.7)
     XorDm,        ///< XOR-mapped direct-mapped (indexing optimisation)
     PartialMatch, ///< way-predicting SA cache (Section 7.2)
+    WayHalting,   ///< SA cache behind a halt-tag way filter (Section 6.8)
 };
 
 /** Largest value a spec count may carry (CacheConfig's 32-bit fields). */
@@ -83,16 +85,25 @@ inline constexpr std::uint64_t kMaxVictimEntries = 65536;
  */
 inline constexpr std::uint64_t kMaxSpecBytes = std::uint64_t{64} << 20;
 
-/**
- * The counters only some variants keep, beyond CacheStats. Variants
- * without one leave it at its zero default.
- */
-struct SideCounters
+/** One counter a variant keeps beyond CacheStats, e.g. "victimHits". */
+struct SideCounter
 {
-    std::optional<PdStats> pd;      ///< B-Cache decoder taxonomy
-    std::uint64_t victimHits = 0;   ///< victim buffer hits
-    std::uint64_t victimProbes = 0; ///< victim buffer searches
+    std::string name;
+    std::uint64_t value = 0;
+
+    bool operator==(const SideCounter &) const = default;
 };
+
+/**
+ * The counters only some variants keep, beyond CacheStats, in the order
+ * the variant's registry entry lists them; empty for variants that keep
+ * none.
+ */
+using SideCounters = std::vector<SideCounter>;
+
+/** The value of the counter named @p name, or nullopt when absent. */
+std::optional<std::uint64_t> findSideCounter(const SideCounters &counters,
+                                             std::string_view name);
 
 /**
  * One declarative cache description — the value a spec string parses
@@ -112,7 +123,8 @@ struct CacheConfig
     std::uint32_t mf = 8;   ///< B-Cache only
     std::uint32_t bas = 8;  ///< B-Cache only
     std::uint64_t hacSubarrayBytes = 1024;
-    unsigned partialBits = 5; ///< PartialMatch only
+    /** Low-tag-slice width: PartialMatch's PAD, WayHalting's halt tag. */
+    unsigned partialBits = 5;
 
     /** Instantiate the described cache (the registry's build hook). */
     std::unique_ptr<BaseCache> build(const std::string &name,
@@ -152,6 +164,10 @@ struct CacheConfig
                                     std::uint32_t ways = 2,
                                     unsigned partial_bits = 5,
                                     std::uint32_t line = 32);
+    static CacheConfig wayHalting(std::uint64_t size,
+                                  std::uint32_t ways = 4,
+                                  unsigned halt_bits = 4,
+                                  std::uint32_t line = 32);
 
     /** Field-wise equality (the round-trip contract compares with this). */
     bool operator==(const CacheConfig &) const = default;
@@ -248,8 +264,8 @@ struct CacheSpecEntry
      */
     std::function<EnergyRates(const CacheConfig &)> energy;
     /**
-     * Side counters of a cache this entry built; null for variants
-     * that keep none.
+     * Side counters of a cache this entry built, by name; null for
+     * variants that keep none.
      */
     std::function<SideCounters(const BaseCache &)> side = nullptr;
 };

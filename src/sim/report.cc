@@ -67,32 +67,6 @@ writeJson(JsonWriter &j, const SampledStats &s)
     j.endObject();
 }
 
-std::string
-toJson(const MissRateResult &r)
-{
-    JsonWriter j;
-    j.beginObject();
-    j.kv("workload", r.workload);
-    j.kv("config", r.config);
-    j.key("stats");
-    writeJson(j, r.stats);
-    if (r.pd) {
-        j.key("pd");
-        writeJson(j, *r.pd);
-    }
-    if (r.victimHits)
-        j.kv("victimHits", r.victimHits);
-    if (r.sampled) {
-        j.key("sample");
-        writeJson(j, *r.sampled);
-    } else {
-        j.key("balance");
-        writeJson(j, r.balance);
-    }
-    j.endObject();
-    return j.str();
-}
-
 namespace {
 
 /**

@@ -32,16 +32,18 @@ void writeJson(JsonWriter &j, const BalanceReport &b);
  */
 void writeJson(JsonWriter &j, const SampledStats &s);
 
-/** Serialize one standalone miss-rate run. */
-std::string toJson(const MissRateResult &r);
-
-/** Serialize one timed (OOO core) run. */
+/**
+ * Serialize one timed (OOO core) run — the `bsim --timed --json` line.
+ * Miss-rate runs have one encoding, the bsim-stats-v1 document below;
+ * timed runs keep this one because bsim-stats-v1 has no timed schema.
+ */
 std::string toJson(const TimedResult &r);
 
 /**
  * Serialize one run as a "bsim-stats-v1" document — the shape behind
- * `bsim --stats-json`, linted by bench/stats_json_lint.cc and
- * scripts/check_stats_json.sh (change them together). @p driver is
+ * `bsim --stats-json` and `bsim --json`, linted by
+ * bench/stats_json_lint.cc and scripts/check_stats_json.sh (change them
+ * together). @p driver is
  * "workload" or "trace" depending on what produced @p r.
  */
 std::string toStatsJson(const MissRateResult &r,

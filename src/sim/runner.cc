@@ -1,6 +1,7 @@
 #include "sim/runner.hh"
 
 #include <algorithm>
+#include <cerrno>
 #include <cstdlib>
 
 #include "common/logging.hh"
@@ -43,8 +44,9 @@ defaultBatchLen()
     if (!v || !*v)
         return kDefaultBatchLen;
     char *end = nullptr;
+    errno = 0;
     const unsigned long long n = std::strtoull(v, &end, 10);
-    if (end == v || *end) {
+    if (end == v || *end || errno == ERANGE || n > kMaxBatchLen) {
         bsim_warn("ignoring bad BSIM_BATCH='", v, "'");
         return kDefaultBatchLen;
     }
@@ -166,9 +168,8 @@ timedResultOf(const std::string &workload_name, const CacheConfig &config,
     a.cycles = cpu.cycles;
     for (const BaseCache *l1 : {&hier.l1i(), &hier.l1d()}) {
         const SideCounters side = config.sideCounters(*l1);
-        a.victimProbes += side.victimProbes;
-        if (side.pd)
-            a.pdPredictedMisses += side.pd->pdMiss;
+        a.victimProbes += findSideCounter(side, "victimProbes").value_or(0);
+        a.pdPredictedMisses += findSideCounter(side, "pdMiss").value_or(0);
     }
     return r;
 }

@@ -206,9 +206,19 @@ std::optional<ObserverReport> harvestObserver(const StatsObserver *obs,
 inline constexpr std::size_t kDefaultBatchLen = 1024;
 
 /**
+ * Largest batch length a run accepts (bsim --batch, BSIM_BATCH): a
+ * session sizes its request and outcome buffers to the batch length, so
+ * the cap keeps every accepted value allocatable. 1 Mi records is 1024x
+ * the default.
+ */
+inline constexpr std::size_t kMaxBatchLen = std::size_t{1} << 20;
+
+/**
  * Environment-tunable batch length (BSIM_BATCH): 0 or 1 selects the
  * per-access path (the two are bit-identical; the knob exists for
- * debugging and for the self-relative perf gate).
+ * debugging and for the self-relative perf gate). A value that is not a
+ * number, or is above kMaxBatchLen, warns and falls back to
+ * kDefaultBatchLen.
  */
 std::size_t defaultBatchLen();
 

@@ -75,8 +75,9 @@ Session::finish(const CacheConfig &config, BaseCache &cache,
     r.stats = cache.stats();
     r.balance = analyzeBalance(cache.setUsage());
     const SideCounters side = config.sideCounters(cache);
-    r.pd = side.pd;
-    r.victimHits = side.victimHits;
+    if (const auto hcm = findSideCounter(side, "pdHitCacheMiss"))
+        r.pd = PdStats{*hcm, findSideCounter(side, "pdMiss").value_or(0)};
+    r.victimHits = findSideCounter(side, "victimHits").value_or(0);
     r.observer = harvestObserver(obs, cache);
     return r;
 }
@@ -325,7 +326,9 @@ Session::runSampled(const SamplePlan &plan, std::uint64_t first_unit,
         const std::uint64_t u1 =
             unit_count == 0 ? n_units
                             : std::min(u0 + unit_count, n_units);
-        sampled.units.reserve(static_cast<std::size_t>(u1 - u0));
+        // No reserve either: the unit count comes from the file header,
+        // which a corrupt trace may inflate far past what the file
+        // holds; the list grows only as units complete.
         TraceReaderPtr reader = handle_ ? openTraceReader(handle_)
                                         : openTraceReader(tracePath_);
 

@@ -1,9 +1,14 @@
 #include "verify/batch_equiv.hh"
 
 #include <algorithm>
+#include <functional>
+#include <span>
 
+#include "common/bits.hh"
+#include "common/logging.hh"
 #include "common/random.hh"
 #include "common/strings.hh"
+#include "verify/residency_model.hh"
 #include "verify/tracking_memory.hh"
 
 namespace bsim {
@@ -12,18 +17,19 @@ namespace {
 
 constexpr std::size_t kMaxMismatches = 8;
 
-} // namespace
+/** Records a span stream hands over per nextSpan() call. */
+constexpr std::size_t kSpanLen = 4096;
 
 void
-equivNote(BatchEquivResult &res, std::string what)
+note(BatchEquivResult &res, std::string what)
 {
     if (res.mismatches.size() < kMaxMismatches)
         res.mismatches.push_back(std::move(what));
 }
 
 void
-equivCompareStats(BatchEquivResult &res, const CacheStats &pa,
-                  const CacheStats &ba)
+compareStats(BatchEquivResult &res, const CacheStats &pa,
+             const CacheStats &ba)
 {
     const struct
     {
@@ -45,26 +51,60 @@ equivCompareStats(BatchEquivResult &res, const CacheStats &pa,
     };
     for (const auto &f : fields)
         if (f.a != f.b)
-            equivNote(res, strprintf("CacheStats.%s: per-access %llu vs "
-                                     "batched %llu",
-                                     f.name, (unsigned long long)f.a,
-                                     (unsigned long long)f.b));
+            note(res, strprintf("CacheStats.%s: per-access %llu vs "
+                                "batched %llu",
+                                f.name, (unsigned long long)f.a,
+                                (unsigned long long)f.b));
+}
+
+std::string
+sideString(const SideCounters &counters)
+{
+    std::vector<std::string> parts;
+    for (const SideCounter &c : counters)
+        parts.push_back(c.name + "=" + std::to_string(c.value));
+    return "{" + join(parts, ", ") + "}";
+}
+
+/** Per-line usage counters (the Table 7 inputs), line by line. */
+void
+compareUsage(BatchEquivResult &res, const std::vector<SetUsage> &ua,
+             const std::vector<SetUsage> &ub)
+{
+    if (ua.size() != ub.size()) {
+        note(res, strprintf("usage lines: per-access %zu vs batched %zu",
+                            ua.size(), ub.size()));
+        return;
+    }
+    for (std::size_t l = 0; l < ua.size(); ++l) {
+        if (ua[l].accesses == ub[l].accesses && ua[l].hits == ub[l].hits &&
+            ua[l].misses == ub[l].misses)
+            continue;
+        note(res, strprintf("line %zu usage: per-access {%llu,%llu,%llu} "
+                            "vs batched {%llu,%llu,%llu}",
+                            l, (unsigned long long)ua[l].accesses,
+                            (unsigned long long)ua[l].hits,
+                            (unsigned long long)ua[l].misses,
+                            (unsigned long long)ub[l].accesses,
+                            (unsigned long long)ub[l].hits,
+                            (unsigned long long)ub[l].misses));
+        break;
+    }
 }
 
 void
-equivCompareEvents(BatchEquivResult &res, const std::vector<MemEvent> &ea,
-                   const std::vector<MemEvent> &eb)
+compareEvents(BatchEquivResult &res, const std::vector<MemEvent> &ea,
+              const std::vector<MemEvent> &eb)
 {
     if (ea.size() != eb.size())
-        equivNote(res, strprintf("memory event count: per-access %zu vs "
-                                 "batched %zu",
-                                 ea.size(), eb.size()));
+        note(res, strprintf("memory event count: per-access %zu vs "
+                            "batched %zu",
+                            ea.size(), eb.size()));
     const std::size_t n = std::min(ea.size(), eb.size());
     for (std::size_t i = 0; i < n; ++i) {
         if (ea[i] == eb[i])
             continue;
-        equivNote(res,
-                  strprintf("memory event %zu: per-access %s(0x%llx) vs "
+        note(res, strprintf("memory event %zu: per-access %s(0x%llx) vs "
                             "batched %s(0x%llx)",
                             i, memEventKindName(ea[i].kind),
                             (unsigned long long)ea[i].addr,
@@ -73,6 +113,149 @@ equivCompareEvents(BatchEquivResult &res, const std::vector<MemEvent> &ea,
         break; // later events are noise once the sequences skew
     }
 }
+
+/**
+ * Checks of one variant that have no generic form; each may be null.
+ */
+struct TwinHooks
+{
+    /** After every batch. */
+    std::function<void(BatchEquivResult &)> afterBatch;
+    /** Per sampled address; false ends the sample. */
+    std::function<bool(BatchEquivResult &, Addr)> atSample;
+    /** After the run. */
+    std::function<void(BatchEquivResult &)> atEnd;
+};
+
+/**
+ * The twin loop: @p per_access and @p batched were built from
+ * @p config onto @p mem_a and @p mem_b.
+ */
+BatchEquivResult
+driveTwins(const CacheConfig &config, BaseCache &per_access,
+           TrackingMemory &mem_a, BaseCache &batched,
+           TrackingMemory &mem_b, AccessStream &stream, const TwinRun &run,
+           const TwinHooks &hooks)
+{
+    bsim_assert(run.batchLen >= 1, "twin batches need at least one access");
+    bsim_assert(run.addrBits >= 1 && run.addrBits < 64);
+    BatchEquivResult res;
+    const Addr addr_mask = mask(run.addrBits);
+
+    // The functional model polices residency and write conservation on
+    // the per-access twin, organisation-agnostically.
+    FunctionalResidencyModel model(per_access, config.writePolicy);
+    // A writeback case replays identically under runFuzzCase, which
+    // draws its interleaving from the same constant.
+    Rng rng(run.seed ^ 0xdecafbadULL);
+
+    std::vector<MemEvent> events_a; // ordered per-access event log
+    std::vector<MemAccess> batch;
+    batch.reserve(run.batchLen);
+    std::vector<AccessOutcome> outs(run.batchLen);
+
+    const auto drainInto = [&] {
+        std::vector<MemEvent> ev = mem_a.drain();
+        events_a.insert(events_a.end(), ev.begin(), ev.end());
+        return ev;
+    };
+
+    const auto flush = [&] {
+        if (batch.empty())
+            return;
+        batched.accessBatch({batch.data(), batch.size()}, outs.data());
+        for (std::size_t i = 0; i < batch.size(); ++i) {
+            const AccessOutcome o = per_access.access(batch[i]);
+            if (o.hit != outs[i].hit || o.latency != outs[i].latency)
+                note(res, strprintf("outcome of access 0x%llx: "
+                                    "per-access (hit=%d lat=%llu) vs "
+                                    "batched (hit=%d lat=%llu)",
+                                    (unsigned long long)batch[i].addr,
+                                    o.hit, (unsigned long long)o.latency,
+                                    outs[i].hit,
+                                    (unsigned long long)outs[i].latency));
+            for (std::string &v :
+                 model.onAccess(batch[i], o.hit, drainInto()))
+                note(res, "residency: " + std::move(v));
+        }
+        if (hooks.afterBatch)
+            hooks.afterBatch(res);
+        batch.clear();
+    };
+
+    // Span streams (trace windows) end when their span runs dry; the
+    // others are unbounded.
+    const bool spans = stream.hasSpanBatches();
+    std::span<const MemAccess> pending;
+    for (std::uint64_t i = 0; i < run.accesses; ++i) {
+        if (spans && pending.empty()) {
+            pending = stream.nextSpan(kSpanLen);
+            if (pending.empty())
+                break;
+        }
+        MemAccess a;
+        if (spans) {
+            a = pending.front();
+            pending = pending.subspan(1);
+        } else {
+            a = stream.next();
+        }
+        a.addr &= addr_mask;
+        if (run.writebackFraction > 0.0 &&
+            rng.nextBool(run.writebackFraction)) {
+            // A writeback from above lands between batches in any real
+            // runner; flush so both DUTs see the same ordering.
+            flush();
+            per_access.writeback(a.addr);
+            for (std::string &v : model.onWriteback(a.addr, drainInto()))
+                note(res, "residency: " + std::move(v));
+            batched.writeback(a.addr);
+        } else {
+            batch.push_back(a);
+            if (batch.size() == run.batchLen)
+                flush();
+        }
+        ++res.steps;
+        if (res.mismatches.size() >= kMaxMismatches)
+            break;
+    }
+    flush();
+
+    compareStats(res, per_access.stats(), batched.stats());
+    compareUsage(res, per_access.setUsage().usage(),
+                 batched.setUsage().usage());
+    const SideCounters side_a = config.sideCounters(per_access);
+    const SideCounters side_b = config.sideCounters(batched);
+    if (side_a != side_b)
+        note(res, "side counters: per-access " + sideString(side_a) +
+                      " vs batched " + sideString(side_b));
+
+    // Residency over a deterministic address sample (contains() is
+    // side-effect free).
+    Rng sample(run.seed ^ 0x5a5a5a5aULL);
+    const Addr space = Addr{1} << run.addrBits;
+    for (int s = 0; s < 4096; ++s) {
+        const Addr addr = sample.nextBounded(space);
+        if (per_access.contains(addr) != batched.contains(addr)) {
+            note(res, strprintf("residency of 0x%llx differs",
+                                (unsigned long long)addr));
+            break;
+        }
+        if (hooks.atSample && !hooks.atSample(res, addr))
+            break;
+    }
+    if (hooks.atEnd)
+        hooks.atEnd(res);
+
+    for (const std::string &v : model.finish())
+        note(res, "conservation: " + v);
+    compareEvents(res, events_a, mem_b.drain());
+
+    res.ok = res.mismatches.empty();
+    return res;
+}
+
+} // namespace
 
 std::string
 BatchEquivResult::toString() const
@@ -86,133 +269,62 @@ BatchEquivResult::toString() const
 }
 
 BatchEquivResult
+runBatchEquiv(const CacheConfig &config, AccessStream &stream,
+              const TwinRun &run)
+{
+    TrackingMemory mem_a, mem_b;
+    const std::unique_ptr<BaseCache> per_access =
+        config.build("equiv-per-access", /*hit_latency=*/1, &mem_a);
+    const std::unique_ptr<BaseCache> batched =
+        config.build("equiv-batched", /*hit_latency=*/1, &mem_b);
+    return driveTwins(config, *per_access, mem_a, *batched, mem_b, stream,
+                      run, {});
+}
+
+BatchEquivResult
 runBatchEquivCase(const FuzzSpec &spec, std::uint64_t accesses,
                   std::size_t batch_len)
 {
-    BatchEquivResult res;
-
     TrackingMemory mem_a, mem_b;
     BCache per_access("equiv-per-access", spec.params,
                       /*hit_latency=*/1, &mem_a);
     BCache batched("equiv-batched", spec.params, /*hit_latency=*/1,
                    &mem_b);
 
-    AccessStreamPtr stream = makeFuzzStream(spec);
-    // Same writeback interleaving as runFuzzCase, so a spec that fails
-    // there can be replayed here and vice versa.
-    Rng rng(spec.seed ^ 0xdecafbadULL);
-
-    std::vector<MemAccess> batch;
-    batch.reserve(batch_len);
-    std::vector<AccessOutcome> outs(batch_len);
-
-    const auto flush = [&] {
-        if (batch.empty())
-            return;
-        batched.accessBatch({batch.data(), batch.size()}, outs.data());
-        for (std::size_t i = 0; i < batch.size(); ++i) {
-            const AccessOutcome o = per_access.access(batch[i]);
-            if (o.hit != outs[i].hit || o.latency != outs[i].latency)
-                equivNote(res,
-                     strprintf("outcome of access 0x%llx: per-access "
-                               "(hit=%d lat=%llu) vs batched (hit=%d "
-                               "lat=%llu)",
-                               (unsigned long long)batch[i].addr,
-                               o.hit, (unsigned long long)o.latency,
-                               outs[i].hit,
-                               (unsigned long long)outs[i].latency));
-        }
+    TwinHooks hooks;
+    hooks.afterBatch = [&](BatchEquivResult &res) {
         if (per_access.lastOutcome() != batched.lastOutcome())
-            equivNote(res, strprintf("lastOutcome after batch: per-access %d "
+            note(res, strprintf("lastOutcome after batch: per-access %d "
                                 "vs batched %d",
                                 (int)per_access.lastOutcome(),
                                 (int)batched.lastOutcome()));
-        batch.clear();
+    };
+    hooks.atSample = [&](BatchEquivResult &res, Addr addr) {
+        if (per_access.classify(addr) == batched.classify(addr))
+            return true;
+        note(res, strprintf("classify(0x%llx): per-access %d vs "
+                            "batched %d",
+                            (unsigned long long)addr,
+                            (int)per_access.classify(addr),
+                            (int)batched.classify(addr)));
+        return false;
+    };
+    hooks.atEnd = [&](BatchEquivResult &res) {
+        if (per_access.validLines() != batched.validLines())
+            note(res, strprintf("validLines: per-access %zu vs batched "
+                                "%zu",
+                                per_access.validLines(),
+                                batched.validLines()));
     };
 
-    for (std::uint64_t i = 0; i < accesses; ++i) {
-        const MemAccess a = stream->next();
-        if (spec.writebackFraction > 0.0 &&
-            rng.nextBool(spec.writebackFraction)) {
-            // A writeback from above lands between batches in any real
-            // runner; flush so both DUTs see the same ordering.
-            flush();
-            per_access.writeback(a.addr);
-            batched.writeback(a.addr);
-        } else {
-            batch.push_back(a);
-            if (batch.size() == batch_len)
-                flush();
-        }
-        ++res.steps;
-        if (res.mismatches.size() >= kMaxMismatches)
-            break;
-    }
-    flush();
-
-    equivCompareStats(res, per_access.stats(), batched.stats());
-    if (per_access.pdStats().pdHitCacheMiss !=
-            batched.pdStats().pdHitCacheMiss ||
-        per_access.pdStats().pdMiss != batched.pdStats().pdMiss)
-        equivNote(res,
-             strprintf("PdStats: per-access {%llu, %llu} vs batched "
-                       "{%llu, %llu}",
-                       (unsigned long long)
-                           per_access.pdStats().pdHitCacheMiss,
-                       (unsigned long long)per_access.pdStats().pdMiss,
-                       (unsigned long long)
-                           batched.pdStats().pdHitCacheMiss,
-                       (unsigned long long)batched.pdStats().pdMiss));
-    if (per_access.validLines() != batched.validLines())
-        equivNote(res, strprintf("validLines: per-access %zu vs batched %zu",
-                            per_access.validLines(),
-                            batched.validLines()));
-
-    // Per-line usage counters (the Table 7 inputs) must match line by
-    // line, not just in aggregate.
-    const auto &ua = per_access.setUsage().usage();
-    const auto &ub = batched.setUsage().usage();
-    for (std::size_t l = 0; l < ua.size(); ++l) {
-        if (ua[l].accesses != ub[l].accesses ||
-            ua[l].hits != ub[l].hits || ua[l].misses != ub[l].misses) {
-            equivNote(res,
-                 strprintf("line %zu usage: per-access {%llu,%llu,%llu} "
-                           "vs batched {%llu,%llu,%llu}",
-                           l, (unsigned long long)ua[l].accesses,
-                           (unsigned long long)ua[l].hits,
-                           (unsigned long long)ua[l].misses,
-                           (unsigned long long)ub[l].accesses,
-                           (unsigned long long)ub[l].hits,
-                           (unsigned long long)ub[l].misses));
-            break;
-        }
-    }
-
-    // Residency + PD classification over a deterministic address sample
-    // (classify() and contains() are side-effect free).
-    Rng sample(spec.seed ^ 0x5a5a5a5aULL);
-    const Addr space = Addr{1} << spec.addrBits;
-    for (int s = 0; s < 4096; ++s) {
-        const Addr addr = sample.nextBounded(space);
-        if (per_access.contains(addr) != batched.contains(addr)) {
-            equivNote(res, strprintf("residency of 0x%llx differs",
-                                (unsigned long long)addr));
-            break;
-        }
-        if (per_access.classify(addr) != batched.classify(addr)) {
-            equivNote(res, strprintf("classify(0x%llx): per-access %d vs "
-                                "batched %d",
-                                (unsigned long long)addr,
-                                (int)per_access.classify(addr),
-                                (int)batched.classify(addr)));
-            break;
-        }
-    }
-
-    equivCompareEvents(res, mem_a.drain(), mem_b.drain());
-
-    res.ok = res.mismatches.empty();
-    return res;
+    const TwinRun run{.accesses = accesses,
+                      .batchLen = batch_len,
+                      .writebackFraction = spec.writebackFraction,
+                      .seed = spec.seed,
+                      .addrBits = spec.addrBits};
+    AccessStreamPtr stream = makeFuzzStream(spec);
+    return driveTwins(parseCacheSpec(spec.cacheSpec()), per_access, mem_a,
+                      batched, mem_b, *stream, run, hooks);
 }
 
 } // namespace bsim

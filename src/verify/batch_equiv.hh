@@ -1,17 +1,23 @@
 /**
  * @file
- * Twin-DUT batched/per-access equivalence: drive two identical BCaches
- * through the same fuzzed stream — one via access(), one via
- * accessBatch() with multi-element batches — and require bit-identical
- * observable state afterwards: per-access outcomes, aggregate
- * CacheStats/PdStats, per-line usage counters, PD classification of
- * every line-sized address, residency, and the exact ordered sequence of
- * memory-boundary events.
+ * The twin-DUT batched/per-access equivalence check, for every
+ * registered cache: build two identical caches through the spec
+ * registry, drive one through access() and the other through
+ * accessBatch() with multi-element batches over the same stream, and
+ * require bit-identical observable state — per-access outcomes, every
+ * CacheStats field, per-line usage, the registry's side counters, a
+ * deterministic contains() sample and the exact ordered sequence of
+ * memory-boundary events — while the fully-associative
+ * FunctionalResidencyModel polices residency and write conservation on
+ * the per-access twin.
  *
- * This is the multi-element complement of OracleOptions::driveBatched
- * (which polices the batched entry point with one-element batches
- * against the shadow-PD oracles): here real batch boundaries, including
- * writebacks arriving mid-batch, are exercised.
+ * This is the one twin driver; its sources are thin adapters: the
+ * fuzzed B-Cache case below (which adds the PD checks that have no
+ * generic form), the registry-wide campaign in verify/twin_fuzz, the
+ * trace window in verify/trace_drive and the pinned streams of
+ * tests/test_batch_equivalence.cc. It is the multi-element complement of
+ * OracleOptions::driveBatched, which polices the batched entry point
+ * with one-element batches against the shadow-PD oracles.
  */
 
 #ifndef BSIM_VERIFY_BATCH_EQUIV_HH
@@ -21,8 +27,9 @@
 #include <string>
 #include <vector>
 
+#include "sim/cache_spec.hh"
 #include "verify/fuzz.hh"
-#include "verify/tracking_memory.hh"
+#include "workload/access_stream.hh"
 
 namespace bsim {
 
@@ -36,24 +43,37 @@ struct BatchEquivResult
     std::string toString() const;
 };
 
-/**
- * Shared comparison helpers, also used by the alt-variant campaign in
- * verify/alt_fuzz: record a mismatch (capped at a handful per case),
- * compare every CacheStats field, and compare two ordered
- * memory-boundary event logs.
- */
-void equivNote(BatchEquivResult &res, std::string what);
-void equivCompareStats(BatchEquivResult &res, const CacheStats &pa,
-                       const CacheStats &ba);
-void equivCompareEvents(BatchEquivResult &res,
-                        const std::vector<MemEvent> &ea,
-                        const std::vector<MemEvent> &eb);
+/** Run parameters of one twin case. */
+struct TwinRun
+{
+    /** Steps to drive; a span stream (a trace window) may end sooner. */
+    std::uint64_t accesses = 0;
+    /** Elements per accessBatch() call; at least 1. */
+    std::size_t batchLen = 64;
+    /**
+     * Per-step probability of a dirty writeback arriving from above; it
+     * flushes the pending batch first, exactly like a runner switching
+     * between the two entry points.
+     */
+    double writebackFraction = 0.0;
+    /** Seeds the writeback interleaving and the contains() sample. */
+    std::uint64_t seed = 0;
+    /** Records are masked to, and the sample drawn from, this width. */
+    unsigned addrBits = 24;
+};
 
 /**
- * Run @p spec for @p accesses steps with batch length @p batch_len
- * (writebacks sampled by spec.writebackFraction flush the pending batch
- * first, exactly like a runner switching between the two entry points).
- * Stops collecting after a handful of mismatches.
+ * Twin-drive two caches built from @p config over @p stream. Stops
+ * collecting after a handful of mismatches.
+ */
+BatchEquivResult runBatchEquiv(const CacheConfig &config,
+                               AccessStream &stream, const TwinRun &run);
+
+/**
+ * The fuzzed B-Cache case: twins built from spec.params (so the sampled
+ * replSeed is honoured) over makeFuzzStream(spec), plus the PD checks
+ * with no generic form — lastOutcome() after every batch, classify()
+ * over the address sample, and validLines().
  */
 BatchEquivResult runBatchEquivCase(const FuzzSpec &spec,
                                    std::uint64_t accesses,

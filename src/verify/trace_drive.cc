@@ -1,22 +1,14 @@
 #include "verify/trace_drive.hh"
 
 #include <algorithm>
-#include <vector>
 
-#include "common/strings.hh"
+#include "common/bits.hh"
 
 namespace bsim {
 
 namespace {
 
 constexpr std::size_t kDriveSpan = 4096;
-
-Addr
-maskOf(unsigned addr_bits)
-{
-    return addr_bits >= 64 ? ~Addr{0}
-                           : (Addr{1} << addr_bits) - 1;
-}
 
 } // namespace
 
@@ -30,7 +22,7 @@ runOracleOnTrace(const std::string &path, const BCacheParams &params,
     TrackingMemory mem;
     BCache dut("trace-dut", params, /*hit_latency=*/1, &mem);
     OracleChecker checker(dut, mem, opts);
-    const Addr mask = maskOf(opts.addrBits);
+    const Addr addr_mask = mask(opts.addrBits);
 
     FuzzResult res;
     res.oracleModes = checker.oracleModes();
@@ -44,7 +36,7 @@ runOracleOnTrace(const std::string &path, const BCacheParams &params,
         if (s.empty())
             break;
         for (MemAccess a : s) {
-            a.addr &= mask;
+            a.addr &= addr_mask;
             ++res.steps;
             if (!checker.onAccess(a)) {
                 // Keep the report focused on the first divergence.
@@ -61,89 +53,16 @@ runOracleOnTrace(const std::string &path, const BCacheParams &params,
 }
 
 BatchEquivResult
-runBatchEquivOnTrace(const std::string &path,
-                     const BCacheParams &params, unsigned addr_bits,
-                     std::size_t batch_len, const TraceShard &shard,
-                     std::uint64_t max_accesses)
+runBatchEquivOnTrace(const std::string &path, const CacheConfig &config,
+                     unsigned addr_bits, std::size_t batch_len,
+                     const TraceShard &shard, std::uint64_t max_accesses)
 {
-    TraceReaderPtr reader = openTraceReader(path, shard);
-
-    BatchEquivResult res;
-    TrackingMemory mem_a, mem_b;
-    BCache per_access("trace-per-access", params, /*hit_latency=*/1,
-                      &mem_a);
-    BCache batched("trace-batched", params, /*hit_latency=*/1, &mem_b);
-    const Addr mask = maskOf(addr_bits);
-
-    std::vector<MemAccess> batch;
-    batch.reserve(batch_len);
-    std::vector<AccessOutcome> outs(std::max<std::size_t>(batch_len,
-                                                          1));
-
-    const auto flush = [&] {
-        if (batch.empty())
-            return;
-        batched.accessBatch({batch.data(), batch.size()}, outs.data());
-        for (std::size_t i = 0; i < batch.size(); ++i) {
-            const AccessOutcome o = per_access.access(batch[i]);
-            if (o.hit != outs[i].hit || o.latency != outs[i].latency)
-                equivNote(res,
-                          strprintf("outcome of access 0x%llx: "
-                                    "per-access (hit=%d lat=%llu) vs "
-                                    "batched (hit=%d lat=%llu)",
-                                    (unsigned long long)batch[i].addr,
-                                    o.hit,
-                                    (unsigned long long)o.latency,
-                                    outs[i].hit,
-                                    (unsigned long long)
-                                        outs[i].latency));
-        }
-        batch.clear();
-    };
-
-    std::uint64_t left =
-        max_accesses ? max_accesses : ~std::uint64_t{0};
-    while (left > 0 && res.mismatches.empty()) {
-        const std::span<const MemAccess> s =
-            reader->nextSpan(static_cast<std::size_t>(
-                std::min<std::uint64_t>(left, kDriveSpan)));
-        if (s.empty())
-            break;
-        for (MemAccess a : s) {
-            a.addr &= mask;
-            batch.push_back(a);
-            if (batch.size() == batch_len)
-                flush();
-            ++res.steps;
-        }
-        left -= s.size();
-    }
-    flush();
-
-    equivCompareStats(res, per_access.stats(), batched.stats());
-    if (per_access.pdStats().pdHitCacheMiss !=
-            batched.pdStats().pdHitCacheMiss ||
-        per_access.pdStats().pdMiss != batched.pdStats().pdMiss)
-        equivNote(res,
-                  strprintf("PdStats: per-access {%llu, %llu} vs "
-                            "batched {%llu, %llu}",
-                            (unsigned long long)
-                                per_access.pdStats().pdHitCacheMiss,
-                            (unsigned long long)
-                                per_access.pdStats().pdMiss,
-                            (unsigned long long)
-                                batched.pdStats().pdHitCacheMiss,
-                            (unsigned long long)
-                                batched.pdStats().pdMiss));
-    if (per_access.validLines() != batched.validLines())
-        equivNote(res,
-                  strprintf("validLines: per-access %zu vs batched %zu",
-                            per_access.validLines(),
-                            batched.validLines()));
-    equivCompareEvents(res, mem_a.pending(), mem_b.pending());
-
-    res.ok = res.mismatches.empty();
-    return res;
+    TraceStream stream(openTraceReader(path, shard), /*cycle=*/false);
+    return runBatchEquiv(
+        config, stream,
+        {.accesses = max_accesses ? max_accesses : ~std::uint64_t{0},
+         .batchLen = batch_len,
+         .addrBits = addr_bits});
 }
 
 } // namespace bsim

@@ -8,8 +8,8 @@
  * oracles — a captured workload that misbehaves in an experiment can be
  * replayed under the checker verbatim, shard by shard.
  *
- * Trace records are masked to OracleOptions::addrBits (resp.
- * FuzzSpec::addrBits) on the way in, because the shadow oracles need a
+ * Trace records are masked to OracleOptions::addrBits (resp. the twin
+ * check's addr_bits) on the way in, because the shadow oracles need a
  * bound on the upper-address width; the copy this implies is fine here —
  * verification runs are not the perf path.
  */
@@ -39,15 +39,12 @@ FuzzResult runOracleOnTrace(const std::string &path,
                             std::uint64_t max_accesses = 0);
 
 /**
- * Twin-DUT equivalence over one trace window: one BCache sees the
- * records through access(), the other through accessBatch() with
- * @p batch_len-element batches, and every observable — per-access
- * outcomes, CacheStats/PdStats, residency, the ordered memory-boundary
- * event log — must be bit-identical. Addresses are masked to
- * @p addr_bits.
+ * The twin-DUT check of verify/batch_equiv over one trace window: twins
+ * built from @p config, @p batch_len-element batches, records masked to
+ * @p addr_bits. @p max_accesses 0 replays the window to its end.
  */
 BatchEquivResult runBatchEquivOnTrace(const std::string &path,
-                                      const BCacheParams &params,
+                                      const CacheConfig &config,
                                       unsigned addr_bits = 32,
                                       std::size_t batch_len = 64,
                                       const TraceShard &shard = {},

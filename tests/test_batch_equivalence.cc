@@ -2,74 +2,28 @@
  * @file
  * The batched-access contract, pinned: driving any MemLevel through
  * accessBatch() must leave bit-identical observable state to driving the
- * same stream through access() — counters, replacement/PD state, and the
- * exact ordered next-level event sequence.
+ * same stream through access() — counters, per-line usage, replacement/
+ * PD state, variant side counters, and the exact ordered next-level
+ * event sequence.
  *
- * BCache coverage fuzzes random FuzzSpec configurations through the
- * twin-DUT checker in verify/batch_equiv (which also compares PD
- * classification and per-line usage); every other variant of the shared
- * tag-array engine — SetAssocCache, VictimCache and the six alt/
- * organisations — gets a twin drive here, including its variant-side
- * counters (victim hits, rehash hits, halt activations, PAD stats).
+ * Everything runs through the one twin driver in verify/batch_equiv:
+ * fuzzed B-Cache configurations through runBatchEquivCase (which adds
+ * the PD classification checks), and one pinned conflict-heavy stream
+ * per registered variant through runBatchEquiv.
  */
 
 #include <gtest/gtest.h>
 
 #include <vector>
 
-#include "alt/column_assoc_cache.hh"
-#include "alt/hac_cache.hh"
-#include "alt/partial_match_cache.hh"
-#include "alt/skewed_assoc_cache.hh"
-#include "alt/way_halting_cache.hh"
-#include "alt/xor_index_cache.hh"
-#include "cache/set_assoc_cache.hh"
-#include "cache/victim_cache.hh"
 #include "common/random.hh"
 #include "verify/batch_equiv.hh"
-#include "verify/tracking_memory.hh"
+#include "verify/twin_fuzz.hh"
+#include "workload/generators.hh"
 
 using namespace bsim;
 
 namespace {
-
-/** Drive @p reqs through twin caches, one per-access, one batched. */
-template <typename Cache>
-void
-twinDrive(Cache &per_access, Cache &batched,
-          const std::vector<MemAccess> &reqs, std::size_t batch_len)
-{
-    std::vector<AccessOutcome> outs(batch_len);
-    for (std::size_t i = 0; i < reqs.size(); i += batch_len) {
-        const std::size_t n =
-            std::min(batch_len, reqs.size() - i);
-        batched.accessBatch({reqs.data() + i, n}, outs.data());
-        for (std::size_t j = 0; j < n; ++j) {
-            const AccessOutcome o = per_access.access(reqs[i + j]);
-            ASSERT_EQ(o.hit, outs[j].hit)
-                << "access " << i + j << " hit mismatch";
-            ASSERT_EQ(o.latency, outs[j].latency)
-                << "access " << i + j << " latency mismatch";
-        }
-    }
-}
-
-void
-expectStatsEqual(const CacheStats &a, const CacheStats &b)
-{
-    EXPECT_EQ(a.accesses, b.accesses);
-    EXPECT_EQ(a.hits, b.hits);
-    EXPECT_EQ(a.misses, b.misses);
-    EXPECT_EQ(a.readAccesses(), b.readAccesses());
-    EXPECT_EQ(a.readMisses(), b.readMisses());
-    EXPECT_EQ(a.writeAccesses(), b.writeAccesses());
-    EXPECT_EQ(a.writeMisses(), b.writeMisses());
-    EXPECT_EQ(a.fetchAccesses(), b.fetchAccesses());
-    EXPECT_EQ(a.fetchMisses(), b.fetchMisses());
-    EXPECT_EQ(a.writebacks, b.writebacks);
-    EXPECT_EQ(a.writethroughs, b.writethroughs);
-    EXPECT_EQ(a.refills, b.refills);
-}
 
 /** Conflict-heavy deterministic stream with a write mix. */
 std::vector<MemAccess>
@@ -95,6 +49,36 @@ makeStream(std::size_t n, std::uint64_t seed, Addr space)
                                          : AccessType::Read;
     }
     return reqs;
+}
+
+/**
+ * Twin-drive the cache @p spec names over @p reqs (addresses below
+ * 2^@p addr_bits) in @p batch_len-element batches.
+ */
+void
+expectTwinsAgree(const std::string &spec,
+                 const std::vector<MemAccess> &reqs, std::size_t batch_len,
+                 unsigned addr_bits, std::uint64_t seed)
+{
+    VectorStream stream(reqs);
+    const BatchEquivResult r =
+        runBatchEquiv(parseCacheSpec(spec), stream,
+                      {.accesses = reqs.size(),
+                       .batchLen = batch_len,
+                       .seed = seed,
+                       .addrBits = addr_bits});
+    EXPECT_TRUE(r.ok) << spec << "\n" << r.toString();
+    EXPECT_EQ(r.steps, reqs.size()) << spec;
+}
+
+/** One pinned stream of @p n accesses through @p spec. */
+void
+pinnedStreamCase(const std::string &spec, std::size_t n,
+                 std::uint64_t seed, std::size_t batch_len,
+                 unsigned addr_bits)
+{
+    expectTwinsAgree(spec, makeStream(n, seed, Addr{1} << addr_bits),
+                     batch_len, addr_bits, seed);
 }
 
 TEST(BatchEquivalence, BCacheFuzzedConfigs)
@@ -124,28 +108,17 @@ TEST(BatchEquivalence, BCacheOddBatchLengths)
 
 TEST(BatchEquivalence, SetAssocTwins)
 {
-    const CacheGeometry geom(16 * 1024, 32, 4);
-    const auto reqs = makeStream(120000, 0x5e7a550c, Addr{1} << 20);
-
-    for (const WritePolicy wp : {WritePolicy::WriteBackAllocate,
-                                 WritePolicy::WriteThroughNoAllocate}) {
-        TrackingMemory mem_a, mem_b;
-        SetAssocCache a("per-access", geom, 1, &mem_a,
-                        ReplPolicyKind::LRU, 1, wp);
-        SetAssocCache b("batched", geom, 1, &mem_b,
-                        ReplPolicyKind::LRU, 1, wp);
-        twinDrive(a, b, reqs, 256);
-
-        expectStatsEqual(a.stats(), b.stats());
-        const auto ea = mem_a.drain(), eb = mem_b.drain();
-        ASSERT_EQ(ea.size(), eb.size());
-        for (std::size_t i = 0; i < ea.size(); ++i)
-            ASSERT_TRUE(ea[i] == eb[i]) << "event " << i << " differs";
-        // Replacement state must agree too: drain a second, different
-        // stream and the outcomes must still match access by access.
+    for (const char *spec : {"sa:16kB,4w", "sa:16kB,4w,wp=wt"}) {
+        // Replacement state must agree too: a second, different stream
+        // follows the first on the same twins, and its outcomes must
+        // still match access by access.
+        std::vector<MemAccess> reqs =
+            makeStream(120000, 0x5e7a550c, Addr{1} << 20);
         const auto tail = makeStream(20000, 0x7a11, Addr{1} << 20);
-        twinDrive(a, b, tail, 64);
-        expectStatsEqual(a.stats(), b.stats());
+        reqs.insert(reqs.end(), tail.begin(), tail.end());
+        expectTwinsAgree(spec, reqs, 256, 20, 0x5e7a550c);
+        // ...and with the tail's own batch length.
+        expectTwinsAgree(spec, reqs, 64, 20, 0x7a11);
     }
 }
 
@@ -153,129 +126,60 @@ TEST(BatchEquivalence, SetAssocNonLruPolicy)
 {
     // The batched fast path devirtualizes LRU; a non-LRU policy takes
     // the generic branch and must stay equivalent (deterministic seed).
-    const CacheGeometry geom(8 * 1024, 32, 4);
-    const auto reqs = makeStream(80000, 0xf1f0, Addr{1} << 19);
-    TrackingMemory mem_a, mem_b;
-    SetAssocCache a("per-access", geom, 1, &mem_a,
-                    ReplPolicyKind::TreePLRU);
-    SetAssocCache b("batched", geom, 1, &mem_b,
-                    ReplPolicyKind::TreePLRU);
-    twinDrive(a, b, reqs, 128);
-    expectStatsEqual(a.stats(), b.stats());
-}
-
-/**
- * Twin-drive any engine variant and require identical counters and the
- * identical ordered next-level event sequence; the caller then compares
- * the variant's side counters.
- */
-template <typename Cache, typename Make>
-void
-twinVariantCase(Make make, std::size_t n, std::uint64_t seed,
-                std::size_t batch_len, Addr space,
-                void (*side_check)(const Cache &, const Cache &))
-{
-    const auto reqs = makeStream(n, seed, space);
-    TrackingMemory mem_a, mem_b;
-    Cache a = make("per-access", &mem_a);
-    Cache b = make("batched", &mem_b);
-    twinDrive(a, b, reqs, batch_len);
-    expectStatsEqual(a.stats(), b.stats());
-    side_check(a, b);
-    const auto ea = mem_a.drain(), eb = mem_b.drain();
-    ASSERT_EQ(ea.size(), eb.size());
-    for (std::size_t i = 0; i < ea.size(); ++i)
-        ASSERT_TRUE(ea[i] == eb[i]) << "event " << i << " differs";
+    pinnedStreamCase("sa:8kB,4w,repl=plru", 80000, 0xf1f0, 128, 19);
 }
 
 TEST(BatchEquivalence, VictimCacheTwins)
 {
-    const CacheGeometry geom(8 * 1024, 32, 1);
-    twinVariantCase<VictimCache>(
-        [&](const char *name, TrackingMemory *mem) {
-            return VictimCache(name, geom, 1, mem, 8);
-        },
-        100000, 0xbead5, 512, Addr{1} << 19,
-        +[](const VictimCache &a, const VictimCache &b) {
-            EXPECT_EQ(a.victimHits(), b.victimHits());
-            EXPECT_EQ(a.victimProbes(), b.victimProbes());
-        });
+    pinnedStreamCase("victim:8kB,8e", 100000, 0xbead5, 512, 19);
 }
 
 TEST(BatchEquivalence, XorIndexTwins)
 {
-    const CacheGeometry geom(16 * 1024, 32, 1);
-    twinVariantCase<XorIndexCache>(
-        [&](const char *name, TrackingMemory *mem) {
-            return XorIndexCache(name, geom, 1, mem);
-        },
-        100000, 0x0f0e1, 192, Addr{1} << 20,
-        +[](const XorIndexCache &, const XorIndexCache &) {});
+    pinnedStreamCase("xor:16kB", 100000, 0x0f0e1, 192, 20);
 }
 
 TEST(BatchEquivalence, SkewedAssocTwins)
 {
-    const CacheGeometry geom(16 * 1024, 32, 2);
-    twinVariantCase<SkewedAssocCache>(
-        [&](const char *name, TrackingMemory *mem) {
-            return SkewedAssocCache(name, geom, 1, mem);
-        },
-        100000, 0x5ce3d, 192, Addr{1} << 20,
-        +[](const SkewedAssocCache &, const SkewedAssocCache &) {});
+    pinnedStreamCase("skew:16kB", 100000, 0x5ce3d, 192, 20);
 }
 
 TEST(BatchEquivalence, ColumnAssocTwins)
 {
-    const CacheGeometry geom(16 * 1024, 32, 1);
-    twinVariantCase<ColumnAssocCache>(
-        [&](const char *name, TrackingMemory *mem) {
-            return ColumnAssocCache(name, geom, 1, mem);
-        },
-        100000, 0xc01a5, 320, Addr{1} << 20,
-        +[](const ColumnAssocCache &a, const ColumnAssocCache &b) {
-            EXPECT_EQ(a.firstHits(), b.firstHits());
-            EXPECT_EQ(a.rehashHits(), b.rehashHits());
-        });
+    pinnedStreamCase("column:16kB", 100000, 0xc01a5, 320, 20);
 }
 
 TEST(BatchEquivalence, WayHaltingTwins)
 {
-    const CacheGeometry geom(16 * 1024, 32, 4);
-    twinVariantCase<WayHaltingCache>(
-        [&](const char *name, TrackingMemory *mem) {
-            return WayHaltingCache(name, geom, 1, mem, 4);
-        },
-        100000, 0x4a17e, 256, Addr{1} << 20,
-        +[](const WayHaltingCache &a, const WayHaltingCache &b) {
-            EXPECT_EQ(a.haltedWays(), b.haltedWays());
-            EXPECT_EQ(a.activatedWays(), b.activatedWays());
-        });
+    pinnedStreamCase("halt:16kB,4w", 100000, 0x4a17e, 256, 20);
 }
 
 TEST(BatchEquivalence, PartialMatchTwins)
 {
-    const CacheGeometry geom(16 * 1024, 32, 2);
-    twinVariantCase<PartialMatchCache>(
-        [&](const char *name, TrackingMemory *mem) {
-            return PartialMatchCache(name, geom, 1, mem, 5);
-        },
-        100000, 0x9ad5a, 224, Addr{1} << 20,
-        +[](const PartialMatchCache &a, const PartialMatchCache &b) {
-            EXPECT_EQ(a.slowHits(), b.slowHits());
-            EXPECT_EQ(a.padAliases(), b.padAliases());
-        });
+    pinnedStreamCase("pad:16kB,2w,bits=5", 100000, 0x9ad5a, 224, 20);
 }
 
 TEST(BatchEquivalence, HacTwins)
 {
     // HAC rides the SetAssocCache composition; its fully-associative
     // subarrays stress the widest way scan the engine runs.
-    twinVariantCase<HacCache>(
-        [&](const char *name, TrackingMemory *mem) {
-            return HacCache(name, 16 * 1024, 32, 1024, 1, mem);
-        },
-        60000, 0xaced1, 128, Addr{1} << 20,
-        +[](const HacCache &, const HacCache &) {});
+    pinnedStreamCase("hac:16kB", 60000, 0xaced1, 128, 20);
+}
+
+TEST(BatchEquivalence, EveryRegisteredKindHasATwinSampler)
+{
+    // A registry entry without a sampler would never be twin-checked by
+    // the bsim_verify_alt campaign; each sampled spec must also name its
+    // own kind.
+    for (const CacheSpecEntry &e : CacheFactory::instance().entries()) {
+        for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+            TwinCase c;
+            ASSERT_NO_THROW(c = sampleTwinCase(e.name, seed)) << e.name;
+            EXPECT_EQ(c.cacheSpec.rfind(e.name + ":", 0), 0u)
+                << e.name << " sampled " << c.cacheSpec;
+        }
+    }
+    EXPECT_THROW(sampleTwinCase("nosuch", 1), std::invalid_argument);
 }
 
 } // namespace

@@ -80,7 +80,8 @@ TEST(Report, MissRateResultRoundTripsFields)
     const MissRateResult r = runMissRate(
         "equake", StreamSide::Data,
         CacheConfig::bcache(16 * 1024, 8, 8), 20000);
-    const std::string s = toJson(r);
+    const std::string s = toStatsJson(r, "workload");
+    EXPECT_NE(s.find("\"schema\":\"bsim-stats-v1\""), std::string::npos);
     EXPECT_NE(s.find("\"workload\":\"equake\""), std::string::npos);
     EXPECT_NE(s.find("\"config\":\"MF8-BAS8\""), std::string::npos);
     EXPECT_NE(s.find("\"pd\":{"), std::string::npos);
@@ -104,7 +105,8 @@ TEST(Report, NonBCacheHasNoPdSection)
     const MissRateResult r = runMissRate(
         "vpr", StreamSide::Data, CacheConfig::directMapped(16 * 1024),
         10000);
-    EXPECT_EQ(toJson(r).find("\"pd\":"), std::string::npos);
+    EXPECT_EQ(toStatsJson(r, "workload").find("\"pd\":"),
+              std::string::npos);
 }
 
 } // namespace

@@ -215,9 +215,9 @@ TEST_F(TraceReplayTest, BatchEquivHoldsOnTraces)
 {
     const auto captured = capturedStream(3000);
     writeBst2Trace(path("e.bst"), captured, 256);
-    BCacheParams params;
     const BatchEquivResult res = runBatchEquivOnTrace(
-        path("e.bst"), params, /*addr_bits=*/24, /*batch_len=*/64);
+        path("e.bst"), parseCacheSpec("bcache:16kB,mf=8,bas=8"),
+        /*addr_bits=*/24, /*batch_len=*/64);
     EXPECT_TRUE(res.ok) << res.toString();
     EXPECT_EQ(res.steps, captured.size());
 }
