@@ -22,7 +22,7 @@ runDrowsy(const std::string &bench, const CacheConfig &cfg,
 {
     auto cache = cfg.build(cfg.label);
     DrowsyEstimator est(cache->geometry().numLines(), DrowsyParams{});
-    cache->setLineObserver(&est);
+    cache->setCacheObserver(&est);
     SpecWorkload w = makeSpecWorkload(bench);
     for (std::uint64_t i = 0; i < n; ++i)
         cache->access(w.data->next());

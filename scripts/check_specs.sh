@@ -25,6 +25,13 @@
 # (only verify/batch_equiv.cc and the oracle checker's one-element mode
 # call accessBatch), no per-kind casts or kind enums there, and none of
 # the retired per-kind twin drivers anywhere.
+#
+# And it keeps replacement one concrete type and observation one slot:
+# no `dynamic_cast<` under src/cache/ or src/bcache/, no `virtual` in
+# cache/replacement.hh, and neither the retired LRU-only touch fork nor
+# the retired per-line observer interface (pass 7 spells both names
+# with a bracket so this script does not match itself) in src/, bench/
+# or tests/.
 set -eu
 
 repo_root=$(CDPATH= cd -- "$(dirname -- "$0")/.." && pwd)
@@ -128,6 +135,27 @@ if matches=$(grep -rnw \
     fail=1
 fi
 
+# ---- pass 7: one replacement type, one observer slot ----
+if matches=$(grep -rn "dynamic_cast<" src/cache/ src/bcache/); then
+    echo "check_specs: dynamic_cast in src/cache or src/bcache (the" \
+         "Replacement value needs no policy cast):" >&2
+    echo "$matches" >&2
+    fail=1
+fi
+if matches=$(grep -nw "virtual" src/cache/replacement.hh); then
+    echo "check_specs: virtual in cache/replacement.hh (Replacement is" \
+         "one concrete type that switches on its kind):" >&2
+    echo "$matches" >&2
+    fail=1
+fi
+if matches=$(grep -rnw "touch[F]ast\|LineAccess[O]bserver" \
+        src/ bench/ tests/); then
+    echo "check_specs: a retired replacement fork or observer interface" \
+         "is back (call Replacement::touch; observe via CacheObserver):" >&2
+    echo "$matches" >&2
+    fail=1
+fi
+
 if [ "$fail" -ne 0 ]; then
     echo "check_specs: FAIL" >&2
     exit 1
@@ -135,5 +163,5 @@ fi
 echo "check_specs: OK ($n_kinds kinds; registry, --list-caches and" \
      "ARCHITECTURE.md grammar table in sync; harnesses declarative;" \
      "no kind switches or casts outside the registry; one twin" \
-     "driver in src/verify)"
+     "driver in src/verify; one replacement type)"
 exit 0

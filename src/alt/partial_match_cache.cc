@@ -13,12 +13,11 @@ PartialMatchCache::PartialMatchCache(std::string name,
                                      ReplPolicyKind repl)
     : TagArrayEngine(std::move(name), geom, hit_latency, next),
       lines_(geom.numLines()),
-      repl_(makeReplacementPolicy(repl)), partialBits_(partial_bits)
+      repl_(repl, geom.numSets(), geom.ways()), partialBits_(partial_bits)
 {
     bsim_assert(geom.ways() >= 2,
                 "way prediction needs a set-associative cache");
     bsim_assert(partial_bits >= 1 && partial_bits < 30);
-    repl_->reset(geom.numSets(), geom.ways());
 }
 
 PartialMatchCache::Probe
@@ -69,7 +68,7 @@ PartialMatchCache::onHit(const Probe &pr, const MemAccess &, EngineMode,
 {
     if (set_dirty)
         lines_[pr.frame].dirty = true;
-    repl_->touch(pr.set, pr.way);
+    repl_.touch(pr.set, pr.way);
 }
 
 std::size_t
@@ -77,8 +76,7 @@ PartialMatchCache::victimFrame(const Probe &pr, const MemAccess &,
                                EngineMode)
 {
     const std::size_t way =
-        chooseFillWay(lines_.data() + pr.set * geom_.ways(), geom_.ways(),
-                      *repl_, pr.set);
+        chooseFillWay(lines_.data() + pr.set * geom_.ways(), repl_, pr.set);
     Line &l = lineAt(pr.set, way);
     if (l.valid && l.dirty)
         writebackToNext(geom_.rebuild(l.tag, pr.set));
@@ -93,14 +91,14 @@ PartialMatchCache::install(std::size_t frame, const Probe &pr,
     l.valid = true;
     l.dirty = (req.type == AccessType::Write);
     l.tag = pr.tag;
-    repl_->fill(pr.set, frame - pr.set * geom_.ways());
+    repl_.fill(pr.set, frame - pr.set * geom_.ways());
 }
 
 void
 PartialMatchCache::reset()
 {
     lines_.assign(geom_.numLines(), Line{});
-    repl_->reset(geom_.numSets(), geom_.ways());
+    repl_.reset();
     slowHits_ = 0;
     padAliases_ = 0;
     resetBase(geom_.numLines());

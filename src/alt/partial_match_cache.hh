@@ -19,9 +19,9 @@
 #ifndef BSIM_ALT_PARTIAL_MATCH_CACHE_HH
 #define BSIM_ALT_PARTIAL_MATCH_CACHE_HH
 
-#include <memory>
 #include <vector>
 
+#include "cache/replacement.hh"
 #include "cache/tag_array_engine.hh"
 
 namespace bsim {
@@ -84,7 +84,7 @@ class PartialMatchCache : public TagArrayEngine<PartialMatchCache>
     Addr partialOf(Addr tag) const { return tag & mask(partialBits_); }
 
     std::vector<Line> lines_;
-    std::unique_ptr<ReplacementPolicy> repl_;
+    Replacement repl_;
     unsigned partialBits_;
     std::uint64_t slowHits_ = 0;
     std::uint64_t padAliases_ = 0;

@@ -13,11 +13,10 @@ WayHaltingCache::WayHaltingCache(std::string name,
                                  ReplPolicyKind repl)
     : TagArrayEngine(std::move(name), geom, hit_latency, next),
       lines_(geom.numLines()),
-      repl_(makeReplacementPolicy(repl)), haltBits_(halt_bits)
+      repl_(repl, geom.numSets(), geom.ways()), haltBits_(halt_bits)
 {
     bsim_assert(geom.ways() >= 2, "way halting filters multiple ways");
     bsim_assert(halt_bits >= 1 && halt_bits < 30);
-    repl_->reset(geom.numSets(), geom.ways());
 }
 
 WayHaltingCache::Probe
@@ -53,7 +52,7 @@ WayHaltingCache::onHit(const Probe &pr, const MemAccess &, EngineMode,
 {
     if (set_dirty)
         lines_[pr.frame].dirty = true;
-    repl_->touch(pr.set, pr.way);
+    repl_.touch(pr.set, pr.way);
 }
 
 std::size_t
@@ -61,8 +60,7 @@ WayHaltingCache::victimFrame(const Probe &pr, const MemAccess &,
                              EngineMode)
 {
     const std::size_t way =
-        chooseFillWay(lines_.data() + pr.set * geom_.ways(), geom_.ways(),
-                      *repl_, pr.set);
+        chooseFillWay(lines_.data() + pr.set * geom_.ways(), repl_, pr.set);
     Line &l = lineAt(pr.set, way);
     if (l.valid && l.dirty)
         writebackToNext(geom_.rebuild(l.tag, pr.set));
@@ -77,14 +75,14 @@ WayHaltingCache::install(std::size_t frame, const Probe &pr,
     l.valid = true;
     l.dirty = (req.type == AccessType::Write);
     l.tag = pr.tag;
-    repl_->fill(pr.set, frame - pr.set * geom_.ways());
+    repl_.fill(pr.set, frame - pr.set * geom_.ways());
 }
 
 void
 WayHaltingCache::reset()
 {
     lines_.assign(geom_.numLines(), Line{});
-    repl_->reset(geom_.numSets(), geom_.ways());
+    repl_.reset();
     haltedWays_ = 0;
     activatedWays_ = 0;
     resetBase(geom_.numLines());

@@ -20,9 +20,9 @@
 #ifndef BSIM_ALT_WAY_HALTING_CACHE_HH
 #define BSIM_ALT_WAY_HALTING_CACHE_HH
 
-#include <memory>
 #include <vector>
 
+#include "cache/replacement.hh"
 #include "cache/tag_array_engine.hh"
 
 namespace bsim {
@@ -93,7 +93,7 @@ class WayHaltingCache : public TagArrayEngine<WayHaltingCache>
     Addr haltOf(Addr tag) const { return tag & mask(haltBits_); }
 
     std::vector<Line> lines_;
-    std::unique_ptr<ReplacementPolicy> repl_;
+    Replacement repl_;
     unsigned haltBits_;
     std::uint64_t haltedWays_ = 0;
     std::uint64_t activatedWays_ = 0;

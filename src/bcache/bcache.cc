@@ -14,11 +14,10 @@ BCache::BCache(std::string name, const BCacheParams &params,
       params_(params), layout_(deriveLayout(params)),
       piMask_(mask(layout_.piBits)), lines_(geom_.numLines()),
       pdPatterns_(geom_.numLines(), kNoPattern),
-      repl_(makeReplacementPolicy(params.repl, params.replSeed))
+      repl_(params.repl, layout_.groups, layout_.bas, params.replSeed)
 {
     bsim_assert(piMask_ != kNoPattern,
                 "PI cannot span the whole address word");
-    repl_->reset(layout_.groups, layout_.bas);
 }
 
 std::size_t
@@ -73,7 +72,7 @@ BCache::onHit(const Probe &pr, const MemAccess &, EngineMode mode,
         lastOutcome_ = PdOutcome::HitAndCacheHit;
     if (set_dirty)
         lines_[pr.frame].dirty = true;
-    repl_->touch(pr.group, static_cast<std::size_t>(pr.pdWay));
+    repl_.touch(pr.group, static_cast<std::size_t>(pr.pdWay));
 }
 
 void
@@ -106,8 +105,8 @@ BCache::victimFrame(const Probe &pr, const MemAccess &, EngineMode)
     } else {
         // PD miss: the victim may be any line of the group, chosen by
         // the replacement policy; install() reprograms its PD entry.
-        way = chooseFillWay(lines_.data() + pr.group * layout_.bas,
-                            layout_.bas, *repl_, pr.group);
+        way = chooseFillWay(lines_.data() + pr.group * layout_.bas, repl_,
+                            pr.group);
     }
     Line &l = lineAt(pr.group, way);
     if (l.valid && l.dirty) {
@@ -135,15 +134,13 @@ BCache::install(std::size_t frame, const Probe &pr, const MemAccess &req,
               req.type == AccessType::Write;
     l.upper = pr.upper;
     pdPatterns_[frame] = pr.pattern;
-    repl_->fill(pr.group, frame - pr.group * layout_.bas);
+    repl_.fill(pr.group, frame - pr.group * layout_.bas);
 }
 
 BCache::BatchCtx
 BCache::makeBatchContext()
 {
-    // Hoisted once per batch: layout fields, the SoA pattern array, and
-    // the replacement update devirtualized (LRU is the default policy;
-    // touchFast is a single inlinable store).
+    // Hoisted once per batch: layout fields and the SoA pattern array.
     return {pdPatterns_.data(),
             lines_.data(),
             layout_.bas,
@@ -152,9 +149,8 @@ BCache::makeBatchContext()
             piMask_,
             hitLatency(),
             params_.writePolicy == WritePolicy::WriteBackAllocate,
-            dynamic_cast<LruPolicy *>(repl_.get()),
             usageTracker_.rawUsage(),
-            lineObserver()};
+            cacheObserver()};
 }
 
 bool
@@ -188,10 +184,7 @@ BCache::tryFastHit(BatchCtx &ctx, const MemAccess &req,
 
     if (write)
         l.dirty = true;
-    if (ctx.lru)
-        ctx.lru->touchFast(group, pd_way);
-    else
-        repl_->touch(group, pd_way);
+    repl_.touch(group, pd_way);
     sink.access(req.type, true);
     SetUsage &u = ctx.usage[group * ctx.bas + pd_way];
     ++u.accesses;
@@ -215,7 +208,7 @@ BCache::reset()
 {
     lines_.assign(geom_.numLines(), Line{});
     pdPatterns_.assign(geom_.numLines(), kNoPattern);
-    repl_->reset(layout_.groups, layout_.bas);
+    repl_.reset();
     pdStats_.reset();
     lastOutcome_ = PdOutcome::Miss;
     resetBase(geom_.numLines());

@@ -41,7 +41,6 @@
 #ifndef BSIM_BCACHE_BCACHE_HH
 #define BSIM_BCACHE_BCACHE_HH
 
-#include <memory>
 #include <vector>
 
 #include "bcache/bcache_params.hh"
@@ -189,9 +188,8 @@ class BCache : public TagArrayEngine<BCache>
         Addr piMask;
         Cycles hitLat;
         bool writeBack;
-        LruPolicy *lru;
         SetUsage *usage;
-        LineAccessObserver *obs;
+        CacheObserver *obs;
         /**
          * lastOutcome_ for fast-path hits is written once per batch by
          * finishBatch() (it only needs to reflect the final access).
@@ -270,7 +268,7 @@ class BCache : public TagArrayEngine<BCache>
      * striding through the 16-byte Line structs.
      */
     std::vector<Addr> pdPatterns_;
-    std::unique_ptr<ReplacementPolicy> repl_;
+    Replacement repl_;
     PdStats pdStats_;
     PdOutcome lastOutcome_ = PdOutcome::Miss;
 };

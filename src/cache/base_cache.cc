@@ -27,8 +27,8 @@ BaseCache::writebackToNext(Addr block_addr)
 {
     ++stats_.writebacks;
     if constexpr (kObserversEnabled)
-        if (cacheObs_)
-            cacheObs_->onWriteback();
+        if (observer_)
+            observer_->onWriteback();
     if (next_)
         next_->writeback(block_addr);
 }

@@ -46,29 +46,18 @@ class BaseCache : public MemLevel
     const CacheStats &stats() const { return stats_; }
     const SetUsageTracker &setUsage() const { return usageTracker_; }
 
-    /** Attach (or detach with nullptr) a per-line activity observer. */
-    void setLineObserver(LineAccessObserver *obs) { observer_ = obs; }
-
     /**
-     * Attach (or detach with nullptr) a full observer (hits + the
-     * engine's miss-path hook set; see cache/cache_observer.hh). The
-     * observer also takes the line-observer slot — hits reach it through
-     * the pointer the batched fast paths already hoist, so observation
-     * adds no per-hit work. A cache therefore carries either a stats
-     * observer or a plain line observer (drowsy estimation), not both.
-     * No-op when the hooks were compiled out (-DBSIM_NO_OBSERVE).
+     * Attach (or detach with nullptr) the observer (per-line accesses +
+     * the engine's miss-path hook set; see cache/cache_observer.hh).
+     * Hits reach it through the pointer the batched fast paths already
+     * hoist, so observation adds no per-hit work. One slot: a cache
+     * carries either a stats observer or a drowsy estimator, not both.
+     * -DBSIM_NO_OBSERVE compiles out only the miss-path hooks.
      */
-    void
-    setCacheObserver(CacheObserver *obs)
-    {
-        if constexpr (!kObserversEnabled)
-            return;
-        cacheObs_ = obs;
-        observer_ = obs;
-    }
+    void setCacheObserver(CacheObserver *obs) { observer_ = obs; }
 
-    /** The attached full observer, or nullptr. */
-    CacheObserver *cacheObserver() const { return cacheObs_; }
+    /** The attached observer, or nullptr (batched paths hoist it). */
+    CacheObserver *cacheObserver() const { return observer_; }
 
     /** Miss rate over all access types. */
     double missRate() const { return stats_.missRate(); }
@@ -106,9 +95,6 @@ class BaseCache : public MemLevel
             observer_->onLineAccess(physical_line, hit);
     }
 
-    /** The attached line observer (batched paths hoist the pointer). */
-    LineAccessObserver *lineObserver() const { return observer_; }
-
     /**
      * Miss-path observer notifications (cache/cache_observer.hh). All
      * compile to nothing under -DBSIM_NO_OBSERVE; otherwise one
@@ -119,16 +105,16 @@ class BaseCache : public MemLevel
     observeInstall(std::size_t physical_line)
     {
         if constexpr (kObserversEnabled)
-            if (cacheObs_)
-                cacheObs_->onInstall(physical_line);
+            if (observer_)
+                observer_->onInstall(physical_line);
     }
 
     void
     observeDecoderReprogram(std::size_t group)
     {
         if constexpr (kObserversEnabled)
-            if (cacheObs_)
-                cacheObs_->onDecoderReprogram(group);
+            if (observer_)
+                observer_->onDecoderReprogram(group);
     }
 
     /**
@@ -150,8 +136,7 @@ class BaseCache : public MemLevel
     std::string name_;
     Cycles hitLatency_;
     MemLevel *next_;
-    LineAccessObserver *observer_ = nullptr;
-    CacheObserver *cacheObs_ = nullptr;
+    CacheObserver *observer_ = nullptr;
 };
 
 } // namespace bsim

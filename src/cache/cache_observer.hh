@@ -3,21 +3,23 @@
  * The engine-level observability hook set (the contract is documented in
  * docs/ARCHITECTURE.md, "Observability layer").
  *
- * A CacheObserver extends the per-line activity observer with the
+ * A CacheObserver sees the physical line of every demand access plus the
  * miss-path events the tag-array engine sequences for every variant:
  * line installs (fills/evictions), writebacks to the next level, and
  * decoder reprogramming (the B-Cache's PD churn). The hot (hit) path is
- * untouched by design: hits report through the LineAccessObserver
- * pointer the batched fast paths already hoist, so attaching an observer
- * adds no new work per hit and the extended hooks only fire on the
- * (orders-of-magnitude rarer) miss path.
+ * untouched by design: hits report through the observer pointer the
+ * batched fast paths already hoist, so attaching an observer adds no new
+ * work per hit and the other hooks only fire on the (orders-of-magnitude
+ * rarer) miss path.
  *
  * Compile-time kill switch: building with -DBSIM_NO_OBSERVE compiles the
- * engine's notification sites out entirely (kObserversEnabled == false),
- * for deployments that want provably zero overhead — including the null
- * pointer checks. The default build keeps the hooks; with no observer
- * attached the only residual cost is one predictable branch per
- * miss-path event (tests/perf_batch_smoke.cc gates the hot loop).
+ * engine's miss-path notification sites out entirely (kObserversEnabled
+ * == false), including their null pointer checks, and attachObserver()
+ * (sim/runner.hh) then attaches no stats collector. Per-line accesses
+ * still reach an attached observer, so drowsy estimation works in either
+ * build. The default build keeps the hooks; with no observer attached
+ * the only residual cost is one predictable branch per miss-path event
+ * (tests/perf_batch_smoke.cc gates the hot loop).
  */
 
 #ifndef BSIM_CACHE_CACHE_OBSERVER_HH
@@ -35,28 +37,28 @@ inline constexpr bool kObserversEnabled = true;
 #endif
 
 /**
- * Observer of per-line access activity (e.g. the drowsy-leakage
- * estimator). Attached via BaseCache::setLineObserver; called once per
- * demand access with the physical line the access resolved to.
- */
-class LineAccessObserver
-{
-  public:
-    virtual ~LineAccessObserver() = default;
-    virtual void onLineAccess(std::size_t physical_line, bool hit) = 0;
-};
-
-/**
- * Full observability hook set (observe/observer.hh implements the
- * standard collector). Every hook defaults to a no-op so an observer
- * implements only what it consumes. Semantics, in engine order within
- * one miss: onWriteback (if the displaced line was dirty), then
+ * Observability hook set (observe/observer.hh implements the standard
+ * collector, power/drowsy.hh the drowsy-leakage estimator), attached via
+ * BaseCache::setCacheObserver. Every hook defaults to a no-op so an
+ * observer implements only what it consumes. Semantics, in engine order
+ * within one miss: onWriteback (if the displaced line was dirty), then
  * onDecoderReprogram (if the variant rewired its decoder), then
  * onInstall, then onLineAccess for the access itself.
  */
-class CacheObserver : public LineAccessObserver
+class CacheObserver
 {
   public:
+    virtual ~CacheObserver() = default;
+
+    /**
+     * A demand access resolved to @p physical_line (called once per
+     * access that touches a line).
+     */
+    virtual void onLineAccess(std::size_t /* physical_line */,
+                              bool /* hit */)
+    {
+    }
+
     /**
      * A line was installed into @p physical_line (demand refill or a
      * writeback-from-above allocation). Every install beyond a frame's

@@ -1,15 +1,16 @@
 /**
  * @file
- * Replacement policies for set-associative structures and for the B-Cache's
- * victim pools. The paper evaluates LRU and random (Section 3.3); FIFO,
- * tree-PLRU and NMRU are provided for the replacement ablation bench.
+ * Replacement state for set-associative structures, the B-Cache's victim
+ * pools and the victim buffer. The paper evaluates LRU and random
+ * (Section 3.3); FIFO, tree-PLRU and NMRU are provided for the
+ * replacement ablation bench.
  */
 
 #ifndef BSIM_CACHE_REPLACEMENT_HH
 #define BSIM_CACHE_REPLACEMENT_HH
 
 #include <cstdint>
-#include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -28,132 +29,100 @@ enum class ReplPolicyKind : std::uint8_t {
 };
 
 const char *replPolicyName(ReplPolicyKind k);
-ReplPolicyKind replPolicyFromName(const std::string &name);
+
+/** Policy named @p name (case-insensitive; "rand", "tree-plru" too). */
+std::optional<ReplPolicyKind> replPolicyFromName(const std::string &name);
 
 /**
- * Per-cache replacement state over (sets x ways).
+ * Per-structure replacement state over (sets x ways), one concrete value
+ * for every policy.
  *
- * The owning cache reports fills and touches; victim() is only consulted
- * when every way in the set is valid (the cache fills invalid ways first).
+ * The owner reports fills and touches; victim() is only consulted when
+ * every way in the set is valid (chooseFillWay() fills invalid ways
+ * first). touch() and fill() are inline switches on the kind, so the
+ * batched hit paths call them directly.
+ *
+ *  - LRU stamps a way on touch and fill, FIFO on fill only; both evict
+ *    the lowest stamp (lowest way on ties).
+ *  - Tree-PLRU keeps ways - 1 direction bits per set.
+ *  - Random and NMRU draw from an Rng seeded at construction and at
+ *    every reset(); NMRU never picks the set's most recent way.
  */
-class ReplacementPolicy
+class Replacement
 {
   public:
-    virtual ~ReplacementPolicy() = default;
+    Replacement(ReplPolicyKind kind, std::size_t sets, std::size_t ways,
+                std::uint64_t seed = 1);
 
-    /** (Re)initialize for a sets x ways structure. */
-    virtual void reset(std::size_t sets, std::size_t ways) = 0;
+    ReplPolicyKind kind() const { return kind_; }
+    std::size_t ways() const { return ways_; }
 
     /** A hit touched (set, way). */
-    virtual void touch(std::size_t set, std::size_t way) = 0;
-
-    /** (set, way) was refilled with a new block. */
-    virtual void fill(std::size_t set, std::size_t way) = 0;
-
-    /** Pick a victim way in a fully valid set. */
-    virtual std::size_t victim(std::size_t set) = 0;
-
-    virtual ReplPolicyKind kind() const = 0;
-    std::string name() const { return replPolicyName(kind()); }
-};
-
-/** True least-recently-used via per-way timestamps. */
-class LruPolicy : public ReplacementPolicy
-{
-  public:
-    void reset(std::size_t sets, std::size_t ways) override;
-    void touch(std::size_t set, std::size_t way) override;
-    void fill(std::size_t set, std::size_t way) override;
-    std::size_t victim(std::size_t set) override;
-    ReplPolicyKind kind() const override { return ReplPolicyKind::LRU; }
-
-    /**
-     * Non-virtual, inlinable equivalent of touch() for hot loops that
-     * have identified the policy as LRU (the batched access paths
-     * devirtualize once per batch). Must stay in lockstep with touch().
-     */
     void
-    touchFast(std::size_t set, std::size_t way)
+    touch(std::size_t set, std::size_t way)
     {
-        lastUse_[set * ways_ + way] = ++now_;
+        switch (kind_) {
+          case ReplPolicyKind::LRU:
+            stamps_[set * ways_ + way] = ++now_;
+            return;
+          case ReplPolicyKind::TreePLRU:
+            plruTouch(set, way);
+            return;
+          case ReplPolicyKind::NMRU:
+            mru_[set] = static_cast<std::uint32_t>(way);
+            return;
+          case ReplPolicyKind::Random:
+          case ReplPolicyKind::FIFO:
+            return;
+        }
     }
 
-  private:
-    std::size_t ways_ = 0;
-    Tick now_ = 0;
-    std::vector<Tick> lastUse_;
-};
+    /** (set, way) was refilled with a new block. */
+    void
+    fill(std::size_t set, std::size_t way)
+    {
+        if (kind_ == ReplPolicyKind::FIFO)
+            stamps_[set * ways_ + way] = ++now_;
+        else
+            touch(set, way);
+    }
 
-/** Uniform random victim, deterministic from the seed. */
-class RandomPolicy : public ReplacementPolicy
-{
-  public:
-    explicit RandomPolicy(std::uint64_t seed = 1);
-    void reset(std::size_t sets, std::size_t ways) override;
-    void touch(std::size_t set, std::size_t way) override;
-    void fill(std::size_t set, std::size_t way) override;
-    std::size_t victim(std::size_t set) override;
-    ReplPolicyKind kind() const override { return ReplPolicyKind::Random; }
+    /** Pick a victim way in a fully valid set. */
+    std::size_t victim(std::size_t set);
+
+    /** Back to the constructed state (stamps, bits and Rng). */
+    void reset();
 
   private:
+    void plruTouch(std::size_t set, std::size_t way);
+
+    ReplPolicyKind kind_;
+    std::size_t sets_;
+    std::size_t ways_;
     std::uint64_t seed_;
     Rng rng_;
-    std::size_t ways_ = 0;
-};
-
-/** First-in first-out by fill order. */
-class FifoPolicy : public ReplacementPolicy
-{
-  public:
-    void reset(std::size_t sets, std::size_t ways) override;
-    void touch(std::size_t set, std::size_t way) override;
-    void fill(std::size_t set, std::size_t way) override;
-    std::size_t victim(std::size_t set) override;
-    ReplPolicyKind kind() const override { return ReplPolicyKind::FIFO; }
-
-  private:
-    std::size_t ways_ = 0;
     Tick now_ = 0;
-    std::vector<Tick> fillTime_;
-};
-
-/** Binary-tree pseudo-LRU (the common hardware approximation). */
-class TreePlruPolicy : public ReplacementPolicy
-{
-  public:
-    void reset(std::size_t sets, std::size_t ways) override;
-    void touch(std::size_t set, std::size_t way) override;
-    void fill(std::size_t set, std::size_t way) override;
-    std::size_t victim(std::size_t set) override;
-    ReplPolicyKind kind() const override { return ReplPolicyKind::TreePLRU; }
-
-  private:
-    std::size_t ways_ = 0;
-    /** ways_ - 1 internal tree nodes per set, stored flat. */
-    std::vector<std::uint8_t> bits_;
-};
-
-/** Not-most-recently-used: random among all ways except the MRU one. */
-class NmruPolicy : public ReplacementPolicy
-{
-  public:
-    explicit NmruPolicy(std::uint64_t seed = 1);
-    void reset(std::size_t sets, std::size_t ways) override;
-    void touch(std::size_t set, std::size_t way) override;
-    void fill(std::size_t set, std::size_t way) override;
-    std::size_t victim(std::size_t set) override;
-    ReplPolicyKind kind() const override { return ReplPolicyKind::NMRU; }
-
-  private:
-    std::uint64_t seed_;
-    Rng rng_;
-    std::size_t ways_ = 0;
+    /** LRU: last touch or fill; FIFO: last fill. sets x ways. */
+    std::vector<Tick> stamps_;
+    /** Tree-PLRU: ways - 1 internal tree nodes per set, stored flat. */
+    std::vector<std::uint8_t> plru_;
+    /** NMRU: most recently touched or filled way per set. */
     std::vector<std::uint32_t> mru_;
 };
 
-/** Factory. */
-std::unique_ptr<ReplacementPolicy>
-makeReplacementPolicy(ReplPolicyKind kind, std::uint64_t seed = 1);
+/**
+ * Fill-way choice shared by every structure that uses Replacement: the
+ * first invalid entry of the set's @p row, else the policy's victim.
+ */
+template <typename Entry>
+std::size_t
+chooseFillWay(const Entry *row, Replacement &repl, std::size_t set)
+{
+    for (std::size_t w = 0; w < repl.ways(); ++w)
+        if (!row[w].valid)
+            return w;
+    return repl.victim(set);
+}
 
 } // namespace bsim
 

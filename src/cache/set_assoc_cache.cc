@@ -12,10 +12,9 @@ SetAssocCache::SetAssocCache(std::string name, const CacheGeometry &geom,
                              WritePolicy write_policy)
     : TagArrayEngine(std::move(name), geom, hit_latency, next),
       lines_(geom.numLines()),
-      repl_(makeReplacementPolicy(repl, repl_seed)),
+      repl_(repl, geom.numSets(), geom.ways(), repl_seed),
       writePolicy_(write_policy)
 {
-    repl_->reset(geom.numSets(), geom.ways());
 }
 
 int
@@ -46,15 +45,14 @@ SetAssocCache::onHit(const Probe &pr, const MemAccess &, EngineMode,
 {
     if (set_dirty)
         lineAt(pr.set, pr.way).dirty = true;
-    repl_->touch(pr.set, pr.way);
+    repl_.touch(pr.set, pr.way);
 }
 
 std::size_t
 SetAssocCache::victimFrame(const Probe &pr, const MemAccess &, EngineMode)
 {
     const std::size_t way =
-        chooseFillWay(lines_.data() + pr.set * geom_.ways(), geom_.ways(),
-                      *repl_, pr.set);
+        chooseFillWay(lines_.data() + pr.set * geom_.ways(), repl_, pr.set);
     Line &l = lineAt(pr.set, way);
     if (l.valid && l.dirty)
         writebackToNext(geom_.rebuild(l.tag, pr.set));
@@ -69,24 +67,22 @@ SetAssocCache::install(std::size_t frame, const Probe &pr,
     l.valid = true;
     l.dirty = !writeThroughPolicy() && req.type == AccessType::Write;
     l.tag = pr.tag;
-    repl_->fill(pr.set, frame - pr.set * geom_.ways());
+    repl_.fill(pr.set, frame - pr.set * geom_.ways());
 }
 
 SetAssocCache::BatchCtx
 SetAssocCache::makeBatchContext()
 {
-    // Hoisted once per batch: geometry fields, the line array base, the
-    // write policy, and the replacement update devirtualized (LRU is the
-    // default policy; touchFast is a single inlinable store).
+    // Hoisted once per batch: geometry fields, the line array base and
+    // the write policy.
     return {lines_.data(),
             geom_.ways(),
             geom_.offsetBits(),
             geom_.indexBits(),
             hitLatency(),
             writeThroughPolicy(),
-            dynamic_cast<LruPolicy *>(repl_.get()),
             usageTracker_.rawUsage(),
-            lineObserver()};
+            cacheObserver()};
 }
 
 bool
@@ -115,10 +111,7 @@ SetAssocCache::tryFastHit(BatchCtx &ctx, const MemAccess &req,
 
     if (write)
         row[hit_way].dirty = true;
-    if (ctx.lru)
-        ctx.lru->touchFast(set, hit_way);
-    else
-        repl_->touch(set, hit_way);
+    repl_.touch(set, hit_way);
     sink.access(req.type, true);
     SetUsage &u = ctx.usage[set * ctx.ways + hit_way];
     ++u.accesses;
@@ -133,7 +126,7 @@ void
 SetAssocCache::reset()
 {
     lines_.assign(geom_.numLines(), Line{});
-    repl_->reset(geom_.numSets(), geom_.ways());
+    repl_.reset();
     resetBase(geom_.numLines());
 }
 

@@ -4,7 +4,7 @@
  * direct-mapped baseline). Write-back, write-allocate by default.
  *
  * Composed over the shared TagArrayEngine: modulo index function,
- * all-ways activation, pluggable ReplacementPolicy and write policy.
+ * all-ways activation, a Replacement policy and a write policy.
  * The engine owns access()/accessBatch()/writeback(); this class only
  * supplies the probe/onHit/victimFrame/install hooks plus a tuned
  * inline hit path for the batched loop.
@@ -13,7 +13,6 @@
 #ifndef BSIM_CACHE_SET_ASSOC_CACHE_HH
 #define BSIM_CACHE_SET_ASSOC_CACHE_HH
 
-#include <memory>
 #include <vector>
 
 #include "cache/replacement.hh"
@@ -39,7 +38,6 @@ class SetAssocCache : public TagArrayEngine<SetAssocCache>
     /** Way holding @p addr, or -1. No side effects (for tests). */
     int probeWay(Addr addr) const;
 
-    ReplPolicyKind replKind() const { return repl_->kind(); }
     WritePolicy writePolicy() const { return writePolicy_; }
 
   private:
@@ -69,9 +67,8 @@ class SetAssocCache : public TagArrayEngine<SetAssocCache>
         unsigned indexBits;
         Cycles hitLat;
         bool writeThrough;
-        LruPolicy *lru;
         SetUsage *usage;
-        LineAccessObserver *obs;
+        CacheObserver *obs;
     };
 
     // Engine traits + hooks (see cache/tag_array_engine.hh).
@@ -109,7 +106,7 @@ class SetAssocCache : public TagArrayEngine<SetAssocCache>
     int findWay(std::size_t set, Addr tag) const;
 
     std::vector<Line> lines_;
-    std::unique_ptr<ReplacementPolicy> repl_;
+    Replacement repl_;
     WritePolicy writePolicy_;
 };
 

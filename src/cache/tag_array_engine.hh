@@ -8,7 +8,7 @@
  *
  *   IndexFunction   (cache/index_function.hh)  where may a block live?
  *   WayFilter       (cache/way_filter.hh)      which ways wake up?
- *   ReplacementPolicy (cache/replacement.hh)   which way is the victim?
+ *   Replacement     (cache/replacement.hh)     which way is the victim?
  *   write policy    (mem/access.hh)            allocate or forward?
  *   TagArrayEngine  (this file)                sequencing + stats
  *
@@ -51,12 +51,12 @@
  *
  * Observability (cache/cache_observer.hh, docs/ARCHITECTURE.md): the
  * engine is also the single notification point for an attached
- * CacheObserver. Hits report through the LineAccessObserver pointer the
- * batched fast paths already hoist (no new hit-path work); the engine's
- * run() core fires the miss-path hook set — onWriteback (via
- * writebackToNext), onDecoderReprogram (from a variant's install hook),
- * onInstall — in program order for every variant. -DBSIM_NO_OBSERVE
- * compiles every notification site out.
+ * CacheObserver. Hits report through the observer pointer the batched
+ * fast paths already hoist (no new hit-path work); the engine's run()
+ * core fires the miss-path hook set — onWriteback (via writebackToNext),
+ * onDecoderReprogram (from a variant's install hook), onInstall — in
+ * program order for every variant. -DBSIM_NO_OBSERVE compiles the
+ * miss-path notification sites out.
  */
 
 #ifndef BSIM_CACHE_TAG_ARRAY_ENGINE_HH
@@ -65,7 +65,6 @@
 #include <span>
 
 #include "cache/base_cache.hh"
-#include "cache/replacement.hh"
 
 namespace bsim {
 
@@ -242,21 +241,6 @@ class TagArrayEngine : public BaseCache
     {
         if (nextLevel())
             nextLevel()->writeback(geom_.blockAlign(req.addr));
-    }
-
-    /**
-     * Fill-way choice shared by the set-associative variants: first
-     * invalid way, else the replacement policy's victim.
-     */
-    template <typename Line>
-    static std::size_t
-    chooseFillWay(const Line *row, std::size_t ways,
-                  ReplacementPolicy &repl, std::size_t set)
-    {
-        for (std::size_t w = 0; w < ways; ++w)
-            if (!row[w].valid)
-                return w;
-        return repl.victim(set);
     }
 
   private:

@@ -5,20 +5,31 @@
 
 namespace bsim {
 
-Tlb::Tlb(std::uint32_t page_bytes, std::uint32_t entries,
-         std::uint32_t ways, ReplPolicyKind repl)
-    : pageBytes_(page_bytes)
+namespace {
+
+/** Sets of a TLB shape; fatal unless every size is a power of two. */
+std::size_t
+checkedSets(std::uint32_t page_bytes, std::uint32_t entries,
+            std::uint32_t ways)
 {
     if (!isPowerOfTwo(page_bytes))
         bsim_fatal("page size must be a power of two, got ", page_bytes);
     if (!isPowerOfTwo(entries) || !isPowerOfTwo(ways) || ways > entries)
         bsim_fatal("bad TLB shape: entries=", entries, " ways=", ways);
+    return entries / ways;
+}
+
+} // namespace
+
+Tlb::Tlb(std::uint32_t page_bytes, std::uint32_t entries,
+         std::uint32_t ways)
+    : pageBytes_(page_bytes),
+      sets_(checkedSets(page_bytes, entries, ways)),
+      ways_(ways),
+      entries_(entries),
+      repl_(ReplPolicyKind::LRU, sets_, ways)
+{
     pageOffsetBits_ = floorLog2(page_bytes);
-    sets_ = entries / ways;
-    ways_ = ways;
-    entries_.assign(entries, Entry{});
-    repl_ = makeReplacementPolicy(repl);
-    repl_->reset(sets_, ways);
 }
 
 Addr
@@ -53,26 +64,19 @@ Tlb::translate(Addr vaddr)
         Entry &e = entries_[set * ways_ + w];
         if (e.valid && e.vpn == vpn) {
             ++stats_.hits;
-            repl_->touch(set, w);
+            repl_.touch(set, w);
             return (e.pfn << pageOffsetBits_) |
                    (vaddr & mask(pageOffsetBits_));
         }
     }
     ++stats_.misses;
-    std::uint32_t victim = ways_;
-    for (std::uint32_t w = 0; w < ways_; ++w) {
-        if (!entries_[set * ways_ + w].valid) {
-            victim = w;
-            break;
-        }
-    }
-    if (victim == ways_)
-        victim = static_cast<std::uint32_t>(repl_->victim(set));
+    const std::size_t victim =
+        chooseFillWay(entries_.data() + set * ways_, repl_, set);
     Entry &e = entries_[set * ways_ + victim];
     e.valid = true;
     e.vpn = vpn;
     e.pfn = frameOf(vpn);
-    repl_->fill(set, victim);
+    repl_.fill(set, victim);
     return (e.pfn << pageOffsetBits_) | (vaddr & mask(pageOffsetBits_));
 }
 
@@ -93,7 +97,7 @@ void
 Tlb::reset()
 {
     entries_.assign(entries_.size(), Entry{});
-    repl_->reset(sets_, ways_);
+    repl_.reset();
     stats_.reset();
 }
 

@@ -11,7 +11,6 @@
 #define BSIM_CACHE_TLB_HH
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "cache/replacement.hh"
@@ -48,11 +47,10 @@ class Tlb
     /**
      * @param page_bytes page size (power of two, default 4 kB)
      * @param entries number of TLB entries
-     * @param ways associativity (entries/ways sets)
+     * @param ways associativity (entries/ways sets); LRU replacement
      */
     Tlb(std::uint32_t page_bytes = 4096, std::uint32_t entries = 64,
-        std::uint32_t ways = 4,
-        ReplPolicyKind repl = ReplPolicyKind::LRU);
+        std::uint32_t ways = 4);
 
     /** Translate a virtual address; records hit/miss statistics. */
     Addr translate(Addr vaddr);
@@ -90,7 +88,7 @@ class Tlb
     std::size_t sets_;
     std::uint32_t ways_;
     std::vector<Entry> entries_;
-    std::unique_ptr<ReplacementPolicy> repl_;
+    Replacement repl_;
     TlbStats stats_;
 };
 

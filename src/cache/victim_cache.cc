@@ -9,7 +9,8 @@ VictimCache::VictimCache(std::string name, const CacheGeometry &geom,
                          Cycles hit_latency, MemLevel *next,
                          std::size_t victim_entries)
     : TagArrayEngine(std::move(name), geom, hit_latency, next),
-      main_(geom.numLines()), buffer_(victim_entries)
+      main_(geom.numLines()), buffer_(victim_entries),
+      bufRepl_(ReplPolicyKind::LRU, 1, victim_entries)
 {
     bsim_assert(geom.ways() == 1,
                 "victim cache main array must be direct mapped");
@@ -25,30 +26,17 @@ VictimCache::findBuffer(Addr block_addr) const
     return -1;
 }
 
-std::size_t
-VictimCache::bufferVictim()
-{
-    std::size_t best = 0;
-    for (std::size_t i = 0; i < buffer_.size(); ++i) {
-        if (!buffer_[i].valid)
-            return i;
-        if (buffer_[i].lastUse < buffer_[best].lastUse)
-            best = i;
-    }
-    return best;
-}
-
 void
 VictimCache::insertVictim(Addr block_addr, bool dirty)
 {
-    const std::size_t slot = bufferVictim();
+    const std::size_t slot = chooseFillWay(buffer_.data(), bufRepl_, 0);
     BufEntry &e = buffer_[slot];
     if (e.valid && e.dirty)
         writebackToNext(e.blockAddr);
     e.valid = true;
     e.dirty = dirty;
     e.blockAddr = block_addr;
-    e.lastUse = ++now_;
+    bufRepl_.fill(0, slot);
 }
 
 VictimCache::Probe
@@ -99,7 +87,7 @@ VictimCache::onHit(const Probe &pr, const MemAccess &req, EngineMode mode,
         // A dirty block arriving from above merely dirties the buffered
         // copy; no swap (the access did not go through the main array).
         e.dirty = true;
-        e.lastUse = ++now_;
+        bufRepl_.touch(0, static_cast<std::size_t>(pr.buf));
         return;
     }
 
@@ -117,7 +105,7 @@ VictimCache::onHit(const Probe &pr, const MemAccess &req, EngineMode mode,
         e.valid = true;
         e.dirty = old_dirty;
         e.blockAddr = old_block;
-        e.lastUse = ++now_;
+        bufRepl_.touch(0, static_cast<std::size_t>(pr.buf));
     } else {
         e.valid = false;
     }
@@ -149,7 +137,7 @@ VictimCache::reset()
 {
     main_.assign(geom_.numLines(), Line{});
     buffer_.assign(buffer_.size(), BufEntry{});
-    now_ = 0;
+    bufRepl_.reset();
     victimHits_ = victimProbes_ = 0;
     resetBase(geom_.numLines());
 }

@@ -19,6 +19,7 @@
 
 #include <vector>
 
+#include "cache/replacement.hh"
 #include "cache/tag_array_engine.hh"
 
 namespace bsim {
@@ -66,7 +67,6 @@ class VictimCache : public TagArrayEngine<VictimCache>
         bool valid = false;
         bool dirty = false;
         Addr blockAddr = 0; // full block-aligned address
-        Tick lastUse = 0;
     };
 
     /** Engine probe result: main set/tag, and any buffer hit. */
@@ -88,13 +88,16 @@ class VictimCache : public TagArrayEngine<VictimCache>
                  EngineMode mode);
 
     int findBuffer(Addr block_addr) const;
-    std::size_t bufferVictim();
     /** Insert a block evicted from the main array into the buffer. */
     void insertVictim(Addr block_addr, bool dirty);
 
     std::vector<Line> main_;
     std::vector<BufEntry> buffer_;
-    Tick now_ = 0;
+    /**
+     * 1 x entries LRU over the buffer: an insert is a fill, a swap or a
+     * writeback hit is a touch.
+     */
+    Replacement bufRepl_;
     std::uint64_t victimHits_ = 0;
     std::uint64_t victimProbes_ = 0;
 };

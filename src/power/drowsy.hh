@@ -49,11 +49,11 @@ struct DrowsyReport
 };
 
 /**
- * Attach to a cache via BaseCache::setLineObserver, run a workload, then
+ * Attach to a cache via BaseCache::setCacheObserver, run a workload, then
  * call report(). Exact per-line idle-gap accounting: a gap of g ticks
  * contributes max(0, g - window) drowsy ticks.
  */
-class DrowsyEstimator : public LineAccessObserver
+class DrowsyEstimator : public CacheObserver
 {
   public:
     DrowsyEstimator(std::size_t num_lines, const DrowsyParams &params);

@@ -24,21 +24,12 @@ namespace bsim {
 
 namespace {
 
-/** Non-fatal replacement-policy lookup (the grammar's error channel). */
+/** Replacement-policy lookup through the grammar's error channel. */
 ReplPolicyKind
 replFromSpec(const std::string &name)
 {
-    const std::string n = toLower(name);
-    if (n == "lru")
-        return ReplPolicyKind::LRU;
-    if (n == "random" || n == "rand")
-        return ReplPolicyKind::Random;
-    if (n == "fifo")
-        return ReplPolicyKind::FIFO;
-    if (n == "plru" || n == "tree-plru")
-        return ReplPolicyKind::TreePLRU;
-    if (n == "nmru")
-        return ReplPolicyKind::NMRU;
+    if (const auto kind = replPolicyFromName(name))
+        return *kind;
     throw CacheSpecError("unknown replacement policy '" + name +
                          "'; expected lru|random|fifo|plru|nmru");
 }

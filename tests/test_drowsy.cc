@@ -92,7 +92,7 @@ TEST(Drowsy, AttachesToCacheObserver)
 {
     SetAssocCache c("c", CacheGeometry(1024, 32, 1), 1, nullptr);
     DrowsyEstimator est(c.geometry().numLines(), win(100));
-    c.setLineObserver(&est);
+    c.setCacheObserver(&est);
     SequentialStream s(0, 256, 8); // touches 8 of 32 lines
     for (int i = 0; i < 5000; ++i)
         c.access(s.next());
@@ -109,7 +109,7 @@ TEST(Drowsy, BalancedCacheStillHasDrowsyLines)
     // long enough to drowse when traffic concentrates on a hot subset.
     SetAssocCache c("c", CacheGeometry(16 * 1024, 32, 1), 1, nullptr);
     DrowsyEstimator est(c.geometry().numLines(), win(2000));
-    c.setLineObserver(&est);
+    c.setCacheObserver(&est);
     SequentialStream hot(0, 2048, 8);
     for (int i = 0; i < 100000; ++i)
         c.access(hot.next());
