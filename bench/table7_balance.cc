@@ -5,16 +5,9 @@
  * frequent-hit sets (fhs) and their share of hits (ch), frequent-miss
  * sets (fms) and their share of misses (cm), less-accessed sets (las)
  * and their share of accesses (tca). All values are percentages.
- *
- * Counters come from the observe/ layer: each run rides a StatsObserver
- * and the classification is computed from its per-set histogram. The
- * observer counts line accesses exactly like the built-in usage tracker
- * (tests/test_observe.cc pins the equivalence), so this port left the
- * table byte-identical to the pre-observer version.
  */
 
 #include "bench/bench_util.hh"
-#include "common/logging.hh"
 #include "workload/spec2k.hh"
 
 using namespace bsim;
@@ -38,15 +31,8 @@ main()
         };
         const char *names[2] = {"dm", "bc"};
         for (int i = 0; i < 2; ++i) {
-            ObserverConfig observe;
-            observe.enabled = true;
-            const MissRateResult r = runMissRate(
-                b, StreamSide::Data, cfgs[i], n, kDefaultSeed, observe);
-            bsim_assert(r.observer,
-                        "table7 needs the observer (built with "
-                        "-DBSIM_NO_OBSERVE?)");
-            const BalanceReport br = analyzeBalance(
-                std::span<const SetUsage>(r.observer->perSet));
+            const BalanceReport br =
+                runMissRate(b, StreamSide::Data, cfgs[i], n).balance;
             t.row()
                 .cell(i == 0 ? b : "")
                 .cell(names[i])

@@ -32,6 +32,12 @@
 # the retired per-line observer interface (pass 7 spells both names
 # with a bracket so this script does not match itself) in src/, bench/
 # or tests/.
+#
+# And it keeps one per-line histogram: the retired usage-tracker class
+# (pass 8 spells it with a bracket too) appears nowhere in src/, bench/,
+# tests/ or examples/, and src/observe/observer.cc touches `perSet` only
+# inside ObserverReport::operator+= (the counts are the cache's
+# setUsage(); harvestObserver copies them into the report).
 set -eu
 
 repo_root=$(CDPATH= cd -- "$(dirname -- "$0")/.." && pwd)
@@ -156,6 +162,25 @@ if matches=$(grep -rnw "touch[F]ast\|LineAccess[O]bserver" \
     fail=1
 fi
 
+# ---- pass 8: one per-line histogram ----
+if matches=$(grep -rn "SetUsage[T]racker" src/ bench/ tests/ examples/); then
+    echo "check_specs: the retired usage tracker is back (BaseCache" \
+         "holds the per-line histogram; read it with setUsage()):" >&2
+    echo "$matches" >&2
+    fail=1
+fi
+matches=$(awk '
+    /^ObserverReport::operator\+=/ { merge = 1 }
+    !merge && /perSet/ { print FILENAME ":" FNR ":" $0 }
+    merge && /^}/ { merge = 0 }' src/observe/observer.cc)
+if [ -n "$matches" ]; then
+    echo "check_specs: observer.cc counts perSet outside" \
+         "ObserverReport::operator+= (the cache's setUsage() is the one" \
+         "per-line histogram; harvestObserver copies it):" >&2
+    echo "$matches" >&2
+    fail=1
+fi
+
 if [ "$fail" -ne 0 ]; then
     echo "check_specs: FAIL" >&2
     exit 1
@@ -163,5 +188,6 @@ fi
 echo "check_specs: OK ($n_kinds kinds; registry, --list-caches and" \
      "ARCHITECTURE.md grammar table in sync; harnesses declarative;" \
      "no kind switches or casts outside the registry; one twin" \
-     "driver in src/verify; one replacement type)"
+     "driver in src/verify; one replacement type; one per-line" \
+     "histogram)"
 exit 0

@@ -13,12 +13,6 @@ BalanceReport::toString() const
 }
 
 BalanceReport
-analyzeBalance(const SetUsageTracker &usage)
-{
-    return analyzeBalance(std::span<const SetUsage>(usage.usage()));
-}
-
-BalanceReport
 analyzeBalance(std::span<const SetUsage> u)
 {
     BalanceReport r;
@@ -28,7 +22,7 @@ analyzeBalance(std::span<const SetUsage> u)
 
     std::uint64_t total_acc = 0, total_hit = 0, total_miss = 0;
     for (const auto &s : u) {
-        total_acc += s.accesses;
+        total_acc += s.accesses();
         total_hit += s.hits;
         total_miss += s.misses;
     }
@@ -46,9 +40,9 @@ analyzeBalance(std::span<const SetUsage> u)
             ++fms;
             cm += s.misses;
         }
-        if (double(s.accesses) < 0.5 * avg_acc) {
+        if (double(s.accesses()) < 0.5 * avg_acc) {
             ++las;
-            tca += s.accesses;
+            tca += s.accesses();
         }
     }
 

@@ -32,13 +32,11 @@ struct BalanceReport
 };
 
 /**
- * Compute the balance classification from per-line usage counters —
- * either a cache's built-in SetUsageTracker or the per-set histogram an
- * observe/ StatsObserver collected (both hold identical counters; the
- * Table 7 harness is pinned byte-identical across the two sources).
+ * Compute the balance classification from per-line usage counters:
+ * a cache's always-on histogram (BaseCache::setUsage()), or the copy of
+ * it an observer report carries (merged across shards).
  */
 BalanceReport analyzeBalance(std::span<const SetUsage> usage);
-BalanceReport analyzeBalance(const SetUsageTracker &usage);
 
 } // namespace bsim
 

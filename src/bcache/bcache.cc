@@ -149,7 +149,7 @@ BCache::makeBatchContext()
             piMask_,
             hitLatency(),
             params_.writePolicy == WritePolicy::WriteBackAllocate,
-            usageTracker_.rawUsage(),
+            usage_.data(),
             cacheObserver()};
 }
 
@@ -186,9 +186,7 @@ BCache::tryFastHit(BatchCtx &ctx, const MemAccess &req,
         l.dirty = true;
     repl_.touch(group, pd_way);
     sink.access(req.type, true);
-    SetUsage &u = ctx.usage[group * ctx.bas + pd_way];
-    ++u.accesses;
-    ++u.hits;
+    ++ctx.usage[group * ctx.bas + pd_way].hits;
     if (ctx.obs)
         ctx.obs->onLineAccess(group * ctx.bas + pd_way, true);
     out = {true, ctx.hitLat};

@@ -7,7 +7,7 @@ BaseCache::BaseCache(std::string name, const CacheGeometry &geom,
     : geom_(geom), name_(std::move(name)), hitLatency_(hit_latency),
       next_(next)
 {
-    usageTracker_.reset(geom_.numLines());
+    usage_.assign(geom_.numLines(), SetUsage{});
 }
 
 Cycles
@@ -34,23 +34,10 @@ BaseCache::writebackToNext(Addr block_addr)
 }
 
 void
-BaseCache::record(AccessType type, bool hit, std::size_t physical_line)
-{
-    stats_.recordAccess(type, hit);
-    recordLineOnly(physical_line, hit);
-}
-
-void
-BaseCache::record(AccessType type, bool hit)
-{
-    stats_.recordAccess(type, hit);
-}
-
-void
 BaseCache::resetBase(std::size_t num_lines)
 {
     stats_.reset();
-    usageTracker_.reset(num_lines);
+    usage_.assign(num_lines, SetUsage{});
 }
 
 } // namespace bsim

@@ -7,7 +7,9 @@
 #ifndef BSIM_CACHE_BASE_CACHE_HH
 #define BSIM_CACHE_BASE_CACHE_HH
 
+#include <span>
 #include <string>
+#include <vector>
 
 #include "cache/cache_observer.hh"
 #include "cache/cache_stats.hh"
@@ -44,7 +46,13 @@ class BaseCache : public MemLevel
     void setNextLevel(MemLevel *next) { next_ = next; }
 
     const CacheStats &stats() const { return stats_; }
-    const SetUsageTracker &setUsage() const { return usageTracker_; }
+
+    /**
+     * Per-line hit/miss histogram, indexed by physical line: the one
+     * per-set count in the simulator (Table 7, the stats document's
+     * perSet). Always on; accesses that touch no line are not counted.
+     */
+    std::span<const SetUsage> setUsage() const { return usage_; }
 
     /**
      * Attach (or detach with nullptr) the observer (per-line accesses +
@@ -79,18 +87,18 @@ class BaseCache : public MemLevel
     /** Send a dirty victim down. */
     void writebackToNext(Addr block_addr);
 
-    /** Update aggregate + per-line counters. */
-    void record(AccessType type, bool hit, std::size_t physical_line);
-
     /**
-     * Per-line bookkeeping only (usage tracker + observer), for the
-     * batched access path which gathers the aggregate counters in a
-     * BatchStatsAccumulator and flushes them once per batch.
+     * Per-line bookkeeping (usage histogram + observer). The aggregate
+     * counters go through the engine's stats sinks instead.
      */
     void
     recordLineOnly(std::size_t physical_line, bool hit)
     {
-        usageTracker_.record(physical_line, hit);
+        SetUsage &u = usage_[physical_line];
+        if (hit)
+            ++u.hits;
+        else
+            ++u.misses;
         if (observer_)
             observer_->onLineAccess(physical_line, hit);
     }
@@ -117,20 +125,12 @@ class BaseCache : public MemLevel
                 observer_->onDecoderReprogram(group);
     }
 
-    /**
-     * Update aggregate counters only. For accesses that touch no physical
-     * line (no-write-allocate misses that merely forward the store): they
-     * must not be attributed to an arbitrary line, or the per-set usage
-     * behind the Table 7 balance classification is skewed.
-     */
-    void record(AccessType type, bool hit);
-
     /** Reset stats/usage; derived classes call from their reset(). */
     void resetBase(std::size_t num_lines);
 
     CacheGeometry geom_;
     CacheStats stats_;
-    SetUsageTracker usageTracker_;
+    std::vector<SetUsage> usage_; ///< one per physical line
 
   private:
     std::string name_;

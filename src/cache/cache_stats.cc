@@ -79,10 +79,4 @@ CacheStats::toString() const
         static_cast<unsigned long long>(refills));
 }
 
-void
-SetUsageTracker::reset(std::size_t num_lines)
-{
-    usage_.assign(num_lines, SetUsage{});
-}
-
 } // namespace bsim

@@ -9,7 +9,6 @@
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "common/stats.hh"
 #include "mem/access.hh"
@@ -133,47 +132,20 @@ class BatchStatsAccumulator
     std::uint64_t typeMisses_[3] = {0, 0, 0};
 };
 
-/** Per-physical-line usage counters (accesses / hits / misses). */
+/**
+ * Per-physical-line usage counters, the inputs of the Table 7
+ * classification (bcache/balance.hh). Every cache keeps one per line,
+ * always on (BaseCache::setUsage()); a line access is a hit or a miss,
+ * so accesses() is derived rather than stored.
+ */
 struct SetUsage
 {
-    std::uint64_t accesses = 0;
     std::uint64_t hits = 0;
     std::uint64_t misses = 0;
-};
 
-/**
- * Tracks usage per physical cache line; the Table 7 classification
- * (frequent-hit / frequent-miss / less-accessed sets) is computed from
- * these counters by bcache::BalanceAnalyzer.
- */
-class SetUsageTracker
-{
-  public:
-    void reset(std::size_t num_lines);
+    std::uint64_t accesses() const { return hits + misses; }
 
-    void
-    record(std::size_t line, bool hit)
-    {
-        SetUsage &u = usage_[line];
-        ++u.accesses;
-        if (hit)
-            ++u.hits;
-        else
-            ++u.misses;
-    }
-
-    const std::vector<SetUsage> &usage() const { return usage_; }
-    std::size_t numLines() const { return usage_.size(); }
-
-    /**
-     * Raw counter array for the batched access paths, which hoist the
-     * pointer out of their hot loops. Indexed by physical line, same as
-     * record().
-     */
-    SetUsage *rawUsage() { return usage_.data(); }
-
-  private:
-    std::vector<SetUsage> usage_;
+    bool operator==(const SetUsage &) const = default;
 };
 
 } // namespace bsim

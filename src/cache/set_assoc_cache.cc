@@ -81,7 +81,7 @@ SetAssocCache::makeBatchContext()
             geom_.indexBits(),
             hitLatency(),
             writeThroughPolicy(),
-            usageTracker_.rawUsage(),
+            usage_.data(),
             cacheObserver()};
 }
 
@@ -113,9 +113,7 @@ SetAssocCache::tryFastHit(BatchCtx &ctx, const MemAccess &req,
         row[hit_way].dirty = true;
     repl_.touch(set, hit_way);
     sink.access(req.type, true);
-    SetUsage &u = ctx.usage[set * ctx.ways + hit_way];
-    ++u.accesses;
-    ++u.hits;
+    ++ctx.usage[set * ctx.ways + hit_way].hits;
     if (ctx.obs)
         ctx.obs->onLineAccess(set * ctx.ways + hit_way, true);
     out = {true, ctx.hitLat};

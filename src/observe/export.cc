@@ -13,7 +13,7 @@ writeJson(JsonWriter &j, const ObserverReport &r)
     j.kv("lines", std::uint64_t(r.perSet.size()));
     j.key("accesses").beginArray();
     for (const auto &u : r.perSet)
-        j.value(u.accesses);
+        j.value(u.accesses());
     j.endArray();
     j.key("hits").beginArray();
     for (const auto &u : r.perSet)
@@ -84,7 +84,7 @@ heatmapCsv(const ObserverReport &r)
         const std::uint64_t inst =
             i < r.installs.size() ? r.installs[i] : 0;
         out += strprintf("%zu,%llu,%llu,%llu,%llu,%llu\n", i,
-                         (unsigned long long)r.perSet[i].accesses,
+                         (unsigned long long)r.perSet[i].accesses(),
                          (unsigned long long)r.perSet[i].hits,
                          (unsigned long long)r.perSet[i].misses,
                          (unsigned long long)inst,

@@ -32,8 +32,8 @@ computeBalanceMetrics(std::span<const SetUsage> usage)
 
     std::uint64_t total = 0;
     for (const auto &u : usage) {
-        total += u.accesses;
-        m.maxRefs = std::max(m.maxRefs, u.accesses);
+        total += u.accesses();
+        m.maxRefs = std::max(m.maxRefs, u.accesses());
     }
     m.meanRefs = double(total) / double(n);
     if (total == 0)
@@ -42,7 +42,7 @@ computeBalanceMetrics(std::span<const SetUsage> usage)
 
     double var = 0;
     for (const auto &u : usage) {
-        const double d = double(u.accesses) - m.meanRefs;
+        const double d = double(u.accesses()) - m.meanRefs;
         var += d * d;
     }
     m.cov = std::sqrt(var / double(n)) / m.meanRefs;
@@ -53,7 +53,7 @@ computeBalanceMetrics(std::span<const SetUsage> usage)
     // histograms here are at most a few thousand sets.
     std::vector<std::uint64_t> refs(n);
     for (std::size_t i = 0; i < n; ++i)
-        refs[i] = usage[i].accesses;
+        refs[i] = usage[i].accesses();
     std::sort(refs.begin(), refs.end());
     double weighted = 0;
     for (std::size_t i = 0; i < n; ++i)
@@ -72,7 +72,6 @@ ObserverReport::operator+=(const ObserverReport &other)
     if (perSet.size() < other.perSet.size())
         perSet.resize(other.perSet.size());
     for (std::size_t i = 0; i < other.perSet.size(); ++i) {
-        perSet[i].accesses += other.perSet[i].accesses;
         perSet[i].hits += other.perSet[i].hits;
         perSet[i].misses += other.perSet[i].misses;
     }
@@ -99,21 +98,13 @@ StatsObserver::StatsObserver(std::size_t num_lines,
                              const ObserverConfig &config)
     : config_(config)
 {
-    data_.perSet.resize(num_lines);
     data_.installs.assign(num_lines, 0);
     data_.intervalLen = config.intervalLen;
 }
 
 void
-StatsObserver::onLineAccess(std::size_t line, bool hit)
+StatsObserver::onLineAccess(std::size_t, bool hit)
 {
-    SetUsage &u = data_.perSet[line];
-    ++u.accesses;
-    if (hit)
-        ++u.hits;
-    else
-        ++u.misses;
-
     if (config_.intervalLen == 0)
         return;
     ++window_.accesses;
@@ -134,7 +125,6 @@ StatsObserver::onInstall(std::size_t line)
 void
 StatsObserver::onWriteback()
 {
-    ++data_.writebacks;
     if (config_.intervalLen != 0)
         ++window_.writebacks;
 }

@@ -3,17 +3,22 @@
  * The standard observability collector behind `bsim --stats-json`,
  * `--heatmap` and `--interval` (docs/ARCHITECTURE.md, "Observability
  * layer"): a CacheObserver implementation that turns the engine's hook
- * stream into
+ * stream into what the cache does not count itself:
  *
- *  - per-set (physical-line) access/hit/miss/install histograms plus
- *    derived balance metrics (max/mean set references, coefficient of
- *    variation, Gini) — the measured imbalance the paper's Section 1 /
- *    Table 7 argument rests on,
+ *  - a per-line install histogram (evictions are installs after the
+ *    first),
  *  - an interval time-series: windowed miss/writeback/PD-reprogram
  *    counts every N line-touching accesses,
  *  - B-Cache decoder telemetry: PD reprogram churn per NPI group and
  *    the decoder's unique-decoding occupancy (snapshotted by the
  *    runner at end of run).
+ *
+ * The per-line hit/miss histogram and the writeback total are the
+ * cache's own always-on counters (BaseCache::setUsage(), CacheStats);
+ * harvestObserver (sim/runner.hh) copies them into the report, together
+ * with the derived balance metrics (max/mean set references,
+ * coefficient of variation, Gini) — the measured imbalance the paper's
+ * Section 1 / Table 7 argument rests on.
  *
  * Reports from independent runs over disjoint trace windows merge with
  * operator+= (counters add, interval series concatenate in shard
@@ -80,11 +85,11 @@ BalanceMetrics computeBalanceMetrics(std::span<const SetUsage> usage);
 /** Everything a StatsObserver collected, in mergeable form. */
 struct ObserverReport
 {
-    /** Per-line access/hit/miss counters (same shape as Table 7's). */
+    /** Per-line hit/miss counters: the cache's setUsage() at harvest. */
     std::vector<SetUsage> perSet;
     /** Installs per line; installs beyond a line's first are evictions. */
     std::vector<std::uint64_t> installs;
-    /** Dirty writebacks to the next level over the whole run. */
+    /** Dirty writebacks over the whole run: CacheStats at harvest. */
     std::uint64_t writebacks = 0;
     /** PD reprograms over the whole run (B-Cache; 0 otherwise). */
     std::uint64_t pdReprograms = 0;
@@ -128,9 +133,10 @@ struct ObserverReport
 
 /**
  * The standard collector. Attach with BaseCache::setCacheObserver for
- * the duration of a run, then snapshot with report(). Line counters are
- * sized up front; decoder telemetry grows lazily with the groups that
- * actually reprogram.
+ * the duration of a run, then snapshot with report() (or, with the
+ * cache's own counters filled in, sim/runner.hh's harvestObserver).
+ * Install counters are sized up front; decoder telemetry grows lazily
+ * with the groups that actually reprogram.
  */
 class StatsObserver : public CacheObserver
 {
@@ -144,10 +150,11 @@ class StatsObserver : public CacheObserver
     void onDecoderReprogram(std::size_t group) override;
 
     /**
-     * Snapshot the collected counters. The trailing partial interval is
-     * appended when it saw any accesses, so short runs still produce a
-     * series; the observer itself keeps accumulating (report() is
-     * side-effect free).
+     * Snapshot the collected counters; perSet and writebacks stay empty
+     * (harvestObserver takes them from the cache). The trailing partial
+     * interval is appended when it saw any accesses, so short runs
+     * still produce a series; the observer itself keeps accumulating
+     * (report() is side-effect free).
      */
     ObserverReport report() const;
 

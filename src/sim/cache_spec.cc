@@ -172,7 +172,8 @@ require(bool ok, const std::string &kind, const std::string &why)
 
 /**
  * CacheGeometry's rules (mem/geometry.hh): power-of-two size, line and
- * ways, and at least one whole set. Returns the set count.
+ * ways, and at least one whole set; plus at most kMaxSpecLines lines.
+ * Returns the set count.
  */
 std::uint64_t
 requireGeometry(const std::string &kind, std::uint64_t size,
@@ -188,6 +189,11 @@ requireGeometry(const std::string &kind, std::uint64_t size,
             "size " + std::to_string(size) +
                 " is smaller than one set (line x ways = " +
                 std::to_string(line * ways) + ")");
+    require(size / line <= kMaxSpecLines, kind,
+            "size " + std::to_string(size) + " / line=" +
+                std::to_string(line) + " is " +
+                std::to_string(size / line) + " lines (at most " +
+                std::to_string(kMaxSpecLines) + ")");
     return size / line / ways;
 }
 

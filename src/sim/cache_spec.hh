@@ -85,6 +85,13 @@ inline constexpr std::uint64_t kMaxVictimEntries = 65536;
  */
 inline constexpr std::uint64_t kMaxSpecBytes = std::uint64_t{64} << 20;
 
+/**
+ * Most lines a spec's cache may have: a 64 MB cache of 32-byte lines.
+ * The size cap alone would admit `dm:64MB,line=1`, 64 M lines that
+ * take gigabytes of host memory.
+ */
+inline constexpr std::uint64_t kMaxSpecLines = kMaxSpecBytes / 32;
+
 /** One counter a variant keeps beyond CacheStats, e.g. "victimHits". */
 struct SideCounter
 {

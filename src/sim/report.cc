@@ -148,8 +148,7 @@ toStatsJson(const TraceSweepResult &r, const std::string &workload,
         // sharded document has no top-level balance (per-shard ones are
         // in the shards array).
         j.key("balance");
-        writeJson(j, analyzeBalance(std::span<const SetUsage>(
-                         r.observer->perSet)));
+        writeJson(j, analyzeBalance(r.observer->perSet));
         j.key("observer");
         writeJson(j, *r.observer);
     }

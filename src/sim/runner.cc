@@ -64,8 +64,8 @@ attachObserver(BaseCache &cache, const ObserverConfig &observe)
 {
     if (!observe.enabled || !kObserversEnabled)
         return nullptr;
-    auto obs = std::make_unique<StatsObserver>(
-        cache.setUsage().usage().size(), observe);
+    auto obs =
+        std::make_unique<StatsObserver>(cache.setUsage().size(), observe);
     cache.setCacheObserver(obs.get());
     return obs;
 }
@@ -76,6 +76,8 @@ harvestObserver(const StatsObserver *obs, BaseCache &cache)
     if (!obs)
         return std::nullopt;
     ObserverReport rep = obs->report();
+    rep.perSet.assign(cache.setUsage().begin(), cache.setUsage().end());
+    rep.writebacks = cache.stats().writebacks;
     if (auto *bc = dynamic_cast<BCache *>(&cache))
         rep.pdOccupancy = bc->groupOccupancy();
     return rep;

@@ -197,7 +197,9 @@ std::unique_ptr<StatsObserver> attachObserver(
 
 /**
  * Harvest the attached observer's report at end of run, folding in the
- * B-Cache decoder occupancy snapshot; nullopt when @p obs is null.
+ * cache's own per-line histogram (setUsage()) and writeback total, and
+ * the B-Cache decoder occupancy snapshot; nullopt when @p obs is null.
+ * The observer must have been attached before the cache's first access.
  */
 std::optional<ObserverReport> harvestObserver(const StatsObserver *obs,
                                               BaseCache &cache);

@@ -129,6 +129,14 @@ class Session
                               std::uint64_t first_unit = 0,
                               std::uint64_t unit_count = 0);
 
+    /**
+     * The population runSampled() draws its units from: the run length
+     * for a stream (fatal when 0), the trace's record count capped by
+     * maxAccesses for a trace (fatal for text traces, whose count is
+     * unknown without a full scan).
+     */
+    std::uint64_t sampledPopulation() const;
+
     /** The workload label results will carry. */
     const std::string &label() const { return label_; }
 
@@ -136,7 +144,6 @@ class Session
     /** One DUT's result once every record has reached it. */
     MissRateResult finish(const CacheConfig &config, BaseCache &cache,
                           const StatsObserver *obs) const;
-    std::uint64_t sampledPopulation() const;
 
     std::vector<CacheConfig> configs_; ///< one per DUT
     std::string label_;

@@ -106,21 +106,20 @@ mergeSideCounters(TraceSweepResult &total, const MissRateResult &shard)
 
 namespace {
 
-/** Sampled population: trace records, optionally capped by the caller. */
-std::uint64_t
-sampledPopulation(const std::string &path,
-                  const TraceReplayOptions &options)
+/** Run @p jobs on the sweep engine and merge their results in order. */
+TraceSweepResult
+runShards(const std::vector<SweepJob> &jobs, const SweepOptions &options)
 {
-    const TraceInfo info =
-        options.handle ? options.handle->info() : probeTrace(path);
-    if (info.recordCount == kUnknownRecordCount)
-        bsim_fatal("cannot sample text trace '", path,
-                   "': the record count is unknown without a full "
-                   "scan; convert it to .bst first (docs/TRACES.md)");
-    std::uint64_t records = info.recordCount;
-    if (options.maxAccesses)
-        records = std::min(records, options.maxAccesses);
-    return records;
+    const SweepRun run = runSweep(jobs, options);
+    TraceSweepResult result;
+    result.shards.reserve(run.outcomes.size());
+    for (const SweepOutcome &out : run.outcomes)
+        result.shards.push_back(missResult(out));
+    result.total = mergeShardStats(result.shards);
+    for (const MissRateResult &s : result.shards)
+        mergeSideCounters(result, s);
+    result.summary = run.summary;
+    return result;
 }
 
 } // namespace
@@ -141,7 +140,8 @@ runTraceSampledSharded(const std::string &path, const CacheConfig &config,
                        const SweepOptions &options,
                        const TraceReplayOptions &replay)
 {
-    const std::uint64_t records = sampledPopulation(path, replay);
+    const std::uint64_t records =
+        Session(path, config, TraceShard{}, replay).sampledPopulation();
     const std::uint64_t n_units = plan.unitsFor(records);
     // Partition unit indices, never records: shard g owns units
     // [g*K/S, (g+1)*K/S), so the concatenation of per-unit sums in
@@ -161,17 +161,7 @@ runTraceSampledSharded(const std::string &path, const CacheConfig &config,
                                               replay.batchLen));
         jobs.back().traceHandle = replay.handle;
     }
-    const SweepRun run = runSweep(jobs, options);
-
-    TraceSweepResult result;
-    result.shards.reserve(run.outcomes.size());
-    for (const SweepOutcome &out : run.outcomes)
-        result.shards.push_back(missResult(out));
-    result.total = mergeShardStats(result.shards);
-    for (const MissRateResult &s : result.shards)
-        mergeSideCounters(result, s);
-    result.summary = run.summary;
-    return result;
+    return runShards(jobs, options);
 }
 
 TraceSweepResult
@@ -192,17 +182,7 @@ runTraceSharded(const std::string &path, const CacheConfig &config,
                                              replay.observe));
         jobs.back().traceHandle = replay.handle;
     }
-    const SweepRun run = runSweep(jobs, options);
-
-    TraceSweepResult result;
-    result.shards.reserve(run.outcomes.size());
-    for (const SweepOutcome &out : run.outcomes)
-        result.shards.push_back(missResult(out));
-    result.total = mergeShardStats(result.shards);
-    for (const MissRateResult &s : result.shards)
-        mergeSideCounters(result, s);
-    result.summary = run.summary;
-    return result;
+    return runShards(jobs, options);
 }
 
 } // namespace bsim

@@ -68,8 +68,8 @@ sideString(const SideCounters &counters)
 
 /** Per-line usage counters (the Table 7 inputs), line by line. */
 void
-compareUsage(BatchEquivResult &res, const std::vector<SetUsage> &ua,
-             const std::vector<SetUsage> &ub)
+compareUsage(BatchEquivResult &res, std::span<const SetUsage> ua,
+             std::span<const SetUsage> ub)
 {
     if (ua.size() != ub.size()) {
         note(res, strprintf("usage lines: per-access %zu vs batched %zu",
@@ -77,15 +77,12 @@ compareUsage(BatchEquivResult &res, const std::vector<SetUsage> &ua,
         return;
     }
     for (std::size_t l = 0; l < ua.size(); ++l) {
-        if (ua[l].accesses == ub[l].accesses && ua[l].hits == ub[l].hits &&
-            ua[l].misses == ub[l].misses)
+        if (ua[l] == ub[l])
             continue;
-        note(res, strprintf("line %zu usage: per-access {%llu,%llu,%llu} "
-                            "vs batched {%llu,%llu,%llu}",
-                            l, (unsigned long long)ua[l].accesses,
-                            (unsigned long long)ua[l].hits,
+        note(res, strprintf("line %zu usage (hits,misses): per-access "
+                            "{%llu,%llu} vs batched {%llu,%llu}",
+                            l, (unsigned long long)ua[l].hits,
                             (unsigned long long)ua[l].misses,
-                            (unsigned long long)ub[l].accesses,
                             (unsigned long long)ub[l].hits,
                             (unsigned long long)ub[l].misses));
         break;
@@ -222,8 +219,7 @@ driveTwins(const CacheConfig &config, BaseCache &per_access,
     flush();
 
     compareStats(res, per_access.stats(), batched.stats());
-    compareUsage(res, per_access.setUsage().usage(),
-                 batched.setUsage().usage());
+    compareUsage(res, per_access.setUsage(), batched.setUsage());
     const SideCounters side_a = config.sideCounters(per_access);
     const SideCounters side_b = config.sideCounters(batched);
     if (side_a != side_b)

@@ -481,23 +481,21 @@ OracleChecker::finish()
 
         // In the exact limits the way scan/fill orders coincide, so even
         // the per-line Table 7 usage counters must match element-wise.
-        const auto &du = dut_.setUsage().usage();
-        const auto &ou = oracle_->setUsage().usage();
+        const std::span<const SetUsage> du = dut_.setUsage();
+        const std::span<const SetUsage> ou = oracle_->setUsage();
         if (du.size() != ou.size()) {
-            diverge(0, strprintf("usage tracker size %zu vs oracle %zu",
+            diverge(0, strprintf("usage histogram size %zu vs oracle %zu",
                                  du.size(), ou.size()));
         } else {
             for (std::size_t i = 0; i < du.size(); ++i) {
-                if (du[i].accesses != ou[i].accesses ||
-                    du[i].hits != ou[i].hits ||
-                    du[i].misses != ou[i].misses) {
+                if (du[i] != ou[i]) {
                     diverge(0, strprintf(
                         "per-line usage of line %zu differs from the "
-                        "exact oracle (acc %llu/%llu hit %llu/%llu)",
-                        i, (unsigned long long)du[i].accesses,
-                        (unsigned long long)ou[i].accesses,
-                        (unsigned long long)du[i].hits,
-                        (unsigned long long)ou[i].hits));
+                        "exact oracle (hit %llu/%llu miss %llu/%llu)",
+                        i, (unsigned long long)du[i].hits,
+                        (unsigned long long)ou[i].hits,
+                        (unsigned long long)du[i].misses,
+                        (unsigned long long)ou[i].misses));
                     break;
                 }
             }

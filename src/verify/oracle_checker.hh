@@ -23,7 +23,7 @@
  *  - residency (shadow contents vs contains()/validLines());
  *  - the unique-decoding invariant after every mutation;
  *  - aggregate CacheStats/PdStats and, in the exact limits, the per-line
- *    SetUsageTracker counters behind Table 7.
+ *    usage histogram (BaseCache::setUsage()) behind Table 7.
  */
 
 #ifndef BSIM_VERIFY_ORACLE_CHECKER_HH

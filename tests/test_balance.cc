@@ -10,10 +10,16 @@
 namespace bsim {
 namespace {
 
+/** Count one access of @p line, the way BaseCache's histogram does. */
+void
+record(std::vector<SetUsage> &usage, std::size_t line, bool hit)
+{
+    ++(hit ? usage[line].hits : usage[line].misses);
+}
+
 TEST(Balance, EmptyTrackerIsAllZero)
 {
-    SetUsageTracker t;
-    t.reset(0);
+    const std::vector<SetUsage> t;
     const BalanceReport r = analyzeBalance(t);
     EXPECT_DOUBLE_EQ(r.fhsPct, 0.0);
     EXPECT_DOUBLE_EQ(r.lasPct, 0.0);
@@ -21,11 +27,10 @@ TEST(Balance, EmptyTrackerIsAllZero)
 
 TEST(Balance, UniformUsageHasNoFrequentSets)
 {
-    SetUsageTracker t;
-    t.reset(16);
+    std::vector<SetUsage> t(16);
     for (std::size_t s = 0; s < 16; ++s)
         for (int i = 0; i < 10; ++i)
-            t.record(s, i % 2 == 0);
+            record(t, s, i % 2 == 0);
     const BalanceReport r = analyzeBalance(t);
     EXPECT_DOUBLE_EQ(r.fhsPct, 0.0);
     EXPECT_DOUBLE_EQ(r.fmsPct, 0.0);
@@ -34,13 +39,12 @@ TEST(Balance, UniformUsageHasNoFrequentSets)
 
 TEST(Balance, SingleHotSetDetected)
 {
-    SetUsageTracker t;
-    t.reset(10);
+    std::vector<SetUsage> t(10);
     // Set 0 gets 100 hits; the other nine get 1 hit each.
     for (int i = 0; i < 100; ++i)
-        t.record(0, true);
+        record(t, 0, true);
     for (std::size_t s = 1; s < 10; ++s)
-        t.record(s, true);
+        record(t, s, true);
     const BalanceReport r = analyzeBalance(t);
     EXPECT_DOUBLE_EQ(r.fhsPct, 10.0); // 1 of 10 sets
     EXPECT_NEAR(r.chPct, 100.0 * 100 / 109, 1e-9);
@@ -48,13 +52,12 @@ TEST(Balance, SingleHotSetDetected)
 
 TEST(Balance, FrequentMissSetsDetected)
 {
-    SetUsageTracker t;
-    t.reset(4);
+    std::vector<SetUsage> t(4);
     for (int i = 0; i < 30; ++i)
-        t.record(0, false);
-    t.record(1, false);
-    t.record(2, false);
-    t.record(3, false);
+        record(t, 0, false);
+    record(t, 1, false);
+    record(t, 2, false);
+    record(t, 3, false);
     const BalanceReport r = analyzeBalance(t);
     EXPECT_DOUBLE_EQ(r.fmsPct, 25.0);
     EXPECT_NEAR(r.cmPct, 100.0 * 30 / 33, 1e-9);
@@ -62,12 +65,11 @@ TEST(Balance, FrequentMissSetsDetected)
 
 TEST(Balance, LessAccessedSets)
 {
-    SetUsageTracker t;
-    t.reset(4);
+    std::vector<SetUsage> t(4);
     // avg accesses = (12+12+12+0)/4 = 9; threshold < 4.5.
     for (std::size_t s = 0; s < 3; ++s)
         for (int i = 0; i < 12; ++i)
-            t.record(s, true);
+            record(t, s, true);
     const BalanceReport r = analyzeBalance(t);
     EXPECT_DOUBLE_EQ(r.lasPct, 25.0);
     EXPECT_DOUBLE_EQ(r.tcaPct, 0.0);
@@ -129,10 +131,10 @@ TEST(Balance, WriteThroughMissesAreNotChargedToWayZero)
     EXPECT_EQ(bc.validLines(), 0u);
 
     std::uint64_t attributed = 0;
-    for (const SetUsage &u : bc.setUsage().usage())
-        attributed += u.accesses;
+    for (const SetUsage &u : bc.setUsage())
+        attributed += u.accesses();
     EXPECT_EQ(attributed, 0u)
-        << "forwarded store misses must leave the usage tracker alone";
+        << "forwarded store misses must leave the usage histogram alone";
 
     const BalanceReport r = analyzeBalance(bc.setUsage());
     EXPECT_DOUBLE_EQ(r.cmPct, 0.0)
@@ -147,8 +149,8 @@ TEST(Balance, WriteThroughMissesAreNotChargedToWayZero)
     bc2.access({Addr(0x40 + (Addr{16} << 8)), AccessType::Write});
     ASSERT_EQ(bc2.pdStats().pdHitCacheMiss, 1u);
     std::uint64_t acc2 = 0;
-    for (const SetUsage &u : bc2.setUsage().usage())
-        acc2 += u.accesses;
+    for (const SetUsage &u : bc2.setUsage())
+        acc2 += u.accesses();
     EXPECT_EQ(acc2, 1u) << "only the read may be attributed";
 }
 

@@ -3,11 +3,14 @@
  * The cache-spec grammar (sim/cache_spec.hh): golden round-trips for
  * every registered variant, the per-variant access time and energy the
  * registry hooks produce, typed errors with actionable messages for
- * malformed specs, and a bounded fuzz case that throws random printable strings at the parser
- * (asan/ubsan builds make that a UB hunt, not just a crash hunt).
+ * malformed specs, and two bounded fuzz cases: random printable strings
+ * at the parser, and a token soup whose accepted specs are built and
+ * run (asan/ubsan builds make both a UB hunt, not just a crash hunt).
  */
 
 #include <gtest/gtest.h>
+
+#include <optional>
 
 #include "sim/cache_spec.hh"
 #include "common/random.hh"
@@ -249,6 +252,12 @@ TEST(CacheSpec, SizesAboveTheCapAreRejected)
     expectError("sa:67108865,8w", "'67108865' is out of range");
     expectError("dm:128MB+victim:16", "'128MB' is out of range");
     expectError("hac:16kB,sub=128MB", "parameter sub '128MB' is out of");
+    // The line count is capped too: the largest size with tiny lines
+    // would otherwise build 64 M lines.
+    EXPECT_EQ(parseCacheSpec("dm:64MB,line=32").lineBytes, 32u);
+    expectError("dm:64MB,line=16", "is 4194304 lines (at most 2097152)");
+    expectError("victim:8MB,line=1", "victim: size 8388608 / line=1");
+    expectError("dm:64MB,line=1+victim:4", "is 67108864 lines");
 }
 
 TEST(CacheSpec, FuzzRandomPrintableSpecsNeverCrash)
@@ -307,6 +316,119 @@ TEST(CacheSpec, FuzzRandomPrintableSpecsNeverCrash)
     // size mutations ("16kB" -> "6kB") are unbuildable and rejected at
     // parse time, so it takes 8000 draws to reach the parsed floor.
     EXPECT_GT(parsed, 100u);
+    EXPECT_GT(rejected, 1000u);
+}
+
+/** Pick one of @p pool's entries. */
+template <std::size_t N>
+const char *
+pick(Rng &rng, const char *const (&pool)[N])
+{
+    return pool[rng.nextBounded(N)];
+}
+
+TEST(CacheSpec, FuzzTokenSoupBuildsAndRunsOrThrows)
+{
+    // Specs assembled from grammar tokens: every kind and alias plus
+    // unknown ones; zero, huge and non-power-of-two sizes and counts;
+    // known, unknown and repeated keys; malformed `+victim:` tails.
+    // Every input must either throw CacheSpecError or build a cache
+    // that runs 1 k accesses. A crash, an abort or another exception
+    // type fails the run.
+    static const char *const kKinds[] = {
+        "dm", "direct", "sa", "setassoc", "victim", "bcache", "column",
+        "skew", "hac", "xor", "pad", "halt", "DM", "Bcache", "cam",
+        "foo", "", "dm+victim", "sa "};
+    static const char *const kSizes[] = {
+        "16kB", "8k", "1kB", "64MB", "65536kB", "67108864", "2MB",
+        "512", "32", "0", "0kB", "3kB", "1000", "12k", "65MB",
+        "4096MB", "18446744073709551616", "-16kB", "kB", "16kb", "1M",
+        "16 kB", ""};
+    static const char *const kGoodCounts[] = {
+        "1", "2", "4", "8", "16", "32", "64", "128"};
+    static const char *const kBadCounts[] = {
+        "0", "3", "7", "31", "1024", "65536", "65537", "4294967295",
+        "4294967296", "18446744073709551616", "-1", "", "x", "8k"};
+    static const char *const kCountKeys[] = {
+        "line=", "mf=", "bas=", "bits=", "ways=", "foo=", "LINE=",
+        "=", "sub="};
+    static const char *const kWords[] = {
+        "repl=lru", "repl=random", "repl=fifo", "repl=plru", "repl=nmru",
+        "repl=bogus", "repl=", "wp=wb", "wp=wt", "WP=WT", "wp=xx",
+        "sub=1kB", "sub=2kB", "sub=64MB", "sub=0", "sub=3kB", "mf",
+        "8x", "w", "e8", "=", ""};
+    static const char *const kSuffixes[] = {"w", "e", "W", "E", "x"};
+    static const char *const kTails[] = {
+        "+victim:16", "+victim:1", "+victim:0", "+victim:", "+victim:-1",
+        "+victim:65536", "+victim:65537", "+victim:4294967296",
+        "+victim:16e", "+victim:16+victim:4", "+victim:x", "+vict",
+        "+", "+dm:16kB", "+victim:16,4w"};
+
+    Rng rng(0x50a7);
+    const auto count = [&rng] {
+        return rng.nextBounded(3) == 0 ? pick(rng, kBadCounts)
+                                       : pick(rng, kGoodCounts);
+    };
+    std::vector<MemAccess> reqs(1000);
+    std::vector<AccessOutcome> outs(reqs.size());
+    std::uint64_t built = 0, rejected = 0;
+    for (int i = 0; i < 3000; ++i) {
+        std::string s = pick(rng, kKinds);
+        if (rng.nextBounded(16) != 0)
+            s += ":";
+        s += pick(rng, kSizes);
+        std::vector<std::string> params;
+        for (std::size_t n = rng.nextBounded(4); n > 0; --n) {
+            switch (rng.nextBounded(3)) {
+              case 0:
+                params.push_back(std::string(pick(rng, kCountKeys)) +
+                                 count());
+                break;
+              case 1:
+                params.push_back(std::string(count()) +
+                                 pick(rng, kSuffixes));
+                break;
+              default:
+                params.push_back(pick(rng, kWords));
+            }
+        }
+        if (!params.empty() && rng.nextBounded(8) == 0)
+            params.push_back(params[rng.nextBounded(params.size())]);
+        for (const std::string &p : params)
+            s += "," + p;
+        if (rng.nextBounded(4) == 0)
+            s += pick(rng, kTails);
+
+        std::optional<CacheConfig> c;
+        try {
+            c = parseCacheSpec(s);
+        } catch (const CacheSpecError &e) {
+            EXPECT_NE(e.what()[0], '\0') << s;
+            ++rejected;
+            continue;
+        }
+        try {
+            auto cache = c->build("fuzz", 1, nullptr);
+            // Mostly a window of a few cache sizes, so there are hits,
+            // evictions and writebacks; some full-width addresses.
+            const Addr window = 4 * c->sizeBytes;
+            for (MemAccess &a : reqs) {
+                a.addr = rng.nextBounded(4) == 0
+                             ? rng.next()
+                             : rng.nextBounded(window);
+                a.type = rng.nextBounded(4) == 0 ? AccessType::Write
+                                                 : AccessType::Read;
+            }
+            cache->accessBatch(reqs, outs.data());
+            EXPECT_EQ(cache->stats().accesses, reqs.size()) << s;
+            ++built;
+        } catch (const std::exception &e) {
+            ADD_FAILURE() << "accepted spec '" << s
+                          << "' failed to build or run: " << e.what();
+        }
+    }
+    // Both outcomes must be exercised.
+    EXPECT_GT(built, 100u);
     EXPECT_GT(rejected, 1000u);
 }
 

@@ -1,7 +1,7 @@
 /**
  * Tests for the observe/ layer (ctest -L observe): the CacheObserver
- * hook stream collected by StatsObserver must agree with the engine's
- * built-in counters (usage tracker, CacheStats, BCache PD state), be
+ * hook stream collected by StatsObserver must agree with the cache's
+ * own counters (per-line histogram, CacheStats, BCache PD state), be
  * identical between the per-access and batched paths, and merge/export
  * correctly. Also the counter-merge regression tests: CacheStats and
  * PdStats operator+= round-trip every field.
@@ -40,11 +40,8 @@ void
 expectReportsEqual(const ObserverReport &a, const ObserverReport &b)
 {
     ASSERT_EQ(a.perSet.size(), b.perSet.size());
-    for (std::size_t i = 0; i < a.perSet.size(); ++i) {
-        EXPECT_EQ(a.perSet[i].accesses, b.perSet[i].accesses) << i;
-        EXPECT_EQ(a.perSet[i].hits, b.perSet[i].hits) << i;
-        EXPECT_EQ(a.perSet[i].misses, b.perSet[i].misses) << i;
-    }
+    for (std::size_t i = 0; i < a.perSet.size(); ++i)
+        EXPECT_TRUE(a.perSet[i] == b.perSet[i]) << i;
     EXPECT_EQ(a.installs, b.installs);
     EXPECT_EQ(a.writebacks, b.writebacks);
     EXPECT_EQ(a.pdReprograms, b.pdReprograms);
@@ -112,9 +109,10 @@ TEST(CounterMerge, PdStatsMergeRoundTripsEveryField)
 }
 
 /**
- * The observer's per-set histogram is collected from the hook stream,
- * the usage tracker's from the engine's record paths; they must agree
- * line for line on every variant and write policy.
+ * The harvested report carries the cache's own per-line histogram and
+ * writeback total, and the observer's hook stream agrees with them: its
+ * interval windows add up to the histogram's accesses and misses and to
+ * the cache's writebacks, on every variant and write policy.
  */
 TEST(StatsObserver, MatchesBuiltInUsageTracker)
 {
@@ -127,27 +125,34 @@ TEST(StatsObserver, MatchesBuiltInUsageTracker)
           CacheConfig::setAssoc(16 * 1024, 4),
           CacheConfig::victim(16 * 1024, 16), wt}) {
         auto cache = cfg.build(cfg.label, 1, nullptr);
-        StatsObserver obs(cache->setUsage().numLines(), {true, 0});
-        cache->setCacheObserver(&obs);
+        const auto obs = attachObserver(*cache, {true, 256});
+        ASSERT_TRUE(obs);
         for (const MemAccess &a : stream)
             cache->access(a);
 
-        const ObserverReport rep = obs.report();
-        const auto &tracker = cache->setUsage().usage();
-        ASSERT_EQ(rep.perSet.size(), tracker.size()) << cfg.label;
-        for (std::size_t i = 0; i < tracker.size(); ++i) {
-            EXPECT_EQ(rep.perSet[i].accesses, tracker[i].accesses)
-                << cfg.label << " line " << i;
-            EXPECT_EQ(rep.perSet[i].hits, tracker[i].hits);
-            EXPECT_EQ(rep.perSet[i].misses, tracker[i].misses);
-        }
-        // Same classification either way: the Table 7 harness relies
-        // on this to stay byte-identical after its port.
-        EXPECT_EQ(analyzeBalance(std::span<const SetUsage>(rep.perSet))
-                      .toString(),
-                  analyzeBalance(cache->setUsage()).toString())
+        const ObserverReport rep = *harvestObserver(obs.get(), *cache);
+        const std::span<const SetUsage> usage = cache->setUsage();
+        ASSERT_EQ(rep.perSet.size(), usage.size()) << cfg.label;
+        EXPECT_TRUE(std::equal(usage.begin(), usage.end(),
+                               rep.perSet.begin()))
             << cfg.label;
         EXPECT_EQ(rep.writebacks, cache->stats().writebacks)
+            << cfg.label;
+
+        IntervalSample hooks;
+        for (const IntervalSample &s : rep.intervals) {
+            hooks.accesses += s.accesses;
+            hooks.misses += s.misses;
+            hooks.writebacks += s.writebacks;
+        }
+        std::uint64_t accesses = 0, misses = 0;
+        for (const SetUsage &u : usage) {
+            accesses += u.accesses();
+            misses += u.misses;
+        }
+        EXPECT_EQ(hooks.accesses, accesses) << cfg.label;
+        EXPECT_EQ(hooks.misses, misses) << cfg.label;
+        EXPECT_EQ(hooks.writebacks, cache->stats().writebacks)
             << cfg.label;
     }
 }
@@ -164,14 +169,12 @@ TEST(StatsObserver, PerAccessAndBatchedPathsProduceIdenticalReports)
         oc.intervalLen = 512;
 
         auto serial = cfg.build(cfg.label, 1, nullptr);
-        StatsObserver sobs(serial->setUsage().numLines(), oc);
-        serial->setCacheObserver(&sobs);
+        const auto sobs = attachObserver(*serial, oc);
         for (const MemAccess &a : stream)
             serial->access(a);
 
         auto batched = cfg.build(cfg.label, 1, nullptr);
-        StatsObserver bobs(batched->setUsage().numLines(), oc);
-        batched->setCacheObserver(&bobs);
+        const auto bobs = attachObserver(*batched, oc);
         std::vector<AccessOutcome> outs(stream.size());
         for (std::size_t i = 0; i < stream.size(); i += 192)
             batched->accessBatch(
@@ -179,7 +182,8 @@ TEST(StatsObserver, PerAccessAndBatchedPathsProduceIdenticalReports)
                  std::min<std::size_t>(192, stream.size() - i)},
                 outs.data());
 
-        expectReportsEqual(sobs.report(), bobs.report());
+        expectReportsEqual(*harvestObserver(sobs.get(), *serial),
+                           *harvestObserver(bobs.get(), *batched));
     }
 }
 
@@ -188,7 +192,7 @@ TEST(StatsObserver, EvictionHistogramCountsInstallsAfterTheFirst)
 {
     const CacheConfig cfg = CacheConfig::directMapped(16 * 1024);
     auto cache = cfg.build(cfg.label, 1, nullptr);
-    StatsObserver obs(cache->setUsage().numLines(), {true, 0});
+    StatsObserver obs(cache->setUsage().size(), {true, 0});
     cache->setCacheObserver(&obs);
 
     // Two blocks mapping to the same direct-mapped frame, alternated:
@@ -213,7 +217,7 @@ TEST(StatsObserver, IntervalSeriesTilesTheRunWithTrailingPartial)
     const auto stream = capturedStream(250);
     const CacheConfig cfg = CacheConfig::directMapped(16 * 1024);
     auto cache = cfg.build(cfg.label, 1, nullptr);
-    StatsObserver obs(cache->setUsage().numLines(), {true, 100});
+    StatsObserver obs(cache->setUsage().size(), {true, 100});
     cache->setCacheObserver(&obs);
     for (const MemAccess &a : stream)
         cache->access(a);
@@ -235,7 +239,7 @@ TEST(BalanceMetricsTest, UniformHistogramIsPerfectlyBalanced)
 {
     std::vector<SetUsage> u(64);
     for (auto &s : u)
-        s.accesses = 37;
+        s.hits = 37;
     const BalanceMetrics m =
         computeBalanceMetrics(std::span<const SetUsage>(u));
     EXPECT_EQ(m.maxRefs, 37u);
@@ -249,7 +253,7 @@ TEST(BalanceMetricsTest, SingleHotSetIsMaximallyImbalanced)
 {
     const std::size_t n = 16;
     std::vector<SetUsage> u(n);
-    u[5].accesses = 1000;
+    u[5].hits = 1000;
     const BalanceMetrics m =
         computeBalanceMetrics(std::span<const SetUsage>(u));
     EXPECT_EQ(m.maxRefs, 1000u);
@@ -289,7 +293,7 @@ TEST(StatsObserver, BCacheDecoderTelemetryIsConsistent)
 TEST(ObserverReportTest, MergeSumsCountersAndConcatenatesIntervals)
 {
     ObserverReport a, b;
-    a.perSet = {{10, 8, 2}, {4, 4, 0}};
+    a.perSet = {{8, 2}, {4, 0}};
     a.installs = {2, 1};
     a.writebacks = 3;
     a.pdReprograms = 1;
@@ -298,7 +302,7 @@ TEST(ObserverReportTest, MergeSumsCountersAndConcatenatesIntervals)
     a.intervalLen = 100;
     a.intervals = {{100, 5, 1, 0}, {20, 2, 0, 1}};
 
-    b.perSet = {{1, 0, 1}, {7, 6, 1}};
+    b.perSet = {{0, 1}, {6, 1}};
     b.installs = {1, 2};
     b.writebacks = 2;
     b.pdReprograms = 4;
@@ -310,10 +314,10 @@ TEST(ObserverReportTest, MergeSumsCountersAndConcatenatesIntervals)
     ObserverReport m = a;
     m += b;
     ASSERT_EQ(m.perSet.size(), 2u);
-    EXPECT_EQ(m.perSet[0].accesses, 11u);
+    EXPECT_EQ(m.perSet[0].accesses(), 11u);
     EXPECT_EQ(m.perSet[0].hits, 8u);
     EXPECT_EQ(m.perSet[0].misses, 3u);
-    EXPECT_EQ(m.perSet[1].accesses, 11u);
+    EXPECT_EQ(m.perSet[1].accesses(), 11u);
     EXPECT_EQ(m.installs, (std::vector<std::uint64_t>{3, 3}));
     EXPECT_EQ(m.writebacks, 5u);
     EXPECT_EQ(m.pdReprograms, 5u);
@@ -331,7 +335,7 @@ TEST(ObserverReportTest, MergeSumsCountersAndConcatenatesIntervals)
 TEST(ObserverExport, JsonIsWellFormedAndCsvRowsMatchTheHistogram)
 {
     ObserverReport rep;
-    rep.perSet = {{10, 8, 2}, {4, 4, 0}};
+    rep.perSet = {{8, 2}, {4, 0}};
     rep.installs = {2, 1};
     rep.writebacks = 1;
     rep.intervalLen = 100;
@@ -387,7 +391,7 @@ TEST(RunnerObserve, ObserverIsOptInAndCarriesTheRunsCounters)
     EXPECT_EQ(observed.stats.misses, plain.stats.misses);
     std::uint64_t acc = 0;
     for (const SetUsage &u : observed.observer->perSet)
-        acc += u.accesses;
+        acc += u.accesses();
     EXPECT_EQ(acc, observed.stats.accesses);
     EXPECT_EQ(observed.observer->balanceMetrics().maxRefs > 0, true);
     EXPECT_FALSE(observed.observer->intervals.empty());

@@ -302,12 +302,7 @@ TEST_F(TraceReplayTest, ShardedTotalsEqualSerialFoldOverShardWindows)
             ASSERT_TRUE(got.observer && ref.observer);
             const ObserverReport &g = *got.observer;
             const ObserverReport &r = *ref.observer;
-            ASSERT_EQ(g.perSet.size(), r.perSet.size());
-            for (std::size_t i = 0; i < g.perSet.size(); ++i) {
-                EXPECT_EQ(g.perSet[i].accesses, r.perSet[i].accesses);
-                EXPECT_EQ(g.perSet[i].hits, r.perSet[i].hits);
-                EXPECT_EQ(g.perSet[i].misses, r.perSet[i].misses);
-            }
+            EXPECT_EQ(g.perSet, r.perSet);
             EXPECT_EQ(g.installs, r.installs);
             EXPECT_EQ(g.writebacks, r.writebacks);
             EXPECT_EQ(g.pdReprograms, r.pdReprograms);
