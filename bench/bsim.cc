@@ -369,8 +369,13 @@ bsimMain(int argc, char **argv)
         }
         else if (!std::strcmp(flag, "--workload"))
             workload = need();
-        else if (!std::strcmp(flag, "--side"))
+        else if (!std::strcmp(flag, "--side")) {
             side = need();
+            if (side != "data" && side != "inst")
+                usage(("bad --side '" + side +
+                       "' (accepted: data, inst)")
+                          .c_str());
+        }
         else if (!std::strcmp(flag, "--trace"))
             trace_path = need();
         else if (!std::strcmp(flag, "--trace-info"))

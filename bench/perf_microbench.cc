@@ -2,8 +2,9 @@
  * @file
  * Simulator-throughput microbenchmarks (google-benchmark): accesses per
  * second through each cache model and the workload generators, for both
- * the per-access and the batched (accessBatch) hot loops. These guard
- * against performance regressions in the hot simulation loops.
+ * the per-access and the batched (accessBatch) hot loops, plus numbers
+ * per second through the stats-document writer. These guard against
+ * performance regressions in the hot simulation loops and the export.
  *
  * Every benchmark drives the same pre-generated address batch. The batch
  * is shared, so it must be strictly read-only: runCache() fingerprints
@@ -25,7 +26,11 @@
 #include <vector>
 
 #include "bench/bench_json.hh"
+#include "common/json.hh"
 #include "sim/cache_spec.hh"
+#include "sim/report.hh"
+#include "sim/runner.hh"
+#include "sim/trace_replay.hh"
 #include "workload/spec2k.hh"
 
 namespace bsim {
@@ -203,6 +208,56 @@ BM_InstructionGeneration(benchmark::State &state)
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_InstructionGeneration);
+
+/**
+ * A 13-shard observed replay of a 512-line B-Cache, merged the way
+ * runTraceSharded() merges: the shape `bsim --shards 13 --stats-json`
+ * exports. Built once; the benchmark times only the document.
+ */
+const TraceSweepResult &
+shardedResult()
+{
+    static const TraceSweepResult result = [] {
+        const CacheConfig cfg = parseCacheSpec("bcache:16kB,mf=8,bas=8");
+        ObserverConfig observe;
+        observe.enabled = true;
+        TraceSweepResult r;
+        for (std::uint64_t s = 0; s < 13; ++s)
+            r.shards.push_back(runMissRate("gcc", StreamSide::Inst, cfg,
+                                           20000, kDefaultSeed + s,
+                                           observe));
+        r.total = mergeShardStats(r.shards);
+        for (const MissRateResult &s : r.shards)
+            mergeSideCounters(r, s);
+        return r;
+    }();
+    return result;
+}
+
+/** The number tokens in @p v and everything under it. */
+std::int64_t
+countNumbers(const JsonValue &v)
+{
+    std::int64_t n = v.isNumber();
+    for (const JsonValue &e : v.array)
+        n += countNumbers(e);
+    for (const auto &member : v.object)
+        n += countNumbers(member.second);
+    return n;
+}
+
+/** toStatsJson over the sharded result; items are JSON numbers. */
+void
+BM_StatsJsonSharded(benchmark::State &state)
+{
+    const TraceSweepResult &r = shardedResult();
+    const std::int64_t numbers =
+        countNumbers(*parseJson(toStatsJson(r, "trace:inst.bst", "bc")));
+    for (auto _ : state)
+        benchmark::DoNotOptimize(toStatsJson(r, "trace:inst.bst", "bc"));
+    state.SetItemsProcessed(state.iterations() * numbers);
+}
+BENCHMARK(BM_StatsJsonSharded);
 
 /**
  * Wraps the default console reporter and captures per-benchmark results

@@ -1,6 +1,7 @@
 #include "common/json.hh"
 
 #include <cmath>
+#include <cstdio>
 #include <cstdlib>
 
 #include "common/logging.hh"
@@ -8,12 +9,19 @@
 
 namespace bsim {
 
-std::string
-JsonWriter::escape(const std::string &s)
+namespace {
+
+/** Append @p s escaped per RFC 8259; clean runs are copied in one go. */
+void
+appendEscaped(std::string &out, std::string_view s)
 {
-    std::string out;
-    out.reserve(s.size() + 2);
-    for (unsigned char c : s) {
+    std::size_t clean = 0; // start of the not-yet-copied run
+    for (std::size_t i = 0; i < s.size(); ++i) {
+        const unsigned char c = s[i];
+        if (c >= 0x20 && c != '"' && c != '\\')
+            continue;
+        out.append(s, clean, i - clean);
+        clean = i + 1;
         switch (c) {
           case '"':
             out += "\\\"";
@@ -31,109 +39,120 @@ JsonWriter::escape(const std::string &s)
             out += "\\t";
             break;
           default:
-            if (c < 0x20)
-                out += strprintf("\\u%04x", c);
-            else
-                out += static_cast<char>(c);
+            out += strprintf("\\u%04x", c);
         }
     }
+    out.append(s, clean);
+}
+
+} // namespace
+
+std::string
+JsonWriter::escape(const std::string &s)
+{
+    std::string out;
+    out.reserve(s.size() + 2);
+    appendEscaped(out, s);
     return out;
 }
 
 void
-JsonWriter::separator()
+JsonWriter::beginValue()
 {
+    started_ = true;
     if (pendingKey_) {
         pendingKey_ = false;
         return; // the key already emitted "k":
     }
     if (!stack_.empty()) {
-        if (hasElement_.back())
+        if (stack_.back().hasElement)
             out_ += ',';
-        hasElement_.back() = true;
+        stack_.back().hasElement = true;
     }
 }
 
 JsonWriter &
 JsonWriter::beginObject()
 {
-    separator();
-    started_ = true;
+    beginValue();
     out_ += '{';
-    stack_.push_back(Ctx::Object);
-    hasElement_.push_back(false);
+    stack_.push_back({Ctx::Object, false});
     return *this;
 }
 
 JsonWriter &
 JsonWriter::endObject()
 {
-    bsim_assert(!stack_.empty() && stack_.back() == Ctx::Object,
+    bsim_assert(!stack_.empty() && stack_.back().ctx == Ctx::Object,
                 "endObject outside an object");
     out_ += '}';
     stack_.pop_back();
-    hasElement_.pop_back();
     return *this;
 }
 
 JsonWriter &
 JsonWriter::beginArray()
 {
-    separator();
-    started_ = true;
+    beginValue();
     out_ += '[';
-    stack_.push_back(Ctx::Array);
-    hasElement_.push_back(false);
+    stack_.push_back({Ctx::Array, false});
     return *this;
 }
 
 JsonWriter &
 JsonWriter::endArray()
 {
-    bsim_assert(!stack_.empty() && stack_.back() == Ctx::Array,
+    bsim_assert(!stack_.empty() && stack_.back().ctx == Ctx::Array,
                 "endArray outside an array");
     out_ += ']';
     stack_.pop_back();
-    hasElement_.pop_back();
     return *this;
 }
 
 JsonWriter &
 JsonWriter::key(const std::string &k)
 {
-    bsim_assert(!stack_.empty() && stack_.back() == Ctx::Object,
+    bsim_assert(!stack_.empty() && stack_.back().ctx == Ctx::Object,
                 "key outside an object");
     bsim_assert(!pendingKey_, "two keys in a row");
-    if (hasElement_.back())
-        out_ += ',';
-    hasElement_.back() = true;
-    out_ += '"' + escape(k) + "\":";
+    quoted(k);
+    out_ += ':';
     pendingKey_ = true;
+    return *this;
+}
+
+JsonWriter &
+JsonWriter::quoted(std::string_view v)
+{
+    beginValue();
+    out_ += '"';
+    appendEscaped(out_, v);
+    out_ += '"';
     return *this;
 }
 
 JsonWriter &
 JsonWriter::value(const std::string &v)
 {
-    separator();
-    started_ = true;
-    out_ += '"' + escape(v) + '"';
-    return *this;
+    return quoted(v);
 }
 
 JsonWriter &
 JsonWriter::value(const char *v)
 {
-    return value(std::string(v));
+    return quoted(v);
 }
 
 JsonWriter &
 JsonWriter::value(double v)
 {
-    separator();
-    started_ = true;
+    beginValue();
     if (std::isfinite(v)) {
-        out_ += strprintf("%.10g", v);
+        // snprintf into a stack buffer: %.10g is the pinned format, and
+        // to_chars' general form does not promise the same digits.
+        char buf[32];
+        const int n = std::snprintf(buf, sizeof buf, "%.10g", v);
+        out_.append(buf, static_cast<std::size_t>(n));
     } else {
         // JSON has no NaN/Inf; emit null like most serializers.
         out_ += "null";
@@ -144,18 +163,16 @@ JsonWriter::value(double v)
 JsonWriter &
 JsonWriter::value(std::uint64_t v)
 {
-    separator();
-    started_ = true;
-    out_ += strprintf("%llu", static_cast<unsigned long long>(v));
+    beginValue();
+    appendUint(out_, v);
     return *this;
 }
 
 JsonWriter &
 JsonWriter::value(std::int64_t v)
 {
-    separator();
-    started_ = true;
-    out_ += strprintf("%lld", static_cast<long long>(v));
+    beginValue();
+    appendInt(out_, v);
     return *this;
 }
 
@@ -174,8 +191,7 @@ JsonWriter::value(unsigned v)
 JsonWriter &
 JsonWriter::value(bool v)
 {
-    separator();
-    started_ = true;
+    beginValue();
     out_ += v ? "true" : "false";
     return *this;
 }
@@ -183,8 +199,7 @@ JsonWriter::value(bool v)
 JsonWriter &
 JsonWriter::null()
 {
-    separator();
-    started_ = true;
+    beginValue();
     out_ += "null";
     return *this;
 }
@@ -192,8 +207,7 @@ JsonWriter::null()
 JsonWriter &
 JsonWriter::raw(const std::string &token)
 {
-    separator();
-    started_ = true;
+    beginValue();
     out_ += token;
     return *this;
 }
@@ -303,7 +317,7 @@ class Parser
     {
         if (ok_) {
             ok_ = false;
-            error_ = strprintf("offset %zu: %s", pos_, why.c_str());
+            error_ = "offset " + std::to_string(pos_) + ": " + why;
         }
         return false;
     }
@@ -520,7 +534,7 @@ class Parser
                 out += '\t';
                 break;
               case 'u': {
-                std::uint32_t cp;
+                std::uint32_t cp = 0;
                 if (!hex4(cp))
                     return false;
                 if (cp >= 0xd800 && cp <= 0xdbff) {
@@ -529,7 +543,7 @@ class Parser
                         text_[pos_] != '\\' || text_[pos_ + 1] != 'u')
                         return fail("unpaired UTF-16 surrogate");
                     pos_ += 2;
-                    std::uint32_t lo;
+                    std::uint32_t lo = 0;
                     if (!hex4(lo))
                         return false;
                     if (lo < 0xdc00 || lo > 0xdfff)

@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -67,12 +68,19 @@ class JsonWriter
 
   private:
     enum class Ctx : std::uint8_t { Object, Array };
-    void separator();
+    /** An open container and whether it already holds an element. */
+    struct Frame
+    {
+        Ctx ctx;
+        bool hasElement;
+    };
+
+    /** Emit the separator a new value needs and mark the document begun. */
+    void beginValue();
+    JsonWriter &quoted(std::string_view v);
 
     std::string out_;
-    std::vector<Ctx> stack_;
-    /** Whether the current container already holds an element. */
-    std::vector<bool> hasElement_;
+    std::vector<Frame> stack_;
     bool pendingKey_ = false;
     bool started_ = false;
 };

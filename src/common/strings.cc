@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <charconv>
 #include <cstdarg>
 #include <cstdio>
 
@@ -10,20 +11,37 @@ namespace bsim {
 std::string
 strprintf(const char *fmt, ...)
 {
+    // One pass into a stack buffer; only an overflow formats again.
+    char buf[256];
     va_list args;
     va_start(args, fmt);
     va_list args2;
     va_copy(args2, args);
-    const int n = std::vsnprintf(nullptr, 0, fmt, args);
+    const int n = std::vsnprintf(buf, sizeof buf, fmt, args);
     va_end(args);
     std::string out;
-    if (n > 0) {
-        out.resize(static_cast<std::size_t>(n) + 1);
-        std::vsnprintf(out.data(), out.size(), fmt, args2);
+    if (n > 0 && static_cast<std::size_t>(n) < sizeof buf) {
+        out.assign(buf, static_cast<std::size_t>(n));
+    } else if (n > 0) {
         out.resize(static_cast<std::size_t>(n));
+        std::vsnprintf(out.data(), out.size() + 1, fmt, args2);
     }
     va_end(args2);
     return out;
+}
+
+void
+appendUint(std::string &out, std::uint64_t v)
+{
+    char buf[20];
+    out.append(buf, std::to_chars(buf, buf + sizeof buf, v).ptr);
+}
+
+void
+appendInt(std::string &out, std::int64_t v)
+{
+    char buf[20];
+    out.append(buf, std::to_chars(buf, buf + sizeof buf, v).ptr);
 }
 
 std::string

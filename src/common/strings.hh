@@ -16,6 +16,13 @@ namespace bsim {
 std::string strprintf(const char *fmt, ...)
     __attribute__((format(printf, 1, 2)));
 
+/**
+ * Append @p v in decimal: the `%llu` / `%lld` digits, without printf or
+ * a temporary string. The number path of JsonWriter and the CSV exports.
+ */
+void appendUint(std::string &out, std::uint64_t v);
+void appendInt(std::string &out, std::int64_t v);
+
 /** "16kB", "256kB", "2MB" style size rendering. */
 std::string sizeString(std::uint64_t bytes);
 

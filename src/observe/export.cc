@@ -1,5 +1,7 @@
 #include "observe/export.hh"
 
+#include <initializer_list>
+
 #include "common/strings.hh"
 
 namespace bsim {
@@ -76,6 +78,23 @@ writeJson(JsonWriter &j, const ObserverReport &r)
     j.endObject();
 }
 
+namespace {
+
+/** Append one CSV row of unsigned fields, newline-terminated. */
+void
+appendCsvRow(std::string &out, std::initializer_list<std::uint64_t> fields)
+{
+    const char *sep = "";
+    for (std::uint64_t f : fields) {
+        out += sep;
+        appendUint(out, f);
+        sep = ",";
+    }
+    out += '\n';
+}
+
+} // namespace
+
 std::string
 heatmapCsv(const ObserverReport &r)
 {
@@ -83,12 +102,9 @@ heatmapCsv(const ObserverReport &r)
     for (std::size_t i = 0; i < r.perSet.size(); ++i) {
         const std::uint64_t inst =
             i < r.installs.size() ? r.installs[i] : 0;
-        out += strprintf("%zu,%llu,%llu,%llu,%llu,%llu\n", i,
-                         (unsigned long long)r.perSet[i].accesses(),
-                         (unsigned long long)r.perSet[i].hits,
-                         (unsigned long long)r.perSet[i].misses,
-                         (unsigned long long)inst,
-                         (unsigned long long)(inst > 0 ? inst - 1 : 0));
+        appendCsvRow(out, {i, r.perSet[i].accesses(), r.perSet[i].hits,
+                           r.perSet[i].misses, inst,
+                           inst > 0 ? inst - 1 : 0});
     }
     return out;
 }
@@ -99,11 +115,8 @@ intervalCsv(const ObserverReport &r)
     std::string out = "interval,accesses,misses,writebacks,pd_reprograms\n";
     for (std::size_t i = 0; i < r.intervals.size(); ++i) {
         const IntervalSample &s = r.intervals[i];
-        out += strprintf("%zu,%llu,%llu,%llu,%llu\n", i,
-                         (unsigned long long)s.accesses,
-                         (unsigned long long)s.misses,
-                         (unsigned long long)s.writebacks,
-                         (unsigned long long)s.pdReprograms);
+        appendCsvRow(out, {i, s.accesses, s.misses, s.writebacks,
+                           s.pdReprograms});
     }
     return out;
 }

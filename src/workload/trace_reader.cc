@@ -975,11 +975,11 @@ probeTrace(const std::string &path)
 {
     TraceInfo info;
     info.compressed = isGzPath(path);
+    auto src = openByteSource(path); // fatal when the file is missing
     if (formatExtension(path) != ".bst") {
         info.format = "dinero";
         return info;
     }
-    auto src = openByteSource(path);
     unsigned char hdr[kBst2HeaderBytes];
     const std::size_t got = src->read(hdr, sizeof hdr);
     if (got >= 4 && std::memcmp(hdr, kBst2Magic, 4) == 0) {

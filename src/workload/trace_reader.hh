@@ -118,7 +118,10 @@ struct TraceInfo
     bool compressed = false;    ///< behind an InflateSource
 };
 
-/** Probe @p path without reading records. Fatal on malformed headers. */
+/**
+ * Probe @p path without reading records. Fatal on a missing or
+ * unreadable file (text traces included) and on malformed headers.
+ */
 TraceInfo probeTrace(const std::string &path);
 
 /**

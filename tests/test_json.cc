@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <climits>
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
 #include <limits>
+#include <utility>
 
 #include "common/json.hh"
 #include "sim/report.hh"
@@ -57,9 +61,103 @@ TEST(Json, NonFiniteBecomesNull)
     JsonWriter j;
     j.beginArray();
     j.value(std::numeric_limits<double>::infinity());
+    j.value(-std::numeric_limits<double>::infinity());
     j.value(std::nan(""));
     j.endArray();
-    EXPECT_EQ(j.str(), "[null,null]");
+    EXPECT_EQ(j.str(), "[null,null,null]");
+}
+
+/** The one scalar @p v writes, unwrapped from a one-element array. */
+template <typename T>
+std::string
+scalar(T v)
+{
+    JsonWriter j;
+    j.beginArray().value(v).endArray();
+    const std::string s = j.str();
+    return s.substr(1, s.size() - 2);
+}
+
+/** What the printf-based writer emitted for @p v under @p fmt. */
+template <typename T>
+std::string
+printed(const char *fmt, T v)
+{
+    char buf[64];
+    std::snprintf(buf, sizeof buf, fmt, v);
+    return buf;
+}
+
+/**
+ * Numbers are formatted without printf; every overload must still match
+ * the %llu / %lld / %.10g bytes the documents were pinned with.
+ */
+TEST(Json, IntegersMatchPrintf)
+{
+    const std::pair<std::uint64_t, const char *> u64[] = {
+        {0, "0"},
+        {9, "9"},
+        {10, "10"},
+        {std::uint64_t{1} << 32, "4294967296"},
+        {UINT64_MAX, "18446744073709551615"},
+    };
+    for (const auto &[v, want] : u64) {
+        EXPECT_EQ(scalar(v), want);
+        EXPECT_EQ(scalar(v), printed("%llu", (unsigned long long)v));
+    }
+    const std::pair<std::int64_t, const char *> i64[] = {
+        {INT64_MIN, "-9223372036854775808"},
+        {-1, "-1"},
+        {INT64_MAX, "9223372036854775807"},
+    };
+    for (const auto &[v, want] : i64) {
+        EXPECT_EQ(scalar(v), want);
+        EXPECT_EQ(scalar(v), printed("%lld", (long long)v));
+    }
+    for (int v : {INT_MIN, -1, 0, 7, INT_MAX})
+        EXPECT_EQ(scalar(v), printed("%d", v));
+    for (unsigned v : {0u, 1u, UINT_MAX})
+        EXPECT_EQ(scalar(v), printed("%u", v));
+}
+
+TEST(Json, DoublesMatchPercentTenG)
+{
+    const std::pair<double, const char *> cases[] = {
+        {0.0, "0"},
+        {-0.0, "-0"},
+        {1.0 / 3, "0.3333333333"},
+        {0.1 + 0.2, "0.3"},
+        {1e-300, "1e-300"},
+        {4.9e-324, "4.940656458e-324"},
+        {1e21, "1e+21"},
+        {123456789012.5, "1.23456789e+11"},
+    };
+    for (const auto &[v, want] : cases) {
+        EXPECT_EQ(scalar(v), want);
+        EXPECT_EQ(scalar(v), printed("%.10g", v));
+    }
+}
+
+TEST(Json, KeysAndStringsEscapeLikeEscape)
+{
+    const std::string cases[] = {
+        "",
+        "plain",
+        "q\"uote",
+        "back\\slash",
+        "new\nline\r\t",
+        std::string("ctl\x01\x1f end", 9),
+        "caf\xc3\xa9 \xe2\x82\xac \xf0\x9f\x98\x80",
+    };
+    for (const std::string &s : cases) {
+        const std::string q = '"' + JsonWriter::escape(s) + '"';
+        JsonWriter j;
+        j.beginObject().kv(s, s).endObject();
+        EXPECT_EQ(j.str(), "{" + q + ":" + q + "}");
+        EXPECT_EQ(scalar(s.c_str()), q);
+    }
+    EXPECT_EQ(JsonWriter::escape(cases[5]), "ctl\\u0001\\u001f end");
+    EXPECT_EQ(JsonWriter::escape(cases[6]), cases[6]);
 }
 
 TEST(JsonDeathTest, MisuseCaught)

@@ -368,6 +368,15 @@ TEST(ObserverExport, JsonIsWellFormedAndCsvRowsMatchTheHistogram)
     EXPECT_NE(heatmapCsv(rep).find("set,accesses,hits,misses,installs,"
                                    "evictions"),
               std::string::npos);
+    // Byte-exact rows, including a field past 32 bits.
+    rep.perSet[1].misses = 5000000000ull;
+    EXPECT_EQ(heatmapCsv(rep),
+              "set,accesses,hits,misses,installs,evictions\n"
+              "0,10,8,2,2,1\n"
+              "1,5000000004,4,5000000000,1,0\n");
+    EXPECT_EQ(intervalCsv(rep),
+              "interval,accesses,misses,writebacks,pd_reprograms\n"
+              "0,100,5,1,0\n");
 }
 
 /** runMissRate end to end: observer off by default, on when asked. */
