@@ -22,6 +22,7 @@
 #include <string>
 
 #include "bench/bench_json.hh"
+#include "common/logging.hh"
 #include "common/strings.hh"
 #include "common/table.hh"
 #include "observe/export.hh"
@@ -326,7 +327,7 @@ runSharded(const std::string &trace_path, const CacheConfig &cfg,
                                     cfg.label) +
                             "\n");
     if (res.observer)
-        writeObserverExports(ex, *res.observer);
+        writeObserverExports(ex, *res.observer, json);
     bench::reportSweepPerf("bsim", cfg.label, res.summary);
     return 0;
 }
@@ -396,8 +397,13 @@ bsimMain(int argc, char **argv)
             accesses = parseNum(flag, need());
             accesses_set = true;
         }
-        else if (!std::strcmp(flag, "--sample"))
-            sample = parseSamplePlan(need());
+        else if (!std::strcmp(flag, "--sample")) {
+            try {
+                sample = parseSamplePlan(need());
+            } catch (const FatalError &e) {
+                usage(e.what());
+            }
+        }
         else if (!std::strcmp(flag, "--seed"))
             seed = parseNum(flag, need());
         else if (!std::strcmp(flag, "--stats-json"))
@@ -518,7 +524,7 @@ bsimMain(int argc, char **argv)
                                                           : "trace") +
                             "\n");
     if (r.observer)
-        writeObserverExports(ex, *r.observer);
+        writeObserverExports(ex, *r.observer, json);
 
     if (json) {
         // json + a '-' export is rejected up front; stdout is ours.
@@ -545,5 +551,9 @@ bsimMain(int argc, char **argv)
 int
 main(int argc, char **argv)
 {
-    return bsim::bsimMain(argc, argv);
+    const int rc = bsim::bsimMain(argc, argv);
+    // A report or document that never reached stdout is a failed run.
+    if (std::fflush(stdout) != 0 || std::ferror(stdout))
+        bsim_fatal("write failed on stdout");
+    return rc;
 }

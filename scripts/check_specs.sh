@@ -38,6 +38,12 @@
 # tests/ or examples/, and src/observe/observer.cc touches `perSet` only
 # inside ObserverReport::operator+= (the counts are the cache's
 # setUsage(); harvestObserver copies them into the report).
+#
+# And it keeps one error path (pass 9): library code throws. The only
+# exit call under src/ is the uncaught-error handler's in
+# src/common/logging.cc, nothing reads the retired fatal-mode switch,
+# and no test forks to watch for exit status 1 (EXPECT_FATAL checks the
+# thrown FatalError in-process).
 set -eu
 
 repo_root=$(CDPATH= cd -- "$(dirname -- "$0")/.." && pwd)
@@ -181,6 +187,31 @@ if [ -n "$matches" ]; then
     fail=1
 fi
 
+# ---- pass 9: one error path ----
+exits=$(grep -rnE '(^|[^_])exit\(|_Exit\(|quick_exit\(' src/ || true)
+if [ "$(echo "$exits" | grep -c .)" -ne 1 ] ||
+        ! echo "$exits" |
+        grep -q '^src/common/logging\.cc:[0-9]*: *std::exit(1);$'; then
+    echo "check_specs: library code must throw (bsim_fatal), not exit;" \
+         "the one exit under src/ is the uncaught-error handler's in" \
+         "src/common/logging.cc:" >&2
+    echo "$exits" >&2
+    fail=1
+fi
+if matches=$(grep -rnw "fatalThrows" src/ bench/ tests/ examples/ \
+        perfbench/); then
+    echo "check_specs: the retired fatal-mode switch is read again" \
+         "(bsim_fatal always throws):" >&2
+    echo "$matches" >&2
+    fail=1
+fi
+if matches=$(grep -rn "ExitedWithCode(1)" tests/); then
+    echo "check_specs: a death test waits for exit status 1 (check the" \
+         "thrown FatalError with EXPECT_FATAL, tests/expect_fatal.hh):" >&2
+    echo "$matches" >&2
+    fail=1
+fi
+
 if [ "$fail" -ne 0 ]; then
     echo "check_specs: FAIL" >&2
     exit 1
@@ -189,5 +220,5 @@ echo "check_specs: OK ($n_kinds kinds; registry, --list-caches and" \
      "ARCHITECTURE.md grammar table in sync; harnesses declarative;" \
      "no kind switches or casts outside the registry; one twin" \
      "driver in src/verify; one replacement type; one per-line" \
-     "histogram)"
+     "histogram; one error path)"
 exit 0

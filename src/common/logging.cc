@@ -1,13 +1,32 @@
 #include "common/logging.hh"
 
-#include <atomic>
 #include <cstdio>
 #include <cstdlib>
+#include <exception>
 
 namespace bsim {
 
 namespace {
+
 bool verboseFlag = true;
+
+/**
+ * The one place an input error becomes an exit status: a FatalError
+ * nobody catches prints its message and exits 1. Anything else goes on
+ * to the previous handler, which aborts.
+ */
+const std::terminate_handler previousTerminate = std::set_terminate([] {
+    try {
+        if (const std::exception_ptr e = std::current_exception())
+            std::rethrow_exception(e);
+    } catch (const FatalError &e) {
+        std::fprintf(stderr, "fatal: %s\n", e.what());
+        std::exit(1);
+    } catch (...) {
+    }
+    previousTerminate ? previousTerminate() : std::abort();
+});
+
 } // namespace
 
 void
@@ -29,29 +48,15 @@ panicImpl(const char *file, int line, const std::string &msg)
     std::abort();
 }
 
-namespace {
-std::atomic<bool> fatalThrowsFlag{false};
-} // namespace
-
 void
-setFatalThrows(bool enable)
+setFatalThrows(bool)
 {
-    fatalThrowsFlag.store(enable, std::memory_order_relaxed);
-}
-
-bool
-fatalThrows()
-{
-    return fatalThrowsFlag.load(std::memory_order_relaxed);
 }
 
 void
-fatalImpl(const char *file, int line, const std::string &msg)
+fatalImpl(const std::string &msg)
 {
-    if (fatalThrows())
-        throw FatalError(msg);
-    std::fprintf(stderr, "fatal: %s (%s:%d)\n", msg.c_str(), file, line);
-    std::exit(1);
+    throw FatalError(msg);
 }
 
 void

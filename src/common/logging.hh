@@ -3,7 +3,8 @@
  * Minimal gem5-style status/error reporting: panic, fatal, warn, inform.
  *
  * panic()  - a simulator bug; aborts.
- * fatal()  - a user/configuration error; exits with status 1.
+ * fatal()  - a user/configuration error; throws FatalError. Uncaught,
+ *            it prints `fatal: <msg>` and ends the process with status 1.
  * warn()   - suspicious but non-fatal condition.
  * inform() - status message.
  */
@@ -19,15 +20,13 @@ namespace bsim {
 
 [[noreturn]] void panicImpl(const char *file, int line,
                             const std::string &msg);
-[[noreturn]] void fatalImpl(const char *file, int line,
-                            const std::string &msg);
+[[noreturn]] void fatalImpl(const std::string &msg);
 void warnImpl(const std::string &msg);
 void informImpl(const std::string &msg);
 
 /**
- * What bsim_fatal throws when fatal-throw mode is on (see
- * setFatalThrows). what() carries the message without the file:line
- * suffix, so a caller can report it verbatim.
+ * What bsim_fatal throws. what() carries the message alone, so a caller
+ * can report it verbatim.
  */
 class FatalError : public std::runtime_error
 {
@@ -35,16 +34,8 @@ class FatalError : public std::runtime_error
     using std::runtime_error::runtime_error;
 };
 
-/**
- * Switch bsim_fatal from exit(1) to throwing FatalError, process-wide.
- * One-shot binaries keep the default (a configuration error ends the
- * run); a driver that must outlive one bad job (the perfbench
- * benchmark) enables this once and catches the thrown FatalError.
- * Process-wide rather than thread-local because job work fans out onto
- * sweep-pool worker threads, which already capture per-job exceptions.
- */
+/** No effect (bsim_fatal always throws); kept for existing callers. */
 void setFatalThrows(bool enable);
-bool fatalThrows();
 
 /** Enable/disable inform() output (benches silence it). */
 void setVerbose(bool verbose);
@@ -81,7 +72,7 @@ concat(const Args &...args)
 #define bsim_panic(...) \
     ::bsim::panicImpl(__FILE__, __LINE__, ::bsim::detail::concat(__VA_ARGS__))
 #define bsim_fatal(...) \
-    ::bsim::fatalImpl(__FILE__, __LINE__, ::bsim::detail::concat(__VA_ARGS__))
+    ::bsim::fatalImpl(::bsim::detail::concat(__VA_ARGS__))
 #define bsim_warn(...) \
     ::bsim::warnImpl(::bsim::detail::concat(__VA_ARGS__))
 #define bsim_inform(...) \

@@ -383,24 +383,25 @@ void
 writeTextOutput(const std::string &path, const std::string &text)
 {
     if (path == "-") {
-        std::fputs(text.c_str(), stdout);
+        if (std::fputs(text.c_str(), stdout) == EOF)
+            bsim_fatal("write failed on stdout");
         return;
     }
     std::FILE *f = std::fopen(path.c_str(), "w");
     if (!f)
         bsim_fatal("cannot write '", path, "'");
-    std::fputs(text.c_str(), f);
-    std::fclose(f);
+    const bool wrote = std::fputs(text.c_str(), f) != EOF;
+    if (std::fclose(f) != 0 || !wrote)
+        bsim_fatal("write failed on '", path, "'");
 }
 
 void
-writeObserverExports(const StatsExport &ex, const ObserverReport &rep)
+writeObserverExports(const StatsExport &ex, const ObserverReport &rep,
+                     bool json_on_stdout)
 {
     if (!ex.heatmapPath.empty())
         writeTextOutput(ex.heatmapPath, heatmapCsv(rep));
-    // The interval series rides inside --stats-json when one is being
-    // written; --interval alone dumps it as CSV on stdout.
-    if (ex.interval > 0 && ex.statsJsonPath.empty())
+    if (ex.interval > 0 && ex.statsJsonPath.empty() && !json_on_stdout)
         std::fputs(intervalCsv(rep).c_str(), stdout);
 }
 

@@ -199,9 +199,14 @@ struct StatsExport
 /** Write @p text to @p path, with "-" meaning stdout. */
 void writeTextOutput(const std::string &path, const std::string &text);
 
-/** Emit the heatmap/interval CSV exports for one observed run. */
-void writeObserverExports(const StatsExport &ex,
-                          const ObserverReport &rep);
+/**
+ * Emit the heatmap/interval CSV exports for one observed run. The
+ * interval series rides inside the stats document when one is written
+ * (--stats-json, or @p json_on_stdout for `bsim --json`); otherwise
+ * --interval dumps it as CSV on stdout.
+ */
+void writeObserverExports(const StatsExport &ex, const ObserverReport &rep,
+                          bool json_on_stdout);
 
 } // namespace bsim
 

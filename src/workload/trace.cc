@@ -79,6 +79,8 @@ writeBinaryTrace(const std::string &path,
             std::fwrite(&t, sizeof t, 1, f.get()) != 1)
             bsim_fatal("write failed on '", path, "'");
     }
+    if (std::fclose(f.release()) != 0)
+        bsim_fatal("write failed on '", path, "'");
 }
 
 std::vector<MemAccess>
@@ -100,6 +102,8 @@ writeTextTrace(const std::string &path,
                          static_cast<unsigned long long>(a.addr)) < 0)
             bsim_fatal("write failed on '", path, "'");
     }
+    if (std::fclose(f.release()) != 0)
+        bsim_fatal("write failed on '", path, "'");
 }
 
 std::vector<MemAccess>

@@ -1,6 +1,7 @@
 #include "workload/trace_format.hh"
 
 #include <cstring>
+#include <utility>
 
 #include "common/logging.hh"
 
@@ -165,13 +166,16 @@ Bst2Writer::Bst2Writer(const std::string &path, std::uint32_t chunk_len)
     // Placeholder header; finish() seeks back with the real counts.
     unsigned char hdr[kBst2HeaderBytes];
     encodeBst2Header(Bst2Header{0, 64, chunkLen_, 0}, hdr);
-    if (std::fwrite(hdr, 1, sizeof hdr, file_) != sizeof hdr)
+    if (std::fwrite(hdr, 1, sizeof hdr, file_) != sizeof hdr) {
+        std::fclose(file_);
         bsim_fatal("write failed on '", path_, "'");
+    }
 }
 
 Bst2Writer::~Bst2Writer()
 {
-    finish();
+    if (file_)
+        std::fclose(file_);
 }
 
 void
@@ -229,11 +233,10 @@ Bst2Writer::finish()
     unsigned char hdr[kBst2HeaderBytes];
     encodeBst2Header(Bst2Header{written_, bitsFor(maxAddr_), chunkLen_, 0},
                      hdr);
-    if (std::fseek(file_, 0, SEEK_SET) != 0 ||
-        std::fwrite(hdr, 1, sizeof hdr, file_) != sizeof hdr ||
-        std::fclose(file_) != 0)
+    const bool wrote = std::fseek(file_, 0, SEEK_SET) == 0 &&
+                       std::fwrite(hdr, 1, sizeof hdr, file_) == sizeof hdr;
+    if (std::fclose(std::exchange(file_, nullptr)) != 0 || !wrote)
         bsim_fatal("write failed on '", path_, "'");
-    file_ = nullptr;
 }
 
 void

@@ -132,7 +132,9 @@ std::uint64_t validateBst2Payload(const unsigned char *payload,
 /**
  * Incremental BST2 writer: append spans in any sizes; chunk framing and
  * the header (record count, address width) are maintained internally and
- * patched on finish(). Fatal on any I/O failure.
+ * patched on finish(). Fatal on any I/O failure. A writer destroyed
+ * before finish() only closes its file (the destructor never throws),
+ * leaving the placeholder header, so call finish() to complete a trace.
  */
 class Bst2Writer
 {
@@ -151,7 +153,7 @@ class Bst2Writer
         append(std::span<const MemAccess>(&a, 1));
     }
 
-    /** Flush, patch the header, close. Idempotent; ~Bst2Writer calls it. */
+    /** Flush, patch the header, close. Idempotent. */
     void finish();
 
     std::uint64_t recordsWritten() const { return written_; }

@@ -976,12 +976,14 @@ probeTrace(const std::string &path)
     TraceInfo info;
     info.compressed = isGzPath(path);
     auto src = openByteSource(path); // fatal when the file is missing
+    // Read before deciding, so an unreadable text trace (a directory,
+    // say) fails here as it would in openTraceReader.
+    unsigned char hdr[kBst2HeaderBytes];
+    const std::size_t got = src->read(hdr, sizeof hdr);
     if (formatExtension(path) != ".bst") {
         info.format = "dinero";
         return info;
     }
-    unsigned char hdr[kBst2HeaderBytes];
-    const std::size_t got = src->read(hdr, sizeof hdr);
     if (got >= 4 && std::memcmp(hdr, kBst2Magic, 4) == 0) {
         if (got < kBst2HeaderBytes)
             bsim_fatal("truncated BST2 trace '", path,

@@ -9,6 +9,7 @@
 #include "cache/set_assoc_cache.hh"
 #include "common/random.hh"
 #include "mem/main_memory.hh"
+#include "expect_fatal.hh"
 
 namespace bsim {
 namespace {
@@ -190,8 +191,8 @@ TEST(Hac, AbsorbsDeepConflicts)
 
 TEST(HacDeathTest, SubarrayMustHoldWholeLines)
 {
-    EXPECT_EXIT(HacCache("hac", 16 * 1024, 32, 48, 1, nullptr),
-                ::testing::ExitedWithCode(1), "whole number of lines");
+    EXPECT_FATAL(HacCache("hac", 16 * 1024, 32, 48, 1, nullptr),
+                 "whole number of lines");
 }
 
 } // namespace

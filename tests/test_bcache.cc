@@ -5,6 +5,7 @@
 
 #include "bcache/bcache.hh"
 #include "mem/main_memory.hh"
+#include "expect_fatal.hh"
 
 namespace bsim {
 namespace {
@@ -275,16 +276,13 @@ TEST(BCacheDeathTest, RejectsBadParameters)
 {
     BCacheParams p = toyParams();
     p.mf = 3;
-    EXPECT_EXIT(deriveLayout(p), ::testing::ExitedWithCode(1),
-                "MF must be a power of two");
+    EXPECT_FATAL(deriveLayout(p), "MF must be a power of two");
     p = toyParams();
     p.bas = 5;
-    EXPECT_EXIT(deriveLayout(p), ::testing::ExitedWithCode(1),
-                "BAS must be a power of two");
+    EXPECT_FATAL(deriveLayout(p), "BAS must be a power of two");
     p = toyParams();
     p.bas = 16; // > 8 sets
-    EXPECT_EXIT(deriveLayout(p), ::testing::ExitedWithCode(1),
-                "exceeds the number of sets");
+    EXPECT_FATAL(deriveLayout(p), "exceeds the number of sets");
 }
 
 } // namespace

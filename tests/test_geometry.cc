@@ -4,6 +4,7 @@
 
 #include "common/random.hh"
 #include "mem/geometry.hh"
+#include "expect_fatal.hh"
 
 namespace bsim {
 namespace {
@@ -106,18 +107,14 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(GeometryDeathTest, RejectsNonPowerOfTwo)
 {
-    EXPECT_EXIT(CacheGeometry(3000, 32, 1),
-                ::testing::ExitedWithCode(1), "power of two");
-    EXPECT_EXIT(CacheGeometry(16 * 1024, 33, 1),
-                ::testing::ExitedWithCode(1), "power of two");
-    EXPECT_EXIT(CacheGeometry(16 * 1024, 32, 3),
-                ::testing::ExitedWithCode(1), "power of two");
+    EXPECT_FATAL(CacheGeometry(3000, 32, 1), "power of two");
+    EXPECT_FATAL(CacheGeometry(16 * 1024, 33, 1), "power of two");
+    EXPECT_FATAL(CacheGeometry(16 * 1024, 32, 3), "power of two");
 }
 
 TEST(GeometryDeathTest, RejectsDegenerateSize)
 {
-    EXPECT_EXIT(CacheGeometry(64, 64, 2), ::testing::ExitedWithCode(1),
-                "smaller than one set");
+    EXPECT_FATAL(CacheGeometry(64, 64, 2), "smaller than one set");
 }
 
 } // namespace

@@ -47,6 +47,7 @@
 #include "sim/trace_replay.hh"
 #include "workload/spec2k.hh"
 #include "workload/trace_format.hh"
+#include "expect_fatal.hh"
 
 namespace bsim {
 namespace {
@@ -101,6 +102,7 @@ writeWorkloadTrace(const std::string &path, const std::string &workload,
     Bst2Writer writer(path);
     for (std::uint64_t i = 0; i < n; ++i)
         writer.append(wl.data->next());
+    writer.finish();
 }
 
 TEST(SamplePlan, ParseAndUnitArithmetic)
@@ -122,12 +124,9 @@ TEST(SamplePlan, ParseAndUnitArithmetic)
     EXPECT_EQ(p.unitsFor(8001), 2u);
     EXPECT_EQ(p.unitsFor(80000), 10u);
 
-    EXPECT_EXIT(parseSamplePlan("bogus"), ::testing::ExitedWithCode(1),
-                "--sample");
-    EXPECT_EXIT(parseSamplePlan("0:100"), ::testing::ExitedWithCode(1),
-                "--sample");
-    EXPECT_EXIT(parseSamplePlan("100:50"), ::testing::ExitedWithCode(1),
-                "--sample");
+    EXPECT_FATAL(parseSamplePlan("bogus"), "--sample");
+    EXPECT_FATAL(parseSamplePlan("0:100"), "--sample");
+    EXPECT_FATAL(parseSamplePlan("100:50"), "--sample");
 }
 
 TEST(Sampling, WarmupIsExcludedFromMeasuredStats)
@@ -311,6 +310,7 @@ TEST_F(SamplingTest, AcceptanceSpeedupAndCiOnLargeTrace)
         for (std::uint64_t i = 0; i < n; ++i)
             writer.append((i / phase) % 2 == 0 ? a.data->next()
                                                : b.data->next());
+        writer.finish();
     }
 
     const CacheConfig cfg = CacheConfig::directMapped(16 * 1024);

@@ -6,6 +6,7 @@
 #include "cache/set_assoc_cache.hh"
 #include "common/random.hh"
 #include "mem/main_memory.hh"
+#include "expect_fatal.hh"
 
 namespace bsim {
 namespace {
@@ -179,8 +180,7 @@ INSTANTIATE_TEST_SUITE_P(Ways, AssocSweep,
 TEST(SetAssocDeathTest, VictimMainArrayMustBeDm)
 {
     // Covered here to keep victim tests focused: geometry validation.
-    EXPECT_EXIT(CacheGeometry(16, 32, 1), ::testing::ExitedWithCode(1),
-                "smaller than one set");
+    EXPECT_FATAL(CacheGeometry(16, 32, 1), "smaller than one set");
 }
 
 } // namespace

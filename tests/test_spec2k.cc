@@ -7,6 +7,7 @@
 
 #include "cache/set_assoc_cache.hh"
 #include "workload/spec2k.hh"
+#include "expect_fatal.hh"
 
 namespace bsim {
 namespace {
@@ -55,8 +56,7 @@ TEST(Spec2k, NamesAreRecognized)
 
 TEST(Spec2k, UnknownNameIsFatal)
 {
-    EXPECT_EXIT(makeSpecWorkload("quake3"),
-                ::testing::ExitedWithCode(1), "unknown SPEC2K workload");
+    EXPECT_FATAL(makeSpecWorkload("quake3"), "unknown SPEC2K workload");
 }
 
 TEST(Spec2k, WorkloadsAreDeterministic)

@@ -134,13 +134,6 @@ groupedJobs(std::uint64_t accesses)
     return jobs;
 }
 
-/** Turn bsim_fatal into a thrown FatalError for one scope. */
-struct FatalThrowsScope
-{
-    FatalThrowsScope() { setFatalThrows(true); }
-    ~FatalThrowsScope() { setFatalThrows(false); }
-};
-
 TEST(Sweep, ResultsInSubmissionOrder)
 {
     const auto jobs = mixedJobs(20000);
@@ -308,7 +301,6 @@ TEST(SweepGrouped, MixedJobsMatchTheirSerialRunners)
 
 TEST(SweepGrouped, BadConfigFailsOnlyItsMember)
 {
-    FatalThrowsScope fatal_throws;
     CacheConfig bad = CacheConfig::setAssoc(16 * 1024, 4);
     bad.ways = 3; // CacheGeometry refuses it at build time
     bad.label = "3way";
@@ -519,7 +511,6 @@ TEST(SweepGroupedTimed, BitIdenticalToSerialAtAnyThreadCount)
 
 TEST(SweepGroupedTimed, BadConfigFailsOnlyItsMember)
 {
-    FatalThrowsScope fatal_throws;
     CacheConfig bad = CacheConfig::setAssoc(16 * 1024, 4);
     bad.ways = 3; // CacheGeometry refuses it at build time
     bad.label = "3way";

@@ -4,6 +4,7 @@
 
 #include "cache/tlb.hh"
 #include "common/bits.hh"
+#include "expect_fatal.hh"
 
 namespace bsim {
 namespace {
@@ -93,10 +94,8 @@ TEST(Tlb, LargePages)
 
 TEST(TlbDeathTest, BadShapeIsFatal)
 {
-    EXPECT_EXIT(Tlb(4096, 48, 4), ::testing::ExitedWithCode(1),
-                "bad TLB shape");
-    EXPECT_EXIT(Tlb(3000, 64, 4), ::testing::ExitedWithCode(1),
-                "power of two");
+    EXPECT_FATAL(Tlb(4096, 48, 4), "bad TLB shape");
+    EXPECT_FATAL(Tlb(3000, 64, 4), "power of two");
 }
 
 } // namespace

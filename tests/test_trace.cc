@@ -9,6 +9,7 @@
 
 #include "workload/generators.hh"
 #include "workload/trace.hh"
+#include "expect_fatal.hh"
 
 namespace bsim {
 namespace {
@@ -96,15 +97,13 @@ TEST_F(TraceTest, BadMagicIsFatal)
     std::FILE *f = std::fopen(path("bad.bst").c_str(), "wb");
     std::fwrite("NOPE", 1, 4, f);
     std::fclose(f);
-    EXPECT_EXIT(readBinaryTrace(path("bad.bst")),
-                ::testing::ExitedWithCode(1),
-                "not a BST1/BST2 binary trace");
+    EXPECT_FATAL(readBinaryTrace(path("bad.bst")),
+                 "not a BST1/BST2 binary trace");
 }
 
 TEST_F(TraceTest, MissingFileIsFatal)
 {
-    EXPECT_EXIT(readBinaryTrace(path("nonexistent.bst")),
-                ::testing::ExitedWithCode(1), "cannot open");
+    EXPECT_FATAL(readBinaryTrace(path("nonexistent.bst")), "cannot open");
 }
 
 TEST_F(TraceTest, BadTextLineIsFatal)
@@ -112,8 +111,7 @@ TEST_F(TraceTest, BadTextLineIsFatal)
     std::FILE *f = std::fopen(path("bad.din").c_str(), "w");
     std::fprintf(f, "read 0x100\n");
     std::fclose(f);
-    EXPECT_EXIT(readTextTrace(path("bad.din")),
-                ::testing::ExitedWithCode(1), "bad trace line 1");
+    EXPECT_FATAL(readTextTrace(path("bad.din")), "bad trace line 1");
 }
 
 TEST_F(TraceTest, BadLabelIsFatal)
@@ -121,8 +119,7 @@ TEST_F(TraceTest, BadLabelIsFatal)
     std::FILE *f = std::fopen(path("lbl.din").c_str(), "w");
     std::fprintf(f, "7 100\n");
     std::fclose(f);
-    EXPECT_EXIT(readTextTrace(path("lbl.din")),
-                ::testing::ExitedWithCode(1), "bad record label");
+    EXPECT_FATAL(readTextTrace(path("lbl.din")), "bad record label");
 }
 
 TEST(RecordingStream, CapturesEverything)

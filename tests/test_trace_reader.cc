@@ -18,6 +18,7 @@
 #include "workload/trace.hh"
 #include "workload/trace_format.hh"
 #include "workload/trace_reader.hh"
+#include "expect_fatal.hh"
 
 namespace bsim {
 namespace {
@@ -156,8 +157,8 @@ TEST_F(TraceReaderTest, ShardClampsAndRejects)
         openTraceReader(path("cl.bst"), TraceShard{8, 1000});
     expectSame(drain(*reader, 64), in, 8, 2);
     // ...but a start beyond the file is a configuration error.
-    EXPECT_EXIT(openTraceReader(path("cl.bst"), TraceShard{11, 1}),
-                ::testing::ExitedWithCode(1), "shard start");
+    EXPECT_FATAL(openTraceReader(path("cl.bst"), TraceShard{11, 1}),
+                 "shard start");
 }
 
 TEST_F(TraceReaderTest, Bst1RoundTripAndShards)
@@ -232,8 +233,7 @@ TEST_F(TraceReaderTest, TruncatedBst2IsFatalNotGarbage)
     const auto full = std::filesystem::file_size(path("full.bst"), ec);
     std::filesystem::resize_file(path("full.bst"), full - 40, ec);
     ASSERT_FALSE(ec);
-    EXPECT_EXIT(openTraceReader(path("full.bst")),
-                ::testing::ExitedWithCode(1), "truncated BST2 trace");
+    EXPECT_FATAL(openTraceReader(path("full.bst")), "truncated BST2 trace");
 }
 
 TEST_F(TraceReaderTest, TruncatedBst2HeaderIsFatal)
@@ -241,8 +241,7 @@ TEST_F(TraceReaderTest, TruncatedBst2HeaderIsFatal)
     std::FILE *f = std::fopen(path("hdr.bst").c_str(), "wb");
     std::fwrite(kBst2Magic, 1, 4, f);
     std::fclose(f);
-    EXPECT_EXIT(openTraceReader(path("hdr.bst")),
-                ::testing::ExitedWithCode(1), "truncated BST2 trace");
+    EXPECT_FATAL(openTraceReader(path("hdr.bst")), "truncated BST2 trace");
 }
 
 TEST_F(TraceReaderTest, TruncatedBst1IsFatalNotGarbage)
@@ -253,8 +252,7 @@ TEST_F(TraceReaderTest, TruncatedBst1IsFatalNotGarbage)
     const auto full = std::filesystem::file_size(path("v1.bst"), ec);
     std::filesystem::resize_file(path("v1.bst"), full - 5, ec);
     ASSERT_FALSE(ec);
-    EXPECT_EXIT(loadTrace(path("v1.bst")),
-                ::testing::ExitedWithCode(1), "truncated BST1 trace");
+    EXPECT_FATAL(loadTrace(path("v1.bst")), "truncated BST1 trace");
 }
 
 TEST_F(TraceReaderTest, CorruptBst2PayloadIsFatal)
@@ -271,8 +269,8 @@ TEST_F(TraceReaderTest, CorruptBst2PayloadIsFatal)
     std::fclose(f);
     // Validation is per chunk on first use, so the death happens on
     // the draining read, not at open.
-    EXPECT_EXIT(drain(*openTraceReader(path("p.bst")), 64),
-                ::testing::ExitedWithCode(1), "malformed BST2 trace");
+    EXPECT_FATAL(drain(*openTraceReader(path("p.bst")), 64),
+                 "malformed BST2 trace");
 }
 
 TEST_F(TraceReaderTest, ProbeReportsHeaderFacts)
@@ -320,8 +318,7 @@ TEST_F(TraceReaderTest, NonCyclingTraceStreamExhausts)
     EXPECT_EQ(seen, in.size());
     // Demanding more from an exhausted bounded stream is fatal (the
     // runner would otherwise spin on a phantom workload).
-    EXPECT_EXIT(stream.next(), ::testing::ExitedWithCode(1),
-                "exhausted");
+    EXPECT_FATAL(stream.next(), "exhausted");
 }
 
 TEST_F(TraceReaderTest, Bst2FuzzRoundTripsRandomShapes)
@@ -371,8 +368,7 @@ TEST_F(TraceReaderTest, SkipToMatchesSequentialOnBst2)
     reader->skipTo(in.size());
     EXPECT_TRUE(reader->nextSpan(8).empty());
     // ...one past it is a configuration error.
-    EXPECT_EXIT(reader->skipTo(in.size() + 1),
-                ::testing::ExitedWithCode(1), "skip to record");
+    EXPECT_FATAL(reader->skipTo(in.size() + 1), "skip to record");
 }
 
 TEST_F(TraceReaderTest, SkipToMatchesSequentialOnSequentialSources)
@@ -399,8 +395,7 @@ TEST_F(TraceReaderTest, SkipToMatchesSequentialOnSequentialSources)
             ASSERT_EQ(s.size(), 1u) << p;
             EXPECT_EQ(s[0].addr, in[target].addr) << p << " hop " << hop;
         }
-        EXPECT_EXIT(reader->skipTo(in.size() + 40),
-                    ::testing::ExitedWithCode(1), "skip to record");
+        EXPECT_FATAL(reader->skipTo(in.size() + 40), "skip to record");
     }
 }
 
@@ -428,8 +423,7 @@ TEST_F(TraceReaderTest, TruncatedTailChunkIsFatal)
     std::filesystem::resize_file(path("tail.bst"),
                                  full - kBst2RecordBytes, ec);
     ASSERT_FALSE(ec);
-    EXPECT_EXIT(openTraceReader(path("tail.bst")),
-                ::testing::ExitedWithCode(1), "truncated BST2 trace");
+    EXPECT_FATAL(openTraceReader(path("tail.bst")), "truncated BST2 trace");
 }
 
 TEST_F(TraceReaderTest, CorruptChunkFrameHeaderIsFatal)
@@ -445,8 +439,8 @@ TEST_F(TraceReaderTest, CorruptChunkFrameHeaderIsFatal)
     std::fseek(f, off, SEEK_SET);
     std::fputc(0x00, f);
     std::fclose(f);
-    EXPECT_EXIT(drain(*openTraceReader(path("cf.bst")), 64),
-                ::testing::ExitedWithCode(1), "malformed BST2 trace");
+    EXPECT_FATAL(drain(*openTraceReader(path("cf.bst")), 64),
+                 "malformed BST2 trace");
 }
 
 TEST_F(TraceReaderTest, CorruptChunkRecordCountIsFatal)
@@ -459,8 +453,36 @@ TEST_F(TraceReaderTest, CorruptChunkRecordCountIsFatal)
     std::fseek(f, long(kBst2HeaderBytes + 4), SEEK_SET);
     std::fputc(0xff, f);
     std::fclose(f);
-    EXPECT_EXIT(drain(*openTraceReader(path("cc.bst")), 64),
-                ::testing::ExitedWithCode(1), "malformed BST2 trace");
+    EXPECT_FATAL(drain(*openTraceReader(path("cc.bst")), 64),
+                 "malformed BST2 trace");
+}
+
+TEST_F(TraceReaderTest, WritesToAFullDeviceThrowAndWritersCloseQuietly)
+{
+    // /dev/full takes the open and the buffered writes, then fails every
+    // flush: each writer must report that, not just the open.
+    if (::access("/dev/full", W_OK) != 0)
+        GTEST_SKIP() << "no /dev/full";
+    const auto in = sampleTrace(100); // fits one stdio buffer
+    const std::span<const MemAccess> all(in);
+    EXPECT_FATAL(writeTextTrace("/dev/full", in), "write failed");
+    EXPECT_FATAL(writeBinaryTrace("/dev/full", in), "write failed");
+    EXPECT_FATAL(writeBst2Trace("/dev/full", in, 4), "write failed");
+    {
+        Bst2Writer w("/dev/full", 4); // the first full chunk flushes
+        EXPECT_FATAL(w.append(all), "write failed");
+    }
+    {
+        Bst2Writer w("/dev/full");
+        w.append(all);
+        EXPECT_FATAL(w.finish(), "write failed");
+    }
+    {
+        // Dropped unfinished: the destructor closes without throwing,
+        // or this process would terminate here.
+        Bst2Writer w("/dev/full");
+        w.append(all);
+    }
 }
 
 TEST(RecordingStreamLimit, CapsAndCountsOverflow)

@@ -19,6 +19,7 @@
 #include "workload/generators.hh"
 #include "workload/trace.hh"
 #include "workload/trace_format.hh"
+#include "expect_fatal.hh"
 
 namespace bsim {
 namespace {
@@ -150,8 +151,7 @@ TEST_F(TraceReplayTest, ShardsTileTheFileOnChunkBoundaries)
     EXPECT_EQ(shardTrace(path("s.bst"), 1000).size(), 16u);
     // Text traces cannot be sharded (no record count header).
     writeTextTrace(path("s.din"), captured);
-    EXPECT_EXIT(shardTrace(path("s.din"), 2),
-                ::testing::ExitedWithCode(1), "cannot shard");
+    EXPECT_FATAL(shardTrace(path("s.din"), 2), "cannot shard");
 }
 
 TEST_F(TraceReplayTest, ShardedReplayIsBitIdenticalAtAnyJobs)
