@@ -12,8 +12,6 @@
  * is the authoritative flag list.
  */
 
-#include <cctype>
-#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -116,15 +114,12 @@ template <typename T = std::uint64_t>
 T
 parseNum(const char *flag, const char *s)
 {
-    char *end = nullptr;
-    errno = 0;
-    const unsigned long long v = std::strtoull(s, &end, 0);
-    if (!std::isdigit(static_cast<unsigned char>(*s)) || *end ||
-        errno == ERANGE || v > std::numeric_limits<T>::max())
+    const std::optional<std::uint64_t> v = parseCount(s);
+    if (!v || *v > std::numeric_limits<T>::max())
         usage((std::string("bad number for ") + flag + ": '" + s +
                "'")
                   .c_str());
-    return static_cast<T>(v);
+    return static_cast<T>(*v);
 }
 
 /** --trace-info: the header/probe readout, no records replayed. */

@@ -4,7 +4,7 @@
  * the figure/table reproductions, run the paper's flagship configurations
  * (plus both exact-equivalence limits) through the verify/ OracleChecker
  * and report the checked-step counts. This is the "is the simulator
- * telling the truth" gate — the fuzz campaign lives in tests/bsim_verify,
+ * telling the truth" gate — the campaign lives in tests/bsim_verify,
  * this hook pins the specific configurations the paper's numbers use.
  */
 
@@ -12,7 +12,7 @@
 #include <vector>
 
 #include "common/table.hh"
-#include "verify/fuzz.hh"
+#include "verify/campaign.hh"
 
 using namespace bsim;
 
@@ -21,23 +21,17 @@ namespace {
 struct Cell
 {
     const char *label;
-    FuzzSpec spec;
+    VerifyCase verifyCase;
 };
 
-FuzzSpec
-paperSpec(std::uint32_t mf, std::uint32_t bas, WritePolicy wp,
-          std::uint64_t seed)
+/** A paper cell: 24-bit addresses, 1% writebacks from above. */
+VerifyCase
+paperCase(const char *spec, std::uint64_t seed)
 {
-    FuzzSpec s;
-    s.params.sizeBytes = 16 * 1024; // the paper's L1 baseline
-    s.params.lineBytes = 32;
-    s.params.mf = mf;
-    s.params.bas = bas;
-    s.params.writePolicy = wp;
-    s.addrBits = 24;
-    s.writebackFraction = 0.01;
-    s.seed = seed;
-    return s;
+    return {.cacheSpec = spec,
+            .addrBits = 24,
+            .writebackFraction = 0.01,
+            .seed = seed};
 }
 
 } // namespace
@@ -46,31 +40,29 @@ int
 main()
 {
     const std::uint64_t steps = 100000;
+    // The paper's L1 baseline: 16 kB, 32 B lines.
     std::vector<Cell> cells = {
-        {"baseline-dm (BAS=1)",
-         paperSpec(1, 1, WritePolicy::WriteBackAllocate, 11)},
-        {"paper MF=8 BAS=8",
-         paperSpec(8, 8, WritePolicy::WriteBackAllocate, 12)},
+        {"baseline-dm (BAS=1)", paperCase("bcache:16kB,mf=1,bas=1", 11)},
+        {"paper MF=8 BAS=8", paperCase("bcache:16kB,mf=8,bas=8", 12)},
         {"paper MF=8 BAS=8 wt",
-         paperSpec(8, 8, WritePolicy::WriteThroughNoAllocate, 13)},
+         paperCase("bcache:16kB,mf=8,bas=8,wp=wt", 13)},
         // PI must cover all addrBits-5-6 = 13 upper bits: 2^10 * BAS=8.
         {"saturated-PI (exact SA)",
-         paperSpec(1u << 10, 8, WritePolicy::WriteBackAllocate, 14)},
-        {"MF=16 BAS=2",
-         paperSpec(16, 2, WritePolicy::WriteBackAllocate, 15)},
+         paperCase("bcache:16kB,mf=1024,bas=8", 14)},
+        {"MF=16 BAS=2", paperCase("bcache:16kB,mf=16,bas=2", 15)},
     };
 
     Table t({"config", "oracles", "steps", "verdict"});
     int rc = 0;
     for (const Cell &c : cells) {
-        const FuzzResult r = runFuzzCase(c.spec, steps);
+        const VerifyResult r = runOracleCase(c.verifyCase, steps);
         t.row()
             .cell(c.label)
             .cell(r.oracleModes)
             .cell(r.steps)
             .cell(r.ok ? "agree" : "DIVERGED");
         if (!r.ok) {
-            std::fprintf(stderr, "%s\n%s\n", c.spec.toString().c_str(),
+            std::fprintf(stderr, "%s\n%s\n", c.verifyCase.toString().c_str(),
                          r.toString().c_str());
             rc = 1;
         }

@@ -44,6 +44,14 @@
 # src/common/logging.cc, nothing reads the retired fatal-mode switch,
 # and no test forks to watch for exit status 1 (EXPECT_FATAL checks the
 # thrown FatalError in-process).
+#
+# And it keeps one verification campaign and one count parser (pass
+# 10): none of the retired campaign types, runners, header or env
+# knobs (spelled with a bracket, like passes 7-8) appears in src/,
+# bench/, tests/, examples/, docs/ or EXPERIMENTS.md, and no strtoul or
+# strtoull appears under src/ or bench/ outside parseCount in
+# src/common/strings.cc and the size-suffix parser in
+# src/sim/cache_spec.cc.
 set -eu
 
 repo_root=$(CDPATH= cd -- "$(dirname -- "$0")/.." && pwd)
@@ -212,6 +220,31 @@ if matches=$(grep -rn "ExitedWithCode(1)" tests/); then
     fail=1
 fi
 
+# ---- pass 10: one verification campaign, one count parser ----
+if matches=$(grep -rn --exclude-dir=api \
+        "Fuzz[S]pec\|randomFuzz[S]pec\|runFuzz[C]ase\|Fuzz[R]esult\|runBatchEquiv[C]ase\|verify/fuzz[.]hh\|BSIM_VERIFY_[B]ATCHED\|BSIM_VERIFY_[A]LT_" \
+        src/ bench/ tests/ examples/ docs/ EXPERIMENTS.md); then
+    echo "check_specs: a retired campaign type, runner or knob is back" \
+         "(sample a VerifyCase; run runOracleCase or runTwinCase):" >&2
+    echo "$matches" >&2
+    fail=1
+fi
+strto=$(grep -rn "strtoull\?(" src/ bench/ || true)
+if matches=$(echo "$strto" | grep . |
+        grep -v "^src/common/strings\.cc:" |
+        grep -v "^src/sim/cache_spec\.cc:.*std::strtoull(text\.c_str()"); then
+    echo "check_specs: a hand-rolled number parser (use parseCount," \
+         "common/strings.hh):" >&2
+    echo "$matches" >&2
+    fail=1
+fi
+if [ "$(echo "$strto" | grep -c "^src/common/strings\.cc:")" -gt 1 ]; then
+    echo "check_specs: more than one strtoull in common/strings.cc" \
+         "(parseCount is the one count parser):" >&2
+    echo "$strto" >&2
+    fail=1
+fi
+
 if [ "$fail" -ne 0 ]; then
     echo "check_specs: FAIL" >&2
     exit 1
@@ -220,5 +253,6 @@ echo "check_specs: OK ($n_kinds kinds; registry, --list-caches and" \
      "ARCHITECTURE.md grammar table in sync; harnesses declarative;" \
      "no kind switches or casts outside the registry; one twin" \
      "driver in src/verify; one replacement type; one per-line" \
-     "histogram; one error path)"
+     "histogram; one error path; one verification campaign and one" \
+     "count parser)"
 exit 0

@@ -3,8 +3,12 @@
 #include <algorithm>
 #include <cctype>
 #include <charconv>
+#include <cerrno>
 #include <cstdarg>
 #include <cstdio>
+#include <cstdlib>
+
+#include "common/logging.hh"
 
 namespace bsim {
 
@@ -101,6 +105,34 @@ join(const std::vector<std::string> &parts, const std::string &sep)
         out += parts[i];
     }
     return out;
+}
+
+std::optional<std::uint64_t>
+parseCount(const std::string &s, int base)
+{
+    if (s.empty() || !std::isdigit(static_cast<unsigned char>(s[0])))
+        return std::nullopt;
+    char *end = nullptr;
+    errno = 0;
+    const unsigned long long v = std::strtoull(s.c_str(), &end, base);
+    if (end != s.c_str() + s.size() || errno == ERANGE)
+        return std::nullopt;
+    return v;
+}
+
+std::uint64_t
+envCount(const char *var, std::uint64_t fallback, std::uint64_t lo,
+         std::uint64_t hi)
+{
+    const char *v = std::getenv(var);
+    if (!v || !*v)
+        return fallback;
+    const std::optional<std::uint64_t> n = parseCount(v);
+    if (!n || *n < lo || *n > hi) {
+        bsim_warn("ignoring bad ", var, "='", v, "'");
+        return fallback;
+    }
+    return *n;
 }
 
 } // namespace bsim

@@ -7,6 +7,8 @@
 #define BSIM_COMMON_STRINGS_HH
 
 #include <cstdint>
+#include <limits>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -38,6 +40,26 @@ bool startsWith(const std::string &s, const std::string &prefix);
 /** Join strings with a separator. */
 std::string join(const std::vector<std::string> &parts,
                  const std::string &sep);
+
+/**
+ * The one unsigned-count parser for flags, environment knobs and spec
+ * parameters: decimal, hex (0x) or octal (leading 0) — or, with
+ * @p base 10, decimal only. The first character must be a digit (no
+ * sign, no blank) and the whole string must be consumed; a value above
+ * 2^64-1 is rejected. nullopt on any of these.
+ */
+std::optional<std::uint64_t> parseCount(const std::string &s,
+                                        int base = 0);
+
+/**
+ * The count in environment variable @p var: @p fallback when it is
+ * unset or empty, and also, with a warning, when it is not a
+ * parseCount() count in [@p lo, @p hi].
+ */
+std::uint64_t envCount(const char *var, std::uint64_t fallback,
+                       std::uint64_t lo = 1,
+                       std::uint64_t hi =
+                           std::numeric_limits<std::uint64_t>::max());
 
 } // namespace bsim
 

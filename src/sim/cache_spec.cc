@@ -113,20 +113,20 @@ parseSize(const std::string &text, const std::string &what)
  * @p token, the parameter as typed.
  */
 std::uint64_t
-parseCount(const std::string &digits, const std::string &what,
-           std::uint64_t max, const std::string &token)
+specCount(const std::string &digits, const std::string &what,
+          std::uint64_t max, const std::string &token)
 {
-    char *end = nullptr;
-    errno = 0;
-    const unsigned long long n =
-        leadsWithDigit(digits) ? std::strtoull(digits.c_str(), &end, 10)
-                               : 0;
-    if (end == nullptr || *end)
+    if (digits.empty() ||
+        !std::all_of(digits.begin(), digits.end(), [](unsigned char ch) {
+            return std::isdigit(ch);
+        }))
         throw CacheSpecError("bad " + what + " '" + token +
                              "'; expected a decimal count");
-    if (errno == ERANGE || n > max)
+    // Digits only, so parseCount fails on overflow alone.
+    const std::optional<std::uint64_t> n = parseCount(digits, 10);
+    if (!n || *n > max)
         throw outOfRange(what, token, max);
-    return n;
+    return *n;
 }
 
 /** Shared `[,repl=R][,wp=P][,line=B]` canonical tail. */
@@ -267,7 +267,7 @@ SpecParams::count(const std::string &key, std::uint64_t fallback,
     if (!t)
         return fallback;
     t->used = true;
-    return parseCount(t->value, kind_ + " parameter", max, t->text);
+    return specCount(t->value, kind_ + " parameter", max, t->text);
 }
 
 std::uint64_t
@@ -851,7 +851,7 @@ parseCacheSpec(const std::string &spec)
                 "bad composition '" + spec +
                 "': a victim buffer attaches to a direct-mapped base "
                 "(dm:<size>)");
-        const std::uint64_t entries = parseCount(
+        const std::uint64_t entries = specCount(
             tail.substr(7), "victim entries", kMaxVictimEntries, tail);
         requireEntries(entries);
         return CacheConfig::victim(base.sizeBytes, entries,

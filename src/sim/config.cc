@@ -1,9 +1,10 @@
 #include "sim/config.hh"
 
-#include <cstdlib>
+#include <limits>
 #include <thread>
 
 #include "common/logging.hh"
+#include "common/strings.hh"
 
 namespace bsim {
 
@@ -22,15 +23,10 @@ figure4Configs(std::uint64_t size_bytes)
 unsigned
 defaultJobs()
 {
-    if (const char *v = std::getenv("BSIM_JOBS"); v && *v) {
-        char *end = nullptr;
-        const unsigned long n = std::strtoul(v, &end, 10);
-        if (end != v && *end == '\0' && n >= 1)
-            return static_cast<unsigned>(n);
-        bsim_warn("ignoring bad BSIM_JOBS='", v, "'");
-    }
     const unsigned hw = std::thread::hardware_concurrency();
-    return hw ? hw : 1;
+    return static_cast<unsigned>(
+        envCount("BSIM_JOBS", hw ? hw : 1, 1,
+                 std::numeric_limits<unsigned>::max()));
 }
 
 unsigned
@@ -51,12 +47,10 @@ consumeJobsFlag(int &argc, char **argv)
             argv[w++] = argv[r];
             continue;
         }
-        char *end = nullptr;
-        const unsigned long n = std::strtoul(value.c_str(), &end, 10);
-        if (value.empty() || end == value.c_str() || *end != '\0' ||
-            n < 1)
+        const std::optional<std::uint64_t> n = parseCount(value);
+        if (!n || *n < 1 || *n > std::numeric_limits<unsigned>::max())
             bsim_fatal("bad --jobs value '", value, "'");
-        jobs = static_cast<unsigned>(n);
+        jobs = static_cast<unsigned>(*n);
     }
     argc = w;
     argv[argc] = nullptr;

@@ -1,33 +1,12 @@
 #include "sim/runner.hh"
 
 #include <algorithm>
-#include <cerrno>
-#include <cstdlib>
 
-#include "common/logging.hh"
+#include "common/strings.hh"
 #include "power/cacti_lite.hh"
 #include "sim/session.hh"
 
 namespace bsim {
-
-namespace {
-
-std::uint64_t
-envCount(const char *var, std::uint64_t fallback)
-{
-    const char *v = std::getenv(var);
-    if (!v || !*v)
-        return fallback;
-    char *end = nullptr;
-    const unsigned long long n = std::strtoull(v, &end, 10);
-    if (end == v || n == 0) {
-        bsim_warn("ignoring bad ", var, "='", v, "'");
-        return fallback;
-    }
-    return n;
-}
-
-} // namespace
 
 std::uint64_t
 defaultAccesses(std::uint64_t fallback)
@@ -39,18 +18,8 @@ std::size_t
 defaultBatchLen()
 {
     // BSIM_BATCH=0 (or 1) falls back to the per-access path; any other
-    // value is the batch length. Unlike envCount, 0 is meaningful here.
-    const char *v = std::getenv("BSIM_BATCH");
-    if (!v || !*v)
-        return kDefaultBatchLen;
-    char *end = nullptr;
-    errno = 0;
-    const unsigned long long n = std::strtoull(v, &end, 10);
-    if (end == v || *end || errno == ERANGE || n > kMaxBatchLen) {
-        bsim_warn("ignoring bad BSIM_BATCH='", v, "'");
-        return kDefaultBatchLen;
-    }
-    return static_cast<std::size_t>(n);
+    // value is the batch length.
+    return envCount("BSIM_BATCH", kDefaultBatchLen, 0, kMaxBatchLen);
 }
 
 std::uint64_t

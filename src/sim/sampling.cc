@@ -1,8 +1,7 @@
 #include "sim/sampling.hh"
 
-#include <cstdlib>
-
 #include "common/logging.hh"
+#include "common/strings.hh"
 
 namespace bsim {
 
@@ -12,12 +11,11 @@ std::uint64_t
 parseField(const std::string &spec, const std::string &field,
            const char *name)
 {
-    char *end = nullptr;
-    const unsigned long long n = std::strtoull(field.c_str(), &end, 10);
-    if (field.empty() || end == field.c_str() || *end != '\0')
+    const std::optional<std::uint64_t> n = parseCount(field);
+    if (!n)
         bsim_fatal("bad --sample spec '", spec, "': ", name,
                    " is not a number (want U:P[:W])");
-    return n;
+    return *n;
 }
 
 } // namespace

@@ -4,6 +4,7 @@
 #include <functional>
 #include <span>
 
+#include "bcache/bcache.hh"
 #include "common/bits.hh"
 #include "common/logging.hh"
 #include "common/random.hh"
@@ -21,14 +22,14 @@ constexpr std::size_t kMaxMismatches = 8;
 constexpr std::size_t kSpanLen = 4096;
 
 void
-note(BatchEquivResult &res, std::string what)
+note(VerifyResult &res, std::string what)
 {
-    if (res.mismatches.size() < kMaxMismatches)
-        res.mismatches.push_back(std::move(what));
+    if (res.problems.size() < kMaxMismatches)
+        res.problems.push_back(std::move(what));
 }
 
 void
-compareStats(BatchEquivResult &res, const CacheStats &pa,
+compareStats(VerifyResult &res, const CacheStats &pa,
              const CacheStats &ba)
 {
     const struct
@@ -68,7 +69,7 @@ sideString(const SideCounters &counters)
 
 /** Per-line usage counters (the Table 7 inputs), line by line. */
 void
-compareUsage(BatchEquivResult &res, std::span<const SetUsage> ua,
+compareUsage(VerifyResult &res, std::span<const SetUsage> ua,
              std::span<const SetUsage> ub)
 {
     if (ua.size() != ub.size()) {
@@ -90,7 +91,7 @@ compareUsage(BatchEquivResult &res, std::span<const SetUsage> ua,
 }
 
 void
-compareEvents(BatchEquivResult &res, const std::vector<MemEvent> &ea,
+compareEvents(VerifyResult &res, const std::vector<MemEvent> &ea,
               const std::vector<MemEvent> &eb)
 {
     if (ea.size() != eb.size())
@@ -117,18 +118,18 @@ compareEvents(BatchEquivResult &res, const std::vector<MemEvent> &ea,
 struct TwinHooks
 {
     /** After every batch. */
-    std::function<void(BatchEquivResult &)> afterBatch;
+    std::function<void(VerifyResult &)> afterBatch;
     /** Per sampled address; false ends the sample. */
-    std::function<bool(BatchEquivResult &, Addr)> atSample;
+    std::function<bool(VerifyResult &, Addr)> atSample;
     /** After the run. */
-    std::function<void(BatchEquivResult &)> atEnd;
+    std::function<void(VerifyResult &)> atEnd;
 };
 
 /**
  * The twin loop: @p per_access and @p batched were built from
  * @p config onto @p mem_a and @p mem_b.
  */
-BatchEquivResult
+VerifyResult
 driveTwins(const CacheConfig &config, BaseCache &per_access,
            TrackingMemory &mem_a, BaseCache &batched,
            TrackingMemory &mem_b, AccessStream &stream, const TwinRun &run,
@@ -136,13 +137,13 @@ driveTwins(const CacheConfig &config, BaseCache &per_access,
 {
     bsim_assert(run.batchLen >= 1, "twin batches need at least one access");
     bsim_assert(run.addrBits >= 1 && run.addrBits < 64);
-    BatchEquivResult res;
+    VerifyResult res;
     const Addr addr_mask = mask(run.addrBits);
 
     // The functional model polices residency and write conservation on
     // the per-access twin, organisation-agnostically.
     FunctionalResidencyModel model(per_access, config.writePolicy);
-    // A writeback case replays identically under runFuzzCase, which
+    // A writeback case replays identically under runOracleCase, which
     // draws its interleaving from the same constant.
     Rng rng(run.seed ^ 0xdecafbadULL);
 
@@ -213,7 +214,7 @@ driveTwins(const CacheConfig &config, BaseCache &per_access,
                 flush();
         }
         ++res.steps;
-        if (res.mismatches.size() >= kMaxMismatches)
+        if (res.problems.size() >= kMaxMismatches)
             break;
     }
     flush();
@@ -247,55 +248,53 @@ driveTwins(const CacheConfig &config, BaseCache &per_access,
         note(res, "conservation: " + v);
     compareEvents(res, events_a, mem_b.drain());
 
-    res.ok = res.mismatches.empty();
+    res.ok = res.problems.empty();
     return res;
 }
 
 } // namespace
 
 std::string
-BatchEquivResult::toString() const
+VerifyResult::toString() const
 {
     std::string s = strprintf("%s after %llu steps",
                               ok ? "OK" : "FAILED",
                               (unsigned long long)steps);
-    for (const std::string &m : mismatches)
-        s += "\n  " + m;
+    if (!oracleModes.empty())
+        s += " (oracles: " + oracleModes + ")";
+    for (const std::string &p : problems)
+        s += "\n  " + p;
     return s;
 }
 
-BatchEquivResult
+VerifyResult
 runBatchEquiv(const CacheConfig &config, AccessStream &stream,
               const TwinRun &run)
 {
     TrackingMemory mem_a, mem_b;
-    const std::unique_ptr<BaseCache> per_access =
-        config.build("equiv-per-access", /*hit_latency=*/1, &mem_a);
-    const std::unique_ptr<BaseCache> batched =
-        config.build("equiv-batched", /*hit_latency=*/1, &mem_b);
-    return driveTwins(config, *per_access, mem_a, *batched, mem_b, stream,
-                      run, {});
-}
+    if (config.kind != CacheKind::BCache) {
+        const std::unique_ptr<BaseCache> per_access =
+            config.build("equiv-per-access", /*hit_latency=*/1, &mem_a);
+        const std::unique_ptr<BaseCache> batched =
+            config.build("equiv-batched", /*hit_latency=*/1, &mem_b);
+        return driveTwins(config, *per_access, mem_a, *batched, mem_b,
+                          stream, run, {});
+    }
 
-BatchEquivResult
-runBatchEquivCase(const FuzzSpec &spec, std::uint64_t accesses,
-                  std::size_t batch_len)
-{
-    TrackingMemory mem_a, mem_b;
-    BCache per_access("equiv-per-access", spec.params,
-                      /*hit_latency=*/1, &mem_a);
-    BCache batched("equiv-batched", spec.params, /*hit_latency=*/1,
-                   &mem_b);
+    const BCacheParams params = seededBCacheParams(config, run.seed);
+    BCache per_access("equiv-per-access", params, /*hit_latency=*/1,
+                      &mem_a);
+    BCache batched("equiv-batched", params, /*hit_latency=*/1, &mem_b);
 
     TwinHooks hooks;
-    hooks.afterBatch = [&](BatchEquivResult &res) {
+    hooks.afterBatch = [&](VerifyResult &res) {
         if (per_access.lastOutcome() != batched.lastOutcome())
             note(res, strprintf("lastOutcome after batch: per-access %d "
                                 "vs batched %d",
                                 (int)per_access.lastOutcome(),
                                 (int)batched.lastOutcome()));
     };
-    hooks.atSample = [&](BatchEquivResult &res, Addr addr) {
+    hooks.atSample = [&](VerifyResult &res, Addr addr) {
         if (per_access.classify(addr) == batched.classify(addr))
             return true;
         note(res, strprintf("classify(0x%llx): per-access %d vs "
@@ -305,22 +304,23 @@ runBatchEquivCase(const FuzzSpec &spec, std::uint64_t accesses,
                             (int)batched.classify(addr)));
         return false;
     };
-    hooks.atEnd = [&](BatchEquivResult &res) {
+    hooks.atEnd = [&](VerifyResult &res) {
         if (per_access.validLines() != batched.validLines())
             note(res, strprintf("validLines: per-access %zu vs batched "
                                 "%zu",
                                 per_access.validLines(),
                                 batched.validLines()));
     };
+    return driveTwins(config, per_access, mem_a, batched, mem_b, stream,
+                      run, hooks);
+}
 
-    const TwinRun run{.accesses = accesses,
-                      .batchLen = batch_len,
-                      .writebackFraction = spec.writebackFraction,
-                      .seed = spec.seed,
-                      .addrBits = spec.addrBits};
-    AccessStreamPtr stream = makeFuzzStream(spec);
-    return driveTwins(parseCacheSpec(spec.cacheSpec()), per_access, mem_a,
-                      batched, mem_b, *stream, run, hooks);
+BCacheParams
+seededBCacheParams(const CacheConfig &config, std::uint64_t seed)
+{
+    BCacheParams p = config.bcacheParams();
+    p.replSeed = seed | 1;
+    return p;
 }
 
 } // namespace bsim

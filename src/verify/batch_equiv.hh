@@ -11,12 +11,12 @@
  * FunctionalResidencyModel polices residency and write conservation on
  * the per-access twin.
  *
- * This is the one twin driver; its sources are thin adapters: the
- * fuzzed B-Cache case below (which adds the PD checks that have no
- * generic form), the registry-wide campaign in verify/twin_fuzz, the
- * trace window in verify/trace_drive and the pinned streams of
- * tests/test_batch_equivalence.cc. It is the multi-element complement of
- * OracleOptions::driveBatched, which polices the batched entry point
+ * This is the one twin driver; a B-Cache twin also gets the PD checks
+ * that have no generic form. Its sources are thin adapters: the
+ * sampled cases of verify/campaign, the trace window in
+ * verify/trace_drive and the pinned streams of
+ * tests/test_batch_equivalence.cc. It is the multi-element complement
+ * of OracleOptions::driveBatched, which polices the batched entry point
  * with one-element batches against the shadow-PD oracles.
  */
 
@@ -27,18 +27,21 @@
 #include <string>
 #include <vector>
 
+#include "bcache/bcache_params.hh"
 #include "sim/cache_spec.hh"
-#include "verify/fuzz.hh"
 #include "workload/access_stream.hh"
 
 namespace bsim {
 
-/** Outcome of one twin-DUT equivalence case. */
-struct BatchEquivResult
+/** Outcome of one verify run: a twin check, an oracle run or a case. */
+struct VerifyResult
 {
     bool ok = false;
     std::uint64_t steps = 0; ///< accesses + writebacks driven
-    std::vector<std::string> mismatches;
+    /** The oracle checker's active oracle set; empty for a twin check. */
+    std::string oracleModes;
+    /** Divergences and mismatches, one line each (capped). */
+    std::vector<std::string> problems;
 
     std::string toString() const;
 };
@@ -63,21 +66,22 @@ struct TwinRun
 };
 
 /**
- * Twin-drive two caches built from @p config over @p stream. Stops
- * collecting after a handful of mismatches.
+ * Twin-drive two caches built from @p config over @p stream. A B-Cache
+ * pair is built from seededBCacheParams(config, run.seed) and also
+ * compared on lastOutcome() after every batch, classify() over the
+ * address sample, and validLines(). Stops collecting after a handful of
+ * mismatches.
  */
-BatchEquivResult runBatchEquiv(const CacheConfig &config,
-                               AccessStream &stream, const TwinRun &run);
+VerifyResult runBatchEquiv(const CacheConfig &config, AccessStream &stream,
+                           const TwinRun &run);
 
 /**
- * The fuzzed B-Cache case: twins built from spec.params (so the sampled
- * replSeed is honoured) over makeFuzzStream(spec), plus the PD checks
- * with no generic form — lastOutcome() after every batch, classify()
- * over the address sample, and validLines().
+ * The B-Cache @p config names (its kind must be BCache), with the
+ * replacement RNG seeded from @p seed, so random-replacement runs
+ * differ from case to case.
  */
-BatchEquivResult runBatchEquivCase(const FuzzSpec &spec,
-                                   std::uint64_t accesses,
-                                   std::size_t batch_len = 64);
+BCacheParams seededBCacheParams(const CacheConfig &config,
+                                std::uint64_t seed);
 
 } // namespace bsim
 

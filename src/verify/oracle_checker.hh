@@ -67,8 +67,9 @@ struct OracleOptions
      * Drive every DUT access through accessBatch() (one-element batches)
      * instead of access(), so the whole oracle arsenal — classify
      * probes, lastOutcome, event sequences, counters — also polices the
-     * batched entry point (BSIM_VERIFY_BATCHED=1 in tests/bsim_verify).
-     * Multi-element batches are cross-checked by verify/batch_equiv.
+     * batched entry point (the oracle-batched campaign of
+     * tests/bsim_verify). Multi-element batches are cross-checked by
+     * verify/batch_equiv.
      */
     bool driveBatched = false;
 };

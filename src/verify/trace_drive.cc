@@ -12,19 +12,20 @@ constexpr std::size_t kDriveSpan = 4096;
 
 } // namespace
 
-FuzzResult
-runOracleOnTrace(const std::string &path, const BCacheParams &params,
+VerifyResult
+runOracleOnTrace(const std::string &path, const CacheConfig &config,
                  const OracleOptions &opts, const TraceShard &shard,
                  std::uint64_t max_accesses)
 {
     TraceReaderPtr reader = openTraceReader(path, shard);
 
     TrackingMemory mem;
-    BCache dut("trace-dut", params, /*hit_latency=*/1, &mem);
+    BCache dut("trace-dut", config.bcacheParams(), /*hit_latency=*/1,
+               &mem);
     OracleChecker checker(dut, mem, opts);
     const Addr addr_mask = mask(opts.addrBits);
 
-    FuzzResult res;
+    VerifyResult res;
     res.oracleModes = checker.oracleModes();
     std::uint64_t left =
         max_accesses ? max_accesses : ~std::uint64_t{0};
@@ -47,12 +48,13 @@ runOracleOnTrace(const std::string &path, const BCacheParams &params,
         left -= s.size();
     }
     checker.finish();
+    for (const Divergence &d : checker.divergences())
+        res.problems.push_back(d.toString());
     res.ok = checker.ok();
-    res.divergences = checker.divergences();
     return res;
 }
 
-BatchEquivResult
+VerifyResult
 runBatchEquivOnTrace(const std::string &path, const CacheConfig &config,
                      unsigned addr_bits, std::size_t batch_len,
                      const TraceShard &shard, std::uint64_t max_accesses)

@@ -20,35 +20,35 @@
 #include <string>
 
 #include "verify/batch_equiv.hh"
-#include "verify/fuzz.hh"
+#include "verify/oracle_checker.hh"
 #include "workload/trace_reader.hh"
 
 namespace bsim {
 
 /**
- * Drive a BCache built from @p params and its oracles in lockstep over
+ * Drive the B-Cache @p config names and its oracles in lockstep over
  * one trace window (the whole file by default). @p max_accesses 0
  * replays the window to its end; traces carry no writebacks from above,
  * so only onAccess steps are driven. Divergences stop the replay early,
- * exactly like runFuzzCase.
+ * exactly like runOracleCase (verify/campaign).
  */
-FuzzResult runOracleOnTrace(const std::string &path,
-                            const BCacheParams &params,
-                            const OracleOptions &opts = {},
-                            const TraceShard &shard = {},
-                            std::uint64_t max_accesses = 0);
+VerifyResult runOracleOnTrace(const std::string &path,
+                              const CacheConfig &config,
+                              const OracleOptions &opts = {},
+                              const TraceShard &shard = {},
+                              std::uint64_t max_accesses = 0);
 
 /**
  * The twin-DUT check of verify/batch_equiv over one trace window: twins
  * built from @p config, @p batch_len-element batches, records masked to
  * @p addr_bits. @p max_accesses 0 replays the window to its end.
  */
-BatchEquivResult runBatchEquivOnTrace(const std::string &path,
-                                      const CacheConfig &config,
-                                      unsigned addr_bits = 32,
-                                      std::size_t batch_len = 64,
-                                      const TraceShard &shard = {},
-                                      std::uint64_t max_accesses = 0);
+VerifyResult runBatchEquivOnTrace(const std::string &path,
+                                  const CacheConfig &config,
+                                  unsigned addr_bits = 32,
+                                  std::size_t batch_len = 64,
+                                  const TraceShard &shard = {},
+                                  std::uint64_t max_accesses = 0);
 
 } // namespace bsim
 

@@ -33,6 +33,7 @@
 
 #include "bcache/bcache.hh"
 #include "bench/bench_json.hh"
+#include "common/strings.hh"
 #include "sim/runner.hh"
 #include "workload/spec2k.hh"
 
@@ -51,15 +52,6 @@ envDouble(const char *name, double fallback)
     char *end = nullptr;
     const double d = std::strtod(v, &end);
     return end == v ? fallback : d;
-}
-
-std::uint64_t
-envU64(const char *name, std::uint64_t fallback)
-{
-    const char *v = std::getenv(name);
-    if (!v || !*v)
-        return fallback;
-    return std::strtoull(v, nullptr, 0);
 }
 
 /** Accesses/second of one full pass over @p reqs, per-access driving. */
@@ -95,7 +87,7 @@ int
 main()
 {
     const double threshold = envDouble("BSIM_PERF_THRESHOLD", 1.15);
-    const std::uint64_t n = envU64("BSIM_PERF_ACCESSES", 1ull << 23);
+    const std::uint64_t n = envCount("BSIM_PERF_ACCESSES", 1ull << 23);
     constexpr std::size_t kBatchLen = kDefaultBatchLen;
     constexpr int kRounds = 5;
 

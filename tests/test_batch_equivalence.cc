@@ -6,10 +6,10 @@
  * PD state, variant side counters, and the exact ordered next-level
  * event sequence.
  *
- * Everything runs through the one twin driver in verify/batch_equiv:
- * fuzzed B-Cache configurations through runBatchEquivCase (which adds
- * the PD classification checks), and one pinned conflict-heavy stream
- * per registered variant through runBatchEquiv.
+ * Everything runs through the one twin driver in verify/batch_equiv
+ * (which adds the PD classification checks for a B-Cache): sampled
+ * B-Cache cases through runTwinCase, and one pinned conflict-heavy
+ * stream per registered variant through runBatchEquiv.
  */
 
 #include <gtest/gtest.h>
@@ -18,7 +18,7 @@
 
 #include "common/random.hh"
 #include "verify/batch_equiv.hh"
-#include "verify/twin_fuzz.hh"
+#include "verify/campaign.hh"
 #include "workload/generators.hh"
 
 using namespace bsim;
@@ -61,7 +61,7 @@ expectTwinsAgree(const std::string &spec,
                  unsigned addr_bits, std::uint64_t seed)
 {
     VectorStream stream(reqs);
-    const BatchEquivResult r =
+    const VerifyResult r =
         runBatchEquiv(parseCacheSpec(spec), stream,
                       {.accesses = reqs.size(),
                        .batchLen = batch_len,
@@ -83,14 +83,13 @@ pinnedStreamCase(const std::string &spec, std::size_t n,
 
 TEST(BatchEquivalence, BCacheFuzzedConfigs)
 {
-    // 12 fuzzed configurations x 40k steps through the twin-DUT checker;
-    // covers write-back and write-through, all replacement policies,
-    // BAS=1 and saturated-PI corners as sampled.
-    for (std::uint64_t c = 0; c < 12; ++c) {
-        const FuzzSpec spec = randomFuzzSpec(0xba7c4 + c * 977);
-        const BatchEquivResult r =
-            runBatchEquivCase(spec, 40000, 16 + 16 * (c % 8));
-        EXPECT_TRUE(r.ok) << "spec: " << spec.toString() << "\n"
+    // 12 sampled configurations x 40k steps through the twin-DUT
+    // checker; covers write-back and write-through, all replacement
+    // policies, BAS=1 and saturated-PI corners as sampled.
+    for (std::uint64_t i = 0; i < 12; ++i) {
+        const VerifyCase c = sampleCase("bcache", 0xba7c4 + i * 977);
+        const VerifyResult r = runTwinCase(c, 40000, 16 + 16 * (i % 8));
+        EXPECT_TRUE(r.ok) << "case: " << c.toString() << "\n"
                           << r.toString();
     }
 }
@@ -99,9 +98,9 @@ TEST(BatchEquivalence, BCacheOddBatchLengths)
 {
     // Batch lengths that never divide the stream length, so the tail
     // batch is exercised; length 1 must equal per-access trivially.
-    const FuzzSpec spec = randomFuzzSpec(0x0ddba7);
+    const VerifyCase c = sampleCase("bcache", 0x0ddba7);
     for (const std::size_t len : {1u, 3u, 7u, 1021u}) {
-        const BatchEquivResult r = runBatchEquivCase(spec, 20001, len);
+        const VerifyResult r = runTwinCase(c, 20001, len);
         EXPECT_TRUE(r.ok) << "batch_len=" << len << "\n" << r.toString();
     }
 }
@@ -169,17 +168,16 @@ TEST(BatchEquivalence, HacTwins)
 TEST(BatchEquivalence, EveryRegisteredKindHasATwinSampler)
 {
     // A registry entry without a sampler would never be twin-checked by
-    // the bsim_verify_alt campaign; each sampled spec must also name its
-    // own kind.
+    // the twin campaign; each sampled spec must also name its own kind.
     for (const CacheSpecEntry &e : CacheFactory::instance().entries()) {
         for (std::uint64_t seed = 1; seed <= 8; ++seed) {
-            TwinCase c;
-            ASSERT_NO_THROW(c = sampleTwinCase(e.name, seed)) << e.name;
+            VerifyCase c;
+            ASSERT_NO_THROW(c = sampleCase(e.name, seed)) << e.name;
             EXPECT_EQ(c.cacheSpec.rfind(e.name + ":", 0), 0u)
                 << e.name << " sampled " << c.cacheSpec;
         }
     }
-    EXPECT_THROW(sampleTwinCase("nosuch", 1), std::invalid_argument);
+    EXPECT_THROW(sampleCase("nosuch", 1), std::invalid_argument);
 }
 
 } // namespace

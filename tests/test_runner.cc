@@ -122,6 +122,12 @@ TEST(Runner, EnvOverridesRunLengths)
     EXPECT_EQ(defaultAccesses(999), 12345u);
     ::setenv("BSIM_ACCESSES", "garbage", 1);
     EXPECT_EQ(defaultAccesses(999), 999u);
+    // A sign, an exponent or a trailing suffix is not a count: each
+    // falls back instead of running 2^64-1, 1 or 12 accesses.
+    for (const char *bad : {"-1", "1e6", "12abc"}) {
+        ::setenv("BSIM_ACCESSES", bad, 1);
+        EXPECT_EQ(defaultAccesses(999), 999u) << bad;
+    }
     ::unsetenv("BSIM_ACCESSES");
     EXPECT_EQ(defaultAccesses(999), 999u);
 }

@@ -40,6 +40,7 @@
 #include <vector>
 
 #include "bench/bench_json.hh"
+#include "common/strings.hh"
 #include "common/random.hh"
 #include "sim/report.hh"
 #include "sim/runner.hh"
@@ -53,15 +54,6 @@ namespace bsim {
 namespace {
 
 using Clock = std::chrono::steady_clock;
-
-std::uint64_t
-envU64(const char *name, std::uint64_t fallback)
-{
-    const char *v = std::getenv(name);
-    if (!v || !*v)
-        return fallback;
-    return std::strtoull(v, nullptr, 0);
-}
 
 double
 envDouble(const char *name, double fallback)
@@ -284,11 +276,11 @@ TEST_F(SamplingTest, ShardAndJobCountsAreBitIdentical)
 TEST_F(SamplingTest, AcceptanceSpeedupAndCiOnLargeTrace)
 {
 #if defined(BSIM_SANITIZED) || defined(BSIM_COVERAGE)
-    const std::uint64_t n = envU64("BSIM_SAMPLING_ACCESSES", 4'000'000);
+    const std::uint64_t n = envCount("BSIM_SAMPLING_ACCESSES", 4'000'000);
     const bool enforce_speedup = false;
 #else
     const std::uint64_t n =
-        envU64("BSIM_SAMPLING_ACCESSES", 100'000'000);
+        envCount("BSIM_SAMPLING_ACCESSES", 100'000'000);
     const bool enforce_speedup = n >= 20'000'000;
 #endif
     // U = P/40 measured, W = 3U warmup: ~10% of records simulated, so

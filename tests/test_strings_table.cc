@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+
 #include "common/strings.hh"
 #include "common/table.hh"
 
@@ -42,6 +44,45 @@ TEST(Strings, Join)
 {
     EXPECT_EQ(join({"a", "b", "c"}, ","), "a,b,c");
     EXPECT_EQ(join({}, ","), "");
+}
+
+TEST(Strings, ParseCountAcceptsUnsignedDecimalHexAndOctal)
+{
+    EXPECT_EQ(parseCount("0"), 0u);
+    EXPECT_EQ(parseCount("12345"), 12345u);
+    EXPECT_EQ(parseCount("0x1F"), 31u);
+    EXPECT_EQ(parseCount("0X10"), 16u);
+    EXPECT_EQ(parseCount("010"), 8u);
+    EXPECT_EQ(parseCount("18446744073709551615"), ~std::uint64_t{0});
+}
+
+TEST(Strings, ParseCountRejectsAnythingElse)
+{
+    for (const char *bad :
+         {"", "-1", "+1", " 1", "1 ", "12abc", "1e6", "banana", "0x",
+          "08", "1.5", "18446744073709551616", "99999999999999999999"})
+        EXPECT_FALSE(parseCount(bad).has_value()) << "'" << bad << "'";
+}
+
+TEST(Strings, EnvCountFallsBackOnBadValues)
+{
+    const char *var = "BSIM_TEST_ENV_COUNT";
+    ::unsetenv(var);
+    EXPECT_EQ(envCount(var, 7), 7u);
+    ::setenv(var, "", 1);
+    EXPECT_EQ(envCount(var, 7), 7u);
+    ::setenv(var, "42", 1);
+    EXPECT_EQ(envCount(var, 7), 42u);
+    for (const char *bad : {"-1", "1e6", "12abc", "0"}) {
+        ::setenv(var, bad, 1);
+        EXPECT_EQ(envCount(var, 7), 7u) << bad;
+    }
+    // The range is the caller's: 0 may be meaningful, a cap may apply.
+    ::setenv(var, "0", 1);
+    EXPECT_EQ(envCount(var, 7, 0), 0u);
+    ::setenv(var, "9", 1);
+    EXPECT_EQ(envCount(var, 7, 1, 8), 7u);
+    ::unsetenv(var);
 }
 
 TEST(Table, CellsAndAt)

@@ -196,17 +196,17 @@ TEST_F(TraceReplayTest, OracleCheckerRunsCleanOnTraces)
 {
     const auto captured = capturedStream(3000);
     writeBst2Trace(path("o.bst"), captured, 256);
-    BCacheParams params; // 16kB MF8/BAS8 defaults
+    const CacheConfig config = parseCacheSpec("bcache:16kB,mf=8,bas=8");
     OracleOptions opts;
     opts.addrBits = 24;
-    const FuzzResult res =
-        runOracleOnTrace(path("o.bst"), params, opts);
+    const VerifyResult res =
+        runOracleOnTrace(path("o.bst"), config, opts);
     EXPECT_TRUE(res.ok) << res.toString();
     EXPECT_EQ(res.steps, captured.size());
 
     // A shard window drives the same machinery over a slice.
-    const FuzzResult slice = runOracleOnTrace(
-        path("o.bst"), params, opts, TraceShard{512, 1024});
+    const VerifyResult slice = runOracleOnTrace(
+        path("o.bst"), config, opts, TraceShard{512, 1024});
     EXPECT_TRUE(slice.ok) << slice.toString();
     EXPECT_EQ(slice.steps, 1024u);
 }
@@ -215,7 +215,7 @@ TEST_F(TraceReplayTest, BatchEquivHoldsOnTraces)
 {
     const auto captured = capturedStream(3000);
     writeBst2Trace(path("e.bst"), captured, 256);
-    const BatchEquivResult res = runBatchEquivOnTrace(
+    const VerifyResult res = runBatchEquivOnTrace(
         path("e.bst"), parseCacheSpec("bcache:16kB,mf=8,bas=8"),
         /*addr_bits=*/24, /*batch_len=*/64);
     EXPECT_TRUE(res.ok) << res.toString();

@@ -9,7 +9,7 @@
 
 #include <gtest/gtest.h>
 
-#include "verify/fuzz.hh"
+#include "verify/campaign.hh"
 #include "verify/oracle_checker.hh"
 #include "verify/tracking_memory.hh"
 
@@ -43,11 +43,13 @@ driveClean(const BCacheParams &params, unsigned addr_bits,
     if (modes)
         *modes = checker.oracleModes();
 
-    FuzzSpec spec;
-    spec.params = params;
-    spec.addrBits = addr_bits;
-    spec.seed = 42;
-    AccessStreamPtr stream = makeFuzzStream(spec);
+    CacheConfig config = CacheConfig::bcache(
+        params.sizeBytes, params.mf, params.bas, params.repl,
+        params.lineBytes);
+    config.writePolicy = params.writePolicy;
+    AccessStreamPtr stream = makeCaseStream(
+        {.cacheSpec = printCacheSpec(config), .addrBits = addr_bits,
+         .seed = 42});
     for (std::uint64_t i = 0; i < steps; ++i) {
         if (i % 37 == 36)
             checker.onWriteback(stream->next().addr);
@@ -194,20 +196,63 @@ TEST(OracleChecker, CatchesOutOfBandStateChange)
 TEST(Fuzz, SpecsAreDeterministicAndValid)
 {
     for (std::uint64_t seed = 1; seed < 60; ++seed) {
-        const FuzzSpec a = randomFuzzSpec(seed);
-        const FuzzSpec b = randomFuzzSpec(seed);
+        const VerifyCase a = sampleCase("bcache", seed);
+        const VerifyCase b = sampleCase("bcache", seed);
         EXPECT_EQ(a.toString(), b.toString());
-        const BCacheLayout l = deriveLayout(a.params); // must not fatal
+        const BCacheLayout l = // must not fatal
+            deriveLayout(parseCacheSpec(a.cacheSpec).bcacheParams());
         EXPECT_GE(a.addrBits, 18u);
         EXPECT_LE(l.basLog, l.oi);
     }
+
+    // The bcache row draws exactly what the retired B-Cache sampler
+    // drew for these seeds: spec, address width, writeback fraction.
+    const struct
+    {
+        std::uint64_t seed;
+        const char *spec;
+        unsigned addrBits;
+        double writebackFraction;
+    } pinned[] = {
+        {1, "bcache:1kB,mf=64,bas=1,repl=random,wp=wt", 26, 0.00},
+        {2, "bcache:2kB,mf=4,bas=16,repl=random,wp=wt,line=64", 22, 0.00},
+        {3, "bcache:32kB,mf=2,bas=1,repl=plru,wp=wt,line=64", 19, 0.02},
+        {4, "bcache:8kB,mf=16,bas=8,repl=random,line=64", 18, 0.02},
+        {5, "bcache:8kB,mf=64,bas=4,line=64", 18, 0.02},
+        {6, "bcache:2kB,mf=4096,bas=1,wp=wt", 23, 0.00},
+        {7, "bcache:512B,mf=32,bas=8,repl=random,line=16", 22, 0.02},
+        {8, "bcache:16kB,mf=64,bas=8,repl=fifo,wp=wt", 19, 0.00},
+        {9, "bcache:1kB,mf=16,bas=4,repl=plru,line=64", 18, 0.02},
+        {10, "bcache:32kB,mf=16,bas=8,repl=plru,wp=wt", 26, 0.00},
+        {11, "bcache:512B,mf=32,bas=16,wp=wt", 18, 0.00},
+        {12, "bcache:8kB,mf=64,bas=2,repl=random,wp=wt", 21, 0.00},
+        {13, "bcache:16kB,mf=8,bas=16,repl=plru,wp=wt,line=16", 19, 0.02},
+        {14, "bcache:4kB,mf=2,bas=1,repl=fifo,wp=wt", 26, 0.00},
+        {15, "bcache:32kB,mf=16,bas=2,repl=plru,wp=wt", 20, 0.00},
+        {16, "bcache:1kB,mf=8,bas=2,line=64", 23, 0.02},
+    };
+    for (const auto &p : pinned) {
+        const VerifyCase c = sampleCase("bcache", p.seed);
+        EXPECT_EQ(c.cacheSpec, p.spec) << "seed " << p.seed;
+        EXPECT_EQ(c.addrBits, p.addrBits) << "seed " << p.seed;
+        EXPECT_EQ(c.writebackFraction, p.writebackFraction)
+            << "seed " << p.seed;
+    }
+
+    // The BAS = 1 and saturated-PI bias engages an exact oracle in a
+    // share of cases (42 of these 200).
+    int exact = 0;
+    for (std::uint64_t seed = 1; seed <= 200; ++seed)
+        exact += runOracleCase(sampleCase("bcache", seed), 0).oracleModes !=
+                 "shadow";
+    EXPECT_GT(exact, 0);
 }
 
 TEST(Fuzz, ShortCaseRunsCleanAndReproduces)
 {
-    const FuzzSpec spec = randomFuzzSpec(7);
-    const FuzzResult a = runFuzzCase(spec, 2000);
-    const FuzzResult b = runFuzzCase(spec, 2000);
+    const VerifyCase c = sampleCase("bcache", 7);
+    const VerifyResult a = runOracleCase(c, 2000);
+    const VerifyResult b = runOracleCase(c, 2000);
     EXPECT_TRUE(a.ok) << a.toString();
     EXPECT_EQ(a.steps, b.steps);
     EXPECT_EQ(a.oracleModes, b.oracleModes);
