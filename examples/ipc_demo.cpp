@@ -10,9 +10,10 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
+#include <optional>
 #include <string>
 
+#include "common/strings.hh"
 #include "common/table.hh"
 #include "sim/runner.hh"
 #include "workload/spec2k.hh"
@@ -30,9 +31,17 @@ main(int argc, char **argv)
             std::fprintf(stderr, "  %s\n", n.c_str());
         return 1;
     }
-    const std::uint64_t uops =
-        argc > 2 ? std::strtoull(argv[2], nullptr, 10)
-                 : defaultUops(500'000);
+    std::uint64_t uops = defaultUops(500'000);
+    if (argc > 2) {
+        const std::optional<std::uint64_t> n = parseCount(argv[2]);
+        if (!n || *n == 0) {
+            std::fprintf(stderr, "error: bad uop count '%s'\n"
+                                 "usage: ipc_demo [benchmark] [uops]\n",
+                         argv[2]);
+            return 2;
+        }
+        uops = *n;
+    }
 
     const CacheConfig configs[] = {
         parseCacheSpec("dm:16kB"),

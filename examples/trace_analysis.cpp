@@ -3,12 +3,12 @@
  * Trace capture, replay and balance analysis.
  *
  * Without arguments: captures a trace from the `gcc` synthetic
- * workload, writes it in both on-disk formats (binary .bst and Dinero
- * .din), reloads it and replays it through the direct-mapped baseline
+ * workload, writes it in both on-disk formats (BST2 binary .bst and
+ * Dinero .din), reloads it and replays it through the direct-mapped baseline
  * and the B-Cache, printing miss rates and the Table 7 balance
  * classification.
  *
- * With an argument: replays a user-supplied trace file (.bst binary or
+ * With an argument: replays a user-supplied trace file (.bst BST2 or
  * Dinero text "label hexaddr" with 0=read, 1=write, 2=fetch) instead —
  * the path for driving the models with converted real-machine traces.
  *
@@ -52,7 +52,7 @@ main(int argc, char **argv)
         const auto dir = std::filesystem::temp_directory_path();
         const std::string bst = (dir / "bsim_gcc.bst").string();
         const std::string din = (dir / "bsim_gcc.din").string();
-        writeBinaryTrace(bst, rec.recorded());
+        writeBst2Trace(bst, rec.recorded());
         writeTextTrace(din, rec.recorded());
         std::printf("captured %zu accesses from synthetic 'gcc'\n"
                     "wrote binary trace: %s (%ju bytes)\n"
@@ -61,7 +61,7 @@ main(int argc, char **argv)
                     (uintmax_t)std::filesystem::file_size(bst),
                     din.c_str(),
                     (uintmax_t)std::filesystem::file_size(din));
-        trace = readBinaryTrace(bst);
+        trace = loadTrace(bst);
         source = bst;
     }
 

@@ -8,19 +8,22 @@
  * Usage:
  *   trace_convert <in> <out>          convert by extension
  *   trace_convert <in> --summary      print a profile, write nothing
+ *                                     (--head N profiles the first N)
  *   trace_convert <in> <out> --head N keep only the first N records
  *   trace_convert <in> <out> --chunk N BST2 chunk length (default 65536)
- *   trace_convert <in> <out> --bst1    legacy flat BST1 instead of BST2
  *
  * `.bst` outputs are written in the chunked BST2 format (the zero-copy
- * mmap fast path — see docs/TRACES.md for the byte-level spec); --bst1
- * keeps the legacy flat format for tools that predate it. Inputs may be
- * .bst (either version), Dinero text, or gzip-compressed variants.
+ * mmap fast path — see docs/TRACES.md for the byte-level spec). Inputs
+ * may be BST2 .bst, Dinero text, or gzip-compressed variants. A bad
+ * option or number prints the usage text and exits 2.
  */
 
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
+#include <optional>
 #include <string>
 
 #include "common/strings.hh"
@@ -30,6 +33,32 @@
 using namespace bsim;
 
 namespace {
+
+[[noreturn]] void
+usage(const std::string &msg = {})
+{
+    if (!msg.empty())
+        std::fprintf(stderr, "error: %s\n", msg.c_str());
+    std::fprintf(stderr,
+                 "usage: trace_convert <in> <out> [--head N] "
+                 "[--chunk N]\n"
+                 "       trace_convert <in> --summary [--head N]\n"
+                 "formats by extension: .bst = binary (chunked BST2),\n"
+                 "else dinero text; --chunk N in 1..%u\n",
+                 std::numeric_limits<std::uint32_t>::max());
+    std::exit(2);
+}
+
+/** The count after @p flag, in [@p lo, @p hi]; anything else is usage. */
+std::uint64_t
+countArg(const char *flag, const char *s, std::uint64_t lo,
+         std::uint64_t hi)
+{
+    const std::optional<std::uint64_t> n = parseCount(s);
+    if (!n || *n < lo || *n > hi)
+        usage(std::string("bad number for ") + flag + ": '" + s + "'");
+    return *n;
+}
 
 void
 summarize(const std::vector<MemAccess> &t)
@@ -73,49 +102,35 @@ summarize(const std::vector<MemAccess> &t)
 int
 main(int argc, char **argv)
 {
-    if (argc < 3) {
-        std::fprintf(stderr,
-                     "usage: trace_convert <in> <out> [--head N] "
-                     "[--chunk N] [--bst1]\n"
-                     "       trace_convert <in> --summary\n"
-                     "formats by extension: .bst = binary (chunked "
-                     "BST2, or --bst1),\n"
-                     "else dinero text\n");
-        return 2;
+    if (argc < 3)
+        usage();
+    std::uint64_t head = std::numeric_limits<std::uint64_t>::max();
+    std::uint32_t chunk_len = kBst2DefaultChunkLen;
+    for (int i = 3; i < argc; ++i) {
+        if (!std::strcmp(argv[i], "--head") && i + 1 < argc) {
+            head = countArg("--head", argv[++i], 0,
+                            std::numeric_limits<std::uint64_t>::max());
+        } else if (!std::strcmp(argv[i], "--chunk") && i + 1 < argc) {
+            chunk_len = static_cast<std::uint32_t>(
+                countArg("--chunk", argv[++i], 1,
+                         std::numeric_limits<std::uint32_t>::max()));
+        } else {
+            usage(std::string("unknown option ") + argv[i]);
+        }
     }
-    std::vector<MemAccess> trace = loadTrace(argv[1]);
 
+    std::vector<MemAccess> trace = loadTrace(argv[1]);
+    if (trace.size() > head)
+        trace.resize(head);
     if (!std::strcmp(argv[2], "--summary")) {
         summarize(trace);
         return 0;
     }
 
-    std::uint32_t chunk_len = kBst2DefaultChunkLen;
-    bool bst1 = false;
-    for (int i = 3; i < argc; ++i) {
-        if (!std::strcmp(argv[i], "--head") && i + 1 < argc) {
-            const std::size_t n =
-                std::strtoull(argv[++i], nullptr, 10);
-            if (trace.size() > n)
-                trace.resize(n);
-        } else if (!std::strcmp(argv[i], "--chunk") && i + 1 < argc) {
-            chunk_len = static_cast<std::uint32_t>(
-                std::strtoull(argv[++i], nullptr, 10));
-        } else if (!std::strcmp(argv[i], "--bst1")) {
-            bst1 = true;
-        } else {
-            std::fprintf(stderr, "unknown option %s\n", argv[i]);
-            return 2;
-        }
-    }
-
     const std::string out = argv[2];
-    if (out.size() >= 4 && out.compare(out.size() - 4, 4, ".bst") == 0) {
-        if (bst1)
-            writeBinaryTrace(out, trace);
-        else
-            writeBst2Trace(out, trace, chunk_len);
-    } else
+    if (out.size() >= 4 && out.compare(out.size() - 4, 4, ".bst") == 0)
+        writeBst2Trace(out, trace, chunk_len);
+    else
         writeTextTrace(out, trace);
     std::printf("wrote %zu records to %s\n", trace.size(), out.c_str());
     return 0;

@@ -49,9 +49,16 @@
 # 10): none of the retired campaign types, runners, header or env
 # knobs (spelled with a bracket, like passes 7-8) appears in src/,
 # bench/, tests/, examples/, docs/ or EXPERIMENTS.md, and no strtoul or
-# strtoull appears under src/ or bench/ outside parseCount in
+# strtoull appears under src/, bench/ or examples/ outside parseCount in
 # src/common/strings.cc and the size-suffix parser in
 # src/sim/cache_spec.cc.
+#
+# And it keeps one binary trace format and one way in (pass 11): none
+# of the retired BST1 constants, reader, writer switch, whole-trace
+# helpers, magic sniffer or recording limit (spelled with a bracket)
+# appears in src/, bench/, tests/, examples/, docs/, README.md or
+# DESIGN.md; loadTrace, writeBst2Trace and writeTextTrace are the
+# whole-trace API.
 set -eu
 
 repo_root=$(CDPATH= cd -- "$(dirname -- "$0")/.." && pwd)
@@ -229,7 +236,7 @@ if matches=$(grep -rn --exclude-dir=api \
     echo "$matches" >&2
     fail=1
 fi
-strto=$(grep -rn "strtoull\?(" src/ bench/ || true)
+strto=$(grep -rn "strtoull\?(" src/ bench/ examples/ || true)
 if matches=$(echo "$strto" | grep . |
         grep -v "^src/common/strings\.cc:" |
         grep -v "^src/sim/cache_spec\.cc:.*std::strtoull(text\.c_str()"); then
@@ -245,6 +252,17 @@ if [ "$(echo "$strto" | grep -c "^src/common/strings\.cc:")" -gt 1 ]; then
     fail=1
 fi
 
+# ---- pass 11: one binary trace format, one way in ----
+if matches=$(grep -rn --exclude-dir=api \
+        "k[B]st1\|Bst1[R]eader\|write[B]inaryTrace\|read[B]inaryTrace\|read[T]extTrace\|open[T]extTraceReader\|sniff[M]agic\|--[b]st1\|set[R]ecordLimit" \
+        src/ bench/ tests/ examples/ docs/ README.md DESIGN.md); then
+    echo "check_specs: a retired trace format, helper or sniffer is back" \
+         "(BST2 is the one binary format; use loadTrace, writeBst2Trace," \
+         "writeTextTrace; probeTrace decides the format):" >&2
+    echo "$matches" >&2
+    fail=1
+fi
+
 if [ "$fail" -ne 0 ]; then
     echo "check_specs: FAIL" >&2
     exit 1
@@ -254,5 +272,5 @@ echo "check_specs: OK ($n_kinds kinds; registry, --list-caches and" \
      "no kind switches or casts outside the registry; one twin" \
      "driver in src/verify; one replacement type; one per-line" \
      "histogram; one error path; one verification campaign and one" \
-     "count parser)"
+     "count parser; one binary trace format)"
 exit 0

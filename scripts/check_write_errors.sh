@@ -48,8 +48,6 @@ expect "bsim --json >/dev/full" stdout \
     sh -c '"$0" --accesses 1000 --json >/dev/full' "$bsim"
 expect "trace_convert to text" "'$dir/full.din'" \
     "$convert" "$dir/t.din" "$dir/full.din"
-expect "trace_convert to BST1" "'$dir/full.bst'" \
-    "$convert" "$dir/t.din" "$dir/full.bst" --bst1
 expect "trace_convert to BST2" "'$dir/full.bst'" \
     "$convert" "$dir/t.din" "$dir/full.bst"
 
@@ -57,4 +55,4 @@ if [ "$fail" -ne 0 ]; then
     echo "check_write_errors: FAIL" >&2
     exit 1
 fi
-echo "check_write_errors: OK (6 writers report a full device)"
+echo "check_write_errors: OK (5 writers report a full device)"

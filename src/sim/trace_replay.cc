@@ -34,31 +34,18 @@ shardWindows(const TraceInfo &info, const std::string &path,
         out.push_back(TraceShard{0, 0});
         return out;
     }
-    if (info.chunkLen > 0) {
-        // BST2: boundaries land on chunk edges so every shard's window
-        // starts at an O(1)-seekable offset and no chunk is split.
-        const std::uint64_t chunks =
-            (records + info.chunkLen - 1) / info.chunkLen;
-        const std::uint64_t groups =
-            std::min<std::uint64_t>(want, chunks);
-        for (std::uint64_t g = 0; g < groups; ++g) {
-            const std::uint64_t c0 = g * chunks / groups;
-            const std::uint64_t c1 = (g + 1) * chunks / groups;
-            const std::uint64_t r0 = c0 * info.chunkLen;
-            const std::uint64_t r1 = std::min<std::uint64_t>(
-                c1 * info.chunkLen, records);
-            out.push_back(TraceShard{r0, r1 - r0});
-        }
-    } else {
-        // BST1 has no chunk framing; an even record split is as good as
-        // any (the reader skips to the window sequentially).
-        const std::uint64_t groups =
-            std::min<std::uint64_t>(want, records);
-        for (std::uint64_t g = 0; g < groups; ++g) {
-            const std::uint64_t r0 = g * records / groups;
-            const std::uint64_t r1 = (g + 1) * records / groups;
-            out.push_back(TraceShard{r0, r1 - r0});
-        }
+    // Boundaries land on BST2 chunk edges so every shard's window
+    // starts at an O(1)-seekable offset and no chunk is split.
+    const std::uint64_t chunks =
+        records / info.chunkLen + (records % info.chunkLen != 0);
+    const std::uint64_t groups = std::min<std::uint64_t>(want, chunks);
+    for (std::uint64_t g = 0; g < groups; ++g) {
+        const std::uint64_t c0 = g * chunks / groups;
+        const std::uint64_t c1 = (g + 1) * chunks / groups;
+        const std::uint64_t r0 = c0 * info.chunkLen;
+        const std::uint64_t r1 =
+            std::min<std::uint64_t>(c1 * info.chunkLen, records);
+        out.push_back(TraceShard{r0, r1 - r0});
     }
     return out;
 }

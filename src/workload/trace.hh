@@ -1,21 +1,19 @@
 /**
  * @file
- * Trace capture and replay so externally produced address traces (e.g.
- * converted SimpleScalar/ChampSim traces) can drive every cache model, and
- * synthetic workloads can be captured for exact replay.
+ * Whole-trace helpers: load a trace into memory, write one out, and
+ * record a live stream for exact replay — so externally produced address
+ * traces (e.g. converted SimpleScalar/ChampSim traces) can drive every
+ * cache model, and synthetic workloads can be captured.
  *
- * These are the convenience whole-trace helpers (vectors in memory);
- * large traces should go through the streaming layer instead
- * (workload/trace_reader.hh), which all of the readers here are built
- * on. Formats — dispatch is by case-insensitive extension, with `.gz`
- * accepted on top of any of them (see docs/TRACES.md for the normative
- * spec):
- *  - binary ".bst": BST2 (chunked, seekable — written by
- *    writeBst2Trace/Bst2Writer in workload/trace_format.hh) or the
- *    legacy BST1 (magic "BST1", u64 record count, packed 9-byte
- *    {u64 address, u8 type} records); readers sniff the magic.
+ * These hold whole traces in vectors; large traces should go through
+ * the streaming layer instead (workload/trace_reader.hh), which
+ * loadTrace() is built on. Formats (see docs/TRACES.md for the
+ * normative spec):
+ *  - binary ".bst": BST2 (chunked, seekable), written by writeBst2Trace
+ *    and Bst2Writer in workload/trace_format.hh.
  *  - text (Dinero-style "din"): one record per line, "<label> <hex-addr>"
- *    with label 0 = read, 1 = write, 2 = instruction fetch
+ *    with label 0 = read, 1 = write, 2 = instruction fetch, written by
+ *    writeTextTrace.
  */
 
 #ifndef BSIM_WORKLOAD_TRACE_HH
@@ -29,42 +27,24 @@
 
 namespace bsim {
 
-/** Write accesses to a legacy binary BST1 trace. Fatal on I/O failure. */
-void writeBinaryTrace(const std::string &path,
-                      const std::vector<MemAccess> &accesses);
-
-/**
- * Read a binary .bst trace (BST1 or BST2, sniffed by magic). Fatal on
- * I/O or format failure, including a file shorter than its header
- * declares (truncation is diagnosed with the format and path, never
- * read as garbage records).
- */
-std::vector<MemAccess> readBinaryTrace(const std::string &path);
-
-/** Write accesses in Dinero din text format. */
+/** Write accesses in Dinero din text format. Fatal on I/O failure. */
 void writeTextTrace(const std::string &path,
                     const std::vector<MemAccess> &accesses);
 
-/** Read a Dinero din text trace; blank lines and '#' comments skipped. */
-std::vector<MemAccess> readTextTrace(const std::string &path);
-
 /**
  * Load a whole trace into memory, dispatching by case-insensitive
- * extension: `.bst` (and `.bst.gz`) = binary, anything else = Dinero
- * text (`.gz` also accepted). Fatal with the detected format and the
- * offending path on any malformed or truncated input.
+ * extension: `.bst` (and `.bst.gz`) = BST2, anything else = Dinero text
+ * (`.gz` also accepted; blank lines and '#' comments skipped). Fatal
+ * with the format and the offending path on any malformed or truncated
+ * input, including a header that declares more records than the file
+ * holds.
  */
 std::vector<MemAccess> loadTrace(const std::string &path);
 
 /**
  * Wrap a stream, recording everything produced (for capture-then-replay
- * tests and the trace_analysis example).
- *
- * By default the recording grows without bound — fine for test-sized
- * captures, not for long runs. setRecordLimit() caps it: once the limit
- * is reached the wrapper keeps passing accesses through but stops
- * recording (the first N accesses are kept, the overflow is counted in
- * droppedCount()).
+ * tests and the trace_analysis example). The recording grows without
+ * bound — fine for test-sized captures, not for long runs.
  */
 class RecordingStream : public AccessStream
 {
@@ -76,24 +56,11 @@ class RecordingStream : public AccessStream
     std::string name() const override;
 
     const std::vector<MemAccess> &recorded() const { return recorded_; }
-    void clearRecorded();
-
-    /**
-     * Cap the recording at @p limit accesses (0 = unlimited, the
-     * default). A limit below the current recording size keeps what was
-     * already recorded and stops there.
-     */
-    void setRecordLimit(std::size_t limit) { limit_ = limit; }
-    std::size_t recordLimit() const { return limit_; }
-
-    /** Accesses passed through but not recorded (limit overflow). */
-    std::uint64_t droppedCount() const { return dropped_; }
+    void clearRecorded() { recorded_.clear(); }
 
   private:
     AccessStreamPtr child_;
     std::vector<MemAccess> recorded_;
-    std::size_t limit_ = 0;
-    std::uint64_t dropped_ = 0;
 };
 
 } // namespace bsim

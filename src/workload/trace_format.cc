@@ -142,6 +142,12 @@ encodeBst2Record(const MemAccess &a, unsigned char *out)
     std::memset(out + 9, 0, 7);
 }
 
+MemAccess
+decodeBst2Record(const unsigned char *in)
+{
+    return {getU64(in), static_cast<AccessType>(in[8])};
+}
+
 std::uint64_t
 validateBst2Payload(const unsigned char *payload, std::uint64_t records)
 {

@@ -1,19 +1,17 @@
 /**
  * @file
- * On-disk binary trace formats. The normative byte-level specification
- * lives in docs/TRACES.md; this header is the single source of truth for
- * the constants and the encode/decode helpers shared by the writers
- * (Bst2Writer, writeBinaryTrace) and the readers (workload/trace_reader).
+ * The on-disk binary trace format, BST2. The normative byte-level
+ * specification lives in docs/TRACES.md; this header is the single
+ * source of truth for the constants and the encode/decode helpers shared
+ * by the writer (Bst2Writer, writeBst2Trace) and the readers
+ * (workload/trace_reader).
  *
- * Two versions:
- *  - BST1 (legacy): magic "BST1", u64 record count, then packed 9-byte
- *    records {u64 address, u8 type}. No framing: not seekable without
- *    arithmetic over the whole file, kept for compatibility.
- *  - BST2 (current): magic "BST2", fixed 24-byte header, then fixed
- *    capacity chunks, each with a 16-byte framed header and 16-byte
- *    records whose in-memory layout matches MemAccess on little-endian
- *    LP64 hosts — which is what lets the mmap reader hand spans straight
- *    into MemLevel::accessBatch with no per-record copy.
+ * A BST2 file is the magic "BST2", a fixed 24-byte header, then fixed
+ * capacity chunks, each with a 16-byte framed header and 16-byte records
+ * whose in-memory layout matches MemAccess on little-endian LP64 hosts —
+ * which is what lets the mmap reader hand spans straight into
+ * MemLevel::accessBatch with no per-record copy. Any other magic is
+ * rejected.
  *
  * All multi-byte fields are little-endian.
  */
@@ -32,16 +30,6 @@
 #include "mem/access.hh"
 
 namespace bsim {
-
-// ---- BST1 (legacy) ----
-
-inline constexpr char kBst1Magic[4] = {'B', 'S', 'T', '1'};
-/** Magic + u64 record count. */
-inline constexpr std::size_t kBst1HeaderBytes = 12;
-/** Packed {u64 address, u8 type}. */
-inline constexpr std::size_t kBst1RecordBytes = 9;
-
-// ---- BST2 ----
 
 inline constexpr char kBst2Magic[4] = {'B', 'S', 'T', '2'};
 /** "CHNK" as a little-endian u32, leading every chunk. */
@@ -117,6 +105,12 @@ bool decodeBst2ChunkHeader(const unsigned char *in,
 
 /** Serialize one record (16 bytes, reserved bytes zeroed). */
 void encodeBst2Record(const MemAccess &a, unsigned char *out);
+
+/**
+ * Parse one record (the inverse of encodeBst2Record). The type byte is
+ * taken as is: validateBst2Payload is the check that it is known.
+ */
+MemAccess decodeBst2Record(const unsigned char *in);
 
 /**
  * Validate the tail word (type byte + reserved bytes) of every record in

@@ -165,20 +165,23 @@ openByteSource(const std::string &path)
     return std::make_unique<FileByteSource>(path);
 }
 
-std::uint64_t
-fileSizeOf(const std::string &path)
+/**
+ * Check the first @p got bytes of @p path as a BST2 header: fatal, with
+ * the path named, on bad magic, a short header or a malformed field.
+ */
+Bst2Header
+parseBst2Header(const std::string &path, const unsigned char *bytes,
+               std::size_t got)
 {
-    struct stat st;
-    if (::stat(path.c_str(), &st) != 0)
-        bsim_fatal("cannot stat trace '", path, "'");
-    return static_cast<std::uint64_t>(st.st_size);
-}
-
-[[noreturn]] void
-fatalBadMagic(const std::string &path)
-{
-    bsim_fatal("'", path, "' is not a BST1/BST2 binary trace "
-               "(bad magic)");
+    if (got < 4 || std::memcmp(bytes, kBst2Magic, 4) != 0)
+        bsim_fatal("'", path, "' is not a BST2 binary trace (bad magic)");
+    if (got < kBst2HeaderBytes)
+        bsim_fatal("truncated BST2 trace '", path, "': missing header");
+    Bst2Header header;
+    std::string err;
+    if (!decodeBst2Header(bytes, &header, &err))
+        bsim_fatal("malformed BST2 trace '", path, "': ", err);
+    return header;
 }
 
 // ---------------------------------------------------------------------
@@ -267,16 +270,7 @@ shardWindow(const TraceShard &shard, std::uint64_t total,
 Bst2Header
 checkBst2Mapping(const std::string &path, const MappedFile &map)
 {
-    if (map.size() < kBst2HeaderBytes)
-        bsim_fatal("truncated BST2 trace '", path, "': ", map.size(),
-                   " bytes is smaller than the ", kBst2HeaderBytes,
-                   "-byte header");
-    Bst2Header header;
-    std::string err;
-    if (std::memcmp(map.data(), kBst2Magic, 4) != 0)
-        fatalBadMagic(path);
-    if (!decodeBst2Header(map.data(), &header, &err))
-        bsim_fatal("malformed BST2 trace '", path, "': ", err);
+    const Bst2Header header = parseBst2Header(path, map.data(), map.size());
     if (map.size() != header.fileBytes())
         bsim_fatal("truncated BST2 trace '", path,
                    "': header declares ", header.recordCount,
@@ -361,15 +355,9 @@ class Bst2MmapReader : public TraceReader
                    static_cast<std::size_t>(n)};
         } else {
             convert_.resize(static_cast<std::size_t>(n));
-            for (std::uint64_t i = 0; i < n; ++i) {
-                const unsigned char *rec =
-                    payload + (pos_ - chunk_first + i) * kBst2RecordBytes;
-                std::uint64_t addr = 0;
-                for (int b = 7; b >= 0; --b)
-                    addr = addr << 8 | rec[b];
-                convert_[static_cast<std::size_t>(i)] = {
-                    addr, static_cast<AccessType>(rec[8])};
-            }
+            for (std::uint64_t i = 0; i < n; ++i)
+                convert_[static_cast<std::size_t>(i)] = decodeBst2Record(
+                    payload + (pos_ - chunk_first + i) * kBst2RecordBytes);
             out = {convert_.data(), convert_.size()};
         }
         pos_ += n;
@@ -419,8 +407,8 @@ class Bst2MmapReader : public TraceReader
 // ---------------------------------------------------------------------
 
 /**
- * Common machinery for the converting formats (BST1, BST2-over-gzip,
- * Dinero text): subclasses decode up to a buffer's worth of records per
+ * Common machinery for the converting formats (BST2 over gzip, Dinero
+ * text): subclasses decode up to a buffer's worth of records per
  * refill; windowing (shard skip + cap) is handled here.
  */
 class BufferedReader : public TraceReader
@@ -537,102 +525,6 @@ class BufferedReader : public TraceReader
 /** Records a buffered decode loop works through per refill. */
 constexpr std::size_t kBufferRecords = 65536;
 
-class Bst1Reader : public BufferedReader
-{
-  public:
-    Bst1Reader(const std::string &path, const TraceShard &shard,
-               std::unique_ptr<ByteSource> src, bool compressed)
-        : BufferedReader(path, shard, kBufferRecords),
-          src_(std::move(src)), compressed_(compressed)
-    {
-        readHeader();
-        if (!compressed_) {
-            // Plain files can be checked up front: a header that
-            // declares more records than the bytes on disk would
-            // otherwise read garbage or fail deep into a run.
-            const std::uint64_t expect =
-                kBst1HeaderBytes + declared_ * kBst1RecordBytes;
-            const std::uint64_t actual = fileSizeOf(path);
-            if (actual != expect)
-                bsim_fatal("truncated BST1 trace '", path,
-                           "': header declares ", declared_,
-                           " records (", expect,
-                           " bytes) but the file has ", actual, " bytes");
-        }
-    }
-
-    std::uint64_t size() const override { return windowOrUnknown(); }
-    std::string
-    format() const override
-    {
-        return compressed_ ? "BST1/gzip" : "BST1";
-    }
-
-  protected:
-    std::size_t
-    refill(MemAccess *dst, std::size_t max) override
-    {
-        const std::uint64_t left = declared_ - decoded_;
-        const std::size_t want = static_cast<std::size_t>(
-            std::min<std::uint64_t>(left, max));
-        if (want == 0)
-            return 0;
-        raw_.resize(want * kBst1RecordBytes);
-        const std::size_t got_bytes = src_->read(raw_.data(), raw_.size());
-        const std::size_t got = got_bytes / kBst1RecordBytes;
-        if (got < want && got_bytes != got * kBst1RecordBytes)
-            bsim_fatal("truncated BST1 trace '", path_, "' at record ",
-                       decoded_ + got, " of ", declared_);
-        if (got == 0 && want > 0)
-            bsim_fatal("truncated BST1 trace '", path_,
-                       "': header declares ", declared_,
-                       " records but the data ends at record ", decoded_);
-        for (std::size_t i = 0; i < got; ++i) {
-            const unsigned char *rec = raw_.data() + i * kBst1RecordBytes;
-            std::uint64_t addr = 0;
-            for (int b = 7; b >= 0; --b)
-                addr = addr << 8 | rec[b];
-            if (rec[8] > 2)
-                bsim_fatal("bad record label ", int{rec[8]},
-                           " in BST1 trace '", path_, "' at record ",
-                           decoded_ + i);
-            dst[i] = {addr, static_cast<AccessType>(rec[8])};
-        }
-        decoded_ += got;
-        return got;
-    }
-
-    void
-    restart() override
-    {
-        src_->rewind();
-        decoded_ = 0;
-        readHeader();
-    }
-
-    std::uint64_t inputCount() const override { return declared_; }
-
-  private:
-    void
-    readHeader()
-    {
-        unsigned char hdr[kBst1HeaderBytes];
-        if (src_->read(hdr, sizeof hdr) != sizeof hdr)
-            bsim_fatal("truncated BST1 trace '", path_,
-                       "': missing header");
-        if (std::memcmp(hdr, kBst1Magic, 4) != 0)
-            fatalBadMagic(path_);
-        declared_ = 0;
-        for (int b = 11; b >= 4; --b)
-            declared_ = declared_ << 8 | hdr[b];
-    }
-
-    std::unique_ptr<ByteSource> src_;
-    bool compressed_;
-    std::uint64_t declared_ = 0, decoded_ = 0;
-    std::vector<unsigned char> raw_;
-};
-
 /** BST2 over a sequential source (the `.bst.gz` path). */
 class Bst2SourceReader : public BufferedReader
 {
@@ -670,14 +562,9 @@ class Bst2SourceReader : public BufferedReader
                 bsim_fatal("malformed BST2 trace '", path_, "': record ",
                            decoded_ + bad,
                            " has a bad type/reserved field");
-            for (std::size_t i = 0; i < want; ++i) {
-                const unsigned char *rec =
-                    raw_.data() + i * kBst2RecordBytes;
-                std::uint64_t addr = 0;
-                for (int b = 7; b >= 0; --b)
-                    addr = addr << 8 | rec[b];
-                dst[out + i] = {addr, static_cast<AccessType>(rec[8])};
-            }
+            for (std::size_t i = 0; i < want; ++i)
+                dst[out + i] =
+                    decodeBst2Record(raw_.data() + i * kBst2RecordBytes);
             decoded_ += want;
             chunkLeft_ -= want;
             out += want;
@@ -704,14 +591,7 @@ class Bst2SourceReader : public BufferedReader
     readHeader()
     {
         unsigned char hdr[kBst2HeaderBytes];
-        if (src_->read(hdr, sizeof hdr) != sizeof hdr)
-            bsim_fatal("truncated BST2 trace '", path_,
-                       "': missing header");
-        std::string err;
-        if (std::memcmp(hdr, kBst2Magic, 4) != 0)
-            fatalBadMagic(path_);
-        if (!decodeBst2Header(hdr, &header_, &err))
-            bsim_fatal("malformed BST2 trace '", path_, "': ", err);
+        header_ = parseBst2Header(path_, hdr, src_->read(hdr, sizeof hdr));
     }
 
     void
@@ -850,16 +730,6 @@ class DineroReader : public BufferedReader
     std::uint64_t total_ = kUnknownRecordCount;
 };
 
-/** Read the leading magic through a source (handles gz transparently). */
-std::string
-sniffMagic(const std::string &path)
-{
-    auto src = openByteSource(path);
-    char magic[4] = {0, 0, 0, 0};
-    src->read(magic, sizeof magic);
-    return std::string(magic, 4);
-}
-
 } // namespace
 
 void
@@ -916,22 +786,14 @@ gzipFile(const std::string &src, const std::string &dst)
 TraceReaderPtr
 openTraceReader(const std::string &path, const TraceShard &shard)
 {
-    const bool gz = isGzPath(path);
-    if (formatExtension(path) == ".bst") {
-        const std::string magic = sniffMagic(path);
-        if (magic == std::string(kBst2Magic, 4)) {
-            if (!gz)
-                return std::make_unique<Bst2MmapReader>(path, shard);
-            return std::make_unique<Bst2SourceReader>(
-                path, shard, openByteSource(path));
-        }
-        if (magic == std::string(kBst1Magic, 4))
-            return std::make_unique<Bst1Reader>(
-                path, shard, openByteSource(path), gz);
-        fatalBadMagic(path);
-    }
-    return std::make_unique<DineroReader>(path, shard,
-                                          openByteSource(path), gz);
+    const TraceInfo info = probeTrace(path);
+    if (info.format == "dinero")
+        return std::make_unique<DineroReader>(
+            path, shard, openByteSource(path), info.compressed);
+    if (info.compressed)
+        return std::make_unique<Bst2SourceReader>(path, shard,
+                                                  openByteSource(path));
+    return std::make_unique<Bst2MmapReader>(path, shard);
 }
 
 TraceHandlePtr
@@ -957,17 +819,9 @@ openTraceReader(const TraceHandlePtr &handle, const TraceShard &shard)
             handle->path(), shard,
             std::static_pointer_cast<MappedFile>(handle->mapping()),
             /*shared_mapping=*/true);
-    // Non-mappable formats (BST1, gzip, text): the handle caches the
+    // Non-mappable inputs (gzip, text): the handle caches the
     // probe, but each reader owns its own sequential source.
     return openTraceReader(handle->path(), shard);
-}
-
-TraceReaderPtr
-openTextTraceReader(const std::string &path, const TraceShard &shard)
-{
-    return std::make_unique<DineroReader>(path, shard,
-                                          openByteSource(path),
-                                          isGzPath(path));
 }
 
 TraceInfo
@@ -984,31 +838,12 @@ probeTrace(const std::string &path)
         info.format = "dinero";
         return info;
     }
-    if (got >= 4 && std::memcmp(hdr, kBst2Magic, 4) == 0) {
-        if (got < kBst2HeaderBytes)
-            bsim_fatal("truncated BST2 trace '", path,
-                       "': missing header");
-        Bst2Header h;
-        std::string err;
-        if (!decodeBst2Header(hdr, &h, &err))
-            bsim_fatal("malformed BST2 trace '", path, "': ", err);
-        info.format = "BST2";
-        info.recordCount = h.recordCount;
-        info.chunkLen = h.chunkLen;
-        info.addrBits = h.addrBits;
-        return info;
-    }
-    if (got >= 4 && std::memcmp(hdr, kBst1Magic, 4) == 0) {
-        if (got < kBst1HeaderBytes)
-            bsim_fatal("truncated BST1 trace '", path,
-                       "': missing header");
-        info.format = "BST1";
-        info.recordCount = 0;
-        for (int b = 11; b >= 4; --b)
-            info.recordCount = info.recordCount << 8 | hdr[b];
-        return info;
-    }
-    fatalBadMagic(path);
+    const Bst2Header h = parseBst2Header(path, hdr, got);
+    info.format = "BST2";
+    info.recordCount = h.recordCount;
+    info.chunkLen = h.chunkLen;
+    info.addrBits = h.addrBits;
+    return info;
 }
 
 // ---------------------------------------------------------------------

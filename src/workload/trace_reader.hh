@@ -4,13 +4,14 @@
  * spans of MemAccess records in O(chunk) resident memory, replacing the
  * whole-file vectors of loadTrace for multi-gigabyte traces.
  *
- * Format dispatch (case-insensitive, see docs/TRACES.md):
- *  - `.bst`            BST1/BST2 binary, sniffed by magic. BST2 files are
+ * Format dispatch (case-insensitive, see docs/TRACES.md), decided once
+ * by probeTrace():
+ *  - `.bst`            BST2 binary; any other magic is fatal. Files are
  *                      mmap'd and served zero-copy: nextSpan() points
  *                      straight into the mapping, one validation pass per
  *                      chunk and no per-record conversion.
- *  - `.bst.gz`         the same binary formats behind a zlib-backed
- *                      InflateSource (one decompressed chunk resident).
+ *  - `.bst.gz`         BST2 behind a zlib-backed InflateSource (one
+ *                      decompressed chunk resident).
  *  - anything else     Dinero text ("label hex-addr" lines); `.gz` also
  *                      accepted. Record count unknown until EOF.
  *
@@ -84,7 +85,7 @@ class TraceReader
     /** Records handed out since construction or the last reset(). */
     virtual std::uint64_t position() const = 0;
 
-    /** Format tag for messages, e.g. "BST2/mmap", "BST1", "dinero". */
+    /** Format tag for messages, e.g. "BST2/mmap", "BST2/gzip", "dinero". */
     virtual std::string format() const = 0;
 
     virtual const std::string &path() const = 0;
@@ -93,24 +94,18 @@ class TraceReader
 using TraceReaderPtr = std::unique_ptr<TraceReader>;
 
 /**
- * Open @p path for streaming, restricted to @p shard. Fatal on missing
- * files, unrecognized binary magic, malformed headers, or a shard window
- * outside the file.
+ * Open @p path for streaming, restricted to @p shard; the reader is
+ * chosen from probeTrace(@p path). Fatal on missing files, a `.bst`
+ * file that is not BST2, malformed headers, or a shard window outside
+ * the file.
  */
 TraceReaderPtr openTraceReader(const std::string &path,
                                const TraceShard &shard = {});
 
-/**
- * Open @p path as Dinero text regardless of its extension (`.gz` still
- * honoured) — the explicit-format escape hatch behind readTextTrace().
- */
-TraceReaderPtr openTextTraceReader(const std::string &path,
-                                   const TraceShard &shard = {});
-
 /** Cheap metadata probe of a trace file's header. */
 struct TraceInfo
 {
-    std::string format;         ///< "BST2", "BST1", or "dinero"
+    std::string format;         ///< "BST2" or "dinero"
     /** kUnknownRecordCount for text traces (no header to consult). */
     std::uint64_t recordCount = kUnknownRecordCount;
     std::uint32_t chunkLen = 0; ///< BST2 only; 0 otherwise
@@ -119,8 +114,10 @@ struct TraceInfo
 };
 
 /**
- * Probe @p path without reading records. Fatal on a missing or
- * unreadable file (text traces included) and on malformed headers.
+ * Probe @p path without reading records: the one place the format is
+ * decided (extension, then the BST2 magic and header). Fatal on a
+ * missing or unreadable file (text traces included), on a `.bst` file
+ * whose magic is not BST2, and on malformed headers.
  */
 TraceInfo probeTrace(const std::string &path);
 
@@ -135,7 +132,7 @@ TraceInfo probeTrace(const std::string &path);
  * Readers over a shared mapping never MADV_DONTNEED consumed chunks
  * (another run may be replaying them); the single-shot
  * openTraceReader(path) path keeps its O(chunk) resident-set behaviour.
- * Formats without a mappable payload (BST1, gzip, text) still get a
+ * Inputs without a mappable payload (gzip, text) still get a
  * handle — openTraceReader(handle) falls back to a per-reader open of
  * the same path, so callers need no format-specific cases.
  */

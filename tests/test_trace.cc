@@ -45,8 +45,8 @@ sampleAccesses()
 TEST_F(TraceTest, BinaryRoundTrip)
 {
     const auto in = sampleAccesses();
-    writeBinaryTrace(path("t.bst"), in);
-    const auto out = readBinaryTrace(path("t.bst"));
+    writeBst2Trace(path("t.bst"), in);
+    const auto out = loadTrace(path("t.bst"));
     ASSERT_EQ(out.size(), in.size());
     for (std::size_t i = 0; i < in.size(); ++i) {
         EXPECT_EQ(out[i].addr, in[i].addr);
@@ -58,7 +58,7 @@ TEST_F(TraceTest, TextRoundTrip)
 {
     const auto in = sampleAccesses();
     writeTextTrace(path("t.din"), in);
-    const auto out = readTextTrace(path("t.din"));
+    const auto out = loadTrace(path("t.din"));
     ASSERT_EQ(out.size(), in.size());
     for (std::size_t i = 0; i < in.size(); ++i) {
         EXPECT_EQ(out[i].addr, in[i].addr);
@@ -71,7 +71,7 @@ TEST_F(TraceTest, TextSkipsCommentsAndBlanks)
     std::FILE *f = std::fopen(path("c.din").c_str(), "w");
     std::fprintf(f, "# dinero trace\n\n0 1000\n   \n2 400000\n");
     std::fclose(f);
-    const auto out = readTextTrace(path("c.din"));
+    const auto out = loadTrace(path("c.din"));
     ASSERT_EQ(out.size(), 2u);
     EXPECT_EQ(out[0].addr, 0x1000u);
     EXPECT_EQ(out[1].type, AccessType::Fetch);
@@ -80,7 +80,7 @@ TEST_F(TraceTest, TextSkipsCommentsAndBlanks)
 TEST_F(TraceTest, LoadDispatchesByExtension)
 {
     const auto in = sampleAccesses();
-    writeBinaryTrace(path("a.bst"), in);
+    writeBst2Trace(path("a.bst"), in);
     writeTextTrace(path("a.din"), in);
     EXPECT_EQ(loadTrace(path("a.bst")).size(), in.size());
     EXPECT_EQ(loadTrace(path("a.din")).size(), in.size());
@@ -88,8 +88,8 @@ TEST_F(TraceTest, LoadDispatchesByExtension)
 
 TEST_F(TraceTest, EmptyTraceRoundTrips)
 {
-    writeBinaryTrace(path("e.bst"), {});
-    EXPECT_TRUE(readBinaryTrace(path("e.bst")).empty());
+    writeBst2Trace(path("e.bst"), {});
+    EXPECT_TRUE(loadTrace(path("e.bst")).empty());
 }
 
 TEST_F(TraceTest, BadMagicIsFatal)
@@ -97,13 +97,13 @@ TEST_F(TraceTest, BadMagicIsFatal)
     std::FILE *f = std::fopen(path("bad.bst").c_str(), "wb");
     std::fwrite("NOPE", 1, 4, f);
     std::fclose(f);
-    EXPECT_FATAL(readBinaryTrace(path("bad.bst")),
-                 "not a BST1/BST2 binary trace");
+    EXPECT_FATAL(loadTrace(path("bad.bst")),
+                 "not a BST2 binary trace (bad magic)");
 }
 
 TEST_F(TraceTest, MissingFileIsFatal)
 {
-    EXPECT_FATAL(readBinaryTrace(path("nonexistent.bst")), "cannot open");
+    EXPECT_FATAL(loadTrace(path("nonexistent.bst")), "cannot open");
 }
 
 TEST_F(TraceTest, BadTextLineIsFatal)
@@ -111,7 +111,7 @@ TEST_F(TraceTest, BadTextLineIsFatal)
     std::FILE *f = std::fopen(path("bad.din").c_str(), "w");
     std::fprintf(f, "read 0x100\n");
     std::fclose(f);
-    EXPECT_FATAL(readTextTrace(path("bad.din")), "bad trace line 1");
+    EXPECT_FATAL(loadTrace(path("bad.din")), "bad trace line 1");
 }
 
 TEST_F(TraceTest, BadLabelIsFatal)
@@ -119,7 +119,7 @@ TEST_F(TraceTest, BadLabelIsFatal)
     std::FILE *f = std::fopen(path("lbl.din").c_str(), "w");
     std::fprintf(f, "7 100\n");
     std::fclose(f);
-    EXPECT_FATAL(readTextTrace(path("lbl.din")), "bad record label");
+    EXPECT_FATAL(loadTrace(path("lbl.din")), "bad record label");
 }
 
 TEST(RecordingStream, CapturesEverything)
@@ -143,8 +143,8 @@ TEST_F(TraceTest, CaptureThenReplayMatchesLive)
         std::make_unique<SequentialStream>(0x8000, 512, 8));
     for (int i = 0; i < 200; ++i)
         rec.next();
-    writeBinaryTrace(path("cap.bst"), rec.recorded());
-    VectorStream replay(readBinaryTrace(path("cap.bst")));
+    writeBst2Trace(path("cap.bst"), rec.recorded());
+    VectorStream replay(loadTrace(path("cap.bst")));
     for (int i = 0; i < 200; ++i)
         EXPECT_EQ(replay.next().addr, live.next().addr);
 }
