@@ -405,8 +405,11 @@ bsimMain(int argc, char **argv)
             ex.statsJsonPath = need();
         else if (!std::strcmp(flag, "--heatmap"))
             ex.heatmapPath = need();
-        else if (!std::strcmp(flag, "--interval"))
+        else if (!std::strcmp(flag, "--interval")) {
             ex.interval = parseNum(flag, need());
+            if (ex.interval == 0)
+                usage("--interval needs a window of at least 1 access");
+        }
         else if (!std::strcmp(flag, "--json"))
             json = true;
         else if (!std::strcmp(flag, "--timed"))

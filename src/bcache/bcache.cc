@@ -150,7 +150,7 @@ BCache::makeBatchContext()
             hitLatency(),
             params_.writePolicy == WritePolicy::WriteBackAllocate,
             usage_.data(),
-            cacheObserver()};
+            lineObserver()};
 }
 
 bool

@@ -57,15 +57,25 @@ class BaseCache : public MemLevel
     /**
      * Attach (or detach with nullptr) the observer (per-line accesses +
      * the engine's miss-path hook set; see cache/cache_observer.hh).
-     * Hits reach it through the pointer the batched fast paths already
-     * hoist, so observation adds no per-hit work. One slot: a cache
-     * carries either a stats observer or a drowsy estimator, not both.
-     * -DBSIM_NO_OBSERVE compiles out only the miss-path hooks.
+     * Per-line accesses go through a second pointer, set only when
+     * @p obs consumes them, so an observer that ignores them costs no
+     * per-hit work; one that consumes them costs a virtual call per
+     * line-touching access. One slot: a cache carries either a stats
+     * observer or a drowsy estimator, not both. -DBSIM_NO_OBSERVE
+     * compiles out only the miss-path hooks.
      */
-    void setCacheObserver(CacheObserver *obs) { observer_ = obs; }
+    void
+    setCacheObserver(CacheObserver *obs)
+    {
+        observer_ = obs;
+        lineObserver_ = obs && obs->consumesLineAccess() ? obs : nullptr;
+    }
 
-    /** The attached observer, or nullptr (batched paths hoist it). */
-    CacheObserver *cacheObserver() const { return observer_; }
+    /**
+     * The attached observer if it consumes per-line accesses, else
+     * nullptr (the batched fast paths hoist it once per batch).
+     */
+    CacheObserver *lineObserver() const { return lineObserver_; }
 
     /** Miss rate over all access types. */
     double missRate() const { return stats_.missRate(); }
@@ -88,8 +98,9 @@ class BaseCache : public MemLevel
     void writebackToNext(Addr block_addr);
 
     /**
-     * Per-line bookkeeping (usage histogram + observer). The aggregate
-     * counters go through the engine's stats sinks instead.
+     * Per-line bookkeeping (usage histogram + the line observer, if
+     * any). The aggregate counters go through the engine's stats sinks
+     * instead.
      */
     void
     recordLineOnly(std::size_t physical_line, bool hit)
@@ -99,8 +110,8 @@ class BaseCache : public MemLevel
             ++u.hits;
         else
             ++u.misses;
-        if (observer_)
-            observer_->onLineAccess(physical_line, hit);
+        if (lineObserver_)
+            lineObserver_->onLineAccess(physical_line, hit);
     }
 
     /**
@@ -137,6 +148,8 @@ class BaseCache : public MemLevel
     Cycles hitLatency_;
     MemLevel *next_;
     CacheObserver *observer_ = nullptr;
+    /** observer_ if it consumes onLineAccess, else nullptr. */
+    CacheObserver *lineObserver_ = nullptr;
 };
 
 } // namespace bsim

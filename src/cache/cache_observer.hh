@@ -6,11 +6,14 @@
  * A CacheObserver sees the physical line of every demand access plus the
  * miss-path events the tag-array engine sequences for every variant:
  * line installs (fills/evictions), writebacks to the next level, and
- * decoder reprogramming (the B-Cache's PD churn). The hot (hit) path is
- * untouched by design: hits report through the observer pointer the
- * batched fast paths already hoist, so attaching an observer adds no new
- * work per hit and the other hooks only fire on the (orders-of-magnitude
- * rarer) miss path.
+ * decoder reprogramming (the B-Cache's PD churn). Per-line accesses,
+ * hits included, reach only an observer that consumes them
+ * (consumesLineAccess()): the cache keeps a separate hit-path pointer
+ * that is null otherwise, and the batched fast paths hoist it once per
+ * batch. A stats collector without an interval series therefore costs
+ * nothing per hit; one that consumes line accesses (an interval series,
+ * the drowsy estimator) pays one virtual call per line-touching access.
+ * The other hooks only fire on the (orders-of-magnitude rarer) miss path.
  *
  * Compile-time kill switch: building with -DBSIM_NO_OBSERVE compiles the
  * engine's miss-path notification sites out entirely (kObserversEnabled
@@ -51,8 +54,16 @@ class CacheObserver
     virtual ~CacheObserver() = default;
 
     /**
+     * Whether onLineAccess does anything for this observer. The cache
+     * asks once, when the observer is attached, and skips every
+     * onLineAccess call when the answer is false — so the answer must
+     * not change while the observer is attached.
+     */
+    virtual bool consumesLineAccess() const { return true; }
+
+    /**
      * A demand access resolved to @p physical_line (called once per
-     * access that touches a line).
+     * access that touches a line, if consumesLineAccess()).
      */
     virtual void onLineAccess(std::size_t /* physical_line */,
                               bool /* hit */)

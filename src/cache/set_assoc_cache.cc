@@ -82,7 +82,7 @@ SetAssocCache::makeBatchContext()
             hitLatency(),
             writeThroughPolicy(),
             usage_.data(),
-            cacheObserver()};
+            lineObserver()};
 }
 
 bool

@@ -35,8 +35,8 @@
  *   onMissClassified(pr, mode)        demand-miss taxonomy (B-Cache PD)
  *   makeBatchContext()/tryFastHit()/finishBatch()
  *                                     a tuned inline hit path for the
- *                                     batched loop (SetAssocCache and
- *                                     BCache keep their PR-3 fast paths)
+ *                                     batched loop (SetAssocCache,
+ *                                     BCache and VictimCache have one)
  *
  * Two compile-time traits (defaulted false, hidden by the derived class
  * to opt in):
@@ -51,12 +51,15 @@
  *
  * Observability (cache/cache_observer.hh, docs/ARCHITECTURE.md): the
  * engine is also the single notification point for an attached
- * CacheObserver. Hits report through the observer pointer the batched
- * fast paths already hoist (no new hit-path work); the engine's run()
- * core fires the miss-path hook set — onWriteback (via writebackToNext),
- * onDecoderReprogram (from a variant's install hook), onInstall — in
- * program order for every variant. -DBSIM_NO_OBSERVE compiles the
- * miss-path notification sites out.
+ * CacheObserver. Per-line accesses go through BaseCache::lineObserver(),
+ * which is null unless the observer consumes them, so an observer that
+ * ignores them adds no hit-path work; one that consumes them costs one
+ * virtual call per line-touching access (the fast paths hoist the
+ * pointer once per batch). The engine's run() core fires the miss-path
+ * hook set — onWriteback (via writebackToNext), onDecoderReprogram
+ * (from a variant's install hook), onInstall — in program order for
+ * every variant. -DBSIM_NO_OBSERVE compiles the miss-path notification
+ * sites out.
  */
 
 #ifndef BSIM_CACHE_TAG_ARRAY_ENGINE_HH

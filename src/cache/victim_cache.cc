@@ -132,6 +132,40 @@ VictimCache::install(std::size_t frame, const Probe &pr,
     l.dirty = (req.type == AccessType::Write);
 }
 
+VictimCache::BatchCtx
+VictimCache::makeBatchContext()
+{
+    // Hoisted once per batch: geometry fields and the main array base.
+    return {main_.data(),
+            geom_.offsetBits(),
+            geom_.indexBits(),
+            hitLatency(),
+            usage_.data(),
+            lineObserver()};
+}
+
+bool
+VictimCache::tryFastHit(BatchCtx &ctx, const MemAccess &req,
+                        BatchTagStatsSink &sink, AccessOutcome &out)
+{
+    // Main-array hits resolve inline: the direct-mapped array has no
+    // replacement state, so a hit only sets the dirty bit. Buffer
+    // probes, swaps and misses run through the engine's run() core.
+    const std::size_t set = bitsRange(req.addr, ctx.offsetBits,
+                                      ctx.indexBits);
+    Line &l = ctx.lines[set];
+    if (!l.valid || l.tag != req.addr >> (ctx.offsetBits + ctx.indexBits))
+        return false;
+    if (req.type == AccessType::Write)
+        l.dirty = true;
+    sink.access(req.type, true);
+    ++ctx.usage[set].hits;
+    if (ctx.obs)
+        ctx.obs->onLineAccess(set, true);
+    out = {true, ctx.hitLat};
+    return true;
+}
+
 void
 VictimCache::reset()
 {

@@ -10,8 +10,10 @@
  * Composed over the shared TagArrayEngine: the main array uses the
  * modulo index function; the buffer probe and the swap/insert dance live
  * in the probe/onHit/victimFrame hooks. The engine supplies
- * access()/accessBatch()/writeback() — the batched path reuses the same
- * hooks, so victim-buffer behaviour cannot drift between entry points.
+ * access()/accessBatch()/writeback(). The batched path resolves
+ * main-array hits inline (tryFastHit); buffer probes, swaps and misses
+ * go through the same hooks as every other entry point, so
+ * victim-buffer behaviour cannot drift between them.
  */
 
 #ifndef BSIM_CACHE_VICTIM_CACHE_HH
@@ -77,6 +79,17 @@ class VictimCache : public TagArrayEngine<VictimCache>
         int buf = -1; ///< buffer entry holding the block, or -1
     };
 
+    /** Hoisted fields of the batched fast hit path (one per batch). */
+    struct BatchCtx
+    {
+        Line *lines;
+        unsigned offsetBits;
+        unsigned indexBits;
+        Cycles hitLat;
+        SetUsage *usage;
+        CacheObserver *obs;
+    };
+
     // Engine hooks (see cache/tag_array_engine.hh). No write policy:
     // the victim cache is always write-back/write-allocate.
     Probe probe(const MemAccess &req, EngineMode mode);
@@ -86,6 +99,10 @@ class VictimCache : public TagArrayEngine<VictimCache>
                             EngineMode mode);
     void install(std::size_t frame, const Probe &pr, const MemAccess &req,
                  EngineMode mode);
+
+    BatchCtx makeBatchContext();
+    bool tryFastHit(BatchCtx &ctx, const MemAccess &req,
+                    BatchTagStatsSink &sink, AccessOutcome &out);
 
     int findBuffer(Addr block_addr) const;
     /** Insert a block evicted from the main array into the buffer. */

@@ -29,6 +29,7 @@
 #ifndef BSIM_OBSERVE_OBSERVER_HH
 #define BSIM_OBSERVE_OBSERVER_HH
 
+#include <compare>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -50,6 +51,8 @@ struct ObserverConfig
      * set attribution — same rule the per-set usage counters follow).
      */
     std::uint64_t intervalLen = 0;
+
+    auto operator<=>(const ObserverConfig &) const = default;
 };
 
 /** One window of the interval time-series. */
@@ -143,7 +146,13 @@ class StatsObserver : public CacheObserver
   public:
     StatsObserver(std::size_t num_lines, const ObserverConfig &config);
 
-    // CacheObserver hooks (cache/cache_observer.hh).
+    // CacheObserver hooks (cache/cache_observer.hh). Only the interval
+    // series needs per-line accesses; the per-line histogram is the
+    // cache's own.
+    bool consumesLineAccess() const override
+    {
+        return config_.intervalLen > 0;
+    }
     void onLineAccess(std::size_t line, bool hit) override;
     void onInstall(std::size_t line) override;
     void onWriteback() override;

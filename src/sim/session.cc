@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <exception>
 #include <functional>
 #include <vector>
 
@@ -52,7 +53,15 @@ Session::Session(AccessStream &stream, std::vector<CacheConfig> configs,
 Session::Session(std::string trace_path, const CacheConfig &config,
                  const TraceShard &shard,
                  const TraceReplayOptions &options)
-    : configs_{config},
+    : Session(std::move(trace_path), std::vector<CacheConfig>{config},
+              shard, options)
+{
+}
+
+Session::Session(std::string trace_path, std::vector<CacheConfig> configs,
+                 const TraceShard &shard,
+                 const TraceReplayOptions &options)
+    : configs_(std::move(configs)),
       label_(replayLabel(trace_path, shard)),
       observe_(options.observe),
       maxAccesses_(options.maxAccesses),
@@ -61,6 +70,7 @@ Session::Session(std::string trace_path, const CacheConfig &config,
       shard_(shard),
       handle_(options.handle)
 {
+    bsim_assert(!configs_.empty());
     if (handle_)
         bsim_assert(handle_->path() == tracePath_);
 }
@@ -137,6 +147,20 @@ Session::runEach()
     std::vector<MemAccess> reqs;
     std::vector<AccessOutcome> outs(per_access ? 0 : chunk);
 
+    // A failure of the source itself (a missing or corrupt trace)
+    // fails every DUT still running with its error, as it would fail a
+    // single-DUT run.
+    auto fail_source = [&] {
+        const std::exception_ptr error = std::current_exception();
+        for (Dut &d : duts) {
+            if (!d.cache)
+                continue;
+            d.run.error = error;
+            d.cache.reset();
+            d.obs.reset();
+        }
+    };
+
     // Where the records come from. Trace readers and span streams
     // (trace-backed AccessStreams) hand out views of their own chunk
     // buffer — the mmap itself for uncompressed BST2 — so nothing is
@@ -147,9 +171,14 @@ Session::runEach()
     TraceReaderPtr reader;
     std::function<std::span<const MemAccess>(std::size_t)> pull;
     if (!stream_) {
-        if (alive())
-            reader = handle_ ? openTraceReader(handle_, shard_)
-                             : openTraceReader(tracePath_, shard_);
+        if (alive()) {
+            try {
+                reader = handle_ ? openTraceReader(handle_, shard_)
+                                 : openTraceReader(tracePath_, shard_);
+            } catch (...) {
+                fail_source();
+            }
+        }
         pull = [&](std::size_t n) { return reader->nextSpan(n); };
     } else if (!per_access && stream_->hasSpanBatches()) {
         pull = [&](std::size_t n) { return stream_->nextSpan(n); };
@@ -177,7 +206,13 @@ Session::runEach()
         // that would wrap past maxAccesses if one ever over-delivered
         // (turning a bounded run into a near-unbounded one), and the
         // clamp also keeps it from overrunning `outs`.
-        std::span<const MemAccess> s = pull(want);
+        std::span<const MemAccess> s;
+        try {
+            s = pull(want);
+        } catch (...) {
+            fail_source();
+            break;
+        }
         s = s.first(std::min(s.size(), want));
         if (s.empty())
             break;

@@ -6,11 +6,11 @@
  * the observer wiring, and the export sinks (human report suppression,
  * bsim-stats-v1 JSON, per-set heatmap CSV, interval series).
  *
- * A stream session may drive several DUTs: each batch is pulled from
- * the source once and fed to every cache in turn, so a grid of caches
- * over one workload stream generates that stream once. Every cache
- * sees exactly the records it would see alone, so each result is
- * bit-identical to a single-DUT run.
+ * A session may drive several DUTs: each batch is pulled from the
+ * source once and fed to every cache in turn, so a grid of caches over
+ * one workload stream generates that stream once, and a grid over one
+ * trace window reads it once. Every cache sees exactly the records it
+ * would see alone, so each result is bit-identical to a single-DUT run.
  *
  * Before this layer, runner.cc, trace_replay.cc and the bsim driver
  * each re-implemented DUT setup, the batched access loops, observer
@@ -96,6 +96,17 @@ class Session
             const TraceShard &shard = {},
             const TraceReplayOptions &options = {});
 
+    /**
+     * Session replaying one trace window through every cache in
+     * @p configs: each span is read and validated once and fed to
+     * every cache while it is still in cache. Each cache gets its own
+     * observer when options.observe is enabled. Only run() and
+     * runEach() accept several DUTs.
+     */
+    Session(std::string trace_path, std::vector<CacheConfig> configs,
+            const TraceShard &shard = {},
+            const TraceReplayOptions &options = {});
+
     Session(Session &&) = default;
     Session &operator=(Session &&) = default;
 
@@ -103,9 +114,10 @@ class Session
      * Full run: every record of the source window through every DUT,
      * one result per DUT in config order. The source is pulled once per
      * batch and the batch fed to each cache in turn; BSIM_BATCH=0/1
-     * feeds the same records one access at a time. Errors of the
-     * source itself (a missing trace) propagate; a DUT's own failure
-     * lands in its DutRun.
+     * feeds the same records one access at a time. A failure of the
+     * source itself (a missing or corrupt trace) fails every DUT still
+     * running with that error, as it would fail a single-DUT run; a
+     * DUT's own failure lands in its DutRun alone.
      */
     std::vector<DutRun> runEach();
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <exception>
 #include <map>
 #include <mutex>
@@ -54,6 +55,18 @@ errorOf(std::exception_ptr error)
     }
 }
 
+/** A trace job's replay knobs (its run length, batch, observer, handle). */
+TraceReplayOptions
+replayOptions(const SweepJob &job)
+{
+    TraceReplayOptions opts;
+    opts.maxAccesses = job.length;
+    opts.batchLen = job.traceBatchLen;
+    opts.observe = job.observe;
+    opts.handle = job.traceHandle;
+    return opts;
+}
+
 /** Run one job on its own; every failure is captured in the outcome. */
 SweepOutcome
 runOne(const SweepJob &job, std::size_t index, std::uint64_t seed)
@@ -97,11 +110,7 @@ runOne(const SweepJob &job, std::size_t index, std::uint64_t seed)
             out.customEvents = job.custom(out.seed);
             break;
           case SweepJob::Kind::Trace: {
-            TraceReplayOptions opts;
-            opts.maxAccesses = job.length;
-            opts.batchLen = job.traceBatchLen;
-            opts.observe = job.observe;
-            opts.handle = job.traceHandle;
+            const TraceReplayOptions opts = replayOptions(job);
             if (job.sample)
                 out.miss = runTraceSampled(job.tracePath, job.config,
                                            *job.sample, opts,
@@ -124,16 +133,16 @@ runOne(const SweepJob &job, std::size_t index, std::uint64_t seed)
  * Hand each member of a shared unit its DutRunOf result (into
  * @p slot of its outcome), or its own error, or the unit's @p error.
  * Its seconds are its own time plus an equal share of the rest of the
- * unit's @p wall time (source construction and generation), so the
- * members' seconds sum to the unit's wall time.
+ * unit's @p wall time (source construction, generation or trace
+ * reading), so the members' seconds sum to the unit's wall time.
  */
 template <class Result>
 void
 settle(std::vector<DutRunOf<Result>> &duts,
        std::optional<Result> SweepOutcome::*slot,
-       const std::vector<std::size_t> &members, std::uint64_t seed,
-       const std::string &error, double wall,
-       std::vector<SweepOutcome> &outcomes)
+       const std::vector<std::size_t> &members,
+       const std::vector<std::uint64_t> &seeds, const std::string &error,
+       double wall, std::vector<SweepOutcome> &outcomes)
 {
     duts.resize(members.size()); // empty when the source failed
     double own = 0.0;
@@ -143,7 +152,7 @@ settle(std::vector<DutRunOf<Result>> &duts,
     for (std::size_t k = 0; k < members.size(); ++k) {
         SweepOutcome &out = outcomes[members[k]];
         out.index = members[k];
-        out.seed = seed;
+        out.seed = seeds[members[k]];
         if (!error.empty())
             out.error = error;
         else if (duts[k].error)
@@ -156,19 +165,22 @@ settle(std::vector<DutRunOf<Result>> &duts,
 
 /**
  * Run the jobs @p members, which share one planUnits() key, off one
- * generated source: MissRate units through Session::runEach(), which
- * feeds each access batch to every member's cache, and Timed units
+ * source: MissRate units through Session::runEach(), which feeds each
+ * generated access batch to every member's cache; Trace units through
+ * the same loop over one read of their trace window; and Timed units
  * through runTimedEach(), which steps every member's core over each
  * µop batch. Each result is bit-identical to the member's own serial
  * runner call; a member whose config fails fails alone.
  */
 void
 runShared(const std::vector<SweepJob> &jobs,
-          const std::vector<std::size_t> &members, std::uint64_t seed,
+          const std::vector<std::size_t> &members,
+          const std::vector<std::uint64_t> &seeds,
           std::vector<SweepOutcome> &outcomes)
 {
     const auto start = Clock::now();
     const SweepJob &lead = jobs[members.front()];
+    const std::uint64_t seed = seeds[members.front()];
     const bool timed = lead.kind == SweepJob::Kind::Timed;
     std::vector<CacheConfig> configs;
     configs.reserve(members.size());
@@ -181,6 +193,10 @@ runShared(const std::vector<SweepJob> &jobs,
         if (timed) {
             cores = runTimedEach(lead.workload, configs, lead.length,
                                  seed, lead.hierarchy);
+        } else if (lead.kind == SweepJob::Kind::Trace) {
+            miss = Session(lead.tracePath, std::move(configs), lead.shard,
+                           replayOptions(lead))
+                       .runEach();
         } else {
             SpecWorkload wl = makeSpecWorkload(lead.workload, seed);
             AccessStream &stream =
@@ -194,36 +210,57 @@ runShared(const std::vector<SweepJob> &jobs,
     }
     const double wall = secondsSince(start);
     if (timed)
-        settle(cores, &SweepOutcome::timed, members, seed, error, wall,
+        settle(cores, &SweepOutcome::timed, members, seeds, error, wall,
                outcomes);
     else
-        settle(miss, &SweepOutcome::miss, members, seed, error, wall,
+        settle(miss, &SweepOutcome::miss, members, seeds, error, wall,
                outcomes);
 }
 
-/** What jobs must agree on to share one generated source. */
+/** What jobs must agree on to share one source. */
 struct UnitKey
 {
-    SweepJob::Kind kind;
+    SweepJob::Kind kind = SweepJob::Kind::MissRate;
     std::string workload;
-    StreamSide side;           ///< MissRate only; Data for Timed
-    std::uint64_t seed;        ///< resolved
-    std::uint64_t length;      ///< accesses or µops
-    HierarchyParams hierarchy; ///< Timed only; default for MissRate
+    std::uint64_t length = 0;          ///< accesses, µops or records
+    std::uint64_t seed = 0;            ///< resolved; MissRate and Timed
+    StreamSide side = StreamSide::Data; ///< MissRate only
+    HierarchyParams hierarchy;          ///< Timed only
+    // Trace only.
+    std::string tracePath;
+    TraceShard shard;
+    std::size_t traceBatchLen = 0;
+    ObserverConfig observe;
+    std::uintptr_t traceHandle = 0; ///< the shared handle's identity
 
     auto operator<=>(const UnitKey &) const = default;
 };
+
+/**
+ * Trace units aim at this many units per worker. A trace unit costs
+ * about one cache per member (reading the window is cheap next to
+ * them), so a few large units leave workers idle at the end of the
+ * sweep; ~4 per worker keeps the tail short while each unit still
+ * reads its window once for several caches.
+ */
+constexpr std::size_t kTraceUnitsPerWorker = 4;
 
 /**
  * Partition the jobs into work units. Unsampled MissRate jobs that
  * share (workload, side, resolved seed, length) form one unit, which
  * generates that stream once for all of them; Timed jobs that share
  * (workload, resolved seed, length, HierarchyParams) form one unit,
- * which generates that µop stream once for all of their cores. Every
- * other job is a unit of its own. Units are ordered by their first
- * job. While there are fewer units than @p threads, the largest unit
- * is split in half, so a sweep over one workload still keeps every
- * worker busy.
+ * which generates that µop stream once for all of their cores;
+ * unsampled Trace jobs that share (path, shard window, length, batch
+ * length, observer config, handle identity) form one unit, which reads
+ * that window once for all of their caches. Every other job is a unit
+ * of its own. Units are ordered by their first job.
+ *
+ * Splitting, always in halves of the largest eligible unit: on more
+ * than one thread, trace units are split while the largest holds more
+ * than ⌈trace jobs ÷ (4 × threads)⌉ members; then, while there are
+ * fewer units than @p threads, the largest unit of any kind is split,
+ * so a sweep over one workload still keeps every worker busy.
  */
 std::vector<std::vector<std::size_t>>
 planUnits(const std::vector<SweepJob> &jobs,
@@ -231,40 +268,97 @@ planUnits(const std::vector<SweepJob> &jobs,
 {
     std::map<UnitKey, std::size_t> shared;
     std::vector<std::vector<std::size_t>> units;
+    std::size_t trace_jobs = 0;
     for (std::size_t i = 0; i < jobs.size(); ++i) {
         const SweepJob &j = jobs[i];
         const bool miss = j.kind == SweepJob::Kind::MissRate && !j.sample;
         const bool timed = j.kind == SweepJob::Kind::Timed;
-        // Invalid jobs stay on their own so runOne reports them.
-        if (!(miss || timed) || !isSpec2kName(j.workload) ||
-            j.length == 0) {
+        const bool trace = j.kind == SweepJob::Kind::Trace && !j.sample;
+        // Invalid jobs stay on their own so runOne reports them. A
+        // trace job's failures (a missing file, a bad config) are the
+        // same inside a unit, so only its kind decides.
+        if (!trace && (!(miss || timed) || !isSpec2kName(j.workload) ||
+                       j.length == 0)) {
             units.push_back({i});
             continue;
         }
-        const UnitKey key{j.kind,
-                          j.workload,
-                          miss ? j.side : StreamSide::Data,
-                          seeds[i],
-                          j.length,
-                          timed ? j.hierarchy : HierarchyParams{}};
+        UnitKey key;
+        key.kind = j.kind;
+        key.workload = j.workload;
+        key.length = j.length;
+        if (miss)
+            key.side = j.side;
+        if (timed)
+            key.hierarchy = j.hierarchy;
+        if (trace) {
+            key.tracePath = j.tracePath;
+            key.shard = j.shard;
+            key.traceBatchLen = j.traceBatchLen;
+            key.observe = j.observe;
+            key.traceHandle =
+                reinterpret_cast<std::uintptr_t>(j.traceHandle.get());
+            ++trace_jobs;
+        } else {
+            key.seed = seeds[i];
+        }
         const auto [it, fresh] = shared.try_emplace(key, units.size());
         if (fresh)
             units.emplace_back();
         units[it->second].push_back(i);
     }
-    while (units.size() < threads) {
-        const auto largest = std::max_element(
-            units.begin(), units.end(),
-            [](const auto &a, const auto &b) { return a.size() < b.size(); });
-        if (largest->size() < 2)
-            break;
+
+    // Halve the largest unit that @p eligible admits, if it has more
+    // than @p floor members; false when there is none.
+    auto split_largest = [&](auto eligible, std::size_t floor) {
+        auto largest = units.end();
+        for (auto u = units.begin(); u != units.end(); ++u)
+            if (eligible(*u) &&
+                (largest == units.end() || u->size() > largest->size()))
+                largest = u;
+        if (largest == units.end() || largest->size() <= floor)
+            return false;
         const auto half =
             largest->begin() + std::ptrdiff_t(largest->size() / 2);
         std::vector<std::size_t> tail(half, largest->end());
         largest->erase(half, largest->end());
         units.insert(largest + 1, std::move(tail));
+        return true;
+    };
+    if (threads > 1 && trace_jobs > 0) {
+        const std::size_t per_unit =
+            (trace_jobs + kTraceUnitsPerWorker * threads - 1) /
+            (kTraceUnitsPerWorker * threads);
+        auto is_trace = [&](const std::vector<std::size_t> &u) {
+            return jobs[u.front()].kind == SweepJob::Kind::Trace;
+        };
+        while (split_largest(is_trace, per_unit)) {
+        }
+    }
+    auto any = [](const std::vector<std::size_t> &) { return true; };
+    while (units.size() < threads && split_largest(any, 1)) {
     }
     return units;
+}
+
+/** Worker threads runSweep() starts for @p jobs. */
+unsigned
+sweepThreads(const std::vector<SweepJob> &jobs, const SweepOptions &options)
+{
+    const unsigned requested =
+        options.jobs ? options.jobs : defaultJobs();
+    return static_cast<unsigned>(
+        std::min<std::size_t>(std::max(requested, 1u), jobs.size()));
+}
+
+/** Each job's workload seed: its own, or derived from its index. */
+std::vector<std::uint64_t>
+sweepSeeds(const std::vector<SweepJob> &jobs, const SweepOptions &options)
+{
+    std::vector<std::uint64_t> seeds(jobs.size());
+    for (std::size_t i = 0; i < jobs.size(); ++i)
+        seeds[i] = jobs[i].seed ? *jobs[i].seed
+                                : sweepSeed(options.baseSeed, i);
+    return seeds;
 }
 
 } // namespace
@@ -368,21 +462,22 @@ SweepSummary::eventsPerSecond() const
     return wallSeconds > 0.0 ? double(events) / wallSeconds : 0.0;
 }
 
+std::vector<std::vector<std::size_t>>
+planSweepUnits(const std::vector<SweepJob> &jobs,
+               const SweepOptions &options)
+{
+    return planUnits(jobs, sweepSeeds(jobs, options),
+                     sweepThreads(jobs, options));
+}
+
 SweepRun
 runSweep(const std::vector<SweepJob> &jobs, const SweepOptions &options)
 {
     SweepRun run;
     run.outcomes.resize(jobs.size());
 
-    const unsigned requested =
-        options.jobs ? options.jobs : defaultJobs();
-    const unsigned threads = static_cast<unsigned>(
-        std::min<std::size_t>(std::max(requested, 1u), jobs.size()));
-
-    std::vector<std::uint64_t> seeds(jobs.size());
-    for (std::size_t i = 0; i < jobs.size(); ++i)
-        seeds[i] = jobs[i].seed ? *jobs[i].seed
-                                : sweepSeed(options.baseSeed, i);
+    const unsigned threads = sweepThreads(jobs, options);
+    const std::vector<std::uint64_t> seeds = sweepSeeds(jobs, options);
     const auto units = planUnits(jobs, seeds, threads);
 
     const auto start = Clock::now();
@@ -403,7 +498,7 @@ runSweep(const std::vector<SweepJob> &jobs, const SweepOptions &options)
                 run.outcomes[first] =
                     runOne(jobs[first], first, seeds[first]);
             else
-                runShared(jobs, members, seeds[first], run.outcomes);
+                runShared(jobs, members, seeds, run.outcomes);
 
             std::lock_guard<std::mutex> lock(progress_mutex);
             for (const std::size_t i : members) {

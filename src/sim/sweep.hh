@@ -11,11 +11,22 @@
  * that stream once instead of N times. Timed jobs that share (workload,
  * resolved seed, run length, HierarchyParams) are one unit the same
  * way: runTimedEach() generates each µop batch once and steps every
- * member's own core and hierarchy over it. Every other job — Trace,
- * Custom, sampled, and jobs whose stream no other job shares — is a
- * unit of its own and runs exactly as a serial runner call would.
- * When there are fewer units than worker threads, the largest units are
- * split in half until every worker has one.
+ * member's own core and hierarchy over it. Unsampled Trace jobs that
+ * share (trace path, shard window, run length, batch length, observer
+ * config, shared-handle identity) are one unit too: Session::runEach
+ * reads and validates each span of the window once and feeds it to
+ * every member's cache while it is still in the CPU cache. Every other
+ * job — Custom, sampled, and jobs whose source no other job shares — is
+ * a unit of its own and runs exactly as a serial runner call would.
+ *
+ * Splitting: a trace unit costs about one cache per member, so on more
+ * than one thread trace units are halved while the largest holds more
+ * than ⌈trace jobs ÷ (4 × threads)⌉ members — about four units per
+ * worker, which keeps every worker busy to the end (8 caches × 13
+ * shards at 4 threads run as 26 units of 4). A generated source costs
+ * about as much as one cache, so those units keep the coarser rule
+ * that applies last to every kind: while there are fewer units than
+ * worker threads, the largest unit is split in half.
  *
  * Determinism contract: a job's workload seed depends only on the job
  * itself — either the explicit SweepJob::seed, or
@@ -51,7 +62,7 @@ struct SweepJob
         MissRate, ///< standalone cache via runMissRate()
         Timed,    ///< OOO core + two-level hierarchy via runTimedEach()
         Custom,   ///< caller-supplied callable (e.g. a verify fuzz case)
-        Trace,    ///< trace-window replay via runTraceReplay()
+        Trace,    ///< trace-window replay via Session::runEach()
     };
 
     Kind kind = Kind::MissRate;
@@ -230,6 +241,15 @@ struct SweepRun
  * scheduling.
  */
 std::uint64_t sweepSeed(std::uint64_t base_seed, std::size_t job_index);
+
+/**
+ * The work units runSweep(@p jobs, @p options) runs, in the order the
+ * workers take them: each unit lists its members' job indices. A pure
+ * function of the jobs, their resolved seeds and the thread count.
+ */
+std::vector<std::vector<std::size_t>>
+planSweepUnits(const std::vector<SweepJob> &jobs,
+               const SweepOptions &options = {});
 
 /**
  * Execute every job on min(options.jobs, jobs.size()) worker threads,

@@ -23,6 +23,7 @@
 #ifndef BSIM_WORKLOAD_TRACE_READER_HH
 #define BSIM_WORKLOAD_TRACE_READER_HH
 
+#include <compare>
 #include <memory>
 #include <span>
 #include <string>
@@ -41,6 +42,8 @@ struct TraceShard
     std::uint64_t firstRecord = 0;
     /** Records in the window; kUnknownRecordCount = through end of file. */
     std::uint64_t recordCount = kUnknownRecordCount;
+
+    auto operator<=>(const TraceShard &) const = default;
 };
 
 /**

@@ -83,8 +83,8 @@ flagTable(const std::string &dir)
          {dir, dir + "/no/such/s.json"}},
         {"--heatmap", {dir + "/h.csv", "-"},
          {dir, dir + "/no/such/h.csv"}},
-        {"--interval", {"0", "1", "64", "18446744073709551615"},
-         {"-1", "x"}},
+        {"--interval", {"1", "64", "18446744073709551615"},
+         {"0", "-1", "x"}},
         {"--json", {}, {}},
         {"--timed", {}, {}},
         {"--help", {}, {}},

@@ -7,6 +7,11 @@
  * across machines — it detects "someone made accessBatch() fall back to
  * the slow path" rather than absolute-speed regressions.
  *
+ * Two legs, each with the same method and threshold:
+ *   bcache   the paper-default 16 kB MF=8 BAS=8 B-Cache
+ *   victim   dm:16kB+victim:16, the direct-mapped cache with a
+ *            16-entry victim buffer (its batched main-array hit path)
+ *
  * Knobs:
  *   BSIM_PERF_THRESHOLD  required batched/per-access speedup
  *                        (default 1.15; 0 disables the assertion). The
@@ -20,19 +25,23 @@
  * but never fail: sanitizer and coverage instrumentation skew the two
  * paths differently.
  *
- * The measured rates are also appended to BENCH_perf.json (see
- * EXPERIMENTS.md "Perf trajectory") so every ctest run extends the
- * repo's perf record.
+ * The measured batched rate of each leg is also appended to
+ * BENCH_perf.json (see EXPERIMENTS.md "Perf trajectory") so every ctest
+ * run extends the repo's perf record: configs
+ * "bcache-16k-mf8-bas8-gcc-inst/batched" and
+ * "victim16-16k-gcc-inst/batched".
  */
 
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <utility>
 #include <vector>
 
 #include "bcache/bcache.hh"
 #include "bench/bench_json.hh"
+#include "cache/victim_cache.hh"
 #include "common/strings.hh"
 #include "sim/runner.hh"
 #include "workload/spec2k.hh"
@@ -55,8 +64,9 @@ envDouble(const char *name, double fallback)
 }
 
 /** Accesses/second of one full pass over @p reqs, per-access driving. */
+template <class Cache>
 double
-ratePerAccess(BCache &cache, const std::vector<MemAccess> &reqs)
+ratePerAccess(Cache &cache, const std::vector<MemAccess> &reqs)
 {
     const auto start = Clock::now();
     for (const MemAccess &r : reqs)
@@ -67,8 +77,9 @@ ratePerAccess(BCache &cache, const std::vector<MemAccess> &reqs)
 }
 
 /** Accesses/second of one full pass, batched driving. */
+template <class Cache>
 double
-rateBatched(BCache &cache, const std::vector<MemAccess> &reqs,
+rateBatched(Cache &cache, const std::vector<MemAccess> &reqs,
             std::size_t batch_len, std::vector<AccessOutcome> &outs)
 {
     const auto start = Clock::now();
@@ -81,30 +92,21 @@ rateBatched(BCache &cache, const std::vector<MemAccess> &reqs,
     return s > 0.0 ? double(reqs.size()) / s : 0.0;
 }
 
-} // namespace
+constexpr std::size_t kBatchLen = kDefaultBatchLen;
+constexpr int kRounds = 9;
 
-int
-main()
+/**
+ * Time one leg: @p per_access and @p batched are two fresh caches of one
+ * organisation. Returns the batched/per-access ratio of the medians, or
+ * a negative value if the two paths diverged.
+ */
+template <class Cache>
+double
+timeLeg(const char *leg, const char *config, Cache &per_access,
+        Cache &batched, const std::vector<MemAccess> &reqs,
+        double threshold)
 {
-    const double threshold = envDouble("BSIM_PERF_THRESHOLD", 1.15);
-    const std::uint64_t n = envCount("BSIM_PERF_ACCESSES", 1ull << 23);
-    constexpr std::size_t kBatchLen = kDefaultBatchLen;
-    constexpr int kRounds = 5;
-
-    // Pre-generated stream so generator cost is excluded: the gate times
-    // the cache hot loop only (the paper-default 16 kB MF=8 BAS=8 cache).
-    // The instruction stream is used because it is hit-heavy (~1% miss
-    // rate): misses run the identical shared core in both paths, so a
-    // miss-heavy stream would only dilute the signal this gate watches —
-    // the batched fast path staying fast.
-    SpecWorkload w = makeSpecWorkload("gcc");
-    std::vector<MemAccess> reqs(n);
-    w.inst->nextBatch(reqs.data(), reqs.size());
     std::vector<AccessOutcome> outs(kBatchLen);
-
-    BCacheParams params; // paper defaults: 16 kB, 32 B, MF=8, BAS=8
-    BCache per_access("per-access", params);
-    BCache batched("batched", params);
 
     // Warm both caches with one untimed pass, then interleave the timed
     // rounds (ABAB) so clock drift hits both paths equally. The gate
@@ -132,34 +134,72 @@ main()
     if (per_access.stats().misses != batched.stats().misses ||
         per_access.stats().hits != batched.stats().hits) {
         std::fprintf(stderr,
-                     "FAIL: paths diverged (hits %llu vs %llu, misses "
+                     "FAIL: %s paths diverged (hits %llu vs %llu, misses "
                      "%llu vs %llu)\n",
-                     (unsigned long long)per_access.stats().hits,
+                     leg, (unsigned long long)per_access.stats().hits,
                      (unsigned long long)batched.stats().hits,
                      (unsigned long long)per_access.stats().misses,
                      (unsigned long long)batched.stats().misses);
-        return 1;
+        return -1.0;
     }
 
     const double ratio =
         med_per > 0.0 ? med_batched / med_per : 0.0;
-    std::printf("perf_batch_smoke: per-access %.2f Macc/s, batched "
+    std::printf("perf_batch_smoke [%s]: per-access %.2f Macc/s, batched "
                 "%.2f Macc/s (batch=%zu) -> speedup %.2fx "
                 "(threshold %.2fx)\n",
-                med_per / 1e6, med_batched / 1e6, kBatchLen, ratio,
+                leg, med_per / 1e6, med_batched / 1e6, kBatchLen, ratio,
                 threshold);
 
     bench::PerfRecord rec;
     rec.bench = "perf_batch_smoke";
-    rec.config = "bcache-16k-mf8-bas8-gcc-inst/batched";
+    rec.config = config;
     rec.accessesPerSec = med_batched;
-    rec.wallSeconds = double(n) / (med_batched > 0 ? med_batched : 1);
+    rec.wallSeconds =
+        double(reqs.size()) / (med_batched > 0 ? med_batched : 1);
     rec.jobs = 1;
     const std::string err = bench::appendPerfRecord(rec);
     if (!err.empty())
         std::fprintf(stderr, "warning: BENCH_perf.json append failed: "
                              "%s\n",
                      err.c_str());
+    return ratio;
+}
+
+} // namespace
+
+int
+main()
+{
+    const double threshold = envDouble("BSIM_PERF_THRESHOLD", 1.15);
+    const std::uint64_t n = envCount("BSIM_PERF_ACCESSES", 1ull << 23);
+
+    // Pre-generated stream so generator cost is excluded: the gate times
+    // the cache hot loop only. The instruction stream is used because it
+    // is hit-heavy (~1% miss rate): misses run the identical shared core
+    // in both paths, so a miss-heavy stream would only dilute the signal
+    // this gate watches — the batched fast path staying fast.
+    SpecWorkload w = makeSpecWorkload("gcc");
+    std::vector<MemAccess> reqs(n);
+    w.inst->nextBatch(reqs.data(), reqs.size());
+
+    BCacheParams params; // paper defaults: 16 kB, 32 B, MF=8, BAS=8
+    BCache bc_per("per-access", params);
+    BCache bc_batched("batched", params);
+    const double bc_ratio =
+        timeLeg("bcache", "bcache-16k-mf8-bas8-gcc-inst/batched", bc_per,
+                bc_batched, reqs, threshold);
+
+    // dm:16kB+victim:16 (the paper's victim16 point of comparison).
+    const CacheGeometry dm(16 * 1024, 32, 1);
+    VictimCache vc_per("per-access", dm, 1, nullptr, 16);
+    VictimCache vc_batched("batched", dm, 1, nullptr, 16);
+    const double vc_ratio =
+        timeLeg("victim", "victim16-16k-gcc-inst/batched", vc_per,
+                vc_batched, reqs, threshold);
+
+    if (bc_ratio < 0.0 || vc_ratio < 0.0)
+        return 1;
 
 #if defined(BSIM_SANITIZED) || defined(BSIM_COVERAGE)
     // Coverage counters skew the two paths just like sanitizers do:
@@ -167,13 +207,17 @@ main()
     std::printf("instrumented build: threshold not enforced\n");
     return 0;
 #else
-    if (threshold > 0.0 && ratio < threshold) {
-        std::fprintf(stderr,
-                     "FAIL: batched path is only %.2fx the per-access "
-                     "path (need %.2fx)\n",
-                     ratio, threshold);
-        return 1;
+    bool ok = true;
+    for (const auto &[leg, ratio] :
+         {std::pair{"bcache", bc_ratio}, std::pair{"victim", vc_ratio}}) {
+        if (threshold > 0.0 && ratio < threshold) {
+            std::fprintf(stderr,
+                         "FAIL: %s batched path is only %.2fx the "
+                         "per-access path (need %.2fx)\n",
+                         leg, ratio, threshold);
+            ok = false;
+        }
     }
-    return 0;
+    return ok ? 0 : 1;
 #endif
 }

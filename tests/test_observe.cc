@@ -10,10 +10,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <utility>
 
 #include "common/json.hh"
 #include "observe/export.hh"
 #include "observe/observer.hh"
+#include "power/drowsy.hh"
 #include "sim/runner.hh"
 #include "workload/generators.hh"
 
@@ -185,6 +187,137 @@ TEST(StatsObserver, PerAccessAndBatchedPathsProduceIdenticalReports)
         expectReportsEqual(*harvestObserver(sobs.get(), *serial),
                            *harvestObserver(bobs.get(), *batched));
     }
+}
+
+/**
+ * @p Observer plus a per-line count of the onLineAccess calls the cache
+ * makes. With @p force it claims to consume line accesses whatever the
+ * observer says, which is how every observer was fed before caches
+ * asked consumesLineAccess().
+ */
+template <class Observer>
+class Counting : public Observer
+{
+  public:
+    template <class... Args>
+    Counting(std::size_t num_lines, bool force, Args &&...args)
+        : Observer(num_lines, std::forward<Args>(args)...),
+          seen(num_lines), force_(force)
+    {
+    }
+
+    bool
+    consumesLineAccess() const override
+    {
+        return force_ || Observer::consumesLineAccess();
+    }
+
+    void
+    onLineAccess(std::size_t line, bool hit) override
+    {
+        ++(hit ? seen[line].hits : seen[line].misses);
+        Observer::onLineAccess(line, hit);
+    }
+
+    std::vector<SetUsage> seen;
+
+  private:
+    bool force_;
+};
+
+/** The organisations whose hit paths differ: dm, 4-way, MF8, victim16. */
+std::vector<CacheConfig>
+deliveryConfigs()
+{
+    return {CacheConfig::directMapped(16 * 1024),
+            CacheConfig::setAssoc(16 * 1024, 4),
+            CacheConfig::bcache(16 * 1024, 8, 8),
+            CacheConfig::victim(16 * 1024, 16)};
+}
+
+/**
+ * The conflict capture followed by a real data stream: misses and
+ * victim-buffer hits, then mostly main-array hits, with writes in both.
+ */
+std::vector<MemAccess>
+deliveryStream()
+{
+    std::vector<MemAccess> t = capturedStream(3000);
+    SpecWorkload wl = makeSpecWorkload("gcc", 7);
+    std::vector<MemAccess> data(5000);
+    wl.data->nextBatch(data.data(), data.size());
+    t.insert(t.end(), data.begin(), data.end());
+    return t;
+}
+
+/** Drive @p stream one access at a time, or in batches of 192. */
+void
+drive(BaseCache &cache, const std::vector<MemAccess> &stream, bool batched)
+{
+    if (!batched) {
+        for (const MemAccess &a : stream)
+            cache.access(a);
+        return;
+    }
+    std::vector<AccessOutcome> outs(192);
+    for (std::size_t i = 0; i < stream.size(); i += 192)
+        cache.accessBatch(
+            {stream.data() + i, std::min<std::size_t>(192, stream.size() - i)},
+            outs.data());
+}
+
+TEST(ObserverDelivery, NoLineAccessReachesAStatsObserverWithoutSeries)
+{
+    const auto stream = deliveryStream();
+    for (const CacheConfig &cfg : deliveryConfigs())
+        for (const bool batched : {false, true}) {
+            SCOPED_TRACE(cfg.label + (batched ? " batched" : " scalar"));
+            auto cache = cfg.build(cfg.label, 1, nullptr);
+            const std::size_t lines = cache->setUsage().size();
+            Counting<StatsObserver> obs(lines, false, ObserverConfig{true, 0});
+            cache->setCacheObserver(&obs);
+            drive(*cache, stream, batched);
+            for (const SetUsage &u : obs.seen)
+                ASSERT_EQ(u.accesses(), 0u);
+
+            // Fed every line access, as before, the report is the same.
+            auto fed = cfg.build(cfg.label, 1, nullptr);
+            Counting<StatsObserver> all(lines, true, ObserverConfig{true, 0});
+            fed->setCacheObserver(&all);
+            drive(*fed, stream, batched);
+            EXPECT_TRUE(all.seen == std::vector<SetUsage>(
+                                        fed->setUsage().begin(),
+                                        fed->setUsage().end()));
+            expectReportsEqual(*harvestObserver(&obs, *cache),
+                               *harvestObserver(&all, *fed));
+            EXPECT_EQ(cache->stats().hits, fed->stats().hits);
+            EXPECT_GT(cache->stats().hits, 0u);
+        }
+}
+
+TEST(ObserverDelivery, ConsumersSeeEveryLineAccessExactlyOnce)
+{
+    const auto stream = deliveryStream();
+    for (const CacheConfig &cfg : deliveryConfigs())
+        for (const bool batched : {false, true}) {
+            SCOPED_TRACE(cfg.label + (batched ? " batched" : " scalar"));
+            auto cache = cfg.build(cfg.label, 1, nullptr);
+            const std::size_t lines = cache->setUsage().size();
+            Counting<StatsObserver> obs(lines, false,
+                                        ObserverConfig{true, 256});
+            cache->setCacheObserver(&obs);
+            drive(*cache, stream, batched);
+            const std::vector<SetUsage> usage(cache->setUsage().begin(),
+                                              cache->setUsage().end());
+            EXPECT_TRUE(obs.seen == usage);
+
+            auto drowsy_cache = cfg.build(cfg.label, 1, nullptr);
+            Counting<DrowsyEstimator> drowsy(lines, false, DrowsyParams{});
+            drowsy_cache->setCacheObserver(&drowsy);
+            drive(*drowsy_cache, stream, batched);
+            EXPECT_TRUE(drowsy.seen == usage);
+            EXPECT_EQ(drowsy.report().ticks, stream.size());
+        }
 }
 
 /** In an invalidation-free model, evictions are installs minus one. */

@@ -2,12 +2,19 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <algorithm>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <vector>
 
 #include "common/logging.hh"
 #include "sim/sweep.hh"
+#include "sim/trace_replay.hh"
+#include "workload/spec2k.hh"
+#include "workload/trace_format.hh"
 
 namespace bsim {
 namespace {
@@ -606,6 +613,335 @@ TEST(SweepGroupedTimed, SecondsSumToTheUnitsWallTime)
         const SweepOutcome &out = run.outcomes[i];
         ASSERT_TRUE(out.ok()) << out.error;
         EXPECT_EQ(out.timed->config, jobs[i].config.label);
+        EXPECT_GT(out.seconds, 0.0);
+        sum += out.seconds;
+    }
+    EXPECT_LE(sum, run.summary.wallSeconds);
+    EXPECT_GE(sum, 0.9 * run.summary.wallSeconds);
+}
+
+/**
+ * Sweeps of trace-window replays. The fixture writes a BST2 trace of a
+ * workload's data stream (writes included) in small chunks, so it
+ * shards into many windows.
+ */
+class SweepGroupedTrace : public ::testing::Test
+{
+  protected:
+    void
+    SetUp() override
+    {
+        dir_ = std::filesystem::temp_directory_path() /
+               ("bsim_sweep_trace_test_" + std::to_string(::getpid()));
+        std::filesystem::create_directories(dir_);
+        trace_ = path("gcc.bst");
+        writeTrace(trace_, 16 * 2048);
+    }
+    void TearDown() override { std::filesystem::remove_all(dir_); }
+
+    std::string path(const std::string &name) const
+    {
+        return (dir_ / name).string();
+    }
+
+    /** @p records of gcc's data stream, in 2048-record chunks. */
+    static void
+    writeTrace(const std::string &file, std::size_t records)
+    {
+        SpecWorkload wl = makeSpecWorkload("gcc", 7);
+        std::vector<MemAccess> buf(records);
+        wl.data->nextBatch(buf.data(), buf.size());
+        Bst2Writer w(file, 2048);
+        w.append(buf);
+        w.finish();
+    }
+
+    std::filesystem::path dir_;
+    std::string trace_;
+};
+
+/** The Figure 4 organisations the trace tests replay. */
+std::vector<CacheConfig>
+traceConfigs()
+{
+    return {CacheConfig::directMapped(16 * 1024),
+            CacheConfig::setAssoc(16 * 1024, 4),
+            CacheConfig::bcache(16 * 1024, 8, 8),
+            CacheConfig::victim(16 * 1024, 16)};
+}
+
+/** What runOne does with a Trace job: one runTraceReplay() call. */
+MissRateResult
+serialReplay(const SweepJob &job)
+{
+    TraceReplayOptions opts;
+    opts.maxAccesses = job.length;
+    opts.batchLen = job.traceBatchLen;
+    opts.observe = job.observe;
+    opts.handle = job.traceHandle;
+    return runTraceReplay(job.tracePath, job.config, job.shard, opts);
+}
+
+/** Every counter of a trace result, the observer report included. */
+void
+expectSameReplay(const MissRateResult &a, const MissRateResult &b)
+{
+    expectSameResult(a, b);
+    EXPECT_EQ(a.stats.writethroughs, b.stats.writethroughs);
+    ASSERT_EQ(a.observer.has_value(), b.observer.has_value());
+    if (!a.observer)
+        return;
+    const ObserverReport &x = *a.observer, &y = *b.observer;
+    EXPECT_TRUE(x.perSet == y.perSet);
+    EXPECT_EQ(x.installs, y.installs);
+    EXPECT_EQ(x.writebacks, y.writebacks);
+    EXPECT_EQ(x.pdReprograms, y.pdReprograms);
+    EXPECT_EQ(x.intervalLen, y.intervalLen);
+    EXPECT_TRUE(x.intervals == y.intervals);
+    EXPECT_EQ(x.pdReprogramsPerGroup, y.pdReprogramsPerGroup);
+    EXPECT_EQ(x.pdOccupancy, y.pdOccupancy);
+}
+
+/**
+ * Every outcome is exactly what runOne gives the job: its index, the
+ * seed derived from its index, and its own runTraceReplay() result.
+ */
+void
+expectMatchesRunOne(const std::vector<SweepJob> &jobs, const SweepRun &run,
+                    std::uint64_t base_seed)
+{
+    ASSERT_EQ(run.outcomes.size(), jobs.size());
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+        SCOPED_TRACE(i);
+        const SweepOutcome &out = run.outcomes[i];
+        EXPECT_EQ(out.index, i);
+        EXPECT_EQ(out.seed, sweepSeed(base_seed, i));
+        ASSERT_TRUE(out.ok()) << out.error;
+        ASSERT_TRUE(out.miss.has_value());
+        expectSameReplay(serialReplay(jobs[i]), *out.miss);
+    }
+}
+
+TEST_F(SweepGroupedTrace, MixedSweepMatchesRunOnePerJob)
+{
+    // Config-major like a harness grid: several shards x four caches x
+    // four (observer, handle, batch length) variants, so each shard
+    // window is shared by four caches in each of four units.
+    const TraceHandlePtr handle = openTraceHandle(trace_);
+    struct Variant
+    {
+        ObserverConfig observe;
+        bool shared;
+        std::size_t batch;
+    };
+    const Variant variants[] = {{{}, false, 0},
+                                {{true, 0}, true, 0},
+                                {{true, 512}, true, 100},
+                                {{true, 0}, false, 100}};
+    std::vector<SweepJob> jobs;
+    for (const CacheConfig &cfg : traceConfigs())
+        for (const TraceShard &w : shardTrace(trace_, 3))
+            for (const Variant &v : variants) {
+                jobs.push_back(SweepJob::traceReplay(trace_, w, cfg, 0,
+                                                     v.batch, v.observe));
+                if (v.shared)
+                    jobs.back().traceHandle = handle;
+            }
+    for (const unsigned threads : {1u, 2u, 3u, 4u, 7u}) {
+        SCOPED_TRACE(threads);
+        SweepOptions opt;
+        opt.jobs = threads;
+        opt.baseSeed = 5;
+        const SweepRun run = runSweep(jobs, opt);
+        EXPECT_EQ(run.summary.threads, threads);
+        EXPECT_EQ(run.summary.failed, 0u);
+        // Every record, once per (cache, variant).
+        EXPECT_EQ(run.summary.events, 4u * 4 * 16 * 2048);
+        expectMatchesRunOne(jobs, run, opt.baseSeed);
+    }
+}
+
+TEST_F(SweepGroupedTrace, DifferentKeysNeverShareAUnit)
+{
+    // Pairs of caches that differ from the first pair in exactly one
+    // key field. Each pair must be a unit of its own: sharing would run
+    // one pair on the other's window, length or observer (visible in
+    // its result), or on the other's batch length, handle or file
+    // (invisible in the counters, so the plan itself is checked too).
+    std::filesystem::copy_file(trace_, path("copy.bst"));
+    const TraceHandlePtr handle = openTraceHandle(trace_);
+    const TraceHandlePtr other_handle = openTraceHandle(trace_);
+    const std::vector<TraceShard> windows = shardTrace(trace_, 2);
+    std::vector<SweepJob> jobs;
+    auto pair = [&](const std::string &file, const TraceShard &w,
+                    std::uint64_t length, std::size_t batch,
+                    ObserverConfig observe, const TraceHandlePtr &h) {
+        for (const CacheConfig &cfg :
+             {CacheConfig::directMapped(16 * 1024),
+              CacheConfig::bcache(16 * 1024, 8, 8)}) {
+            jobs.push_back(
+                SweepJob::traceReplay(file, w, cfg, length, batch, observe));
+            jobs.back().traceHandle = h;
+        }
+    };
+    const ObserverConfig on{true, 0};
+    pair(trace_, windows[0], 0, 0, on, nullptr);
+    pair(trace_, windows[1], 0, 0, on, nullptr);          // window
+    pair(trace_, windows[0], 5000, 0, on, nullptr);       // length
+    pair(trace_, windows[0], 0, 100, on, nullptr);        // batch
+    pair(trace_, windows[0], 0, 0, {}, nullptr);          // observer off
+    pair(trace_, windows[0], 0, 0, {true, 256}, nullptr); // interval
+    pair(trace_, windows[0], 0, 0, on, handle);           // a handle
+    pair(trace_, windows[0], 0, 0, on, other_handle);     // another one
+    pair(path("copy.bst"), windows[0], 0, 0, on, nullptr); // path
+    // A miss-rate pair over a workload name that looks like the trace's.
+    for (const CacheConfig &cfg :
+         {CacheConfig::directMapped(16 * 1024),
+          CacheConfig::bcache(16 * 1024, 8, 8)})
+        jobs.push_back(SweepJob::missRate("gcc", StreamSide::Data, cfg,
+                                          5000, 7));
+
+    SweepOptions one;
+    one.jobs = 1;
+    const auto units = planSweepUnits(jobs, one);
+    ASSERT_EQ(units.size(), jobs.size() / 2);
+    for (std::size_t u = 0; u < units.size(); ++u)
+        EXPECT_EQ(units[u], (std::vector<std::size_t>{2 * u, 2 * u + 1}))
+            << u;
+
+    std::vector<SweepJob> traces(jobs.begin(), jobs.end() - 2);
+    for (const unsigned threads : {1u, 3u}) {
+        SCOPED_TRACE(threads);
+        SweepOptions opt;
+        opt.jobs = threads;
+        expectMatchesRunOne(traces, runSweep(traces, opt), opt.baseSeed);
+    }
+}
+
+TEST_F(SweepGroupedTrace, UnitsSplitToAboutFourPerWorker)
+{
+    // The shape of an observed trace grid: 8 caches x 13 shards. On one
+    // thread each shard is one unit of all 8 caches; on 4 threads they
+    // split to ceil(104 / 16) = 7 members or fewer, i.e. 26 units of 4.
+    std::vector<SweepJob> jobs;
+    const std::vector<TraceShard> windows = shardTrace(trace_, 13);
+    ASSERT_EQ(windows.size(), 13u);
+    for (std::uint32_t mf = 2; mf <= 256; mf *= 2)
+        for (const TraceShard &w : windows)
+            jobs.push_back(SweepJob::traceReplay(
+                trace_, w, CacheConfig::bcache(16 * 1024, mf, 8)));
+    SweepOptions opt;
+    opt.jobs = 1;
+    auto units = planSweepUnits(jobs, opt);
+    ASSERT_EQ(units.size(), 13u);
+    for (const auto &u : units)
+        EXPECT_EQ(u.size(), 8u);
+    opt.jobs = 4;
+    units = planSweepUnits(jobs, opt);
+    ASSERT_EQ(units.size(), 26u);
+    std::vector<std::size_t> seen;
+    for (const auto &u : units) {
+        EXPECT_EQ(u.size(), 4u);
+        for (const std::size_t i : u) {
+            EXPECT_TRUE(jobs[i].shard == jobs[u.front()].shard);
+            seen.push_back(i);
+        }
+    }
+    std::sort(seen.begin(), seen.end());
+    for (std::size_t i = 0; i < jobs.size(); ++i)
+        EXPECT_EQ(seen[i], i);
+}
+
+TEST_F(SweepGroupedTrace, BadConfigFailsAlone)
+{
+    CacheConfig bad = CacheConfig::setAssoc(16 * 1024, 4);
+    bad.ways = 3; // CacheGeometry refuses it at build time
+    bad.label = "3way";
+    std::vector<SweepJob> jobs;
+    for (const CacheConfig &cfg :
+         {CacheConfig::directMapped(16 * 1024), bad,
+          CacheConfig::victim(16 * 1024, 16)})
+        jobs.push_back(SweepJob::traceReplay(trace_, TraceShard{}, cfg, 0,
+                                             0, {true, 0}));
+    for (const unsigned threads : {1u, 2u}) {
+        SCOPED_TRACE(threads);
+        SweepOptions opt;
+        opt.jobs = threads;
+        const SweepRun run = runSweep(jobs, opt);
+        EXPECT_EQ(run.summary.failed, 1u);
+        EXPECT_EQ(run.summary.events, 2u * 16 * 2048);
+        EXPECT_FALSE(run.outcomes[1].ok());
+        EXPECT_NE(run.outcomes[1].error.find("associativity"),
+                  std::string::npos)
+            << run.outcomes[1].error;
+        EXPECT_FALSE(run.outcomes[1].miss.has_value());
+        for (const std::size_t i : {0u, 2u}) {
+            ASSERT_TRUE(run.outcomes[i].ok()) << run.outcomes[i].error;
+            expectSameReplay(serialReplay(jobs[i]), *run.outcomes[i].miss);
+        }
+    }
+}
+
+TEST_F(SweepGroupedTrace, MissingTraceFailsEveryMemberLikeRunOne)
+{
+    // A unit over a missing file: every member fails with the message
+    // its own run would give — the open error for the caches, and its
+    // own build error for the config that cannot be built.
+    CacheConfig bad = CacheConfig::setAssoc(16 * 1024, 4);
+    bad.ways = 3;
+    bad.label = "3way";
+    const std::string missing = path("missing.bst");
+    std::vector<SweepJob> jobs;
+    for (const CacheConfig &cfg :
+         {CacheConfig::directMapped(16 * 1024), bad,
+          CacheConfig::bcache(16 * 1024, 8, 8),
+          CacheConfig::victim(16 * 1024, 16)})
+        jobs.push_back(SweepJob::traceReplay(missing, TraceShard{}, cfg));
+    SweepOptions opt;
+    opt.jobs = 1;
+    ASSERT_EQ(planSweepUnits(jobs, opt).size(), 1u);
+    const SweepRun run = runSweep(jobs, opt);
+    EXPECT_EQ(run.summary.failed, jobs.size());
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+        SCOPED_TRACE(i);
+        const SweepRun alone = runSweep({jobs[i]}, opt);
+        ASSERT_FALSE(alone.outcomes[0].ok());
+        EXPECT_EQ(run.outcomes[i].error, alone.outcomes[0].error);
+        EXPECT_FALSE(run.outcomes[i].miss.has_value());
+    }
+    EXPECT_NE(run.outcomes[0].error.find(missing), std::string::npos)
+        << run.outcomes[0].error;
+    EXPECT_NE(run.outcomes[1].error.find("associativity"),
+              std::string::npos)
+        << run.outcomes[1].error;
+}
+
+TEST_F(SweepGroupedTrace, SecondsSumToTheUnitsWallTime)
+{
+    // One window, four caches, one worker: the unit is nearly the whole
+    // sweep, so the members' seconds (own time plus an equal share of
+    // the trace reading) must add up to about its wall time.
+    const std::string big = path("big.bst");
+    writeTrace(big, 400000);
+    std::vector<SweepJob> jobs;
+    for (const CacheConfig &cfg : traceConfigs())
+        jobs.push_back(
+            SweepJob::traceReplay(big, TraceShard{}, cfg, 0, 0, {true, 0}));
+    std::size_t calls = 0;
+    SweepOptions opt;
+    opt.jobs = 1;
+    opt.onProgress = [&](const SweepProgress &p) {
+        ++calls;
+        EXPECT_EQ(p.done, calls);
+        EXPECT_EQ(p.events, calls * 400000u);
+    };
+    const SweepRun run = runSweep(jobs, opt);
+    EXPECT_EQ(calls, jobs.size());
+    double sum = 0.0;
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+        const SweepOutcome &out = run.outcomes[i];
+        ASSERT_TRUE(out.ok()) << out.error;
+        EXPECT_EQ(out.miss->config, jobs[i].config.label);
         EXPECT_GT(out.seconds, 0.0);
         sum += out.seconds;
     }
