@@ -45,8 +45,7 @@ inline RowSweep
 runRows(const std::vector<std::string> &benchmarks, StreamSide side,
         const std::vector<CacheConfig> &configs,
         std::uint64_t size_bytes, std::uint64_t accesses,
-        const SweepOptions &options = {},
-        const std::optional<SamplePlan> &sample = {})
+        const SweepOptions &options = {})
 {
     std::vector<SweepJob> jobs;
     jobs.reserve(benchmarks.size() * (configs.size() + 1));
@@ -61,12 +60,6 @@ runRows(const std::vector<std::string> &benchmarks, StreamSide side,
                 SweepJob::missRate(b, side, cfg, accesses,
                                    kDefaultSeed));
     }
-    // --sample / BSIM_SAMPLE: every cell runs sampled (sim/sampling.hh)
-    // over the same population, so a figure's full grid can be
-    // estimated in one pass at a fraction of the simulated accesses.
-    if (sample)
-        for (SweepJob &j : jobs)
-            j.sample = sample;
     const SweepRun run = runSweep(jobs, options);
 
     RowSweep rs;

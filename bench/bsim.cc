@@ -67,14 +67,6 @@ usage(const char *msg = nullptr)
                  "  [--accesses N]   synthetic run length, or a cap on "
                  "trace replay\n"
                  "                   (traces default to the whole file)\n"
-                 "  [--sample U:P:W] sampled run: measure U accesses "
-                 "every P, after\n"
-                 "                   W of functional warmup; reports a "
-                 "miss-ratio\n"
-                 "                   estimate with stderr and 95%% CI "
-                 "(EXPERIMENTS.md\n"
-                 "                   cookbook; not with --timed/"
-                 "--heatmap/--interval)\n"
                  "  [--trace-info FILE]  print a trace's header/format "
                  "and exit\n"
                  "  [--timed]        OOO-core/Table-4 processor model "
@@ -155,31 +147,11 @@ printTraceInfo(const std::string &path)
 }
 
 /**
- * The human-readable estimate lines shared by all sampled drivers.
- * Every printer below takes @p out because a '-' export owns stdout:
- * the report then moves to stderr instead of being suppressed, so one
- * invocation can pipe clean JSON while a human still watches the run.
+ * The human-readable readout of one miss-rate run. Every printer takes
+ * @p out because a '-' export owns stdout: the report then moves to
+ * stderr instead of being suppressed, so one invocation can pipe clean
+ * JSON while a human still watches the run.
  */
-void
-printSampled(const SampledStats &s, std::FILE *out)
-{
-    const SampleEstimate e = s.estimate();
-    std::fprintf(out,
-                 "sample   : U=%llu P=%llu W=%llu over %llu records "
-                 "(%llu units, %.4f%% measured)\n",
-                 static_cast<unsigned long long>(s.plan.unitLen),
-                 static_cast<unsigned long long>(s.plan.period),
-                 static_cast<unsigned long long>(s.plan.warmup),
-                 static_cast<unsigned long long>(s.records),
-                 static_cast<unsigned long long>(e.units),
-                 100.0 * e.sampledFraction);
-    std::fprintf(out,
-                 "estimate : miss ratio %.6f (stderr %.6f, 95%% CI "
-                 "[%.6f, %.6f], MPKI %.2f)\n",
-                 e.value, e.stderrValue, e.ciLo, e.ciHi,
-                 1000.0 * e.value);
-}
-
 void
 printMissRate(const MissRateResult &r, const CacheConfig &cfg,
               const std::string &driver_desc, std::FILE *out)
@@ -210,10 +182,6 @@ printMissRate(const MissRateResult &r, const CacheConfig &cfg,
     if (r.victimHits)
         std::fprintf(out, "victim   : %llu buffer hits\n",
                      static_cast<unsigned long long>(r.victimHits));
-    if (r.sampled) {
-        printSampled(*r.sampled, out);
-        return; // no balance: per-unit caches have no aggregate usage
-    }
     std::fprintf(out, "balance  : %s\n", r.balance.toString().c_str());
 }
 
@@ -242,27 +210,16 @@ printBCacheCosts(const CacheConfig &cfg, std::FILE *out)
 /** --shards: parallel replay, per-shard table + merged totals. */
 int
 runSharded(const std::string &trace_path, const CacheConfig &cfg,
-           unsigned shards, unsigned jobs, std::size_t batch,
-           std::uint64_t max_accesses,
-           const std::optional<SamplePlan> &sample, bool json,
+           unsigned shards, unsigned jobs, std::size_t batch, bool json,
            const StatsExport &ex)
 {
     SweepOptions opts;
     opts.jobs = jobs;
     TraceReplayOptions replay;
     replay.batchLen = batch;
-    // Sampled jobs run per-unit caches and cannot be observed; the
-    // flag combinations that would need an observer are rejected in
-    // bsimMain before we get here. maxAccesses caps the sampled
-    // *population*; full sharded replay keeps its per-window semantics.
-    if (sample)
-        replay.maxAccesses = max_accesses;
-    else
-        replay.observe = ex.observerConfig();
+    replay.observe = ex.observerConfig();
     const TraceSweepResult res =
-        sample ? runTraceSampledSharded(trace_path, cfg, *sample,
-                                        shards, opts, replay)
-               : runTraceSharded(trace_path, cfg, shards, opts, replay);
+        runTraceSharded(trace_path, cfg, shards, opts, replay);
 
     if (json) {
         // The sharded bsim-stats-v1 document: merged totals plus the
@@ -279,15 +236,9 @@ runSharded(const std::string &trace_path, const CacheConfig &cfg,
         for (std::size_t i = 0; i < res.shards.size(); ++i) {
             const MissRateResult &s = res.shards[i];
             const std::size_t win = s.workload.find('[');
-            std::string window = win == std::string::npos
-                                     ? std::string("[whole file)")
-                                     : s.workload.substr(win);
-            // Sampled jobs own unit ranges, not record windows.
-            if (s.sampled && !s.sampled->units.empty())
-                window = "units[" +
-                         std::to_string(s.sampled->units.front().unit) +
-                         "+" + std::to_string(s.sampled->units.size()) +
-                         ")";
+            const std::string window = win == std::string::npos
+                                           ? std::string("[whole file)")
+                                           : s.workload.substr(win);
             t.row()
                 .cell(std::uint64_t(i))
                 .cell(window)
@@ -295,14 +246,10 @@ runSharded(const std::string &trace_path, const CacheConfig &cfg,
                 .cell(s.stats.misses)
                 .cell(100.0 * s.missRate(), 4);
         }
-        t.print((sample ? "sharded sampled replay of "
-                        : "sharded replay of ") +
-                    trace_path + " on " + cfg.label,
+        t.print("sharded replay of " + trace_path + " on " + cfg.label,
                 out);
         std::fprintf(out, "merged   : %s\n",
                      res.total.toString().c_str());
-        if (res.sampled)
-            printSampled(*res.sampled, out);
         if (res.victimHits)
             std::fprintf(out, "victim   : %llu buffer hits\n",
                          static_cast<unsigned long long>(
@@ -343,7 +290,6 @@ bsimMain(int argc, char **argv)
     unsigned shards = 0;
     unsigned jobs = 0;
     std::size_t batch = 0;
-    std::optional<SamplePlan> sample;
     bool json = false;
     bool timed = false;
     StatsExport ex;
@@ -392,13 +338,6 @@ bsimMain(int argc, char **argv)
             accesses = parseNum(flag, need());
             accesses_set = true;
         }
-        else if (!std::strcmp(flag, "--sample")) {
-            try {
-                sample = parseSamplePlan(need());
-            } catch (const FatalError &e) {
-                usage(e.what());
-            }
-        }
         else if (!std::strcmp(flag, "--seed"))
             seed = parseNum(flag, need());
         else if (!std::strcmp(flag, "--stats-json"))
@@ -431,15 +370,6 @@ bsimMain(int argc, char **argv)
 
     if (json && ex.claimsStdout())
         usage("--json and a '-' export both claim stdout");
-
-    if (sample) {
-        if (timed)
-            usage("--sample estimates miss ratios, not --timed runs");
-        if (!ex.heatmapPath.empty() || ex.interval > 0)
-            usage("--sample runs a fresh cache per unit, so there is "
-                  "no aggregate state for --heatmap/--interval "
-                  "(--stats-json still works: it carries the estimate)");
-    }
 
     if (timed) {
         if (!trace_path.empty())
@@ -485,9 +415,7 @@ bsimMain(int argc, char **argv)
     if (shards > 0) {
         if (trace_path.empty())
             usage("--shards needs --trace");
-        return runSharded(trace_path, cfg, shards, jobs, batch,
-                          accesses_set ? accesses : 0, sample, json,
-                          ex);
+        return runSharded(trace_path, cfg, shards, jobs, batch, json, ex);
     }
 
     MissRateResult r;
@@ -497,23 +425,15 @@ bsimMain(int argc, char **argv)
         TraceReplayOptions opts;
         opts.maxAccesses = accesses_set ? accesses : 0;
         opts.batchLen = batch;
-        if (sample) {
-            r = runTraceSampled(trace_path, cfg, *sample, opts);
-        } else {
-            opts.observe = ex.observerConfig();
-            r = runTraceReplay(trace_path, cfg, TraceShard{}, opts);
-        }
+        opts.observe = ex.observerConfig();
+        r = runTraceReplay(trace_path, cfg, TraceShard{}, opts);
     } else {
         if (!isSpec2kName(workload))
             usage("unknown --workload");
         const StreamSide s = side == "inst" ? StreamSide::Inst
                                             : StreamSide::Data;
-        if (sample)
-            r = runMissRateSampled(workload, s, cfg, accesses, *sample,
-                                   seed);
-        else
-            r = runMissRate(workload, s, cfg, accesses, seed,
-                            ex.observerConfig());
+        r = runMissRate(workload, s, cfg, accesses, seed,
+                        ex.observerConfig());
     }
 
     if (!ex.statsJsonPath.empty())

@@ -25,13 +25,9 @@ main(int argc, char **argv)
     const auto configs = figure4Configs(16 * 1024);
     SweepOptions options;
     options.jobs = consumeJobsFlag(argc, argv);
-    // --sample U:P[:W] / BSIM_SAMPLE: estimate the whole grid from
-    // sampled units (EXPERIMENTS.md "Sampled replay" cookbook).
-    const auto sample = consumeSampleFlag(argc, argv);
 
     const RowSweep sweep = runRows(spec2kNames(), StreamSide::Data,
-                                   configs, 16 * 1024, n, options,
-                                   sample);
+                                   configs, 16 * 1024, n, options);
 
     printReductionTable("SPEC2K Floating Point (CFP2K), D$ reduction %",
                         spec2kFpNames(), configs, sweep.rows);

@@ -24,13 +24,10 @@ main(int argc, char **argv)
     const auto configs = figure4Configs(16 * 1024);
     SweepOptions options;
     options.jobs = consumeJobsFlag(argc, argv);
-    // --sample U:P[:W] / BSIM_SAMPLE: estimate the whole grid from
-    // sampled units (EXPERIMENTS.md "Sampled replay" cookbook).
-    const auto sample = consumeSampleFlag(argc, argv);
 
     const RowSweep sweep =
         runRows(spec2kIcacheReportedNames(), StreamSide::Inst, configs,
-                16 * 1024, n, options, sample);
+                16 * 1024, n, options);
 
     printReductionTable("I$ reduction % (reported benchmarks)",
                         spec2kIcacheReportedNames(), configs,

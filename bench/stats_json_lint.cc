@@ -190,36 +190,14 @@ lintObserver(Lint &l, const JsonValue &obs, const char *where)
     }
 }
 
-/** The sampled-replay evidence object emitted instead of "balance". */
-void
-lintSample(Lint &l, const JsonValue *sample, const char *where)
-{
-    if (!numberObject(l, sample,
-                      {"unitLen", "period", "warmup", "records",
-                       "units", "sampledFraction", "estimate", "stderr",
-                       "ci95lo", "ci95hi", "mpki"},
-                      where))
-        return;
-    const double lo = sample->find("ci95lo")->number;
-    const double hi = sample->find("ci95hi")->number;
-    const double est = sample->find("estimate")->number;
-    if (lo > est || est > hi)
-        l.fail(std::string(where) +
-               ": estimate outside its own 95% CI");
-    if (sample->find("unitLen")->number <= 0)
-        l.fail(std::string(where) + ".unitLen: must be positive");
-}
-
 /**
- * One run body: top level of single runs, elements of "shards". Run
- * bodies carry "sample" XOR "balance" (sampled replays run a fresh
- * cache per unit, so there is no per-set usage to classify); the
- * sharded top level may carry both — a merged sample next to an
- * observer-derived balance — so it passes @p allow_both.
+ * One run body: top level of single runs, elements of "shards". Every
+ * run body carries a balance; the sharded top level has one only when
+ * the replay was observed, so it passes @p balance_required false.
  */
 void
 lintRunBody(Lint &l, const JsonValue &run, bool balance_required,
-            bool allow_both, const char *where)
+            const char *where)
 {
     expectString(l, member(l, run, "workload", true, where),
                  "workload");
@@ -232,14 +210,8 @@ lintRunBody(Lint &l, const JsonValue &run, bool balance_required,
                      "pd");
     if (const JsonValue *vh = run.find("victimHits"))
         expectNumber(l, vh, "victimHits");
-    const JsonValue *sample = run.find("sample");
-    if (sample)
-        lintSample(l, sample, "sample");
     const JsonValue *bal =
-        member(l, run, "balance", balance_required && !sample, where);
-    if (bal && sample && !allow_both)
-        l.fail(std::string(where) +
-               ": sample and balance are mutually exclusive");
+        member(l, run, "balance", balance_required, where);
     if (bal)
         numberObject(l, bal,
                      {"frequentHitSetsPct", "hitsInFrequentHitSetsPct",
@@ -282,10 +254,8 @@ validateStatsJson(const std::string &text, std::string *error)
     }
     if (l.ok()) {
         // Sharded documents may lack a top-level balance (only present
-        // when the replay was observed); single runs always carry a
-        // balance or, when sampled, a sample object in its place.
-        lintRunBody(l, *doc, /*balance_required=*/d != "sharded",
-                    /*allow_both=*/d == "sharded", "top");
+        // when the replay was observed); single runs always carry one.
+        lintRunBody(l, *doc, /*balance_required=*/d != "sharded", "top");
     }
     if (d == "sharded") {
         const JsonValue *shards = member(l, *doc, "shards", true,
@@ -296,8 +266,7 @@ validateStatsJson(const std::string &text, std::string *error)
                     l.fail("shards[]: expected an object");
                     break;
                 }
-                lintRunBody(l, s, /*balance_required=*/true,
-                            /*allow_both=*/false, "shards[]");
+                lintRunBody(l, s, /*balance_required=*/true, "shards[]");
             }
         } else if (shards) {
             l.fail("shards: expected an array");
@@ -339,12 +308,6 @@ const char *kGoodBalance =
     R"("balance":{"frequentHitSetsPct":1,"hitsInFrequentHitSetsPct":2,)"
     R"("frequentMissSetsPct":3,"missesInFrequentMissSetsPct":4,)"
     R"("lessAccessedSetsPct":5,"accessesInLessAccessedSetsPct":6})";
-
-const char *kGoodSample =
-    R"("sample":{"unitLen":100,"period":1000,"warmup":200,)"
-    R"("records":5000,"units":5,"sampledFraction":0.1,)"
-    R"("estimate":0.2,"stderr":0.01,"ci95lo":0.18,"ci95hi":0.22,)"
-    R"("mpki":200})";
 
 const char *kGoodObserver =
     R"("observer":{"perSet":{"lines":2,"accesses":[6,4],"hits":[5,3],)"
@@ -412,39 +375,11 @@ selftest()
          head + kGoodStats + "," + kGoodBalance +
              R"(,"shards":[]})",
          false},
-        {"sampled run",
-         head + kGoodStats + "," + kGoodSample + "}", true},
-        {"sampled sharded with merged sample",
+        {"shard missing balance",
          R"({"schema":"bsim-stats-v1","driver":"sharded",)"
          R"("workload":"trace:t.bst","config":"dm-16kB",)" +
-             std::string(kGoodStats) + "," + kGoodSample +
-             R"(,"shards":[)" + head + kGoodStats + "," + kGoodSample +
-             "}]}",
-         true},
-        {"sample next to balance in a run body",
-         head + kGoodStats + "," + kGoodBalance + "," + kGoodSample +
-             "}",
-         false},
-        {"sample missing a key",
-         head + kGoodStats + "," +
-             R"("sample":{"unitLen":100,"period":1000,"warmup":200,)"
-             R"("records":5000,"units":5,"sampledFraction":0.1,)"
-             R"("estimate":0.2,"stderr":0.01,"ci95lo":0.18,)"
-             R"("ci95hi":0.22}})",
-         false},
-        {"sample with an extra key",
-         head + kGoodStats + "," +
-             R"("sample":{"unitLen":100,"period":1000,"warmup":200,)"
-             R"("records":5000,"units":5,"sampledFraction":0.1,)"
-             R"("estimate":0.2,"stderr":0.01,"ci95lo":0.18,)"
-             R"("ci95hi":0.22,"mpki":200,"bonus":1}})",
-         false},
-        {"sample estimate outside its CI",
-         head + kGoodStats + "," +
-             R"("sample":{"unitLen":100,"period":1000,"warmup":200,)"
-             R"("records":5000,"units":5,"sampledFraction":0.1,)"
-             R"("estimate":0.5,"stderr":0.01,"ci95lo":0.18,)"
-             R"("ci95hi":0.22,"mpki":500}})",
+             std::string(kGoodStats) + R"(,"shards":[)" + head +
+             kGoodStats + "}]}",
          false},
     };
 

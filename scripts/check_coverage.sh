@@ -13,7 +13,7 @@
 #   BSIM_COVERAGE_FLOOR   minimum aggregate line coverage %, default 70
 #                         (0 disables enforcement)
 #   BSIM_COVERAGE_DIR     build tree, default <repo>/build-cov
-#   BSIM_COVERAGE_CTEST   extra ctest args, e.g. '-L sample'
+#   BSIM_COVERAGE_CTEST   extra ctest args, e.g. '-L golden'
 #
 # gcov is optional tooling: when no binary matching the compiler is on
 # PATH the check is skipped with a warning and exits 0, so minimal
@@ -48,8 +48,7 @@ if [ "${1-}" != "--report" ]; then
     find "$build_dir" -name '*.gcda' -delete
     echo "check_coverage: running ctest ..." >&2
     # The BSIM_COVERAGE define already makes the timing-sensitive tests
-    # (perf gate, sampled-replay acceptance) report-only and scales the
-    # acceptance trace down.
+    # (the perf gate) report-only.
     (cd "$build_dir" && ctest --output-on-failure \
         ${BSIM_COVERAGE_CTEST:-} >/dev/null)
 fi

@@ -16,7 +16,7 @@ set -eu
 
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
-unset BSIM_JOBS BSIM_SAMPLE
+unset BSIM_JOBS
 export BSIM_ACCESSES="${BSIM_ACCESSES:-20000}"
 export BSIM_UOPS="${BSIM_UOPS:-20000}"
 export BSIM_BENCH_JSON="$tmp/perf.json"

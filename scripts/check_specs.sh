@@ -59,6 +59,11 @@
 # appears in src/, bench/, tests/, examples/, docs/, README.md or
 # DESIGN.md; loadTrace, writeBst2Trace and writeTextTrace are the
 # whole-trace API.
+#
+# And it keeps one way to run a replay (pass 12): every run is a full
+# replay of its window. None of the retired sampled-replay names
+# (spelled with a bracket) appears in code (src/, bench/, tests/,
+# examples/) or in prose (docs/, README.md, DESIGN.md, EXPERIMENTS.md).
 set -eu
 
 repo_root=$(CDPATH= cd -- "$(dirname -- "$0")/.." && pwd)
@@ -263,6 +268,21 @@ if matches=$(grep -rn --exclude-dir=api \
     fail=1
 fi
 
+# ---- pass 12: one way to run a replay ----
+retired_sampling="Sample[P]lan\|Sampled[S]tats\|Stratified[E]stimator\|Sample[E]stimate\|tQuantile[9]75\|run[S]ampled\|trace[S]ampled\|skip[T]o(\|consume[S]ampleFlag\|BSIM_[S]AMPLE"
+if matches=$(grep -rn "$retired_sampling" src/ bench/ tests/ examples/); then
+    echo "check_specs: retired sampled-replay code is back (every run is" \
+         "a full replay; Session::run or runEach):" >&2
+    echo "$matches" >&2
+    fail=1
+fi
+if matches=$(grep -rn --exclude-dir=api "$retired_sampling" \
+        docs/ README.md DESIGN.md EXPERIMENTS.md); then
+    echo "check_specs: the docs name retired sampled-replay code:" >&2
+    echo "$matches" >&2
+    fail=1
+fi
+
 if [ "$fail" -ne 0 ]; then
     echo "check_specs: FAIL" >&2
     exit 1
@@ -272,5 +292,6 @@ echo "check_specs: OK ($n_kinds kinds; registry, --list-caches and" \
      "no kind switches or casts outside the registry; one twin" \
      "driver in src/verify; one replacement type; one per-line" \
      "histogram; one error path; one verification campaign and one" \
-     "count parser; one binary trace format)"
+     "count parser; one binary trace format; one way to run a" \
+     "replay)"
 exit 0

@@ -33,17 +33,11 @@ if [ "$#" -gt 0 ]; then
 fi
 
 # No arguments: run the acceptance pipeline — sample trace through the
-# driver, document through the lint; once fully replayed and observed,
-# once through the sampled estimator (--sample U:P:W emits a "sample"
-# object in place of "balance").
+# driver, observed, and the document through the lint.
 [ -x "$bsim" ] || build_tool bsim
 doc=$(mktemp)
-sampled_doc=$(mktemp)
-trap 'rm -f "$doc" "$sampled_doc"' EXIT
+trap 'rm -f "$doc"' EXIT
 "$bsim" --cache bcache:16kB,mf=8,bas=8 \
     --trace "$repo_root/examples/traces/conflict_dm.bst" \
     --interval 64 --stats-json "$doc" >/dev/null
-"$bsim" --cache bcache:16kB,mf=8,bas=8 \
-    --trace "$repo_root/examples/traces/conflict_dm.bst" \
-    --sample 50:200:50 --stats-json "$sampled_doc" >/dev/null
-exec "$lint" "$doc" "$sampled_doc"
+exec "$lint" "$doc"

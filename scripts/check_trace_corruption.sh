@@ -9,8 +9,8 @@
 # TRACE_MUTANTS (tests/trace_mutants.cc) writes COUNT (default 40)
 # deterministic byte-flip, truncation and splice mutants of each trace
 # in examples/traces/ from SEED (default 0xc0ffee). Each mutant runs
-# through `bsim --trace` plain, with `--shards 3` and with
-# `--sample 10:40`, each under a 30 s timeout (exit 124, a failure).
+# through `bsim --trace` plain and with `--shards 3`, each under a 30 s
+# timeout (exit 124, a failure).
 set -eu
 
 repo_root=$(CDPATH= cd -- "$(dirname -- "$0")/.." && pwd)
@@ -31,7 +31,7 @@ export BSIM_BENCH_JSON="$dir/BENCH_perf.json"
 fail=0
 runs=0
 for m in $(cat "$dir/list"); do
-    for mode in "" "--shards 3" "--sample 10:40"; do
+    for mode in "" "--shards 3"; do
         # $mode is split on purpose: it is zero or two words.
         rc=0
         timeout 30 "$bsim" --trace "$m" $mode \

@@ -39,27 +39,6 @@ CacheStats::operator+=(const CacheStats &other)
     return *this;
 }
 
-CacheStats &
-CacheStats::operator-=(const CacheStats &other)
-{
-    // Same tripwire as operator+=: a new counter must be subtracted here
-    // too, or warmup windows silently leak into sampled measurements.
-    static_assert(sizeof(CacheStats) == 12 * sizeof(std::uint64_t),
-                  "CacheStats gained a field: add it to operator-= and "
-                  "to the merge round-trip test");
-    accesses -= other.accesses;
-    hits -= other.hits;
-    misses -= other.misses;
-    writebacks -= other.writebacks;
-    writethroughs -= other.writethroughs;
-    refills -= other.refills;
-    for (std::size_t t = 0; t < 3; ++t) {
-        typeAccesses_[t] -= other.typeAccesses_[t];
-        typeMisses_[t] -= other.typeMisses_[t];
-    }
-    return *this;
-}
-
 void
 CacheStats::reset()
 {

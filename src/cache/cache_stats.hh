@@ -54,16 +54,6 @@ struct CacheStats
      */
     CacheStats &operator+=(const CacheStats &other);
 
-    /**
-     * Field-wise subtraction, the inverse of operator+= for snapshot
-     * deltas: the sampled-replay engine snapshots counters after the
-     * warmup window and subtracts the snapshot from the end-of-unit
-     * counters so warmup accesses prime tag state without being
-     * measured. Only meaningful when @p other is an earlier snapshot of
-     * the same cache (every field of *this >= other's).
-     */
-    CacheStats &operator-=(const CacheStats &other);
-
     double missRate() const { return safeRatio(double(misses),
                                                double(accesses)); }
     double hitRate() const { return safeRatio(double(hits),

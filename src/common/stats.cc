@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <sstream>
 
 namespace bsim {
@@ -121,93 +120,6 @@ Histogram::toString() const
     if (overflow_)
         os << "overflow: " << overflow_ << "\n";
     return os.str();
-}
-
-double
-tQuantile975(std::uint64_t df)
-{
-    // Standard two-sided 95% t-table; df > 30 steps through interpolated
-    // anchors and converges on the normal quantile.
-    static constexpr double kTable[] = {
-        12.706, 4.303, 3.182, 2.776, 2.571, 2.447, 2.365, 2.306,
-        2.262,  2.228, 2.201, 2.179, 2.160, 2.145, 2.131, 2.120,
-        2.110,  2.101, 2.093, 2.086, 2.080, 2.074, 2.069, 2.064,
-        2.060,  2.056, 2.052, 2.048, 2.045, 2.042,
-    };
-    if (df == 0)
-        return std::numeric_limits<double>::infinity();
-    if (df <= 30)
-        return kTable[df - 1];
-    if (df <= 40)
-        return 2.021;
-    if (df <= 50)
-        return 2.009;
-    if (df <= 60)
-        return 2.000;
-    if (df <= 80)
-        return 1.990;
-    if (df <= 100)
-        return 1.984;
-    return 1.96;
-}
-
-void
-StratifiedEstimator::addUnit(std::uint64_t accesses, std::uint64_t misses)
-{
-    if (accesses == 0)
-        return;
-    const auto n = static_cast<double>(accesses);
-    const auto m = static_cast<double>(misses);
-    ++units_;
-    sumN_ += n;
-    sumM_ += m;
-    sumNN_ += n * n;
-    sumMM_ += m * m;
-    sumMN_ += m * n;
-}
-
-void
-StratifiedEstimator::reset()
-{
-    const std::uint64_t pop = population_;
-    *this = StratifiedEstimator{};
-    population_ = pop;
-}
-
-SampleEstimate
-StratifiedEstimator::estimate() const
-{
-    SampleEstimate e;
-    e.units = units_;
-    if (units_ == 0 || sumN_ == 0.0)
-        return e;
-
-    const double r = sumM_ / sumN_;
-    e.value = r;
-    if (population_)
-        e.sampledFraction =
-            std::min(1.0, sumN_ / static_cast<double>(population_));
-
-    if (units_ < 2) {
-        // A single unit has no across-unit spread; report a degenerate
-        // interval at the point estimate rather than a fake-precise one.
-        e.ciLo = e.ciHi = r;
-        return e;
-    }
-
-    // sum((m_i - r n_i)^2) expanded over the running sums.
-    const double ss = sumMM_ - 2.0 * r * sumMN_ + r * r * sumNN_;
-    const auto k = static_cast<double>(units_);
-    const double s2 = std::max(0.0, ss) / (k - 1.0);
-    const double nbar = sumN_ / k;
-    const double fpc = std::max(0.0, 1.0 - e.sampledFraction);
-    const double var = fpc * s2 / (k * nbar * nbar);
-    e.stderrValue = std::sqrt(std::max(0.0, var));
-
-    const double t = tQuantile975(units_ - 1);
-    e.ciLo = std::clamp(r - t * e.stderrValue, 0.0, 1.0);
-    e.ciHi = std::clamp(r + t * e.stderrValue, 0.0, 1.0);
-    return e;
 }
 
 double

@@ -98,83 +98,6 @@ class Histogram
     std::uint64_t total_ = 0;
 };
 
-/**
- * Two-sided 97.5% quantile of Student's t distribution with @p df degrees
- * of freedom (i.e. the multiplier for a 95% confidence interval). Exact
- * table values for df <= 30, interpolated anchors up to df = 100, and the
- * normal limit 1.96 beyond. df == 0 returns infinity: one sampling unit
- * carries no variance information.
- */
-double tQuantile975(std::uint64_t df);
-
-/** Point estimate with uncertainty, produced by StratifiedEstimator. */
-struct SampleEstimate
-{
-    /** Ratio point estimate (e.g. miss ratio), sum(m_i) / sum(n_i). */
-    double value = 0.0;
-    /** Standard error of the ratio estimator across units. */
-    double stderrValue = 0.0;
-    /** 95% confidence interval, clamped to [0, 1] for ratios. */
-    double ciLo = 0.0;
-    double ciHi = 0.0;
-    /** Number of sampling units the estimate is built from. */
-    std::uint64_t units = 0;
-    /** Measured records / population records (0 when population unknown). */
-    double sampledFraction = 0.0;
-
-    /** True when @p truth lies inside [ciLo, ciHi]. */
-    bool
-    contains(double truth) const
-    {
-        return truth >= ciLo && truth <= ciHi;
-    }
-};
-
-/**
- * Ratio estimator over sampling units for systematic interval sampling
- * (SMARTS-style): each unit i contributes a numerator m_i (misses) and a
- * denominator n_i (accesses). The point estimate is R = sum(m) / sum(n);
- * its variance is the classic ratio-estimator form
- *
- *     s^2 = sum((m_i - R n_i)^2) / (k - 1)
- *     Var(R) ~= (1 - f) * s^2 / (k * nbar^2)
- *
- * with nbar the mean unit size and f the sampled fraction (finite-
- * population correction). Only running sums are kept, so per-unit
- * contributions can be added in any order from integer counters and the
- * result is exactly reproducible — the sharded sampled-replay merge
- * depends on this (units are re-added in unit order after the merge).
- */
-class StratifiedEstimator
-{
-  public:
-    /** Add one sampling unit's integer sums. Empty units are skipped. */
-    void addUnit(std::uint64_t accesses, std::uint64_t misses);
-    /** Total records in the full population (for the sampled fraction). */
-    void setPopulation(std::uint64_t records) { population_ = records; }
-    void reset();
-
-    std::uint64_t units() const { return units_; }
-    std::uint64_t sampledRecords() const
-    {
-        return static_cast<std::uint64_t>(sumN_);
-    }
-
-    /** Compute the estimate from the units added so far. */
-    SampleEstimate estimate() const;
-
-  private:
-    std::uint64_t units_ = 0;
-    std::uint64_t population_ = 0;
-    // Running sums in double; exact for any realistic unit count (each
-    // term is an integer < 2^53).
-    double sumN_ = 0.0;
-    double sumM_ = 0.0;
-    double sumNN_ = 0.0;
-    double sumMM_ = 0.0;
-    double sumMN_ = 0.0;
-};
-
 /** Ratio helper that renders 0 for a 0/0. */
 double safeRatio(double num, double den);
 

@@ -43,6 +43,8 @@ consumeJobsFlag(int &argc, char **argv)
             value = argv[++r];
         } else if (arg.rfind("--jobs=", 0) == 0) {
             value = arg.substr(7);
+        } else if (arg.rfind("--", 0) == 0) {
+            bsim_fatal("unknown flag '", arg, "'");
         } else {
             argv[w++] = argv[r];
             continue;

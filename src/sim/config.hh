@@ -47,8 +47,9 @@ unsigned defaultJobs();
 /**
  * Consume a `--jobs N` (or `--jobs=N`) flag from argv, compacting the
  * remaining arguments so positional parsing is undisturbed. Returns 0
- * when the flag is absent (callers then fall back to defaultJobs());
- * fatal on a malformed value.
+ * when the flag is absent (callers then fall back to defaultJobs()).
+ * `--jobs` is the only flag a harness takes: fatal on a malformed value
+ * and on any other word that starts with `--`.
  */
 unsigned consumeJobsFlag(int &argc, char **argv);
 

@@ -48,25 +48,6 @@ writeJson(JsonWriter &j, const BalanceReport &b)
     j.endObject();
 }
 
-void
-writeJson(JsonWriter &j, const SampledStats &s)
-{
-    const SampleEstimate e = s.estimate();
-    j.beginObject();
-    j.kv("unitLen", s.plan.unitLen);
-    j.kv("period", s.plan.period);
-    j.kv("warmup", s.plan.warmup);
-    j.kv("records", s.records);
-    j.kv("units", e.units);
-    j.kv("sampledFraction", e.sampledFraction);
-    j.kv("estimate", e.value);
-    j.kv("stderr", e.stderrValue);
-    j.kv("ci95lo", e.ciLo);
-    j.kv("ci95hi", e.ciHi);
-    j.kv("mpki", 1000.0 * e.value);
-    j.endObject();
-}
-
 namespace {
 
 /**
@@ -88,16 +69,8 @@ writeStatsBody(JsonWriter &j, const MissRateResult &r)
     }
     if (r.victimHits)
         j.kv("victimHits", r.victimHits);
-    if (r.sampled) {
-        // Sampled runs report estimate evidence instead of a balance
-        // classification: every unit ran its own short-lived cache, so
-        // there is no aggregate per-set usage to classify.
-        j.key("sample");
-        writeJson(j, *r.sampled);
-    } else {
-        j.key("balance");
-        writeJson(j, r.balance);
-    }
+    j.key("balance");
+    writeJson(j, r.balance);
     if (r.observer) {
         j.key("observer");
         writeJson(j, *r.observer);
@@ -136,12 +109,6 @@ toStatsJson(const TraceSweepResult &r, const std::string &workload,
     }
     if (r.victimHits)
         j.kv("victimHits", r.victimHits);
-    if (r.sampled) {
-        // Merged per-unit sums across shards; the estimate is rebuilt
-        // from them here, so it is bit-identical to a single-job run.
-        j.key("sample");
-        writeJson(j, *r.sampled);
-    }
     if (r.observer) {
         // The merged per-set histogram supports the same Table 7
         // classification a serial run reports; without an observer the

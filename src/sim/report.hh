@@ -25,14 +25,6 @@ void writeJson(JsonWriter &j, const PdStats &s);
 void writeJson(JsonWriter &j, const BalanceReport &b);
 
 /**
- * Append a SampledStats evidence block: the plan (unitLen/period/
- * warmup), population, unit count, sampled fraction, and the estimate
- * with stderr and 95% CI. Replaces "balance" in sampled run bodies
- * (per-unit caches have no aggregate set usage to classify).
- */
-void writeJson(JsonWriter &j, const SampledStats &s);
-
-/**
  * Serialize one timed (OOO core) run — the `bsim --timed --json` line.
  * Miss-rate runs have one encoding, the bsim-stats-v1 document below;
  * timed runs keep this one because bsim-stats-v1 has no timed schema.

@@ -62,27 +62,6 @@ runMissRateOn(AccessStream &stream, const CacheConfig &config,
 }
 
 MissRateResult
-runMissRateSampledOn(AccessStream &stream, const CacheConfig &config,
-                     std::uint64_t accesses, const SamplePlan &plan,
-                     const std::string &workload_label)
-{
-    return Session(stream, config, accesses, workload_label)
-        .runSampled(plan);
-}
-
-MissRateResult
-runMissRateSampled(const std::string &workload_name, StreamSide side,
-                   const CacheConfig &config, std::uint64_t accesses,
-                   const SamplePlan &plan, std::uint64_t seed)
-{
-    SpecWorkload wl = makeSpecWorkload(workload_name, seed);
-    AccessStream &stream =
-        side == StreamSide::Inst ? *wl.inst : *wl.data;
-    return runMissRateSampledOn(stream, config, accesses, plan,
-                                workload_name);
-}
-
-MissRateResult
 runMissRate(const std::string &workload_name, StreamSide side,
             const CacheConfig &config, std::uint64_t accesses,
             std::uint64_t seed, const ObserverConfig &observe)

@@ -20,7 +20,6 @@
 #include "observe/observer.hh"
 #include "power/energy_model.hh"
 #include "sim/config.hh"
-#include "sim/sampling.hh"
 #include "workload/spec2k.hh"
 
 namespace bsim {
@@ -83,14 +82,6 @@ struct MissRateResult
     BalanceReport balance;           ///< Table 7 classification
     /** Collected when the run was observed (ObserverConfig::enabled). */
     std::optional<ObserverReport> observer;
-    /**
-     * Present for sampled runs (sim/sampling.hh): the per-unit sums and
-     * plan behind the estimate. `stats` then holds the measured-unit
-     * counters only (warmup excluded), so stats.missRate() equals the
-     * point estimate; balance/pd/victimHits are not collected (each unit
-     * runs its own short-lived cache).
-     */
-    std::optional<SampledStats> sampled;
 
     double missRate() const { return stats.missRate(); }
 };
@@ -113,30 +104,6 @@ MissRateResult runMissRateOn(AccessStream &stream,
                              std::uint64_t accesses,
                              const std::string &workload_label,
                              const ObserverConfig &observe = {});
-
-/**
- * Sampled variant of runMissRate(): treat the first @p accesses of the
- * stream as the population and simulate only @p plan's units (warmup
- * included, unmeasured), each from a cold cache. The stream is consumed
- * in one forward pass — records between units are generated and
- * discarded, so the win over a full run is the cache-model cost, not the
- * generator cost (trace files additionally skip the discarded records
- * entirely; see runTraceSampled). When a warmup window would reach back
- * into the previous unit it is clamped to start after it.
- */
-MissRateResult runMissRateSampled(const std::string &workload_name,
-                                  StreamSide side,
-                                  const CacheConfig &config,
-                                  std::uint64_t accesses,
-                                  const SamplePlan &plan,
-                                  std::uint64_t seed = kDefaultSeed);
-
-/** As above but over an explicit stream. */
-MissRateResult runMissRateSampledOn(AccessStream &stream,
-                                    const CacheConfig &config,
-                                    std::uint64_t accesses,
-                                    const SamplePlan &plan,
-                                    const std::string &workload_label);
 
 /** Result of a timed run. */
 struct TimedResult

@@ -254,166 +254,6 @@ Session::run()
     return std::move(*only.result);
 }
 
-std::uint64_t
-Session::sampledPopulation() const
-{
-    if (stream_) {
-        if (maxAccesses_ == 0)
-            bsim_fatal(
-                "sampled run needs a nonzero population (accesses)");
-        return maxAccesses_;
-    }
-    const TraceInfo info =
-        handle_ ? handle_->info() : probeTrace(tracePath_);
-    if (info.recordCount == kUnknownRecordCount)
-        bsim_fatal("cannot sample text trace '", tracePath_,
-                   "': the record count is unknown without a full "
-                   "scan; convert it to .bst first (docs/TRACES.md)");
-    std::uint64_t records = info.recordCount;
-    if (maxAccesses_)
-        records = std::min(records, maxAccesses_);
-    return records;
-}
-
-MissRateResult
-Session::runSampled(const SamplePlan &plan, std::uint64_t first_unit,
-                    std::uint64_t unit_count)
-{
-    bsim_assert(configs_.size() == 1);
-    if (observe_.enabled)
-        bsim_fatal("sampled replay cannot ride an observer: each unit "
-                   "runs its own short-lived cache, so there is no "
-                   "aggregate per-set state to observe");
-    const std::uint64_t records = sampledPopulation();
-    const std::uint64_t n_units = plan.unitsFor(records);
-    const std::size_t batch_len = std::max<std::size_t>(
-        batchLen_ ? batchLen_ : defaultBatchLen(), 1);
-    std::vector<AccessOutcome> outs(batch_len);
-
-    SampledStats sampled;
-    sampled.plan = plan;
-    sampled.records = records;
-    CacheStats total;
-
-    if (stream_) {
-        if (first_unit != 0 || unit_count != 0)
-            bsim_fatal("sampled unit ranges need a seekable trace "
-                       "source; streams run the full unit list");
-        // No reserve: a stream's population is only a cap (it may be
-        // 2^64 - 1, a run until stopped), so the unit list grows as
-        // units complete.
-        AccessStream &stream = *stream_;
-        std::vector<MemAccess> reqs(batch_len);
-
-        // One forward pass: streams cannot seek, so records between
-        // units are pulled and discarded (generation cost only);
-        // warmup and measured records are fed through the batched hot
-        // path.
-        std::uint64_t pos = 0;
-        auto pump = [&](std::uint64_t n, BaseCache *cache) {
-            while (n > 0) {
-                const std::size_t want = static_cast<std::size_t>(
-                    std::min<std::uint64_t>(n, batch_len));
-                std::size_t got = want;
-                if (stream.hasSpanBatches()) {
-                    std::span<const MemAccess> s = stream.nextSpan(want);
-                    s = s.first(std::min(s.size(), want));
-                    if (s.empty())
-                        bsim_fatal("stream '", label_,
-                                   "' exhausted at record ", pos,
-                                   " of a declared ", records,
-                                   "-record population");
-                    if (cache)
-                        cache->accessBatch(s, outs.data());
-                    got = s.size();
-                } else {
-                    stream.nextBatch(reqs.data(), want);
-                    if (cache)
-                        cache->accessBatch({reqs.data(), want},
-                                           outs.data());
-                }
-                pos += got;
-                n -= got;
-            }
-        };
-
-        for (std::uint64_t k = 0; k < n_units; ++k) {
-            const std::uint64_t s0 = k * plan.period;
-            const std::uint64_t e =
-                std::min(s0 + plan.unitLen, records);
-            // Clamp the warmup window so it never reaches back into
-            // records already consumed (the previous unit, or the
-            // stream start).
-            const std::uint64_t w0 =
-                std::max(s0 >= plan.warmup ? s0 - plan.warmup : 0, pos);
-            pump(w0 - pos, nullptr);
-            auto cache = configs_.front().build(configs_.front().label, 1, nullptr);
-            pump(s0 - pos, cache.get());
-            const CacheStats after_warmup = cache->stats();
-            pump(e - pos, cache.get());
-            CacheStats delta = cache->stats();
-            delta -= after_warmup;
-            total += delta;
-            sampled.units.push_back({k, delta.accesses, delta.misses});
-        }
-    } else {
-        const std::uint64_t u0 = std::min(first_unit, n_units);
-        const std::uint64_t u1 =
-            unit_count == 0 ? n_units
-                            : std::min(u0 + unit_count, n_units);
-        // No reserve either: the unit count comes from the file header,
-        // which a corrupt trace may inflate far past what the file
-        // holds; the list grows only as units complete.
-        TraceReaderPtr reader = handle_ ? openTraceReader(handle_)
-                                        : openTraceReader(tracePath_);
-
-        auto pump = [&](BaseCache &cache, std::uint64_t n) {
-            while (n > 0) {
-                const std::size_t want = static_cast<std::size_t>(
-                    std::min<std::uint64_t>(n, batch_len));
-                // Same defensive clamp as the full replay loop.
-                std::span<const MemAccess> s = reader->nextSpan(want);
-                s = s.first(std::min(s.size(), want));
-                if (s.empty())
-                    bsim_fatal("trace '", tracePath_,
-                               "' ended at record ", reader->position(),
-                               " inside a sampling unit");
-                cache.accessBatch(s, outs.data());
-                n -= s.size();
-            }
-        };
-
-        for (std::uint64_t k = u0; k < u1; ++k) {
-            // Unit k measures [k*P, min(k*P + U, records)), warmed up
-            // from a cold cache over the W records before it.
-            // Simulating every unit independently is what makes a
-            // unit's sums a pure function of (trace, config, plan, k)
-            // — the bit-identity contract sharding relies on.
-            const std::uint64_t start = k * plan.period;
-            const std::uint64_t end =
-                std::min(start + plan.unitLen, records);
-            const std::uint64_t warm_start =
-                start >= plan.warmup ? start - plan.warmup : 0;
-            reader->skipTo(warm_start);
-            auto cache = configs_.front().build(configs_.front().label, 1, nullptr);
-            pump(*cache, start - warm_start);
-            const CacheStats after_warmup = cache->stats();
-            pump(*cache, end - start);
-            CacheStats delta = cache->stats();
-            delta -= after_warmup;
-            total += delta;
-            sampled.units.push_back({k, delta.accesses, delta.misses});
-        }
-    }
-
-    MissRateResult r;
-    r.workload = label_;
-    r.config = configs_.front().label;
-    r.stats = total;
-    r.sampled = std::move(sampled);
-    return r;
-}
-
 void
 writeTextOutput(const std::string &path, const std::string &text)
 {

@@ -1,10 +1,10 @@
 /**
  * @file
  * The unified experiment session: one object that owns the access
- * source (synthetic workload stream, trace window, or sampled trace),
- * the DUTs built from declarative CacheConfigs (sim/cache_spec.hh),
- * the observer wiring, and the export sinks (human report suppression,
- * bsim-stats-v1 JSON, per-set heatmap CSV, interval series).
+ * source (synthetic workload stream or trace window), the DUTs built
+ * from declarative CacheConfigs (sim/cache_spec.hh), the observer
+ * wiring, and the export sinks (human report suppression, bsim-stats-v1
+ * JSON, per-set heatmap CSV, interval series).
  *
  * A session may drive several DUTs: each batch is pulled from the
  * source once and fed to every cache in turn, so a grid of caches over
@@ -16,9 +16,8 @@
  * each re-implemented DUT setup, the batched access loops, observer
  * attach/harvest and result assembly. They are now thin adapters over
  * Session; the run loops live here, once, and the bit-identity
- * contracts (batched == per-access, span boundaries don't matter,
- * sampled unit sums are pure functions of (source, config, plan, k))
- * are pinned against this single implementation.
+ * contracts (batched == per-access, span boundaries don't matter) are
+ * pinned against this single implementation.
  */
 
 #ifndef BSIM_SIM_SESSION_HH
@@ -59,18 +58,18 @@ using DutRun = DutRunOf<MissRateResult>;
  * One experiment run: a source, its DUTs, an observer per DUT, a result
  * per DUT.
  *
- * A Session is single-shot — construct, then call run(), runEach() or
- * runSampled() exactly once (the source is consumed). Stream sources
- * are caller-owned and borrowed; trace sources are opened and owned by
- * the session.
+ * A Session is single-shot — construct, then call run() or runEach()
+ * exactly once (the source is consumed). Stream sources are
+ * caller-owned and borrowed; trace sources are opened and owned by the
+ * session.
  */
 class Session
 {
   public:
     /**
      * Session over a caller-owned access stream (synthetic workload or
-     * any other AccessStream). @p accesses is the run length — streams
-     * are unbounded, so it is also the sampled population.
+     * any other AccessStream). @p accesses is the run length (streams
+     * are unbounded).
      */
     Session(AccessStream &stream, const CacheConfig &config,
             std::uint64_t accesses, std::string label,
@@ -80,7 +79,7 @@ class Session
     /**
      * Session feeding one caller-owned stream to every cache in
      * @p configs. Each cache gets its own observer when @p observe is
-     * enabled. Only run() and runEach() accept several DUTs.
+     * enabled. run() needs exactly one DUT.
      */
     Session(AccessStream &stream, std::vector<CacheConfig> configs,
             std::uint64_t accesses, std::string label,
@@ -100,8 +99,8 @@ class Session
      * Session replaying one trace window through every cache in
      * @p configs: each span is read and validated once and fed to
      * every cache while it is still in cache. Each cache gets its own
-     * observer when options.observe is enabled. Only run() and
-     * runEach() accept several DUTs.
+     * observer when options.observe is enabled. run() needs exactly
+     * one DUT.
      */
     Session(std::string trace_path, std::vector<CacheConfig> configs,
             const TraceShard &shard = {},
@@ -126,28 +125,6 @@ class Session
      * rethrown.
      */
     MissRateResult run();
-
-    /**
-     * Sampled run (sim/sampling.hh): simulate only @p plan's units,
-     * each from a cold cache with its warmup fenced off by a stats
-     * snapshot. Seekable sources (traces) skip between units in O(1)
-     * and accept a unit range [first_unit, first_unit + unit_count)
-     * for sharding (unit_count 0 = through the last unit); stream
-     * sources are consumed in one forward pass, discarding records
-     * between units, and must run the full unit list. Single-DUT
-     * sessions only.
-     */
-    MissRateResult runSampled(const SamplePlan &plan,
-                              std::uint64_t first_unit = 0,
-                              std::uint64_t unit_count = 0);
-
-    /**
-     * The population runSampled() draws its units from: the run length
-     * for a stream (fatal when 0), the trace's record count capped by
-     * maxAccesses for a trace (fatal for text traces, whose count is
-     * unknown without a full scan).
-     */
-    std::uint64_t sampledPopulation() const;
 
     /** The workload label results will carry. */
     const std::string &label() const { return label_; }

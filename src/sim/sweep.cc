@@ -90,13 +90,8 @@ runOne(const SweepJob &job, std::size_t index, std::uint64_t seed)
         }
         switch (job.kind) {
           case SweepJob::Kind::MissRate:
-            if (job.sample)
-                out.miss = runMissRateSampled(job.workload, job.side,
-                                              job.config, job.length,
-                                              *job.sample, out.seed);
-            else
-                out.miss = runMissRate(job.workload, job.side,
-                                       job.config, job.length, out.seed);
+            out.miss = runMissRate(job.workload, job.side, job.config,
+                                   job.length, out.seed);
             break;
           case SweepJob::Kind::Timed:
             out.timed = runTimed(job.workload, job.config, job.length,
@@ -109,18 +104,10 @@ runOne(const SweepJob &job, std::size_t index, std::uint64_t seed)
                                             "' has no callable");
             out.customEvents = job.custom(out.seed);
             break;
-          case SweepJob::Kind::Trace: {
-            const TraceReplayOptions opts = replayOptions(job);
-            if (job.sample)
-                out.miss = runTraceSampled(job.tracePath, job.config,
-                                           *job.sample, opts,
-                                           job.sampleFirstUnit,
-                                           job.sampleUnitCount);
-            else
-                out.miss = runTraceReplay(job.tracePath, job.config,
-                                          job.shard, opts);
+          case SweepJob::Kind::Trace:
+            out.miss = runTraceReplay(job.tracePath, job.config,
+                                      job.shard, replayOptions(job));
             break;
-          }
         }
     } catch (...) {
         out.error = errorOf(std::current_exception());
@@ -246,15 +233,15 @@ struct UnitKey
 constexpr std::size_t kTraceUnitsPerWorker = 4;
 
 /**
- * Partition the jobs into work units. Unsampled MissRate jobs that
- * share (workload, side, resolved seed, length) form one unit, which
+ * Partition the jobs into work units. MissRate jobs that share
+ * (workload, side, resolved seed, length) form one unit, which
  * generates that stream once for all of them; Timed jobs that share
  * (workload, resolved seed, length, HierarchyParams) form one unit,
- * which generates that µop stream once for all of their cores;
- * unsampled Trace jobs that share (path, shard window, length, batch
- * length, observer config, handle identity) form one unit, which reads
- * that window once for all of their caches. Every other job is a unit
- * of its own. Units are ordered by their first job.
+ * which generates that µop stream once for all of their cores; Trace
+ * jobs that share (path, shard window, length, batch length, observer
+ * config, handle identity) form one unit, which reads that window once
+ * for all of their caches. Every other job is a unit of its own.
+ * Units are ordered by their first job.
  *
  * Splitting, always in halves of the largest eligible unit: on more
  * than one thread, trace units are split while the largest holds more
@@ -271,9 +258,9 @@ planUnits(const std::vector<SweepJob> &jobs,
     std::size_t trace_jobs = 0;
     for (std::size_t i = 0; i < jobs.size(); ++i) {
         const SweepJob &j = jobs[i];
-        const bool miss = j.kind == SweepJob::Kind::MissRate && !j.sample;
+        const bool miss = j.kind == SweepJob::Kind::MissRate;
         const bool timed = j.kind == SweepJob::Kind::Timed;
-        const bool trace = j.kind == SweepJob::Kind::Trace && !j.sample;
+        const bool trace = j.kind == SweepJob::Kind::Trace;
         // Invalid jobs stay on their own so runOne reports them. A
         // trace job's failures (a missing file, a bad config) are the
         // same inside a unit, so only its kind decides.
@@ -420,25 +407,6 @@ SweepJob::traceReplay(std::string path, TraceShard shard,
     j.shard = shard;
     j.traceBatchLen = batch_len;
     j.observe = observe;
-    return j;
-}
-
-SweepJob
-SweepJob::traceSampled(std::string path, CacheConfig config,
-                       SamplePlan plan, std::uint64_t first_unit,
-                       std::uint64_t unit_count,
-                       std::uint64_t max_accesses, std::size_t batch_len)
-{
-    SweepJob j;
-    j.kind = Kind::Trace;
-    j.workload = "trace:" + path + "#sample" + plan.toString();
-    j.config = std::move(config);
-    j.length = max_accesses;
-    j.tracePath = std::move(path);
-    j.traceBatchLen = batch_len;
-    j.sample = plan;
-    j.sampleFirstUnit = first_unit;
-    j.sampleUnitCount = unit_count;
     return j;
 }
 

@@ -4,20 +4,20 @@
  * (workload x side x CacheConfig x run length) on a fixed-size worker
  * pool and returns results in submission order.
  *
- * Work units: unsampled MissRate jobs that share (workload, side,
- * resolved seed, run length) are one unit. The unit builds the workload
- * once and feeds each generated batch to every member's cache
- * (Session::runEach), so a grid of N caches over one stream generates
- * that stream once instead of N times. Timed jobs that share (workload,
- * resolved seed, run length, HierarchyParams) are one unit the same
- * way: runTimedEach() generates each µop batch once and steps every
- * member's own core and hierarchy over it. Unsampled Trace jobs that
- * share (trace path, shard window, run length, batch length, observer
- * config, shared-handle identity) are one unit too: Session::runEach
- * reads and validates each span of the window once and feeds it to
- * every member's cache while it is still in the CPU cache. Every other
- * job — Custom, sampled, and jobs whose source no other job shares — is
- * a unit of its own and runs exactly as a serial runner call would.
+ * Work units: MissRate jobs that share (workload, side, resolved seed,
+ * run length) are one unit. The unit builds the workload once and feeds
+ * each generated batch to every member's cache (Session::runEach), so a
+ * grid of N caches over one stream generates that stream once instead
+ * of N times. Timed jobs that share (workload, resolved seed, run
+ * length, HierarchyParams) are one unit the same way: runTimedEach()
+ * generates each µop batch once and steps every member's own core and
+ * hierarchy over it. Trace jobs that share (trace path, shard window,
+ * run length, batch length, observer config, shared-handle identity)
+ * are one unit too: Session::runEach reads and validates each span of
+ * the window once and feeds it to every member's cache while it is
+ * still in the CPU cache. Every other job — Custom, and jobs whose
+ * source no other job shares — is a unit of its own and runs exactly as
+ * a serial runner call would.
  *
  * Splitting: a trace unit costs about one cache per member, so on more
  * than one thread trace units are halved while the largest holds more
@@ -100,19 +100,6 @@ struct SweepJob
     std::size_t traceBatchLen = 0;
     /** Trace jobs only: ride a StatsObserver along with the replay. */
     ObserverConfig observe;
-    /**
-     * When set, the job runs sampled (sim/sampling.hh): MissRate jobs
-     * go through runMissRateSampled(), Trace jobs through
-     * runTraceSampled() on the unit range below. Sampled jobs ignore
-     * `shard` (warmup windows may precede a record boundary; units are
-     * partitioned instead) and must not set `observe`.
-     */
-    std::optional<SamplePlan> sample;
-    /** Sampled Trace jobs: first unit index this job owns. */
-    std::uint64_t sampleFirstUnit = 0;
-    /** Sampled Trace jobs: units owned (0 = through the last unit). */
-    std::uint64_t sampleUnitCount = 0;
-
     static SweepJob missRate(std::string workload, StreamSide side,
                              CacheConfig config, std::uint64_t accesses,
                              std::optional<std::uint64_t> seed = {});
@@ -139,19 +126,6 @@ struct SweepJob
                                 std::uint64_t max_accesses = 0,
                                 std::size_t batch_len = 0,
                                 ObserverConfig observe = {});
-    /**
-     * Sampled replay of units [first_unit, first_unit + unit_count) of
-     * @p plan's grid over @p path (sim/trace_replay.hh). Like
-     * traceReplay, a pure function of its arguments — the derived seed
-     * is unused. @p max_accesses caps the *population* the unit grid is
-     * laid over, not a replay length.
-     */
-    static SweepJob traceSampled(std::string path, CacheConfig config,
-                                 SamplePlan plan,
-                                 std::uint64_t first_unit,
-                                 std::uint64_t unit_count,
-                                 std::uint64_t max_accesses = 0,
-                                 std::size_t batch_len = 0);
 };
 
 /** Result of one job, delivered in submission order. */

@@ -84,71 +84,6 @@ mergeSideCounters(TraceSweepResult &total, const MissRateResult &shard)
             total.observer = ObserverReport{};
         *total.observer += *shard.observer;
     }
-    if (shard.sampled) {
-        if (!total.sampled)
-            total.sampled = SampledStats{};
-        *total.sampled += *shard.sampled;
-    }
-}
-
-namespace {
-
-/** Run @p jobs on the sweep engine and merge their results in order. */
-TraceSweepResult
-runShards(const std::vector<SweepJob> &jobs, const SweepOptions &options)
-{
-    const SweepRun run = runSweep(jobs, options);
-    TraceSweepResult result;
-    result.shards.reserve(run.outcomes.size());
-    for (const SweepOutcome &out : run.outcomes)
-        result.shards.push_back(missResult(out));
-    result.total = mergeShardStats(result.shards);
-    for (const MissRateResult &s : result.shards)
-        mergeSideCounters(result, s);
-    result.summary = run.summary;
-    return result;
-}
-
-} // namespace
-
-MissRateResult
-runTraceSampled(const std::string &path, const CacheConfig &config,
-                const SamplePlan &plan,
-                const TraceReplayOptions &options,
-                std::uint64_t first_unit, std::uint64_t unit_count)
-{
-    return Session(path, config, TraceShard{}, options)
-        .runSampled(plan, first_unit, unit_count);
-}
-
-TraceSweepResult
-runTraceSampledSharded(const std::string &path, const CacheConfig &config,
-                       const SamplePlan &plan, unsigned shards,
-                       const SweepOptions &options,
-                       const TraceReplayOptions &replay)
-{
-    const std::uint64_t records =
-        Session(path, config, TraceShard{}, replay).sampledPopulation();
-    const std::uint64_t n_units = plan.unitsFor(records);
-    // Partition unit indices, never records: shard g owns units
-    // [g*K/S, (g+1)*K/S), so the concatenation of per-unit sums in
-    // shard order is exactly the single-job unit list.
-    const std::uint64_t groups = std::max<std::uint64_t>(
-        std::min<std::uint64_t>(std::max(shards, 1u), n_units), 1);
-    std::vector<SweepJob> jobs;
-    jobs.reserve(static_cast<std::size_t>(groups));
-    for (std::uint64_t g = 0; g < groups; ++g) {
-        const std::uint64_t g0 = g * n_units / groups;
-        const std::uint64_t g1 = (g + 1) * n_units / groups;
-        if (g0 == g1 && n_units > 0)
-            continue;
-        jobs.push_back(SweepJob::traceSampled(path, config, plan, g0,
-                                              g1 - g0,
-                                              replay.maxAccesses,
-                                              replay.batchLen));
-        jobs.back().traceHandle = replay.handle;
-    }
-    return runShards(jobs, options);
 }
 
 TraceSweepResult
@@ -169,7 +104,16 @@ runTraceSharded(const std::string &path, const CacheConfig &config,
                                              replay.observe));
         jobs.back().traceHandle = replay.handle;
     }
-    return runShards(jobs, options);
+    const SweepRun run = runSweep(jobs, options);
+    TraceSweepResult result;
+    result.shards.reserve(run.outcomes.size());
+    for (const SweepOutcome &out : run.outcomes)
+        result.shards.push_back(missResult(out));
+    result.total = mergeShardStats(result.shards);
+    for (const MissRateResult &s : result.shards)
+        mergeSideCounters(result, s);
+    result.summary = run.summary;
+    return result;
 }
 
 } // namespace bsim

@@ -6,12 +6,11 @@
  * engine where each job owns a chunk range of the file.
  *
  * Sharded replay semantics: every shard starts from a cold cache, so the
- * merged counters are those of N independent cold-start replays — the
- * standard trace-sampling approximation, NOT bit-identical to one serial
- * pass over the whole file. What *is* bit-identical is the sharding
- * itself: per-shard results and their merge depend only on the shard
- * boundaries, never on --jobs/thread count (the sweep engine's
- * determinism contract). docs/TRACES.md discusses when the approximation
+ * merged counters are those of N independent cold-start replays — an
+ * approximation, NOT bit-identical to one serial pass over the whole
+ * file. What *is* bit-identical is the sharding itself: per-shard
+ * results and their merge depend only on the shard boundaries, never on
+ * --jobs/thread count (the sweep engine's determinism contract). docs/TRACES.md discusses when the approximation
  * is acceptable.
  */
 
@@ -62,8 +61,6 @@ struct TraceSweepResult
     std::optional<PdStats> pd;    ///< summed; B-Cache configs only
     /** Merged observer state; present when the replay was observed. */
     std::optional<ObserverReport> observer;
-    /** Concatenated per-unit sums; present for sampled replays. */
-    std::optional<SampledStats> sampled;
     SweepSummary summary;
 };
 
@@ -88,39 +85,6 @@ TraceSweepResult runTraceSharded(const std::string &path,
                                  unsigned shards,
                                  const SweepOptions &options = {},
                                  const TraceReplayOptions &replay = {});
-
-/**
- * Sampled replay of a trace (sim/sampling.hh): simulate only @p plan's
- * units over the population of min(trace records, options.maxAccesses
- * if set). Each unit runs a fresh cache — skipTo() jumps to the start
- * of its warmup window (O(1) through the BST2 chunk index), the warmup
- * primes tag state, a stats snapshot fences it off, and the measured
- * records land in per-unit sums. Units [first_unit, first_unit +
- * unit_count) are run; unit_count 0 means "through the last unit".
- * The result's `sampled` field carries the evidence; `stats` holds the
- * measured-only counter totals. options.observe must be disabled
- * (per-unit caches have no meaningful aggregate set usage). Fatal for
- * text traces, whose population is unknown without a full scan.
- */
-MissRateResult runTraceSampled(const std::string &path,
-                               const CacheConfig &config,
-                               const SamplePlan &plan,
-                               const TraceReplayOptions &options = {},
-                               std::uint64_t first_unit = 0,
-                               std::uint64_t unit_count = 0);
-
-/**
- * Sampled replay fanned out on the sweep engine: @p shards jobs each
- * own a contiguous range of *unit indices* (never split records), so
- * concatenating their per-unit sums in shard order reproduces the
- * single-job unit list exactly — merged totals and the estimate are
- * bit-identical at any --jobs value and any shard count.
- */
-TraceSweepResult runTraceSampledSharded(
-    const std::string &path, const CacheConfig &config,
-    const SamplePlan &plan, unsigned shards,
-    const SweepOptions &options = {},
-    const TraceReplayOptions &replay = {});
 
 } // namespace bsim
 

@@ -317,19 +317,6 @@ class Bst2MmapReader : public TraceReader
         validatedChunk_ = kUnknownRecordCount;
     }
 
-    void
-    skipTo(std::uint64_t record) override
-    {
-        // O(1) seek: every record's file offset follows from the chunk
-        // index (fixed-size records under fixed-size chunk frames), so
-        // skipped records are never touched — not even their pages.
-        // Validation of the landing chunk happens lazily in nextSpan().
-        if (record > end_ - begin_)
-            bsim_fatal("skip to record ", record, " beyond the ",
-                       end_ - begin_, " records of trace '", path_, "'");
-        pos_ = begin_ + record;
-    }
-
     std::span<const MemAccess>
     nextSpan(std::size_t max_n) override
     {
@@ -731,22 +718,6 @@ class DineroReader : public BufferedReader
 };
 
 } // namespace
-
-void
-TraceReader::skipTo(std::uint64_t record)
-{
-    if (record < position())
-        reset();
-    while (position() < record) {
-        const std::uint64_t want = record - position();
-        const auto s = nextSpan(static_cast<std::size_t>(
-            std::min<std::uint64_t>(want, kBufferRecords)));
-        if (s.empty())
-            bsim_fatal("skip to record ", record, " beyond the end of "
-                       "trace '", path(), "' (", format(), ") at record ",
-                       position());
-    }
-}
 
 bool
 zlibAvailable()

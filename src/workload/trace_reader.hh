@@ -74,17 +74,6 @@ class TraceReader
     /** Rewind to the start of the window. */
     virtual void reset() = 0;
 
-    /**
-     * Position the reader so the next record handed out is window-relative
-     * record @p record. The default rewinds if needed and decodes-and-
-     * discards forward (the documented cost for compressed/text inputs);
-     * the BST2 mmap reader overrides this with an O(1) seek through the
-     * chunk index — sampled replay (sim/sampling.hh) leans on that to
-     * jump between sampling units without touching skipped records.
-     * Fatal when @p record lies beyond the end of the window.
-     */
-    virtual void skipTo(std::uint64_t record);
-
     /** Records handed out since construction or the last reset(). */
     virtual std::uint64_t position() const = 0;
 

@@ -3,8 +3,8 @@
  * Command-line soup for the bsim_soup ctest: draws deterministic `bsim`
  * invocations from bsim's flag table — valid values next to 0, huge,
  * negative and non-numeric ones, missing files, directories, `-`
- * outputs, repeated and value-less flags, and BSIM_JOBS / BSIM_BATCH /
- * BSIM_SAMPLE environment values — so scripts/check_bsim_soup.sh can
+ * outputs, repeated and value-less flags, retired flags, and BSIM_JOBS /
+ * BSIM_BATCH environment values — so scripts/check_bsim_soup.sh can
  * check that every run ends in a result (exit 0), an input error
  * (exit 1) or a usage error (exit 2), never a signal or a hang.
  *
@@ -75,10 +75,6 @@ flagTable(const std::string &dir)
          {"1048577", "18446744073709551615", "-1", "x"}},
         {"--accesses", {"0", "1", "777", "5000"},
          {"-1", "x", "99999999999999999999"}},
-        {"--sample",
-         {"10:40", "50:200:50", "1:1", "1:1000:1000000",
-          "18446744073709551615:18446744073709551615"},
-         {"0:100", "100:50", "bogus"}},
         {"--stats-json", {dir + "/s.json", "-"},
          {dir, dir + "/no/such/s.json"}},
         {"--heatmap", {dir + "/h.csv", "-"},
@@ -94,11 +90,11 @@ flagTable(const std::string &dir)
 const std::vector<Flag> kEnv = {
     {"BSIM_JOBS", {"1", "3"}, {"0", "x", "-2", "99999999999"}},
     {"BSIM_BATCH", {"0", "1", "64"}, {"x", "18446744073709551615"}},
-    {"BSIM_SAMPLE", {"10:40"}, {"bogus"}},
 };
 
-/** Words that are not in the table at all. */
-const std::vector<std::string> kStray = {"--bogus", "-", "", "-h"};
+/** Words that are not in the table at all, retired flags included. */
+const std::vector<std::string> kStray = {"--bogus", "--sample", "-", "",
+                                         "-h"};
 
 const std::string &
 pick(const std::vector<std::string> &v, Rng &rng)

@@ -176,120 +176,5 @@ TEST(Ratios, ReductionPct)
     EXPECT_DOUBLE_EQ(reductionPct(0.0, 0.1), 0.0);
 }
 
-TEST(TQuantile, MatchesTableAnchors)
-{
-    // Spot-check the hardcoded two-sided 95% table: exact small-df
-    // values, the step anchors past 30, and the normal limit.
-    EXPECT_TRUE(std::isinf(tQuantile975(0)));
-    EXPECT_DOUBLE_EQ(tQuantile975(1), 12.706);
-    EXPECT_DOUBLE_EQ(tQuantile975(2), 4.303);
-    EXPECT_DOUBLE_EQ(tQuantile975(10), 2.228);
-    EXPECT_DOUBLE_EQ(tQuantile975(30), 2.042);
-    EXPECT_DOUBLE_EQ(tQuantile975(40), 2.021);
-    EXPECT_DOUBLE_EQ(tQuantile975(100), 1.984);
-    EXPECT_DOUBLE_EQ(tQuantile975(101), 1.96);
-    EXPECT_DOUBLE_EQ(tQuantile975(1u << 20), 1.96);
-    // Monotone non-increasing in df.
-    for (std::uint64_t df = 1; df < 120; ++df)
-        EXPECT_LE(tQuantile975(df + 1), tQuantile975(df)) << df;
-}
-
-TEST(StratifiedEstimator, EmptyIsDegenerate)
-{
-    StratifiedEstimator est;
-    const SampleEstimate e = est.estimate();
-    EXPECT_EQ(e.units, 0u);
-    EXPECT_DOUBLE_EQ(e.value, 0.0);
-    EXPECT_DOUBLE_EQ(e.stderrValue, 0.0);
-    // Zero-access units must not count as observations.
-    est.addUnit(0, 0);
-    EXPECT_EQ(est.units(), 0u);
-}
-
-TEST(StratifiedEstimator, SingleUnitHasPointInterval)
-{
-    StratifiedEstimator est;
-    est.addUnit(100, 25);
-    const SampleEstimate e = est.estimate();
-    EXPECT_EQ(e.units, 1u);
-    EXPECT_DOUBLE_EQ(e.value, 0.25);
-    // One unit has no across-unit spread: degenerate CI at the point,
-    // never a fake-precise one.
-    EXPECT_DOUBLE_EQ(e.ciLo, 0.25);
-    EXPECT_DOUBLE_EQ(e.ciHi, 0.25);
-    EXPECT_TRUE(e.contains(0.25));
-    EXPECT_FALSE(e.contains(0.251));
-}
-
-TEST(StratifiedEstimator, RatioEstimateAndHandCheckedStderr)
-{
-    StratifiedEstimator est;
-    est.setPopulation(1000);
-    est.addUnit(100, 10);
-    est.addUnit(100, 20);
-    const SampleEstimate e = est.estimate();
-    // R = (10+20)/(100+100); equal-sized units make the ratio the mean.
-    EXPECT_DOUBLE_EQ(e.value, 0.15);
-    EXPECT_DOUBLE_EQ(e.sampledFraction, 0.2);
-    // ss = sum((m_i - R n_i)^2) = 25 + 25; s2 = 50; nbar = 100;
-    // var = (1 - 0.2) * 50 / (2 * 100^2) = 0.002.
-    EXPECT_NEAR(e.stderrValue, std::sqrt(0.002), 1e-12);
-    // df = 1 makes the half-width t * se = 12.706 * 0.0447... = 0.568:
-    // the upper edge is the textbook value, the lower clamps at zero.
-    const double t = tQuantile975(1);
-    EXPECT_NEAR(e.ciHi - e.value, t * e.stderrValue, 1e-9);
-    EXPECT_DOUBLE_EQ(e.ciLo, 0.0);
-    EXPECT_TRUE(e.contains(0.15));
-}
-
-TEST(StratifiedEstimator, IdenticalUnitsHaveZeroStderr)
-{
-    StratifiedEstimator est;
-    for (int i = 0; i < 8; ++i)
-        est.addUnit(50, 5);
-    const SampleEstimate e = est.estimate();
-    EXPECT_DOUBLE_EQ(e.value, 0.1);
-    // The expanded sum-of-squares cancels to ~0 up to rounding noise.
-    EXPECT_NEAR(e.stderrValue, 0.0, 1e-8);
-    EXPECT_NEAR(e.ciLo, 0.1, 1e-6);
-    EXPECT_NEAR(e.ciHi, 0.1, 1e-6);
-}
-
-TEST(StratifiedEstimator, CiClampsToUnitInterval)
-{
-    // Tiny, wildly-varying units: the raw interval would escape [0,1];
-    // a miss ratio cannot, so the estimator clamps.
-    StratifiedEstimator est;
-    est.addUnit(1, 0);
-    est.addUnit(1, 1);
-    const SampleEstimate e = est.estimate();
-    EXPECT_GE(e.ciLo, 0.0);
-    EXPECT_LE(e.ciHi, 1.0);
-}
-
-TEST(StratifiedEstimator, FullCensusHasZeroVariance)
-{
-    // sampledFraction == 1 triggers the finite-population correction:
-    // measuring everything leaves no sampling error by definition.
-    StratifiedEstimator est;
-    est.setPopulation(200);
-    est.addUnit(100, 30);
-    est.addUnit(100, 10);
-    const SampleEstimate e = est.estimate();
-    EXPECT_DOUBLE_EQ(e.sampledFraction, 1.0);
-    EXPECT_DOUBLE_EQ(e.stderrValue, 0.0);
-}
-
-TEST(StratifiedEstimator, ResetKeepsPopulation)
-{
-    StratifiedEstimator est;
-    est.setPopulation(500);
-    est.addUnit(10, 1);
-    est.reset();
-    EXPECT_EQ(est.units(), 0u);
-    est.addUnit(50, 5);
-    EXPECT_DOUBLE_EQ(est.estimate().sampledFraction, 0.1);
-}
-
 } // namespace
 } // namespace bsim

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "common/logging.hh"
+#include "expect_fatal.hh"
 #include "sim/sweep.hh"
 #include "sim/trace_replay.hh"
 #include "workload/spec2k.hh"
@@ -58,10 +59,6 @@ expectSameResult(const MissRateResult &a, const MissRateResult &b)
     }
     EXPECT_DOUBLE_EQ(a.balance.cmPct, b.balance.cmPct);
     EXPECT_DOUBLE_EQ(a.balance.chPct, b.balance.chPct);
-    EXPECT_EQ(a.sampled.has_value(), b.sampled.has_value());
-    if (a.sampled && b.sampled) {
-        EXPECT_EQ(a.sampled->units.size(), b.sampled->units.size());
-    }
 }
 
 void
@@ -80,9 +77,6 @@ expectIdentical(const SweepOutcome &a, const SweepOutcome &b)
 MissRateResult
 serialRun(const SweepJob &job, std::uint64_t seed)
 {
-    if (job.sample)
-        return runMissRateSampled(job.workload, job.side, job.config,
-                                  job.length, *job.sample, seed);
     return runMissRate(job.workload, job.side, job.config, job.length,
                        seed);
 }
@@ -106,8 +100,7 @@ expectMatchesSerial(const std::vector<SweepJob> &jobs,
 /**
  * A mixed list for the grouped sweep: streams shared by several caches
  * (Data and Inst sides of one workload), index-derived seeds that share
- * nothing, a sampled job on a shared stream, and two invalid jobs
- * whose key matches a real group.
+ * nothing, and two invalid jobs whose key matches a real group.
  */
 std::vector<SweepJob>
 groupedJobs(std::uint64_t accesses)
@@ -127,10 +120,6 @@ groupedJobs(std::uint64_t accesses)
         jobs.push_back(SweepJob::missRate("equake", StreamSide::Data,
                                           cfg, accesses));
     }
-    SweepJob sampled = SweepJob::missRate(
-        "gcc", StreamSide::Data, configs[2], accesses, 7);
-    sampled.sample = SamplePlan{1000, 5000, 500};
-    jobs.insert(jobs.begin() + 3, sampled);
     jobs.push_back(SweepJob::missRate("no-such-bench", StreamSide::Data,
                                       configs[0], accesses, 7));
     jobs.push_back(SweepJob::missRate("gcc", StreamSide::Data,
@@ -300,9 +289,7 @@ TEST(SweepGrouped, MixedJobsMatchTheirSerialRunners)
         // job index, so those jobs share no stream.
         EXPECT_EQ(run.outcomes[0].seed, 7u);
         EXPECT_EQ(run.outcomes[2].seed, sweepSeed(99, 2));
-        EXPECT_NE(run.outcomes[2].seed, run.outcomes[6].seed);
-        ASSERT_TRUE(run.outcomes[3].ok()) << run.outcomes[3].error;
-        EXPECT_TRUE(run.outcomes[3].miss->sampled.has_value());
+        EXPECT_NE(run.outcomes[2].seed, run.outcomes[5].seed);
     }
 }
 
@@ -981,6 +968,23 @@ TEST(Sweep, ConsumeJobsFlagStripsArgv)
     int argc3 = 2;
     EXPECT_EQ(consumeJobsFlag(argc3, argv3), 0u);
     EXPECT_EQ(argc3, 2);
+}
+
+TEST(Sweep, ConsumeJobsFlagRejectsEveryOtherFlag)
+{
+    char prog[] = "prog";
+    char a1[] = "--sample";
+    char a2[] = "2000:20000";
+    char *argv[] = {prog, a1, a2, nullptr};
+    int argc = 3;
+    EXPECT_FATAL(consumeJobsFlag(argc, argv), "unknown flag '--sample'");
+
+    char b1[] = "twolf";
+    char b2[] = "--jobs=3";
+    char b3[] = "--icache";
+    char *argv2[] = {prog, b1, b2, b3, nullptr};
+    int argc2 = 4;
+    EXPECT_FATAL(consumeJobsFlag(argc2, argv2), "unknown flag '--icache'");
 }
 
 } // namespace

@@ -127,6 +127,31 @@ TEST_F(TraceReaderTest, Bst2ResetRestartsTheWindow)
     expectSame(drain(*reader, 13), in);
 }
 
+TEST_F(TraceReaderTest, SequentialResetRestartsTheWindow)
+{
+    // Text and gzip readers cannot seek, so reset() rewinds the file and
+    // decodes forward to the window start again (TraceStream cycles
+    // through it).
+    const auto in = sampleTrace(120);
+    writeTextTrace(path("rs.din"), in);
+    std::vector<std::string> paths{path("rs.din")};
+    if (zlibAvailable()) {
+        writeBst2Trace(path("rs.bst"), in, 16);
+        gzipFile(path("rs.bst"), path("rs.bst.gz"));
+        paths.push_back(path("rs.bst.gz"));
+    }
+    for (const std::string &p : paths) {
+        SCOPED_TRACE(p);
+        auto reader = openTraceReader(p, TraceShard{30, 40});
+        EXPECT_FALSE(reader->nextSpan(5).empty());
+        reader->reset();
+        EXPECT_EQ(reader->position(), 0u);
+        expectSame(drain(*reader, 7), in, 30, 40);
+        reader->reset();
+        expectSame(drain(*reader, 64), in, 30, 40);
+    }
+}
+
 TEST_F(TraceReaderTest, ShardWindowsMidFile)
 {
     const auto in = sampleTrace(50);
@@ -366,72 +391,6 @@ TEST_F(TraceReaderTest, Bst2FuzzRoundTripsRandomShapes)
         auto reader = openTraceReader(p);
         expectSame(drain(*reader, max_n), in);
     }
-}
-
-TEST_F(TraceReaderTest, SkipToMatchesSequentialOnBst2)
-{
-    // skipTo is the sampled replay's inter-unit fast-forward: landing
-    // there must be indistinguishable from reading every record up to
-    // the target. Random forward AND backward hops on the mmap reader.
-    const auto in = sampleTrace(200);
-    writeBst2Trace(path("sk.bst"), in, 16);
-    auto reader = openTraceReader(path("sk.bst"));
-    Rng rng(42);
-    for (int hop = 0; hop < 50; ++hop) {
-        const std::uint64_t target = rng.nextBounded(in.size());
-        reader->skipTo(target);
-        EXPECT_EQ(reader->position(), target) << "hop " << hop;
-        const auto s = reader->nextSpan(1);
-        ASSERT_EQ(s.size(), 1u) << "hop " << hop;
-        EXPECT_EQ(s[0].addr, in[target].addr) << "hop " << hop;
-        EXPECT_EQ(s[0].type, in[target].type) << "hop " << hop;
-    }
-    // Landing exactly on end-of-window is a legal no-op position...
-    reader->skipTo(in.size());
-    EXPECT_TRUE(reader->nextSpan(8).empty());
-    // ...one past it is a configuration error.
-    EXPECT_FATAL(reader->skipTo(in.size() + 1), "skip to record");
-}
-
-TEST_F(TraceReaderTest, SkipToMatchesSequentialOnSequentialSources)
-{
-    // The base-class fallback (reset + decode-and-discard) must land in
-    // the same place on readers with no random access: text traces and,
-    // when available, gzip streams.
-    const auto in = sampleTrace(120);
-    writeTextTrace(path("sq.din"), in);
-    std::vector<std::string> paths{path("sq.din")};
-    if (zlibAvailable()) {
-        writeBst2Trace(path("sq.bst"), in, 16);
-        gzipFile(path("sq.bst"), path("sq.bst.gz"));
-        paths.push_back(path("sq.bst.gz"));
-    }
-    for (const std::string &p : paths) {
-        auto reader = openTraceReader(p);
-        Rng rng(7);
-        for (int hop = 0; hop < 20; ++hop) {
-            const std::uint64_t target = rng.nextBounded(in.size());
-            reader->skipTo(target); // backward hops force a reset
-            EXPECT_EQ(reader->position(), target) << p;
-            const auto s = reader->nextSpan(1);
-            ASSERT_EQ(s.size(), 1u) << p;
-            EXPECT_EQ(s[0].addr, in[target].addr) << p << " hop " << hop;
-        }
-        EXPECT_FATAL(reader->skipTo(in.size() + 40), "skip to record");
-    }
-}
-
-TEST_F(TraceReaderTest, SkipToWithinShardWindow)
-{
-    // Windowed readers address records relative to the window start:
-    // skipTo(k) inside a shard must land on absolute record first + k.
-    const auto in = sampleTrace(100);
-    writeBst2Trace(path("sw.bst"), in, 8);
-    auto reader = openTraceReader(path("sw.bst"), TraceShard{30, 40});
-    reader->skipTo(10);
-    const auto s = reader->nextSpan(1);
-    ASSERT_EQ(s.size(), 1u);
-    EXPECT_EQ(s[0].addr, in[40].addr);
 }
 
 TEST_F(TraceReaderTest, TruncatedTailChunkIsFatal)
