@@ -66,7 +66,9 @@ usage(const char *msg = nullptr)
                  "                   per-access path; at most %zu)\n"
                  "  [--accesses N]   synthetic run length, or a cap on "
                  "trace replay\n"
-                 "                   (traces default to the whole file)\n"
+                 "                   (traces default to the whole file;"
+                 " not with\n"
+                 "                   --shards)\n"
                  "  [--trace-info FILE]  print a trace's header/format "
                  "and exit\n"
                  "  [--timed]        OOO-core/Table-4 processor model "
@@ -415,6 +417,8 @@ bsimMain(int argc, char **argv)
     if (shards > 0) {
         if (trace_path.empty())
             usage("--shards needs --trace");
+        if (accesses_set)
+            usage("--accesses caps a single replay, not --shards");
         return runSharded(trace_path, cfg, shards, jobs, batch, json, ex);
     }
 

@@ -64,6 +64,12 @@
 # replay of its window. None of the retired sampled-replay names
 # (spelled with a bracket) appears in code (src/, bench/, tests/,
 # examples/) or in prose (docs/, README.md, DESIGN.md, EXPERIMENTS.md).
+#
+# And it keeps one tag array (pass 13): every tag table is a TagStore
+# (cache/tag_store.hh). No struct under src/cache/, src/alt/ or
+# src/bcache/ declares a `bool valid` member, and neither the retired
+# fill-way helper nor a per-variant line accessor (spelled with a
+# bracket) appears under src/.
 set -eu
 
 repo_root=$(CDPATH= cd -- "$(dirname -- "$0")/.." && pwd)
@@ -283,6 +289,21 @@ if matches=$(grep -rn --exclude-dir=api "$retired_sampling" \
     fail=1
 fi
 
+# ---- pass 13: one tag array ----
+if matches=$(grep -rnE "^[[:space:]]*bool [v]alid[[:space:]]*(=[^;]*)?;" \
+        src/cache/ src/alt/ src/bcache/); then
+    echo "check_specs: a hand-rolled valid bit is back (keep frames in a" \
+         "TagStore, cache/tag_store.hh; an empty frame is kEmptyKey):" >&2
+    echo "$matches" >&2
+    fail=1
+fi
+if matches=$(grep -rn "choose[F]illWay\|\<line[A]t(" src/); then
+    echo "check_specs: a retired tag-array helper is back (use" \
+         "TagStore::fillWay and frame indices):" >&2
+    echo "$matches" >&2
+    fail=1
+fi
+
 if [ "$fail" -ne 0 ]; then
     echo "check_specs: FAIL" >&2
     exit 1
@@ -293,5 +314,5 @@ echo "check_specs: OK ($n_kinds kinds; registry, --list-caches and" \
      "driver in src/verify; one replacement type; one per-line" \
      "histogram; one error path; one verification campaign and one" \
      "count parser; one binary trace format; one way to run a" \
-     "replay)"
+     "replay; one tag array)"
 exit 0

@@ -10,7 +10,8 @@ ColumnAssocCache::ColumnAssocCache(std::string name,
                                    Cycles hit_latency, MemLevel *next,
                                    Cycles rehash_penalty)
     : TagArrayEngine(std::move(name), geom, hit_latency, next),
-      lines_(geom.numLines()), rehashPenalty_(rehash_penalty)
+      tags_(geom.numLines(), geom.offsetBits()),
+      rehashed_(geom.numLines(), 0), rehashPenalty_(rehash_penalty)
 {
     bsim_assert(geom.ways() == 1,
                 "column-associative cache is a direct-mapped array");
@@ -33,12 +34,10 @@ ColumnAssocCache::rehashIndex(std::size_t primary) const
 void
 ColumnAssocCache::evict(std::size_t idx)
 {
-    Line &l = lines_[idx];
-    if (l.valid && l.dirty)
-        writebackToNext(l.block << geom_.offsetBits());
-    l.valid = false;
-    l.dirty = false;
-    l.rehashed = false;
+    if (tags_.dirty(idx))
+        writebackToNext(tags_.key(idx) << geom_.offsetBits());
+    tags_.clear(idx);
+    rehashed_[idx] = 0;
 }
 
 ColumnAssocCache::Probe
@@ -54,8 +53,7 @@ ColumnAssocCache::probe(const MemAccess &req, EngineMode mode)
         // location) or allocate at the primary slot; no swaps, no
         // first/rehash accounting.
         for (std::size_t idx : {pr.i1, pr.i2}) {
-            const Line &l = lines_[idx];
-            if (l.valid && l.block == pr.block) {
+            if (tags_.key(idx) == pr.block) {
                 pr.hit = true;
                 pr.frame = idx;
                 pr.kase = Case::WbHit;
@@ -66,8 +64,7 @@ ColumnAssocCache::probe(const MemAccess &req, EngineMode mode)
         return pr;
     }
 
-    const Line &l1 = lines_[pr.i1];
-    if (l1.valid && l1.block == pr.block) {
+    if (tags_.key(pr.i1) == pr.block) {
         ++firstHits_;
         pr.hit = true;
         pr.frame = pr.i1;
@@ -75,7 +72,7 @@ ColumnAssocCache::probe(const MemAccess &req, EngineMode mode)
         return pr;
     }
 
-    if (l1.valid && l1.rehashed) {
+    if (tags_.valid(pr.i1) && rehashed_[pr.i1]) {
         // The resident block lives here as someone else's rehash target;
         // rehashed blocks are evicted first and no second probe is made
         // (the requested block's rehash slot is this very line).
@@ -83,8 +80,7 @@ ColumnAssocCache::probe(const MemAccess &req, EngineMode mode)
         return pr;
     }
 
-    const Line &l2 = lines_[pr.i2];
-    if (l2.valid && l2.block == pr.block) {
+    if (tags_.key(pr.i2) == pr.block) {
         // Second-time hit: costs the rehash probe and swaps the block
         // back to its primary slot (onHit).
         ++rehashHits_;
@@ -107,15 +103,12 @@ ColumnAssocCache::onHit(const Probe &pr, const MemAccess &, EngineMode,
     if (pr.kase == Case::RehashHit) {
         // Swap so the block returns to its primary slot; the displaced
         // primary occupant becomes a rehashed resident of i2.
-        Line &l1 = lines_[pr.i1];
-        Line &l2 = lines_[pr.i2];
-        std::swap(l1, l2);
-        l1.rehashed = false;
-        if (l2.valid)
-            l2.rehashed = true;
+        tags_.swap(pr.i1, pr.i2);
+        rehashed_[pr.i1] = 0;
+        rehashed_[pr.i2] = tags_.valid(pr.i2);
     }
     if (set_dirty)
-        lines_[pr.frame].dirty = true;
+        tags_.setDirty(pr.frame);
 }
 
 std::size_t
@@ -130,18 +123,18 @@ ColumnAssocCache::victimFrame(const Probe &pr, const MemAccess &,
         // New block takes the primary slot; the old primary occupant is
         // demoted to the rehash slot, evicting what was there.
         evict(pr.i2);
-        if (lines_[pr.i1].valid) {
-            lines_[pr.i2] = lines_[pr.i1];
-            lines_[pr.i2].rehashed = true;
+        if (tags_.valid(pr.i1)) {
+            tags_.fill(pr.i2, tags_.key(pr.i1), tags_.dirty(pr.i1));
+            rehashed_[pr.i2] = 1;
         }
         break;
       case Case::WbMiss:
         // Same demotion, but an empty primary slot claims no rehash
         // space (the incoming block allocates in place).
-        if (lines_[pr.i1].valid) {
+        if (tags_.valid(pr.i1)) {
             evict(pr.i2);
-            lines_[pr.i2] = lines_[pr.i1];
-            lines_[pr.i2].rehashed = true;
+            tags_.fill(pr.i2, tags_.key(pr.i1), tags_.dirty(pr.i1));
+            rehashed_[pr.i2] = 1;
         }
         break;
       default:
@@ -154,17 +147,15 @@ void
 ColumnAssocCache::install(std::size_t frame, const Probe &pr,
                           const MemAccess &req, EngineMode)
 {
-    Line &l = lines_[frame];
-    l.valid = true;
-    l.dirty = (req.type == AccessType::Write);
-    l.rehashed = false;
-    l.block = pr.block;
+    tags_.fill(frame, pr.block, req.type == AccessType::Write);
+    rehashed_[frame] = 0;
 }
 
 void
 ColumnAssocCache::reset()
 {
-    lines_.assign(geom_.numLines(), Line{});
+    tags_.reset();
+    rehashed_.assign(geom_.numLines(), 0);
     rehashHits_ = firstHits_ = 0;
     resetBase(geom_.numLines());
 }
@@ -175,8 +166,7 @@ ColumnAssocCache::contains(Addr addr) const
     const Addr block = geom_.blockNumber(addr);
     const std::size_t i1 = geom_.index(addr);
     const std::size_t i2 = columnRehashIndex(geom_, i1);
-    return (lines_[i1].valid && lines_[i1].block == block) ||
-           (lines_[i2].valid && lines_[i2].block == block);
+    return tags_.key(i1) == block || tags_.key(i2) == block;
 }
 
 // Emit the engine here, next to the hook definitions (see the extern

@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "cache/tag_array_engine.hh"
+#include "cache/tag_store.hh"
 
 namespace bsim {
 
@@ -42,15 +43,6 @@ class ColumnAssocCache : public TagArrayEngine<ColumnAssocCache>
 
   private:
     friend class TagArrayEngine<ColumnAssocCache>;
-
-    struct Line
-    {
-        bool valid = false;
-        bool dirty = false;
-        bool rehashed = false;
-        /** Full block number (addr >> offsetBits); the line's identity. */
-        Addr block = 0;
-    };
 
     /** The protocol case the probe resolved to. */
     enum class Case : std::uint8_t {
@@ -86,7 +78,9 @@ class ColumnAssocCache : public TagArrayEngine<ColumnAssocCache>
     std::size_t rehashIndex(std::size_t primary) const;
     void evict(std::size_t idx);
 
-    std::vector<Line> lines_;
+    TagStore tags_; ///< keyed by full block number (addr >> offsetBits)
+    /** Per frame: the block sits at its rehash location. */
+    std::vector<std::uint8_t> rehashed_;
     Cycles rehashPenalty_;
     std::uint64_t rehashHits_ = 0;
     std::uint64_t firstHits_ = 0;

@@ -12,7 +12,7 @@ PartialMatchCache::PartialMatchCache(std::string name,
                                      unsigned partial_bits,
                                      ReplPolicyKind repl)
     : TagArrayEngine(std::move(name), geom, hit_latency, next),
-      lines_(geom.numLines()),
+      tags_(geom.numLines(), geom.offsetBits() + geom.indexBits()),
       repl_(repl, geom.numSets(), geom.ways()), partialBits_(partial_bits)
 {
     bsim_assert(geom.ways() >= 2,
@@ -26,15 +26,15 @@ PartialMatchCache::probe(const MemAccess &req, EngineMode mode)
     Probe pr;
     pr.set = moduloIndex(geom_, req.addr);
     pr.tag = geom_.tag(req.addr);
-    const Line *row = lines_.data() + pr.set * geom_.ways();
+    const std::size_t first = pr.set * geom_.ways();
 
     if (mode == EngineMode::Writeback) {
         // Writebacks from above bypass the PAD speculation machinery.
-        const int w = scanWays(row, geom_.ways(), pr.tag, AllWays{});
+        const int w = tags_.find(first, geom_.ways(), pr.tag);
         if (w >= 0) {
             pr.hit = true;
             pr.way = static_cast<std::size_t>(w);
-            pr.frame = pr.set * geom_.ways() + pr.way;
+            pr.frame = first + pr.way;
         }
         return pr;
     }
@@ -42,14 +42,14 @@ PartialMatchCache::probe(const MemAccess &req, EngineMode mode)
     // Stage 1: the PAD comparison predicts the first partial match while
     // the Main Directory confirms the full tag in parallel.
     PadPredictor pad(partialOf(pr.tag), partialBits_);
-    const int w = scanWays(row, geom_.ways(), pr.tag, pad);
+    const int w = tags_.find(first, geom_.ways(), pr.tag, pad);
     if (pad.matches() > 1)
         ++padAliases_;
 
     if (w >= 0) {
         pr.hit = true;
         pr.way = static_cast<std::size_t>(w);
-        pr.frame = pr.set * geom_.ways() + pr.way;
+        pr.frame = first + pr.way;
         // The predicted way was read speculatively; if it was not the
         // right one, a second cycle fetches the correct way.
         if (pad.predicted() != w) {
@@ -67,7 +67,7 @@ PartialMatchCache::onHit(const Probe &pr, const MemAccess &, EngineMode,
                          bool set_dirty)
 {
     if (set_dirty)
-        lines_[pr.frame].dirty = true;
+        tags_.setDirty(pr.frame);
     repl_.touch(pr.set, pr.way);
 }
 
@@ -75,29 +75,26 @@ std::size_t
 PartialMatchCache::victimFrame(const Probe &pr, const MemAccess &,
                                EngineMode)
 {
-    const std::size_t way =
-        chooseFillWay(lines_.data() + pr.set * geom_.ways(), repl_, pr.set);
-    Line &l = lineAt(pr.set, way);
-    if (l.valid && l.dirty)
-        writebackToNext(geom_.rebuild(l.tag, pr.set));
-    return pr.set * geom_.ways() + way;
+    const std::size_t first = pr.set * geom_.ways();
+    const std::size_t frame =
+        first + tags_.fillWay(first, geom_.ways(), repl_, pr.set);
+    if (tags_.dirty(frame))
+        writebackToNext(geom_.rebuild(tags_.key(frame), pr.set));
+    return frame;
 }
 
 void
 PartialMatchCache::install(std::size_t frame, const Probe &pr,
                            const MemAccess &req, EngineMode)
 {
-    Line &l = lines_[frame];
-    l.valid = true;
-    l.dirty = (req.type == AccessType::Write);
-    l.tag = pr.tag;
+    tags_.fill(frame, pr.tag, req.type == AccessType::Write);
     repl_.fill(pr.set, frame - pr.set * geom_.ways());
 }
 
 void
 PartialMatchCache::reset()
 {
-    lines_.assign(geom_.numLines(), Line{});
+    tags_.reset();
     repl_.reset();
     slowHits_ = 0;
     padAliases_ = 0;
@@ -107,14 +104,8 @@ PartialMatchCache::reset()
 bool
 PartialMatchCache::contains(Addr addr) const
 {
-    const std::size_t set = geom_.index(addr);
-    const Addr tag = geom_.tag(addr);
-    for (std::size_t w = 0; w < geom_.ways(); ++w) {
-        const Line &l = lines_[set * geom_.ways() + w];
-        if (l.valid && l.tag == tag)
-            return true;
-    }
-    return false;
+    return tags_.find(geom_.index(addr) * geom_.ways(), geom_.ways(),
+                      geom_.tag(addr)) >= 0;
 }
 
 // Emit the engine here, next to the hook definitions (see the extern

@@ -19,10 +19,9 @@
 #ifndef BSIM_ALT_PARTIAL_MATCH_CACHE_HH
 #define BSIM_ALT_PARTIAL_MATCH_CACHE_HH
 
-#include <vector>
-
 #include "cache/replacement.hh"
 #include "cache/tag_array_engine.hh"
+#include "cache/tag_store.hh"
 
 namespace bsim {
 
@@ -51,13 +50,6 @@ class PartialMatchCache : public TagArrayEngine<PartialMatchCache>
   private:
     friend class TagArrayEngine<PartialMatchCache>;
 
-    struct Line
-    {
-        bool valid = false;
-        bool dirty = false;
-        Addr tag = 0;
-    };
-
     /** Engine probe result: set/tag plus the confirmed hit way. */
     struct Probe : ProbeBase
     {
@@ -76,14 +68,9 @@ class PartialMatchCache : public TagArrayEngine<PartialMatchCache>
     void install(std::size_t frame, const Probe &pr, const MemAccess &req,
                  EngineMode mode);
 
-    Line &lineAt(std::size_t set, std::size_t way)
-    {
-        return lines_[set * geom_.ways() + way];
-    }
-
     Addr partialOf(Addr tag) const { return tag & mask(partialBits_); }
 
-    std::vector<Line> lines_;
+    TagStore tags_; ///< keyed by geometry tag
     Replacement repl_;
     unsigned partialBits_;
     std::uint64_t slowHits_ = 0;

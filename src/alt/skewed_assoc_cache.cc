@@ -9,7 +9,8 @@ SkewedAssocCache::SkewedAssocCache(std::string name,
                                    const CacheGeometry &geom,
                                    Cycles hit_latency, MemLevel *next)
     : TagArrayEngine(std::move(name), geom, hit_latency, next),
-      lines_(geom.numLines())
+      tags_(geom.numLines(), geom.offsetBits()),
+      lastUse_(geom.numLines(), 0)
 {
     bsim_assert(geom.ways() == 2, "skewed cache modelled with two banks");
 }
@@ -25,14 +26,12 @@ SkewedAssocCache::probe(const MemAccess &req, EngineMode)
 {
     Probe pr;
     pr.block = geom_.blockNumber(req.addr);
-    pr.s0 = skewBankIndex(geom_, 0, req.addr);
-    pr.s1 = skewBankIndex(geom_, 1, req.addr);
-    for (unsigned b = 0; b < 2; ++b) {
-        const std::size_t s = b == 0 ? pr.s0 : pr.s1;
-        const Line &l = lineAt(b, s);
-        if (l.valid && l.block == pr.block) {
+    pr.f0 = skewBankIndex(geom_, 0, req.addr);
+    pr.f1 = geom_.numSets() + skewBankIndex(geom_, 1, req.addr);
+    for (std::size_t f : {pr.f0, pr.f1}) {
+        if (tags_.key(f) == pr.block) {
             pr.hit = true;
-            pr.frame = b * geom_.numSets() + s;
+            pr.frame = f;
             break;
         }
     }
@@ -43,10 +42,9 @@ void
 SkewedAssocCache::onHit(const Probe &pr, const MemAccess &, EngineMode,
                         bool set_dirty)
 {
-    Line &l = lines_[pr.frame];
     if (set_dirty)
-        l.dirty = true;
-    l.lastUse = ++now_;
+        tags_.setDirty(pr.frame);
+    lastUse_[pr.frame] = ++now_;
 }
 
 std::size_t
@@ -54,39 +52,33 @@ SkewedAssocCache::victimFrame(const Probe &pr, const MemAccess &,
                               EngineMode)
 {
     // Victim is the least recently used of the two bank candidates
-    // (invalid first).
-    Line &c0 = lineAt(0, pr.s0);
-    Line &c1 = lineAt(1, pr.s1);
-    unsigned victim_bank;
-    if (!c0.valid)
-        victim_bank = 0;
-    else if (!c1.valid)
-        victim_bank = 1;
+    // (an empty one first).
+    std::size_t v;
+    if (!tags_.valid(pr.f0))
+        v = pr.f0;
+    else if (!tags_.valid(pr.f1))
+        v = pr.f1;
     else
-        victim_bank = c0.lastUse <= c1.lastUse ? 0 : 1;
+        v = lastUse_[pr.f0] <= lastUse_[pr.f1] ? pr.f0 : pr.f1;
 
-    Line &v = victim_bank == 0 ? c0 : c1;
-    if (v.valid && v.dirty)
-        writebackToNext(v.block << geom_.offsetBits());
-    return victim_bank * geom_.numSets() +
-           (victim_bank == 0 ? pr.s0 : pr.s1);
+    if (tags_.dirty(v))
+        writebackToNext(tags_.key(v) << geom_.offsetBits());
+    return v;
 }
 
 void
 SkewedAssocCache::install(std::size_t frame, const Probe &pr,
                           const MemAccess &req, EngineMode)
 {
-    Line &l = lines_[frame];
-    l.valid = true;
-    l.dirty = (req.type == AccessType::Write);
-    l.block = pr.block;
-    l.lastUse = ++now_;
+    tags_.fill(frame, pr.block, req.type == AccessType::Write);
+    lastUse_[frame] = ++now_;
 }
 
 void
 SkewedAssocCache::reset()
 {
-    lines_.assign(geom_.numLines(), Line{});
+    tags_.reset();
+    lastUse_.assign(geom_.numLines(), 0);
     now_ = 0;
     resetBase(geom_.numLines());
 }
@@ -95,12 +87,9 @@ bool
 SkewedAssocCache::contains(Addr addr) const
 {
     const Addr block = geom_.blockNumber(addr);
-    for (unsigned b = 0; b < 2; ++b) {
-        const Line &l = lineAt(b, skewBankIndex(geom_, b, addr));
-        if (l.valid && l.block == block)
-            return true;
-    }
-    return false;
+    return tags_.key(skewBankIndex(geom_, 0, addr)) == block ||
+           tags_.key(geom_.numSets() + skewBankIndex(geom_, 1, addr)) ==
+               block;
 }
 
 // Emit the engine here, next to the hook definitions (see the extern

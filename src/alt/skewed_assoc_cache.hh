@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "cache/tag_array_engine.hh"
+#include "cache/tag_store.hh"
 
 namespace bsim {
 
@@ -39,20 +40,12 @@ class SkewedAssocCache : public TagArrayEngine<SkewedAssocCache>
   private:
     friend class TagArrayEngine<SkewedAssocCache>;
 
-    struct Line
-    {
-        bool valid = false;
-        bool dirty = false;
-        Addr block = 0; // full block number
-        Tick lastUse = 0;
-    };
-
     /** Engine probe result: both bank candidates and the block. */
     struct Probe : ProbeBase
     {
         Addr block = 0;
-        std::size_t s0 = 0;
-        std::size_t s1 = 0;
+        std::size_t f0 = 0; ///< bank 0 candidate frame
+        std::size_t f1 = 0; ///< bank 1 candidate frame
     };
 
     // Engine hooks (see cache/tag_array_engine.hh); always
@@ -65,16 +58,10 @@ class SkewedAssocCache : public TagArrayEngine<SkewedAssocCache>
     void install(std::size_t frame, const Probe &pr, const MemAccess &req,
                  EngineMode mode);
 
-    Line &lineAt(unsigned bank, std::size_t set)
-    {
-        return lines_[bank * geom_.numSets() + set];
-    }
-    const Line &lineAt(unsigned bank, std::size_t set) const
-    {
-        return lines_[bank * geom_.numSets() + set];
-    }
-
-    std::vector<Line> lines_;
+    /** Bank 0's sets, then bank 1's; keyed by full block number. */
+    TagStore tags_;
+    /** Per frame: tick of the last touch or fill (the victim choice). */
+    std::vector<Tick> lastUse_;
     Tick now_ = 0;
 };
 

@@ -12,7 +12,7 @@ WayHaltingCache::WayHaltingCache(std::string name,
                                  unsigned halt_bits,
                                  ReplPolicyKind repl)
     : TagArrayEngine(std::move(name), geom, hit_latency, next),
-      lines_(geom.numLines()),
+      tags_(geom.numLines(), geom.offsetBits() + geom.indexBits()),
       repl_(repl, geom.numSets(), geom.ways()), haltBits_(halt_bits)
 {
     bsim_assert(geom.ways() >= 2, "way halting filters multiple ways");
@@ -25,23 +25,23 @@ WayHaltingCache::probe(const MemAccess &req, EngineMode mode)
     Probe pr;
     pr.set = moduloIndex(geom_, req.addr);
     pr.tag = geom_.tag(req.addr);
-    const Line *row = lines_.data() + pr.set * geom_.ways();
+    const std::size_t first = pr.set * geom_.ways();
 
     int w;
     if (mode == EngineMode::Demand) {
         // The halt-tag comparison decides which ways even wake up; the
         // filter's counters feed the energy metric.
-        w = scanWays(row, geom_.ways(), pr.tag,
-                     HaltTagFilter(haltOf(pr.tag), haltBits_, haltedWays_,
-                                   activatedWays_));
+        w = tags_.find(first, geom_.ways(), pr.tag,
+                       HaltTagFilter(haltOf(pr.tag), haltBits_,
+                                     haltedWays_, activatedWays_));
     } else {
         // Writebacks from above are not array activations.
-        w = scanWays(row, geom_.ways(), pr.tag, AllWays{});
+        w = tags_.find(first, geom_.ways(), pr.tag);
     }
     if (w >= 0) {
         pr.hit = true;
         pr.way = static_cast<std::size_t>(w);
-        pr.frame = pr.set * geom_.ways() + pr.way;
+        pr.frame = first + pr.way;
     }
     return pr;
 }
@@ -51,7 +51,7 @@ WayHaltingCache::onHit(const Probe &pr, const MemAccess &, EngineMode,
                        bool set_dirty)
 {
     if (set_dirty)
-        lines_[pr.frame].dirty = true;
+        tags_.setDirty(pr.frame);
     repl_.touch(pr.set, pr.way);
 }
 
@@ -59,29 +59,26 @@ std::size_t
 WayHaltingCache::victimFrame(const Probe &pr, const MemAccess &,
                              EngineMode)
 {
-    const std::size_t way =
-        chooseFillWay(lines_.data() + pr.set * geom_.ways(), repl_, pr.set);
-    Line &l = lineAt(pr.set, way);
-    if (l.valid && l.dirty)
-        writebackToNext(geom_.rebuild(l.tag, pr.set));
-    return pr.set * geom_.ways() + way;
+    const std::size_t first = pr.set * geom_.ways();
+    const std::size_t frame =
+        first + tags_.fillWay(first, geom_.ways(), repl_, pr.set);
+    if (tags_.dirty(frame))
+        writebackToNext(geom_.rebuild(tags_.key(frame), pr.set));
+    return frame;
 }
 
 void
 WayHaltingCache::install(std::size_t frame, const Probe &pr,
                          const MemAccess &req, EngineMode)
 {
-    Line &l = lines_[frame];
-    l.valid = true;
-    l.dirty = (req.type == AccessType::Write);
-    l.tag = pr.tag;
+    tags_.fill(frame, pr.tag, req.type == AccessType::Write);
     repl_.fill(pr.set, frame - pr.set * geom_.ways());
 }
 
 void
 WayHaltingCache::reset()
 {
-    lines_.assign(geom_.numLines(), Line{});
+    tags_.reset();
     repl_.reset();
     haltedWays_ = 0;
     activatedWays_ = 0;
@@ -91,14 +88,8 @@ WayHaltingCache::reset()
 bool
 WayHaltingCache::contains(Addr addr) const
 {
-    const std::size_t set = geom_.index(addr);
-    const Addr tag = geom_.tag(addr);
-    for (std::size_t w = 0; w < geom_.ways(); ++w) {
-        const Line &l = lines_[set * geom_.ways() + w];
-        if (l.valid && l.tag == tag)
-            return true;
-    }
-    return false;
+    return tags_.find(geom_.index(addr) * geom_.ways(), geom_.ways(),
+                      geom_.tag(addr)) >= 0;
 }
 
 // Emit the engine here, next to the hook definitions (see the extern

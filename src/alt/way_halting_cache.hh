@@ -20,10 +20,9 @@
 #ifndef BSIM_ALT_WAY_HALTING_CACHE_HH
 #define BSIM_ALT_WAY_HALTING_CACHE_HH
 
-#include <vector>
-
 #include "cache/replacement.hh"
 #include "cache/tag_array_engine.hh"
+#include "cache/tag_store.hh"
 
 namespace bsim {
 
@@ -60,13 +59,6 @@ class WayHaltingCache : public TagArrayEngine<WayHaltingCache>
   private:
     friend class TagArrayEngine<WayHaltingCache>;
 
-    struct Line
-    {
-        bool valid = false;
-        bool dirty = false;
-        Addr tag = 0;
-    };
-
     /** Engine probe result: set/tag plus the filtered hit way. */
     struct Probe : ProbeBase
     {
@@ -85,14 +77,9 @@ class WayHaltingCache : public TagArrayEngine<WayHaltingCache>
     void install(std::size_t frame, const Probe &pr, const MemAccess &req,
                  EngineMode mode);
 
-    Line &lineAt(std::size_t set, std::size_t way)
-    {
-        return lines_[set * geom_.ways() + way];
-    }
-
     Addr haltOf(Addr tag) const { return tag & mask(haltBits_); }
 
-    std::vector<Line> lines_;
+    TagStore tags_; ///< keyed by geometry tag
     Replacement repl_;
     unsigned haltBits_;
     std::uint64_t haltedWays_ = 0;

@@ -8,7 +8,7 @@ namespace bsim {
 XorIndexCache::XorIndexCache(std::string name, const CacheGeometry &geom,
                              Cycles hit_latency, MemLevel *next)
     : TagArrayEngine(std::move(name), geom, hit_latency, next),
-      lines_(geom.numLines())
+      tags_(geom.numLines(), geom.offsetBits())
 {
     bsim_assert(geom.ways() == 1, "XOR-mapped cache is direct mapped");
 }
@@ -25,8 +25,7 @@ XorIndexCache::probe(const MemAccess &req, EngineMode)
     Probe pr;
     pr.block = geom_.blockNumber(req.addr);
     pr.idx = xorFoldIndex(geom_, req.addr);
-    const Line &l = lines_[pr.idx];
-    if (l.valid && l.block == pr.block) {
+    if (tags_.key(pr.idx) == pr.block) {
         pr.hit = true;
         pr.frame = pr.idx;
     }
@@ -38,15 +37,14 @@ XorIndexCache::onHit(const Probe &pr, const MemAccess &, EngineMode,
                      bool set_dirty)
 {
     if (set_dirty)
-        lines_[pr.frame].dirty = true;
+        tags_.setDirty(pr.frame);
 }
 
 std::size_t
 XorIndexCache::victimFrame(const Probe &pr, const MemAccess &, EngineMode)
 {
-    const Line &l = lines_[pr.idx];
-    if (l.valid && l.dirty)
-        writebackToNext(l.block << geom_.offsetBits());
+    if (tags_.dirty(pr.idx))
+        writebackToNext(tags_.key(pr.idx) << geom_.offsetBits());
     return pr.idx;
 }
 
@@ -54,24 +52,20 @@ void
 XorIndexCache::install(std::size_t frame, const Probe &pr,
                        const MemAccess &req, EngineMode)
 {
-    Line &l = lines_[frame];
-    l.valid = true;
-    l.dirty = (req.type == AccessType::Write);
-    l.block = pr.block;
+    tags_.fill(frame, pr.block, req.type == AccessType::Write);
 }
 
 void
 XorIndexCache::reset()
 {
-    lines_.assign(geom_.numLines(), Line{});
+    tags_.reset();
     resetBase(geom_.numLines());
 }
 
 bool
 XorIndexCache::contains(Addr addr) const
 {
-    const Line &l = lines_[xorFoldIndex(geom_, addr)];
-    return l.valid && l.block == geom_.blockNumber(addr);
+    return tags_.key(xorFoldIndex(geom_, addr)) == geom_.blockNumber(addr);
 }
 
 // Emit the engine here, next to the hook definitions (see the extern

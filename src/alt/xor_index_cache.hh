@@ -16,9 +16,8 @@
 #ifndef BSIM_ALT_XOR_INDEX_CACHE_HH
 #define BSIM_ALT_XOR_INDEX_CACHE_HH
 
-#include <vector>
-
 #include "cache/tag_array_engine.hh"
+#include "cache/tag_store.hh"
 
 namespace bsim {
 
@@ -38,13 +37,6 @@ class XorIndexCache : public TagArrayEngine<XorIndexCache>
   private:
     friend class TagArrayEngine<XorIndexCache>;
 
-    struct Line
-    {
-        bool valid = false;
-        bool dirty = false;
-        Addr block = 0; // full block number
-    };
-
     /** Engine probe result: hashed frame and the full block number. */
     struct Probe : ProbeBase
     {
@@ -62,7 +54,7 @@ class XorIndexCache : public TagArrayEngine<XorIndexCache>
     void install(std::size_t frame, const Probe &pr, const MemAccess &req,
                  EngineMode mode);
 
-    std::vector<Line> lines_;
+    TagStore tags_; ///< keyed by full block number (addr >> offsetBits)
 };
 
 /** Engine compiled once, in xor_index_cache.cc, next to the hooks. */

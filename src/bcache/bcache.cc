@@ -12,7 +12,8 @@ BCache::BCache(std::string name, const BCacheParams &params,
     : TagArrayEngine(std::move(name), bcacheArrayGeometry(params),
                      hit_latency, next),
       params_(params), layout_(deriveLayout(params)),
-      piMask_(mask(layout_.piBits)), lines_(geom_.numLines()),
+      piMask_(mask(layout_.piBits)),
+      tags_(geom_.numLines(), geom_.offsetBits() + layout_.npiBits),
       pdPatterns_(geom_.numLines(), kNoPattern),
       repl_(params.repl, layout_.groups, layout_.bas, params.replSeed)
 {
@@ -35,9 +36,9 @@ BCache::upperOf(Addr addr) const
 int
 BCache::pdMatch(std::size_t group, Addr pattern) const
 {
-    // Decode step over the SoA pattern mirror: invalid lines hold
-    // kNoPattern which never equals a real pattern, so this is exactly
-    // "valid && pattern matches" without touching the Line structs.
+    // Decode step over the pattern CAM: empty frames hold kNoPattern,
+    // which never equals a real pattern, so this is exactly "occupied
+    // && pattern matches" without touching the tag store.
     const Addr *p = pdPatterns_.data() + group * layout_.bas;
     for (std::size_t w = 0; w < layout_.bas; ++w)
         if (p[w] == pattern)
@@ -53,13 +54,14 @@ BCache::probe(const MemAccess &req, EngineMode)
     pr.upper = upperOf(req.addr);
     pr.pattern = pdPattern(pr.upper);
     pr.pdWay = pdMatch(pr.group, pr.pattern);
-    if (pr.pdWay >= 0 &&
-        lineAt(pr.group, static_cast<std::size_t>(pr.pdWay)).upper ==
-            pr.upper) {
+    if (pr.pdWay < 0)
+        return pr;
+    const std::size_t frame =
+        pr.group * layout_.bas + static_cast<std::size_t>(pr.pdWay);
+    if (tags_.key(frame) == pr.upper) {
         // PD hit and full tag match: a one-cycle cache hit.
         pr.hit = true;
-        pr.frame = pr.group * layout_.bas +
-                   static_cast<std::size_t>(pr.pdWay);
+        pr.frame = frame;
     }
     return pr;
 }
@@ -71,7 +73,7 @@ BCache::onHit(const Probe &pr, const MemAccess &, EngineMode mode,
     if (mode == EngineMode::Demand)
         lastOutcome_ = PdOutcome::HitAndCacheHit;
     if (set_dirty)
-        lines_[pr.frame].dirty = true;
+        tags_.setDirty(pr.frame);
     repl_.touch(pr.group, static_cast<std::size_t>(pr.pdWay));
 }
 
@@ -96,6 +98,7 @@ BCache::onMissClassified(const Probe &pr, EngineMode mode)
 std::size_t
 BCache::victimFrame(const Probe &pr, const MemAccess &, EngineMode)
 {
+    const std::size_t first = pr.group * layout_.bas;
     std::size_t way;
     if (pr.pdWay >= 0) {
         // PD hit but the tag differs: replacing any line other than the
@@ -105,23 +108,22 @@ BCache::victimFrame(const Probe &pr, const MemAccess &, EngineMode)
     } else {
         // PD miss: the victim may be any line of the group, chosen by
         // the replacement policy; install() reprograms its PD entry.
-        way = chooseFillWay(lines_.data() + pr.group * layout_.bas, repl_,
-                            pr.group);
+        way = tags_.fillWay(first, layout_.bas, repl_, pr.group);
     }
-    Line &l = lineAt(pr.group, way);
-    if (l.valid && l.dirty) {
+    const std::size_t frame = first + way;
+    if (tags_.dirty(frame)) {
         const Addr victim_block =
-            (l.upper << layout_.npiBits | pr.group) << geom_.offsetBits();
+            (tags_.key(frame) << layout_.npiBits | pr.group)
+            << geom_.offsetBits();
         writebackToNext(victim_block);
     }
-    return pr.group * layout_.bas + way;
+    return frame;
 }
 
 void
 BCache::install(std::size_t frame, const Probe &pr, const MemAccess &req,
                 EngineMode)
 {
-    Line &l = lines_[frame];
     // Decoder churn telemetry: rewriting a *programmed* entry to a new
     // pattern is a PD reprogram (the PD-hit-but-tag-miss path reuses the
     // pattern unchanged and cold programming of an invalid entry is not
@@ -129,10 +131,9 @@ BCache::install(std::size_t frame, const Probe &pr, const MemAccess &req,
     if (pdPatterns_[frame] != pr.pattern &&
         pdPatterns_[frame] != kNoPattern)
         observeDecoderReprogram(pr.group);
-    l.valid = true;
-    l.dirty = params_.writePolicy == WritePolicy::WriteBackAllocate &&
-              req.type == AccessType::Write;
-    l.upper = pr.upper;
+    tags_.fill(frame, pr.upper,
+               params_.writePolicy == WritePolicy::WriteBackAllocate &&
+                   req.type == AccessType::Write);
     pdPatterns_[frame] = pr.pattern;
     repl_.fill(pr.group, frame - pr.group * layout_.bas);
 }
@@ -140,9 +141,8 @@ BCache::install(std::size_t frame, const Probe &pr, const MemAccess &req,
 BCache::BatchCtx
 BCache::makeBatchContext()
 {
-    // Hoisted once per batch: layout fields and the SoA pattern array.
+    // Hoisted once per batch: layout fields and the pattern CAM.
     return {pdPatterns_.data(),
-            lines_.data(),
             layout_.bas,
             geom_.offsetBits(),
             layout_.npiBits,
@@ -158,7 +158,7 @@ BCache::tryFastHit(BatchCtx &ctx, const MemAccess &req,
                    BatchTagStatsSink &sink, AccessOutcome &out)
 {
     // Hits resolve entirely inline against the hoisted layout fields and
-    // SoA pattern array. Everything else (misses, write-through stores)
+    // pattern CAM. Everything else (misses, write-through stores)
     // runs through the engine's shared run() core, so state mutations
     // and next-level traffic are identical access by access.
     ctx.lastFast = false;
@@ -177,18 +177,18 @@ BCache::tryFastHit(BatchCtx &ctx, const MemAccess &req,
     }
     if (pd_way == ctx.bas)
         return false;
-    Line &l = ctx.lines[group * ctx.bas + pd_way];
+    const std::size_t frame = group * ctx.bas + pd_way;
     const bool write = req.type == AccessType::Write;
-    if (l.upper != upper || (write && !ctx.writeBack))
+    if (tags_.key(frame) != upper || (write && !ctx.writeBack))
         return false;
 
     if (write)
-        l.dirty = true;
+        tags_.setDirty(frame);
     repl_.touch(group, pd_way);
     sink.access(req.type, true);
-    ++ctx.usage[group * ctx.bas + pd_way].hits;
+    ++ctx.usage[frame].hits;
     if (ctx.obs)
-        ctx.obs->onLineAccess(group * ctx.bas + pd_way, true);
+        ctx.obs->onLineAccess(frame, true);
     out = {true, ctx.hitLat};
     ctx.lastFast = true;
     return true;
@@ -204,7 +204,7 @@ BCache::finishBatch(BatchCtx &ctx)
 void
 BCache::reset()
 {
-    lines_.assign(geom_.numLines(), Line{});
+    tags_.reset();
     pdPatterns_.assign(geom_.numLines(), kNoPattern);
     repl_.reset();
     pdStats_.reset();
@@ -215,12 +215,7 @@ BCache::reset()
 bool
 BCache::contains(Addr addr) const
 {
-    const std::size_t group = groupOf(addr);
-    const Addr upper = upperOf(addr);
-    const int pd_way = pdMatch(group, pdPattern(upper));
-    if (pd_way < 0)
-        return false;
-    return lineAt(group, static_cast<std::size_t>(pd_way)).upper == upper;
+    return classify(addr) == PdOutcome::HitAndCacheHit;
 }
 
 PdOutcome
@@ -231,7 +226,8 @@ BCache::classify(Addr addr) const
     const int pd_way = pdMatch(group, pdPattern(upper));
     if (pd_way < 0)
         return PdOutcome::Miss;
-    return lineAt(group, static_cast<std::size_t>(pd_way)).upper == upper
+    return tags_.key(group * layout_.bas +
+                     static_cast<std::size_t>(pd_way)) == upper
                ? PdOutcome::HitAndCacheHit
                : PdOutcome::HitButCacheMiss;
 }
@@ -251,15 +247,14 @@ BCache::checkUniqueDecoding(std::size_t group) const
     // O(BAS^2) pairwise compare: BAS is small (<= a few dozen) and this
     // runs after every access in the differential fuzzer, so avoiding a
     // hash-set allocation matters.
-    for (std::size_t w = 0; w < layout_.bas; ++w) {
-        const Line &a = lineAt(group, w);
-        if (!a.valid)
+    const std::size_t first = group * layout_.bas;
+    for (std::size_t w = first; w < first + layout_.bas; ++w) {
+        if (!tags_.valid(w))
             continue;
-        for (std::size_t v = w + 1; v < layout_.bas; ++v) {
-            const Line &b = lineAt(group, v);
-            if (b.valid && pdPattern(a.upper) == pdPattern(b.upper))
+        for (std::size_t v = w + 1; v < first + layout_.bas; ++v)
+            if (tags_.valid(v) &&
+                pdPattern(tags_.key(w)) == pdPattern(tags_.key(v)))
                 return false;
-        }
     }
     return true;
 }
@@ -268,19 +263,16 @@ void
 BCache::debugCorruptPd(std::size_t group, std::size_t way, Addr pattern)
 {
     bsim_assert(group < layout_.groups && way < layout_.bas);
-    Line &l = lineAt(group, way);
-    l.valid = true;
-    l.upper = (l.upper & ~piMask_) | (pattern & piMask_);
-    syncPdPattern(group, way);
+    const std::size_t f = group * layout_.bas + way;
+    const Addr upper = tags_.valid(f) ? tags_.key(f) : 0;
+    tags_.fill(f, (upper & ~piMask_) | (pattern & piMask_), tags_.dirty(f));
+    pdPatterns_[f] = pdPattern(tags_.key(f));
 }
 
 std::size_t
 BCache::validLines() const
 {
-    std::size_t n = 0;
-    for (const auto &l : lines_)
-        n += l.valid ? 1 : 0;
-    return n;
+    return tags_.validCount();
 }
 
 std::vector<std::uint32_t>
@@ -289,7 +281,7 @@ BCache::groupOccupancy() const
     std::vector<std::uint32_t> occ(layout_.groups, 0);
     for (std::size_t g = 0; g < layout_.groups; ++g)
         for (std::size_t w = 0; w < layout_.bas; ++w)
-            occ[g] += lineAt(g, w).valid ? 1 : 0;
+            occ[g] += tags_.valid(g * layout_.bas + w) ? 1 : 0;
     return occ;
 }
 

@@ -46,6 +46,7 @@
 #include "bcache/bcache_params.hh"
 #include "cache/replacement.hh"
 #include "cache/tag_array_engine.hh"
+#include "cache/tag_store.hh"
 
 namespace bsim {
 
@@ -160,14 +161,6 @@ class BCache : public TagArrayEngine<BCache>
   private:
     friend class TagArrayEngine<BCache>;
 
-    struct Line
-    {
-        bool valid = false;
-        bool dirty = false;
-        /** block address >> npiBits; low piBits are the PD pattern. */
-        Addr upper = 0;
-    };
-
     /** Engine probe result: NPI group, upper field, PD match. */
     struct Probe : ProbeBase
     {
@@ -181,7 +174,6 @@ class BCache : public TagArrayEngine<BCache>
     struct BatchCtx
     {
         const Addr *pats;
-        Line *lines;
         std::size_t bas;
         unsigned offsetBits;
         unsigned npiBits;
@@ -221,15 +213,6 @@ class BCache : public TagArrayEngine<BCache>
                     BatchTagStatsSink &sink, AccessOutcome &out);
     void finishBatch(BatchCtx &ctx);
 
-    Line &lineAt(std::size_t group, std::size_t way)
-    {
-        return lines_[group * layout_.bas + way];
-    }
-    const Line &lineAt(std::size_t group, std::size_t way) const
-    {
-        return lines_[group * layout_.bas + way];
-    }
-
     /** Group (NPI decode) of an address. */
     std::size_t groupOf(Addr addr) const;
     /** Upper field (everything above the NPI bits) of an address. */
@@ -248,24 +231,19 @@ class BCache : public TagArrayEngine<BCache>
      */
     static constexpr Addr kNoPattern = ~Addr{0};
 
-    /** Keep the SoA pattern mirror coherent with lines_[group*bas+way]. */
-    void
-    syncPdPattern(std::size_t group, std::size_t way)
-    {
-        const Line &l = lineAt(group, way);
-        pdPatterns_[group * layout_.bas + way] =
-            l.valid ? pdPattern(l.upper) : kNoPattern;
-    }
-
     BCacheParams params_;
     BCacheLayout layout_;
     Addr piMask_;
-    std::vector<Line> lines_;
     /**
-     * SoA mirror of each line's PD pattern (kNoPattern when invalid),
-     * indexed like lines_. The decode step (pdMatch) scans this flat
-     * array — one cache line covers a whole BAS=8 group — instead of
-     * striding through the 16-byte Line structs.
+     * One frame per physical line, keyed by the upper field (block
+     * address >> npiBits; its low piBits are the PD pattern).
+     */
+    TagStore tags_;
+    /**
+     * The decoder CAM: each frame's PD pattern (kNoPattern when empty),
+     * indexed like tags_. The decode step (pdMatch) scans this flat
+     * array of patterns — one cache line covers a whole BAS=8 group —
+     * and only the matched way's upper field is read from tags_.
      */
     std::vector<Addr> pdPatterns_;
     Replacement repl_;

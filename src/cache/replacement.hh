@@ -38,8 +38,8 @@ std::optional<ReplPolicyKind> replPolicyFromName(const std::string &name);
  * for every policy.
  *
  * The owner reports fills and touches; victim() is only consulted when
- * every way in the set is valid (chooseFillWay() fills invalid ways
- * first). touch() and fill() are inline switches on the kind, so the
+ * every way in the set is occupied (TagStore::fillWay() fills empty
+ * frames first). touch() and fill() are inline switches on the kind, so the
  * batched hit paths call them directly.
  *
  *  - LRU stamps a way on touch and fill, FIFO on fill only; both evict
@@ -109,20 +109,6 @@ class Replacement
     /** NMRU: most recently touched or filled way per set. */
     std::vector<std::uint32_t> mru_;
 };
-
-/**
- * Fill-way choice shared by every structure that uses Replacement: the
- * first invalid entry of the set's @p row, else the policy's victim.
- */
-template <typename Entry>
-std::size_t
-chooseFillWay(const Entry *row, Replacement &repl, std::size_t set)
-{
-    for (std::size_t w = 0; w < repl.ways(); ++w)
-        if (!row[w].valid)
-            return w;
-    return repl.victim(set);
-}
 
 } // namespace bsim
 

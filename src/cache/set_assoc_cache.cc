@@ -1,7 +1,6 @@
 #include "cache/set_assoc_cache.hh"
 
 #include "cache/index_function.hh"
-#include "cache/way_filter.hh"
 #include "common/logging.hh"
 
 namespace bsim {
@@ -11,7 +10,7 @@ SetAssocCache::SetAssocCache(std::string name, const CacheGeometry &geom,
                              ReplPolicyKind repl, std::uint64_t repl_seed,
                              WritePolicy write_policy)
     : TagArrayEngine(std::move(name), geom, hit_latency, next),
-      lines_(geom.numLines()),
+      tags_(geom.numLines(), geom.offsetBits() + geom.indexBits()),
       repl_(repl, geom.numSets(), geom.ways(), repl_seed),
       writePolicy_(write_policy)
 {
@@ -20,8 +19,7 @@ SetAssocCache::SetAssocCache(std::string name, const CacheGeometry &geom,
 int
 SetAssocCache::findWay(std::size_t set, Addr tag) const
 {
-    return scanWays(lines_.data() + set * geom_.ways(), geom_.ways(), tag,
-                    AllWays{});
+    return tags_.find(set * geom_.ways(), geom_.ways(), tag);
 }
 
 SetAssocCache::Probe
@@ -44,39 +42,35 @@ SetAssocCache::onHit(const Probe &pr, const MemAccess &, EngineMode,
                      bool set_dirty)
 {
     if (set_dirty)
-        lineAt(pr.set, pr.way).dirty = true;
+        tags_.setDirty(pr.frame);
     repl_.touch(pr.set, pr.way);
 }
 
 std::size_t
 SetAssocCache::victimFrame(const Probe &pr, const MemAccess &, EngineMode)
 {
-    const std::size_t way =
-        chooseFillWay(lines_.data() + pr.set * geom_.ways(), repl_, pr.set);
-    Line &l = lineAt(pr.set, way);
-    if (l.valid && l.dirty)
-        writebackToNext(geom_.rebuild(l.tag, pr.set));
-    return pr.set * geom_.ways() + way;
+    const std::size_t first = pr.set * geom_.ways();
+    const std::size_t frame =
+        first + tags_.fillWay(first, geom_.ways(), repl_, pr.set);
+    if (tags_.dirty(frame))
+        writebackToNext(geom_.rebuild(tags_.key(frame), pr.set));
+    return frame;
 }
 
 void
 SetAssocCache::install(std::size_t frame, const Probe &pr,
                        const MemAccess &req, EngineMode)
 {
-    Line &l = lines_[frame];
-    l.valid = true;
-    l.dirty = !writeThroughPolicy() && req.type == AccessType::Write;
-    l.tag = pr.tag;
+    tags_.fill(frame, pr.tag,
+               !writeThroughPolicy() && req.type == AccessType::Write);
     repl_.fill(pr.set, frame - pr.set * geom_.ways());
 }
 
 SetAssocCache::BatchCtx
 SetAssocCache::makeBatchContext()
 {
-    // Hoisted once per batch: geometry fields, the line array base and
-    // the write policy.
-    return {lines_.data(),
-            geom_.ways(),
+    // Hoisted once per batch: geometry fields and the write policy.
+    return {geom_.ways(),
             geom_.offsetBits(),
             geom_.indexBits(),
             hitLatency(),
@@ -96,26 +90,20 @@ SetAssocCache::tryFastHit(BatchCtx &ctx, const MemAccess &req,
     const std::size_t set = bitsRange(req.addr, ctx.offsetBits,
                                       ctx.indexBits);
     const Addr tag = req.addr >> (ctx.offsetBits + ctx.indexBits);
-    Line *const row = ctx.lines + set * ctx.ways;
-
-    std::size_t hit_way = ctx.ways;
-    for (std::size_t w = 0; w < ctx.ways; ++w) {
-        if (row[w].valid && row[w].tag == tag) {
-            hit_way = w;
-            break;
-        }
-    }
+    const int way = tags_.find(set * ctx.ways, ctx.ways, tag);
     const bool write = req.type == AccessType::Write;
-    if (hit_way == ctx.ways || (write && ctx.writeThrough))
+    if (way < 0 || (write && ctx.writeThrough))
         return false;
 
+    const std::size_t hit_way = static_cast<std::size_t>(way);
+    const std::size_t frame = set * ctx.ways + hit_way;
     if (write)
-        row[hit_way].dirty = true;
+        tags_.setDirty(frame);
     repl_.touch(set, hit_way);
     sink.access(req.type, true);
-    ++ctx.usage[set * ctx.ways + hit_way].hits;
+    ++ctx.usage[frame].hits;
     if (ctx.obs)
-        ctx.obs->onLineAccess(set * ctx.ways + hit_way, true);
+        ctx.obs->onLineAccess(frame, true);
     out = {true, ctx.hitLat};
     return true;
 }
@@ -123,7 +111,7 @@ SetAssocCache::tryFastHit(BatchCtx &ctx, const MemAccess &req,
 void
 SetAssocCache::reset()
 {
-    lines_.assign(geom_.numLines(), Line{});
+    tags_.reset();
     repl_.reset();
     resetBase(geom_.numLines());
 }

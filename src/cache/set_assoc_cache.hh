@@ -13,10 +13,9 @@
 #ifndef BSIM_CACHE_SET_ASSOC_CACHE_HH
 #define BSIM_CACHE_SET_ASSOC_CACHE_HH
 
-#include <vector>
-
 #include "cache/replacement.hh"
 #include "cache/tag_array_engine.hh"
+#include "cache/tag_store.hh"
 
 namespace bsim {
 
@@ -43,13 +42,6 @@ class SetAssocCache : public TagArrayEngine<SetAssocCache>
   private:
     friend class TagArrayEngine<SetAssocCache>;
 
-    struct Line
-    {
-        bool valid = false;
-        bool dirty = false;
-        Addr tag = 0;
-    };
-
     /** Engine probe result: modulo set, full tag, hit way. */
     struct Probe : ProbeBase
     {
@@ -61,7 +53,6 @@ class SetAssocCache : public TagArrayEngine<SetAssocCache>
     /** Hoisted fields of the batched fast hit path (one per batch). */
     struct BatchCtx
     {
-        Line *lines;
         std::size_t ways;
         unsigned offsetBits;
         unsigned indexBits;
@@ -93,19 +84,10 @@ class SetAssocCache : public TagArrayEngine<SetAssocCache>
     bool tryFastHit(BatchCtx &ctx, const MemAccess &req,
                     BatchTagStatsSink &sink, AccessOutcome &out);
 
-    Line &lineAt(std::size_t set, std::size_t way)
-    {
-        return lines_[set * geom_.ways() + way];
-    }
-    const Line &lineAt(std::size_t set, std::size_t way) const
-    {
-        return lines_[set * geom_.ways() + way];
-    }
-
     /** Find the way matching addr in its set, or -1. */
     int findWay(std::size_t set, Addr tag) const;
 
-    std::vector<Line> lines_;
+    TagStore tags_; ///< keyed by geometry tag
     Replacement repl_;
     WritePolicy writePolicy_;
 };

@@ -6,6 +6,7 @@
  *
  * Layering (docs/ARCHITECTURE.md, "Tag-array engine & policy layers"):
  *
+ *   TagStore        (cache/tag_store.hh)       what does each frame hold?
  *   IndexFunction   (cache/index_function.hh)  where may a block live?
  *   WayFilter       (cache/way_filter.hh)      which ways wake up?
  *   Replacement     (cache/replacement.hh)     which way is the victim?

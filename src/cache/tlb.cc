@@ -26,7 +26,7 @@ Tlb::Tlb(std::uint32_t page_bytes, std::uint32_t entries,
     : pageBytes_(page_bytes),
       sets_(checkedSets(page_bytes, entries, ways)),
       ways_(ways),
-      entries_(entries),
+      entries_(entries, floorLog2(page_bytes)),
       repl_(ReplPolicyKind::LRU, sets_, ways)
 {
     pageOffsetBits_ = floorLog2(page_bytes);
@@ -59,44 +59,32 @@ Tlb::translate(Addr vaddr)
 {
     const Addr vpn = vpnOf(vaddr);
     const std::size_t set = setOf(vpn);
+    const std::size_t first = set * ways_;
     ++stats_.accesses;
-    for (std::uint32_t w = 0; w < ways_; ++w) {
-        Entry &e = entries_[set * ways_ + w];
-        if (e.valid && e.vpn == vpn) {
-            ++stats_.hits;
-            repl_.touch(set, w);
-            return (e.pfn << pageOffsetBits_) |
-                   (vaddr & mask(pageOffsetBits_));
-        }
+    const int way = entries_.find(first, ways_, vpn);
+    if (way >= 0) {
+        ++stats_.hits;
+        repl_.touch(set, static_cast<std::size_t>(way));
+    } else {
+        ++stats_.misses;
+        const std::size_t victim = entries_.fillWay(first, ways_, repl_, set);
+        entries_.fill(first + victim, vpn, false);
+        repl_.fill(set, victim);
     }
-    ++stats_.misses;
-    const std::size_t victim =
-        chooseFillWay(entries_.data() + set * ways_, repl_, set);
-    Entry &e = entries_[set * ways_ + victim];
-    e.valid = true;
-    e.vpn = vpn;
-    e.pfn = frameOf(vpn);
-    repl_.fill(set, victim);
-    return (e.pfn << pageOffsetBits_) | (vaddr & mask(pageOffsetBits_));
+    return translateFunctional(vaddr);
 }
 
 bool
 Tlb::isCached(Addr vaddr) const
 {
     const Addr vpn = vpnOf(vaddr);
-    const std::size_t set = setOf(vpn);
-    for (std::uint32_t w = 0; w < ways_; ++w) {
-        const Entry &e = entries_[set * ways_ + w];
-        if (e.valid && e.vpn == vpn)
-            return true;
-    }
-    return false;
+    return entries_.find(setOf(vpn) * ways_, ways_, vpn) >= 0;
 }
 
 void
 Tlb::reset()
 {
-    entries_.assign(entries_.size(), Entry{});
+    entries_.reset();
     repl_.reset();
     stats_.reset();
 }

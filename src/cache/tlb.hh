@@ -11,9 +11,9 @@
 #define BSIM_CACHE_TLB_HH
 
 #include <cstdint>
-#include <vector>
 
 #include "cache/replacement.hh"
+#include "cache/tag_store.hh"
 #include "common/types.hh"
 
 namespace bsim {
@@ -68,13 +68,6 @@ class Tlb
     void reset();
 
   private:
-    struct Entry
-    {
-        bool valid = false;
-        Addr vpn = 0;
-        Addr pfn = 0;
-    };
-
     Addr vpnOf(Addr vaddr) const { return vaddr >> pageOffsetBits_; }
     std::size_t setOf(Addr vpn) const
     {
@@ -87,7 +80,7 @@ class Tlb
     unsigned pageOffsetBits_;
     std::size_t sets_;
     std::uint32_t ways_;
-    std::vector<Entry> entries_;
+    TagStore entries_; ///< keyed by VPN; the PFN is frameOf(vpn)
     Replacement repl_;
     TlbStats stats_;
 };

@@ -9,7 +9,8 @@ VictimCache::VictimCache(std::string name, const CacheGeometry &geom,
                          Cycles hit_latency, MemLevel *next,
                          std::size_t victim_entries)
     : TagArrayEngine(std::move(name), geom, hit_latency, next),
-      main_(geom.numLines()), buffer_(victim_entries),
+      main_(geom.numLines(), geom.offsetBits()),
+      buffer_(victim_entries, geom.offsetBits()),
       bufRepl_(ReplPolicyKind::LRU, 1, victim_entries)
 {
     bsim_assert(geom.ways() == 1,
@@ -18,24 +19,18 @@ VictimCache::VictimCache(std::string name, const CacheGeometry &geom,
 }
 
 int
-VictimCache::findBuffer(Addr block_addr) const
+VictimCache::findBuffer(Addr block) const
 {
-    for (std::size_t i = 0; i < buffer_.size(); ++i)
-        if (buffer_[i].valid && buffer_[i].blockAddr == block_addr)
-            return static_cast<int>(i);
-    return -1;
+    return buffer_.find(0, buffer_.size(), block);
 }
 
 void
-VictimCache::insertVictim(Addr block_addr, bool dirty)
+VictimCache::insertVictim(Addr block, bool dirty)
 {
-    const std::size_t slot = chooseFillWay(buffer_.data(), bufRepl_, 0);
-    BufEntry &e = buffer_[slot];
-    if (e.valid && e.dirty)
-        writebackToNext(e.blockAddr);
-    e.valid = true;
-    e.dirty = dirty;
-    e.blockAddr = block_addr;
+    const std::size_t slot = buffer_.fillWay(0, buffer_.size(), bufRepl_, 0);
+    if (buffer_.dirty(slot))
+        writebackToNext(buffer_.key(slot) << geom_.offsetBits());
+    buffer_.fill(slot, block, dirty);
     bufRepl_.fill(0, slot);
 }
 
@@ -44,9 +39,8 @@ VictimCache::probe(const MemAccess &req, EngineMode mode)
 {
     Probe pr;
     pr.set = moduloIndex(geom_, req.addr);
-    pr.tag = geom_.tag(req.addr);
-    const Line &l = main_[pr.set];
-    if (l.valid && l.tag == pr.tag) {
+    pr.block = geom_.blockNumber(req.addr);
+    if (main_.key(pr.set) == pr.block) {
         pr.hit = true;
         pr.frame = pr.set;
         return pr;
@@ -58,7 +52,7 @@ VictimCache::probe(const MemAccess &req, EngineMode mode)
         ++victimProbes_;
         pr.penalty = 1;
     }
-    pr.buf = findBuffer(geom_.blockAlign(req.addr));
+    pr.buf = findBuffer(pr.block);
     if (pr.buf >= 0) {
         // Victim-buffer hits avoid the next-level access; the paper's
         // miss-rate metric counts them as hits.
@@ -74,40 +68,35 @@ void
 VictimCache::onHit(const Probe &pr, const MemAccess &req, EngineMode mode,
                    bool set_dirty)
 {
-    Line &l = main_[pr.set];
     if (pr.buf < 0) {
         // Plain main-array hit.
         if (set_dirty)
-            l.dirty = true;
+            main_.setDirty(pr.set);
         return;
     }
 
-    BufEntry &e = buffer_[static_cast<std::size_t>(pr.buf)];
+    const auto b = static_cast<std::size_t>(pr.buf);
     if (mode == EngineMode::Writeback) {
         // A dirty block arriving from above merely dirties the buffered
         // copy; no swap (the access did not go through the main array).
-        e.dirty = true;
-        bufRepl_.touch(0, static_cast<std::size_t>(pr.buf));
+        buffer_.setDirty(b);
+        bufRepl_.touch(0, b);
         return;
     }
 
     // Demand buffer hit: swap the buffer entry with the conflicting
     // main-array block.
-    const bool old_valid = l.valid;
-    const Addr old_block = geom_.rebuild(l.tag, pr.set);
-    const bool old_dirty = l.dirty;
+    const bool old_valid = main_.valid(pr.set);
+    const Addr old_block = main_.key(pr.set);
+    const bool old_dirty = main_.dirty(pr.set);
 
-    l.valid = true;
-    l.tag = pr.tag;
-    l.dirty = e.dirty || (req.type == AccessType::Write);
-
+    main_.fill(pr.set, pr.block,
+               buffer_.dirty(b) || req.type == AccessType::Write);
     if (old_valid) {
-        e.valid = true;
-        e.dirty = old_dirty;
-        e.blockAddr = old_block;
-        bufRepl_.touch(0, static_cast<std::size_t>(pr.buf));
+        buffer_.fill(b, old_block, old_dirty);
+        bufRepl_.touch(0, b);
     } else {
-        e.valid = false;
+        buffer_.clear(b);
     }
 }
 
@@ -116,9 +105,8 @@ VictimCache::victimFrame(const Probe &pr, const MemAccess &, EngineMode)
 {
     // Full miss: the old main block moves to the buffer (which writes
     // back the buffer entry it displaces, if dirty).
-    const Line &l = main_[pr.set];
-    if (l.valid)
-        insertVictim(geom_.rebuild(l.tag, pr.set), l.dirty);
+    if (main_.valid(pr.set))
+        insertVictim(main_.key(pr.set), main_.dirty(pr.set));
     return pr.set;
 }
 
@@ -126,18 +114,14 @@ void
 VictimCache::install(std::size_t frame, const Probe &pr,
                      const MemAccess &req, EngineMode)
 {
-    Line &l = main_[frame];
-    l.valid = true;
-    l.tag = pr.tag;
-    l.dirty = (req.type == AccessType::Write);
+    main_.fill(frame, pr.block, req.type == AccessType::Write);
 }
 
 VictimCache::BatchCtx
 VictimCache::makeBatchContext()
 {
-    // Hoisted once per batch: geometry fields and the main array base.
-    return {main_.data(),
-            geom_.offsetBits(),
+    // Hoisted once per batch: geometry fields.
+    return {geom_.offsetBits(),
             geom_.indexBits(),
             hitLatency(),
             usage_.data(),
@@ -153,11 +137,10 @@ VictimCache::tryFastHit(BatchCtx &ctx, const MemAccess &req,
     // probes, swaps and misses run through the engine's run() core.
     const std::size_t set = bitsRange(req.addr, ctx.offsetBits,
                                       ctx.indexBits);
-    Line &l = ctx.lines[set];
-    if (!l.valid || l.tag != req.addr >> (ctx.offsetBits + ctx.indexBits))
+    if (main_.key(set) != req.addr >> ctx.offsetBits)
         return false;
     if (req.type == AccessType::Write)
-        l.dirty = true;
+        main_.setDirty(set);
     sink.access(req.type, true);
     ++ctx.usage[set].hits;
     if (ctx.obs)
@@ -169,8 +152,8 @@ VictimCache::tryFastHit(BatchCtx &ctx, const MemAccess &req,
 void
 VictimCache::reset()
 {
-    main_.assign(geom_.numLines(), Line{});
-    buffer_.assign(buffer_.size(), BufEntry{});
+    main_.reset();
+    buffer_.reset();
     bufRepl_.reset();
     victimHits_ = victimProbes_ = 0;
     resetBase(geom_.numLines());
@@ -179,14 +162,13 @@ VictimCache::reset()
 bool
 VictimCache::mainContains(Addr addr) const
 {
-    const Line &l = main_[geom_.index(addr)];
-    return l.valid && l.tag == geom_.tag(addr);
+    return main_.key(geom_.index(addr)) == geom_.blockNumber(addr);
 }
 
 bool
 VictimCache::bufferContains(Addr addr) const
 {
-    return findBuffer(geom_.blockAlign(addr)) >= 0;
+    return findBuffer(geom_.blockNumber(addr)) >= 0;
 }
 
 // Emit the engine here, next to the hook definitions (see the extern

@@ -19,10 +19,9 @@
 #ifndef BSIM_CACHE_VICTIM_CACHE_HH
 #define BSIM_CACHE_VICTIM_CACHE_HH
 
-#include <vector>
-
 #include "cache/replacement.hh"
 #include "cache/tag_array_engine.hh"
+#include "cache/tag_store.hh"
 
 namespace bsim {
 
@@ -57,32 +56,17 @@ class VictimCache : public TagArrayEngine<VictimCache>
   private:
     friend class TagArrayEngine<VictimCache>;
 
-    struct Line
-    {
-        bool valid = false;
-        bool dirty = false;
-        Addr tag = 0; // main array: geometry tag
-    };
-
-    struct BufEntry
-    {
-        bool valid = false;
-        bool dirty = false;
-        Addr blockAddr = 0; // full block-aligned address
-    };
-
-    /** Engine probe result: main set/tag, and any buffer hit. */
+    /** Engine probe result: main set, block number, any buffer hit. */
     struct Probe : ProbeBase
     {
         std::size_t set = 0;
-        Addr tag = 0;
+        Addr block = 0;
         int buf = -1; ///< buffer entry holding the block, or -1
     };
 
     /** Hoisted fields of the batched fast hit path (one per batch). */
     struct BatchCtx
     {
-        Line *lines;
         unsigned offsetBits;
         unsigned indexBits;
         Cycles hitLat;
@@ -104,12 +88,14 @@ class VictimCache : public TagArrayEngine<VictimCache>
     bool tryFastHit(BatchCtx &ctx, const MemAccess &req,
                     BatchTagStatsSink &sink, AccessOutcome &out);
 
-    int findBuffer(Addr block_addr) const;
+    /** Buffer entry holding block number @p block, or -1. */
+    int findBuffer(Addr block) const;
     /** Insert a block evicted from the main array into the buffer. */
-    void insertVictim(Addr block_addr, bool dirty);
+    void insertVictim(Addr block, bool dirty);
 
-    std::vector<Line> main_;
-    std::vector<BufEntry> buffer_;
+    /** Both keyed by block number, so a swap moves keys unchanged. */
+    TagStore main_;   ///< the direct-mapped array
+    TagStore buffer_; ///< one fully associative row
     /**
      * 1 x entries LRU over the buffer: an insert is a fill, a swap or a
      * writeback hit is a touch.

@@ -5,8 +5,8 @@
  * whether the full comparator runs, and models the energy/prediction
  * side effects of the structures that gate activation in hardware:
  *
- *   AllWays        every valid way activates (the conventional cache);
- *                  the scan stops at the first full match
+ *   AllWays        every way activates (the conventional cache); the
+ *                  scan stops at the first full match
  *   HaltTagFilter  way halting: a small fully-parallel halt-tag CAM
  *                  suppresses ways whose low tag bits mismatch, and the
  *                  halted/activated counters feed the energy metric
@@ -14,37 +14,41 @@
  *                  way from the first partial match; aliases (several
  *                  partial matches) and mispredictions cost extra
  *
- * scanWays() runs a filter over one set's ways and returns the full-tag
- * hit way. Filters that observe every way (kScanAll) keep scanning after
- * a hit — the hardware they model compares all ways in parallel.
+ * Filters see one set's row of frame keys (cache/tag_store.hh), where
+ * an empty frame holds kEmptyKey. scanWays() runs a filter over the row
+ * and returns the full-key hit way. Filters that observe every way
+ * (kScanAll) keep scanning after a hit — the hardware they model
+ * compares all ways in parallel.
  */
 
 #ifndef BSIM_CACHE_WAY_FILTER_HH
 #define BSIM_CACHE_WAY_FILTER_HH
 
 #include <cstdint>
+#include <type_traits>
 
 #include "common/bits.hh"
 #include "common/types.hh"
 
 namespace bsim {
 
-/** The conventional cache: every valid way's comparator runs. */
+/**
+ * Key of an empty frame. Every key drops at least one low address bit
+ * (TagStore checks this at construction), so no probe key equals it.
+ */
+inline constexpr Addr kEmptyKey = ~Addr{0};
+
+/** The conventional cache: every way's comparator runs. */
 struct AllWays
 {
     static constexpr bool kScanAll = false;
 
-    template <typename Line>
-    bool
-    activate(std::size_t, const Line &)
-    {
-        return true;
-    }
+    bool activate(std::size_t, Addr) { return true; }
 };
 
 /**
  * Way-halting filter: ways whose halt tag (low @p halt_bits of the
- * stored tag) mismatches the address, or which are invalid, are not
+ * stored key) mismatches the address, or which are empty, are not
  * activated at all — their tag/data read energy is saved.
  */
 class HaltTagFilter
@@ -59,11 +63,10 @@ class HaltTagFilter
     {
     }
 
-    template <typename Line>
     bool
-    activate(std::size_t, const Line &l)
+    activate(std::size_t, Addr key)
     {
-        if (!l.valid || (l.tag & mask_) != halt_) {
+        if (key == kEmptyKey || (key & mask_) != halt_) {
             ++halted_;
             return false;
         }
@@ -82,8 +85,8 @@ class HaltTagFilter
  * Partial-address-directory predictor: tracks the first way whose
  * partial tag matches (the PAD's speculative way choice) and how many
  * ways matched (an alias forces the full comparison to disambiguate).
- * All valid ways stay activated — the Main Directory compares them in
- * parallel to confirm or reject the prediction.
+ * All occupied ways stay activated — the Main Directory compares them
+ * in parallel to confirm or reject the prediction.
  */
 class PadPredictor
 {
@@ -95,13 +98,12 @@ class PadPredictor
     {
     }
 
-    template <typename Line>
     bool
-    activate(std::size_t way, const Line &l)
+    activate(std::size_t way, Addr key)
     {
-        if (!l.valid)
+        if (key == kEmptyKey)
             return false;
-        if ((l.tag & mask_) == part_) {
+        if ((key & mask_) == part_) {
             ++matches_;
             if (predicted_ < 0)
                 predicted_ = static_cast<int>(way);
@@ -122,19 +124,19 @@ class PadPredictor
 };
 
 /**
- * Run @p filter over one set's @p ways lines; returns the way holding
- * the full tag @p tag, or -1. Non-kScanAll filters stop at the first
- * match (the sequential probe); kScanAll filters observe every way.
+ * Run @p filter over one set's @p ways keys; returns the way holding
+ * @p key, or -1. Non-kScanAll filters stop at the first match (the
+ * sequential probe); kScanAll filters observe every way.
  */
-template <typename Line, typename Filter>
+template <typename Filter>
 inline int
-scanWays(const Line *row, std::size_t ways, Addr tag, Filter &&filter)
+scanWays(const Addr *row, std::size_t ways, Addr key, Filter &&filter)
 {
     int hit_way = -1;
     for (std::size_t w = 0; w < ways; ++w) {
         if (!filter.activate(w, row[w]))
             continue;
-        if (row[w].valid && row[w].tag == tag) {
+        if (row[w] == key) {
             hit_way = static_cast<int>(w);
             if constexpr (!std::remove_reference_t<Filter>::kScanAll)
                 break;

@@ -172,7 +172,8 @@ require(bool ok, const std::string &kind, const std::string &why)
 
 /**
  * CacheGeometry's rules (mem/geometry.hh): power-of-two size, line and
- * ways, and at least one whole set; plus at most kMaxSpecLines lines.
+ * ways, and at least one whole set; plus at most kMaxSpecLines lines,
+ * and lines of at least 2 B (a TagStore key must drop an address bit).
  * Returns the set count.
  */
 std::uint64_t
@@ -194,6 +195,9 @@ requireGeometry(const std::string &kind, std::uint64_t size,
                 std::to_string(line) + " is " +
                 std::to_string(size / line) + " lines (at most " +
                 std::to_string(kMaxSpecLines) + ")");
+    require(line >= 2, kind,
+            "a 1-byte line leaves no bit for the empty-frame marker; "
+            "lines must be at least 2 B");
     return size / line / ways;
 }
 

@@ -1,5 +1,6 @@
 /** Unit tests for the related-work comparators: column-associative,
- *  skewed-associative and HAC caches. */
+ *  skewed-associative and HAC caches, plus the empty-frame edge every
+ *  registered organisation shares. */
 
 #include <gtest/gtest.h>
 
@@ -9,6 +10,8 @@
 #include "cache/set_assoc_cache.hh"
 #include "common/random.hh"
 #include "mem/main_memory.hh"
+#include "sim/cache_spec.hh"
+#include "verify/tracking_memory.hh"
 #include "expect_fatal.hh"
 
 namespace bsim {
@@ -193,6 +196,51 @@ TEST(HacDeathTest, SubarrayMustHoldWholeLines)
 {
     EXPECT_FATAL(HacCache("hac", 16 * 1024, 32, 48, 1, nullptr),
                  "whole number of lines");
+}
+
+// ------------------------------------------------- empty-frame sentinel
+
+TEST(TagStoreSentinel, AllOnesAddressIsAnOrdinaryBlock)
+{
+    // An empty frame holds the all-ones key. With 2-byte lines every key
+    // still drops an address bit, so the block at the top of the address
+    // space (and block 0) must behave like any other: absent when cold,
+    // resident once written, written back exactly once when evicted.
+    std::vector<std::string> specs;
+    for (const CacheSpecEntry &e : CacheFactory::instance().entries())
+        specs.push_back(e.name + ":1kB,line=2");
+    specs.push_back("sa:8,4w,line=2"); // one set: the tag is addr >> 1
+    const Addr top = ~Addr{0};
+    const Addr top_block = top & ~Addr{1};
+
+    for (const std::string &spec : specs) {
+        SCOPED_TRACE(spec);
+        TrackingMemory mem;
+        auto c = parseCacheSpec(spec).build("edge", 1, &mem);
+        EXPECT_FALSE(c->contains(top));
+        EXPECT_FALSE(c->contains(0));
+
+        // (XOR folding maps the two blocks to one frame, so the second
+        // write may already evict the first.)
+        c->access({top, AccessType::Write});
+        EXPECT_TRUE(c->contains(top));
+        c->access({0, AccessType::Write});
+        EXPECT_TRUE(c->contains(0));
+
+        // Read traffic over fresh blocks evicts both; reads never dirty
+        // a line, so the only writebacks of the two blocks are their
+        // evictions.
+        Addr a = 2;
+        for (; a < (1u << 20) && (c->contains(top) || c->contains(0));
+             a += 2)
+            c->access(rd(a));
+        EXPECT_FALSE(c->contains(top));
+        EXPECT_FALSE(c->contains(0));
+        for (const Addr end = a + 4096; a < end; a += 2)
+            c->access(rd(a));
+        EXPECT_EQ(mem.writesTo(top_block), 1u);
+        EXPECT_EQ(mem.writesTo(0), 1u);
+    }
 }
 
 } // namespace

@@ -216,6 +216,15 @@ TEST(CacheSpec, MalformedSpecsThrowActionableErrors)
     expectError("column:32,line=32", "at least two sets");
     expectError("sa:16kB,3w", "3 ways is not a power of two");
     expectError("bcache:3kB", "size 3072 is not a power of two");
+    // A 1-byte line leaves a block-number key (or a single-set tag)
+    // spanning the whole address, where the all-ones address would
+    // alias the empty-frame marker.
+    for (const char *spec :
+         {"dm:16kB,line=1", "sa:4,4w,line=1", "sa:16kB,4w,line=1",
+          "victim:16kB,line=1", "bcache:16kB,line=1", "column:16kB,line=1",
+          "skew:16kB,line=1", "hac:16kB,line=1", "xor:16kB,line=1",
+          "pad:16kB,4w,line=1", "halt:16kB,4w,line=1"})
+        expectError(spec, "lines must be at least 2 B");
     // Signed, overflowing or field-overflowing numbers are rejected
     // with the token as typed, not wrapped or narrowed into range.
     expectError("dm:16kB,line=4294967328", "'line=4294967328' is out of");
