@@ -38,12 +38,12 @@ BCache::pdMatch(std::size_t group, Addr pattern) const
 {
     // Decode step over the pattern CAM: empty frames hold kNoPattern,
     // which never equals a real pattern, so this is exactly "occupied
-    // && pattern matches" without touching the tag store.
-    const Addr *p = pdPatterns_.data() + group * layout_.bas;
-    for (std::size_t w = 0; w < layout_.bas; ++w)
-        if (p[w] == pattern)
-            return static_cast<int>(w);
-    return -1;
+    // && pattern matches" without touching the tag store. The CAM
+    // compares every entry at once; the select picks the lowest
+    // matching way, which only differs from "the" match after
+    // debugCorruptPd broke unique decoding.
+    return scanWays(pdPatterns_.data() + group * layout_.bas, layout_.bas,
+                    pattern, AllWays{});
 }
 
 BCache::Probe
@@ -150,47 +150,76 @@ BCache::makeBatchContext()
             hitLatency(),
             params_.writePolicy == WritePolicy::WriteBackAllocate,
             usage_.data(),
-            lineObserver()};
+            lineObserver(),
+            false,
+            layout_.bas > 1 && memoPays()};
 }
 
 bool
 BCache::tryFastHit(BatchCtx &ctx, const MemAccess &req,
-                   BatchTagStatsSink &sink, AccessOutcome &out)
+                   BatchTagStatsSink &sink, AccessOutcome &out, Probe &pr)
+{
+    return ctx.useMemo ? fastHit<true>(ctx, req, sink, out, pr)
+                       : fastHit<false>(ctx, req, sink, out, pr);
+}
+
+template <bool kMemo>
+bool
+BCache::fastHit(BatchCtx &ctx, const MemAccess &req,
+                BatchTagStatsSink &sink, AccessOutcome &out, Probe &pr)
 {
     // Hits resolve entirely inline against the hoisted layout fields and
-    // pattern CAM. Everything else (misses, write-through stores)
-    // runs through the engine's shared run() core, so state mutations
-    // and next-level traffic are identical access by access.
+    // pattern CAM. Everything else (misses, write-through stores) hands
+    // its probe to the engine's shared core, so state mutations and
+    // next-level traffic are identical access by access.
     ctx.lastFast = false;
+    const Addr block = req.addr >> ctx.offsetBits;
     const std::size_t group = bitsRange(req.addr, ctx.offsetBits,
                                         ctx.npiBits);
-    const Addr upper = req.addr >> (ctx.offsetBits + ctx.npiBits);
-    const Addr pattern = upper & ctx.piMask;
-
-    const Addr *const gp = ctx.pats + group * ctx.bas;
-    std::size_t pd_way = ctx.bas;
-    for (std::size_t w = 0; w < ctx.bas; ++w) {
-        if (gp[w] == pattern) {
-            pd_way = w;
-            break;
-        }
+    const Addr upper = block >> ctx.npiBits;
+    int pd_way;
+    bool hit;
+    if (kMemo && block == ctx.memoBlock) {
+        pd_way = ctx.memoWay;
+        hit = true;
+    } else {
+        pd_way = scanWays(ctx.pats + group * ctx.bas, ctx.bas,
+                          upper & ctx.piMask, AllWays{});
+        hit = pd_way >= 0 &&
+              tags_.key(group * ctx.bas +
+                        static_cast<std::size_t>(pd_way)) == upper;
     }
-    if (pd_way == ctx.bas)
-        return false;
-    const std::size_t frame = group * ctx.bas + pd_way;
+    const std::size_t frame =
+        group * ctx.bas + static_cast<std::size_t>(pd_way);
     const bool write = req.type == AccessType::Write;
-    if (tags_.key(frame) != upper || (write && !ctx.writeBack))
+    if (!hit || (write && !ctx.writeBack)) {
+        if constexpr (kMemo)
+            ctx.memoBlock = kEmptyKey;
+        pr = {};
+        pr.group = group;
+        pr.upper = upper;
+        pr.pattern = upper & ctx.piMask;
+        pr.pdWay = pd_way;
+        if (hit) {
+            pr.hit = true;
+            pr.frame = frame;
+        }
         return false;
+    }
 
     if (write)
         tags_.setDirty(frame);
-    repl_.touch(group, pd_way);
+    repl_.touch(group, static_cast<std::size_t>(pd_way));
     sink.access(req.type, true);
     ++ctx.usage[frame].hits;
     if (ctx.obs)
         ctx.obs->onLineAccess(frame, true);
     out = {true, ctx.hitLat};
     ctx.lastFast = true;
+    if constexpr (kMemo) {
+        ctx.memoBlock = block;
+        ctx.memoWay = pd_way;
+    }
     return true;
 }
 

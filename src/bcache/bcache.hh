@@ -34,8 +34,10 @@
  * (dynamic) index function + way filter in one structure, so probe()
  * runs the PD match, victimFrame() enforces the forced-replacement rule,
  * and install() reprograms the pattern. The engine owns the
- * access()/accessBatch()/writeback() sequencing; the batched hot path
- * keeps the SoA pattern scan via the tryFastHit() hook.
+ * access()/accessBatch()/writeback() sequencing. The batched hot path
+ * (tryFastHit) decodes against the flat pattern CAM with a branch-free
+ * select, skips the decode when an access repeats the block of the
+ * last fast hit, and hands its probe to the engine on a fall-through.
  */
 
 #ifndef BSIM_BCACHE_BCACHE_HH
@@ -187,6 +189,19 @@ class BCache : public TagArrayEngine<BCache>
          * finishBatch() (it only needs to reflect the final access).
          */
         bool lastFast = false;
+        /**
+         * Consult the memo this batch: memoPays(), and more than one
+         * line per group (BAS = 1 has no decode for the memo to skip).
+         */
+        bool useMemo;
+        /**
+         * Last-block memo: block number and PD way of the last fast
+         * hit, or kEmptyKey (no block number equals it) for none. Fast
+         * hits never reprogram the decoder or move a tag, so the memo
+         * stays exact until a fall-through to the engine clears it.
+         */
+        Addr memoBlock = kEmptyKey;
+        int memoWay = 0;
     };
 
     // Engine traits + hooks (see cache/tag_array_engine.hh).
@@ -210,7 +225,14 @@ class BCache : public TagArrayEngine<BCache>
 
     BatchCtx makeBatchContext();
     bool tryFastHit(BatchCtx &ctx, const MemAccess &req,
-                    BatchTagStatsSink &sink, AccessOutcome &out);
+                    BatchTagStatsSink &sink, AccessOutcome &out, Probe &pr);
+    /**
+     * tryFastHit() with the memo compiled in or out, so a batch that
+     * does not consult the memo pays nothing for it.
+     */
+    template <bool kMemo>
+    bool fastHit(BatchCtx &ctx, const MemAccess &req,
+                 BatchTagStatsSink &sink, AccessOutcome &out, Probe &pr);
     void finishBatch(BatchCtx &ctx);
 
     /** Group (NPI decode) of an address. */

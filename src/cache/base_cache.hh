@@ -92,10 +92,29 @@ class BaseCache : public MemLevel
      * Fetch the block for @p req from the next level after a miss.
      * Returns the added latency (0 when standalone).
      */
-    Cycles refillFromNext(const MemAccess &req);
+    Cycles
+    refillFromNext(const MemAccess &req)
+    {
+        ++stats_.refills;
+        if (!next_)
+            return 0;
+        // The refill is always a read of the whole block, even on a
+        // write miss (write-allocate fetches the line first).
+        return next_->access({geom_.blockAlign(req.addr), AccessType::Read})
+            .latency;
+    }
 
     /** Send a dirty victim down. */
-    void writebackToNext(Addr block_addr);
+    void
+    writebackToNext(Addr block_addr)
+    {
+        ++stats_.writebacks;
+        if constexpr (kObserversEnabled)
+            if (observer_)
+                observer_->onWriteback();
+        if (next_)
+            next_->writeback(block_addr);
+    }
 
     /**
      * Per-line bookkeeping (usage histogram + the line observer, if

@@ -94,18 +94,12 @@ Replacement::plruTouch(std::size_t set, std::size_t way)
 }
 
 std::size_t
-Replacement::victim(std::size_t set)
+Replacement::otherVictim(std::size_t set)
 {
     switch (kind_) {
       case ReplPolicyKind::LRU:
-      case ReplPolicyKind::FIFO: {
-        const Tick *row = &stamps_[set * ways_];
-        std::size_t best = 0;
-        for (std::size_t w = 1; w < ways_; ++w)
-            if (row[w] < row[best])
-                best = w;
-        return best;
-      }
+      case ReplPolicyKind::FIFO:
+        break; // victim() scans the stamps inline
       case ReplPolicyKind::Random:
         return rng_.nextBounded(ways_);
       case ReplPolicyKind::TreePLRU: {

@@ -39,11 +39,14 @@ std::optional<ReplPolicyKind> replPolicyFromName(const std::string &name);
  *
  * The owner reports fills and touches; victim() is only consulted when
  * every way in the set is occupied (TagStore::fillWay() fills empty
- * frames first). touch() and fill() are inline switches on the kind, so the
- * batched hit paths call them directly.
+ * frames first). touch() and fill() are inline switches on the kind, so
+ * the batched hit paths call them directly; victim() is inline for the
+ * stamp policies and calls out of line for the rest.
  *
  *  - LRU stamps a way on touch and fill, FIFO on fill only; both evict
- *    the lowest stamp (lowest way on ties).
+ *    the lowest stamp (lowest way on ties), found by a min-scan with no
+ *    data-dependent branch. Stamps (8 B per way) suit any width; a
+ *    packed recency word would make every hit a read-modify-write.
  *  - Tree-PLRU keeps ways - 1 direction bits per set.
  *  - Random and NMRU draw from an Rng seeded at construction and at
  *    every reset(); NMRU never picks the set's most recent way.
@@ -88,13 +91,30 @@ class Replacement
     }
 
     /** Pick a victim way in a fully valid set. */
-    std::size_t victim(std::size_t set);
+    std::size_t
+    victim(std::size_t set)
+    {
+        if (kind_ != ReplPolicyKind::LRU && kind_ != ReplPolicyKind::FIFO)
+            return otherVictim(set);
+        // Strict '<' keeps the lowest way on ties.
+        const Tick *row = &stamps_[set * ways_];
+        std::size_t best = 0;
+        Tick best_stamp = row[0];
+        for (std::size_t w = 1; w < ways_; ++w) {
+            const bool older = row[w] < best_stamp;
+            best = older ? w : best;
+            best_stamp = older ? row[w] : best_stamp;
+        }
+        return best;
+    }
 
     /** Back to the constructed state (stamps, bits and Rng). */
     void reset();
 
   private:
     void plruTouch(std::size_t set, std::size_t way);
+    /** victim() of the random, tree-PLRU and NMRU policies. */
+    std::size_t otherVictim(std::size_t set);
 
     ReplPolicyKind kind_;
     std::size_t sets_;

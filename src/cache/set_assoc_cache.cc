@@ -76,24 +76,52 @@ SetAssocCache::makeBatchContext()
             hitLatency(),
             writeThroughPolicy(),
             usage_.data(),
-            lineObserver()};
+            lineObserver(),
+            geom_.ways() > 1 && memoPays()};
 }
 
 bool
 SetAssocCache::tryFastHit(BatchCtx &ctx, const MemAccess &req,
-                          BatchTagStatsSink &sink, AccessOutcome &out)
+                          BatchTagStatsSink &sink, AccessOutcome &out,
+                          Probe &pr)
+{
+    return ctx.useMemo ? fastHit<true>(ctx, req, sink, out, pr)
+                       : fastHit<false>(ctx, req, sink, out, pr);
+}
+
+template <bool kMemo>
+bool
+SetAssocCache::fastHit(BatchCtx &ctx, const MemAccess &req,
+                       BatchTagStatsSink &sink, AccessOutcome &out,
+                       Probe &pr)
 {
     // Hits resolve entirely inline; anything that touches the next level
-    // or mutates more than one line (misses, write-through stores) drops
-    // into the engine's shared run() core, so both paths perform the
+    // or mutates more than one line (misses, write-through stores) hands
+    // its probe to the engine's shared core, so both paths perform the
     // same state mutations in the same order.
+    const Addr block = req.addr >> ctx.offsetBits;
     const std::size_t set = bitsRange(req.addr, ctx.offsetBits,
                                       ctx.indexBits);
-    const Addr tag = req.addr >> (ctx.offsetBits + ctx.indexBits);
-    const int way = tags_.find(set * ctx.ways, ctx.ways, tag);
+    const Addr tag = block >> ctx.indexBits;
+    int way;
+    if (kMemo && block == ctx.memoBlock)
+        way = ctx.memoWay;
+    else
+        way = tags_.find(set * ctx.ways, ctx.ways, tag);
     const bool write = req.type == AccessType::Write;
-    if (way < 0 || (write && ctx.writeThrough))
+    if (way < 0 || (write && ctx.writeThrough)) {
+        if constexpr (kMemo)
+            ctx.memoBlock = kEmptyKey;
+        pr = {};
+        pr.set = set;
+        pr.tag = tag;
+        if (way >= 0) {
+            pr.hit = true;
+            pr.way = static_cast<std::size_t>(way);
+            pr.frame = set * ctx.ways + pr.way;
+        }
         return false;
+    }
 
     const std::size_t hit_way = static_cast<std::size_t>(way);
     const std::size_t frame = set * ctx.ways + hit_way;
@@ -105,6 +133,10 @@ SetAssocCache::tryFastHit(BatchCtx &ctx, const MemAccess &req,
     if (ctx.obs)
         ctx.obs->onLineAccess(frame, true);
     out = {true, ctx.hitLat};
+    if constexpr (kMemo) {
+        ctx.memoBlock = block;
+        ctx.memoWay = way;
+    }
     return true;
 }
 

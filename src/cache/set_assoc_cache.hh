@@ -60,6 +60,19 @@ class SetAssocCache : public TagArrayEngine<SetAssocCache>
         bool writeThrough;
         SetUsage *usage;
         CacheObserver *obs;
+        /**
+         * Consult the memo this batch: memoPays(), and more than one
+         * way (a one-way row has no scan for the memo to skip).
+         */
+        bool useMemo;
+        /**
+         * Last-block memo: block number and way of the last fast hit,
+         * or kEmptyKey (no block number equals it) for none. Fast hits
+         * never move a tag, so the memo stays exact until a
+         * fall-through to the engine clears it.
+         */
+        Addr memoBlock = kEmptyKey;
+        int memoWay = 0;
     };
 
     // Engine traits + hooks (see cache/tag_array_engine.hh).
@@ -82,7 +95,14 @@ class SetAssocCache : public TagArrayEngine<SetAssocCache>
 
     BatchCtx makeBatchContext();
     bool tryFastHit(BatchCtx &ctx, const MemAccess &req,
-                    BatchTagStatsSink &sink, AccessOutcome &out);
+                    BatchTagStatsSink &sink, AccessOutcome &out, Probe &pr);
+    /**
+     * tryFastHit() with the memo compiled in or out, so a batch that
+     * does not consult the memo pays nothing for it.
+     */
+    template <bool kMemo>
+    bool fastHit(BatchCtx &ctx, const MemAccess &req,
+                 BatchTagStatsSink &sink, AccessOutcome &out, Probe &pr);
 
     /** Find the way matching addr in its set, or -1. */
     int findWay(std::size_t set, Addr tag) const;

@@ -37,7 +37,15 @@
  *   makeBatchContext()/tryFastHit()/finishBatch()
  *                                     a tuned inline hit path for the
  *                                     batched loop (SetAssocCache,
- *                                     BCache and VictimCache have one)
+ *                                     BCache and VictimCache have one).
+ *                                     tryFastHit(ctx, req, sink, out, pr)
+ *                                     either resolves a hit and returns
+ *                                     true, or assigns @p pr exactly
+ *                                     what probe(req, Demand) would
+ *                                     return and returns false; the
+ *                                     engine then finishes the access
+ *                                     from that probe, so no access is
+ *                                     decoded or scanned twice
  *
  * Two compile-time traits (defaulted false, hidden by the derived class
  * to opt in):
@@ -164,11 +172,12 @@ class TagArrayEngine : public BaseCache
 
     /**
      * Batched access path: per-access logic identical to access() (both
-     * drive the same run() core), but hits may resolve through the
-     * variant's inlined tryFastHit() and aggregate counters accumulate
-     * in a register-resident sink flushed once per batch. Bit-identical
-     * to per-access driving for every variant
-     * (tests/test_batch_equivalence.cc, bsim_verify_alt).
+     * drive the same resolve() core), but hits may resolve through the
+     * variant's inlined tryFastHit(), which otherwise hands over its
+     * probe, and aggregate counters accumulate in a register-resident
+     * sink flushed once per batch. Bit-identical to per-access driving
+     * for every variant (tests/test_batch_equivalence.cc,
+     * bsim_verify_alt).
      */
     void
     accessBatch(std::span<const MemAccess> reqs,
@@ -177,18 +186,21 @@ class TagArrayEngine : public BaseCache
         BatchTagStatsSink sink;
         auto ctx = self().makeBatchContext();
         const Cycles hit_lat = hitLatency();
+        typename Derived::Probe pr;
         for (std::size_t i = 0; i < reqs.size(); ++i) {
             const MemAccess req = reqs[i];
-            if (self().tryFastHit(ctx, req, sink, out[i]))
+            if (self().tryFastHit(ctx, req, sink, out[i], pr))
                 continue;
-            const RunResult r = run(req, EngineMode::Demand, sink);
+            const RunResult r = resolve(pr, req, EngineMode::Demand, sink);
             sink.access(req.type, r.hit);
             if (r.frame != kNoLine)
                 recordLineOnly(r.frame, r.hit);
             out[i] = {r.hit, hit_lat + r.extraLatency};
         }
         self().finishBatch(ctx);
+        const std::uint64_t misses_before = stats_.misses;
         sink.flushInto(stats_);
+        memoPays_ = (stats_.misses - misses_before) * 25 < reqs.size();
     }
 
     /**
@@ -221,13 +233,18 @@ class TagArrayEngine : public BaseCache
     /** Demand-miss taxonomy hook (the B-Cache's PD stats). */
     void onMissClassified(const ProbeBase &, EngineMode) {}
 
-    /** Batched fast-path hooks; defaults take the generic loop. */
+    /**
+     * Batched fast-path hooks; the defaults take the generic loop (the
+     * probe is the variant's own, so its side counters tick once).
+     */
     NoBatchContext makeBatchContext() { return {}; }
 
-    template <typename Ctx, typename Sink>
+    template <typename Ctx, typename Sink, typename P>
     bool
-    tryFastHit(Ctx &, const MemAccess &, Sink &, AccessOutcome &)
+    tryFastHit(Ctx &, const MemAccess &req, Sink &, AccessOutcome &,
+               P &pr)
     {
+        pr = self().probe(req, EngineMode::Demand);
         return false;
     }
 
@@ -239,6 +256,18 @@ class TagArrayEngine : public BaseCache
 
     // ---- shared helpers for the variants' hooks.
 
+    /**
+     * Whether a batched fast path should consult its last-block memo
+     * this batch: true when the previous batch missed on fewer than 1
+     * in 25 accesses. The memo pays on hit-heavy streams, where most
+     * accesses repeat the previous block; on miss-heavy ones repeats
+     * are rarer and less regular, and a wrong guess of the memo branch
+     * costs more than the scan it skips. The miss share tells the two
+     * apart at no per-access cost. It only picks a code path, never a
+     * result.
+     */
+    bool memoPays() const { return memoPays_; }
+
     /** Forward a store (or an incoming dirty block) to the next level. */
     void
     forwardStoreToNext(const MemAccess &req)
@@ -249,6 +278,9 @@ class TagArrayEngine : public BaseCache
 
   private:
     Derived &self() { return static_cast<Derived &>(*this); }
+
+    /** The previous batch was hit-heavy (see memoPays()). */
+    bool memoPays_ = false;
 
     struct RunResult
     {
@@ -269,7 +301,17 @@ class TagArrayEngine : public BaseCache
     RunResult
     run(const MemAccess &req, EngineMode mode, Sink &sink)
     {
-        auto pr = self().probe(req, mode);
+        return resolve(self().probe(req, mode), req, mode, sink);
+    }
+
+    /**
+     * run() after the probe: the batched loop enters here with the probe
+     * its fast path already took.
+     */
+    template <typename P, typename Sink>
+    RunResult
+    resolve(const P &pr, const MemAccess &req, EngineMode mode, Sink &sink)
+    {
         const bool write = req.type == AccessType::Write;
         bool write_through = false;
         if constexpr (Derived::kHasWritePolicy)

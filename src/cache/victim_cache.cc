@@ -45,7 +45,13 @@ VictimCache::probe(const MemAccess &req, EngineMode mode)
         pr.frame = pr.set;
         return pr;
     }
+    probeBuffer(pr, mode);
+    return pr;
+}
 
+void
+VictimCache::probeBuffer(Probe &pr, EngineMode mode)
+{
     // Main-array miss: probe the victim buffer. On the demand path that
     // is a sequential probe costing one extra cycle (buffer hit or not).
     if (mode == EngineMode::Demand) {
@@ -61,7 +67,6 @@ VictimCache::probe(const MemAccess &req, EngineMode mode)
         if (mode == EngineMode::Demand)
             ++victimHits_;
     }
-    return pr;
 }
 
 void
@@ -130,15 +135,23 @@ VictimCache::makeBatchContext()
 
 bool
 VictimCache::tryFastHit(BatchCtx &ctx, const MemAccess &req,
-                        BatchTagStatsSink &sink, AccessOutcome &out)
+                        BatchTagStatsSink &sink, AccessOutcome &out,
+                        Probe &pr)
 {
     // Main-array hits resolve inline: the direct-mapped array has no
-    // replacement state, so a hit only sets the dirty bit. Buffer
-    // probes, swaps and misses run through the engine's run() core.
+    // replacement state, so a hit only sets the dirty bit. A main-array
+    // miss probes the buffer here and hands the probe to the engine's
+    // shared core, which runs the swap or the miss.
     const std::size_t set = bitsRange(req.addr, ctx.offsetBits,
                                       ctx.indexBits);
-    if (main_.key(set) != req.addr >> ctx.offsetBits)
+    const Addr block = req.addr >> ctx.offsetBits;
+    if (main_.key(set) != block) {
+        pr = {};
+        pr.set = set;
+        pr.block = block;
+        probeBuffer(pr, EngineMode::Demand);
         return false;
+    }
     if (req.type == AccessType::Write)
         main_.setDirty(set);
     sink.access(req.type, true);

@@ -11,8 +11,9 @@
  * modulo index function; the buffer probe and the swap/insert dance live
  * in the probe/onHit/victimFrame hooks. The engine supplies
  * access()/accessBatch()/writeback(). The batched path resolves
- * main-array hits inline (tryFastHit); buffer probes, swaps and misses
- * go through the same hooks as every other entry point, so
+ * main-array hits inline (tryFastHit); on a main-array miss it probes
+ * the buffer with the same probeBuffer() step as probe(), and swaps and
+ * misses go through the same hooks as every other entry point, so
  * victim-buffer behaviour cannot drift between them.
  */
 
@@ -86,8 +87,10 @@ class VictimCache : public TagArrayEngine<VictimCache>
 
     BatchCtx makeBatchContext();
     bool tryFastHit(BatchCtx &ctx, const MemAccess &req,
-                    BatchTagStatsSink &sink, AccessOutcome &out);
+                    BatchTagStatsSink &sink, AccessOutcome &out, Probe &pr);
 
+    /** The probe's second step, after a main-array miss in @p pr.set. */
+    void probeBuffer(Probe &pr, EngineMode mode);
     /** Buffer entry holding block number @p block, or -1. */
     int findBuffer(Addr block) const;
     /** Insert a block evicted from the main array into the buffer. */

@@ -6,7 +6,8 @@
  * side effects of the structures that gate activation in hardware:
  *
  *   AllWays        every way activates (the conventional cache); the
- *                  scan stops at the first full match
+ *                  scan compares every way and selects the match
+ *                  without a branch
  *   HaltTagFilter  way halting: a small fully-parallel halt-tag CAM
  *                  suppresses ways whose low tag bits mismatch, and the
  *                  halted/activated counters feed the energy metric
@@ -125,22 +126,28 @@ class PadPredictor
 
 /**
  * Run @p filter over one set's @p ways keys; returns the way holding
- * @p key, or -1. Non-kScanAll filters stop at the first match (the
- * sequential probe); kScanAll filters observe every way.
+ * @p key, or -1. Without kScanAll every way activates, and the scan is
+ * a select with no data-dependent branch: it runs from the last way
+ * down, so a duplicated key (only debug fault injection makes one)
+ * still resolves to the lowest way. A one-way row stays a plain
+ * compare, which the caller's hit test then branches on directly, so
+ * the hit frame does not wait for the key load. kScanAll filters
+ * observe every way in order and report the last activated match.
  */
 template <typename Filter>
 inline int
 scanWays(const Addr *row, std::size_t ways, Addr key, Filter &&filter)
 {
     int hit_way = -1;
-    for (std::size_t w = 0; w < ways; ++w) {
-        if (!filter.activate(w, row[w]))
-            continue;
-        if (row[w] == key) {
-            hit_way = static_cast<int>(w);
-            if constexpr (!std::remove_reference_t<Filter>::kScanAll)
-                break;
-        }
+    if constexpr (!std::remove_reference_t<Filter>::kScanAll) {
+        if (ways == 1)
+            return row[0] == key ? 0 : -1;
+        for (std::size_t w = ways; w-- > 0;)
+            hit_way = row[w] == key ? static_cast<int>(w) : hit_way;
+    } else {
+        for (std::size_t w = 0; w < ways; ++w)
+            if (filter.activate(w, row[w]) && row[w] == key)
+                hit_way = static_cast<int>(w);
     }
     return hit_way;
 }

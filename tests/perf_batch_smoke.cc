@@ -7,8 +7,9 @@
  * across machines — it detects "someone made accessBatch() fall back to
  * the slow path" rather than absolute-speed regressions.
  *
- * Two legs, each with the same method and threshold:
+ * Three legs, each with the same method and threshold:
  *   bcache   the paper-default 16 kB MF=8 BAS=8 B-Cache
+ *   sa8      sa:16kB,8w, the 8-way LRU set-associative cache
  *   victim   dm:16kB+victim:16, the direct-mapped cache with a
  *            16-entry victim buffer (its batched main-array hit path)
  *
@@ -28,8 +29,8 @@
  * The measured batched rate of each leg is also appended to
  * BENCH_perf.json (see EXPERIMENTS.md "Perf trajectory") so every ctest
  * run extends the repo's perf record: configs
- * "bcache-16k-mf8-bas8-gcc-inst/batched" and
- * "victim16-16k-gcc-inst/batched".
+ * "bcache-16k-mf8-bas8-gcc-inst/batched",
+ * "sa8-16k-gcc-inst/batched" and "victim16-16k-gcc-inst/batched".
  */
 
 #include <algorithm>
@@ -41,6 +42,7 @@
 
 #include "bcache/bcache.hh"
 #include "bench/bench_json.hh"
+#include "cache/set_assoc_cache.hh"
 #include "cache/victim_cache.hh"
 #include "common/strings.hh"
 #include "sim/runner.hh"
@@ -176,9 +178,10 @@ main()
 
     // Pre-generated stream so generator cost is excluded: the gate times
     // the cache hot loop only. The instruction stream is used because it
-    // is hit-heavy (~1% miss rate): misses run the identical shared core
-    // in both paths, so a miss-heavy stream would only dilute the signal
-    // this gate watches — the batched fast path staying fast.
+    // is hit-heavy (~1% miss rate), so the ratio measures the batched
+    // fast hit path. A miss-heavy stream would not: there a batched miss
+    // skips only the second probe, and the data stream of gcc reads
+    // about 1.0x batched/per-access.
     SpecWorkload w = makeSpecWorkload("gcc");
     std::vector<MemAccess> reqs(n);
     w.inst->nextBatch(reqs.data(), reqs.size());
@@ -190,6 +193,14 @@ main()
         timeLeg("bcache", "bcache-16k-mf8-bas8-gcc-inst/batched", bc_per,
                 bc_batched, reqs, threshold);
 
+    // sa:16kB,8w (LRU), the widest fast path in the paper's grids.
+    const CacheGeometry sa8(16 * 1024, 32, 8);
+    SetAssocCache sa_per("per-access", sa8, 1, nullptr);
+    SetAssocCache sa_batched("batched", sa8, 1, nullptr);
+    const double sa_ratio =
+        timeLeg("sa8", "sa8-16k-gcc-inst/batched", sa_per, sa_batched,
+                reqs, threshold);
+
     // dm:16kB+victim:16 (the paper's victim16 point of comparison).
     const CacheGeometry dm(16 * 1024, 32, 1);
     VictimCache vc_per("per-access", dm, 1, nullptr, 16);
@@ -198,7 +209,7 @@ main()
         timeLeg("victim", "victim16-16k-gcc-inst/batched", vc_per,
                 vc_batched, reqs, threshold);
 
-    if (bc_ratio < 0.0 || vc_ratio < 0.0)
+    if (bc_ratio < 0.0 || sa_ratio < 0.0 || vc_ratio < 0.0)
         return 1;
 
 #if defined(BSIM_SANITIZED) || defined(BSIM_COVERAGE)
@@ -209,7 +220,8 @@ main()
 #else
     bool ok = true;
     for (const auto &[leg, ratio] :
-         {std::pair{"bcache", bc_ratio}, std::pair{"victim", vc_ratio}}) {
+         {std::pair{"bcache", bc_ratio}, std::pair{"sa8", sa_ratio},
+          std::pair{"victim", vc_ratio}}) {
         if (threshold > 0.0 && ratio < threshold) {
             std::fprintf(stderr,
                          "FAIL: %s batched path is only %.2fx the "

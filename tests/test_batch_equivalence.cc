@@ -14,8 +14,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
+#include "bcache/bcache.hh"
 #include "common/random.hh"
 #include "verify/batch_equiv.hh"
 #include "verify/campaign.hh"
@@ -48,6 +50,41 @@ makeStream(std::size_t n, std::uint64_t seed, Addr space)
         reqs[i].type = rng.nextBool(0.3) ? AccessType::Write
                                          : AccessType::Read;
     }
+    return reqs;
+}
+
+/**
+ * Hit-heavy stream shaped like an instruction stream: 4-byte steps,
+ * jumps mostly within a 12 kB hot region and now and then to a block
+ * anywhere in 1 MB. Now and then it also touches the block 128 kB
+ * above the current one and comes straight back: in a 16 kB cache that
+ * block shares the current block's set, and in a B-Cache with MF <= 8
+ * also its group and PD pattern, so it may evict the block the memo
+ * holds. Most accesses repeat the previous block and the miss share
+ * stays low, so the batched fast paths consult their last-block memo.
+ */
+std::vector<MemAccess>
+makeHitHeavyStream(std::size_t n, std::uint64_t seed)
+{
+    constexpr Addr kSpace = Addr{1} << 20;
+    Rng rng(seed);
+    std::vector<MemAccess> reqs;
+    Addr pc = 0;
+    while (reqs.size() < n) {
+        const std::uint64_t r = rng.nextBounded(256);
+        if (r < 1)
+            pc = rng.nextBounded(kSpace) & ~Addr{3};
+        else if (r < 21)
+            pc = rng.nextBounded(12 * 1024) & ~Addr{3};
+        else
+            pc = (pc + 4) & (kSpace - 1);
+        if (r == 21)
+            reqs.push_back({(pc + (Addr{1} << 17)) & (kSpace - 1),
+                            AccessType::Read});
+        reqs.push_back(
+            {pc, r % 10 == 0 ? AccessType::Write : AccessType::Read});
+    }
+    reqs.resize(n);
     return reqs;
 }
 
@@ -163,6 +200,103 @@ TEST(BatchEquivalence, HacTwins)
     // HAC rides the SetAssocCache composition; its fully-associative
     // subarrays stress the widest way scan the engine runs.
     pinnedStreamCase("hac:16kB", 60000, 0xaced1, 128, 20);
+}
+
+/**
+ * One memo case: a warm-up of hits (so the running miss share is low and
+ * the fast path consults its last-block memo), then the batch
+ * [A, A, B, A] where B evicts A.
+ */
+void
+memoCase(const std::string &spec, Addr a, Addr b, Addr other,
+         AccessType second_a)
+{
+    const MemAccess A{a, AccessType::Read};
+    std::vector<MemAccess> reqs{A, {other, AccessType::Read}};
+    reqs.resize(64, A);
+    const std::vector<MemAccess> batch{
+        A, {a, second_a}, {b, AccessType::Read}, A};
+    reqs.insert(reqs.end(), batch.begin(), batch.end());
+
+    // Full twin check, batched four at a time so the last batch is
+    // exactly [A, A, B, A].
+    expectTwinsAgree(spec, reqs, 4, 24, 1);
+
+    // The same stream, one warm-up batch then the memo batch, against
+    // per-access driving.
+    const CacheConfig config = parseCacheSpec(spec);
+    const auto per = config.build("per-access");
+    const auto bat = config.build("batched");
+    std::vector<AccessOutcome> expect;
+    for (const MemAccess &r : reqs)
+        expect.push_back(per->access(r));
+    std::vector<AccessOutcome> out(reqs.size());
+    bat->accessBatch({reqs.data(), 64}, out.data());
+    bat->accessBatch({reqs.data() + 64, 4}, out.data() + 64);
+    for (std::size_t i = 0; i < reqs.size(); ++i) {
+        EXPECT_EQ(out[i].hit, expect[i].hit) << spec << " access " << i;
+        EXPECT_EQ(out[i].latency, expect[i].latency)
+            << spec << " access " << i;
+    }
+    EXPECT_TRUE(out[64].hit && out[65].hit) << spec;
+    EXPECT_FALSE(out[66].hit) << spec;
+    EXPECT_FALSE(out[67].hit) << spec << ": B evicted A";
+    EXPECT_EQ(bat->stats().hits, per->stats().hits) << spec;
+    EXPECT_EQ(bat->stats().misses, per->stats().misses) << spec;
+    EXPECT_EQ(bat->stats().writethroughs, per->stats().writethroughs)
+        << spec;
+    EXPECT_TRUE(std::ranges::equal(bat->setUsage(), per->setUsage()))
+        << spec;
+}
+
+TEST(BatchEquivalence, LastBlockMemoDiesWithTheEvictedBlock)
+{
+    // 16 kB, 32 B lines: direct-mapped sets repeat every 16 kB, 2-way
+    // sets every 8 kB. Under LRU, B could never evict A right after A's
+    // two hits, so the 2-way cases use FIFO: A was filled before the
+    // other block of its set, so B replaces A.
+    const Addr a = 0x40;
+    memoCase("dm:16kB", a, a + 0x4000, a + 0x40, AccessType::Read);
+    for (const char *spec :
+         {"sa:16kB,2w,repl=fifo", "sa:16kB,2w,repl=fifo,wp=wt"}) {
+        memoCase(spec, a, a + 0x4000, a + 0x2000, AccessType::Read);
+        // Under write-through the second A is a store hit, which falls
+        // through to the engine (it forwards the store) and clears the
+        // memo.
+        memoCase(spec, a, a + 0x4000, a + 0x2000, AccessType::Write);
+    }
+
+    // MF8 BAS8: B shares A's group and PD pattern but not its upper
+    // field, so B's PD hit forces the replacement of A's line.
+    const std::string mf8 = "bcache:16kB,mf=8,bas=8";
+    const BCacheLayout l = deriveLayout(
+        seededBCacheParams(parseCacheSpec(mf8), 1));
+    const Addr other_upper = Addr{1} << (5 + l.npiBits);
+    const Addr same_pattern = Addr{1} << (5 + l.npiBits + l.piBits);
+    for (const std::string &spec : {mf8, mf8 + ",wp=wt"})
+        for (const AccessType second : {AccessType::Read, AccessType::Write})
+            memoCase(spec, a, a + same_pattern, a + other_upper, second);
+}
+
+TEST(BatchEquivalence, HitHeavyStreamsUseTheMemo)
+{
+    // The pinned streams above are miss-heavy, so the fast paths leave
+    // their memo off; these run with it on.
+    for (const char *spec :
+         {"sa:16kB,4w", "sa:16kB,8w,wp=wt", "sa:16kB,32w,repl=fifo",
+          "bcache:16kB,mf=8,bas=8", "bcache:16kB,mf=4,bas=8,wp=wt",
+          "hac:16kB"})
+    {
+        const std::vector<MemAccess> reqs =
+            makeHitHeavyStream(100000, 0x1ce);
+        expectTwinsAgree(spec, reqs, 256, 20, 0x1ce);
+        // The premise: a miss share low enough to turn the memo on.
+        const auto cache = parseCacheSpec(spec).build("c");
+        for (const MemAccess &r : reqs)
+            cache->access(r);
+        EXPECT_LT(cache->stats().misses * 25, cache->stats().accesses)
+            << spec;
+    }
 }
 
 TEST(BatchEquivalence, EveryRegisteredKindHasATwinSampler)

@@ -2,9 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
+#include <vector>
 
+#include "bcache/bcache.hh"
 #include "cache/replacement.hh"
+#include "cache/tag_store.hh"
 #include "common/random.hh"
 
 namespace bsim {
@@ -107,6 +111,116 @@ TEST(Fifo, EvictsOldestFill)
     // Touching must NOT change FIFO order.
     p.touch(0, 2);
     EXPECT_EQ(p.victim(0), 2u);
+}
+
+TEST(Fifo, TiesGoToTheLowestWay)
+{
+    // Never-filled ways tie at stamp zero; touches never stamp.
+    Replacement p(ReplPolicyKind::FIFO, 1, 4);
+    p.fill(0, 0);
+    p.touch(0, 1);
+    EXPECT_EQ(p.victim(0), 1u);
+    p.fill(0, 1);
+    p.fill(0, 2);
+    EXPECT_EQ(p.victim(0), 3u);
+    p.reset();
+    EXPECT_EQ(p.victim(0), 0u);
+}
+
+TEST(Lru, ThirtyTwoWaysFollowExactRecency)
+{
+    // Wider than any 64-bit word of 4-bit recency ranks: the victim must
+    // still be the exact least recently used way, against a reference
+    // recency list.
+    constexpr std::size_t kWays = 32;
+    Replacement p(ReplPolicyKind::LRU, 2, kWays);
+    std::vector<std::size_t> order; // least recent first
+    Rng rng(32);
+    for (std::size_t w = 0; w < kWays; ++w) {
+        const std::size_t way = (w * 7 + 3) % kWays;
+        p.fill(1, way);
+        order.push_back(way);
+    }
+    for (int step = 0; step < 2000; ++step) {
+        ASSERT_EQ(p.victim(1), order.front()) << "step " << step;
+        const std::size_t way = rng.nextBounded(4) == 0
+                                    ? order.front()
+                                    : rng.nextBounded(kWays);
+        if (step % 3 == 0)
+            p.fill(1, way);
+        else
+            p.touch(1, way);
+        order.erase(std::find(order.begin(), order.end(), way));
+        order.push_back(way);
+    }
+    // Set 0 was never touched: all ties, lowest way.
+    EXPECT_EQ(p.victim(0), 0u);
+}
+
+TEST(RowScan, DuplicatedKeyResolvesToTheLowestWay)
+{
+    // Only fault injection duplicates a key in a row; the scan must
+    // then answer the lowest way holding it.
+    constexpr Addr kKey = 0x1234;
+    for (const std::size_t ways : {2u, 3u, 8u, 16u, 32u}) {
+        for (std::size_t lo = 0; lo + 1 < ways; ++lo) {
+            std::vector<Addr> row(ways, kEmptyKey);
+            for (std::size_t w = 0; w < ways; ++w)
+                row[w] = 0x100 + w;
+            row[lo] = kKey;
+            row[ways - 1] = kKey;
+            EXPECT_EQ(scanWays(row.data(), ways, kKey, AllWays{}),
+                      static_cast<int>(lo))
+                << ways << " ways, first copy at " << lo;
+        }
+    }
+
+    TagStore tags(24, 5);
+    for (std::size_t f = 0; f < tags.size(); ++f)
+        tags.fill(f, 0x40 + f, false);
+    tags.fill(8 + 2, kKey, false);
+    tags.fill(8 + 5, kKey, true);
+    EXPECT_EQ(tags.find(8, 8, kKey), 2);
+    EXPECT_EQ(tags.find(0, 8, kKey), -1);
+    EXPECT_EQ(tags.find(13, 1, kKey), 0);
+    EXPECT_EQ(tags.find(14, 1, kKey), -1);
+}
+
+TEST(RowScan, CorruptedPdDecodesToTheLowestMatchingWay)
+{
+    // Two lines of one group decode the same pattern after a PD fault.
+    // Only the lowest such way activates, so an access to the other
+    // line's block is a PD hit with a tag miss.
+    BCacheParams params; // 16 kB, 32 B lines, MF = 8, BAS = 8
+    BCache c("b", params);
+    const BCacheLayout &l = c.layout();
+    const auto addr = [&](Addr upper, std::size_t group) {
+        return ((upper << l.npiBits) | group) << 5;
+    };
+    const std::size_t g = 3;
+    const Addr high = Addr{1} << l.piBits; // above the PD pattern
+    c.access({addr(1, g), AccessType::Read});        // way 0
+    c.access({addr(high | 2, g), AccessType::Read}); // way 1
+    c.access({addr(5, g), AccessType::Read});        // way 2
+    ASSERT_TRUE(c.contains(addr(high | 2, g)));
+
+    c.debugCorruptPd(g, 1, 1); // way 1 now holds upper high | 1
+    EXPECT_FALSE(c.checkUniqueDecoding(g));
+    EXPECT_EQ(c.classify(addr(1, g)), PdOutcome::HitAndCacheHit);
+    EXPECT_EQ(c.classify(addr(high | 1, g)), PdOutcome::HitButCacheMiss);
+    EXPECT_EQ(c.classify(addr(high | 2, g)), PdOutcome::Miss);
+    EXPECT_EQ(c.classify(addr(5, g)), PdOutcome::HitAndCacheHit);
+
+    // The batched fast path decodes the same way.
+    std::vector<MemAccess> reqs{{addr(1, g), AccessType::Read},
+                                {addr(1, g), AccessType::Read},
+                                {addr(high | 1, g), AccessType::Read}};
+    std::vector<AccessOutcome> out(reqs.size());
+    c.accessBatch(reqs, out.data());
+    EXPECT_TRUE(out[0].hit);
+    EXPECT_TRUE(out[1].hit);
+    EXPECT_FALSE(out[2].hit);
+    EXPECT_EQ(c.lastOutcome(), PdOutcome::HitButCacheMiss);
 }
 
 TEST(TreePlru, VictimAvoidsMostRecent)
