@@ -76,7 +76,7 @@ std::string
 benchJsonPath()
 {
     const char *v = std::getenv("BSIM_BENCH_JSON");
-    return v && *v ? v : "BENCH_perf.json";
+    return v ? v : "";
 }
 
 std::string
@@ -155,6 +155,8 @@ appendPerfRecords(const std::vector<PerfRecord> &records,
                   const std::string &path)
 {
     const std::string target = path.empty() ? benchJsonPath() : path;
+    if (target.empty())
+        return "";
 
     // Re-serialize any existing well-formed records; quarantine — never
     // silently clobber — a file this module didn't write.
@@ -208,22 +210,25 @@ void
 reportSweepPerf(const std::string &bench, const std::string &config,
                 const SweepSummary &summary)
 {
+    const std::string target = benchJsonPath();
+    if (target.empty())
+        return;
     PerfRecord r;
     r.bench = bench;
     r.config = config;
     r.accessesPerSec = summary.eventsPerSecond();
     r.wallSeconds = summary.wallSeconds;
     r.jobs = summary.threads;
-    const std::string err = appendPerfRecord(r);
+    const std::string err = appendPerfRecord(r, target);
     if (!err.empty())
         std::fprintf(stderr,
                      "warning: %s not updated: %s\n",
-                     benchJsonPath().c_str(), err.c_str());
+                     target.c_str(), err.c_str());
     else
         // Diagnostics, not results: keep stdout clean for the table /
         // JSON stream (e.g. `bsim --shards N --stats-json -`).
         std::fprintf(stderr, "[perf] %s/%s -> %s\n", bench.c_str(),
-                     config.c_str(), benchJsonPath().c_str());
+                     config.c_str(), target.c_str());
 }
 
 } // namespace bench

@@ -1,18 +1,21 @@
 /**
  * @file
- * Machine-readable perf telemetry: every harness (and the perf gate in
- * tests/) appends one record per run to BENCH_perf.json, a JSON array of
+ * Machine-readable perf telemetry: when BSIM_BENCH_JSON names a file,
+ * every sweep harness, bsim and the perf gate in tests/ append one record
+ * per run to it, a JSON array of
  *
  *   {"bench": ..., "config": ..., "accesses_per_sec": ..., "wall_s": ...,
  *    "jobs": ..., "git_rev": ...}
  *
  * objects, giving the repo a perf trajectory across commits (see
- * EXPERIMENTS.md "Perf trajectory"). Appends are atomic (write-temp +
- * rename) and never clobber data: a malformed existing file is
- * quarantined to <path>.corrupt and a fresh array started.
+ * EXPERIMENTS.md "Perf trajectory"; the tracked log is BENCH_perf.json).
+ * With BSIM_BENCH_JSON unset or empty nothing is written. Appends are
+ * atomic (write-temp + rename) and never clobber data: a malformed
+ * existing file is quarantined to <path>.corrupt and a fresh array
+ * started.
  *
- * Knobs: BSIM_BENCH_JSON overrides the output path, BSIM_GIT_REV the
- * recorded revision (otherwise `git rev-parse --short HEAD`).
+ * BSIM_GIT_REV overrides the recorded revision (otherwise
+ * `git rev-parse --short HEAD`).
  */
 
 #ifndef BSIM_BENCH_BENCH_JSON_HH
@@ -39,16 +42,17 @@ struct PerfRecord
     std::string gitRev;         ///< filled from currentGitRev() if empty
 };
 
-/** Output path: BSIM_BENCH_JSON env, else "BENCH_perf.json" in cwd. */
+/** Output path: the BSIM_BENCH_JSON env value, else "" (no sink). */
 std::string benchJsonPath();
 
 /** BSIM_GIT_REV env, else `git rev-parse --short HEAD`, else "unknown". */
 std::string currentGitRev();
 
 /**
- * Append @p records to the perf log at @p path (empty = benchJsonPath()).
- * Returns "" on success, otherwise a diagnostic; a malformed existing
- * file is moved aside to <path>.corrupt rather than overwritten.
+ * Append @p records to the perf log at @p path (empty = benchJsonPath();
+ * if that is empty too, nothing is written). Returns "" on success,
+ * otherwise a diagnostic; a malformed existing file is moved aside to
+ * <path>.corrupt rather than overwritten.
  */
 std::string appendPerfRecords(const std::vector<PerfRecord> &records,
                               const std::string &path = "");
@@ -58,8 +62,9 @@ std::string appendPerfRecord(const PerfRecord &record,
                              const std::string &path = "");
 
 /**
- * Append one record built from a sweep's aggregate metrics (the
- * harnesses call this right after printSweepSummary()). Failures are
+ * Append one record built from a sweep's aggregate metrics to
+ * benchJsonPath() (the harnesses call this right after
+ * printSweepSummary()); a no-op when there is no sink. Failures are
  * reported on stderr but never abort the harness.
  */
 void reportSweepPerf(const std::string &bench, const std::string &config,

@@ -5,9 +5,10 @@
  * array of exactly-schema records.
  *
  * Usage:
- *   bench_json_lint [FILE ...]   lint each file (default: benchJsonPath();
- *                                a missing default file passes — no runs
- *                                have been recorded yet)
+ *   bench_json_lint [FILE ...]   lint each file (default: benchJsonPath(),
+ *                                else ./BENCH_perf.json; a missing
+ *                                default file passes — no runs have been
+ *                                recorded yet)
  *   bench_json_lint --selftest   exercise the validator on built-in good
  *                                and bad documents, no file I/O
  */
@@ -120,8 +121,11 @@ main(int argc, char **argv)
             return selftest();
         files.push_back(arg);
     }
-    if (files.empty())
-        return lintFile(bench::benchJsonPath(), /*missing_ok=*/true);
+    if (files.empty()) {
+        const std::string sink = bench::benchJsonPath();
+        return lintFile(sink.empty() ? "BENCH_perf.json" : sink,
+                        /*missing_ok=*/true);
+    }
     int rc = 0;
     for (const std::string &f : files)
         rc |= lintFile(f, /*missing_ok=*/false);

@@ -7,7 +7,7 @@
  * workload/trace_reader), a sharded parallel trace replay on the sweep
  * engine, or the timed OOO-core model — and prints the standard
  * statistics readout or JSON. Sweep-backed runs (--shards) append a
- * record to BENCH_perf.json via bench::reportSweepPerf.
+ * record to the BSIM_BENCH_JSON perf log via bench::reportSweepPerf.
  * docs/TRACES.md walks through the trace-facing flags; usage() below
  * is the authoritative flag list.
  */

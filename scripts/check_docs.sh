@@ -2,10 +2,10 @@
 # Documentation gate (ctest label `docs`).
 #
 # Usage:
-#   scripts/check_docs.sh            # link check + doxygen (if present)
-#   scripts/check_docs.sh --links    # link check only
+#   scripts/check_docs.sh            # link + index check, doxygen (if present)
+#   scripts/check_docs.sh --links    # link + index check only
 #
-# Two passes:
+# Three passes:
 #  1. Cross-reference check (always): every repo-rooted path mentioned
 #     in the maintained documentation set (README.md, DESIGN.md,
 #     EXPERIMENTS.md, docs/*.md) must exist, so renames and deletions
@@ -15,7 +15,12 @@
 #     include paths (`sim/sweep.hh`) are out of scope. Planning files
 #     (ROADMAP.md, ISSUE.md) are excluded: they may legitimately name
 #     files that do not exist yet.
-#  2. Doxygen (when installed): build the API reference with warnings
+#  2. Harness index (always): every `bsim_bench(<name>)` target in
+#     bench/CMakeLists.txt other than the `bsim` front end and
+#     `verify_smoke` has a `bench/<name>` row in DESIGN.md §4, and every
+#     row names such a target, so the per-experiment index and the
+#     build cannot drift apart.
+#  3. Doxygen (when installed): build the API reference with warnings
 #     promoted to errors, on top of the checked-in Doxyfile. Doxygen is
 #     optional tooling; when absent the pass is skipped with a warning
 #     and exit 0, like scripts/check_format.sh, so minimal containers
@@ -66,11 +71,36 @@ if ! grep -q 'trace_format.hh' docs/TRACES.md; then
     fail=1
 fi
 
+# ---- pass 2: DESIGN.md §4 rows <-> bsim_bench() targets ----
+
+index=$(sed -n '/^## 4\./,/^## 5\./p' DESIGN.md | grep '^|' || true)
+harnesses=$(sed -n 's/^bsim_bench(\([A-Za-z0-9_]*\)).*/\1/p' \
+                bench/CMakeLists.txt)
+[ -n "$harnesses" ] || { echo "check_docs: no bsim_bench() targets" \
+                              "in bench/CMakeLists.txt" >&2
+                         exit 1; }
+for name in $harnesses; do
+    case "$name" in bsim|verify_smoke) continue ;; esac
+    if ! echo "$index" | grep -q "\`bench/$name\`"; then
+        echo "check_docs: bench/$name is built but has no DESIGN.md" \
+             "§4 row" >&2
+        fail=1
+    fi
+done
+for name in $(echo "$index" | grep -oE '`bench/[A-Za-z0-9_]+`' |
+              tr -d '`' | sed 's|^bench/||' | sort -u); do
+    if ! echo "$harnesses" | grep -qx "$name"; then
+        echo "check_docs: DESIGN.md §4 lists bench/$name, which" \
+             "bench/CMakeLists.txt does not build" >&2
+        fail=1
+    fi
+done
+
 if [ "${1-}" = "--links" ]; then
     exit "$fail"
 fi
 
-# ---- pass 2: doxygen, warnings as errors ----
+# ---- pass 3: doxygen, warnings as errors ----
 
 if ! command -v doxygen >/dev/null 2>&1; then
     echo "check_docs: doxygen not found on PATH; skipping API-doc pass" >&2

@@ -16,18 +16,6 @@ CacheHierarchy::CacheHierarchy(const HierarchyParams &params)
 }
 
 void
-CacheHierarchy::setL2(std::unique_ptr<BaseCache> l2)
-{
-    bsim_assert(l2 != nullptr);
-    l2_ = std::move(l2);
-    l2_->setNextLevel(mem_.get());
-    if (l1i_)
-        l1i_->setNextLevel(l2_.get());
-    if (l1d_)
-        l1d_->setNextLevel(l2_.get());
-}
-
-void
 CacheHierarchy::setL1I(std::unique_ptr<BaseCache> l1i)
 {
     bsim_assert(l1i != nullptr);

@@ -46,13 +46,6 @@ class CacheHierarchy
     /** Adopt an L1 data cache and wire it to the L2. */
     void setL1D(std::unique_ptr<BaseCache> l1d);
 
-    /**
-     * Replace the default set-associative L2 with a custom organisation
-     * (e.g. a B-Cache L2 for the ext_l2_bcache study). The new L2 is
-     * wired to main memory, and any already-adopted L1s are re-wired.
-     */
-    void setL2(std::unique_ptr<BaseCache> l2);
-
     BaseCache &l1i() { return *l1i_; }
     BaseCache &l1d() { return *l1d_; }
     const BaseCache &l1i() const { return *l1i_; }

@@ -243,38 +243,6 @@ InterleaveStream::reset()
     rng_ = Rng(seed_);
 }
 
-// ------------------------------------------------------- PhasedStream
-
-PhasedStream::PhasedStream(std::vector<AccessStreamPtr> children,
-                           std::vector<std::uint64_t> phase_lengths)
-    : children_(std::move(children)), lengths_(std::move(phase_lengths))
-{
-    bsim_assert(!children_.empty() &&
-                children_.size() == lengths_.size());
-    for (auto l : lengths_)
-        bsim_assert(l > 0);
-}
-
-MemAccess
-PhasedStream::next()
-{
-    if (inPhase_ >= lengths_[phase_]) {
-        inPhase_ = 0;
-        phase_ = (phase_ + 1) % children_.size();
-    }
-    ++inPhase_;
-    return children_[phase_]->next();
-}
-
-void
-PhasedStream::reset()
-{
-    for (auto &c : children_)
-        c->reset();
-    phase_ = 0;
-    inPhase_ = 0;
-}
-
 // ----------------------------------------------------- WriteMixStream
 
 WriteMixStream::WriteMixStream(AccessStreamPtr child,

@@ -11,8 +11,8 @@
  *  - ZipfStream: hot/cold block popularity (integer codes)
  *  - PointerChaseStream: dependent random walk (mcf-like)
  *  - StackStream: call-stack push/pop locality
- * plus combinators (InterleaveStream, PhasedStream) and a WriteMix wrapper
- * that converts a fraction of reads into writes.
+ * plus a combinator (InterleaveStream) and a WriteMix wrapper that
+ * converts a fraction of reads into writes.
  */
 
 #ifndef BSIM_WORKLOAD_GENERATORS_HH
@@ -176,24 +176,6 @@ class InterleaveStream : public AccessStream
     std::vector<double> cdf_;
     std::uint64_t seed_;
     Rng rng_;
-};
-
-/** Runs each child for its phase length, then cycles. */
-class PhasedStream : public AccessStream
-{
-  public:
-    PhasedStream(std::vector<AccessStreamPtr> children,
-                 std::vector<std::uint64_t> phase_lengths);
-
-    MemAccess next() override;
-    void reset() override;
-    std::string name() const override { return "phased"; }
-
-  private:
-    std::vector<AccessStreamPtr> children_;
-    std::vector<std::uint64_t> lengths_;
-    std::size_t phase_ = 0;
-    std::uint64_t inPhase_ = 0;
 };
 
 /** Converts a fraction of child reads into writes. */

@@ -26,9 +26,9 @@
  * but never fail: sanitizer and coverage instrumentation skew the two
  * paths differently.
  *
- * The measured batched rate of each leg is also appended to
- * BENCH_perf.json (see EXPERIMENTS.md "Perf trajectory") so every ctest
- * run extends the repo's perf record: configs
+ * With BSIM_BENCH_JSON set, the measured batched rate of each leg is
+ * also appended to that perf log (see EXPERIMENTS.md "Perf trajectory"):
+ * configs
  * "bcache-16k-mf8-bas8-gcc-inst/batched",
  * "sa8-16k-gcc-inst/batched" and "victim16-16k-gcc-inst/batched".
  */
@@ -162,8 +162,7 @@ timeLeg(const char *leg, const char *config, Cache &per_access,
     rec.jobs = 1;
     const std::string err = bench::appendPerfRecord(rec);
     if (!err.empty())
-        std::fprintf(stderr, "warning: BENCH_perf.json append failed: "
-                             "%s\n",
+        std::fprintf(stderr, "warning: perf log append failed: %s\n",
                      err.c_str());
     return ratio;
 }

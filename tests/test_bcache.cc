@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <type_traits>
+
 #include "bcache/bcache.hh"
 #include "mem/main_memory.hh"
 #include "expect_fatal.hh"
@@ -206,14 +208,21 @@ TEST(BCache, ResetRestoresColdState)
     EXPECT_FALSE(c.contains(toy(0).addr));
 }
 
-/** Layout arithmetic invariants across the whole design space. */
+/**
+ * Layout arithmetic invariants across the whole design space. gtest names
+ * each instance by the bytes of its parameter, so the struct carries no
+ * padding: indeterminate padding bytes would change the test IDs from
+ * build to build. `unused` fills what would be the tail padding.
+ */
 struct LayoutCase
 {
     std::uint64_t size;
     std::uint32_t line;
     std::uint32_t mf;
     std::uint32_t bas;
+    std::uint32_t unused = 0;
 };
+static_assert(std::has_unique_object_representations_v<LayoutCase>);
 
 class BCacheLayoutSweep : public ::testing::TestWithParam<LayoutCase>
 {

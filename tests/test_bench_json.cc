@@ -10,12 +10,15 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
 
 #include "bench/bench_json.hh"
 #include "common/json.hh"
+#include "sim/sweep.hh"
 
 using namespace bsim;
 
@@ -188,11 +191,36 @@ TEST(BenchJson, ValidatorRejectsSchemaDrift)
 
 TEST(BenchJson, PathAndRevEnvOverrides)
 {
-    // Guaranteed fallbacks (no env set in the test environment — and if
-    // it is, the override must win, which is also correct).
-    const std::string path = bench::benchJsonPath();
-    EXPECT_FALSE(path.empty());
+    // The revision always has a fallback ("unknown" outside a checkout).
     EXPECT_FALSE(bench::currentGitRev().empty());
+}
+
+TEST(BenchJson, NoSinkWritesNothing)
+{
+    // With BSIM_BENCH_JSON unset a run records nothing: no BENCH_perf.json
+    // (nor its temp file) appears in the working directory.
+    const char *prev = std::getenv("BSIM_BENCH_JSON");
+    const std::string saved = prev ? prev : "";
+    ::unsetenv("BSIM_BENCH_JSON");
+    std::string dir = testing::TempDir() + "bench_json_nosinkXXXXXX";
+    ASSERT_NE(::mkdtemp(dir.data()), nullptr);
+    const std::filesystem::path cwd = std::filesystem::current_path();
+    std::filesystem::current_path(dir);
+
+    EXPECT_EQ(bench::benchJsonPath(), "");
+    SweepSummary summary;
+    summary.jobs = 1;
+    summary.threads = 1;
+    summary.events = 1000;
+    summary.wallSeconds = 0.5;
+    bench::reportSweepPerf("unit", "no-sink", summary);
+    EXPECT_EQ(bench::appendPerfRecord(bench::PerfRecord{}), "");
+
+    std::filesystem::current_path(cwd);
+    if (prev)
+        ::setenv("BSIM_BENCH_JSON", saved.c_str(), 1);
+    EXPECT_TRUE(std::filesystem::is_empty(dir)) << dir;
+    std::filesystem::remove_all(dir);
 }
 
 } // namespace

@@ -141,20 +141,6 @@ TEST(Interleave, ResetReproducesSequence)
         EXPECT_EQ(s.next().addr, first[i]);
 }
 
-TEST(Phased, CyclesThroughPhases)
-{
-    std::vector<AccessStreamPtr> kids;
-    kids.push_back(std::make_unique<SequentialStream>(0x0, 64, 8));
-    kids.push_back(std::make_unique<SequentialStream>(0x100000, 64, 8));
-    PhasedStream s(std::move(kids), {3, 2});
-    EXPECT_LT(s.next().addr, 0x100000u);
-    EXPECT_LT(s.next().addr, 0x100000u);
-    EXPECT_LT(s.next().addr, 0x100000u);
-    EXPECT_GE(s.next().addr, 0x100000u);
-    EXPECT_GE(s.next().addr, 0x100000u);
-    EXPECT_LT(s.next().addr, 0x100000u); // back to phase 0
-}
-
 TEST(WriteMix, ConvertsRequestedFraction)
 {
     auto seq = std::make_unique<SequentialStream>(0, 4096, 8);

@@ -4,7 +4,6 @@
 
 #include "bcache/bcache.hh"
 #include "cache/hierarchy.hh"
-#include "cache/set_assoc_cache.hh"
 #include "sim/config.hh"
 
 namespace bsim {
@@ -100,37 +99,6 @@ TEST(Hierarchy, ResetClearsAllLevels)
     EXPECT_EQ(h.l2().stats().accesses, 0u);
     EXPECT_EQ(h.memory().totalAccesses(), 0u);
     EXPECT_EQ(h.load(0x1000).latency, 107u); // cold again
-}
-
-TEST(Hierarchy, CustomL2IsWiredToMemoryAndL1s)
-{
-    CacheHierarchy h = makeDmHierarchy();
-    // Replace the default 4-way L2 with a B-Cache L2 after the L1s are
-    // already in place: both must be rewired.
-    BCacheParams p;
-    p.sizeBytes = 256 * 1024;
-    p.lineBytes = 128;
-    p.mf = 8;
-    p.bas = 8;
-    h.setL2(std::make_unique<BCache>("L2", p, 6, &h.memory()));
-
-    EXPECT_EQ(h.load(0x1000).latency, 107u); // 1 + 6 + 100
-    EXPECT_EQ(h.load(0x1000).latency, 1u);
-    // Evict from L1; the custom L2 serves the re-access.
-    h.load(0x1000 + 16 * 1024);
-    EXPECT_EQ(h.load(0x1000).latency, 7u);
-    EXPECT_NE(dynamic_cast<BCache *>(&h.l2()), nullptr);
-}
-
-TEST(Hierarchy, CustomL2BeforeL1sAlsoWires)
-{
-    CacheHierarchy h;
-    h.setL2(std::make_unique<SetAssocCache>(
-        "L2", CacheGeometry(128 * 1024, 128, 2), 6, &h.memory()));
-    h.setL1I(CacheConfig::directMapped(16 * 1024).build("L1I"));
-    h.setL1D(CacheConfig::directMapped(16 * 1024).build("L1D"));
-    EXPECT_EQ(h.fetch(0x400000).latency, 107u);
-    EXPECT_EQ(h.l2().geometry().sizeBytes(), 128u * 1024);
 }
 
 TEST(Hierarchy, MemoryAccessCounts)

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <list>
+#include <type_traits>
 #include <unordered_map>
 #include <vector>
 
@@ -87,6 +88,9 @@ struct OracleCase
     std::uint32_t ways;
     unsigned addrBits;
 };
+// gtest names each instance by the bytes of its parameter: no padding, so
+// the test IDs are the same in every build.
+static_assert(std::has_unique_object_representations_v<OracleCase>);
 
 class OracleDifferential : public ::testing::TestWithParam<OracleCase>
 {
