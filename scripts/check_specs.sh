@@ -5,19 +5,24 @@
 #   scripts/check_specs.sh [path/to/bsim]
 #
 # Keeps the three faces of the spec grammar in sync:
-#  1. The registry source of truth: the BSIM_REGISTER_CACHE_SPEC
-#     entries in src/sim/cache_spec.cc (ten kinds).
+#  1. The registry source of truth: the `{.name = "...",` entries of
+#     the cacheSpecEntries() table in src/sim/cache_spec.cc (ten kinds).
 #  2. `bsim --list-caches` (when the driver binary is passed or found
 #     in build/bench/): every registered kind must appear with its
 #     synopsis, so the CLI help cannot drift from the registry.
 #  3. The grammar table in docs/ARCHITECTURE.md: every kind must have a
 #     row, so the documentation cannot drift either.
 #
-# Also enforces the declarative-DUT contract on the harnesses: no
-# bench/ or examples/ file may construct a cache variant directly —
-# neither `make_unique<...Cache>` nor the CacheConfig:: factory helpers;
-# everything goes through parseCacheSpec() (sim/cache_spec.hh). And it
-# keeps per-variant behaviour in the registry entries: no
+# Also enforces one way to name a cache (pass 4): no bench/ or
+# examples/ file constructs a cache variant directly with
+# `make_unique<...Cache>`; the retired CacheConfig:: factory helpers
+# appear nowhere in src/, tests/, bench/ or examples/, so
+# parseCacheSpec() (sim/cache_spec.hh) is the one CacheConfig
+# constructor; and the retired self-registering registry (its
+# singleton, registrar and macro, spelled with a bracket like passes
+# 7-8) appears nowhere in src/, tests/, bench/, examples/, docs/,
+# README.md or DESIGN.md. And it keeps per-variant behaviour in the
+# registry entries: no
 # `case CacheKind::` under src/, bench/ or examples/, and no
 # `dynamic_cast<` under src/sim/ except harvestObserver()'s.
 #
@@ -117,7 +122,7 @@ for k in $kinds; do
     fi
 done
 
-# ---- pass 4: no direct variant construction in the harnesses ----
+# ---- pass 4: one way to name a cache ----
 if matches=$(grep -rn "make_unique<[A-Za-z]*Cache" bench/ examples/); then
     echo "check_specs: direct cache construction in the harnesses" \
          "(use parseCacheSpec):" >&2
@@ -126,9 +131,19 @@ if matches=$(grep -rn "make_unique<[A-Za-z]*Cache" bench/ examples/); then
 fi
 if matches=$(grep -rn \
         "CacheConfig::\(directMapped\|setAssoc\|victim\|bcache\|columnAssoc\|skewed\|hac\|xorDm\|partialMatch\|wayHalting\)(" \
-        bench/ examples/); then
-    echo "check_specs: CacheConfig factory calls in the harnesses" \
+        src/ tests/ bench/ examples/); then
+    echo "check_specs: a retired CacheConfig factory helper is back" \
          "(use parseCacheSpec):" >&2
+    echo "$matches" >&2
+    fail=1
+fi
+if matches=$(grep -rn --exclude-dir=api \
+        "Cache[F]actory\|CacheSpec[R]egistrar\|BSIM_REGISTER_CACHE_[S]PEC" \
+        src/ tests/ bench/ examples/ docs/ README.md DESIGN.md); then
+    echo "check_specs: the retired self-registering registry is back" \
+         "(add an entry to the cacheSpecEntries() table in" \
+         "src/sim/cache_spec.cc; look entries up with findCacheSpecEntry" \
+         "or cacheSpecEntryFor):" >&2
     echo "$matches" >&2
     fail=1
 fi
@@ -309,7 +324,7 @@ if [ "$fail" -ne 0 ]; then
     exit 1
 fi
 echo "check_specs: OK ($n_kinds kinds; registry, --list-caches and" \
-     "ARCHITECTURE.md grammar table in sync; harnesses declarative;" \
+     "ARCHITECTURE.md grammar table in sync; one way to name a cache;" \
      "no kind switches or casts outside the registry; one twin" \
      "driver in src/verify; one replacement type; one per-line" \
      "histogram; one error path; one verification campaign and one" \

@@ -19,8 +19,7 @@ evaluateAmat(const CacheConfig &config, double miss_rate,
              double slow_hit_fraction, const AmatParams &params)
 {
     AmatResult r;
-    r.accessTimeNs =
-        CacheFactory::instance().entryFor(config.kind)->accessTime(config);
+    r.accessTimeNs = cacheSpecEntryFor(config.kind).accessTime(config);
     r.clockNs = std::max(params.coreFloorNs, r.accessTimeNs);
     r.missRate = miss_rate;
     r.slowHitFraction = slow_hit_fraction;

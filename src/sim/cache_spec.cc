@@ -304,52 +304,6 @@ SpecParams::finish(const std::string &accepted) const
 }
 
 // ---------------------------------------------------------------------
-// Registry
-
-CacheFactory &
-CacheFactory::instance()
-{
-    static CacheFactory factory;
-    return factory;
-}
-
-void
-CacheFactory::registerEntry(CacheSpecEntry entry)
-{
-    bsim_assert(find(entry.name) == nullptr,
-                "duplicate cache-spec registration");
-    entries_.push_back(std::move(entry));
-}
-
-const CacheSpecEntry *
-CacheFactory::find(const std::string &name) const
-{
-    const std::string n = toLower(name);
-    for (const CacheSpecEntry &e : entries_) {
-        if (e.name == n)
-            return &e;
-        if (std::find(e.aliases.begin(), e.aliases.end(), n) !=
-            e.aliases.end())
-            return &e;
-    }
-    return nullptr;
-}
-
-const CacheSpecEntry *
-CacheFactory::entryFor(CacheKind kind) const
-{
-    for (const CacheSpecEntry &e : entries_)
-        if (e.kind == kind)
-            return &e;
-    return nullptr;
-}
-
-CacheSpecRegistrar::CacheSpecRegistrar(CacheSpecEntry entry)
-{
-    CacheFactory::instance().registerEntry(std::move(entry));
-}
-
-// ---------------------------------------------------------------------
 // Hooks shared by several variants
 
 namespace {
@@ -453,349 +407,394 @@ setAssocEnergy(const CacheConfig &c)
     return conventionalEnergy(c, c.ways);
 }
 
+/** A config of @p kind and @p size, every other field at its default. */
+CacheConfig
+configOf(CacheKind kind, std::uint64_t size)
+{
+    CacheConfig c;
+    c.kind = kind;
+    c.sizeBytes = size;
+    return c;
+}
+
+/** A count parameter that fills one of CacheConfig's 32-bit fields. */
+std::uint32_t
+count32(SpecParams &p, const std::string &key, std::uint32_t fallback)
+{
+    return static_cast<std::uint32_t>(p.count(key, fallback));
+}
+
+/** `<size>-dm` for the 1-way config, else `<N>way`. */
+std::string
+setAssocLabel(const CacheConfig &c)
+{
+    return c.ways == 1 ? sizeString(c.sizeBytes) + "-dm"
+                       : strprintf("%uway", c.ways);
+}
+
+/** The dm and sa parse hooks: the same fields, spelled two ways. */
+CacheConfig
+parseSetAssoc(const std::string &kind, std::uint64_t size, SpecParams &p,
+              std::uint32_t ways, const std::string &accepted)
+{
+    CacheConfig c = configOf(CacheKind::SetAssoc, size);
+    c.ways = ways;
+    c.lineBytes = count32(p, "line", 32);
+    applyCommon(c, p, true);
+    p.finish(accepted);
+    requireGeometry(kind, size, c.lineBytes, c.ways);
+    return c;
+}
+
 } // namespace
 
 // ---------------------------------------------------------------------
-// The ten built-in variants, one block each. Each parse hook funnels
-// through the same CacheConfig factory helper the harnesses use, so a
-// parsed config is field-for-field (and label-for-label) identical to a
-// hand-built one.
+// The registry: the ten variants, one entry each.
 
-BSIM_REGISTER_CACHE_SPEC(
-    regDm,
-    {.name = "dm",
-     .aliases = {"direct", "directmapped"},
-     .synopsis = "dm:<size>[,line=B]",
-     .help = "direct-mapped baseline (conventional decoder)",
-     .kind = CacheKind::SetAssoc,
-     .parse = [](std::uint64_t size, SpecParams &p) {
-         CacheConfig c = CacheConfig::directMapped(
-             size, static_cast<std::uint32_t>(p.count("line", 32)));
-         applyCommon(c, p, true);
-         p.finish("line=, repl=, wp=");
-         requireGeometry("dm", size, c.lineBytes, 1);
-         return c;
-     },
-     .printParams = setAssocTail,
-     .build = buildSetAssoc,
-     .accessTime = setAssocAccessTime,
-     .energy = setAssocEnergy})
+const std::vector<CacheSpecEntry> &
+cacheSpecEntries()
+{
+    static const std::vector<CacheSpecEntry> entries = {
+        {.name = "dm",
+         .aliases = {"direct", "directmapped"},
+         .synopsis = "dm:<size>[,line=B]",
+         .help = "direct-mapped baseline (conventional decoder)",
+         .kind = CacheKind::SetAssoc,
+         .parse = [](std::uint64_t size, SpecParams &p) {
+             return parseSetAssoc("dm", size, p, 1, "line=, repl=, wp=");
+         },
+         .label = setAssocLabel,
+         .printParams = setAssocTail,
+         .build = buildSetAssoc,
+         .accessTime = setAssocAccessTime,
+         .energy = setAssocEnergy},
+        {.name = "sa",
+         .aliases = {"setassoc"},
+         .synopsis = "sa:<size>,<N>w[,repl=R][,wp=wb|wt][,line=B]",
+         .help = "set-associative (LRU default; ways=1 prints as dm:)",
+         .kind = CacheKind::SetAssoc,
+         .parse = [](std::uint64_t size, SpecParams &p) {
+             return parseSetAssoc("sa", size, p, count32(p, "w", 1),
+                                  "Nw, repl=, wp=, line=");
+         },
+         .label = setAssocLabel,
+         .printParams = setAssocTail,
+         .build = buildSetAssoc,
+         .accessTime = setAssocAccessTime,
+         .energy = setAssocEnergy},
+        {.name = "victim",
+         .synopsis =
+             "victim:<size>[,<N>e][,line=B]   (also: dm:<size>+victim:<N>)",
+         .help = "direct-mapped + fully associative victim buffer",
+         .kind = CacheKind::Victim,
+         .parse = [](std::uint64_t size, SpecParams &p) {
+             CacheConfig c = configOf(CacheKind::Victim, size);
+             c.victimEntries = p.count("e", 16, kMaxVictimEntries);
+             c.lineBytes = count32(p, "line", 32);
+             p.finish("Ne, line=");
+             requireGeometry("victim", size, c.lineBytes, 1);
+             requireEntries(c.victimEntries);
+             return c;
+         },
+         .label = [](const CacheConfig &c) {
+             return strprintf("victim%zu", c.victimEntries);
+         },
+         .printParams = [](const CacheConfig &c) {
+             return "," + std::to_string(c.victimEntries) + "e" +
+                    lineTail(c);
+         },
+         .build = [](const CacheConfig &c, const std::string &name,
+                     Cycles lat, MemLevel *next) -> std::unique_ptr<BaseCache> {
+             return std::make_unique<VictimCache>(name, geometryOf(c, 1), lat,
+                                                  next, c.victimEntries);
+         },
+         .accessTime = dmAccessTime,
+         .energy = [](const CacheConfig &c) {
+             EnergyRates r = dmEnergy(c);
+             r.victimProbe = CactiLite::victimBufferProbeEnergy(
+                 c.victimEntries, c.lineBytes);
+             return r;
+         },
+         .side = [](const BaseCache &cache) -> SideCounters {
+             const auto &vc = static_cast<const VictimCache &>(cache);
+             return {{"victimHits", vc.victimHits()},
+                     {"victimProbes", vc.victimProbes()}};
+         }},
+        {.name = "bcache",
+         .aliases = {"bc"},
+         .synopsis =
+             "bcache:<size>[,mf=N][,bas=N][,repl=R][,wp=wb|wt][,line=B]",
+         .help = "the paper's B-Cache (programmable decoder, MF/BAS)",
+         .kind = CacheKind::BCache,
+         .parse = [](std::uint64_t size, SpecParams &p) {
+             CacheConfig c = configOf(CacheKind::BCache, size);
+             c.mf = count32(p, "mf", 8);
+             c.bas = count32(p, "bas", 8);
+             c.lineBytes = count32(p, "line", 32);
+             applyCommon(c, p, true);
+             p.finish("mf=, bas=, repl=, wp=, line=");
+             const std::uint64_t sets =
+                 requireGeometry("bcache", size, c.lineBytes, 1);
+             require(isPowerOfTwo(c.mf), "bcache",
+                     "mf=" + std::to_string(c.mf) + " is not a power of two");
+             require(isPowerOfTwo(c.bas), "bcache",
+                     "bas=" + std::to_string(c.bas) +
+                         " is not a power of two");
+             require(c.bas <= sets, "bcache",
+                     "bas=" + std::to_string(c.bas) +
+                         " exceeds the number of sets (" +
+                         std::to_string(sets) + ")");
+             return c;
+         },
+         .label = [](const CacheConfig &c) {
+             return strprintf("MF%u-BAS%u", c.mf, c.bas);
+         },
+         .printParams = [](const CacheConfig &c) {
+             return ",mf=" + std::to_string(c.mf) +
+                    ",bas=" + std::to_string(c.bas) + commonTail(c, true);
+         },
+         .build = [](const CacheConfig &c, const std::string &name,
+                     Cycles lat, MemLevel *next) -> std::unique_ptr<BaseCache> {
+             return std::make_unique<BCache>(name, c.bcacheParams(), lat,
+                                             next);
+         },
+         .accessTime = dmAccessTime,
+         .energy = [](const CacheConfig &c) {
+             const CacheEnergyBreakdown e = CactiLite::bcache(c.bcacheParams());
+             EnergyRates r = l1Energy(e.total());
+             // A PD-predicted miss skips the SRAM array reads; only the
+             // CAM search and decode energy is spent.
+             r.pdMissRefund = e.tagSense + e.tagBitWordline + e.dataSense +
+                              e.dataBitWordline + e.dataOther;
+             return r;
+         },
+         .side = [](const BaseCache &cache) -> SideCounters {
+             const PdStats &pd = static_cast<const BCache &>(cache).pdStats();
+             return {{"pdHitCacheMiss", pd.pdHitCacheMiss},
+                     {"pdMiss", pd.pdMiss}};
+         }},
+        {.name = "column",
+         .aliases = {"ca"},
+         .synopsis = "column:<size>[,line=B]",
+         .help = "column-associative DM (rehash second location)",
+         .kind = CacheKind::ColumnAssoc,
+         .parse = [](std::uint64_t size, SpecParams &p) {
+             CacheConfig c = configOf(CacheKind::ColumnAssoc, size);
+             c.lineBytes = count32(p, "line", 32);
+             p.finish("line=");
+             require(requireGeometry("column", size, c.lineBytes, 1) >= 2,
+                     "column", "the rehash needs at least two sets");
+             return c;
+         },
+         .label = [](const CacheConfig &) { return std::string("column"); },
+         .printParams = lineTail,
+         .build = buildPlain<ColumnAssocCache, 1>,
+         .accessTime = dmAccessTime,
+         .energy = dmEnergy,
+         .side = [](const BaseCache &cache) -> SideCounters {
+             const auto &ca = static_cast<const ColumnAssocCache &>(cache);
+             return {{"firstHits", ca.firstHits()},
+                     {"rehashHits", ca.rehashHits()}};
+         }},
+        {.name = "skew",
+         .aliases = {"skewed"},
+         .synopsis = "skew:<size>[,line=B]",
+         .help = "two-way skewed-associative (per-bank hash)",
+         .kind = CacheKind::Skewed,
+         .parse = [](std::uint64_t size, SpecParams &p) {
+             CacheConfig c = configOf(CacheKind::Skewed, size);
+             c.ways = 2;
+             c.lineBytes = count32(p, "line", 32);
+             p.finish("line=");
+             requireGeometry("skew", size, c.lineBytes, 2);
+             return c;
+         },
+         .label = [](const CacheConfig &) { return std::string("skewed2"); },
+         .printParams = lineTail,
+         .build = buildPlain<SkewedAssocCache, 2>,
+         .accessTime = setAssocAccessTime,
+         .energy = setAssocEnergy},
+        {.name = "hac",
+         .synopsis = "hac:<size>[,sub=S][,repl=R][,line=B]",
+         .help = "highly associative CAM-tag cache (per-subarray FA)",
+         .kind = CacheKind::Hac,
+         .parse = [](std::uint64_t size, SpecParams &p) {
+             CacheConfig c = configOf(CacheKind::Hac, size);
+             c.hacSubarrayBytes = p.size("sub", 1024);
+             c.lineBytes = count32(p, "line", 32);
+             applyCommon(c, p, false);
+             p.finish("sub=, repl=, line=");
+             // One subarray is one fully associative set of sub/line ways.
+             requireGeometry("hac", size, c.lineBytes, 1);
+             require(isPowerOfTwo(c.hacSubarrayBytes) &&
+                         c.hacSubarrayBytes >= c.lineBytes,
+                     "hac",
+                     "sub=" + std::to_string(c.hacSubarrayBytes) +
+                         " is not a power-of-two number of lines");
+             requireGeometry("hac", size, c.lineBytes,
+                             c.hacSubarrayBytes / c.lineBytes);
+             return c;
+         },
+         // Named by its associativity, the lines of one subarray.
+         .label = [](const CacheConfig &c) {
+             return "hac" + std::to_string(c.hacSubarrayBytes / c.lineBytes);
+         },
+         .printParams = [](const CacheConfig &c) {
+             std::string out;
+             if (c.hacSubarrayBytes != 1024)
+                 out += ",sub=" + sizeString(c.hacSubarrayBytes);
+             return out + commonTail(c, false);
+         },
+         .build = [](const CacheConfig &c, const std::string &name,
+                     Cycles lat, MemLevel *next) -> std::unique_ptr<BaseCache> {
+             return std::make_unique<HacCache>(name, c.sizeBytes, c.lineBytes,
+                                               c.hacSubarrayBytes, lat, next,
+                                               c.repl);
+         },
+         .accessTime = [](const CacheConfig &c) {
+             // Serial subarray decode + wide CAM search (Section 6.7).
+             return dmAccessTime(c) +
+                    camSearchDelay(kCamTagBits,
+                                   c.hacSubarrayBytes / c.lineBytes);
+         },
+         .energy = [](const CacheConfig &c) {
+             // CAM tag search replaces the tag read; approximate with the
+             // conventional organisation plus a full-tag CAM search.
+             const auto ways = static_cast<std::uint32_t>(
+                 c.hacSubarrayBytes / c.lineBytes);
+             CacheEnergyBreakdown e = CactiLite::conventional(orgOf(c, ways));
+             e.camSearch = CactiLite::camSearchEnergy(kCamTagBits, ways);
+             return l1Energy(e.total());
+         }},
+        {.name = "xor",
+         .aliases = {"xordm"},
+         .synopsis = "xor:<size>[,line=B]",
+         .help = "XOR-mapped direct-mapped (tag-xor index hash)",
+         .kind = CacheKind::XorDm,
+         .parse = [](std::uint64_t size, SpecParams &p) {
+             CacheConfig c = configOf(CacheKind::XorDm, size);
+             c.lineBytes = count32(p, "line", 32);
+             p.finish("line=");
+             requireGeometry("xor", size, c.lineBytes, 1);
+             return c;
+         },
+         .label = [](const CacheConfig &) { return std::string("xor-dm"); },
+         .printParams = lineTail,
+         .build = buildPlain<XorIndexCache, 1>,
+         .accessTime = dmAccessTime,
+         .energy = dmEnergy},
+        {.name = "pad",
+         .aliases = {"partial", "pmatch"},
+         .synopsis = "pad:<size>[,<N>w][,bits=N][,repl=R][,line=B]",
+         .help = "partial-address-matching way predictor over an SA array",
+         .kind = CacheKind::PartialMatch,
+         .parse = [](std::uint64_t size, SpecParams &p) {
+             CacheConfig c = configOf(CacheKind::PartialMatch, size);
+             c.ways = count32(p, "w", 2);
+             c.partialBits = count32(p, "bits", 5);
+             c.lineBytes = count32(p, "line", 32);
+             applyCommon(c, p, false);
+             p.finish("Nw, bits=, repl=, line=");
+             requireGeometry("pad", size, c.lineBytes, c.ways);
+             require(c.ways >= 2, "pad",
+                     "way prediction needs at least 2 ways (2w)");
+             require(c.partialBits >= 1 && c.partialBits <= 29, "pad",
+                     "bits=" + std::to_string(c.partialBits) +
+                         " is outside 1..29");
+             return c;
+         },
+         .label = [](const CacheConfig &c) {
+             return strprintf("pad%u-%uway", c.partialBits, c.ways);
+         },
+         .printParams = [](const CacheConfig &c) {
+             return "," + std::to_string(c.ways) + "w,bits=" +
+                    std::to_string(c.partialBits) + commonTail(c, false);
+         },
+         .build = [](const CacheConfig &c, const std::string &name,
+                     Cycles lat, MemLevel *next) -> std::unique_ptr<BaseCache> {
+             return std::make_unique<PartialMatchCache>(
+                 name, geometryOf(c, c.ways), lat, next, c.partialBits,
+                 c.repl);
+         },
+         // The PAD comparison replaces the full-tag way select, so the
+         // first cycle runs near direct-mapped speed; mispredictions pay
+         // a second cycle (the slow-hit fraction).
+         .accessTime = dmAccessTime,
+         .energy = setAssocEnergy,
+         .side = [](const BaseCache &cache) -> SideCounters {
+             const auto &pm = static_cast<const PartialMatchCache &>(cache);
+             return {{"slowHits", pm.slowHits()},
+                     {"padAliases", pm.padAliases()}};
+         }},
+        {.name = "halt",
+         .synopsis = "halt:<size>[,<N>w][,bits=N][,repl=R][,line=B]",
+         .help = "way-halting SA array (halt-tag filter; hits and misses "
+                 "equal sa:, the saving shows only in its side counters)",
+         .kind = CacheKind::WayHalting,
+         .parse = [](std::uint64_t size, SpecParams &p) {
+             CacheConfig c = configOf(CacheKind::WayHalting, size);
+             c.ways = count32(p, "w", 4);
+             c.partialBits = count32(p, "bits", 4);
+             c.lineBytes = count32(p, "line", 32);
+             applyCommon(c, p, false);
+             p.finish("Nw, bits=, repl=, line=");
+             requireGeometry("halt", size, c.lineBytes, c.ways);
+             require(c.ways >= 2, "halt",
+                     "way halting needs at least 2 ways (2w)");
+             require(c.partialBits >= 1 && c.partialBits <= 29, "halt",
+                     "bits=" + std::to_string(c.partialBits) +
+                         " is outside 1..29");
+             return c;
+         },
+         .label = [](const CacheConfig &c) {
+             return strprintf("halt%u-%uway", c.partialBits, c.ways);
+         },
+         .printParams = [](const CacheConfig &c) {
+             std::string out = "," + std::to_string(c.ways) + "w";
+             if (c.partialBits != 4)
+                 out += ",bits=" + std::to_string(c.partialBits);
+             return out + commonTail(c, false);
+         },
+         .build = [](const CacheConfig &c, const std::string &name,
+                     Cycles lat, MemLevel *next) -> std::unique_ptr<BaseCache> {
+             return std::make_unique<WayHaltingCache>(
+                 name, geometryOf(c, c.ways), lat, next, c.partialBits,
+                 c.repl);
+         },
+         // Timing and energy are the plain SA array's: the model reports
+         // the halting saving only through the side counters below.
+         .accessTime = setAssocAccessTime,
+         .energy = setAssocEnergy,
+         .side = [](const BaseCache &cache) -> SideCounters {
+             const auto &wh = static_cast<const WayHaltingCache &>(cache);
+             return {{"haltedWays", wh.haltedWays()},
+                     {"activatedWays", wh.activatedWays()}};
+         }},
+    };
+    return entries;
+}
 
-BSIM_REGISTER_CACHE_SPEC(
-    regSa,
-    {.name = "sa",
-     .aliases = {"setassoc"},
-     .synopsis = "sa:<size>,<N>w[,repl=R][,wp=wb|wt][,line=B]",
-     .help = "set-associative (LRU default; ways=1 prints as dm:)",
-     .kind = CacheKind::SetAssoc,
-     .parse = [](std::uint64_t size, SpecParams &p) {
-         const auto ways = static_cast<std::uint32_t>(p.count("w", 1));
-         const auto line = static_cast<std::uint32_t>(p.count("line", 32));
-         CacheConfig c = ways == 1
-                             ? CacheConfig::directMapped(size, line)
-                             : CacheConfig::setAssoc(
-                                   size, ways, ReplPolicyKind::LRU, line);
-         applyCommon(c, p, true);
-         p.finish("Nw, repl=, wp=, line=");
-         requireGeometry("sa", size, line, ways);
-         return c;
-     },
-     .printParams = setAssocTail,
-     .build = buildSetAssoc,
-     .accessTime = setAssocAccessTime,
-     .energy = setAssocEnergy})
+const CacheSpecEntry *
+findCacheSpecEntry(const std::string &name)
+{
+    const std::string n = toLower(name);
+    for (const CacheSpecEntry &e : cacheSpecEntries())
+        if (e.name == n ||
+            std::find(e.aliases.begin(), e.aliases.end(), n) !=
+                e.aliases.end())
+            return &e;
+    return nullptr;
+}
 
-BSIM_REGISTER_CACHE_SPEC(
-    regVictim,
-    {.name = "victim",
-     .synopsis =
-         "victim:<size>[,<N>e][,line=B]   (also: dm:<size>+victim:<N>)",
-     .help = "direct-mapped + fully associative victim buffer",
-     .kind = CacheKind::Victim,
-     .parse = [](std::uint64_t size, SpecParams &p) {
-         CacheConfig c = CacheConfig::victim(
-             size, p.count("e", 16, kMaxVictimEntries),
-             static_cast<std::uint32_t>(p.count("line", 32)));
-         p.finish("Ne, line=");
-         requireGeometry("victim", size, c.lineBytes, 1);
-         requireEntries(c.victimEntries);
-         return c;
-     },
-     .printParams = [](const CacheConfig &c) {
-         std::string out = "," + std::to_string(c.victimEntries) + "e";
-         if (c.lineBytes != 32)
-             out += ",line=" + std::to_string(c.lineBytes);
-         return out;
-     },
-     .build = [](const CacheConfig &c, const std::string &name, Cycles lat,
-                 MemLevel *next) -> std::unique_ptr<BaseCache> {
-         return std::make_unique<VictimCache>(name, geometryOf(c, 1), lat,
-                                              next, c.victimEntries);
-     },
-     .accessTime = dmAccessTime,
-     .energy = [](const CacheConfig &c) {
-         EnergyRates r = dmEnergy(c);
-         r.victimProbe = CactiLite::victimBufferProbeEnergy(
-             c.victimEntries, c.lineBytes);
-         return r;
-     },
-     .side = [](const BaseCache &cache) -> SideCounters {
-         const auto &vc = static_cast<const VictimCache &>(cache);
-         return {{"victimHits", vc.victimHits()},
-                 {"victimProbes", vc.victimProbes()}};
-     }})
-
-BSIM_REGISTER_CACHE_SPEC(
-    regBCache,
-    {.name = "bcache",
-     .aliases = {"bc"},
-     .synopsis =
-         "bcache:<size>[,mf=N][,bas=N][,repl=R][,wp=wb|wt][,line=B]",
-     .help = "the paper's B-Cache (programmable decoder, MF/BAS)",
-     .kind = CacheKind::BCache,
-     .parse = [](std::uint64_t size, SpecParams &p) {
-         CacheConfig c = CacheConfig::bcache(
-             size, static_cast<std::uint32_t>(p.count("mf", 8)),
-             static_cast<std::uint32_t>(p.count("bas", 8)),
-             ReplPolicyKind::LRU,
-             static_cast<std::uint32_t>(p.count("line", 32)));
-         applyCommon(c, p, true);
-         p.finish("mf=, bas=, repl=, wp=, line=");
-         const std::uint64_t sets =
-             requireGeometry("bcache", size, c.lineBytes, 1);
-         require(isPowerOfTwo(c.mf), "bcache",
-                 "mf=" + std::to_string(c.mf) + " is not a power of two");
-         require(isPowerOfTwo(c.bas), "bcache",
-                 "bas=" + std::to_string(c.bas) +
-                     " is not a power of two");
-         require(c.bas <= sets, "bcache",
-                 "bas=" + std::to_string(c.bas) +
-                     " exceeds the number of sets (" +
-                     std::to_string(sets) + ")");
-         return c;
-     },
-     .printParams = [](const CacheConfig &c) {
-         return ",mf=" + std::to_string(c.mf) +
-                ",bas=" + std::to_string(c.bas) + commonTail(c, true);
-     },
-     .build = [](const CacheConfig &c, const std::string &name, Cycles lat,
-                 MemLevel *next) -> std::unique_ptr<BaseCache> {
-         return std::make_unique<BCache>(name, c.bcacheParams(), lat, next);
-     },
-     .accessTime = dmAccessTime,
-     .energy = [](const CacheConfig &c) {
-         const CacheEnergyBreakdown e = CactiLite::bcache(c.bcacheParams());
-         EnergyRates r = l1Energy(e.total());
-         // A PD-predicted miss skips the SRAM array reads; only the CAM
-         // search and decode energy is spent.
-         r.pdMissRefund = e.tagSense + e.tagBitWordline + e.dataSense +
-                          e.dataBitWordline + e.dataOther;
-         return r;
-     },
-     .side = [](const BaseCache &cache) -> SideCounters {
-         const PdStats &pd = static_cast<const BCache &>(cache).pdStats();
-         return {{"pdHitCacheMiss", pd.pdHitCacheMiss},
-                 {"pdMiss", pd.pdMiss}};
-     }})
-
-BSIM_REGISTER_CACHE_SPEC(
-    regColumn,
-    {.name = "column",
-     .aliases = {"ca"},
-     .synopsis = "column:<size>[,line=B]",
-     .help = "column-associative DM (rehash second location)",
-     .kind = CacheKind::ColumnAssoc,
-     .parse = [](std::uint64_t size, SpecParams &p) {
-         CacheConfig c = CacheConfig::columnAssoc(
-             size, static_cast<std::uint32_t>(p.count("line", 32)));
-         p.finish("line=");
-         require(requireGeometry("column", size, c.lineBytes, 1) >= 2,
-                 "column", "the rehash needs at least two sets");
-         return c;
-     },
-     .printParams = lineTail,
-     .build = buildPlain<ColumnAssocCache, 1>,
-     .accessTime = dmAccessTime,
-     .energy = dmEnergy,
-     .side = [](const BaseCache &cache) -> SideCounters {
-         const auto &ca = static_cast<const ColumnAssocCache &>(cache);
-         return {{"firstHits", ca.firstHits()},
-                 {"rehashHits", ca.rehashHits()}};
-     }})
-
-BSIM_REGISTER_CACHE_SPEC(
-    regSkew,
-    {.name = "skew",
-     .aliases = {"skewed"},
-     .synopsis = "skew:<size>[,line=B]",
-     .help = "two-way skewed-associative (per-bank hash)",
-     .kind = CacheKind::Skewed,
-     .parse = [](std::uint64_t size, SpecParams &p) {
-         CacheConfig c = CacheConfig::skewed(
-             size, static_cast<std::uint32_t>(p.count("line", 32)));
-         p.finish("line=");
-         requireGeometry("skew", size, c.lineBytes, 2);
-         return c;
-     },
-     .printParams = lineTail,
-     .build = buildPlain<SkewedAssocCache, 2>,
-     .accessTime = setAssocAccessTime,
-     .energy = setAssocEnergy})
-
-BSIM_REGISTER_CACHE_SPEC(
-    regHac,
-    {.name = "hac",
-     .synopsis = "hac:<size>[,sub=S][,repl=R][,line=B]",
-     .help = "highly associative CAM-tag cache (per-subarray FA)",
-     .kind = CacheKind::Hac,
-     .parse = [](std::uint64_t size, SpecParams &p) {
-         CacheConfig c = CacheConfig::hac(
-             size, p.size("sub", 1024),
-             static_cast<std::uint32_t>(p.count("line", 32)));
-         applyCommon(c, p, false);
-         p.finish("sub=, repl=, line=");
-         // One subarray is one fully associative set of sub/line ways.
-         requireGeometry("hac", size, c.lineBytes, 1);
-         require(isPowerOfTwo(c.hacSubarrayBytes) &&
-                     c.hacSubarrayBytes >= c.lineBytes,
-                 "hac",
-                 "sub=" + std::to_string(c.hacSubarrayBytes) +
-                     " is not a power-of-two number of lines");
-         requireGeometry("hac", size, c.lineBytes,
-                         c.hacSubarrayBytes / c.lineBytes);
-         return c;
-     },
-     .printParams = [](const CacheConfig &c) {
-         std::string out;
-         if (c.hacSubarrayBytes != 1024)
-             out += ",sub=" + sizeString(c.hacSubarrayBytes);
-         return out + commonTail(c, false);
-     },
-     .build = [](const CacheConfig &c, const std::string &name, Cycles lat,
-                 MemLevel *next) -> std::unique_ptr<BaseCache> {
-         return std::make_unique<HacCache>(name, c.sizeBytes, c.lineBytes,
-                                           c.hacSubarrayBytes, lat, next,
-                                           c.repl);
-     },
-     .accessTime = [](const CacheConfig &c) {
-         // Serial subarray decode + wide CAM search (Section 6.7).
-         return dmAccessTime(c) +
-                camSearchDelay(kCamTagBits,
-                               c.hacSubarrayBytes / c.lineBytes);
-     },
-     .energy = [](const CacheConfig &c) {
-         // CAM tag search replaces the tag read; approximate with the
-         // conventional organisation plus a full-tag CAM search.
-         const auto ways =
-             static_cast<std::uint32_t>(c.hacSubarrayBytes / c.lineBytes);
-         CacheEnergyBreakdown e = CactiLite::conventional(orgOf(c, ways));
-         e.camSearch = CactiLite::camSearchEnergy(kCamTagBits, ways);
-         return l1Energy(e.total());
-     }})
-
-BSIM_REGISTER_CACHE_SPEC(
-    regXor,
-    {.name = "xor",
-     .aliases = {"xordm"},
-     .synopsis = "xor:<size>[,line=B]",
-     .help = "XOR-mapped direct-mapped (tag-xor index hash)",
-     .kind = CacheKind::XorDm,
-     .parse = [](std::uint64_t size, SpecParams &p) {
-         CacheConfig c = CacheConfig::xorDm(
-             size, static_cast<std::uint32_t>(p.count("line", 32)));
-         p.finish("line=");
-         requireGeometry("xor", size, c.lineBytes, 1);
-         return c;
-     },
-     .printParams = lineTail,
-     .build = buildPlain<XorIndexCache, 1>,
-     .accessTime = dmAccessTime,
-     .energy = dmEnergy})
-
-BSIM_REGISTER_CACHE_SPEC(
-    regPad,
-    {.name = "pad",
-     .aliases = {"partial", "pmatch"},
-     .synopsis = "pad:<size>[,<N>w][,bits=N][,repl=R][,line=B]",
-     .help = "partial-address-matching way predictor over an SA array",
-     .kind = CacheKind::PartialMatch,
-     .parse = [](std::uint64_t size, SpecParams &p) {
-         CacheConfig c = CacheConfig::partialMatch(
-             size, static_cast<std::uint32_t>(p.count("w", 2)),
-             static_cast<unsigned>(p.count("bits", 5)),
-             static_cast<std::uint32_t>(p.count("line", 32)));
-         applyCommon(c, p, false);
-         p.finish("Nw, bits=, repl=, line=");
-         requireGeometry("pad", size, c.lineBytes, c.ways);
-         require(c.ways >= 2, "pad",
-                 "way prediction needs at least 2 ways (2w)");
-         require(c.partialBits >= 1 && c.partialBits <= 29, "pad",
-                 "bits=" + std::to_string(c.partialBits) +
-                     " is outside 1..29");
-         return c;
-     },
-     .printParams = [](const CacheConfig &c) {
-         return "," + std::to_string(c.ways) + "w,bits=" +
-                std::to_string(c.partialBits) + commonTail(c, false);
-     },
-     .build = [](const CacheConfig &c, const std::string &name, Cycles lat,
-                 MemLevel *next) -> std::unique_ptr<BaseCache> {
-         return std::make_unique<PartialMatchCache>(
-             name, geometryOf(c, c.ways), lat, next, c.partialBits, c.repl);
-     },
-     // The PAD comparison replaces the full-tag way select, so the first
-     // cycle runs near direct-mapped speed; mispredictions pay a second
-     // cycle (the slow-hit fraction).
-     .accessTime = dmAccessTime,
-     .energy = setAssocEnergy,
-     .side = [](const BaseCache &cache) -> SideCounters {
-         const auto &pm = static_cast<const PartialMatchCache &>(cache);
-         return {{"slowHits", pm.slowHits()},
-                 {"padAliases", pm.padAliases()}};
-     }})
-
-BSIM_REGISTER_CACHE_SPEC(
-    regHalt,
-    {.name = "halt",
-     .synopsis = "halt:<size>[,<N>w][,bits=N][,repl=R][,line=B]",
-     .help = "way-halting SA array (halt-tag filter; hits and misses "
-             "equal sa:, the saving shows only in its side counters)",
-     .kind = CacheKind::WayHalting,
-     .parse = [](std::uint64_t size, SpecParams &p) {
-         CacheConfig c = CacheConfig::wayHalting(
-             size, static_cast<std::uint32_t>(p.count("w", 4)),
-             static_cast<unsigned>(p.count("bits", 4)),
-             static_cast<std::uint32_t>(p.count("line", 32)));
-         applyCommon(c, p, false);
-         p.finish("Nw, bits=, repl=, line=");
-         requireGeometry("halt", size, c.lineBytes, c.ways);
-         require(c.ways >= 2, "halt",
-                 "way halting needs at least 2 ways (2w)");
-         require(c.partialBits >= 1 && c.partialBits <= 29, "halt",
-                 "bits=" + std::to_string(c.partialBits) +
-                     " is outside 1..29");
-         return c;
-     },
-     .printParams = [](const CacheConfig &c) {
-         std::string out = "," + std::to_string(c.ways) + "w";
-         if (c.partialBits != 4)
-             out += ",bits=" + std::to_string(c.partialBits);
-         return out + commonTail(c, false);
-     },
-     .build = [](const CacheConfig &c, const std::string &name, Cycles lat,
-                 MemLevel *next) -> std::unique_ptr<BaseCache> {
-         return std::make_unique<WayHaltingCache>(
-             name, geometryOf(c, c.ways), lat, next, c.partialBits, c.repl);
-     },
-     // Timing and energy are the plain SA array's: the model reports the
-     // halting saving only through the side counters below.
-     .accessTime = setAssocAccessTime,
-     .energy = setAssocEnergy,
-     .side = [](const BaseCache &cache) -> SideCounters {
-         const auto &wh = static_cast<const WayHaltingCache &>(cache);
-         return {{"haltedWays", wh.haltedWays()},
-                 {"activatedWays", wh.activatedWays()}};
-     }})
+const CacheSpecEntry &
+cacheSpecEntryFor(CacheKind kind)
+{
+    const std::vector<CacheSpecEntry> &entries = cacheSpecEntries();
+    return *std::find_if(entries.begin(), entries.end(),
+                         [kind](const CacheSpecEntry &e) {
+                             return e.kind == kind;
+                         });
+}
 
 // ---------------------------------------------------------------------
 // Parse / print
@@ -812,11 +811,10 @@ parseOneSpec(const std::string &spec)
             "bad cache spec '" + spec +
             "': expected <kind>:<size>[,<params>] (try --list-caches)");
     const std::string kind = spec.substr(0, colon);
-    const CacheSpecEntry *entry = CacheFactory::instance().find(kind);
+    const CacheSpecEntry *entry = findCacheSpecEntry(kind);
     if (!entry) {
         std::vector<std::string> names;
-        for (const CacheSpecEntry &e :
-             CacheFactory::instance().entries())
+        for (const CacheSpecEntry &e : cacheSpecEntries())
             names.push_back(e.name);
         throw CacheSpecError("unknown cache kind '" + kind +
                              "' in '" + spec + "'; registered: " +
@@ -839,17 +837,20 @@ parseOneSpec(const std::string &spec)
 CacheConfig
 parseCacheSpec(const std::string &spec)
 {
+    CacheConfig c;
     // `+victim:<N>` composition: a DM L1 with a victim buffer IS the
     // Victim kind, so the composed spelling funnels into it.
     const std::size_t plus = spec.find('+');
-    if (plus != std::string::npos) {
+    if (plus == std::string::npos) {
+        c = parseOneSpec(spec);
+    } else {
         const std::string head = spec.substr(0, plus);
         const std::string tail = spec.substr(plus + 1);
         if (tail.rfind("victim:", 0) != 0)
             throw CacheSpecError(
                 "bad composition '" + spec +
                 "': only '+victim:<entries>' may follow a base spec");
-        CacheConfig base = parseOneSpec(head);
+        const CacheConfig base = parseOneSpec(head);
         if (base.kind != CacheKind::SetAssoc || base.ways != 1)
             throw CacheSpecError(
                 "bad composition '" + spec +
@@ -858,30 +859,31 @@ parseCacheSpec(const std::string &spec)
         const std::uint64_t entries = specCount(
             tail.substr(7), "victim entries", kMaxVictimEntries, tail);
         requireEntries(entries);
-        return CacheConfig::victim(base.sizeBytes, entries,
-                                   base.lineBytes);
+        c = configOf(CacheKind::Victim, base.sizeBytes);
+        c.lineBytes = base.lineBytes;
+        c.victimEntries = entries;
     }
-    return parseOneSpec(spec);
+    c.label = cacheSpecEntryFor(c.kind).label(c);
+    return c;
 }
 
 std::string
 printCacheSpec(const CacheConfig &config)
 {
-    const CacheFactory &f = CacheFactory::instance();
-    // SetAssoc registers twice; a 1-way config spells itself dm:.
-    const CacheSpecEntry *entry =
+    // SetAssoc has two entries; a 1-way config spells itself dm:.
+    const CacheSpecEntry &entry =
         config.kind == CacheKind::SetAssoc && config.ways > 1
-            ? f.find("sa")
-            : f.entryFor(config.kind);
-    return entry->name + ":" + sizeString(config.sizeBytes) +
-           entry->printParams(config);
+            ? *findCacheSpecEntry("sa")
+            : cacheSpecEntryFor(config.kind);
+    return entry.name + ":" + sizeString(config.sizeBytes) +
+           entry.printParams(config);
 }
 
 std::string
 listCacheSpecs()
 {
     std::string out = "registered cache specs (bsim --cache <spec>):\n";
-    for (const CacheSpecEntry &e : CacheFactory::instance().entries()) {
+    for (const CacheSpecEntry &e : cacheSpecEntries()) {
         out += "  " + e.synopsis + "\n      " + e.help;
         if (!e.aliases.empty())
             out += " (aliases: " + join(e.aliases, ", ") + ")";
@@ -899,15 +901,14 @@ std::unique_ptr<BaseCache>
 CacheConfig::build(const std::string &name, Cycles hit_latency,
                    MemLevel *next) const
 {
-    return CacheFactory::instance().entryFor(kind)->build(
-        *this, name, hit_latency, next);
+    return cacheSpecEntryFor(kind).build(*this, name, hit_latency, next);
 }
 
 SideCounters
 CacheConfig::sideCounters(const BaseCache &cache) const
 {
-    const CacheSpecEntry *entry = CacheFactory::instance().entryFor(kind);
-    return entry->side ? entry->side(cache) : SideCounters{};
+    const CacheSpecEntry &entry = cacheSpecEntryFor(kind);
+    return entry.side ? entry.side(cache) : SideCounters{};
 }
 
 std::optional<std::uint64_t>
@@ -931,140 +932,6 @@ CacheConfig::bcacheParams() const
     p.repl = repl;
     p.writePolicy = writePolicy;
     return p;
-}
-
-// ---------------------------------------------------------------------
-// Factory helpers (labels are part of the harness output contract —
-// pinned by tests/test_sim_config.cc)
-
-CacheConfig
-CacheConfig::directMapped(std::uint64_t size, std::uint32_t line)
-{
-    CacheConfig c;
-    c.kind = CacheKind::SetAssoc;
-    c.sizeBytes = size;
-    c.lineBytes = line;
-    c.ways = 1;
-    c.label = sizeString(size) + "-dm";
-    return c;
-}
-
-CacheConfig
-CacheConfig::setAssoc(std::uint64_t size, std::uint32_t ways,
-                      ReplPolicyKind repl, std::uint32_t line)
-{
-    CacheConfig c;
-    c.kind = CacheKind::SetAssoc;
-    c.sizeBytes = size;
-    c.lineBytes = line;
-    c.ways = ways;
-    c.repl = repl;
-    c.label = strprintf("%uway", ways);
-    return c;
-}
-
-CacheConfig
-CacheConfig::victim(std::uint64_t size, std::size_t entries,
-                    std::uint32_t line)
-{
-    CacheConfig c;
-    c.kind = CacheKind::Victim;
-    c.sizeBytes = size;
-    c.lineBytes = line;
-    c.victimEntries = entries;
-    c.label = strprintf("victim%zu", entries);
-    return c;
-}
-
-CacheConfig
-CacheConfig::bcache(std::uint64_t size, std::uint32_t mf,
-                    std::uint32_t bas, ReplPolicyKind repl,
-                    std::uint32_t line)
-{
-    CacheConfig c;
-    c.kind = CacheKind::BCache;
-    c.sizeBytes = size;
-    c.lineBytes = line;
-    c.mf = mf;
-    c.bas = bas;
-    c.repl = repl;
-    c.label = strprintf("MF%u-BAS%u", mf, bas);
-    return c;
-}
-
-CacheConfig
-CacheConfig::columnAssoc(std::uint64_t size, std::uint32_t line)
-{
-    CacheConfig c;
-    c.kind = CacheKind::ColumnAssoc;
-    c.sizeBytes = size;
-    c.lineBytes = line;
-    c.label = "column";
-    return c;
-}
-
-CacheConfig
-CacheConfig::skewed(std::uint64_t size, std::uint32_t line)
-{
-    CacheConfig c;
-    c.kind = CacheKind::Skewed;
-    c.sizeBytes = size;
-    c.lineBytes = line;
-    c.ways = 2;
-    c.label = "skewed2";
-    return c;
-}
-
-CacheConfig
-CacheConfig::hac(std::uint64_t size, std::uint64_t subarray,
-                 std::uint32_t line)
-{
-    CacheConfig c;
-    c.kind = CacheKind::Hac;
-    c.sizeBytes = size;
-    c.lineBytes = line;
-    c.hacSubarrayBytes = subarray;
-    c.label = "hac32";
-    return c;
-}
-
-CacheConfig
-CacheConfig::xorDm(std::uint64_t size, std::uint32_t line)
-{
-    CacheConfig c;
-    c.kind = CacheKind::XorDm;
-    c.sizeBytes = size;
-    c.lineBytes = line;
-    c.label = "xor-dm";
-    return c;
-}
-
-CacheConfig
-CacheConfig::partialMatch(std::uint64_t size, std::uint32_t ways,
-                          unsigned partial_bits, std::uint32_t line)
-{
-    CacheConfig c;
-    c.kind = CacheKind::PartialMatch;
-    c.sizeBytes = size;
-    c.lineBytes = line;
-    c.ways = ways;
-    c.partialBits = partial_bits;
-    c.label = strprintf("pad%u-%uway", partial_bits, ways);
-    return c;
-}
-
-CacheConfig
-CacheConfig::wayHalting(std::uint64_t size, std::uint32_t ways,
-                        unsigned halt_bits, std::uint32_t line)
-{
-    CacheConfig c;
-    c.kind = CacheKind::WayHalting;
-    c.sizeBytes = size;
-    c.lineBytes = line;
-    c.ways = ways;
-    c.partialBits = halt_bits;
-    c.label = strprintf("halt%u-%uway", halt_bits, ways);
-    return c;
 }
 
 } // namespace bsim

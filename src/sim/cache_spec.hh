@@ -23,20 +23,21 @@
  *                  kMaxSpecBytes (powers of two not required by the
  *                  grammar; variants validate)
  *
- * Each variant is one BSIM_REGISTER_CACHE_SPEC block in cache_spec.cc
- * carrying everything that differs between organisations: its
- * parse/print hooks, synopsis and help text, and its build, access-time,
- * energy and side-counter hooks. `bsim --list-caches` enumerates the
- * registry; CacheConfig::build(), evaluateAmat() and energyRatesFor()
- * dispatch through it, so adding a variant is one registration,
- * not a scatter of switch statements.
+ * parseCacheSpec() is the one way to make a CacheConfig: it checks the
+ * spec, so every config it returns builds, and it derives the label
+ * from the config's fields.
+ *
+ * Each variant is one CacheSpecEntry in the constant registry table in
+ * cache_spec.cc, carrying everything that differs between
+ * organisations: its parse, label and print hooks, synopsis and help
+ * text, and its build, access-time, energy and side-counter hooks.
+ * `bsim --list-caches` enumerates the table; CacheConfig::build(),
+ * evaluateAmat() and energyRatesFor() dispatch through it, so adding a
+ * variant is one table entry, not a scatter of switch statements.
  *
  * Layering: the registry lives in sim/ because its hooks need every
  * concrete variant (cache/, bcache/, alt/) and the power/ and timing/
- * models, and bsim_sim is the library that links them all. The
- * registrars sit in the same translation unit as parseCacheSpec() and
- * CacheConfig::build(), so any binary that names a cache links every
- * variant.
+ * models, and bsim_sim is the library that links them all.
  */
 
 #ifndef BSIM_SIM_CACHE_SPEC_HH
@@ -147,35 +148,6 @@ struct CacheConfig
     /** B-Cache parameter block (kind must be BCache). */
     BCacheParams bcacheParams() const;
 
-    // ---- factory helpers ----
-    static CacheConfig directMapped(std::uint64_t size,
-                                    std::uint32_t line = 32);
-    static CacheConfig setAssoc(std::uint64_t size, std::uint32_t ways,
-                                ReplPolicyKind repl = ReplPolicyKind::LRU,
-                                std::uint32_t line = 32);
-    static CacheConfig victim(std::uint64_t size,
-                              std::size_t entries = 16,
-                              std::uint32_t line = 32);
-    static CacheConfig bcache(std::uint64_t size, std::uint32_t mf,
-                              std::uint32_t bas,
-                              ReplPolicyKind repl = ReplPolicyKind::LRU,
-                              std::uint32_t line = 32);
-    static CacheConfig columnAssoc(std::uint64_t size,
-                                   std::uint32_t line = 32);
-    static CacheConfig skewed(std::uint64_t size, std::uint32_t line = 32);
-    static CacheConfig hac(std::uint64_t size,
-                           std::uint64_t subarray = 1024,
-                           std::uint32_t line = 32);
-    static CacheConfig xorDm(std::uint64_t size, std::uint32_t line = 32);
-    static CacheConfig partialMatch(std::uint64_t size,
-                                    std::uint32_t ways = 2,
-                                    unsigned partial_bits = 5,
-                                    std::uint32_t line = 32);
-    static CacheConfig wayHalting(std::uint64_t size,
-                                  std::uint32_t ways = 4,
-                                  unsigned halt_bits = 4,
-                                  std::uint32_t line = 32);
-
     /** Field-wise equality (the round-trip contract compares with this). */
     bool operator==(const CacheConfig &) const = default;
 };
@@ -237,9 +209,9 @@ class SpecParams
 };
 
 /**
- * One registered cache organisation: everything that differs between
- * variants. The hooks after printParams take a config this entry
- * parsed (or a factory helper of its kind built).
+ * One cache organisation of the registry table: everything that differs
+ * between variants. The hooks after parse take a config this entry
+ * parsed.
  */
 struct CacheSpecEntry
 {
@@ -252,9 +224,14 @@ struct CacheSpecEntry
     /** One-line description for --list-caches. */
     std::string help;
     CacheKind kind;
-    /** Build a config from `<size>` and the remaining parameters. */
+    /**
+     * Set the config's fields from `<size>` and the remaining
+     * parameters; parseCacheSpec() then fills in the label.
+     */
     std::function<CacheConfig(std::uint64_t size, SpecParams &params)>
         parse;
+    /** The label results and tables show ("MF8-BAS8", "8way"). */
+    std::function<std::string(const CacheConfig &)> label;
     /** Canonical parameter tail ("" when size alone round-trips). */
     std::function<std::string(const CacheConfig &)> printParams;
     /** Instantiate the cache (CacheConfig::build). */
@@ -277,46 +254,17 @@ struct CacheSpecEntry
     std::function<SideCounters(const BaseCache &)> side = nullptr;
 };
 
+/** The registry: every variant's entry, in --list-caches order. */
+const std::vector<CacheSpecEntry> &cacheSpecEntries();
+
+/** Entry by name or alias (case-insensitive); null when unknown. */
+const CacheSpecEntry *findCacheSpecEntry(const std::string &name);
+
 /**
- * The self-registering spec registry: every variant's grammar entry,
- * keyed by kind token (plus aliases), in registration order.
+ * The entry whose hooks serve configs of @p kind (for SetAssoc, dm,
+ * which shares them with sa).
  */
-class CacheFactory
-{
-  public:
-    static CacheFactory &instance();
-
-    /** Register a variant (normally via BSIM_REGISTER_CACHE_SPEC). */
-    void registerEntry(CacheSpecEntry entry);
-
-    /** Entry by name or alias (case-insensitive); null when unknown. */
-    const CacheSpecEntry *find(const std::string &name) const;
-    /**
-     * The entry whose hooks serve configs of @p kind (for SetAssoc, the
-     * first of dm/sa, which share them); never null once built.
-     */
-    const CacheSpecEntry *entryFor(CacheKind kind) const;
-    /** All entries, registration order. */
-    const std::vector<CacheSpecEntry> &entries() const
-    {
-        return entries_;
-    }
-
-  private:
-    CacheFactory() = default;
-    std::vector<CacheSpecEntry> entries_;
-};
-
-/** Registrar: constructing one registers the entry (used at namespace
- * scope in cache_spec.cc so every variant lives next to the registry —
- * one TU, so no static-init-order or dead-stripping hazards). */
-struct CacheSpecRegistrar
-{
-    explicit CacheSpecRegistrar(CacheSpecEntry entry);
-};
-
-#define BSIM_REGISTER_CACHE_SPEC(ident, ...) \
-    static const ::bsim::CacheSpecRegistrar ident{__VA_ARGS__};
+const CacheSpecEntry &cacheSpecEntryFor(CacheKind kind);
 
 /**
  * Parse a spec string. Throws CacheSpecError with an actionable message
@@ -328,7 +276,7 @@ CacheConfig parseCacheSpec(const std::string &spec);
 
 /**
  * Canonical spec for @p config — parseCacheSpec(printCacheSpec(c)) == c
- * for every config the registry can produce (pinned per variant by
+ * for every config parseCacheSpec() returns (pinned per variant by
  * tests/test_cache_spec.cc).
  */
 std::string printCacheSpec(const CacheConfig &config);

@@ -11,12 +11,14 @@ namespace bsim {
 std::vector<CacheConfig>
 figure4Configs(std::uint64_t size_bytes)
 {
+    const std::string size = sizeString(size_bytes);
     std::vector<CacheConfig> v;
-    for (std::uint32_t w : {2u, 4u, 8u, 32u})
-        v.push_back(CacheConfig::setAssoc(size_bytes, w));
-    v.push_back(CacheConfig::victim(size_bytes, 16));
-    for (std::uint32_t mf : {2u, 4u, 8u, 16u})
-        v.push_back(CacheConfig::bcache(size_bytes, mf, 8));
+    for (unsigned w : {2u, 4u, 8u, 32u})
+        v.push_back(parseCacheSpec(strprintf("sa:%s,%uw", size.c_str(), w)));
+    v.push_back(parseCacheSpec("victim:" + size + ",16e"));
+    for (unsigned mf : {2u, 4u, 8u, 16u})
+        v.push_back(parseCacheSpec(
+            strprintf("bcache:%s,mf=%u,bas=8", size.c_str(), mf)));
     return v;
 }
 
@@ -62,13 +64,15 @@ consumeJobsFlag(int &argc, char **argv)
 std::vector<CacheConfig>
 figure12Configs(std::uint64_t size_bytes)
 {
+    const std::string size = sizeString(size_bytes);
     std::vector<CacheConfig> v;
-    for (std::uint32_t w : {2u, 4u, 8u})
-        v.push_back(CacheConfig::setAssoc(size_bytes, w));
-    v.push_back(CacheConfig::victim(size_bytes, 16));
-    for (std::uint32_t bas : {4u, 8u})
-        for (std::uint32_t mf : {2u, 4u, 8u, 16u})
-            v.push_back(CacheConfig::bcache(size_bytes, mf, bas));
+    for (unsigned w : {2u, 4u, 8u})
+        v.push_back(parseCacheSpec(strprintf("sa:%s,%uw", size.c_str(), w)));
+    v.push_back(parseCacheSpec("victim:" + size + ",16e"));
+    for (unsigned bas : {4u, 8u})
+        for (unsigned mf : {2u, 4u, 8u, 16u})
+            v.push_back(parseCacheSpec(strprintf(
+                "bcache:%s,mf=%u,bas=%u", size.c_str(), mf, bas)));
     return v;
 }
 

@@ -201,8 +201,7 @@ energyRatesFor(const CacheConfig &config, PicoJoules static_per_cycle)
     const PicoJoules base_l1 =
         CactiLite::conventional(base_org).total();
 
-    EnergyRates r =
-        CacheFactory::instance().entryFor(config.kind)->energy(config);
+    EnergyRates r = cacheSpecEntryFor(config.kind).energy(config);
 
     CacheOrg l2_org;
     l2_org.sizeBytes = kTable4Hierarchy.l2SizeBytes;

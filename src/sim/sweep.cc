@@ -67,7 +67,32 @@ replayOptions(const SweepJob &job)
     return opts;
 }
 
-/** Run one job on its own; every failure is captured in the outcome. */
+/**
+ * True when @p job runs on a shared source through runShared(): every
+ * trace job (its failures, a missing file or a bad config, are the same
+ * inside a unit), and every MissRate or Timed job that names a spec2k
+ * workload and a nonzero length. Custom and invalid jobs run alone
+ * through runOne().
+ */
+bool
+sharesSource(const SweepJob &job)
+{
+    switch (job.kind) {
+      case SweepJob::Kind::Trace:
+        return true;
+      case SweepJob::Kind::MissRate:
+      case SweepJob::Kind::Timed:
+        return isSpec2kName(job.workload) && job.length != 0;
+      case SweepJob::Kind::Custom:
+        return false;
+    }
+    return false;
+}
+
+/**
+ * Run a Custom job, or report why a MissRate or Timed job is invalid;
+ * every failure is captured in the outcome.
+ */
 SweepOutcome
 runOne(const SweepJob &job, std::size_t index, std::uint64_t seed)
 {
@@ -76,38 +101,18 @@ runOne(const SweepJob &job, std::size_t index, std::uint64_t seed)
     out.seed = seed;
     const auto start = Clock::now();
     try {
-        // Custom jobs carry their own workload in the callable and
-        // trace jobs theirs in the file; the spec2k name and length
-        // checks only apply to the built-in synthetic runners.
-        if (job.kind == SweepJob::Kind::MissRate ||
-            job.kind == SweepJob::Kind::Timed) {
-            if (!isSpec2kName(job.workload))
-                throw std::invalid_argument("unknown workload '" +
-                                            job.workload + "'");
-            if (job.length == 0)
-                throw std::invalid_argument("zero-length job for '" +
-                                            job.workload + "'");
-        }
-        switch (job.kind) {
-          case SweepJob::Kind::MissRate:
-            out.miss = runMissRate(job.workload, job.side, job.config,
-                                   job.length, out.seed);
-            break;
-          case SweepJob::Kind::Timed:
-            out.timed = runTimed(job.workload, job.config, job.length,
-                                 out.seed, job.hierarchy);
-            break;
-          case SweepJob::Kind::Custom:
+        if (job.kind == SweepJob::Kind::Custom) {
             if (!job.custom)
                 throw std::invalid_argument("custom job '" +
                                             job.workload +
                                             "' has no callable");
             out.customEvents = job.custom(out.seed);
-            break;
-          case SweepJob::Kind::Trace:
-            out.miss = runTraceReplay(job.tracePath, job.config,
-                                      job.shard, replayOptions(job));
-            break;
+        } else if (!isSpec2kName(job.workload)) {
+            throw std::invalid_argument("unknown workload '" +
+                                        job.workload + "'");
+        } else {
+            throw std::invalid_argument("zero-length job for '" +
+                                        job.workload + "'");
         }
     } catch (...) {
         out.error = errorOf(std::current_exception());
@@ -151,12 +156,12 @@ settle(std::vector<DutRunOf<Result>> &duts,
 }
 
 /**
- * Run the jobs @p members, which share one planUnits() key, off one
- * source: MissRate units through Session::runEach(), which feeds each
- * generated access batch to every member's cache; Trace units through
- * the same loop over one read of their trace window; and Timed units
- * through runTimedEach(), which steps every member's core over each
- * µop batch. Each result is bit-identical to the member's own serial
+ * Run the jobs @p members (one or more sharesSource() jobs with one
+ * planUnits() key) off one source: MissRate units through
+ * Session::runEach(), which feeds each generated access batch to every
+ * member's cache; Trace units through the same loop over one read of
+ * their trace window; and Timed units through runTimedEach(), which
+ * steps every member's core over each µop batch. Each result is bit-identical to the member's own serial
  * runner call; a member whose config fails fails alone.
  */
 void
@@ -261,11 +266,8 @@ planUnits(const std::vector<SweepJob> &jobs,
         const bool miss = j.kind == SweepJob::Kind::MissRate;
         const bool timed = j.kind == SweepJob::Kind::Timed;
         const bool trace = j.kind == SweepJob::Kind::Trace;
-        // Invalid jobs stay on their own so runOne reports them. A
-        // trace job's failures (a missing file, a bad config) are the
-        // same inside a unit, so only its kind decides.
-        if (!trace && (!(miss || timed) || !isSpec2kName(j.workload) ||
-                       j.length == 0)) {
+        // Custom and invalid jobs stay on their own for runOne.
+        if (!sharesSource(j)) {
             units.push_back({i});
             continue;
         }
@@ -462,11 +464,11 @@ runSweep(const std::vector<SweepJob> &jobs, const SweepOptions &options)
                 return;
             const std::vector<std::size_t> &members = units[u];
             const std::size_t first = members.front();
-            if (members.size() == 1)
+            if (sharesSource(jobs[first]))
+                runShared(jobs, members, seeds, run.outcomes);
+            else
                 run.outcomes[first] =
                     runOne(jobs[first], first, seeds[first]);
-            else
-                runShared(jobs, members, seeds, run.outcomes);
 
             std::lock_guard<std::mutex> lock(progress_mutex);
             for (const std::size_t i : members) {

@@ -59,7 +59,7 @@ struct SweepJob
 {
     /** Which runner executes the cell. */
     enum class Kind : std::uint8_t {
-        MissRate, ///< standalone cache via runMissRate()
+        MissRate, ///< cache over a generated stream via Session::runEach()
         Timed,    ///< OOO core + two-level hierarchy via runTimedEach()
         Custom,   ///< caller-supplied callable (e.g. a verify fuzz case)
         Trace,    ///< trace-window replay via Session::runEach()

@@ -87,7 +87,7 @@ main(int argc, char **argv)
     if (camp.oracle)
         kinds.push_back("bcache");
     else
-        for (const CacheSpecEntry &e : CacheFactory::instance().entries())
+        for (const CacheSpecEntry &e : cacheSpecEntries())
             kinds.push_back(e.name);
 
     std::vector<VerifyCase> specs(cases);

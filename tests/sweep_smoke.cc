@@ -19,10 +19,10 @@ main()
     std::vector<SweepJob> jobs;
     for (const auto &b : {"gcc", "equake", "twolf", "gzip"}) {
         jobs.push_back(SweepJob::missRate(
-            b, StreamSide::Data, CacheConfig::directMapped(16 * 1024),
+            b, StreamSide::Data, parseCacheSpec("dm:16kB"),
             n));
         jobs.push_back(SweepJob::missRate(
-            b, StreamSide::Data, CacheConfig::bcache(16 * 1024, 8, 8),
+            b, StreamSide::Data, parseCacheSpec("bcache:16kB,mf=8,bas=8"),
             n));
     }
 

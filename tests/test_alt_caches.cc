@@ -207,7 +207,7 @@ TEST(TagStoreSentinel, AllOnesAddressIsAnOrdinaryBlock)
     // space (and block 0) must behave like any other: absent when cold,
     // resident once written, written back exactly once when evicted.
     std::vector<std::string> specs;
-    for (const CacheSpecEntry &e : CacheFactory::instance().entries())
+    for (const CacheSpecEntry &e : cacheSpecEntries())
         specs.push_back(e.name + ":1kB,line=2");
     specs.push_back("sa:8,4w,line=2"); // one set: the tag is addr >> 1
     const Addr top = ~Addr{0};

@@ -39,18 +39,18 @@ TEST(AccessTime, PaperSection1Band)
 TEST(Amat, BCacheClockEqualsDirectMapped)
 {
     const AmatResult dm =
-        evaluateAmat(CacheConfig::directMapped(16 * 1024), 0.10);
+        evaluateAmat(parseCacheSpec("dm:16kB"), 0.10);
     const AmatResult bc =
-        evaluateAmat(CacheConfig::bcache(16 * 1024, 8, 8), 0.10);
+        evaluateAmat(parseCacheSpec("bcache:16kB,mf=8,bas=8"), 0.10);
     EXPECT_DOUBLE_EQ(dm.clockNs, bc.clockNs);
 }
 
 TEST(Amat, LowerMissRateLowersAmatAtSameClock)
 {
     const AmatResult hi =
-        evaluateAmat(CacheConfig::bcache(16 * 1024, 8, 8), 0.10);
+        evaluateAmat(parseCacheSpec("bcache:16kB,mf=8,bas=8"), 0.10);
     const AmatResult lo =
-        evaluateAmat(CacheConfig::bcache(16 * 1024, 8, 8), 0.05);
+        evaluateAmat(parseCacheSpec("bcache:16kB,mf=8,bas=8"), 0.05);
     EXPECT_LT(lo.amatNs, hi.amatNs);
 }
 
@@ -58,9 +58,9 @@ TEST(Amat, AssociativityTradeoffVisible)
 {
     // Same miss rate: the 8-way pays for its clock stretch.
     const AmatResult dm =
-        evaluateAmat(CacheConfig::directMapped(16 * 1024), 0.05);
+        evaluateAmat(parseCacheSpec("dm:16kB"), 0.05);
     const AmatResult w8 =
-        evaluateAmat(CacheConfig::setAssoc(16 * 1024, 8), 0.05);
+        evaluateAmat(parseCacheSpec("sa:16kB,8w"), 0.05);
     EXPECT_GT(w8.amatNs, dm.amatNs);
 }
 
@@ -68,18 +68,18 @@ TEST(Amat, BCacheBeatsEightWayWithComparableMissRate)
 {
     // The headline: a B-Cache near the 8-way miss rate wins on AMAT.
     const AmatResult w8 =
-        evaluateAmat(CacheConfig::setAssoc(16 * 1024, 8), 0.050);
+        evaluateAmat(parseCacheSpec("sa:16kB,8w"), 0.050);
     const AmatResult bc =
-        evaluateAmat(CacheConfig::bcache(16 * 1024, 8, 8), 0.055);
+        evaluateAmat(parseCacheSpec("bcache:16kB,mf=8,bas=8"), 0.055);
     EXPECT_LT(bc.amatNs, w8.amatNs);
 }
 
 TEST(Amat, SlowHitsCost)
 {
     const AmatResult plain =
-        evaluateAmat(CacheConfig::victim(16 * 1024, 16), 0.05, 0.0);
+        evaluateAmat(parseCacheSpec("victim:16kB,16e"), 0.05, 0.0);
     const AmatResult slow =
-        evaluateAmat(CacheConfig::victim(16 * 1024, 16), 0.05, 0.10);
+        evaluateAmat(parseCacheSpec("victim:16kB,16e"), 0.05, 0.10);
     EXPECT_GT(slow.amatNs, plain.amatNs);
 }
 
@@ -88,16 +88,16 @@ TEST(Amat, CoreFloorClamps)
     AmatParams params;
     params.coreFloorNs = 10.0;
     const AmatResult r = evaluateAmat(
-        CacheConfig::directMapped(16 * 1024), 0.05, 0.0, params);
+        parseCacheSpec("dm:16kB"), 0.05, 0.0, params);
     EXPECT_DOUBLE_EQ(r.clockNs, 10.0);
 }
 
 TEST(Amat, HacPaysSerialCamSearch)
 {
     const AmatResult hac =
-        evaluateAmat(CacheConfig::hac(16 * 1024, 1024), 0.05);
+        evaluateAmat(parseCacheSpec("hac:16kB"), 0.05);
     const AmatResult dm =
-        evaluateAmat(CacheConfig::directMapped(16 * 1024), 0.05);
+        evaluateAmat(parseCacheSpec("dm:16kB"), 0.05);
     EXPECT_GT(hac.accessTimeNs, dm.accessTimeNs);
 }
 

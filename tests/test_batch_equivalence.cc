@@ -303,7 +303,7 @@ TEST(BatchEquivalence, EveryRegisteredKindHasATwinSampler)
 {
     // A registry entry without a sampler would never be twin-checked by
     // the twin campaign; each sampled spec must also name its own kind.
-    for (const CacheSpecEntry &e : CacheFactory::instance().entries()) {
+    for (const CacheSpecEntry &e : cacheSpecEntries()) {
         for (std::uint64_t seed = 1; seed <= 8; ++seed) {
             VerifyCase c;
             ASSERT_NO_THROW(c = sampleCase(e.name, seed)) << e.name;

@@ -49,6 +49,9 @@ TEST(CacheSpec, GoldenRoundTripsEveryVariant)
         {"column:16kB", "column"},
         {"skew:16kB", "skewed2"},
         {"hac:16kB", "hac32"},
+        // The HAC label is its associativity, sub / line.
+        {"hac:16kB,sub=2kB", "hac64"},
+        {"hac:16kB,line=64", "hac16"},
         {"xor:16kB", "xor-dm"},
         {"pad:16kB,2w,bits=5", "pad5-2way"},
         {"halt:16kB,4w", "halt4-4way"},
@@ -61,19 +64,21 @@ TEST(CacheSpec, GoldenRoundTripsEveryVariant)
     }
 }
 
-TEST(CacheSpec, RegistryListsAllNineVariants)
+TEST(CacheSpec, RegistryListsAllTenVariants)
 {
-    const auto &entries = CacheFactory::instance().entries();
+    const auto &entries = cacheSpecEntries();
     EXPECT_EQ(entries.size(), 10u);
     const std::string listing = listCacheSpecs();
     for (const auto &e : entries) {
         EXPECT_NE(listing.find(e.name + ":"), std::string::npos)
             << e.name;
         EXPECT_NE(listing.find(e.synopsis), std::string::npos) << e.name;
-        // Aliases resolve to the same entry, case-insensitively.
+        // Aliases resolve to the same entry, case-insensitively. The
+        // lookup returns the first match, so a name or alias that two
+        // entries share fails here too.
         for (const auto &a : e.aliases)
-            EXPECT_EQ(CacheFactory::instance().find(a), &e) << a;
-        EXPECT_EQ(CacheFactory::instance().find(e.name), &e);
+            EXPECT_EQ(findCacheSpecEntry(a), &e) << a;
+        EXPECT_EQ(findCacheSpecEntry(e.name), &e);
     }
     EXPECT_NE(listing.find("+victim:"), std::string::npos)
         << "composition sugar undocumented";
@@ -164,7 +169,7 @@ TEST(CacheSpec, AccessTimeAndEnergyPinnedPerVariant)
         {"halt:16kB,4w", 0.9403999999999999, 0.9403999999999999,
          1.4058979999999999, 2061.9613873194844, 0, 0},
     };
-    ASSERT_EQ(std::size(pinned), CacheFactory::instance().entries().size());
+    ASSERT_EQ(std::size(pinned), cacheSpecEntries().size());
     for (const auto &p : pinned) {
         const CacheConfig c = parseCacheSpec(p.spec);
         const AmatResult a = evaluateAmat(c, 0.05, 0.1);

@@ -18,8 +18,8 @@ CacheHierarchy
 dmHierarchy()
 {
     CacheHierarchy h;
-    h.setL1I(CacheConfig::directMapped(16 * 1024).build("L1I"));
-    h.setL1D(CacheConfig::directMapped(16 * 1024).build("L1D"));
+    h.setL1I(parseCacheSpec("dm:16kB").build("L1I"));
+    h.setL1D(parseCacheSpec("dm:16kB").build("L1D"));
     return h;
 }
 
@@ -111,8 +111,8 @@ TEST(OooCore, SlowerMemoryLowersIpc)
     HierarchyParams slow;
     slow.memLatency = 400;
     CacheHierarchy hs(slow);
-    hs.setL1I(CacheConfig::directMapped(16 * 1024).build("L1I"));
-    hs.setL1D(CacheConfig::directMapped(16 * 1024).build("L1D"));
+    hs.setL1I(parseCacheSpec("dm:16kB").build("L1I"));
+    hs.setL1D(parseCacheSpec("dm:16kB").build("L1D"));
     CacheHierarchy hf = dmHierarchy();
 
     OooCore cs(CoreParams{}, hs), cf(CoreParams{}, hf);
@@ -140,8 +140,8 @@ TEST(OooCore, BetterL1LowersCpi)
     // direct-mapped baseline on a conflict-heavy benchmark.
     CacheHierarchy hdm = dmHierarchy();
     CacheHierarchy h8;
-    h8.setL1I(CacheConfig::setAssoc(16 * 1024, 8).build("L1I"));
-    h8.setL1D(CacheConfig::setAssoc(16 * 1024, 8).build("L1D"));
+    h8.setL1I(parseCacheSpec("sa:16kB,8w").build("L1I"));
+    h8.setL1D(parseCacheSpec("sa:16kB,8w").build("L1D"));
     OooCore cdm(CoreParams{}, hdm), c8(CoreParams{}, h8);
     SyntheticProgram pdm = program("equake"), p8 = program("equake");
     const double ipc_dm = cdm.run(pdm, 200000).ipc();
@@ -191,8 +191,8 @@ TEST(OooCore, StallAttributionTracksCacheQuality)
     // penalty cycles, and mispredict counts must be cache-independent.
     CacheHierarchy hdm = dmHierarchy();
     CacheHierarchy h8;
-    h8.setL1I(CacheConfig::setAssoc(16 * 1024, 8).build("L1I"));
-    h8.setL1D(CacheConfig::setAssoc(16 * 1024, 8).build("L1D"));
+    h8.setL1I(parseCacheSpec("sa:16kB,8w").build("L1I"));
+    h8.setL1D(parseCacheSpec("sa:16kB,8w").build("L1D"));
     OooCore cdm(CoreParams{}, hdm), c8(CoreParams{}, h8);
     SyntheticProgram pdm = program("equake"), p8 = program("equake");
     const CpuResult rdm = cdm.run(pdm, 150000);
@@ -243,8 +243,8 @@ TEST(OooCore, UnevenStepsMatchOneRun)
     constexpr std::uint64_t kUops = 60000;
     auto bcacheHierarchy = [] {
         CacheHierarchy h;
-        h.setL1I(CacheConfig::bcache(16 * 1024, 8, 8).build("L1I"));
-        h.setL1D(CacheConfig::bcache(16 * 1024, 8, 8).build("L1D"));
+        h.setL1I(parseCacheSpec("bcache:16kB,mf=8,bas=8").build("L1I"));
+        h.setL1D(parseCacheSpec("bcache:16kB,mf=8,bas=8").build("L1D"));
         return h;
     };
     CacheHierarchy hr = bcacheHierarchy(), hs = bcacheHierarchy();

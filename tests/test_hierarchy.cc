@@ -13,8 +13,8 @@ CacheHierarchy
 makeDmHierarchy()
 {
     CacheHierarchy h;
-    h.setL1I(CacheConfig::directMapped(16 * 1024).build("L1I"));
-    h.setL1D(CacheConfig::directMapped(16 * 1024).build("L1D"));
+    h.setL1I(parseCacheSpec("dm:16kB").build("L1I"));
+    h.setL1D(parseCacheSpec("dm:16kB").build("L1D"));
     return h;
 }
 
@@ -79,8 +79,8 @@ TEST(Hierarchy, DirtyL1EvictionReachesL2NotMemory)
 TEST(Hierarchy, WorksWithBCacheL1)
 {
     CacheHierarchy h;
-    h.setL1I(CacheConfig::bcache(16 * 1024, 8, 8).build("L1I"));
-    h.setL1D(CacheConfig::bcache(16 * 1024, 8, 8).build("L1D"));
+    h.setL1I(parseCacheSpec("bcache:16kB,mf=8,bas=8").build("L1I"));
+    h.setL1D(parseCacheSpec("bcache:16kB,mf=8,bas=8").build("L1D"));
     EXPECT_EQ(h.load(0x1234).latency, 107u);
     EXPECT_EQ(h.load(0x1234).latency, 1u);
     auto *bc = dynamic_cast<BCache *>(&h.l1d());

@@ -23,13 +23,13 @@ TEST(Integration, EquakeReductionOrdering)
     // with associativity and the B-Cache at MF=16/BAS=8 is close to
     // 8-way.
     const double dm = dataMissRate(
-        "equake", CacheConfig::directMapped(16 * 1024));
+        "equake", parseCacheSpec("dm:16kB"));
     const double w2 =
-        dataMissRate("equake", CacheConfig::setAssoc(16 * 1024, 2));
+        dataMissRate("equake", parseCacheSpec("sa:16kB,2w"));
     const double w8 =
-        dataMissRate("equake", CacheConfig::setAssoc(16 * 1024, 8));
+        dataMissRate("equake", parseCacheSpec("sa:16kB,8w"));
     const double bc =
-        dataMissRate("equake", CacheConfig::bcache(16 * 1024, 16, 8));
+        dataMissRate("equake", parseCacheSpec("bcache:16kB,mf=16,bas=8"));
 
     EXPECT_GT(reductionPct(dm, w8), 60.0);
     EXPECT_GT(reductionPct(dm, w8), reductionPct(dm, w2));
@@ -42,11 +42,11 @@ TEST(Integration, StreamingBenchesResistEveryOrganisation)
     // organisation gets a large reduction (Section 6.4).
     for (const char *bench : {"art", "swim", "lucas", "mcf"}) {
         const double dm =
-            dataMissRate(bench, CacheConfig::directMapped(16 * 1024));
+            dataMissRate(bench, parseCacheSpec("dm:16kB"));
         const double w8 =
-            dataMissRate(bench, CacheConfig::setAssoc(16 * 1024, 8));
+            dataMissRate(bench, parseCacheSpec("sa:16kB,8w"));
         const double bc =
-            dataMissRate(bench, CacheConfig::bcache(16 * 1024, 8, 8));
+            dataMissRate(bench, parseCacheSpec("bcache:16kB,mf=8,bas=8"));
         EXPECT_LT(reductionPct(dm, w8), 25.0) << bench;
         EXPECT_LT(reductionPct(dm, bc), 25.0) << bench;
     }
@@ -60,11 +60,11 @@ TEST(Integration, BCacheMfOrderingOnSuiteSample)
     double red2 = 0, red8 = 0;
     for (const char *b : sample) {
         const double dm =
-            dataMissRate(b, CacheConfig::directMapped(16 * 1024));
+            dataMissRate(b, parseCacheSpec("dm:16kB"));
         red2 += reductionPct(
-            dm, dataMissRate(b, CacheConfig::bcache(16 * 1024, 2, 8)));
+            dm, dataMissRate(b, parseCacheSpec("bcache:16kB,mf=2,bas=8")));
         red8 += reductionPct(
-            dm, dataMissRate(b, CacheConfig::bcache(16 * 1024, 8, 8)));
+            dm, dataMissRate(b, parseCacheSpec("bcache:16kB,mf=8,bas=8")));
     }
     EXPECT_GT(red8, red2);
 }
@@ -75,12 +75,12 @@ TEST(Integration, WupwisePdPathology)
     // during misses stays high at MF=8 and the B-Cache barely helps; the
     // victim buffer does better (Section 6.6).
     const double dm = dataMissRate(
-        "wupwise", CacheConfig::directMapped(16 * 1024));
+        "wupwise", parseCacheSpec("dm:16kB"));
     const auto bc8 = runMissRate("wupwise", StreamSide::Data,
-                                 CacheConfig::bcache(16 * 1024, 8, 8),
+                                 parseCacheSpec("bcache:16kB,mf=8,bas=8"),
                                  kAcc);
     const double vb = dataMissRate(
-        "wupwise", CacheConfig::victim(16 * 1024, 16));
+        "wupwise", parseCacheSpec("victim:16kB,16e"));
 
     ASSERT_TRUE(bc8.pd.has_value());
     EXPECT_GT(bc8.pd->pdHitRateOnMiss(), 0.2);
@@ -92,11 +92,11 @@ TEST(Integration, DeepConflictsDefeatVictimButNotBCache)
 {
     // equake's conflict working set exceeds 16 victim entries.
     const double dm = dataMissRate(
-        "equake", CacheConfig::directMapped(16 * 1024));
+        "equake", parseCacheSpec("dm:16kB"));
     const double vb = dataMissRate(
-        "equake", CacheConfig::victim(16 * 1024, 16));
+        "equake", parseCacheSpec("victim:16kB,16e"));
     const double bc = dataMissRate(
-        "equake", CacheConfig::bcache(16 * 1024, 16, 8));
+        "equake", parseCacheSpec("bcache:16kB,mf=16,bas=8"));
     EXPECT_GT(reductionPct(dm, bc), reductionPct(dm, vb));
 }
 
@@ -104,15 +104,15 @@ TEST(Integration, IcacheBCacheBeatsVictimOnReportedBench)
 {
     const double dm =
         runMissRate("gcc", StreamSide::Inst,
-                    CacheConfig::directMapped(16 * 1024), kAcc)
+                    parseCacheSpec("dm:16kB"), kAcc)
             .missRate();
     const double bc =
         runMissRate("gcc", StreamSide::Inst,
-                    CacheConfig::bcache(16 * 1024, 8, 8), kAcc)
+                    parseCacheSpec("bcache:16kB,mf=8,bas=8"), kAcc)
             .missRate();
     const double vb =
         runMissRate("gcc", StreamSide::Inst,
-                    CacheConfig::victim(16 * 1024, 16), kAcc)
+                    parseCacheSpec("victim:16kB,16e"), kAcc)
             .missRate();
     EXPECT_GT(reductionPct(dm, bc), reductionPct(dm, vb));
 }
@@ -121,10 +121,10 @@ TEST(Integration, IpcImprovesWithBCacheOnConflictBench)
 {
     // Figure 8's mechanism at small scale.
     const double ipc_dm =
-        runTimed("equake", CacheConfig::directMapped(16 * 1024), 150000)
+        runTimed("equake", parseCacheSpec("dm:16kB"), 150000)
             .ipc();
     const double ipc_bc =
-        runTimed("equake", CacheConfig::bcache(16 * 1024, 8, 8), 150000)
+        runTimed("equake", parseCacheSpec("bcache:16kB,mf=8,bas=8"), 150000)
             .ipc();
     EXPECT_GT(ipc_bc, ipc_dm);
 }
@@ -135,12 +135,12 @@ TEST(Integration, EnergyPipelineEndToEnd)
     // equations; the B-Cache's total should not exceed the baseline's by
     // more than a whisker (the paper reports a 2% *saving* on average).
     const TimedResult base =
-        runTimed("equake", CacheConfig::directMapped(16 * 1024), 150000);
+        runTimed("equake", parseCacheSpec("dm:16kB"), 150000);
     const TimedResult bc =
-        runTimed("equake", CacheConfig::bcache(16 * 1024, 8, 8), 150000);
+        runTimed("equake", parseCacheSpec("bcache:16kB,mf=8,bas=8"), 150000);
 
     EnergyRates base_rates =
-        energyRatesFor(CacheConfig::directMapped(16 * 1024));
+        energyRatesFor(parseCacheSpec("dm:16kB"));
     const double base_dyn =
         SystemEnergyModel(base_rates).dynamicEnergy(base.activity);
     const PicoJoules per_cycle =
@@ -148,7 +148,7 @@ TEST(Integration, EnergyPipelineEndToEnd)
                                                    base.cpu.cycles);
     base_rates.staticPerCycle = per_cycle;
     EnergyRates bc_rates =
-        energyRatesFor(CacheConfig::bcache(16 * 1024, 8, 8));
+        energyRatesFor(parseCacheSpec("bcache:16kB,mf=8,bas=8"));
     bc_rates.staticPerCycle = per_cycle;
 
     const EnergyTotals et_base =
@@ -163,10 +163,10 @@ TEST(Integration, EnergyPipelineEndToEnd)
 TEST(Integration, BalanceImprovesOnConflictBench)
 {
     const auto dm = runMissRate("equake", StreamSide::Data,
-                                CacheConfig::directMapped(16 * 1024),
+                                parseCacheSpec("dm:16kB"),
                                 kAcc);
     const auto bc = runMissRate("equake", StreamSide::Data,
-                                CacheConfig::bcache(16 * 1024, 8, 8),
+                                parseCacheSpec("bcache:16kB,mf=8,bas=8"),
                                 kAcc);
     // Misses spread across sets: the frequent-miss concentration drops.
     EXPECT_LT(bc.balance.cmPct, dm.balance.cmPct + 1e-9);

@@ -177,7 +177,7 @@ TEST(Report, MissRateResultRoundTripsFields)
 {
     const MissRateResult r = runMissRate(
         "equake", StreamSide::Data,
-        CacheConfig::bcache(16 * 1024, 8, 8), 20000);
+        parseCacheSpec("bcache:16kB,mf=8,bas=8"), 20000);
     const std::string s = toStatsJson(r, "workload");
     EXPECT_NE(s.find("\"schema\":\"bsim-stats-v1\""), std::string::npos);
     EXPECT_NE(s.find("\"workload\":\"equake\""), std::string::npos);
@@ -190,7 +190,7 @@ TEST(Report, MissRateResultRoundTripsFields)
 TEST(Report, TimedResultSerializes)
 {
     const TimedResult r =
-        runTimed("vpr", CacheConfig::directMapped(16 * 1024), 30000);
+        runTimed("vpr", parseCacheSpec("dm:16kB"), 30000);
     const std::string s = toJson(r);
     EXPECT_NE(s.find("\"ipc\":"), std::string::npos);
     EXPECT_NE(s.find("\"l1i\":{"), std::string::npos);
@@ -201,7 +201,7 @@ TEST(Report, TimedResultSerializes)
 TEST(Report, NonBCacheHasNoPdSection)
 {
     const MissRateResult r = runMissRate(
-        "vpr", StreamSide::Data, CacheConfig::directMapped(16 * 1024),
+        "vpr", StreamSide::Data, parseCacheSpec("dm:16kB"),
         10000);
     EXPECT_EQ(toStatsJson(r, "workload").find("\"pd\":"),
               std::string::npos);

@@ -119,13 +119,13 @@ TEST(CounterMerge, PdStatsMergeRoundTripsEveryField)
 TEST(StatsObserver, MatchesBuiltInUsageTracker)
 {
     const auto stream = capturedStream(6000);
-    CacheConfig wt = CacheConfig::directMapped(16 * 1024);
+    CacheConfig wt = parseCacheSpec("dm:16kB");
     wt.writePolicy = WritePolicy::WriteThroughNoAllocate;
     for (const CacheConfig &cfg :
-         {CacheConfig::directMapped(16 * 1024),
-          CacheConfig::bcache(16 * 1024, 8, 8),
-          CacheConfig::setAssoc(16 * 1024, 4),
-          CacheConfig::victim(16 * 1024, 16), wt}) {
+         {parseCacheSpec("dm:16kB"),
+          parseCacheSpec("bcache:16kB,mf=8,bas=8"),
+          parseCacheSpec("sa:16kB,4w"),
+          parseCacheSpec("victim:16kB,16e"), wt}) {
         auto cache = cfg.build(cfg.label, 1, nullptr);
         const auto obs = attachObserver(*cache, {true, 256});
         ASSERT_TRUE(obs);
@@ -164,8 +164,8 @@ TEST(StatsObserver, PerAccessAndBatchedPathsProduceIdenticalReports)
 {
     const auto stream = capturedStream(5000);
     for (const CacheConfig &cfg :
-         {CacheConfig::directMapped(16 * 1024),
-          CacheConfig::bcache(16 * 1024, 8, 8)}) {
+         {parseCacheSpec("dm:16kB"),
+          parseCacheSpec("bcache:16kB,mf=8,bas=8")}) {
         ObserverConfig oc;
         oc.enabled = true;
         oc.intervalLen = 512;
@@ -229,10 +229,10 @@ class Counting : public Observer
 std::vector<CacheConfig>
 deliveryConfigs()
 {
-    return {CacheConfig::directMapped(16 * 1024),
-            CacheConfig::setAssoc(16 * 1024, 4),
-            CacheConfig::bcache(16 * 1024, 8, 8),
-            CacheConfig::victim(16 * 1024, 16)};
+    return {parseCacheSpec("dm:16kB"),
+            parseCacheSpec("sa:16kB,4w"),
+            parseCacheSpec("bcache:16kB,mf=8,bas=8"),
+            parseCacheSpec("victim:16kB,16e")};
 }
 
 /**
@@ -323,7 +323,7 @@ TEST(ObserverDelivery, ConsumersSeeEveryLineAccessExactlyOnce)
 /** In an invalidation-free model, evictions are installs minus one. */
 TEST(StatsObserver, EvictionHistogramCountsInstallsAfterTheFirst)
 {
-    const CacheConfig cfg = CacheConfig::directMapped(16 * 1024);
+    const CacheConfig cfg = parseCacheSpec("dm:16kB");
     auto cache = cfg.build(cfg.label, 1, nullptr);
     StatsObserver obs(cache->setUsage().size(), {true, 0});
     cache->setCacheObserver(&obs);
@@ -348,7 +348,7 @@ TEST(StatsObserver, EvictionHistogramCountsInstallsAfterTheFirst)
 TEST(StatsObserver, IntervalSeriesTilesTheRunWithTrailingPartial)
 {
     const auto stream = capturedStream(250);
-    const CacheConfig cfg = CacheConfig::directMapped(16 * 1024);
+    const CacheConfig cfg = parseCacheSpec("dm:16kB");
     auto cache = cfg.build(cfg.label, 1, nullptr);
     StatsObserver obs(cache->setUsage().size(), {true, 100});
     cache->setCacheObserver(&obs);
@@ -405,7 +405,7 @@ TEST(StatsObserver, BCacheDecoderTelemetryIsConsistent)
     oc.enabled = true;
     const MissRateResult r =
         runMissRate("gcc", StreamSide::Data,
-                    CacheConfig::bcache(4 * 1024, 8, 8), 20000,
+                    parseCacheSpec("bcache:4kB,mf=8,bas=8"), 20000,
                     kDefaultSeed, oc);
     ASSERT_TRUE(r.observer);
     const ObserverReport &rep = *r.observer;
@@ -517,7 +517,7 @@ TEST(RunnerObserve, ObserverIsOptInAndCarriesTheRunsCounters)
 {
     const MissRateResult plain =
         runMissRate("gcc", StreamSide::Data,
-                    CacheConfig::directMapped(16 * 1024), 20000);
+                    parseCacheSpec("dm:16kB"), 20000);
     EXPECT_FALSE(plain.observer);
 
     ObserverConfig oc;
@@ -525,7 +525,7 @@ TEST(RunnerObserve, ObserverIsOptInAndCarriesTheRunsCounters)
     oc.intervalLen = 4096;
     const MissRateResult observed =
         runMissRate("gcc", StreamSide::Data,
-                    CacheConfig::directMapped(16 * 1024), 20000,
+                    parseCacheSpec("dm:16kB"), 20000,
                     kDefaultSeed, oc);
     ASSERT_TRUE(observed.observer);
     // Identical run modulo observation: observation is passive.

@@ -232,8 +232,8 @@ TEST(OracleConservation, HierarchyTrafficSumRules)
     // L2 demand misses (write-allocated writebacks add refills but no
     // demand reads from memory on the critical path are miscounted).
     CacheHierarchy h;
-    h.setL1I(CacheConfig::directMapped(16 * 1024).build("L1I"));
-    h.setL1D(CacheConfig::directMapped(16 * 1024).build("L1D"));
+    h.setL1I(parseCacheSpec("dm:16kB").build("L1I"));
+    h.setL1D(parseCacheSpec("dm:16kB").build("L1D"));
     SpecWorkload w = makeSpecWorkload("twolf");
     for (int i = 0; i < 60000; ++i) {
         h.fetch(w.inst->next().addr);

@@ -13,7 +13,7 @@ TEST(Runner, MissRateRunBasics)
 {
     const MissRateResult r =
         runMissRate("gcc", StreamSide::Data,
-                    CacheConfig::directMapped(16 * 1024), 50000);
+                    parseCacheSpec("dm:16kB"), 50000);
     EXPECT_EQ(r.workload, "gcc");
     EXPECT_EQ(r.stats.accesses, 50000u);
     EXPECT_GT(r.missRate(), 0.0);
@@ -24,7 +24,7 @@ TEST(Runner, BCacheRunsCarryPdStats)
 {
     const MissRateResult r =
         runMissRate("equake", StreamSide::Data,
-                    CacheConfig::bcache(16 * 1024, 8, 8), 50000);
+                    parseCacheSpec("bcache:16kB,mf=8,bas=8"), 50000);
     ASSERT_TRUE(r.pd.has_value());
     EXPECT_EQ(r.pd->pdMiss + r.pd->pdHitCacheMiss, r.stats.misses);
 }
@@ -33,7 +33,7 @@ TEST(Runner, VictimRunsCarryVictimHits)
 {
     const MissRateResult r =
         runMissRate("gzip", StreamSide::Data,
-                    CacheConfig::victim(16 * 1024, 16), 50000);
+                    parseCacheSpec("victim:16kB,16e"), 50000);
     EXPECT_FALSE(r.pd.has_value());
     EXPECT_GT(r.victimHits, 0u);
 }
@@ -41,10 +41,10 @@ TEST(Runner, VictimRunsCarryVictimHits)
 TEST(Runner, SameSeedSameResult)
 {
     const auto a = runMissRate("twolf", StreamSide::Data,
-                               CacheConfig::setAssoc(16 * 1024, 4),
+                               parseCacheSpec("sa:16kB,4w"),
                                30000, 7);
     const auto b = runMissRate("twolf", StreamSide::Data,
-                               CacheConfig::setAssoc(16 * 1024, 4),
+                               parseCacheSpec("sa:16kB,4w"),
                                30000, 7);
     EXPECT_EQ(a.stats.misses, b.stats.misses);
 }
@@ -53,11 +53,11 @@ TEST(Runner, AssociativityReducesMissesOnConflictBench)
 {
     const double dm =
         runMissRate("equake", StreamSide::Data,
-                    CacheConfig::directMapped(16 * 1024), 100000)
+                    parseCacheSpec("dm:16kB"), 100000)
             .missRate();
     const double w8 =
         runMissRate("equake", StreamSide::Data,
-                    CacheConfig::setAssoc(16 * 1024, 8), 100000)
+                    parseCacheSpec("sa:16kB,8w"), 100000)
             .missRate();
     EXPECT_LT(w8, dm);
 }
@@ -66,7 +66,7 @@ TEST(Runner, InstSideUsesInstructionStream)
 {
     const MissRateResult r =
         runMissRate("gcc", StreamSide::Inst,
-                    CacheConfig::directMapped(16 * 1024), 50000);
+                    parseCacheSpec("dm:16kB"), 50000);
     EXPECT_EQ(r.stats.fetchAccesses(), 50000u);
     EXPECT_EQ(r.stats.readAccesses(), 0u);
 }
@@ -74,7 +74,7 @@ TEST(Runner, InstSideUsesInstructionStream)
 TEST(Runner, TimedRunProducesActivity)
 {
     const TimedResult r =
-        runTimed("gcc", CacheConfig::directMapped(16 * 1024), 60000);
+        runTimed("gcc", parseCacheSpec("dm:16kB"), 60000);
     EXPECT_EQ(r.cpu.uops, 60000u);
     EXPECT_GT(r.ipc(), 0.0);
     EXPECT_EQ(r.activity.l1iAccesses, r.l1i.accesses);
@@ -85,27 +85,27 @@ TEST(Runner, TimedRunProducesActivity)
 TEST(Runner, TimedRunBCacheTracksPdPredictions)
 {
     const TimedResult r =
-        runTimed("equake", CacheConfig::bcache(16 * 1024, 8, 8), 60000);
+        runTimed("equake", parseCacheSpec("bcache:16kB,mf=8,bas=8"), 60000);
     EXPECT_GT(r.activity.pdPredictedMisses, 0u);
 }
 
 TEST(Runner, TimedRunVictimTracksProbes)
 {
     const TimedResult r =
-        runTimed("gcc", CacheConfig::victim(16 * 1024, 16), 60000);
+        runTimed("gcc", parseCacheSpec("victim:16kB,16e"), 60000);
     EXPECT_GT(r.activity.victimProbes, 0u);
 }
 
 TEST(Runner, EnergyRatesSensible)
 {
     const EnergyRates dm =
-        energyRatesFor(CacheConfig::directMapped(16 * 1024));
+        energyRatesFor(parseCacheSpec("dm:16kB"));
     const EnergyRates w8 =
-        energyRatesFor(CacheConfig::setAssoc(16 * 1024, 8));
+        energyRatesFor(parseCacheSpec("sa:16kB,8w"));
     const EnergyRates bc =
-        energyRatesFor(CacheConfig::bcache(16 * 1024, 8, 8));
+        energyRatesFor(parseCacheSpec("bcache:16kB,mf=8,bas=8"));
     const EnergyRates vc =
-        energyRatesFor(CacheConfig::victim(16 * 1024, 16));
+        energyRatesFor(parseCacheSpec("victim:16kB,16e"));
 
     EXPECT_LT(dm.l1dAccess, w8.l1dAccess);
     EXPECT_GT(bc.l1dAccess, dm.l1dAccess);

@@ -17,37 +17,37 @@ namespace {
 TEST(Config, BuildsMatchingTypes)
 {
     EXPECT_NE(dynamic_cast<SetAssocCache *>(
-                  CacheConfig::setAssoc(16 * 1024, 4).build("x").get()),
+                  parseCacheSpec("sa:16kB,4w").build("x").get()),
               nullptr);
     EXPECT_NE(dynamic_cast<VictimCache *>(
-                  CacheConfig::victim(16 * 1024).build("x").get()),
+                  parseCacheSpec("victim:16kB,16e").build("x").get()),
               nullptr);
     EXPECT_NE(dynamic_cast<BCache *>(
-                  CacheConfig::bcache(16 * 1024, 8, 8).build("x").get()),
+                  parseCacheSpec("bcache:16kB,mf=8,bas=8").build("x").get()),
               nullptr);
     EXPECT_NE(dynamic_cast<ColumnAssocCache *>(
-                  CacheConfig::columnAssoc(16 * 1024).build("x").get()),
+                  parseCacheSpec("column:16kB").build("x").get()),
               nullptr);
     EXPECT_NE(dynamic_cast<SkewedAssocCache *>(
-                  CacheConfig::skewed(16 * 1024).build("x").get()),
+                  parseCacheSpec("skew:16kB").build("x").get()),
               nullptr);
     EXPECT_NE(dynamic_cast<HacCache *>(
-                  CacheConfig::hac(16 * 1024).build("x").get()),
+                  parseCacheSpec("hac:16kB").build("x").get()),
               nullptr);
 }
 
 TEST(Config, LabelsAreDescriptive)
 {
-    EXPECT_EQ(CacheConfig::setAssoc(16 * 1024, 8).label, "8way");
-    EXPECT_EQ(CacheConfig::victim(16 * 1024, 16).label, "victim16");
-    EXPECT_EQ(CacheConfig::bcache(16 * 1024, 8, 8).label, "MF8-BAS8");
-    EXPECT_EQ(CacheConfig::directMapped(16 * 1024).label, "16kB-dm");
+    EXPECT_EQ(parseCacheSpec("sa:16kB,8w").label, "8way");
+    EXPECT_EQ(parseCacheSpec("victim:16kB,16e").label, "victim16");
+    EXPECT_EQ(parseCacheSpec("bcache:16kB,mf=8,bas=8").label, "MF8-BAS8");
+    EXPECT_EQ(parseCacheSpec("dm:16kB").label, "16kB-dm");
 }
 
 TEST(Config, BCacheParamsPropagate)
 {
     const CacheConfig c =
-        CacheConfig::bcache(32 * 1024, 16, 4, ReplPolicyKind::Random);
+        parseCacheSpec("bcache:32kB,mf=16,bas=4,repl=random");
     const BCacheParams p = c.bcacheParams();
     EXPECT_EQ(p.sizeBytes, 32u * 1024);
     EXPECT_EQ(p.mf, 16u);
@@ -69,14 +69,20 @@ TEST(Config, Figure4SetHasNineConfigs)
 TEST(Config, Figure12SetHasTwelveConfigs)
 {
     const auto v = figure12Configs(8 * 1024);
-    ASSERT_EQ(v.size(), 12u);
-    for (const auto &c : v)
-        EXPECT_EQ(c.sizeBytes, 8u * 1024);
+    const std::vector<std::string> labels = {
+        "2way",     "4way",     "8way",     "victim16",
+        "MF2-BAS4", "MF4-BAS4", "MF8-BAS4", "MF16-BAS4",
+        "MF2-BAS8", "MF4-BAS8", "MF8-BAS8", "MF16-BAS8"};
+    ASSERT_EQ(v.size(), labels.size());
+    for (std::size_t i = 0; i < v.size(); ++i) {
+        EXPECT_EQ(v[i].label, labels[i]) << i;
+        EXPECT_EQ(v[i].sizeBytes, 8u * 1024);
+    }
 }
 
 TEST(Config, BuiltCachesUseRequestedGeometry)
 {
-    auto c = CacheConfig::setAssoc(32 * 1024, 4).build("x");
+    auto c = parseCacheSpec("sa:32kB,4w").build("x");
     EXPECT_EQ(c->geometry().sizeBytes(), 32u * 1024);
     EXPECT_EQ(c->geometry().ways(), 4u);
 }
@@ -84,7 +90,7 @@ TEST(Config, BuiltCachesUseRequestedGeometry)
 TEST(Config, BuildWiresNextLevel)
 {
     MainMemory mem(50);
-    auto c = CacheConfig::directMapped(1024).build("x", 1, &mem);
+    auto c = parseCacheSpec("dm:1kB").build("x", 1, &mem);
     EXPECT_EQ(c->access({0, AccessType::Read}).latency, 51u);
 }
 

@@ -22,7 +22,7 @@ class SuiteSanity : public ::testing::TestWithParam<std::string>
 TEST_P(SuiteSanity, DmMissRateInPlausibleBand)
 {
     const double mr = runMissRate(GetParam(), StreamSide::Data,
-                                  CacheConfig::directMapped(16 * 1024),
+                                  parseCacheSpec("dm:16kB"),
                                   kAcc)
                           .missRate();
     EXPECT_GT(mr, 0.002) << "degenerate: everything hits";
@@ -34,11 +34,11 @@ TEST_P(SuiteSanity, AssociativityNeverHurtsMuch)
     // 8-way may lose slightly to DM on LRU-hostile patterns but must
     // never be catastrophically worse.
     const double dm = runMissRate(GetParam(), StreamSide::Data,
-                                  CacheConfig::directMapped(16 * 1024),
+                                  parseCacheSpec("dm:16kB"),
                                   kAcc)
                           .missRate();
     const double w8 = runMissRate(GetParam(), StreamSide::Data,
-                                  CacheConfig::setAssoc(16 * 1024, 8),
+                                  parseCacheSpec("sa:16kB,8w"),
                                   kAcc)
                           .missRate();
     EXPECT_LT(w8, dm * 1.15 + 0.01) << "8-way much worse than DM";
@@ -47,11 +47,11 @@ TEST_P(SuiteSanity, AssociativityNeverHurtsMuch)
 TEST_P(SuiteSanity, BCacheBetweenDmAndGenerousBound)
 {
     const double dm = runMissRate(GetParam(), StreamSide::Data,
-                                  CacheConfig::directMapped(16 * 1024),
+                                  parseCacheSpec("dm:16kB"),
                                   kAcc)
                           .missRate();
     const double bc = runMissRate(GetParam(), StreamSide::Data,
-                                  CacheConfig::bcache(16 * 1024, 8, 8),
+                                  parseCacheSpec("bcache:16kB,mf=8,bas=8"),
                                   kAcc)
                           .missRate();
     EXPECT_LT(bc, dm * 1.15 + 0.01) << "B-Cache much worse than DM";
@@ -63,7 +63,7 @@ TEST_P(SuiteSanity, IcacheClassMatchesRegistry)
     const bool reported =
         std::find(rep.begin(), rep.end(), GetParam()) != rep.end();
     const double mr = runMissRate(GetParam(), StreamSide::Inst,
-                                  CacheConfig::directMapped(16 * 1024),
+                                  parseCacheSpec("dm:16kB"),
                                   kAcc)
                           .missRate();
     if (reported)
@@ -87,20 +87,20 @@ TEST(SuiteSanityAggregate, HeadlineShapesHold)
     for (const auto &b : spec2kNames()) {
         const double dm =
             runMissRate(b, StreamSide::Data,
-                        CacheConfig::directMapped(16 * 1024), kAcc)
+                        parseCacheSpec("dm:16kB"), kAcc)
                 .missRate();
         auto red = [&](const CacheConfig &c) {
             return reductionPct(
                 dm, runMissRate(b, StreamSide::Data, c, kAcc)
                         .missRate());
         };
-        r2.add(red(CacheConfig::setAssoc(16 * 1024, 2)));
-        r4.add(red(CacheConfig::setAssoc(16 * 1024, 4)));
-        r8.add(red(CacheConfig::setAssoc(16 * 1024, 8)));
-        m2.add(red(CacheConfig::bcache(16 * 1024, 2, 8)));
-        m4.add(red(CacheConfig::bcache(16 * 1024, 4, 8)));
-        m8.add(red(CacheConfig::bcache(16 * 1024, 8, 8)));
-        vic.add(red(CacheConfig::victim(16 * 1024, 16)));
+        r2.add(red(parseCacheSpec("sa:16kB,2w")));
+        r4.add(red(parseCacheSpec("sa:16kB,4w")));
+        r8.add(red(parseCacheSpec("sa:16kB,8w")));
+        m2.add(red(parseCacheSpec("bcache:16kB,mf=2,bas=8")));
+        m4.add(red(parseCacheSpec("bcache:16kB,mf=4,bas=8")));
+        m8.add(red(parseCacheSpec("bcache:16kB,mf=8,bas=8")));
+        vic.add(red(parseCacheSpec("victim:16kB,16e")));
     }
     EXPECT_LT(r2.mean(), r4.mean());
     EXPECT_LT(r4.mean(), r8.mean());

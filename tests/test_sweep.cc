@@ -27,10 +27,10 @@ mixedJobs(std::uint64_t accesses)
     const std::vector<std::string> benches = {"gcc", "equake", "twolf",
                                               "gzip"};
     const std::vector<CacheConfig> configs = {
-        CacheConfig::directMapped(16 * 1024),
-        CacheConfig::setAssoc(16 * 1024, 4),
-        CacheConfig::bcache(16 * 1024, 8, 8),
-        CacheConfig::victim(16 * 1024, 16),
+        parseCacheSpec("dm:16kB"),
+        parseCacheSpec("sa:16kB,4w"),
+        parseCacheSpec("bcache:16kB,mf=8,bas=8"),
+        parseCacheSpec("victim:16kB,16e"),
     };
     std::vector<SweepJob> jobs;
     for (const auto &b : benches)
@@ -73,27 +73,111 @@ expectIdentical(const SweepOutcome &a, const SweepOutcome &b)
     expectSameResult(*a.miss, *b.miss);
 }
 
-/** What the job's own serial runner returns for the seed it used. */
+/** The serial runner of a Trace job: one runTraceReplay() call. */
 MissRateResult
-serialRun(const SweepJob &job, std::uint64_t seed)
+serialReplay(const SweepJob &job)
 {
-    return runMissRate(job.workload, job.side, job.config, job.length,
-                       seed);
+    TraceReplayOptions opts;
+    opts.maxAccesses = job.length;
+    opts.batchLen = job.traceBatchLen;
+    opts.observe = job.observe;
+    opts.handle = job.traceHandle;
+    return runTraceReplay(job.tracePath, job.config, job.shard, opts);
 }
 
-/** Every outcome is either the job's serial result or a failure. */
+/** Every counter of a trace result, the observer report included. */
+void
+expectSameReplay(const MissRateResult &a, const MissRateResult &b)
+{
+    expectSameResult(a, b);
+    EXPECT_EQ(a.stats.writethroughs, b.stats.writethroughs);
+    ASSERT_EQ(a.observer.has_value(), b.observer.has_value());
+    if (!a.observer)
+        return;
+    const ObserverReport &x = *a.observer, &y = *b.observer;
+    EXPECT_TRUE(x.perSet == y.perSet);
+    EXPECT_EQ(x.installs, y.installs);
+    EXPECT_EQ(x.writebacks, y.writebacks);
+    EXPECT_EQ(x.pdReprograms, y.pdReprograms);
+    EXPECT_EQ(x.intervalLen, y.intervalLen);
+    EXPECT_TRUE(x.intervals == y.intervals);
+    EXPECT_EQ(x.pdReprogramsPerGroup, y.pdReprogramsPerGroup);
+    EXPECT_EQ(x.pdOccupancy, y.pdOccupancy);
+}
+
+/** Every cache counter a bit-identical timed run must reproduce. */
+void
+expectSameStats(const CacheStats &a, const CacheStats &b)
+{
+    EXPECT_EQ(a.accesses, b.accesses);
+    EXPECT_EQ(a.hits, b.hits);
+    EXPECT_EQ(a.misses, b.misses);
+    EXPECT_EQ(a.writebacks, b.writebacks);
+    EXPECT_EQ(a.writethroughs, b.writethroughs);
+    EXPECT_EQ(a.refills, b.refills);
+}
+
+/** Every counter of a timed run: core, three caches, energy inputs. */
+void
+expectSameTimed(const TimedResult &a, const TimedResult &b)
+{
+    EXPECT_EQ(a.workload, b.workload);
+    EXPECT_EQ(a.config, b.config);
+    EXPECT_EQ(a.cpu.uops, b.cpu.uops);
+    EXPECT_EQ(a.cpu.cycles, b.cpu.cycles);
+    for (std::size_t c = 0; c < 5; ++c)
+        EXPECT_EQ(a.cpu.perClass[c], b.cpu.perClass[c]);
+    EXPECT_EQ(a.cpu.icacheStallCycles, b.cpu.icacheStallCycles);
+    EXPECT_EQ(a.cpu.loadMissCycles, b.cpu.loadMissCycles);
+    EXPECT_EQ(a.cpu.mispredictCycles, b.cpu.mispredictCycles);
+    EXPECT_EQ(a.cpu.mispredicts, b.cpu.mispredicts);
+    expectSameStats(a.l1i, b.l1i);
+    expectSameStats(a.l1d, b.l1d);
+    expectSameStats(a.l2, b.l2);
+    const ActivityCounts &x = a.activity, &y = b.activity;
+    EXPECT_EQ(x.l1iAccesses, y.l1iAccesses);
+    EXPECT_EQ(x.l1iMisses, y.l1iMisses);
+    EXPECT_EQ(x.l1dAccesses, y.l1dAccesses);
+    EXPECT_EQ(x.l1dMisses, y.l1dMisses);
+    EXPECT_EQ(x.l2Accesses, y.l2Accesses);
+    EXPECT_EQ(x.l2Misses, y.l2Misses);
+    EXPECT_EQ(x.offchipAccesses, y.offchipAccesses);
+    EXPECT_EQ(x.cycles, y.cycles);
+    EXPECT_EQ(x.victimProbes, y.victimProbes);
+    EXPECT_EQ(x.pdPredictedMisses, y.pdPredictedMisses);
+}
+
+/**
+ * Every outcome is either a failure or exactly what the job's own
+ * serial runner returns for the seed it used: runMissRate, runTimed or
+ * runTraceReplay.
+ */
 void
 expectMatchesSerial(const std::vector<SweepJob> &jobs,
                     const SweepRun &run)
 {
     ASSERT_EQ(run.outcomes.size(), jobs.size());
     for (std::size_t i = 0; i < jobs.size(); ++i) {
+        SCOPED_TRACE(i);
         const SweepOutcome &out = run.outcomes[i];
+        const SweepJob &j = jobs[i];
         EXPECT_EQ(out.index, i);
         if (!out.ok())
             continue;
-        ASSERT_TRUE(out.miss.has_value()) << "job " << i;
-        expectSameResult(serialRun(jobs[i], out.seed), *out.miss);
+        if (j.kind == SweepJob::Kind::Timed) {
+            ASSERT_TRUE(out.timed.has_value());
+            expectSameTimed(runTimed(j.workload, j.config, j.length,
+                                     out.seed, j.hierarchy),
+                            *out.timed);
+            continue;
+        }
+        ASSERT_TRUE(out.miss.has_value());
+        if (j.kind == SweepJob::Kind::Trace)
+            expectSameReplay(serialReplay(j), *out.miss);
+        else
+            expectSameResult(runMissRate(j.workload, j.side, j.config,
+                                         j.length, out.seed),
+                             *out.miss);
     }
 }
 
@@ -106,10 +190,10 @@ std::vector<SweepJob>
 groupedJobs(std::uint64_t accesses)
 {
     const std::vector<CacheConfig> configs = {
-        CacheConfig::directMapped(16 * 1024),
-        CacheConfig::setAssoc(16 * 1024, 4),
-        CacheConfig::bcache(16 * 1024, 8, 8),
-        CacheConfig::victim(16 * 1024, 16),
+        parseCacheSpec("dm:16kB"),
+        parseCacheSpec("sa:16kB,4w"),
+        parseCacheSpec("bcache:16kB,mf=8,bas=8"),
+        parseCacheSpec("victim:16kB,16e"),
     };
     std::vector<SweepJob> jobs;
     for (const auto &cfg : configs) {
@@ -125,7 +209,7 @@ groupedJobs(std::uint64_t accesses)
     jobs.push_back(SweepJob::missRate("gcc", StreamSide::Data,
                                       configs[1], 0, 7));
     jobs.push_back(SweepJob::missRate("gcc", StreamSide::Data,
-                                      CacheConfig::setAssoc(16 * 1024, 8),
+                                      parseCacheSpec("sa:16kB,8w"),
                                       accesses, 7));
     return jobs;
 }
@@ -165,16 +249,16 @@ TEST(Sweep, ThrowingJobReportedWithoutDeadlock)
 {
     std::vector<SweepJob> jobs;
     jobs.push_back(SweepJob::missRate(
-        "gcc", StreamSide::Data, CacheConfig::directMapped(16 * 1024),
+        "gcc", StreamSide::Data, parseCacheSpec("dm:16kB"),
         20000));
     jobs.push_back(SweepJob::missRate(
         "no-such-bench", StreamSide::Data,
-        CacheConfig::directMapped(16 * 1024), 20000));
+        parseCacheSpec("dm:16kB"), 20000));
     jobs.push_back(SweepJob::missRate(
-        "twolf", StreamSide::Data, CacheConfig::bcache(16 * 1024, 8, 8),
+        "twolf", StreamSide::Data, parseCacheSpec("bcache:16kB,mf=8,bas=8"),
         20000));
     jobs.push_back(SweepJob::missRate(
-        "gzip", StreamSide::Data, CacheConfig::directMapped(16 * 1024),
+        "gzip", StreamSide::Data, parseCacheSpec("dm:16kB"),
         0)); // zero-length: also an error
     SweepOptions opt;
     opt.jobs = 2;
@@ -199,10 +283,10 @@ TEST(Sweep, SeedDerivationIsPureAndPerJob)
 
     std::vector<SweepJob> jobs;
     jobs.push_back(SweepJob::missRate(
-        "gcc", StreamSide::Data, CacheConfig::directMapped(16 * 1024),
+        "gcc", StreamSide::Data, parseCacheSpec("dm:16kB"),
         20000));
     jobs.push_back(SweepJob::missRate(
-        "gcc", StreamSide::Data, CacheConfig::directMapped(16 * 1024),
+        "gcc", StreamSide::Data, parseCacheSpec("dm:16kB"),
         20000, /*seed=*/42));
     SweepOptions opt;
     opt.baseSeed = 1234;
@@ -213,7 +297,7 @@ TEST(Sweep, SeedDerivationIsPureAndPerJob)
 
 TEST(Sweep, ExplicitSeedMatchesSerialRunner)
 {
-    const CacheConfig cfg = CacheConfig::bcache(16 * 1024, 8, 8);
+    const CacheConfig cfg = parseCacheSpec("bcache:16kB,mf=8,bas=8");
     const MissRateResult serial =
         runMissRate("equake", StreamSide::Data, cfg, 30000, 7);
     const SweepRun run = runSweep(
@@ -228,9 +312,9 @@ TEST(Sweep, TimedJobsRunTheFullHierarchy)
 {
     std::vector<SweepJob> jobs;
     jobs.push_back(SweepJob::timed(
-        "gcc", CacheConfig::directMapped(16 * 1024), 30000, 7));
+        "gcc", parseCacheSpec("dm:16kB"), 30000, 7));
     jobs.push_back(SweepJob::timed(
-        "equake", CacheConfig::bcache(16 * 1024, 8, 8), 30000, 7));
+        "equake", parseCacheSpec("bcache:16kB,mf=8,bas=8"), 30000, 7));
     SweepOptions opt;
     opt.jobs = 2;
     const SweepRun run = runSweep(jobs, opt);
@@ -241,7 +325,7 @@ TEST(Sweep, TimedJobsRunTheFullHierarchy)
     }
     // Timed jobs reproduce the serial runner too.
     const TimedResult serial =
-        runTimed("gcc", CacheConfig::directMapped(16 * 1024), 30000, 7);
+        runTimed("gcc", parseCacheSpec("dm:16kB"), 30000, 7);
     EXPECT_EQ(serial.cpu.cycles, run.outcomes[0].timed->cpu.cycles);
     EXPECT_EQ(run.summary.events, 60000u);
 }
@@ -295,13 +379,13 @@ TEST(SweepGrouped, MixedJobsMatchTheirSerialRunners)
 
 TEST(SweepGrouped, BadConfigFailsOnlyItsMember)
 {
-    CacheConfig bad = CacheConfig::setAssoc(16 * 1024, 4);
+    CacheConfig bad = parseCacheSpec("sa:16kB,4w");
     bad.ways = 3; // CacheGeometry refuses it at build time
     bad.label = "3way";
     std::vector<SweepJob> jobs;
     for (const CacheConfig &cfg :
-         {CacheConfig::directMapped(16 * 1024), bad,
-          CacheConfig::bcache(16 * 1024, 8, 8)})
+         {parseCacheSpec("dm:16kB"), bad,
+          parseCacheSpec("bcache:16kB,mf=8,bas=8")})
         jobs.push_back(SweepJob::missRate("twolf", StreamSide::Data, cfg,
                                           20000, 7));
     for (const unsigned threads : {1u, 2u}) {
@@ -346,7 +430,8 @@ TEST(SweepGrouped, SplitGroupsAreBitIdenticalAtAnyThreadCount)
     for (std::uint32_t mf = 2; mf <= 512; mf *= 2)
         jobs.push_back(SweepJob::missRate(
             "wupwise", StreamSide::Data,
-            CacheConfig::bcache(16 * 1024, mf, 8), 20000, kDefaultSeed));
+            parseCacheSpec("bcache:16kB,mf=" + std::to_string(mf) + ",bas=8"),
+            20000, kDefaultSeed));
     std::vector<SweepRun> runs;
     for (const unsigned threads : {1u, 2u, 7u}) {
         SweepOptions opt;
@@ -367,10 +452,10 @@ TEST(SweepGrouped, OrderProgressAndSecondsPerJob)
     // share of the generation time) must add up to about its wall time.
     std::vector<SweepJob> jobs;
     for (const CacheConfig &cfg :
-         {CacheConfig::directMapped(16 * 1024),
-          CacheConfig::setAssoc(16 * 1024, 8),
-          CacheConfig::bcache(16 * 1024, 8, 8),
-          CacheConfig::victim(16 * 1024, 16)})
+         {parseCacheSpec("dm:16kB"),
+          parseCacheSpec("sa:16kB,8w"),
+          parseCacheSpec("bcache:16kB,mf=8,bas=8"),
+          parseCacheSpec("victim:16kB,16e")})
         jobs.push_back(SweepJob::missRate("gcc", StreamSide::Data, cfg,
                                           200000, 7));
     std::size_t calls = 0;
@@ -397,85 +482,14 @@ TEST(SweepGrouped, OrderProgressAndSecondsPerJob)
     EXPECT_GE(sum, 0.9 * run.summary.wallSeconds);
 }
 
-/** Every cache counter a bit-identical timed run must reproduce. */
-void
-expectSameStats(const CacheStats &a, const CacheStats &b)
-{
-    EXPECT_EQ(a.accesses, b.accesses);
-    EXPECT_EQ(a.hits, b.hits);
-    EXPECT_EQ(a.misses, b.misses);
-    EXPECT_EQ(a.writebacks, b.writebacks);
-    EXPECT_EQ(a.writethroughs, b.writethroughs);
-    EXPECT_EQ(a.refills, b.refills);
-}
-
-/** Every counter of a timed run: core, three caches, energy inputs. */
-void
-expectSameTimed(const TimedResult &a, const TimedResult &b)
-{
-    EXPECT_EQ(a.workload, b.workload);
-    EXPECT_EQ(a.config, b.config);
-    EXPECT_EQ(a.cpu.uops, b.cpu.uops);
-    EXPECT_EQ(a.cpu.cycles, b.cpu.cycles);
-    for (std::size_t c = 0; c < 5; ++c)
-        EXPECT_EQ(a.cpu.perClass[c], b.cpu.perClass[c]);
-    EXPECT_EQ(a.cpu.icacheStallCycles, b.cpu.icacheStallCycles);
-    EXPECT_EQ(a.cpu.loadMissCycles, b.cpu.loadMissCycles);
-    EXPECT_EQ(a.cpu.mispredictCycles, b.cpu.mispredictCycles);
-    EXPECT_EQ(a.cpu.mispredicts, b.cpu.mispredicts);
-    expectSameStats(a.l1i, b.l1i);
-    expectSameStats(a.l1d, b.l1d);
-    expectSameStats(a.l2, b.l2);
-    const ActivityCounts &x = a.activity, &y = b.activity;
-    EXPECT_EQ(x.l1iAccesses, y.l1iAccesses);
-    EXPECT_EQ(x.l1iMisses, y.l1iMisses);
-    EXPECT_EQ(x.l1dAccesses, y.l1dAccesses);
-    EXPECT_EQ(x.l1dMisses, y.l1dMisses);
-    EXPECT_EQ(x.l2Accesses, y.l2Accesses);
-    EXPECT_EQ(x.l2Misses, y.l2Misses);
-    EXPECT_EQ(x.offchipAccesses, y.offchipAccesses);
-    EXPECT_EQ(x.cycles, y.cycles);
-    EXPECT_EQ(x.victimProbes, y.victimProbes);
-    EXPECT_EQ(x.pdPredictedMisses, y.pdPredictedMisses);
-}
-
-/**
- * Every outcome is either a failure or exactly what the job's own
- * serial runner returns (runTimed for Timed jobs, runMissRate for the
- * rest) for the seed it used.
- */
-void
-expectTimedMatchesSerial(const std::vector<SweepJob> &jobs,
-                         const SweepRun &run)
-{
-    ASSERT_EQ(run.outcomes.size(), jobs.size());
-    for (std::size_t i = 0; i < jobs.size(); ++i) {
-        SCOPED_TRACE(i);
-        const SweepOutcome &out = run.outcomes[i];
-        const SweepJob &j = jobs[i];
-        EXPECT_EQ(out.index, i);
-        if (!out.ok())
-            continue;
-        if (j.kind != SweepJob::Kind::Timed) {
-            ASSERT_TRUE(out.miss.has_value());
-            expectSameResult(serialRun(j, out.seed), *out.miss);
-            continue;
-        }
-        ASSERT_TRUE(out.timed.has_value());
-        expectSameTimed(runTimed(j.workload, j.config, j.length,
-                                 out.seed, j.hierarchy),
-                        *out.timed);
-    }
-}
-
 /** The Figure 8 organisations: baseline, 4-way, B-Cache, victim. */
 std::vector<CacheConfig>
 timedConfigs()
 {
-    return {CacheConfig::directMapped(16 * 1024),
-            CacheConfig::setAssoc(16 * 1024, 4),
-            CacheConfig::bcache(16 * 1024, 8, 8),
-            CacheConfig::victim(16 * 1024, 16)};
+    return {parseCacheSpec("dm:16kB"),
+            parseCacheSpec("sa:16kB,4w"),
+            parseCacheSpec("bcache:16kB,mf=8,bas=8"),
+            parseCacheSpec("victim:16kB,16e")};
 }
 
 TEST(SweepGroupedTimed, BitIdenticalToSerialAtAnyThreadCount)
@@ -495,7 +509,7 @@ TEST(SweepGroupedTimed, BitIdenticalToSerialAtAnyThreadCount)
         EXPECT_EQ(runs.back().summary.threads, threads);
         EXPECT_EQ(runs.back().summary.failed, 0u);
         EXPECT_EQ(runs.back().summary.events, jobs.size() * 20000u);
-        expectTimedMatchesSerial(jobs, runs.back());
+        expectMatchesSerial(jobs, runs.back());
     }
     for (const SweepRun &r : runs)
         for (std::size_t i = 0; i < jobs.size(); ++i)
@@ -505,13 +519,13 @@ TEST(SweepGroupedTimed, BitIdenticalToSerialAtAnyThreadCount)
 
 TEST(SweepGroupedTimed, BadConfigFailsOnlyItsMember)
 {
-    CacheConfig bad = CacheConfig::setAssoc(16 * 1024, 4);
+    CacheConfig bad = parseCacheSpec("sa:16kB,4w");
     bad.ways = 3; // CacheGeometry refuses it at build time
     bad.label = "3way";
     std::vector<SweepJob> jobs;
     for (const CacheConfig &cfg :
-         {CacheConfig::directMapped(16 * 1024), bad,
-          CacheConfig::bcache(16 * 1024, 8, 8)})
+         {parseCacheSpec("dm:16kB"), bad,
+          parseCacheSpec("bcache:16kB,mf=8,bas=8")})
         jobs.push_back(SweepJob::timed("twolf", cfg, 20000, 7));
     for (const unsigned threads : {1u, 2u}) {
         SCOPED_TRACE(threads);
@@ -527,7 +541,7 @@ TEST(SweepGroupedTimed, BadConfigFailsOnlyItsMember)
         ASSERT_TRUE(run.outcomes[2].ok()) << run.outcomes[2].error;
         EXPECT_EQ(run.summary.failed, 1u);
         EXPECT_EQ(run.summary.events, 40000u);
-        expectTimedMatchesSerial(jobs, run);
+        expectMatchesSerial(jobs, run);
     }
 }
 
@@ -547,8 +561,8 @@ TEST(SweepGroupedTimed, DifferentKeysNeverShareAUnit)
     auto pair = [&](std::uint64_t uops, std::uint64_t seed,
                     const HierarchyParams &hp) {
         for (const CacheConfig &cfg :
-             {CacheConfig::directMapped(16 * 1024),
-              CacheConfig::bcache(16 * 1024, 8, 8)})
+             {parseCacheSpec("dm:16kB"),
+              parseCacheSpec("bcache:16kB,mf=8,bas=8")})
             jobs.push_back(SweepJob::timed("mcf", cfg, uops, seed, hp));
     };
     for (const HierarchyParams &hp : hps)
@@ -556,7 +570,7 @@ TEST(SweepGroupedTimed, DifferentKeysNeverShareAUnit)
     pair(20000, 8, hps[0]);
     pair(25000, 7, hps[0]);
     jobs.push_back(SweepJob::missRate("mcf", StreamSide::Data,
-                                      CacheConfig::directMapped(16 * 1024),
+                                      parseCacheSpec("dm:16kB"),
                                       20000, 7));
     for (const unsigned threads : {1u, 3u}) {
         SCOPED_TRACE(threads);
@@ -564,13 +578,13 @@ TEST(SweepGroupedTimed, DifferentKeysNeverShareAUnit)
         opt.jobs = threads;
         const SweepRun run = runSweep(jobs, opt);
         EXPECT_EQ(run.summary.failed, 0u);
-        expectTimedMatchesSerial(jobs, run);
+        expectMatchesSerial(jobs, run);
     }
     // The fields really matter: each variant moved the baseline's cycles.
     const TimedResult base =
-        runTimed("mcf", CacheConfig::directMapped(16 * 1024), 20000, 7);
+        runTimed("mcf", parseCacheSpec("dm:16kB"), 20000, 7);
     for (std::size_t v = 1; v < hps.size(); ++v)
-        EXPECT_NE(runTimed("mcf", CacheConfig::directMapped(16 * 1024),
+        EXPECT_NE(runTimed("mcf", parseCacheSpec("dm:16kB"),
                            20000, 7, hps[v])
                       .cpu.cycles,
                   base.cpu.cycles)
@@ -651,62 +665,26 @@ class SweepGroupedTrace : public ::testing::Test
 std::vector<CacheConfig>
 traceConfigs()
 {
-    return {CacheConfig::directMapped(16 * 1024),
-            CacheConfig::setAssoc(16 * 1024, 4),
-            CacheConfig::bcache(16 * 1024, 8, 8),
-            CacheConfig::victim(16 * 1024, 16)};
-}
-
-/** What runOne does with a Trace job: one runTraceReplay() call. */
-MissRateResult
-serialReplay(const SweepJob &job)
-{
-    TraceReplayOptions opts;
-    opts.maxAccesses = job.length;
-    opts.batchLen = job.traceBatchLen;
-    opts.observe = job.observe;
-    opts.handle = job.traceHandle;
-    return runTraceReplay(job.tracePath, job.config, job.shard, opts);
-}
-
-/** Every counter of a trace result, the observer report included. */
-void
-expectSameReplay(const MissRateResult &a, const MissRateResult &b)
-{
-    expectSameResult(a, b);
-    EXPECT_EQ(a.stats.writethroughs, b.stats.writethroughs);
-    ASSERT_EQ(a.observer.has_value(), b.observer.has_value());
-    if (!a.observer)
-        return;
-    const ObserverReport &x = *a.observer, &y = *b.observer;
-    EXPECT_TRUE(x.perSet == y.perSet);
-    EXPECT_EQ(x.installs, y.installs);
-    EXPECT_EQ(x.writebacks, y.writebacks);
-    EXPECT_EQ(x.pdReprograms, y.pdReprograms);
-    EXPECT_EQ(x.intervalLen, y.intervalLen);
-    EXPECT_TRUE(x.intervals == y.intervals);
-    EXPECT_EQ(x.pdReprogramsPerGroup, y.pdReprogramsPerGroup);
-    EXPECT_EQ(x.pdOccupancy, y.pdOccupancy);
+    return {parseCacheSpec("dm:16kB"),
+            parseCacheSpec("sa:16kB,4w"),
+            parseCacheSpec("bcache:16kB,mf=8,bas=8"),
+            parseCacheSpec("victim:16kB,16e")};
 }
 
 /**
- * Every outcome is exactly what runOne gives the job: its index, the
- * seed derived from its index, and its own runTraceReplay() result.
+ * Every outcome succeeded, with the seed derived from its index, and is
+ * exactly the job's own runTraceReplay() result.
  */
 void
-expectMatchesRunOne(const std::vector<SweepJob> &jobs, const SweepRun &run,
-                    std::uint64_t base_seed)
+expectMatchesSerialReplay(const std::vector<SweepJob> &jobs,
+                          const SweepRun &run, std::uint64_t base_seed)
 {
-    ASSERT_EQ(run.outcomes.size(), jobs.size());
-    for (std::size_t i = 0; i < jobs.size(); ++i) {
-        SCOPED_TRACE(i);
-        const SweepOutcome &out = run.outcomes[i];
-        EXPECT_EQ(out.index, i);
-        EXPECT_EQ(out.seed, sweepSeed(base_seed, i));
-        ASSERT_TRUE(out.ok()) << out.error;
-        ASSERT_TRUE(out.miss.has_value());
-        expectSameReplay(serialReplay(jobs[i]), *out.miss);
+    for (std::size_t i = 0; i < run.outcomes.size(); ++i) {
+        EXPECT_TRUE(run.outcomes[i].ok()) << i << ": "
+                                          << run.outcomes[i].error;
+        EXPECT_EQ(run.outcomes[i].seed, sweepSeed(base_seed, i)) << i;
     }
+    expectMatchesSerial(jobs, run);
 }
 
 TEST_F(SweepGroupedTrace, MixedSweepMatchesRunOnePerJob)
@@ -744,7 +722,7 @@ TEST_F(SweepGroupedTrace, MixedSweepMatchesRunOnePerJob)
         EXPECT_EQ(run.summary.failed, 0u);
         // Every record, once per (cache, variant).
         EXPECT_EQ(run.summary.events, 4u * 4 * 16 * 2048);
-        expectMatchesRunOne(jobs, run, opt.baseSeed);
+        expectMatchesSerialReplay(jobs, run, opt.baseSeed);
     }
 }
 
@@ -764,8 +742,8 @@ TEST_F(SweepGroupedTrace, DifferentKeysNeverShareAUnit)
                     std::uint64_t length, std::size_t batch,
                     ObserverConfig observe, const TraceHandlePtr &h) {
         for (const CacheConfig &cfg :
-             {CacheConfig::directMapped(16 * 1024),
-              CacheConfig::bcache(16 * 1024, 8, 8)}) {
+             {parseCacheSpec("dm:16kB"),
+              parseCacheSpec("bcache:16kB,mf=8,bas=8")}) {
             jobs.push_back(
                 SweepJob::traceReplay(file, w, cfg, length, batch, observe));
             jobs.back().traceHandle = h;
@@ -783,8 +761,8 @@ TEST_F(SweepGroupedTrace, DifferentKeysNeverShareAUnit)
     pair(path("copy.bst"), windows[0], 0, 0, on, nullptr); // path
     // A miss-rate pair over a workload name that looks like the trace's.
     for (const CacheConfig &cfg :
-         {CacheConfig::directMapped(16 * 1024),
-          CacheConfig::bcache(16 * 1024, 8, 8)})
+         {parseCacheSpec("dm:16kB"),
+          parseCacheSpec("bcache:16kB,mf=8,bas=8")})
         jobs.push_back(SweepJob::missRate("gcc", StreamSide::Data, cfg,
                                           5000, 7));
 
@@ -801,7 +779,7 @@ TEST_F(SweepGroupedTrace, DifferentKeysNeverShareAUnit)
         SCOPED_TRACE(threads);
         SweepOptions opt;
         opt.jobs = threads;
-        expectMatchesRunOne(traces, runSweep(traces, opt), opt.baseSeed);
+        expectMatchesSerialReplay(traces, runSweep(traces, opt), opt.baseSeed);
     }
 }
 
@@ -816,7 +794,9 @@ TEST_F(SweepGroupedTrace, UnitsSplitToAboutFourPerWorker)
     for (std::uint32_t mf = 2; mf <= 256; mf *= 2)
         for (const TraceShard &w : windows)
             jobs.push_back(SweepJob::traceReplay(
-                trace_, w, CacheConfig::bcache(16 * 1024, mf, 8)));
+                trace_, w,
+                parseCacheSpec("bcache:16kB,mf=" + std::to_string(mf) +
+                               ",bas=8")));
     SweepOptions opt;
     opt.jobs = 1;
     auto units = planSweepUnits(jobs, opt);
@@ -839,15 +819,44 @@ TEST_F(SweepGroupedTrace, UnitsSplitToAboutFourPerWorker)
         EXPECT_EQ(seen[i], i);
 }
 
+TEST_F(SweepGroupedTrace, LoneJobsOfEveryKindMatchTheirSerialRunners)
+{
+    // One job of each source kind, sharing nothing: each is a unit of
+    // one member, which runs on its own source like a larger unit.
+    const std::vector<SweepJob> jobs = {
+        SweepJob::missRate("gcc", StreamSide::Data,
+                           parseCacheSpec("bcache:16kB,mf=8,bas=8"), 20000,
+                           7),
+        SweepJob::timed("equake", parseCacheSpec("victim:16kB,16e"), 20000,
+                        7),
+        SweepJob::traceReplay(trace_, TraceShard{},
+                              parseCacheSpec("sa:16kB,4w"), 0, 0,
+                              {true, 0}),
+    };
+    for (const unsigned threads : {1u, 3u}) {
+        SCOPED_TRACE(threads);
+        SweepOptions opt;
+        opt.jobs = threads;
+        EXPECT_EQ(planSweepUnits(jobs, opt),
+                  (std::vector<std::vector<std::size_t>>{{0}, {1}, {2}}));
+        const SweepRun run = runSweep(jobs, opt);
+        EXPECT_EQ(run.summary.failed, 0u);
+        EXPECT_EQ(run.summary.events, 20000u + 20000u + 16 * 2048);
+        expectMatchesSerial(jobs, run);
+        for (const SweepOutcome &out : run.outcomes)
+            EXPECT_GT(out.seconds, 0.0);
+    }
+}
+
 TEST_F(SweepGroupedTrace, BadConfigFailsAlone)
 {
-    CacheConfig bad = CacheConfig::setAssoc(16 * 1024, 4);
+    CacheConfig bad = parseCacheSpec("sa:16kB,4w");
     bad.ways = 3; // CacheGeometry refuses it at build time
     bad.label = "3way";
     std::vector<SweepJob> jobs;
     for (const CacheConfig &cfg :
-         {CacheConfig::directMapped(16 * 1024), bad,
-          CacheConfig::victim(16 * 1024, 16)})
+         {parseCacheSpec("dm:16kB"), bad,
+          parseCacheSpec("victim:16kB,16e")})
         jobs.push_back(SweepJob::traceReplay(trace_, TraceShard{}, cfg, 0,
                                              0, {true, 0}));
     for (const unsigned threads : {1u, 2u}) {
@@ -874,15 +883,15 @@ TEST_F(SweepGroupedTrace, MissingTraceFailsEveryMemberLikeRunOne)
     // A unit over a missing file: every member fails with the message
     // its own run would give — the open error for the caches, and its
     // own build error for the config that cannot be built.
-    CacheConfig bad = CacheConfig::setAssoc(16 * 1024, 4);
+    CacheConfig bad = parseCacheSpec("sa:16kB,4w");
     bad.ways = 3;
     bad.label = "3way";
     const std::string missing = path("missing.bst");
     std::vector<SweepJob> jobs;
     for (const CacheConfig &cfg :
-         {CacheConfig::directMapped(16 * 1024), bad,
-          CacheConfig::bcache(16 * 1024, 8, 8),
-          CacheConfig::victim(16 * 1024, 16)})
+         {parseCacheSpec("dm:16kB"), bad,
+          parseCacheSpec("bcache:16kB,mf=8,bas=8"),
+          parseCacheSpec("victim:16kB,16e")})
         jobs.push_back(SweepJob::traceReplay(missing, TraceShard{}, cfg));
     SweepOptions opt;
     opt.jobs = 1;

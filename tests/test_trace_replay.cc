@@ -82,9 +82,9 @@ TEST_F(TraceReplayTest, ReplayIsBitIdenticalToDrivingTheGenerator)
     writeBst2Trace(path("cap.bst"), captured, 256);
 
     for (const CacheConfig &cfg :
-         {CacheConfig::directMapped(16 * 1024),
-          CacheConfig::bcache(16 * 1024, 8, 8),
-          CacheConfig::victim(16 * 1024, 16)}) {
+         {parseCacheSpec("dm:16kB"),
+          parseCacheSpec("bcache:16kB,mf=8,bas=8"),
+          parseCacheSpec("victim:16kB,16e")}) {
         VectorStream direct_stream(captured);
         const MissRateResult direct = runMissRateOn(
             direct_stream, cfg, captured.size(), "direct");
@@ -107,7 +107,7 @@ TEST_F(TraceReplayTest, BatchLengthNeverChangesResults)
 {
     const auto captured = capturedStream(3000);
     writeBst2Trace(path("b.bst"), captured, 128);
-    const CacheConfig cfg = CacheConfig::bcache(16 * 1024, 8, 8);
+    const CacheConfig cfg = parseCacheSpec("bcache:16kB,mf=8,bas=8");
 
     TraceReplayOptions base;
     base.batchLen = 1024;
@@ -129,7 +129,7 @@ TEST_F(TraceReplayTest, MaxAccessesClampsTheWindow)
     TraceReplayOptions o;
     o.maxAccesses = 137;
     const MissRateResult r = runTraceReplay(
-        path("m.bst"), CacheConfig::directMapped(16 * 1024), {}, o);
+        path("m.bst"), parseCacheSpec("dm:16kB"), {}, o);
     EXPECT_EQ(r.stats.accesses, 137u);
 }
 
@@ -158,7 +158,7 @@ TEST_F(TraceReplayTest, ShardedReplayIsBitIdenticalAtAnyJobs)
 {
     const auto captured = capturedStream(4000);
     writeBst2Trace(path("j.bst"), captured, 256);
-    const CacheConfig cfg = CacheConfig::bcache(16 * 1024, 8, 8);
+    const CacheConfig cfg = parseCacheSpec("bcache:16kB,mf=8,bas=8");
 
     SweepOptions serial, parallel;
     serial.jobs = 1;
@@ -182,7 +182,7 @@ TEST_F(TraceReplayTest, RunnerStreamsTraceSpansZeroCopy)
     // match the copying VectorStream path bit for bit.
     const auto captured = capturedStream(1500);
     writeBst2Trace(path("r.bst"), captured, 128);
-    const CacheConfig cfg = CacheConfig::directMapped(16 * 1024);
+    const CacheConfig cfg = parseCacheSpec("dm:16kB");
 
     VectorStream vec(captured);
     const MissRateResult want =
@@ -234,7 +234,7 @@ TEST_F(TraceReplayTest, MaxAccessesOffBatchAndChunkBoundaries)
 {
     const auto captured = capturedStream(2000);
     writeBst2Trace(path("c.bst"), captured, 128); // chunkLen 128
-    const CacheConfig cfg = CacheConfig::bcache(16 * 1024, 8, 8);
+    const CacheConfig cfg = parseCacheSpec("bcache:16kB,mf=8,bas=8");
 
     for (const std::uint64_t max : {1u, 127u, 129u, 1001u, 1999u}) {
         // None of these divide the chunk length; 127/129/1999 don't
@@ -268,7 +268,7 @@ TEST_F(TraceReplayTest, ShardedTotalsEqualSerialFoldOverShardWindows)
 {
     const auto captured = capturedStream(4100); // not a chunk multiple
     writeBst2Trace(path("f.bst"), captured, 256);
-    const CacheConfig cfg = CacheConfig::bcache(16 * 1024, 8, 8);
+    const CacheConfig cfg = parseCacheSpec("bcache:16kB,mf=8,bas=8");
 
     TraceReplayOptions replay;
     replay.observe.enabled = true;
@@ -324,11 +324,11 @@ TEST(SampleTraces, ConflictTraceGoldenCounters)
     const std::string p =
         std::string(BSIM_TRACES_DIR) + "/conflict_dm.bst";
     const MissRateResult dm =
-        runTraceReplay(p, CacheConfig::directMapped(16 * 1024));
+        runTraceReplay(p, parseCacheSpec("dm:16kB"));
     EXPECT_EQ(dm.stats.accesses, 600u);
     EXPECT_EQ(dm.stats.misses, 600u);
     const MissRateResult bc =
-        runTraceReplay(p, CacheConfig::bcache(16 * 1024, 8, 8));
+        runTraceReplay(p, parseCacheSpec("bcache:16kB,mf=8,bas=8"));
     EXPECT_EQ(bc.stats.accesses, 600u);
     EXPECT_LT(bc.stats.misses, 30u); // cold misses + decoder training
 }
@@ -338,7 +338,7 @@ TEST(SampleTraces, MixedDineroTraceLoads)
     const std::string p =
         std::string(BSIM_TRACES_DIR) + "/mixed.din";
     const MissRateResult r =
-        runTraceReplay(p, CacheConfig::directMapped(16 * 1024));
+        runTraceReplay(p, parseCacheSpec("dm:16kB"));
     EXPECT_EQ(r.stats.accesses, 134u);
     EXPECT_GT(r.stats.fetchAccesses(), 0u);
     EXPECT_GT(r.stats.writeAccesses(), 0u);

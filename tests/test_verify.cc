@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/strings.hh"
 #include "verify/campaign.hh"
 #include "verify/oracle_checker.hh"
 #include "verify/tracking_memory.hh"
@@ -43,9 +44,12 @@ driveClean(const BCacheParams &params, unsigned addr_bits,
     if (modes)
         *modes = checker.oracleModes();
 
-    CacheConfig config = CacheConfig::bcache(
-        params.sizeBytes, params.mf, params.bas, params.repl,
-        params.lineBytes);
+    CacheConfig config = parseCacheSpec(
+        "bcache:" + sizeString(params.sizeBytes) +
+        ",mf=" + std::to_string(params.mf) +
+        ",bas=" + std::to_string(params.bas) +
+        ",line=" + std::to_string(params.lineBytes));
+    config.repl = params.repl;
     config.writePolicy = params.writePolicy;
     AccessStreamPtr stream = makeCaseStream(
         {.cacheSpec = printCacheSpec(config), .addrBits = addr_bits,

@@ -217,7 +217,7 @@ TEST(WtHierarchy, DirtyL1VictimSurvivesWriteThroughL2)
 
 TEST(WtConfig, PropagatesThroughCacheConfig)
 {
-    CacheConfig cfg = CacheConfig::bcache(16 * 1024, 8, 8);
+    CacheConfig cfg = parseCacheSpec("bcache:16kB,mf=8,bas=8");
     cfg.writePolicy = kWT;
     auto cache = cfg.build("x");
     auto *bc = dynamic_cast<BCache *>(cache.get());
