@@ -61,9 +61,6 @@ usage(const char *msg = nullptr)
                  "                   shard; see docs/TRACES.md)\n"
                  "  [--jobs N]       sweep worker threads for --shards "
                  "(BSIM_JOBS)\n"
-                 "  [--batch N]      accessBatch span length (BSIM_BATCH;"
-                 " 0/1 =\n"
-                 "                   per-access path; at most %zu)\n"
                  "  [--accesses N]   synthetic run length, or a cap on "
                  "trace replay\n"
                  "                   (traces default to the whole file;"
@@ -75,8 +72,7 @@ usage(const char *msg = nullptr)
                  "(workload-\n"
                  "                   driven only; --accesses is the "
                  "uop count;\n"
-                 "                   not with --shards/--side/--batch/"
-                 "--jobs)\n"
+                 "                   not with --shards/--side/--jobs)\n"
                  "  [--stats-json F] write a bsim-stats-v1 document "
                  "(per-set\n"
                  "                   histograms, balance metrics, decoder"
@@ -94,8 +90,7 @@ usage(const char *msg = nullptr)
                  "stdout\n"
                  "  [--json]         the bsim-stats-v1 document on stdout"
                  "\n"
-                 "                   (--timed: one JSON result line)\n",
-                 kMaxBatchLen);
+                 "                   (--timed: one JSON result line)\n");
     std::exit(2);
 }
 
@@ -212,13 +207,11 @@ printBCacheCosts(const CacheConfig &cfg, std::FILE *out)
 /** --shards: parallel replay, per-shard table + merged totals. */
 int
 runSharded(const std::string &trace_path, const CacheConfig &cfg,
-           unsigned shards, unsigned jobs, std::size_t batch, bool json,
-           const StatsExport &ex)
+           unsigned shards, unsigned jobs, bool json, const StatsExport &ex)
 {
     SweepOptions opts;
     opts.jobs = jobs;
     TraceReplayOptions replay;
-    replay.batchLen = batch;
     replay.observe = ex.observerConfig();
     const TraceSweepResult res =
         runTraceSharded(trace_path, cfg, shards, opts, replay);
@@ -291,7 +284,6 @@ bsimMain(int argc, char **argv)
     std::uint64_t seed = kDefaultSeed;
     unsigned shards = 0;
     unsigned jobs = 0;
-    std::size_t batch = 0;
     bool json = false;
     bool timed = false;
     StatsExport ex;
@@ -328,14 +320,6 @@ bsimMain(int argc, char **argv)
             shards = parseNum<unsigned>(flag, need());
         else if (!std::strcmp(flag, "--jobs"))
             jobs = parseNum<unsigned>(flag, need());
-        else if (!std::strcmp(flag, "--batch")) {
-            batch = parseNum<std::size_t>(flag, need());
-            if (batch > kMaxBatchLen)
-                usage(("--batch " + std::to_string(batch) +
-                       " is above the cap of " +
-                       std::to_string(kMaxBatchLen))
-                          .c_str());
-        }
         else if (!std::strcmp(flag, "--accesses")) {
             accesses = parseNum(flag, need());
             accesses_set = true;
@@ -380,8 +364,8 @@ bsimMain(int argc, char **argv)
             usage("--stats-json/--heatmap/--interval observe the "
                   "standalone miss-rate drivers, not --timed");
         // One core over one workload: no trace windows, no stream side
-        // (it runs both), no accessBatch spans and no sweep workers.
-        for (const char *f : {"--shards", "--side", "--batch", "--jobs"})
+        // (it runs both) and no sweep workers.
+        for (const char *f : {"--shards", "--side", "--jobs"})
             if (given.count(f))
                 usage((std::string(f) + " does not apply to --timed")
                           .c_str());
@@ -419,7 +403,7 @@ bsimMain(int argc, char **argv)
             usage("--shards needs --trace");
         if (accesses_set)
             usage("--accesses caps a single replay, not --shards");
-        return runSharded(trace_path, cfg, shards, jobs, batch, json, ex);
+        return runSharded(trace_path, cfg, shards, jobs, json, ex);
     }
 
     MissRateResult r;
@@ -428,7 +412,6 @@ bsimMain(int argc, char **argv)
         // file's record count (no whole-trace vector).
         TraceReplayOptions opts;
         opts.maxAccesses = accesses_set ? accesses : 0;
-        opts.batchLen = batch;
         opts.observe = ex.observerConfig();
         r = runTraceReplay(trace_path, cfg, TraceShard{}, opts);
     } else {

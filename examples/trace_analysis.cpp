@@ -114,8 +114,6 @@ main(int argc, char **argv)
         oc.enabled = true;
         const MissRateResult r =
             runMissRateOn(replay, cfg, trace.size(), source, oc);
-        if (!r.observer) // built with -DBSIM_NO_OBSERVE
-            continue;
         const BalanceMetrics bm = r.observer->balanceMetrics();
         m.row()
             .cell(cfg.label)

@@ -75,6 +75,13 @@
 # src/bcache/ declares a `bool valid` member, and neither the retired
 # fill-way helper nor a per-variant line accessor (spelled with a
 # bracket) appears under src/.
+#
+# And it keeps one feed path (pass 14): every run feeds its caches
+# through accessBatch in kDefaultBatchLen chunks, and the observer hooks
+# are always compiled in. Neither the retired batch-length environment
+# knob, its cap, the sweep job's batch field nor the observer build
+# flag (spelled with a bracket) appears in src/, bench/, tests/,
+# examples/, docs/, README.md or EXPERIMENTS.md.
 set -eu
 
 repo_root=$(CDPATH= cd -- "$(dirname -- "$0")/.." && pwd)
@@ -319,6 +326,17 @@ if matches=$(grep -rn "choose[F]illWay\|\<line[A]t(" src/); then
     fail=1
 fi
 
+# ---- pass 14: one feed path ----
+if matches=$(grep -rn --exclude-dir=api \
+        "BSIM_[B]ATCH\|k[M]axBatchLen\|trace[B]atchLen\|BSIM_[N]O_OBSERVE" \
+        src/ bench/ tests/ examples/ docs/ README.md EXPERIMENTS.md); then
+    echo "check_specs: a retired batch-length knob or observer build fork" \
+         "is back (every run feeds accessBatch kDefaultBatchLen records at" \
+         "a time; the observer hooks are always compiled in):" >&2
+    echo "$matches" >&2
+    fail=1
+fi
+
 if [ "$fail" -ne 0 ]; then
     echo "check_specs: FAIL" >&2
     exit 1
@@ -329,5 +347,5 @@ echo "check_specs: OK ($n_kinds kinds; registry, --list-caches and" \
      "driver in src/verify; one replacement type; one per-line" \
      "histogram; one error path; one verification campaign and one" \
      "count parser; one binary trace format; one way to run a" \
-     "replay; one tag array)"
+     "replay; one tag array; one feed path)"
 exit 0

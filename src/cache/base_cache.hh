@@ -61,8 +61,7 @@ class BaseCache : public MemLevel
      * @p obs consumes them, so an observer that ignores them costs no
      * per-hit work; one that consumes them costs a virtual call per
      * line-touching access. One slot: a cache carries either a stats
-     * observer or a drowsy estimator, not both. -DBSIM_NO_OBSERVE
-     * compiles out only the miss-path hooks.
+     * observer or a drowsy estimator, not both.
      */
     void
     setCacheObserver(CacheObserver *obs)
@@ -109,9 +108,8 @@ class BaseCache : public MemLevel
     writebackToNext(Addr block_addr)
     {
         ++stats_.writebacks;
-        if constexpr (kObserversEnabled)
-            if (observer_)
-                observer_->onWriteback();
+        if (observer_)
+            observer_->onWriteback();
         if (next_)
             next_->writeback(block_addr);
     }
@@ -134,25 +132,22 @@ class BaseCache : public MemLevel
     }
 
     /**
-     * Miss-path observer notifications (cache/cache_observer.hh). All
-     * compile to nothing under -DBSIM_NO_OBSERVE; otherwise one
+     * Miss-path observer notifications (cache/cache_observer.hh): one
      * predictable null check when no observer is attached. Kept out of
      * the hit path entirely — hits report via recordLineOnly().
      */
     void
     observeInstall(std::size_t physical_line)
     {
-        if constexpr (kObserversEnabled)
-            if (observer_)
-                observer_->onInstall(physical_line);
+        if (observer_)
+            observer_->onInstall(physical_line);
     }
 
     void
     observeDecoderReprogram(std::size_t group)
     {
-        if constexpr (kObserversEnabled)
-            if (observer_)
-                observer_->onDecoderReprogram(group);
+        if (observer_)
+            observer_->onDecoderReprogram(group);
     }
 
     /** Reset stats/usage; derived classes call from their reset(). */

@@ -15,14 +15,10 @@
  * the drowsy estimator) pays one virtual call per line-touching access.
  * The other hooks only fire on the (orders-of-magnitude rarer) miss path.
  *
- * Compile-time kill switch: building with -DBSIM_NO_OBSERVE compiles the
- * engine's miss-path notification sites out entirely (kObserversEnabled
- * == false), including their null pointer checks, and attachObserver()
- * (sim/runner.hh) then attaches no stats collector. Per-line accesses
- * still reach an attached observer, so drowsy estimation works in either
- * build. The default build keeps the hooks; with no observer attached
- * the only residual cost is one predictable branch per miss-path event
- * (tests/perf_batch_smoke.cc gates the hot loop).
+ * The hooks are always compiled in: with no observer attached the only
+ * residual cost is one predictable branch per miss-path event
+ * (tests/perf_batch_smoke.cc gates the hot loop), and observer overhead
+ * is measured by attaching an observer or not.
  */
 
 #ifndef BSIM_CACHE_CACHE_OBSERVER_HH
@@ -32,12 +28,11 @@
 
 namespace bsim {
 
-/** True unless the hooks were compiled out with -DBSIM_NO_OBSERVE. */
-#ifdef BSIM_NO_OBSERVE
-inline constexpr bool kObserversEnabled = false;
-#else
+/**
+ * Always true: the hooks are part of every build. Kept because
+ * perfbench's provenance line reads it.
+ */
 inline constexpr bool kObserversEnabled = true;
-#endif
 
 /**
  * Observability hook set (observe/observer.hh implements the standard

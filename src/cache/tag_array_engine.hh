@@ -67,8 +67,7 @@
  * pointer once per batch). The engine's run() core fires the miss-path
  * hook set — onWriteback (via writebackToNext), onDecoderReprogram
  * (from a variant's install hook), onInstall — in program order for
- * every variant. -DBSIM_NO_OBSERVE compiles the miss-path notification
- * sites out.
+ * every variant.
  */
 
 #ifndef BSIM_CACHE_TAG_ARRAY_ENGINE_HH

@@ -856,6 +856,14 @@ parseCacheSpec(const std::string &spec)
                 "bad composition '" + spec +
                 "': a victim buffer attaches to a direct-mapped base "
                 "(dm:<size>)");
+        // The Victim kind is always LRU and write-back: a base policy
+        // it cannot honour is an error, as it is in a victim: spec.
+        if (base.repl != ReplPolicyKind::LRU ||
+            base.writePolicy != WritePolicy::WriteBackAllocate)
+            throw CacheSpecError(
+                "bad composition '" + spec +
+                "': a victim-buffered cache is LRU write-back; drop "
+                "repl= and wp= from the base spec");
         const std::uint64_t entries = specCount(
             tail.substr(7), "victim entries", kMaxVictimEntries, tail);
         requireEntries(entries);

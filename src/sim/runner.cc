@@ -14,14 +14,6 @@ defaultAccesses(std::uint64_t fallback)
     return envCount("BSIM_ACCESSES", fallback);
 }
 
-std::size_t
-defaultBatchLen()
-{
-    // BSIM_BATCH=0 (or 1) falls back to the per-access path; any other
-    // value is the batch length.
-    return envCount("BSIM_BATCH", kDefaultBatchLen, 0, kMaxBatchLen);
-}
-
 std::uint64_t
 defaultUops(std::uint64_t fallback)
 {
@@ -31,7 +23,7 @@ defaultUops(std::uint64_t fallback)
 std::unique_ptr<StatsObserver>
 attachObserver(BaseCache &cache, const ObserverConfig &observe)
 {
-    if (!observe.enabled || !kObserversEnabled)
+    if (!observe.enabled)
         return nullptr;
     auto obs =
         std::make_unique<StatsObserver>(cache.setUsage().size(), observe);
@@ -57,7 +49,7 @@ runMissRateOn(AccessStream &stream, const CacheConfig &config,
               std::uint64_t accesses, const std::string &workload_label,
               const ObserverConfig &observe)
 {
-    return Session(stream, config, accesses, workload_label, observe)
+    return Session(stream, {config}, accesses, workload_label, observe)
         .run();
 }
 

@@ -156,8 +156,8 @@ std::uint64_t defaultUops(std::uint64_t fallback = 1'000'000);
 
 /**
  * Attach a StatsObserver to @p cache for the duration of a run. Returns
- * null (and attaches nothing) when @p observe is disabled or the hooks
- * were compiled out. Shared by runMissRateOn() and runTraceReplay().
+ * null (and attaches nothing) when @p observe is disabled. Shared by
+ * every Session run.
  */
 std::unique_ptr<StatsObserver> attachObserver(
     BaseCache &cache, const ObserverConfig &observe);
@@ -171,25 +171,15 @@ std::unique_ptr<StatsObserver> attachObserver(
 std::optional<ObserverReport> harvestObserver(const StatsObserver *obs,
                                               BaseCache &cache);
 
-/** Batch length runMissRateOn() feeds through MemLevel::accessBatch. */
+/**
+ * Records per MemLevel::accessBatch call in every Session run. A
+ * constant: results are bit-identical at any batch length
+ * (verify/batch_equiv pins that), so it is no knob.
+ */
 inline constexpr std::size_t kDefaultBatchLen = 1024;
 
-/**
- * Largest batch length a run accepts (bsim --batch, BSIM_BATCH): a
- * session sizes its request and outcome buffers to the batch length, so
- * the cap keeps every accepted value allocatable. 1 Mi records is 1024x
- * the default.
- */
-inline constexpr std::size_t kMaxBatchLen = std::size_t{1} << 20;
-
-/**
- * Environment-tunable batch length (BSIM_BATCH): 0 or 1 selects the
- * per-access path (the two are bit-identical; the knob exists for
- * debugging and for the self-relative perf gate). A value that is not a
- * number, or is above kMaxBatchLen, warns and falls back to
- * kDefaultBatchLen.
- */
-std::size_t defaultBatchLen();
+/** kDefaultBatchLen; perfbench sizes its batch buffers with it. */
+inline constexpr std::size_t defaultBatchLen() { return kDefaultBatchLen; }
 
 } // namespace bsim
 

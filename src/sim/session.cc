@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <exception>
-#include <functional>
 #include <vector>
 
 #include "common/logging.hh"
@@ -29,33 +28,16 @@ replayLabel(const std::string &path, const TraceShard &shard)
 
 } // namespace
 
-Session::Session(AccessStream &stream, const CacheConfig &config,
-                 std::uint64_t accesses, std::string label,
-                 const ObserverConfig &observe, std::size_t batch_len)
-    : Session(stream, std::vector<CacheConfig>{config}, accesses,
-              std::move(label), observe, batch_len)
-{
-}
-
 Session::Session(AccessStream &stream, std::vector<CacheConfig> configs,
                  std::uint64_t accesses, std::string label,
-                 const ObserverConfig &observe, std::size_t batch_len)
+                 const ObserverConfig &observe)
     : configs_(std::move(configs)),
       label_(std::move(label)),
       observe_(observe),
       maxAccesses_(accesses),
-      batchLen_(batch_len),
       stream_(&stream)
 {
     bsim_assert(!configs_.empty());
-}
-
-Session::Session(std::string trace_path, const CacheConfig &config,
-                 const TraceShard &shard,
-                 const TraceReplayOptions &options)
-    : Session(std::move(trace_path), std::vector<CacheConfig>{config},
-              shard, options)
-{
 }
 
 Session::Session(std::string trace_path, std::vector<CacheConfig> configs,
@@ -65,7 +47,6 @@ Session::Session(std::string trace_path, std::vector<CacheConfig> configs,
       label_(replayLabel(trace_path, shard)),
       observe_(options.observe),
       maxAccesses_(options.maxAccesses),
-      batchLen_(options.batchLen),
       tracePath_(std::move(trace_path)),
       shard_(shard),
       handle_(options.handle)
@@ -135,18 +116,6 @@ Session::runEach()
                            [](const Dut &d) { return d.cache != nullptr; });
     };
 
-    // BSIM_BATCH=0/1 selects the per-access path: records still come
-    // off the source a chunk at a time (the stream's own next(), one
-    // call per record), and each cache sees them one access() at a
-    // time. Otherwise stream and cache both work in batches, which is
-    // bit-identical (see MemLevel::accessBatch).
-    const std::size_t batch_len =
-        batchLen_ ? batchLen_ : defaultBatchLen();
-    const bool per_access = batch_len <= 1;
-    const std::size_t chunk = per_access ? kDefaultBatchLen : batch_len;
-    std::vector<MemAccess> reqs;
-    std::vector<AccessOutcome> outs(per_access ? 0 : chunk);
-
     // A failure of the source itself (a missing or corrupt trace)
     // fails every DUT still running with its error, as it would fail a
     // single-DUT run.
@@ -161,38 +130,25 @@ Session::runEach()
         }
     };
 
-    // Where the records come from. Trace readers and span streams
-    // (trace-backed AccessStreams) hand out views of their own chunk
-    // buffer — the mmap itself for uncompressed BST2 — so nothing is
-    // copied per record on the way into accessBatch; spans stop at
-    // chunk edges, and the accessBatch contract (verify/batch_equiv)
-    // is boundary-independent. An empty span means a bounded source
-    // ran out; the run ends there. Generators fill `reqs`.
+    // Where the records come from. A trace reader hands out views of
+    // its own chunk buffer — the mmap itself for uncompressed BST2 — so
+    // nothing is copied per record on the way into accessBatch; spans
+    // stop at chunk edges, and the accessBatch contract
+    // (verify/batch_equiv) is boundary-independent. An empty span means
+    // the window ran out; the run ends there. A generator fills `reqs`.
     TraceReaderPtr reader;
-    std::function<std::span<const MemAccess>(std::size_t)> pull;
-    if (!stream_) {
-        if (alive()) {
-            try {
-                reader = handle_ ? openTraceReader(handle_, shard_)
-                                 : openTraceReader(tracePath_, shard_);
-            } catch (...) {
-                fail_source();
-            }
+    std::vector<MemAccess> reqs;
+    if (stream_) {
+        reqs.resize(kDefaultBatchLen);
+    } else if (alive()) {
+        try {
+            reader = handle_ ? openTraceReader(handle_, shard_)
+                             : openTraceReader(tracePath_, shard_);
+        } catch (...) {
+            fail_source();
         }
-        pull = [&](std::size_t n) { return reader->nextSpan(n); };
-    } else if (!per_access && stream_->hasSpanBatches()) {
-        pull = [&](std::size_t n) { return stream_->nextSpan(n); };
-    } else {
-        reqs.resize(chunk);
-        pull = [&](std::size_t n) {
-            if (per_access)
-                for (std::size_t i = 0; i < n; ++i)
-                    reqs[i] = stream_->next();
-            else
-                stream_->nextBatch(reqs.data(), n);
-            return std::span<const MemAccess>(reqs.data(), n);
-        };
     }
+    std::vector<AccessOutcome> outs(kDefaultBatchLen);
 
     // A trace window with no maxAccesses runs to its end; a stream is
     // unbounded, so its run length is exactly maxAccesses.
@@ -200,33 +156,30 @@ Session::runEach()
                                                    : ~std::uint64_t{0};
     while (left > 0 && alive()) {
         const std::size_t want = static_cast<std::size_t>(
-            std::min<std::uint64_t>(left, chunk));
-        // Re-clamp what actually came back: a source promises at most
-        // `want` records, but `left -= size` is an unsigned subtraction
-        // that would wrap past maxAccesses if one ever over-delivered
-        // (turning a bounded run into a near-unbounded one), and the
-        // clamp also keeps it from overrunning `outs`.
+            std::min<std::uint64_t>(left, kDefaultBatchLen));
         std::span<const MemAccess> s;
         try {
-            s = pull(want);
+            if (stream_) {
+                stream_->nextBatch(reqs.data(), want);
+                s = std::span<const MemAccess>(reqs.data(), want);
+            } else {
+                s = reader->nextSpan(want);
+            }
         } catch (...) {
             fail_source();
             break;
         }
+        // Re-clamp what actually came back: a reader promises at most
+        // `want` records, but `left -= size` is an unsigned subtraction
+        // that would wrap past maxAccesses if one ever over-delivered
+        // (turning a bounded run into a near-unbounded one), and the
+        // clamp also keeps it from overrunning `outs`.
         s = s.first(std::min(s.size(), want));
         if (s.empty())
             break;
-        for (Dut &d : duts) {
-            if (!d.cache)
-                continue;
-            d.timed([&] {
-                if (per_access)
-                    for (const MemAccess &a : s)
-                        d.cache->access(a);
-                else
-                    d.cache->accessBatch(s, outs.data());
-            });
-        }
+        for (Dut &d : duts)
+            if (d.cache)
+                d.timed([&] { d.cache->accessBatch(s, outs.data()); });
         left -= s.size();
     }
 

@@ -12,12 +12,13 @@
  * trace window reads it once. Every cache sees exactly the records it
  * would see alone, so each result is bit-identical to a single-DUT run.
  *
- * Before this layer, runner.cc, trace_replay.cc and the bsim driver
- * each re-implemented DUT setup, the batched access loops, observer
- * attach/harvest and result assembly. They are now thin adapters over
- * Session; the run loops live here, once, and the bit-identity
- * contracts (batched == per-access, span boundaries don't matter) are
- * pinned against this single implementation.
+ * There is one feed path per source: a trace window is read through its
+ * reader's nextSpan(), a generator through nextBatch() into a request
+ * buffer, and either way records enter each cache through accessBatch()
+ * in chunks of kDefaultBatchLen. How a run is sliced into batches never
+ * shows in a result: verify/batch_equiv twin-drives access() against
+ * accessBatch() at odd batch lengths to pin that. runner.cc,
+ * trace_replay.cc and the bsim driver are thin adapters over Session.
  */
 
 #ifndef BSIM_SIM_SESSION_HH
@@ -38,8 +39,6 @@ struct TraceReplayOptions
 {
     /** Stop after this many accesses (0 = the whole window). */
     std::uint64_t maxAccesses = 0;
-    /** Span clamp fed to accessBatch; 0 = defaultBatchLen(). */
-    std::size_t batchLen = 0;
     /** Ride a StatsObserver along (observe/observer.hh). */
     ObserverConfig observe;
     /**
@@ -67,56 +66,36 @@ class Session
 {
   public:
     /**
-     * Session over a caller-owned access stream (synthetic workload or
-     * any other AccessStream). @p accesses is the run length (streams
-     * are unbounded).
-     */
-    Session(AccessStream &stream, const CacheConfig &config,
-            std::uint64_t accesses, std::string label,
-            const ObserverConfig &observe = {},
-            std::size_t batch_len = 0);
-
-    /**
-     * Session feeding one caller-owned stream to every cache in
-     * @p configs. Each cache gets its own observer when @p observe is
+     * Session feeding one caller-owned access stream (synthetic
+     * workload or any other AccessStream) to every cache in
+     * @p configs. @p accesses is the run length (streams are
+     * unbounded). Each cache gets its own observer when @p observe is
      * enabled. run() needs exactly one DUT.
      */
     Session(AccessStream &stream, std::vector<CacheConfig> configs,
             std::uint64_t accesses, std::string label,
-            const ObserverConfig &observe = {},
-            std::size_t batch_len = 0);
+            const ObserverConfig &observe = {});
 
     /**
-     * Session over one window of a trace file (options.maxAccesses 0 =
-     * the whole window). The trace is opened lazily at run time, so
-     * constructing a Session for a missing file only fails when run.
-     */
-    Session(std::string trace_path, const CacheConfig &config,
-            const TraceShard &shard = {},
-            const TraceReplayOptions &options = {});
-
-    /**
-     * Session replaying one trace window through every cache in
-     * @p configs: each span is read and validated once and fed to
-     * every cache while it is still in cache. Each cache gets its own
-     * observer when options.observe is enabled. run() needs exactly
-     * one DUT.
+     * Session replaying one window of a trace file
+     * (options.maxAccesses 0 = the whole window) through every cache
+     * in @p configs: each span is read and validated once and fed to
+     * every cache while it is still in cache. The trace is opened
+     * lazily at run time, so constructing a Session for a missing file
+     * only fails when run. Each cache gets its own observer when
+     * options.observe is enabled. run() needs exactly one DUT.
      */
     Session(std::string trace_path, std::vector<CacheConfig> configs,
             const TraceShard &shard = {},
             const TraceReplayOptions &options = {});
 
-    Session(Session &&) = default;
-    Session &operator=(Session &&) = default;
-
     /**
      * Full run: every record of the source window through every DUT,
      * one result per DUT in config order. The source is pulled once per
-     * batch and the batch fed to each cache in turn; BSIM_BATCH=0/1
-     * feeds the same records one access at a time. A failure of the
-     * source itself (a missing or corrupt trace) fails every DUT still
-     * running with that error, as it would fail a single-DUT run; a
-     * DUT's own failure lands in its DutRun alone.
+     * batch and the batch fed to each cache's accessBatch() in turn. A
+     * failure of the source itself (a missing or corrupt trace) fails
+     * every DUT still running with that error, as it would fail a
+     * single-DUT run; a DUT's own failure lands in its DutRun alone.
      */
     std::vector<DutRun> runEach();
 
@@ -125,9 +104,6 @@ class Session
      * rethrown.
      */
     MissRateResult run();
-
-    /** The workload label results will carry. */
-    const std::string &label() const { return label_; }
 
   private:
     /** One DUT's result once every record has reached it. */
@@ -138,7 +114,6 @@ class Session
     std::string label_;
     ObserverConfig observe_;
     std::uint64_t maxAccesses_ = 0;
-    std::size_t batchLen_ = 0;
 
     AccessStream *stream_ = nullptr; ///< borrowed; null for traces
     std::string tracePath_;          ///< non-empty for trace sources

@@ -55,13 +55,12 @@ errorOf(std::exception_ptr error)
     }
 }
 
-/** A trace job's replay knobs (its run length, batch, observer, handle). */
+/** A trace job's replay knobs (its run length, observer, handle). */
 TraceReplayOptions
 replayOptions(const SweepJob &job)
 {
     TraceReplayOptions opts;
     opts.maxAccesses = job.length;
-    opts.batchLen = job.traceBatchLen;
     opts.observe = job.observe;
     opts.handle = job.traceHandle;
     return opts;
@@ -221,7 +220,6 @@ struct UnitKey
     // Trace only.
     std::string tracePath;
     TraceShard shard;
-    std::size_t traceBatchLen = 0;
     ObserverConfig observe;
     std::uintptr_t traceHandle = 0; ///< the shared handle's identity
 
@@ -243,9 +241,9 @@ constexpr std::size_t kTraceUnitsPerWorker = 4;
  * generates that stream once for all of them; Timed jobs that share
  * (workload, resolved seed, length, HierarchyParams) form one unit,
  * which generates that µop stream once for all of their cores; Trace
- * jobs that share (path, shard window, length, batch length, observer
- * config, handle identity) form one unit, which reads that window once
- * for all of their caches. Every other job is a unit of its own.
+ * jobs that share (path, shard window, length, observer config,
+ * handle identity) form one unit, which reads that window once for all
+ * of their caches. Every other job is a unit of its own.
  * Units are ordered by their first job.
  *
  * Splitting, always in halves of the largest eligible unit: on more
@@ -282,7 +280,6 @@ planUnits(const std::vector<SweepJob> &jobs,
         if (trace) {
             key.tracePath = j.tracePath;
             key.shard = j.shard;
-            key.traceBatchLen = j.traceBatchLen;
             key.observe = j.observe;
             key.traceHandle =
                 reinterpret_cast<std::uintptr_t>(j.traceHandle.get());
@@ -398,7 +395,7 @@ SweepJob::customJob(std::string label,
 SweepJob
 SweepJob::traceReplay(std::string path, TraceShard shard,
                       CacheConfig config, std::uint64_t max_accesses,
-                      std::size_t batch_len, ObserverConfig observe)
+                      std::size_t, ObserverConfig observe)
 {
     SweepJob j;
     j.kind = Kind::Trace;
@@ -407,7 +404,6 @@ SweepJob::traceReplay(std::string path, TraceShard shard,
     j.length = max_accesses;
     j.tracePath = std::move(path);
     j.shard = shard;
-    j.traceBatchLen = batch_len;
     j.observe = observe;
     return j;
 }

@@ -12,10 +12,12 @@
  * length, HierarchyParams) are one unit the same way: runTimedEach()
  * generates each µop batch once and steps every member's own core and
  * hierarchy over it. Trace jobs that share (trace path, shard window,
- * run length, batch length, observer config, shared-handle identity)
- * are one unit too: Session::runEach reads and validates each span of
- * the window once and feeds it to every member's cache while it is
- * still in the CPU cache. Every other job — Custom, and jobs whose
+ * run length, observer config, shared-handle identity) are one unit
+ * too: Session::runEach reads and validates each span of the window
+ * once and feeds it to every member's cache while it is still in the
+ * CPU cache. Either way every cache takes its records through
+ * accessBatch in kDefaultBatchLen chunks; the chunk length is a
+ * constant, not part of any job. Every other job — Custom, and jobs whose
  * source no other job shares — is a unit of its own and runs exactly as
  * a serial runner call would.
  *
@@ -96,8 +98,6 @@ struct SweepJob
      * results are bit-identical either way.
      */
     TraceHandlePtr traceHandle;
-    /** Trace jobs only: batch length (0 = defaultBatchLen()). */
-    std::size_t traceBatchLen = 0;
     /** Trace jobs only: ride a StatsObserver along with the replay. */
     ObserverConfig observe;
     static SweepJob missRate(std::string workload, StreamSide side,
@@ -117,14 +117,16 @@ struct SweepJob
      * @p max_accesses 0 replays the whole window. The trace is the
      * workload, so the derived seed is unused — the job is a pure
      * function of (path, shard, config), which is what makes sharded
-     * replay bit-identical at any thread count. @p batch_len and
-     * @p observe mirror TraceReplayOptions (held as scalar fields here
-     * so sweep.hh does not need trace_replay.hh, which includes it).
+     * replay bit-identical at any thread count. @p observe mirrors
+     * TraceReplayOptions (held as a field here so sweep.hh does not
+     * need trace_replay.hh, which includes it). The unnamed fifth
+     * parameter is ignored: it was a batch length, and perfbench still
+     * passes one positionally until its own code drops the argument.
      */
     static SweepJob traceReplay(std::string path, TraceShard shard,
                                 CacheConfig config,
                                 std::uint64_t max_accesses = 0,
-                                std::size_t batch_len = 0,
+                                std::size_t = 0,
                                 ObserverConfig observe = {});
 };
 

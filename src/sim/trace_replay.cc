@@ -12,7 +12,7 @@ runTraceReplay(const std::string &path, const CacheConfig &config,
                const TraceShard &shard,
                const TraceReplayOptions &options)
 {
-    return Session(path, config, shard, options).run();
+    return Session(path, {config}, shard, options).run();
 }
 
 namespace {
@@ -98,10 +98,9 @@ runTraceSharded(const std::string &path, const CacheConfig &config,
     std::vector<SweepJob> jobs;
     jobs.reserve(windows.size());
     for (const TraceShard &w : windows) {
-        jobs.push_back(SweepJob::traceReplay(path, w, config,
-                                             replay.maxAccesses,
-                                             replay.batchLen,
-                                             replay.observe));
+        jobs.push_back(
+            SweepJob::traceReplay(path, w, config, replay.maxAccesses));
+        jobs.back().observe = replay.observe;
         jobs.back().traceHandle = replay.handle;
     }
     const SweepRun run = runSweep(jobs, options);

@@ -3,8 +3,8 @@
  * Command-line soup for the bsim_soup ctest: draws deterministic `bsim`
  * invocations from bsim's flag table — valid values next to 0, huge,
  * negative and non-numeric ones, missing files, directories, `-`
- * outputs, repeated and value-less flags, retired flags, and BSIM_JOBS /
- * BSIM_BATCH environment values — so scripts/check_bsim_soup.sh can
+ * outputs, repeated and value-less flags, retired flags, and BSIM_JOBS
+ * environment values — so scripts/check_bsim_soup.sh can
  * check that every run ends in a result (exit 0), an input error
  * (exit 1) or a usage error (exit 2), never a signal or a hang.
  *
@@ -59,7 +59,8 @@ flagTable(const std::string &dir)
           "dm:4kB+victim:16", "skew:8kB", "hac:16kB", "pad:8kB,4w",
           "halt:8kB,4w"},
          {"bogus", "dm:0kB", "sa:16kB,3w", "bcache:16kB,mf=3", "dm:128MB",
-          "dm:16kB+victim:0", ""}},
+          "dm:16kB+victim:0", "dm:16kB,wp=wt+victim:16",
+          "dm:16kB,repl=random+victim:16", ""}},
         {"--list-caches", {}, {}},
         {"--workload", {"gcc", "equake", "mcf", "art"}, {"quake3", ""}},
         {"--side", {"data", "inst"}, {"both", ""}},
@@ -71,8 +72,6 @@ flagTable(const std::string &dir)
          {"4294967296", "-1", "x"}},
         {"--jobs", {"0", "1", "2", "4294967295"},
          {"4294967296", "-1", "x"}},
-        {"--batch", {"0", "1", "7", "4096", "1048576"},
-         {"1048577", "18446744073709551615", "-1", "x"}},
         {"--accesses", {"0", "1", "777", "5000"},
          {"-1", "x", "99999999999999999999"}},
         {"--stats-json", {dir + "/s.json", "-"},
@@ -89,12 +88,11 @@ flagTable(const std::string &dir)
 
 const std::vector<Flag> kEnv = {
     {"BSIM_JOBS", {"1", "3"}, {"0", "x", "-2", "99999999999"}},
-    {"BSIM_BATCH", {"0", "1", "64"}, {"x", "18446744073709551615"}},
 };
 
 /** Words that are not in the table at all, retired flags included. */
-const std::vector<std::string> kStray = {"--bogus", "--sample", "-", "",
-                                         "-h"};
+const std::vector<std::string> kStray = {"--bogus", "--sample", "--batch",
+                                         "-",       "",         "-h"};
 
 const std::string &
 pick(const std::vector<std::string> &v, Rng &rng)

@@ -123,6 +123,8 @@ TEST(CacheSpec, VictimCompositionSugar)
               parseCacheSpec("victim:16kB,16e"));
     EXPECT_EQ(parseCacheSpec("dm:8kB,line=64+victim:4"),
               parseCacheSpec("victim:8kB,4e,line=64"));
+    EXPECT_EQ(parseCacheSpec("dm:16kB,line=64+victim:16"),
+              parseCacheSpec("victim:16kB,16e,line=64"));
     // The composition requires a direct-mapped base.
     EXPECT_THROW(parseCacheSpec("sa:16kB,8w+victim:16"), CacheSpecError);
     EXPECT_THROW(parseCacheSpec("bcache:16kB+victim:16"),
@@ -211,6 +213,10 @@ TEST(CacheSpec, MalformedSpecsThrowActionableErrors)
     expectError("sa:16kB,wp=sideways", "write policy");
     expectError("dm:16kB+victim:", "entries");
     expectError("dm:16kB+elephant:4", "+victim");
+    // The composed Victim kind is LRU write-back: a base policy it
+    // cannot honour is rejected, not silently dropped.
+    expectError("dm:16kB,wp=wt+victim:16", "drop repl= and wp=");
+    expectError("dm:16kB,repl=random+victim:16", "drop repl= and wp=");
     // Well-formed but unbuildable: rejected here, not by a constructor.
     expectError("victim:16kB,0e", "at least one entry");
     expectError("dm:16kB+victim:0", "at least one entry");

@@ -79,7 +79,6 @@ serialReplay(const SweepJob &job)
 {
     TraceReplayOptions opts;
     opts.maxAccesses = job.length;
-    opts.batchLen = job.traceBatchLen;
     opts.observe = job.observe;
     opts.handle = job.traceHandle;
     return runTraceReplay(job.tracePath, job.config, job.shard, opts);
@@ -406,22 +405,6 @@ TEST(SweepGrouped, BadConfigFailsOnlyItsMember)
     }
 }
 
-TEST(SweepGrouped, PerAccessAndDefaultBatchAgree)
-{
-    const auto jobs = groupedJobs(15000);
-    SweepOptions opt;
-    opt.jobs = 2;
-    ::setenv("BSIM_BATCH", "0", 1);
-    const SweepRun per_access = runSweep(jobs, opt);
-    expectMatchesSerial(jobs, per_access);
-    ::unsetenv("BSIM_BATCH");
-    const SweepRun batched = runSweep(jobs, opt);
-    expectMatchesSerial(jobs, batched);
-    for (std::size_t i = 0; i < jobs.size(); ++i)
-        if (batched.outcomes[i].ok())
-            expectIdentical(per_access.outcomes[i], batched.outcomes[i]);
-}
-
 TEST(SweepGrouped, SplitGroupsAreBitIdenticalAtAnyThreadCount)
 {
     // One stream, nine caches: fewer groups than workers, so the group
@@ -690,25 +673,24 @@ expectMatchesSerialReplay(const std::vector<SweepJob> &jobs,
 TEST_F(SweepGroupedTrace, MixedSweepMatchesRunOnePerJob)
 {
     // Config-major like a harness grid: several shards x four caches x
-    // four (observer, handle, batch length) variants, so each shard
-    // window is shared by four caches in each of four units.
+    // four (observer, handle) variants, so each shard window is shared
+    // by four caches in each of four units.
     const TraceHandlePtr handle = openTraceHandle(trace_);
     struct Variant
     {
         ObserverConfig observe;
         bool shared;
-        std::size_t batch;
     };
-    const Variant variants[] = {{{}, false, 0},
-                                {{true, 0}, true, 0},
-                                {{true, 512}, true, 100},
-                                {{true, 0}, false, 100}};
+    const Variant variants[] = {{{}, false},
+                                {{true, 0}, true},
+                                {{true, 512}, true},
+                                {{true, 0}, false}};
     std::vector<SweepJob> jobs;
     for (const CacheConfig &cfg : traceConfigs())
         for (const TraceShard &w : shardTrace(trace_, 3))
             for (const Variant &v : variants) {
-                jobs.push_back(SweepJob::traceReplay(trace_, w, cfg, 0,
-                                                     v.batch, v.observe));
+                jobs.push_back(SweepJob::traceReplay(trace_, w, cfg));
+                jobs.back().observe = v.observe;
                 if (v.shared)
                     jobs.back().traceHandle = handle;
             }
@@ -731,34 +713,33 @@ TEST_F(SweepGroupedTrace, DifferentKeysNeverShareAUnit)
     // Pairs of caches that differ from the first pair in exactly one
     // key field. Each pair must be a unit of its own: sharing would run
     // one pair on the other's window, length or observer (visible in
-    // its result), or on the other's batch length, handle or file
-    // (invisible in the counters, so the plan itself is checked too).
+    // its result), or on the other's handle or file (invisible in the
+    // counters, so the plan itself is checked too).
     std::filesystem::copy_file(trace_, path("copy.bst"));
     const TraceHandlePtr handle = openTraceHandle(trace_);
     const TraceHandlePtr other_handle = openTraceHandle(trace_);
     const std::vector<TraceShard> windows = shardTrace(trace_, 2);
     std::vector<SweepJob> jobs;
     auto pair = [&](const std::string &file, const TraceShard &w,
-                    std::uint64_t length, std::size_t batch,
-                    ObserverConfig observe, const TraceHandlePtr &h) {
+                    std::uint64_t length, ObserverConfig observe,
+                    const TraceHandlePtr &h) {
         for (const CacheConfig &cfg :
              {parseCacheSpec("dm:16kB"),
               parseCacheSpec("bcache:16kB,mf=8,bas=8")}) {
-            jobs.push_back(
-                SweepJob::traceReplay(file, w, cfg, length, batch, observe));
+            jobs.push_back(SweepJob::traceReplay(file, w, cfg, length));
+            jobs.back().observe = observe;
             jobs.back().traceHandle = h;
         }
     };
     const ObserverConfig on{true, 0};
-    pair(trace_, windows[0], 0, 0, on, nullptr);
-    pair(trace_, windows[1], 0, 0, on, nullptr);          // window
-    pair(trace_, windows[0], 5000, 0, on, nullptr);       // length
-    pair(trace_, windows[0], 0, 100, on, nullptr);        // batch
-    pair(trace_, windows[0], 0, 0, {}, nullptr);          // observer off
-    pair(trace_, windows[0], 0, 0, {true, 256}, nullptr); // interval
-    pair(trace_, windows[0], 0, 0, on, handle);           // a handle
-    pair(trace_, windows[0], 0, 0, on, other_handle);     // another one
-    pair(path("copy.bst"), windows[0], 0, 0, on, nullptr); // path
+    pair(trace_, windows[0], 0, on, nullptr);
+    pair(trace_, windows[1], 0, on, nullptr);          // window
+    pair(trace_, windows[0], 5000, on, nullptr);       // length
+    pair(trace_, windows[0], 0, {}, nullptr);          // observer off
+    pair(trace_, windows[0], 0, {true, 256}, nullptr); // interval
+    pair(trace_, windows[0], 0, on, handle);           // a handle
+    pair(trace_, windows[0], 0, on, other_handle);     // another one
+    pair(path("copy.bst"), windows[0], 0, on, nullptr); // path
     // A miss-rate pair over a workload name that looks like the trace's.
     for (const CacheConfig &cfg :
          {parseCacheSpec("dm:16kB"),

@@ -103,25 +103,6 @@ TEST_F(TraceReplayTest, ReplayIsBitIdenticalToDrivingTheGenerator)
     }
 }
 
-TEST_F(TraceReplayTest, BatchLengthNeverChangesResults)
-{
-    const auto captured = capturedStream(3000);
-    writeBst2Trace(path("b.bst"), captured, 128);
-    const CacheConfig cfg = parseCacheSpec("bcache:16kB,mf=8,bas=8");
-
-    TraceReplayOptions base;
-    base.batchLen = 1024;
-    const MissRateResult ref =
-        runTraceReplay(path("b.bst"), cfg, {}, base);
-    for (const std::size_t len : {1u, 3u, 127u, 128u, 4096u}) {
-        TraceReplayOptions o;
-        o.batchLen = len;
-        const MissRateResult r =
-            runTraceReplay(path("b.bst"), cfg, {}, o);
-        expectStatsEqual(r.stats, ref.stats);
-    }
-}
-
 TEST_F(TraceReplayTest, MaxAccessesClampsTheWindow)
 {
     const auto captured = capturedStream(2000);
@@ -176,10 +157,10 @@ TEST_F(TraceReplayTest, ShardedReplayIsBitIdenticalAtAnyJobs)
     EXPECT_EQ(a.total.accesses, captured.size());
 }
 
-TEST_F(TraceReplayTest, RunnerStreamsTraceSpansZeroCopy)
+TEST_F(TraceReplayTest, RunnerBatchesCyclingTraceStreamLikeVectorStream)
 {
-    // The runner's span-aware hot path over a cycling TraceStream must
-    // match the copying VectorStream path bit for bit.
+    // A cycling TraceStream read through nextBatch must match the
+    // VectorStream over the same records bit for bit, wrap included.
     const auto captured = capturedStream(1500);
     writeBst2Trace(path("r.bst"), captured, 128);
     const CacheConfig cfg = parseCacheSpec("dm:16kB");
@@ -227,8 +208,8 @@ TEST_F(TraceReplayTest, BatchEquivHoldsOnTraces)
  * multiple of the batch length or the file's chunk length, the final
  * partial request must still land exactly on maxAccesses (an
  * over-delivering reader would otherwise underflow the unsigned `left`
- * countdown into a near-infinite loop). Covers the per-access path
- * (batchLen 1) and the batched path, against a directly-driven prefix.
+ * countdown into a near-infinite loop). Checked against a
+ * directly-driven prefix.
  */
 TEST_F(TraceReplayTest, MaxAccessesOffBatchAndChunkBoundaries)
 {
@@ -237,22 +218,17 @@ TEST_F(TraceReplayTest, MaxAccessesOffBatchAndChunkBoundaries)
     const CacheConfig cfg = parseCacheSpec("bcache:16kB,mf=8,bas=8");
 
     for (const std::uint64_t max : {1u, 127u, 129u, 1001u, 1999u}) {
-        // None of these divide the chunk length; 127/129/1999 don't
-        // divide any batch length below either.
+        // None of these is a multiple of the chunk length (128) or of
+        // kDefaultBatchLen.
         VectorStream direct(std::vector<MemAccess>(
             captured.begin(), captured.begin() + max));
         const MissRateResult want =
             runMissRateOn(direct, cfg, max, "prefix");
-        for (const std::size_t len : {1u, 100u, 4096u}) {
-            TraceReplayOptions o;
-            o.maxAccesses = max;
-            o.batchLen = len;
-            const MissRateResult r =
-                runTraceReplay(path("c.bst"), cfg, {}, o);
-            EXPECT_EQ(r.stats.accesses, max)
-                << "batchLen " << len << " max " << max;
-            expectStatsEqual(r.stats, want.stats);
-        }
+        TraceReplayOptions o;
+        o.maxAccesses = max;
+        const MissRateResult r = runTraceReplay(path("c.bst"), cfg, {}, o);
+        EXPECT_EQ(r.stats.accesses, max) << "max " << max;
+        expectStatsEqual(r.stats, want.stats);
     }
 }
 
