@@ -10,6 +10,7 @@
 #ifndef BSIM_COMMON_RANDOM_HH
 #define BSIM_COMMON_RANDOM_HH
 
+#include <bit>
 #include <cstdint>
 #include <vector>
 
@@ -26,7 +27,19 @@ class Rng
     explicit Rng(std::uint64_t seed = 0x9e3779b97f4a7c15ULL);
 
     /** Next raw 64-bit value. */
-    std::uint64_t next();
+    std::uint64_t
+    next()
+    {
+        const std::uint64_t result = std::rotl(s_[1] * 5, 7) * 9;
+        const std::uint64_t t = s_[1] << 17;
+        s_[2] ^= s_[0];
+        s_[3] ^= s_[1];
+        s_[1] ^= s_[2];
+        s_[0] ^= s_[3];
+        s_[2] ^= t;
+        s_[3] = std::rotl(s_[3], 45);
+        return result;
+    }
 
     /** Uniform integer in [0, bound). bound must be non-zero. */
     std::uint64_t nextBounded(std::uint64_t bound);
@@ -35,10 +48,14 @@ class Rng
     std::int64_t nextRange(std::int64_t lo, std::int64_t hi);
 
     /** Uniform double in [0, 1). */
-    double nextDouble();
+    double
+    nextDouble()
+    {
+        return static_cast<double>(next() >> 11) * 0x1.0p-53;
+    }
 
     /** Bernoulli draw with probability @p p of true. */
-    bool nextBool(double p);
+    bool nextBool(double p) { return nextDouble() < p; }
 
     /**
      * Geometric draw: number of failures before first success with success

@@ -29,35 +29,46 @@ SyntheticProgram::SyntheticProgram(SpecWorkload workload,
 MicroOp
 SyntheticProgram::next()
 {
-    const CpuProfile &p = workload_.cpu;
     MicroOp op;
-    op.pc = workload_.inst->next().addr;
-
-    const double u = rng_.nextDouble();
-    double acc = p.loadFrac;
-    if (u < acc) {
-        op.cls = OpClass::Load;
-    } else if (u < (acc += p.storeFrac)) {
-        op.cls = OpClass::Store;
-    } else if (u < (acc += p.branchFrac)) {
-        op.cls = OpClass::Branch;
-        op.mispredicted = rng_.nextBool(p.mispredictPerBranch);
-    } else if (u < (acc += p.longLatFrac)) {
-        op.cls = OpClass::LongLat;
-        op.latency = static_cast<std::uint8_t>(p.longLatency);
-    }
-
-    if (op.cls == OpClass::Load || op.cls == OpClass::Store)
-        op.mem = workload_.data->next().addr;
-
-    // Register dependences: short distances dominate (typical dataflow).
-    if (rng_.nextBool(0.8))
-        op.dep1 = static_cast<std::uint8_t>(
-            1 + rng_.nextGeometric(0.45, 14));
-    if (rng_.nextBool(0.3))
-        op.dep2 = static_cast<std::uint8_t>(
-            1 + rng_.nextGeometric(0.35, 14));
+    nextBatch(&op, 1);
     return op;
+}
+
+void
+SyntheticProgram::nextBatch(MicroOp *out, std::size_t n)
+{
+    const CpuProfile &p = workload_.cpu;
+    for (MicroOp *const end = out + n; out != end; ++out) {
+        MicroOp op;
+        op.pc = workload_.inst->next().addr;
+
+        const double u = rng_.nextDouble();
+        double acc = p.loadFrac;
+        if (u < acc) {
+            op.cls = OpClass::Load;
+        } else if (u < (acc += p.storeFrac)) {
+            op.cls = OpClass::Store;
+        } else if (u < (acc += p.branchFrac)) {
+            op.cls = OpClass::Branch;
+            op.mispredicted = rng_.nextBool(p.mispredictPerBranch);
+        } else if (u < (acc += p.longLatFrac)) {
+            op.cls = OpClass::LongLat;
+            op.latency = static_cast<std::uint8_t>(p.longLatency);
+        }
+
+        if (op.cls == OpClass::Load || op.cls == OpClass::Store)
+            op.mem = workload_.data->next().addr;
+
+        // Register dependences: short distances dominate (typical
+        // dataflow).
+        if (rng_.nextBool(0.8))
+            op.dep1 = static_cast<std::uint8_t>(
+                1 + rng_.nextGeometric(0.45, 14));
+        if (rng_.nextBool(0.3))
+            op.dep2 = static_cast<std::uint8_t>(
+                1 + rng_.nextGeometric(0.35, 14));
+        *out = op;
+    }
 }
 
 void

@@ -47,7 +47,10 @@ class SyntheticProgram
   public:
     SyntheticProgram(SpecWorkload workload, std::uint64_t seed = 0x5eed);
 
+    /** The next µop; nextBatch() of one. */
     MicroOp next();
+    /** The next @p n µops into @p out, as @p n next() calls would. */
+    void nextBatch(MicroOp *out, std::size_t n);
     void reset();
 
     const std::string &name() const { return workload_.name; }

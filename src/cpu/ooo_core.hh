@@ -10,7 +10,9 @@
  * window occupancy, functional units, I$ stalls, branch redirects). This
  * captures exactly the mechanism the paper's IPC numbers depend on —
  * exposure of L1 miss latency, partially overlapped by the window — at a
- * fraction of the cost of a cycle-accurate pipeline.
+ * fraction of the cost of a cycle-accurate pipeline. The hierarchy calls
+ * and the timestamp arithmetic run as two passes per batch, and one
+ * timestamp pass can time several cores at once (see OooCore).
  */
 
 #ifndef BSIM_CPU_OOO_CORE_HH
@@ -35,6 +37,8 @@ struct CoreParams
     Cycles mispredictPenalty = 5;
     /** Fetch-to-ready pipeline depth (decode/rename). */
     Cycles frontendDepth = 2;
+
+    bool operator==(const CoreParams &) const = default;
 };
 
 /** Results of one simulation run. */
@@ -66,12 +70,26 @@ struct CpuResult
  * caller may generate one stream and step several cores, each with its
  * own hierarchy, over the same batches; every core ends exactly where a
  * run() over the same µops would. Batch boundaries do not matter.
+ *
+ * A step runs in two passes. No hierarchy call depends on a timestamp:
+ * the I-line crossings, the refetch after a mispredict and each load and
+ * store follow from the µops alone. So memoryPass() makes every
+ * hierarchy call of a batch in program order and records each µop's
+ * fetch stall and execution latency; timestampPass() then derives the
+ * fetch, ready, issue, commit and redirect times from those latencies
+ * with no opaque call, for several cores at once. step() is a
+ * memoryPass() followed by a one-core timestampPass().
  */
 class OooCore
 {
   public:
-    /** µops run() pulls from its program per step() (and runTimedEach). */
+    /**
+     * µops run() pulls from its program per step(), and the most one
+     * memoryPass() takes.
+     */
     static constexpr std::size_t kBatchLen = 1024;
+    /** Cores one timestampPass() block interleaves. */
+    static constexpr std::size_t kLanes = 8;
 
     OooCore(const CoreParams &params, CacheHierarchy &hierarchy);
 
@@ -90,28 +108,67 @@ class OooCore
     /** Fetch, execute and commit @p ops, the run's next µops. */
     void step(std::span<const MicroOp> ops);
 
+    /**
+     * The first pass over @p ops, the run's next µops (at most
+     * kBatchLen): every hierarchy call in program order, the result()
+     * counters, and each µop's latencies for the timestampPass() that
+     * must follow.
+     */
+    void memoryPass(std::span<const MicroOp> ops);
+
+    /**
+     * The second pass over @p ops on every core of @p cores, µop-major
+     * and core-minor, in blocks of kLanes cores. Each core has just run
+     * memoryPass(@p ops); all share one CoreParams and have stepped the
+     * same µops. Pure arithmetic: it makes no hierarchy call.
+     */
+    static void timestampPass(std::span<OooCore *const> cores,
+                              std::span<const MicroOp> ops);
+
     /** The run so far: every µop stepped since begin(). */
     CpuResult result() const;
 
     const CoreParams &params() const { return params_; }
 
   private:
+    /** What memoryPass() records of one µop for timestampPass(). */
+    struct UopLatency
+    {
+        Cycles fetchStall; ///< I$ fill cycles beyond the hit, else 0
+        Cycles exec;       ///< issue to completion
+    };
+
+    static void timeBlock(std::span<OooCore *const> cores,
+                          std::span<const MicroOp> ops);
+
     CoreParams params_;
     CacheHierarchy &hier_;
 
-    // Pipeline state carried from one step() to the next. Ring buffers
-    // over the last windowSize µops, plus the fetch and commit cursors.
+    // Memory-pass state: the I-line of the last fetch, the counters, and
+    // the latencies of the batch awaiting its timestamp pass.
+    Addr lastFetchLine_ = ~Addr{0};
+    CpuResult res_;
+    std::vector<UopLatency> latency_;
+    std::size_t pending_ = 0; ///< µops memory-passed but not yet timed
+
+    /** The fetch and commit cursors of the timestamp pass. */
+    struct Cursors
+    {
+        Cycles fetchCycle = 1; ///< cycle the next fetch group starts
+        Cycles lastCommit = 0; ///< commit time of the last µop
+        std::uint32_t fetchedInCycle = 0;
+        std::uint32_t committedInCycle = 0;
+    };
+
+    // Timestamp-pass state carried from one step to the next: ring
+    // buffers over the last windowSize µops, plus the cursors.
+    // completion_ has one more slot, always 0, that a µop without a
+    // producer in the window reads.
     std::vector<Cycles> completion_; ///< execution completion time
     std::vector<Cycles> commit_;     ///< in-order commit time
     std::vector<Cycles> fuFree_;     ///< next free cycle per FU
-    Cycles fetchCycle_ = 1;          ///< cycle the next fetch group starts
-    std::uint32_t fetchedInCycle_ = 0;
-    Cycles lastCommit_ = 0;
-    std::uint32_t committedInCycle_ = 0;
-    Cycles commitCycleOfLast_ = 0;
-    Addr lastFetchLine_ = ~Addr{0};
-    std::uint64_t n_ = 0; ///< µops stepped since begin()
-    CpuResult res_;
+    Cursors cursors_;
+    std::uint64_t n_ = 0; ///< µops timed since begin()
 };
 
 } // namespace bsim

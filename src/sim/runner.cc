@@ -142,15 +142,22 @@ runTimedEach(const std::string &workload_name,
     SyntheticProgram program(makeSpecWorkload(workload_name, seed),
                              seed ^ 0xc0ffee);
     std::vector<MicroOp> batch(OooCore::kBatchLen);
+    std::vector<OooCore *> live;
     for (std::uint64_t left = uops; left > 0 && alive();) {
         const std::size_t n = static_cast<std::size_t>(
             std::min<std::uint64_t>(left, OooCore::kBatchLen));
-        for (std::size_t i = 0; i < n; ++i)
-            batch[i] = program.next();
+        program.nextBatch(batch.data(), n);
         const std::span<const MicroOp> ops(batch.data(), n);
-        for (TimedMember &m : members)
+        // Each member's hierarchy calls on its own clock, then one
+        // timestamp pass over the members that survived them.
+        live.clear();
+        for (TimedMember &m : members) {
             if (m.core)
-                m.timed([&] { m.core->step(ops); });
+                m.timed([&] { m.core->memoryPass(ops); });
+            if (m.core)
+                live.push_back(m.core.get());
+        }
+        OooCore::timestampPass(live, ops);
         left -= n;
     }
 

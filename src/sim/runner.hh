@@ -43,8 +43,10 @@ struct DutRunOf
     std::exception_ptr error;
     /**
      * This member's own time: its build, its share of the simulation
-     * and its result assembly. Pulling records or µops from the source
-     * is shared by every member and is not included.
+     * and its result assembly. Pulling records or µops from the source,
+     * and a timed unit's timestamp pass over every member at once, are
+     * shared by every member and not included; the sweep engine adds an
+     * equal share of them to each member's seconds.
      */
     double seconds = 0.0;
 
@@ -133,12 +135,14 @@ TimedResult runTimed(const std::string &workload_name,
 
 /**
  * runTimed() for every config in @p configs off one µop stream: the
- * workload's SyntheticProgram is built once, and each batch of
- * OooCore::kBatchLen µops it generates is stepped through every
- * member's own core and hierarchy. The program is open-loop, so each
- * result is bit-identical to the member's own runTimed(). Results come
- * back in config order; a member whose config fails to build or whose
- * run throws fails alone. An error of the workload itself propagates.
+ * workload's SyntheticProgram is built once, and for each batch of
+ * OooCore::kBatchLen µops it generates, every member's core runs its
+ * memory pass over its own hierarchy, then one OooCore::timestampPass()
+ * times the batch on every member at once. The program is open-loop, so
+ * each result is bit-identical to the member's own runTimed(). Results
+ * come back in config order; a member whose config fails to build or
+ * whose run throws fails alone. An error of the workload itself
+ * propagates.
  */
 std::vector<TimedDutRun> runTimedEach(
     const std::string &workload_name,

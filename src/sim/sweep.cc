@@ -125,7 +125,8 @@ runOne(const SweepJob &job, std::size_t index, std::uint64_t seed)
  * @p slot of its outcome), or its own error, or the unit's @p error.
  * Its seconds are its own time plus an equal share of the rest of the
  * unit's @p wall time (source construction, generation or trace
- * reading), so the members' seconds sum to the unit's wall time.
+ * reading, a Timed unit's timestamp passes), so the members' seconds
+ * sum to the unit's wall time.
  */
 template <class Result>
 void
@@ -159,9 +160,10 @@ settle(std::vector<DutRunOf<Result>> &duts,
  * planUnits() key) off one source: MissRate units through
  * Session::runEach(), which feeds each generated access batch to every
  * member's cache; Trace units through the same loop over one read of
- * their trace window; and Timed units through runTimedEach(), which
- * steps every member's core over each µop batch. Each result is bit-identical to the member's own serial
- * runner call; a member whose config fails fails alone.
+ * their trace window; and Timed units through runTimedEach(), which runs
+ * every member's memory pass over each µop batch and then one timestamp
+ * pass for all of them. Each result is bit-identical to the member's own
+ * serial runner call; a member whose config fails fails alone.
  */
 void
 runShared(const std::vector<SweepJob> &jobs,

@@ -4,6 +4,7 @@
 
 #include "cpu/ooo_core.hh"
 #include "sim/config.hh"
+#include "sim/runner.hh"
 
 namespace bsim {
 namespace {
@@ -284,6 +285,80 @@ TEST(OooCore, UnevenStepsMatchOneRun)
     expectSameStats(hr.l1i().stats(), h1.l1i().stats());
     expectSameStats(hr.l1d().stats(), h1.l1d().stats());
     expectSameStats(hr.l2().stats(), h1.l2().stats());
+}
+
+TEST(OooCore, DependencesBeyondTheWindowNeverDelay)
+{
+    // SyntheticProgram draws dependence distances up to 15. A producer
+    // more than windowSize µops back committed before the consumer's
+    // window slot was freed, so it never delays the consumer: the same
+    // µops with those dependences zeroed run to the same counters.
+    constexpr std::size_t kUops = 40000;
+    SyntheticProgram p = program("gcc");
+    std::vector<MicroOp> ops(kUops);
+    p.nextBatch(ops.data(), kUops);
+    for (const std::uint32_t window : {4u, 8u}) {
+        SCOPED_TRACE(window);
+        std::vector<MicroOp> near = ops;
+        std::size_t far = 0;
+        for (MicroOp &op : near)
+            for (std::uint8_t *dep : {&op.dep1, &op.dep2})
+                if (*dep > window) {
+                    *dep = 0;
+                    ++far;
+                }
+        EXPECT_GT(far, 0u);
+        CoreParams params;
+        params.windowSize = window;
+        CacheHierarchy ha = dmHierarchy(), hb = dmHierarchy();
+        OooCore a(params, ha), b(params, hb);
+        a.step(ops);
+        b.step(near);
+        expectSameCpu(a.result(), b.result());
+    }
+}
+
+TEST(OooCore, InterleavedTimestampPassMatchesOneCoreAtATime)
+{
+    // runTimedEach() runs each member's memory pass, then one timestamp
+    // pass over all of them in blocks of kLanes. With 1, 6 and more than
+    // kLanes members of mixed kinds (so the lanes see different
+    // latencies), each result equals its config's own OooCore::run.
+    // The length ends in a partial batch.
+    constexpr std::uint64_t kUops = 3 * OooCore::kBatchLen + 333;
+    constexpr std::uint64_t kSeed = 7;
+    std::vector<CacheConfig> all;
+    for (const char *spec :
+         {"dm:16kB", "bcache:16kB,mf=8,bas=8", "sa:16kB,4w",
+          "dm:16kB+victim:16", "column:16kB", "xor:16kB", "skew:16kB",
+          "pad:16kB,2w,bits=5", "sa:8kB,2w", "bcache:8kB,mf=4,bas=4",
+          "hac:16kB", "dm:4kB"})
+        all.push_back(parseCacheSpec(spec));
+    ASSERT_GT(all.size(), OooCore::kLanes);
+    for (const std::size_t members : {std::size_t{1}, std::size_t{6},
+                                      all.size()}) {
+        SCOPED_TRACE(members);
+        const std::vector<CacheConfig> configs(all.begin(),
+                                               all.begin() + members);
+        const std::vector<TimedDutRun> runs =
+            runTimedEach("equake", configs, kUops, kSeed);
+        ASSERT_EQ(runs.size(), members);
+        for (std::size_t i = 0; i < members; ++i) {
+            SCOPED_TRACE(configs[i].label);
+            ASSERT_TRUE(runs[i].result.has_value());
+            const TimedResult &got = *runs[i].result;
+            CacheHierarchy h;
+            h.setL1I(configs[i].build("L1I", 1, nullptr));
+            h.setL1D(configs[i].build("L1D", 1, nullptr));
+            OooCore own(CoreParams{}, h);
+            SyntheticProgram prog(makeSpecWorkload("equake", kSeed),
+                                  kSeed ^ 0xc0ffee);
+            expectSameCpu(own.run(prog, kUops), got.cpu);
+            expectSameStats(h.l1i().stats(), got.l1i);
+            expectSameStats(h.l1d().stats(), got.l1d);
+            expectSameStats(h.l2().stats(), got.l2);
+        }
+    }
 }
 
 TEST(OooCore, BeginStartsAFreshRun)
