@@ -11,7 +11,6 @@
  * selects the worker count).
  */
 
-#include "bench/bench_json.hh"
 #include "bench/bench_util.hh"
 #include "common/strings.hh"
 #include "workload/spec2k.hh"
@@ -90,7 +89,5 @@ main(int argc, char **argv)
         .cell(s_v.sampleStddev(), 1);
     t.print("suite-average D$ metrics under three workload seeds");
     printSweepSummary(run.summary);
-    reportSweepPerf("ablation_seeds", "spec2k-d16k-3seeds",
-                    run.summary);
     return 0;
 }

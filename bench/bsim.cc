@@ -6,10 +6,9 @@
  * workload, a trace file (streamed in O(chunk) memory via
  * workload/trace_reader), a sharded parallel trace replay on the sweep
  * engine, or the timed OOO-core model — and prints the standard
- * statistics readout or JSON. Sweep-backed runs (--shards) append a
- * record to the BSIM_BENCH_JSON perf log via bench::reportSweepPerf.
- * docs/TRACES.md walks through the trace-facing flags; usage() below
- * is the authoritative flag list.
+ * statistics readout or JSON. A flag the chosen mode would ignore is a
+ * usage error, not a no-op. docs/TRACES.md walks through the
+ * trace-facing flags; usage() below is the authoritative flag list.
  */
 
 #include <cstdio>
@@ -19,7 +18,6 @@
 #include <set>
 #include <string>
 
-#include "bench/bench_json.hh"
 #include "common/logging.hh"
 #include "common/strings.hh"
 #include "common/table.hh"
@@ -50,17 +48,19 @@ usage(const char *msg = nullptr)
                  "                   registered grammar; default "
                  "bcache:16kB,mf=8,bas=8)\n"
                  "  [--workload NAME] [--side data|inst] [--seed N]\n"
+                 "                   the synthetic stream (not with "
+                 "--trace)\n"
                  "  [--trace FILE]   replay a trace (.bst, .din/text, "
                  "or either .gz);\n"
                  "                   streamed chunk by chunk, O(chunk) "
                  "memory\n"
-                 "  [--shards N]     split the trace into N windows and "
-                 "replay them\n"
+                 "  [--shards N]     split the trace into N >= 1 windows "
+                 "and replay them\n"
                  "                   in parallel on the sweep engine "
                  "(cold cache per\n"
                  "                   shard; see docs/TRACES.md)\n"
-                 "  [--jobs N]       sweep worker threads for --shards "
-                 "(BSIM_JOBS)\n"
+                 "  [--jobs N]       sweep worker threads; only with "
+                 "--shards (BSIM_JOBS)\n"
                  "  [--accesses N]   synthetic run length, or a cap on "
                  "trace replay\n"
                  "                   (traces default to the whole file;"
@@ -265,7 +265,6 @@ runSharded(const std::string &trace_path, const CacheConfig &cfg,
                             "\n");
     if (res.observer)
         writeObserverExports(ex, *res.observer, json);
-    bench::reportSweepPerf("bsim", cfg.label, res.summary);
     return 0;
 }
 
@@ -316,8 +315,11 @@ bsimMain(int argc, char **argv)
             trace_path = need();
         else if (!std::strcmp(flag, "--trace-info"))
             return printTraceInfo(need());
-        else if (!std::strcmp(flag, "--shards"))
+        else if (!std::strcmp(flag, "--shards")) {
             shards = parseNum<unsigned>(flag, need());
+            if (shards == 0)
+                usage("--shards needs at least 1 window");
+        }
         else if (!std::strcmp(flag, "--jobs"))
             jobs = parseNum<unsigned>(flag, need());
         else if (!std::strcmp(flag, "--accesses")) {
@@ -397,6 +399,16 @@ bsimMain(int argc, char **argv)
                         tr.cpu.mispredictCycles));
         return 0;
     }
+
+    // A trace replaces the synthetic stream, and only a sharded replay
+    // has sweep workers: a flag the run would ignore is an error.
+    if (!trace_path.empty())
+        for (const char *f : {"--workload", "--side", "--seed"})
+            if (given.count(f))
+                usage((std::string(f) + " does not apply to --trace")
+                          .c_str());
+    if (shards == 0 && given.count("--jobs"))
+        usage("--jobs sets the sweep workers of --shards");
 
     if (shards > 0) {
         if (trace_path.empty())

@@ -12,7 +12,6 @@
  * engine (`--jobs N` / BSIM_JOBS selects the worker count).
  */
 
-#include "bench/bench_json.hh"
 #include "bench/bench_util.hh"
 #include "common/strings.hh"
 
@@ -49,7 +48,5 @@ main(int argc, char **argv)
     }
     t.print("wupwise, 16kB B-Cache, BAS=8, LRU");
     printSweepSummary(run.summary);
-    bench::reportSweepPerf("fig3_mf_sweep", "wupwise-16k-bas8-mf2..512",
-                           run.summary);
     return 0;
 }

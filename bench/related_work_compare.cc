@@ -13,7 +13,6 @@
  * driven in batched mode.
  */
 
-#include "bench/bench_json.hh"
 #include "bench/bench_util.hh"
 #include "workload/spec2k.hh"
 
@@ -90,7 +89,5 @@ main(int argc, char **argv)
     SweepSummary summary = sweep_d.summary;
     summary.merge(sweep_i.summary);
     printSweepSummary(summary);
-    reportSweepPerf("related_work_compare", "spec2k-16k-related-work",
-                    summary);
     return 0;
 }

@@ -13,7 +13,6 @@
 
 #include <cstdio>
 
-#include "bench/bench_json.hh"
 #include "bench/bench_util.hh"
 #include "common/bits.hh"
 #include "common/strings.hh"
@@ -89,7 +88,5 @@ main(int argc, char **argv)
                 "vs (MF=4,BAS=4) at PD=4 etc.; with a 6-bit PD "
                 "affordable (Table 1), MF=8/BAS=8 is the design point.\n");
     printSweepSummary(run.summary);
-    reportSweepPerf("table5_6_mf_bas_pd", "spec2k-d16k-mfxbas-grid",
-                    run.summary);
     return 0;
 }

@@ -24,8 +24,6 @@ seed=${5:-0x50a9}
 
 dir=$(mktemp -d)
 trap 'rm -rf "$dir"' EXIT
-# Sharded runs append a perf record; keep it out of the caller's tree.
-export BSIM_BENCH_JSON="$dir/BENCH_perf.json"
 : >"$dir/empty.bst"
 : >"$dir/empty.din"
 

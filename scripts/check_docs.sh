@@ -11,8 +11,8 @@
 #     EXPERIMENTS.md, docs/*.md) must exist, so renames and deletions
 #     cannot silently strand the prose. Only references rooted at a
 #     real top-level directory (docs/ src/ tests/ bench/ examples/
-#     scripts/) are checked — `build/...` outputs and src-relative
-#     include paths (`sim/sweep.hh`) are out of scope. Planning files
+#     scripts/ perfbench/) are checked — `build/...` outputs and
+#     src-relative include paths (`sim/sweep.hh`) are out of scope. Planning files
 #     (ROADMAP.md, ISSUE.md) are excluded: they may legitimately name
 #     files that do not exist yet.
 #  2. Harness index (always): every `bsim_bench(<name>)` target in
@@ -46,7 +46,9 @@ for md in $docs_files; do
     # Repo-rooted path tokens with a checkable extension. The character
     # class excludes globs/braces, so `src/{a,b}` or `bench/*` never
     # produce candidates.
-    refs=$(grep -oE '(docs|src|tests|bench|examples|scripts)/[A-Za-z0-9_/.-]+\.(md|hh|cc|cpp|sh|bst|din|json|txt)' \
+    # perfbench/ is a root of its own so that its paths are checked whole
+    # rather than read as a bench/ path from their fifth letter on.
+    refs=$(grep -oE '(docs|src|tests|perfbench|bench|examples|scripts)/[A-Za-z0-9_/.-]+\.(md|hh|cc|cpp|sh|bst|din|json|txt)' \
                "$md" | sort -u || true)
     for ref in $refs; do
         checked=$((checked + 1))

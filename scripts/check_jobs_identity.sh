@@ -10,8 +10,7 @@
 #   scripts/check_jobs_identity.sh HARNESS...
 #
 # BSIM_ACCESSES defaults to 20000 accesses per cell and BSIM_UOPS to
-# 20000 uops per timed cell to keep the run short; perf records go to a
-# temporary BENCH_perf.json.
+# 20000 uops per timed cell to keep the run short.
 set -eu
 
 tmp=$(mktemp -d)
@@ -19,7 +18,6 @@ trap 'rm -rf "$tmp"' EXIT
 unset BSIM_JOBS
 export BSIM_ACCESSES="${BSIM_ACCESSES:-20000}"
 export BSIM_UOPS="${BSIM_UOPS:-20000}"
-export BSIM_BENCH_JSON="$tmp/perf.json"
 
 fail=0
 for bin in "$@"; do

@@ -82,6 +82,14 @@
 # knob, its cap, the sweep job's batch field nor the observer build
 # flag (spelled with a bracket) appears in src/, bench/, tests/,
 # examples/, docs/, README.md or EXPERIMENTS.md.
+#
+# And it keeps one perf record (pass 15): perfbench is the simulator's
+# only throughput record. Neither the retired perf-log sink, its record
+# type, its reporter, its two environment knobs, its lint nor the log
+# file's name (spelled with a bracket) appears in src/, bench/, tests/,
+# examples/, scripts/ (except this script), docs/, README.md,
+# EXPERIMENTS.md or DESIGN.md. perfbench/ is not checked: only a
+# benchmark change may edit it.
 set -eu
 
 repo_root=$(CDPATH= cd -- "$(dirname -- "$0")/.." && pwd)
@@ -337,6 +345,18 @@ if matches=$(grep -rn --exclude-dir=api \
     fail=1
 fi
 
+# ---- pass 15: one perf record ----
+if matches=$(grep -rn --exclude-dir=api --exclude=check_specs.sh \
+        "BSIM_[B]ENCH_JSON\|BSIM_[G]IT_REV\|report[S]weepPerf\|Perf[R]ecord\|bench[_]json\|BENCH[_]perf" \
+        src/ bench/ tests/ examples/ scripts/ docs/ README.md \
+        EXPERIMENTS.md DESIGN.md); then
+    echo "check_specs: the retired perf log is back (perfbench is the" \
+         "one throughput record; harnesses print their sweep engine" \
+         "table on stdout):" >&2
+    echo "$matches" >&2
+    fail=1
+fi
+
 if [ "$fail" -ne 0 ]; then
     echo "check_specs: FAIL" >&2
     exit 1
@@ -347,5 +367,5 @@ echo "check_specs: OK ($n_kinds kinds; registry, --list-caches and" \
      "driver in src/verify; one replacement type; one per-line" \
      "histogram; one error path; one verification campaign and one" \
      "count parser; one binary trace format; one way to run a" \
-     "replay; one tag array; one feed path)"
+     "replay; one tag array; one feed path; one perf record)"
 exit 0

@@ -21,9 +21,6 @@ seed=${4:-0xc0ffee}
 
 dir=$(mktemp -d)
 trap 'rm -rf "$dir"' EXIT
-# Sharded runs append a perf record; keep it out of the caller's tree.
-export BSIM_BENCH_JSON="$dir/BENCH_perf.json"
-
 "$mutants_tool" "$dir" "$count" "$seed" \
     "$repo_root/examples/traces/conflict_dm.bst" \
     "$repo_root/examples/traces/mixed.din" >"$dir/list"

@@ -19,7 +19,6 @@ fi
 
 dir=$(mktemp -d)
 trap 'rm -rf "$dir"' EXIT
-export BSIM_BENCH_JSON="$dir/BENCH_perf.json"
 for f in full.json full.csv full.din full.bst; do
     ln -s /dev/full "$dir/$f"
 done

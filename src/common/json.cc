@@ -230,64 +230,7 @@ JsonValue::find(const std::string &key) const
     return nullptr;
 }
 
-const char *
-JsonValue::kindName(Kind k)
-{
-    switch (k) {
-      case Kind::Null:
-        return "null";
-      case Kind::Bool:
-        return "bool";
-      case Kind::Number:
-        return "number";
-      case Kind::String:
-        return "string";
-      case Kind::Array:
-        return "array";
-      case Kind::Object:
-        return "object";
-    }
-    return "?";
-}
-
 namespace {
-
-void
-dumpValue(const JsonValue &v, JsonWriter &w)
-{
-    switch (v.kind) {
-      case JsonValue::Kind::Null:
-        w.null();
-        break;
-      case JsonValue::Kind::Bool:
-        w.value(v.boolean);
-        break;
-      case JsonValue::Kind::Number:
-        // Re-emit the source lexeme so integers survive unchanged.
-        if (!v.string.empty())
-            w.raw(v.string);
-        else
-            w.value(v.number);
-        break;
-      case JsonValue::Kind::String:
-        w.value(v.string);
-        break;
-      case JsonValue::Kind::Array:
-        w.beginArray();
-        for (const JsonValue &e : v.array)
-            dumpValue(e, w);
-        w.endArray();
-        break;
-      case JsonValue::Kind::Object:
-        w.beginObject();
-        for (const auto &[k, e] : v.object) {
-            w.key(k);
-            dumpValue(e, w);
-        }
-        w.endObject();
-        break;
-    }
-}
 
 /** Recursive-descent RFC 8259 parser over a string_view-ish cursor. */
 class Parser
@@ -605,14 +548,6 @@ class Parser
 };
 
 } // namespace
-
-std::string
-JsonValue::dump() const
-{
-    JsonWriter w;
-    dumpValue(*this, w);
-    return w.str();
-}
 
 std::optional<JsonValue>
 parseJson(const std::string &text, std::string *error)

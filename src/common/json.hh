@@ -2,10 +2,9 @@
  * @file
  * Minimal JSON support for structured statistics export: a writer for
  * machine-readable output from the CLI and the experiment runners, and a
- * small strict parser so tooling (the BENCH_perf.json perf-trajectory
- * reporter and its lint) can read records back without scraping ASCII
- * tables. Parse-then-serialize round-trips are pinned by tests/test_json
- * and tests/test_bench_json.
+ * small strict parser so tooling (the bsim-stats-v1 lint, the tests)
+ * can read documents back without scraping ASCII tables. Both are
+ * pinned by tests/test_json.
  */
 
 #ifndef BSIM_COMMON_JSON_HH
@@ -43,8 +42,8 @@ class JsonWriter
 
     /**
      * Emit an already-serialized scalar token verbatim (no quoting or
-     * escaping). Used by JsonValue::dump() to re-emit number lexemes
-     * unchanged; the caller is responsible for token validity.
+     * escaping), e.g. a number formatted by the caller; the caller is
+     * responsible for token validity.
      */
     JsonWriter &raw(const std::string &token);
 
@@ -87,8 +86,8 @@ class JsonWriter
 
 /**
  * A parsed JSON document node. Numbers are stored as double (plus the
- * original lexeme in `string`, so integer-valued counters survive a
- * round-trip verbatim); object members keep their insertion order.
+ * original lexeme in `string`, so integer-valued counters keep their
+ * exact digits); object members keep their insertion order.
  */
 struct JsonValue
 {
@@ -113,11 +112,6 @@ struct JsonValue
 
     /** Member lookup (objects only); nullptr when absent. */
     const JsonValue *find(const std::string &key) const;
-
-    /** Re-serialize through JsonWriter (canonical, no whitespace). */
-    std::string dump() const;
-
-    static const char *kindName(Kind k);
 };
 
 /**

@@ -68,8 +68,8 @@ flagTable(const std::string &dir)
          {"18446744073709551616", "-1", "x"}},
         {"--trace", traces, bad_traces},
         {"--trace-info", traces, bad_traces},
-        {"--shards", {"0", "1", "3", "64", "4294967295"},
-         {"4294967296", "-1", "x"}},
+        {"--shards", {"1", "3", "64", "4294967295"},
+         {"0", "4294967296", "-1", "x"}},
         {"--jobs", {"0", "1", "2", "4294967295"},
          {"4294967296", "-1", "x"}},
         {"--accesses", {"0", "1", "777", "5000"},

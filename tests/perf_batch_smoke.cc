@@ -25,12 +25,6 @@
  * Instrumented builds (BSIM_SANITIZED, BSIM_COVERAGE) report the ratio
  * but never fail: sanitizer and coverage instrumentation skew the two
  * paths differently.
- *
- * With BSIM_BENCH_JSON set, the measured batched rate of each leg is
- * also appended to that perf log (see EXPERIMENTS.md "Perf trajectory"):
- * configs
- * "bcache-16k-mf8-bas8-gcc-inst/batched",
- * "sa8-16k-gcc-inst/batched" and "victim16-16k-gcc-inst/batched".
  */
 
 #include <algorithm>
@@ -41,7 +35,6 @@
 #include <vector>
 
 #include "bcache/bcache.hh"
-#include "bench/bench_json.hh"
 #include "cache/set_assoc_cache.hh"
 #include "cache/victim_cache.hh"
 #include "common/strings.hh"
@@ -104,9 +97,8 @@ constexpr int kRounds = 9;
  */
 template <class Cache>
 double
-timeLeg(const char *leg, const char *config, Cache &per_access,
-        Cache &batched, const std::vector<MemAccess> &reqs,
-        double threshold)
+timeLeg(const char *leg, Cache &per_access, Cache &batched,
+        const std::vector<MemAccess> &reqs, double threshold)
 {
     std::vector<AccessOutcome> outs(kBatchLen);
 
@@ -152,18 +144,6 @@ timeLeg(const char *leg, const char *config, Cache &per_access,
                 "(threshold %.2fx)\n",
                 leg, med_per / 1e6, med_batched / 1e6, kBatchLen, ratio,
                 threshold);
-
-    bench::PerfRecord rec;
-    rec.bench = "perf_batch_smoke";
-    rec.config = config;
-    rec.accessesPerSec = med_batched;
-    rec.wallSeconds =
-        double(reqs.size()) / (med_batched > 0 ? med_batched : 1);
-    rec.jobs = 1;
-    const std::string err = bench::appendPerfRecord(rec);
-    if (!err.empty())
-        std::fprintf(stderr, "warning: perf log append failed: %s\n",
-                     err.c_str());
     return ratio;
 }
 
@@ -189,24 +169,21 @@ main()
     BCache bc_per("per-access", params);
     BCache bc_batched("batched", params);
     const double bc_ratio =
-        timeLeg("bcache", "bcache-16k-mf8-bas8-gcc-inst/batched", bc_per,
-                bc_batched, reqs, threshold);
+        timeLeg("bcache", bc_per, bc_batched, reqs, threshold);
 
     // sa:16kB,8w (LRU), the widest fast path in the paper's grids.
     const CacheGeometry sa8(16 * 1024, 32, 8);
     SetAssocCache sa_per("per-access", sa8, 1, nullptr);
     SetAssocCache sa_batched("batched", sa8, 1, nullptr);
     const double sa_ratio =
-        timeLeg("sa8", "sa8-16k-gcc-inst/batched", sa_per, sa_batched,
-                reqs, threshold);
+        timeLeg("sa8", sa_per, sa_batched, reqs, threshold);
 
     // dm:16kB+victim:16 (the paper's victim16 point of comparison).
     const CacheGeometry dm(16 * 1024, 32, 1);
     VictimCache vc_per("per-access", dm, 1, nullptr, 16);
     VictimCache vc_batched("batched", dm, 1, nullptr, 16);
     const double vc_ratio =
-        timeLeg("victim", "victim16-16k-gcc-inst/batched", vc_per,
-                vc_batched, reqs, threshold);
+        timeLeg("victim", vc_per, vc_batched, reqs, threshold);
 
     if (bc_ratio < 0.0 || sa_ratio < 0.0 || vc_ratio < 0.0)
         return 1;

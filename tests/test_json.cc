@@ -1,4 +1,7 @@
-/** Unit tests for the JSON writer and the structured result reports. */
+/**
+ * Unit tests for the JSON writer, the strict parser and the structured
+ * result reports.
+ */
 
 #include <gtest/gtest.h>
 
@@ -7,6 +10,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <limits>
+#include <string>
 #include <utility>
 
 #include "common/json.hh"
@@ -171,6 +175,62 @@ TEST(JsonDeathTest, MisuseCaught)
     JsonWriter c;
     c.beginObject();
     EXPECT_DEATH((void)c.str(), "unclosed");
+}
+
+TEST(JsonParser, ScalarsAndContainers)
+{
+    std::string err;
+    auto v = parseJson(R"({"a": [1, -2.5, 1e3], "b": {"c": null},
+                           "t": true, "f": false, "s": "x"})",
+                       &err);
+    ASSERT_TRUE(v.has_value()) << err;
+    ASSERT_TRUE(v->isObject());
+    const JsonValue *a = v->find("a");
+    ASSERT_NE(a, nullptr);
+    ASSERT_TRUE(a->isArray());
+    ASSERT_EQ(a->array.size(), 3u);
+    EXPECT_DOUBLE_EQ(a->array[0].number, 1.0);
+    EXPECT_DOUBLE_EQ(a->array[1].number, -2.5);
+    EXPECT_DOUBLE_EQ(a->array[2].number, 1000.0);
+    EXPECT_TRUE(v->find("b")->find("c")->isNull());
+    EXPECT_TRUE(v->find("t")->boolean);
+    EXPECT_FALSE(v->find("f")->boolean);
+    EXPECT_EQ(v->find("s")->string, "x");
+    EXPECT_EQ(v->find("missing"), nullptr);
+}
+
+TEST(JsonParser, StringEscapes)
+{
+    auto v = parseJson(R"(["a\"b\\c\/d\n\t", "\u0041\u00e9\u20ac",
+                           "\ud83d\ude00"])");
+    ASSERT_TRUE(v.has_value());
+    EXPECT_EQ(v->array[0].string, "a\"b\\c/d\n\t");
+    EXPECT_EQ(v->array[1].string, "A\xc3\xa9\xe2\x82\xac");
+    EXPECT_EQ(v->array[2].string, "\xf0\x9f\x98\x80"); // surrogate pair
+}
+
+TEST(JsonParser, RejectsMalformed)
+{
+    const char *bad[] = {
+        "",        "{",       "[1,]",      "{\"a\":}",   "[01]",
+        "[1.]",    "[.5]",    "[1e]",      "nulll",      "[] []",
+        "\"\\q\"", "[\"\\ud83d\"]", "{\"a\" 1}", "{1: 2}",
+    };
+    for (const char *t : bad) {
+        std::string err;
+        EXPECT_FALSE(parseJson(t, &err).has_value()) << t;
+        EXPECT_FALSE(err.empty()) << t;
+        EXPECT_NE(err.find("offset"), std::string::npos) << err;
+    }
+}
+
+TEST(JsonParser, DepthCap)
+{
+    std::string deep(200, '[');
+    deep += std::string(200, ']');
+    std::string err;
+    EXPECT_FALSE(parseJson(deep, &err).has_value());
+    EXPECT_NE(err.find("deep"), std::string::npos) << err;
 }
 
 TEST(Report, MissRateResultRoundTripsFields)
