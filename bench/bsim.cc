@@ -1,22 +1,26 @@
 /**
  * @file
  * bsim: the command-line front end. Runs any cache organisation, named
- * by a `--cache` spec (sim/cache_spec.hh; default
+ * by a cache spec (sim/cache_spec.hh; default
  * bcache:16kB,mf=8,bas=8), over any input — a named synthetic
  * workload, a trace file (streamed in O(chunk) memory via
  * workload/trace_reader), a sharded parallel trace replay on the sweep
  * engine, or the timed OOO-core model — and prints the standard
- * statistics readout or JSON. A flag the chosen mode would ignore is a
- * usage error, not a no-op. docs/TRACES.md walks through the
- * trace-facing flags; usage() below is the authoritative flag list.
+ * statistics readout or JSON. docs/TRACES.md walks through the flags;
+ * the kFlags table below, not usage(), is the authoritative flag list.
+ * bsimMain parses every argument against it, picks the mode from the
+ * flags present and rejects any flag the mode would ignore: a usage
+ * error, not a no-op.
  */
 
+#include <bitset>
+#include <concepts>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <limits>
-#include <set>
+#include <optional>
 #include <string>
+#include <type_traits>
 
 #include "common/logging.hh"
 #include "common/strings.hh"
@@ -34,85 +38,166 @@ namespace bsim {
 
 namespace {
 
-[[noreturn]] void
-usage(const char *msg = nullptr)
+/**
+ * The ways bsim runs. Of the modes the present flags select, the first
+ * in this order wins; a run that selects none is a Workload run.
+ */
+enum class Mode : unsigned
 {
-    if (msg)
-        std::fprintf(stderr, "error: %s\n", msg);
-    std::fprintf(stderr,
-                 "usage: bsim [--cache SPEC] [--list-caches]\n"
-                 "  --cache SPEC     declarative cache spec, e.g. "
-                 "bcache:16kB,mf=8,bas=8,\n"
-                 "                   sa:16kB,8w, dm:16kB+victim:16 "
-                 "(--list-caches for the\n"
-                 "                   registered grammar; default "
-                 "bcache:16kB,mf=8,bas=8)\n"
-                 "  [--workload NAME] [--side data|inst] [--seed N]\n"
-                 "                   the synthetic stream (not with "
-                 "--trace)\n"
-                 "  [--trace FILE]   replay a trace (.bst, .din/text, "
-                 "or either .gz);\n"
-                 "                   streamed chunk by chunk, O(chunk) "
-                 "memory\n"
-                 "  [--shards N]     split the trace into N >= 1 windows "
-                 "and replay them\n"
-                 "                   in parallel on the sweep engine "
-                 "(cold cache per\n"
-                 "                   shard; see docs/TRACES.md)\n"
-                 "  [--jobs N]       sweep worker threads; only with "
-                 "--shards (BSIM_JOBS)\n"
-                 "  [--accesses N]   synthetic run length, or a cap on "
-                 "trace replay\n"
-                 "                   (traces default to the whole file;"
-                 " not with\n"
-                 "                   --shards)\n"
-                 "  [--trace-info FILE]  print a trace's header/format "
-                 "and exit\n"
-                 "  [--timed]        OOO-core/Table-4 processor model "
-                 "(workload-\n"
-                 "                   driven only; --accesses is the "
-                 "uop count;\n"
-                 "                   not with --shards/--side/--jobs)\n"
-                 "  [--stats-json F] write a bsim-stats-v1 document "
-                 "(per-set\n"
-                 "                   histograms, balance metrics, decoder"
-                 " telemetry)\n"
-                 "                   to F ('-' = stdout, suppresses the "
-                 "report);\n"
-                 "                   enables the observer\n"
-                 "  [--heatmap F]    write the per-set access/miss/"
-                 "eviction\n"
-                 "                   histogram as CSV to F ('-' = stdout)"
-                 "\n"
-                 "  [--interval N]   windowed time-series every N "
-                 "accesses;\n"
-                 "                   embedded in --stats-json, or CSV to "
-                 "stdout\n"
-                 "  [--json]         the bsim-stats-v1 document on stdout"
-                 "\n"
-                 "                   (--timed: one JSON result line)\n");
-    std::exit(2);
+    Help, ListCaches, TraceInfo, Timed, Sharded, Trace, Workload
+};
+
+/** How a usage error names each mode. */
+constexpr const char *kModeNames[] = {
+    "--help",   "--list-caches",            "--trace-info",  "--timed",
+    "--shards", "--trace without --shards", "a workload run"};
+
+/** A set of modes, one bit per Mode. */
+constexpr unsigned
+in(std::same_as<Mode> auto... modes)
+{
+    return ((1u << static_cast<unsigned>(modes)) | ...);
+}
+
+/** The miss-rate runs, which the observer can ride along. */
+constexpr unsigned kObserved =
+    in(Mode::Workload, Mode::Trace, Mode::Sharded);
+constexpr unsigned kCacheRuns = kObserved | in(Mode::Timed);
+
+/** Every value a command line sets; the defaults are a bare `bsim`'s. */
+struct Options : StatsExport
+{
+    std::string cacheSpec = "bcache:16kB,mf=8,bas=8"; // the paper's point
+    std::string workload = "gcc";
+    std::string side = "data";
+    std::string tracePath;
+    std::string traceInfoPath;
+    /** Unset: 1 M accesses (or uops) for a workload, a whole trace. */
+    std::optional<std::uint64_t> accesses;
+    std::uint64_t seed = kDefaultSeed;
+    unsigned shards = 0;
+    unsigned jobs = 0;
+    bool json = false;
+};
+
+/**
+ * The value parser of a path or spec; its reader judges the text. An
+ * empty one is bad: an empty export path would mean "off".
+ */
+template <auto Field>
+bool
+text(Options &o, const char *v)
+{
+    o.*Field = v;
+    return *v != '\0';
 }
 
 /**
- * Parse a flag's unsigned value into T: decimal, hex (0x) or octal
- * (leading 0), no sign, and no value that T cannot hold — anything
- * else is a usage error instead of a silent wrap or narrowing.
+ * The value parser of a count of at least Min (parseCount's syntax)
+ * that the field can hold: no silent wrap or narrowing.
  */
-template <typename T = std::uint64_t>
-T
-parseNum(const char *flag, const char *s)
+template <auto Field, std::uint64_t Min = 0>
+bool
+count(Options &o, const char *v)
 {
-    const std::optional<std::uint64_t> v = parseCount(s);
-    if (!v || *v > std::numeric_limits<T>::max())
-        usage((std::string("bad number for ") + flag + ": '" + s +
-               "'")
-                  .c_str());
-    return static_cast<T>(*v);
+    using T = std::remove_reference_t<decltype(o.*Field)>;
+    const std::optional<std::uint64_t> n = parseCount(v);
+    if (!n || *n < Min || *n > std::numeric_limits<T>::max())
+        return false;
+    o.*Field = static_cast<T>(*n);
+    return true;
 }
 
-/** --trace-info: the header/probe readout, no records replayed. */
-int
+/** One bsim flag: its usage line, its value parser and its modes. */
+struct Flag
+{
+    const char *name;
+    const char *value; ///< the value's placeholder; null for a switch
+    const char *help;
+    /** Stores the value (null: presence is all); false rejects it. */
+    bool (*parse)(Options &o, const char *value);
+    unsigned modes;                ///< the modes it applies to
+    Mode selects = Mode::Workload; ///< Workload: it selects none
+    const char *alias = nullptr;
+};
+
+constexpr Flag kFlags[] = {
+    {"--cache", "SPEC", "the cache (default bcache:16kB,mf=8,bas=8)",
+     text<&Options::cacheSpec>, kCacheRuns},
+    {"--list-caches", nullptr, "print the cache spec grammar", nullptr,
+     in(Mode::ListCaches), Mode::ListCaches},
+    {"--workload", "NAME", "the synthetic stream (default gcc)",
+     [](Options &o, const char *v) { return isSpec2kName(o.workload = v); },
+     in(Mode::Workload, Mode::Timed)},
+    {"--side", "data|inst", "the stream's side (default data)",
+     [](Options &o, const char *v) {
+         return (o.side = v) == "data" || o.side == "inst";
+     },
+     in(Mode::Workload)},
+    {"--seed", "N", "the stream's seed", count<&Options::seed>,
+     in(Mode::Workload, Mode::Timed)},
+    {"--trace", "FILE", "replay a trace (.bst, .din/text, either .gz)",
+     text<&Options::tracePath>, in(Mode::Trace, Mode::Sharded), Mode::Trace},
+    {"--shards", "N", "replay the trace as N windows in parallel",
+     count<&Options::shards, 1>, in(Mode::Sharded), Mode::Sharded},
+    {"--jobs", "N", "sweep worker threads (default BSIM_JOBS)",
+     count<&Options::jobs>, in(Mode::Sharded)},
+    {"--accesses", "N", "run length or uop count (default 1M); trace cap",
+     [](Options &o, const char *v) {
+         return (o.accesses = parseCount(v)).has_value();
+     },
+     in(Mode::Workload, Mode::Trace, Mode::Timed)},
+    {"--trace-info", "FILE", "print a trace's header readout",
+     text<&Options::traceInfoPath>, in(Mode::TraceInfo), Mode::TraceInfo},
+    {"--timed", nullptr, "run the OOO-core/Table-4 processor model",
+     nullptr, in(Mode::Timed), Mode::Timed},
+    {"--stats-json", "F", "write the observer's bsim-stats-v1 document",
+     text<&Options::statsJsonPath>, kObserved},
+    {"--heatmap", "F", "write the per-set histogram as CSV",
+     text<&Options::heatmapPath>, kObserved},
+    {"--interval", "N", "a time-series window every N accesses",
+     count<&Options::interval, 1>, kObserved},
+    {"--json", nullptr, "print the bsim-stats-v1 document (or timed line)",
+     [](Options &o, const char *) {
+         o.json = true;
+         return true;
+     },
+     kCacheRuns},
+    {"--help", nullptr, "print this text (-h is the same)", nullptr,
+     in(Mode::Help), Mode::Help, "-h"},
+};
+
+/** One line per flag, then the flags each mode takes. */
+void
+printUsage(std::FILE *out)
+{
+    std::fputs("usage: bsim [FLAG...]\n", out);
+    for (const Flag &f : kFlags) {
+        const std::string head =
+            std::string(f.name) + " " + (f.value ? f.value : "");
+        std::fprintf(out, "  %-18s %s\n", head.c_str(), f.help);
+    }
+    std::fputs("An F of '-' is stdout. docs/TRACES.md has more. "
+               "Each mode takes only:\n", out);
+    for (unsigned m = 0; m < std::size(kModeNames); ++m) {
+        std::fprintf(out, "  %-24s", kModeNames[m]);
+        for (const Flag &f : kFlags)
+            if (f.modes >> m & 1)
+                std::fprintf(out, " %s", f.name);
+        std::fputc('\n', out);
+    }
+}
+
+[[noreturn]] void
+usage(const std::string &msg)
+{
+    std::fprintf(stderr, "error: %s\n", msg.c_str());
+    printUsage(stderr);
+    std::exit(2);
+}
+
+/** Trace-info mode: the header/probe readout, no records replayed. */
+void
 printTraceInfo(const std::string &path)
 {
     const TraceInfo info = probeTrace(path);
@@ -140,7 +225,6 @@ printTraceInfo(const std::string &path)
                               : "no (host layout differs; records are "
                                 "converted per chunk)");
     }
-    return 0;
 }
 
 /**
@@ -195,38 +279,30 @@ printBCacheCosts(const CacheConfig &cfg, std::FILE *out)
                      conventionalStorage(p.sizeBytes, p.lineBytes, 1),
                      bcacheStorage(p)));
     std::fprintf(out, "energy   : %.1f pJ/access (DM baseline %.1f)\n",
-                 CactiLite::bcache(p).total(), [&] {
-                     CacheOrg o;
-                     o.sizeBytes = p.sizeBytes;
-                     o.lineBytes = p.lineBytes;
-                     o.ways = 1;
-                     return CactiLite::conventional(o).total();
-                 }());
+                 CactiLite::bcache(p).total(),
+                 CactiLite::conventional({p.sizeBytes, p.lineBytes, 1})
+                     .total());
 }
 
-/** --shards: parallel replay, per-shard table + merged totals. */
-int
-runSharded(const std::string &trace_path, const CacheConfig &cfg,
-           unsigned shards, unsigned jobs, bool json, const StatsExport &ex)
+/** Sharded mode: parallel replay, per-shard table + merged totals. */
+void
+runSharded(const Options &o, const CacheConfig &cfg)
 {
     SweepOptions opts;
-    opts.jobs = jobs;
+    opts.jobs = o.jobs;
     TraceReplayOptions replay;
-    replay.observe = ex.observerConfig();
+    replay.observe = o.observerConfig();
     const TraceSweepResult res =
-        runTraceSharded(trace_path, cfg, shards, opts, replay);
+        runTraceSharded(o.tracePath, cfg, o.shards, opts, replay);
+    const std::string doc =
+        toStatsJson(res, "trace:" + o.tracePath, cfg.label);
 
-    if (json) {
-        // The sharded bsim-stats-v1 document: merged totals plus the
-        // per-shard runs. json + a '-' export is rejected up front, so
-        // stdout is ours.
-        std::printf("%s\n", toStatsJson(res, "trace:" + trace_path,
-                                        cfg.label)
-                                .c_str());
+    if (o.json) {
+        // Merged totals plus the per-shard runs; stdout is ours.
+        std::printf("%s\n", doc.c_str());
     } else {
-        // A "-" export owns stdout; the report moves to stderr so the
-        // piped JSON stays clean while a human still watches the run.
-        std::FILE *out = ex.claimsStdout() ? stderr : stdout;
+        // A "-" export owns stdout; the report moves to stderr.
+        std::FILE *out = o.claimsStdout() ? stderr : stdout;
         Table t({"shard", "window", "accesses", "misses", "miss%"});
         for (std::size_t i = 0; i < res.shards.size(); ++i) {
             const MissRateResult &s = res.shards[i];
@@ -241,7 +317,7 @@ runSharded(const std::string &trace_path, const CacheConfig &cfg,
                 .cell(s.stats.misses)
                 .cell(100.0 * s.missRate(), 4);
         }
-        t.print("sharded replay of " + trace_path + " on " + cfg.label,
+        t.print("sharded replay of " + o.tracePath + " on " + cfg.label,
                 out);
         std::fprintf(out, "merged   : %s\n",
                      res.total.toString().c_str());
@@ -258,207 +334,130 @@ runSharded(const std::string &trace_path, const CacheConfig &cfg,
                          static_cast<unsigned long long>(res.pd->pdMiss));
         printSweepSummary(res.summary, out);
     }
-    if (!ex.statsJsonPath.empty())
-        writeTextOutput(ex.statsJsonPath,
-                        toStatsJson(res, "trace:" + trace_path,
-                                    cfg.label) +
-                            "\n");
+    if (!o.statsJsonPath.empty())
+        writeTextOutput(o.statsJsonPath, doc + "\n");
     if (res.observer)
-        writeObserverExports(ex, *res.observer, json);
-    return 0;
+        writeObserverExports(o, *res.observer, o.json);
 }
 
-/** The cache a run without --cache simulates: the paper's design point. */
-constexpr const char *kDefaultCacheSpec = "bcache:16kB,mf=8,bas=8";
+/** Timed mode: one core over one workload, its readout or JSON line. */
+void
+runTimedCore(const Options &o, const CacheConfig &cfg)
+{
+    const TimedResult tr =
+        runTimed(o.workload, cfg, o.accesses.value_or(1'000'000), o.seed);
+    if (o.json) {
+        std::printf("%s\n", toJson(tr).c_str());
+        return;
+    }
+    std::printf("config   : %s\n", cfg.label.c_str());
+    std::printf("workload : %s (%llu uops)\n", o.workload.c_str(),
+                static_cast<unsigned long long>(tr.cpu.uops));
+    std::printf("IPC      : %.3f  (%llu cycles)\n", tr.ipc(),
+                static_cast<unsigned long long>(tr.cpu.cycles));
+    std::printf("L1I      : %s\n", tr.l1i.toString().c_str());
+    std::printf("L1D      : %s\n", tr.l1d.toString().c_str());
+    std::printf("L2       : %s\n", tr.l2.toString().c_str());
+    std::printf("stalls   : I$ %llu cyc, load-miss %llu cyc, "
+                "mispredict %llu cyc (overlapping)\n",
+                static_cast<unsigned long long>(tr.cpu.icacheStallCycles),
+                static_cast<unsigned long long>(tr.cpu.loadMissCycles),
+                static_cast<unsigned long long>(tr.cpu.mispredictCycles));
+}
 
-int
+void
 bsimMain(int argc, char **argv)
 {
-    std::string cacheSpec = kDefaultCacheSpec;
-    std::string workload = "gcc";
-    std::string side = "data";
-    std::string trace_path;
-    std::uint64_t accesses = 1'000'000;
-    bool accesses_set = false;
-    std::uint64_t seed = kDefaultSeed;
-    unsigned shards = 0;
-    unsigned jobs = 0;
-    bool json = false;
-    bool timed = false;
-    StatsExport ex;
-    std::set<std::string> given; // every flag on the command line
-
+    // 1. Parse every argument against the table.
+    Options o;
+    std::bitset<std::size(kFlags)> given;
+    Mode mode = Mode::Workload;
     for (int i = 1; i < argc; ++i) {
-        const char *flag = argv[i];
-        given.insert(flag);
-        auto need = [&]() -> const char * {
-            if (i + 1 >= argc)
-                usage(flag);
-            return argv[++i];
-        };
-        if (!std::strcmp(flag, "--cache"))
-            cacheSpec = need();
-        else if (!std::strcmp(flag, "--list-caches")) {
-            std::fputs(listCacheSpecs().c_str(), stdout);
-            return 0;
-        }
-        else if (!std::strcmp(flag, "--workload"))
-            workload = need();
-        else if (!std::strcmp(flag, "--side")) {
-            side = need();
-            if (side != "data" && side != "inst")
-                usage(("bad --side '" + side +
-                       "' (accepted: data, inst)")
-                          .c_str());
-        }
-        else if (!std::strcmp(flag, "--trace"))
-            trace_path = need();
-        else if (!std::strcmp(flag, "--trace-info"))
-            return printTraceInfo(need());
-        else if (!std::strcmp(flag, "--shards")) {
-            shards = parseNum<unsigned>(flag, need());
-            if (shards == 0)
-                usage("--shards needs at least 1 window");
-        }
-        else if (!std::strcmp(flag, "--jobs"))
-            jobs = parseNum<unsigned>(flag, need());
-        else if (!std::strcmp(flag, "--accesses")) {
-            accesses = parseNum(flag, need());
-            accesses_set = true;
-        }
-        else if (!std::strcmp(flag, "--seed"))
-            seed = parseNum(flag, need());
-        else if (!std::strcmp(flag, "--stats-json"))
-            ex.statsJsonPath = need();
-        else if (!std::strcmp(flag, "--heatmap"))
-            ex.heatmapPath = need();
-        else if (!std::strcmp(flag, "--interval")) {
-            ex.interval = parseNum(flag, need());
-            if (ex.interval == 0)
-                usage("--interval needs a window of at least 1 access");
-        }
-        else if (!std::strcmp(flag, "--json"))
-            json = true;
-        else if (!std::strcmp(flag, "--timed"))
-            timed = true;
-        else if (!std::strcmp(flag, "--help") || !std::strcmp(flag, "-h"))
-            usage();
-        else
-            usage(flag);
+        const std::string arg = argv[i];
+        const Flag *f = std::begin(kFlags);
+        while (f != std::end(kFlags) && arg != f->name &&
+               !(f->alias && arg == f->alias))
+            ++f;
+        if (f == std::end(kFlags))
+            usage("unknown flag '" + arg + "'");
+        if (given[f - kFlags])
+            usage(arg + " given twice");
+        given[f - kFlags] = true;
+        const char *value = f->value && i + 1 < argc ? argv[++i] : nullptr;
+        if (f->value && !value)
+            usage(arg + " needs a value");
+        if (f->parse && !f->parse(o, value))
+            usage("bad value for " + arg + ": '" + value + "'");
+        // 2. The mode: the first one a present flag selects.
+        mode = std::min(mode, f->selects);
     }
+    // 3. Every present flag must apply to that mode.
+    const unsigned m = static_cast<unsigned>(mode);
+    for (std::size_t k = 0; k < given.size(); ++k)
+        if (given[k] && !(kFlags[k].modes >> m & 1))
+            usage(std::string(kFlags[k].name) + " does not apply to " +
+                  kModeNames[m]);
 
-    // One parser names every cache; a malformed spec surfaces its
-    // actionable message as usage text.
+    if (mode == Mode::Help)
+        printUsage(stdout);
+    else if (mode == Mode::ListCaches)
+        std::fputs(listCacheSpecs().c_str(), stdout);
+    else if (mode == Mode::TraceInfo)
+        printTraceInfo(o.traceInfoPath);
+    if (mode < Mode::Timed)
+        return;
+
+    // A malformed spec's actionable message becomes usage text.
     CacheConfig cfg;
     try {
-        cfg = parseCacheSpec(cacheSpec);
+        cfg = parseCacheSpec(o.cacheSpec);
     } catch (const CacheSpecError &e) {
         usage(e.what());
     }
-
-    if (json && ex.claimsStdout())
+    if (o.json && o.claimsStdout())
         usage("--json and a '-' export both claim stdout");
+    if (mode == Mode::Sharded && o.tracePath.empty())
+        usage("--shards needs --trace");
+    if (mode == Mode::Timed && o.accesses == 0)
+        usage("--timed needs --accesses of at least 1 (the uop count)");
 
-    if (timed) {
-        if (!trace_path.empty())
-            usage("--timed drives workloads, not traces");
-        if (ex.wantsObserver())
-            usage("--stats-json/--heatmap/--interval observe the "
-                  "standalone miss-rate drivers, not --timed");
-        // One core over one workload: no trace windows, no stream side
-        // (it runs both) and no sweep workers.
-        for (const char *f : {"--shards", "--side", "--jobs"})
-            if (given.count(f))
-                usage((std::string(f) + " does not apply to --timed")
-                          .c_str());
-        if (accesses == 0)
-            usage("--timed needs --accesses of at least 1 (the uop "
-                  "count)");
-        if (!isSpec2kName(workload))
-            usage("unknown --workload");
-        const TimedResult tr = runTimed(workload, cfg, accesses, seed);
-        if (json) {
-            std::printf("%s\n", toJson(tr).c_str());
-            return 0;
-        }
-        std::printf("config   : %s\n", cfg.label.c_str());
-        std::printf("workload : %s (%llu uops)\n", workload.c_str(),
-                    static_cast<unsigned long long>(tr.cpu.uops));
-        std::printf("IPC      : %.3f  (%llu cycles)\n", tr.ipc(),
-                    static_cast<unsigned long long>(tr.cpu.cycles));
-        std::printf("L1I      : %s\n", tr.l1i.toString().c_str());
-        std::printf("L1D      : %s\n", tr.l1d.toString().c_str());
-        std::printf("L2       : %s\n", tr.l2.toString().c_str());
-        std::printf("stalls   : I$ %llu cyc, load-miss %llu cyc, "
-                    "mispredict %llu cyc (overlapping)\n",
-                    static_cast<unsigned long long>(
-                        tr.cpu.icacheStallCycles),
-                    static_cast<unsigned long long>(
-                        tr.cpu.loadMissCycles),
-                    static_cast<unsigned long long>(
-                        tr.cpu.mispredictCycles));
-        return 0;
-    }
+    if (mode == Mode::Timed)
+        return runTimedCore(o, cfg);
+    if (mode == Mode::Sharded)
+        return runSharded(o, cfg);
 
-    // A trace replaces the synthetic stream, and only a sharded replay
-    // has sweep workers: a flag the run would ignore is an error.
-    if (!trace_path.empty())
-        for (const char *f : {"--workload", "--side", "--seed"})
-            if (given.count(f))
-                usage((std::string(f) + " does not apply to --trace")
-                          .c_str());
-    if (shards == 0 && given.count("--jobs"))
-        usage("--jobs sets the sweep workers of --shards");
-
-    if (shards > 0) {
-        if (trace_path.empty())
-            usage("--shards needs --trace");
-        if (accesses_set)
-            usage("--accesses caps a single replay, not --shards");
-        return runSharded(trace_path, cfg, shards, jobs, json, ex);
-    }
-
+    const bool trace = mode == Mode::Trace;
     MissRateResult r;
-    if (!trace_path.empty()) {
+    if (trace) {
         // Streamed replay: O(chunk) resident memory regardless of the
         // file's record count (no whole-trace vector).
         TraceReplayOptions opts;
-        opts.maxAccesses = accesses_set ? accesses : 0;
-        opts.observe = ex.observerConfig();
-        r = runTraceReplay(trace_path, cfg, TraceShard{}, opts);
+        opts.maxAccesses = o.accesses.value_or(0);
+        opts.observe = o.observerConfig();
+        r = runTraceReplay(o.tracePath, cfg, TraceShard{}, opts);
     } else {
-        if (!isSpec2kName(workload))
-            usage("unknown --workload");
-        const StreamSide s = side == "inst" ? StreamSide::Inst
-                                            : StreamSide::Data;
-        r = runMissRate(workload, s, cfg, accesses, seed,
-                        ex.observerConfig());
+        const StreamSide s =
+            o.side == "inst" ? StreamSide::Inst : StreamSide::Data;
+        r = runMissRate(o.workload, s, cfg, o.accesses.value_or(1'000'000),
+                        o.seed, o.observerConfig());
     }
-
-    if (!ex.statsJsonPath.empty())
-        writeTextOutput(ex.statsJsonPath,
-                        toStatsJson(r, trace_path.empty() ? "workload"
-                                                          : "trace") +
-                            "\n");
+    const std::string doc = toStatsJson(r, trace ? "trace" : "workload");
+    if (!o.statsJsonPath.empty())
+        writeTextOutput(o.statsJsonPath, doc + "\n");
     if (r.observer)
-        writeObserverExports(ex, *r.observer, json);
+        writeObserverExports(o, *r.observer, o.json);
 
-    if (json) {
+    if (o.json) {
         // json + a '-' export is rejected up front; stdout is ours.
-        std::printf("%s\n", toStatsJson(r, trace_path.empty() ? "workload"
-                                                              : "trace")
-                                .c_str());
-        return 0;
+        std::printf("%s\n", doc.c_str());
+        return;
     }
-
     // A "-" export owns stdout; the human report moves to stderr.
-    std::FILE *out = ex.claimsStdout() ? stderr : stdout;
+    std::FILE *out = o.claimsStdout() ? stderr : stdout;
     printMissRate(r, cfg,
-                  trace_path.empty() ? workload + " (" + side + ")"
-                                     : trace_path,
+                  trace ? o.tracePath : o.workload + " (" + o.side + ")",
                   out);
     printBCacheCosts(cfg, out);
-    return 0;
 }
 
 } // namespace
@@ -468,9 +467,9 @@ bsimMain(int argc, char **argv)
 int
 main(int argc, char **argv)
 {
-    const int rc = bsim::bsimMain(argc, argv);
+    bsim::bsimMain(argc, argv);
     // A report or document that never reached stdout is a failed run.
     if (std::fflush(stdout) != 0 || std::ferror(stdout))
         bsim_fatal("write failed on stdout");
-    return rc;
+    return 0;
 }

@@ -11,7 +11,8 @@
 #
 # BSIM_SOUP (tests/bsim_soup.cc) writes COUNT (default 400)
 # deterministic cases from SEED (default 0x50a9). Its flag table must
-# name every flag `bsim --help` lists, so a new flag joins the soup.
+# name exactly the flags `bsim --help` lists, so a new flag joins the
+# soup and a retired one leaves it.
 # Each run has a 60 s timeout (exit 124, a failure).
 set -eu
 
@@ -29,10 +30,18 @@ trap 'rm -rf "$dir"' EXIT
 
 fail=0
 table=$("$soup" --flags)
-for f in $("$bsim" --help 2>&1 | grep -o -- '--[a-z][a-z-]*' | sort -u); do
+listed=$("$bsim" --help 2>&1 | grep -o -- '--[a-z][a-z-]*' | sort -u)
+for f in $listed; do
     if ! echo "$table" | grep -qx -- "$f"; then
         echo "check_bsim_soup: '$f' (bsim --help) is missing from the" \
              "soup's flag table in tests/bsim_soup.cc" >&2
+        fail=1
+    fi
+done
+for f in $table; do
+    if ! echo "$listed" | grep -qx -- "$f"; then
+        echo "check_bsim_soup: '$f' (tests/bsim_soup.cc) is not a flag" \
+             "bsim --help lists" >&2
         fail=1
     fi
 done

@@ -90,6 +90,11 @@
 # examples/, scripts/ (except this script), docs/, README.md,
 # EXPERIMENTS.md or DESIGN.md. perfbench/ is not checked: only a
 # benchmark change may edit it.
+#
+# And it keeps one flag list (pass 16): the flags docs/TRACES.md §3
+# names are exactly the flags `bsim --help` lists (when the driver is
+# built), and neither the retired trace-stream adapter nor its span
+# virtuals (spelled with a bracket) appear in src/, tests/ or examples/.
 set -eu
 
 repo_root=$(CDPATH= cd -- "$(dirname -- "$0")/.." && pwd)
@@ -357,6 +362,34 @@ if matches=$(grep -rn --exclude-dir=api --exclude=check_specs.sh \
     fail=1
 fi
 
+# ---- pass 16: one flag list ----
+if [ -x "$bsim_bin" ]; then
+    flags() { grep -o -- '--[a-z][a-z-]*' | sort -u; }
+    listed=$("$bsim_bin" --help | flags)
+    documented=$(sed -n '/^## 3\./,/^## 4\./p' docs/TRACES.md | flags)
+    for f in $listed; do
+        echo "$documented" | grep -qx -- "$f" || {
+            echo "check_specs: '$f' (bsim --help) is not named in" \
+                 "docs/TRACES.md §3" >&2
+            fail=1
+        }
+    done
+    for f in $documented; do
+        echo "$listed" | grep -qx -- "$f" || {
+            echo "check_specs: '$f' (docs/TRACES.md §3) is not a flag" \
+                 "bsim --help lists" >&2
+            fail=1
+        }
+    done
+fi
+if matches=$(grep -rn "Trace[S]tream\|has[S]panBatches" src/ tests/ examples/)
+then
+    echo "check_specs: the retired trace-stream adapter is back (read a" \
+         "trace window through TraceReader::nextSpan):" >&2
+    echo "$matches" >&2
+    fail=1
+fi
+
 if [ "$fail" -ne 0 ]; then
     echo "check_specs: FAIL" >&2
     exit 1
@@ -367,5 +400,6 @@ echo "check_specs: OK ($n_kinds kinds; registry, --list-caches and" \
      "driver in src/verify; one replacement type; one per-line" \
      "histogram; one error path; one verification campaign and one" \
      "count parser; one binary trace format; one way to run a" \
-     "replay; one tag array; one feed path; one perf record)"
+     "replay; one tag array; one feed path; one perf record; one flag" \
+     "list)"
 exit 0

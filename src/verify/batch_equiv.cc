@@ -18,7 +18,7 @@ namespace {
 
 constexpr std::size_t kMaxMismatches = 8;
 
-/** Records a span stream hands over per nextSpan() call. */
+/** The most records the twin loop asks its source for at once. */
 constexpr std::size_t kSpanLen = 4096;
 
 void
@@ -132,8 +132,8 @@ struct TwinHooks
 VerifyResult
 driveTwins(const CacheConfig &config, BaseCache &per_access,
            TrackingMemory &mem_a, BaseCache &batched,
-           TrackingMemory &mem_b, AccessStream &stream, const TwinRun &run,
-           const TwinHooks &hooks)
+           TrackingMemory &mem_b, const RecordSource &source,
+           const TwinRun &run, const TwinHooks &hooks)
 {
     bsim_assert(run.batchLen >= 1, "twin batches need at least one access");
     bsim_assert(run.addrBits >= 1 && run.addrBits < 64);
@@ -181,23 +181,17 @@ driveTwins(const CacheConfig &config, BaseCache &per_access,
         batch.clear();
     };
 
-    // Span streams (trace windows) end when their span runs dry; the
-    // others are unbounded.
-    const bool spans = stream.hasSpanBatches();
+    // A bounded source (a trace window) may run dry before run.accesses.
     std::span<const MemAccess> pending;
     for (std::uint64_t i = 0; i < run.accesses; ++i) {
-        if (spans && pending.empty()) {
-            pending = stream.nextSpan(kSpanLen);
+        if (pending.empty()) {
+            pending = source(static_cast<std::size_t>(
+                std::min<std::uint64_t>(run.accesses - i, kSpanLen)));
             if (pending.empty())
                 break;
         }
-        MemAccess a;
-        if (spans) {
-            a = pending.front();
-            pending = pending.subspan(1);
-        } else {
-            a = stream.next();
-        }
+        MemAccess a = pending.front();
+        pending = pending.subspan(1);
         a.addr &= addr_mask;
         if (run.writebackFraction > 0.0 &&
             rng.nextBool(run.writebackFraction)) {
@@ -271,6 +265,21 @@ VerifyResult
 runBatchEquiv(const CacheConfig &config, AccessStream &stream,
               const TwinRun &run)
 {
+    std::vector<MemAccess> buf;
+    return runBatchEquiv(
+        config,
+        [&](std::size_t n) {
+            buf.resize(n);
+            stream.nextBatch(buf.data(), n);
+            return std::span<const MemAccess>(buf);
+        },
+        run);
+}
+
+VerifyResult
+runBatchEquiv(const CacheConfig &config, const RecordSource &source,
+              const TwinRun &run)
+{
     TrackingMemory mem_a, mem_b;
     if (config.kind != CacheKind::BCache) {
         const std::unique_ptr<BaseCache> per_access =
@@ -278,7 +287,7 @@ runBatchEquiv(const CacheConfig &config, AccessStream &stream,
         const std::unique_ptr<BaseCache> batched =
             config.build("equiv-batched", /*hit_latency=*/1, &mem_b);
         return driveTwins(config, *per_access, mem_a, *batched, mem_b,
-                          stream, run, {});
+                          source, run, {});
     }
 
     const BCacheParams params = seededBCacheParams(config, run.seed);
@@ -311,7 +320,7 @@ runBatchEquiv(const CacheConfig &config, AccessStream &stream,
                                 per_access.validLines(),
                                 batched.validLines()));
     };
-    return driveTwins(config, per_access, mem_a, batched, mem_b, stream,
+    return driveTwins(config, per_access, mem_a, batched, mem_b, source,
                       run, hooks);
 }
 

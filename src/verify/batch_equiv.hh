@@ -24,6 +24,8 @@
 #define BSIM_VERIFY_BATCH_EQUIV_HH
 
 #include <cstdint>
+#include <functional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -49,7 +51,7 @@ struct VerifyResult
 /** Run parameters of one twin case. */
 struct TwinRun
 {
-    /** Steps to drive; a span stream (a trace window) may end sooner. */
+    /** Steps to drive; a bounded source (a trace window) may end sooner. */
     std::uint64_t accesses = 0;
     /** Elements per accessBatch() call; at least 1. */
     std::size_t batchLen = 64;
@@ -66,12 +68,24 @@ struct TwinRun
 };
 
 /**
- * Twin-drive two caches built from @p config over @p stream. A B-Cache
+ * The records a twin check drives: the next 1..max_n records, valid
+ * until the next call; an empty span ends the run (a trace reader's
+ * nextSpan, or a generator adapted by the AccessStream overload).
+ */
+using RecordSource =
+    std::function<std::span<const MemAccess>(std::size_t max_n)>;
+
+/**
+ * Twin-drive two caches built from @p config over @p source. A B-Cache
  * pair is built from seededBCacheParams(config, run.seed) and also
  * compared on lastOutcome() after every batch, classify() over the
  * address sample, and validLines(). Stops collecting after a handful of
  * mismatches.
  */
+VerifyResult runBatchEquiv(const CacheConfig &config,
+                           const RecordSource &source, const TwinRun &run);
+
+/** The same check over an unbounded generator. */
 VerifyResult runBatchEquiv(const CacheConfig &config, AccessStream &stream,
                            const TwinRun &run);
 

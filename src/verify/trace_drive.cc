@@ -59,9 +59,9 @@ runBatchEquivOnTrace(const std::string &path, const CacheConfig &config,
                      unsigned addr_bits, std::size_t batch_len,
                      const TraceShard &shard, std::uint64_t max_accesses)
 {
-    TraceStream stream(openTraceReader(path, shard), /*cycle=*/false);
+    TraceReaderPtr reader = openTraceReader(path, shard);
     return runBatchEquiv(
-        config, stream,
+        config, [&](std::size_t n) { return reader->nextSpan(n); },
         {.accesses = max_accesses ? max_accesses : ~std::uint64_t{0},
          .batchLen = batch_len,
          .addrBits = addr_bits});

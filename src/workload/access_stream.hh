@@ -9,7 +9,6 @@
 #define BSIM_WORKLOAD_ACCESS_STREAM_HH
 
 #include <memory>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -37,29 +36,6 @@ class AccessStream
     {
         for (std::size_t i = 0; i < n; ++i)
             dst[i] = next();
-    }
-
-    /**
-     * True when nextSpan() is this stream's preferred batched interface.
-     * Trace-backed streams (workload/trace_reader.hh) return true: they
-     * own buffers (or an mmap) the consumer can read in place, so the
-     * runners feed MemLevel::accessBatch without any per-record copy.
-     */
-    virtual bool hasSpanBatches() const { return false; }
-
-    /**
-     * Span-capable streams hand out a view of the next 1..max_n accesses
-     * without copying; the span stays valid until the next call into the
-     * stream. The default (generators, whose elements are computed, not
-     * stored) returns an empty span, which also signals exhaustion on
-     * bounded, non-cycling streams — consult hasSpanBatches() to tell the
-     * two apart.
-     */
-    virtual std::span<const MemAccess>
-    nextSpan(std::size_t max_n)
-    {
-        (void)max_n;
-        return {};
     }
 
     /** Restart from the beginning (same sequence again). */

@@ -817,85 +817,4 @@ probeTrace(const std::string &path)
     return info;
 }
 
-// ---------------------------------------------------------------------
-// TraceStream
-// ---------------------------------------------------------------------
-
-TraceStream::TraceStream(TraceReaderPtr reader, bool cycle)
-    : reader_(std::move(reader)), cycle_(cycle)
-{
-    bsim_assert(reader_ != nullptr);
-}
-
-bool
-TraceStream::refill(std::size_t max_n)
-{
-    pending_ = reader_->nextSpan(max_n);
-    if (pending_.empty() && cycle_ && reader_->position() > 0) {
-        reader_->reset();
-        pending_ = reader_->nextSpan(max_n);
-    }
-    return !pending_.empty();
-}
-
-MemAccess
-TraceStream::next()
-{
-    if (pending_.empty() && !refill(kBufferRecords))
-        bsim_fatal("trace '", reader_->path(), "' (", reader_->format(),
-                   ") exhausted after ", reader_->position(), " records");
-    const MemAccess a = pending_.front();
-    pending_ = pending_.subspan(1);
-    return a;
-}
-
-void
-TraceStream::nextBatch(MemAccess *dst, std::size_t n)
-{
-    std::size_t filled = 0;
-    while (filled < n) {
-        if (pending_.empty() && !refill(n - filled))
-            bsim_fatal("trace '", reader_->path(), "' (",
-                       reader_->format(), ") exhausted after ",
-                       reader_->position(), " records (batch needs ",
-                       n - filled, " more)");
-        const std::size_t take =
-            std::min(pending_.size(), n - filled);
-        std::memcpy(dst + filled, pending_.data(),
-                    take * sizeof(MemAccess));
-        pending_ = pending_.subspan(take);
-        filled += take;
-    }
-}
-
-std::span<const MemAccess>
-TraceStream::nextSpan(std::size_t max_n)
-{
-    if (!pending_.empty()) {
-        const std::size_t take = std::min(pending_.size(), max_n);
-        std::span<const MemAccess> out = pending_.first(take);
-        pending_ = pending_.subspan(take);
-        return out;
-    }
-    if (!refill(max_n))
-        return {};
-    const std::size_t take = std::min(pending_.size(), max_n);
-    std::span<const MemAccess> out = pending_.first(take);
-    pending_ = pending_.subspan(take);
-    return out;
-}
-
-void
-TraceStream::reset()
-{
-    reader_->reset();
-    pending_ = {};
-}
-
-std::string
-TraceStream::name() const
-{
-    return "trace(" + reader_->path() + ")";
-}
-
 } // namespace bsim

@@ -28,7 +28,7 @@
 #include <span>
 #include <string>
 
-#include "workload/access_stream.hh"
+#include "mem/access.hh"
 #include "workload/trace_format.hh"
 
 namespace bsim {
@@ -178,37 +178,6 @@ bool zlibAvailable();
  * conversion cookbook). Fatal when built without zlib.
  */
 void gzipFile(const std::string &src, const std::string &dst);
-
-/**
- * AccessStream adapter over a TraceReader, so traces drive everything a
- * synthetic generator can. Cycles back to the start of the window at end
- * by default (matching VectorStream replay semantics); a non-cycling
- * stream reports exhaustion by returning an empty span, and next() on an
- * exhausted stream is fatal.
- */
-class TraceStream : public AccessStream
-{
-  public:
-    explicit TraceStream(TraceReaderPtr reader, bool cycle = true);
-
-    MemAccess next() override;
-    void nextBatch(MemAccess *dst, std::size_t n) override;
-    bool hasSpanBatches() const override { return true; }
-    std::span<const MemAccess> nextSpan(std::size_t max_n) override;
-    void reset() override;
-    std::string name() const override;
-
-    const TraceReader &reader() const { return *reader_; }
-
-  private:
-    /** Refill pending_ from the reader, honouring cycling. */
-    bool refill(std::size_t max_n);
-
-    TraceReaderPtr reader_;
-    bool cycle_;
-    /** Records pulled from the reader but not yet handed out. */
-    std::span<const MemAccess> pending_;
-};
 
 } // namespace bsim
 

@@ -16,10 +16,12 @@
  * document on stdout), then NAME=VALUE environment words, then BSIM
  * and its arguments. BST and DIN are readable traces; DIR is a scratch
  * directory holding empty.bst and empty.din, and the outputs go there.
- * Every valid run length is at most 5000, so each case takes
- * milliseconds. Everything derives from SEED.
+ * Every run length drawn is at most 5000; only a lone flag runs the
+ * default 1 M, so each case takes well under a second. Everything
+ * derives from SEED.
  */
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -151,15 +153,21 @@ main(int argc, char **argv)
                 words.push_back(std::string(e.name) + "=" +
                                 pickValue(e, rng));
         words.push_back(bsim);
-        // Every case names a run length, so none runs the default 1 M.
+        // A tenth of the cases are one flag alone, so the modes that
+        // take no other flag (--help, --list-caches, --trace-info) run
+        // too; every other case names a run length, so none but those
+        // runs the default 1 M.
+        const bool alone = rng.nextBool(0.1);
         bool lint = true;
         bool json = false;
-        const std::size_t n = 1 + rng.nextBounded(6);
-        std::vector<std::string> args = {"--accesses",
-                                         pick(accesses->good, rng)};
-        if (rng.nextBool(0.3)) {
-            args.push_back("--json");
-            json = true;
+        const std::size_t n = alone ? 1 : 1 + rng.nextBounded(6);
+        std::vector<std::string> args;
+        if (!alone) {
+            args = {"--accesses", pick(accesses->good, rng)};
+            if (rng.nextBool(0.3)) {
+                args.push_back("--json");
+                json = true;
+            }
         }
         for (std::size_t i = 0; i < n; ++i) {
             if (rng.nextBool(0.05)) {
@@ -169,6 +177,16 @@ main(int argc, char **argv)
             }
             const Flag &f = table[rng.nextBounded(table.size())];
             const std::string name = f.name;
+            // A repeated flag, or a mode that takes no other flag drawn
+            // beside others, is a usage error; keep a tenth of them so
+            // most cases still reach a run.
+            const bool lone_mode = name == "--list-caches" ||
+                                   name == "--trace-info" ||
+                                   name == "--help";
+            if ((std::find(args.begin(), args.end(), name) != args.end() ||
+                 (lone_mode && !alone)) &&
+                !rng.nextBool(0.1))
+                continue;
             args.push_back(name);
             if (!f.good.empty()) {
                 std::string v = pickValue(f, rng);

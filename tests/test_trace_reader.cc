@@ -2,9 +2,8 @@
  * Unit tests for the streaming trace layer (workload/trace_reader and
  * workload/trace_format): BST2/Dinero/gzip round trips through
  * TraceReader spans at awkward chunk boundaries, shard windows, header
- * probing, truncation diagnostics, rejection of other binary formats,
- * case-insensitive dispatch, and the TraceStream adapter feeding the
- * batched hot path.
+ * probing, truncation diagnostics, rejection of other binary formats
+ * and case-insensitive dispatch.
  */
 
 #include <gtest/gtest.h>
@@ -130,8 +129,7 @@ TEST_F(TraceReaderTest, Bst2ResetRestartsTheWindow)
 TEST_F(TraceReaderTest, SequentialResetRestartsTheWindow)
 {
     // Text and gzip readers cannot seek, so reset() rewinds the file and
-    // decodes forward to the window start again (TraceStream cycles
-    // through it).
+    // decodes forward to the window start again.
     const auto in = sampleTrace(120);
     writeTextTrace(path("rs.din"), in);
     std::vector<std::string> paths{path("rs.din")};
@@ -335,37 +333,6 @@ TEST_F(TraceReaderTest, ProbeReportsHeaderFacts)
     const TraceInfo text = probeTrace(path("i.din"));
     EXPECT_EQ(text.format, "dinero");
     EXPECT_EQ(text.recordCount, kUnknownRecordCount);
-}
-
-TEST_F(TraceReaderTest, TraceStreamCyclesLikeVectorStream)
-{
-    const auto in = sampleTrace(10);
-    writeBst2Trace(path("cy.bst"), in, 4);
-    TraceStream stream(openTraceReader(path("cy.bst")));
-    ASSERT_TRUE(stream.hasSpanBatches());
-    for (int lap = 0; lap < 3; ++lap)
-        for (std::size_t i = 0; i < in.size(); ++i)
-            EXPECT_EQ(stream.next().addr, in[i].addr)
-                << "lap " << lap << " record " << i;
-}
-
-TEST_F(TraceReaderTest, NonCyclingTraceStreamExhausts)
-{
-    const auto in = sampleTrace(6);
-    writeBst2Trace(path("nc.bst"), in, 4);
-    TraceStream stream(openTraceReader(path("nc.bst")),
-                       /*cycle=*/false);
-    std::size_t seen = 0;
-    for (;;) {
-        const std::span<const MemAccess> s = stream.nextSpan(4);
-        if (s.empty())
-            break;
-        seen += s.size();
-    }
-    EXPECT_EQ(seen, in.size());
-    // Demanding more from an exhausted bounded stream is fatal (the
-    // runner would otherwise spin on a phantom workload).
-    EXPECT_FATAL(stream.next(), "exhausted");
 }
 
 TEST_F(TraceReaderTest, Bst2FuzzRoundTripsRandomShapes)

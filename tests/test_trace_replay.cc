@@ -157,22 +157,6 @@ TEST_F(TraceReplayTest, ShardedReplayIsBitIdenticalAtAnyJobs)
     EXPECT_EQ(a.total.accesses, captured.size());
 }
 
-TEST_F(TraceReplayTest, RunnerBatchesCyclingTraceStreamLikeVectorStream)
-{
-    // A cycling TraceStream read through nextBatch must match the
-    // VectorStream over the same records bit for bit, wrap included.
-    const auto captured = capturedStream(1500);
-    writeBst2Trace(path("r.bst"), captured, 128);
-    const CacheConfig cfg = parseCacheSpec("dm:16kB");
-
-    VectorStream vec(captured);
-    const MissRateResult want =
-        runMissRateOn(vec, cfg, 4000, "vector"); // cycles 2.66 laps
-    TraceStream ts(openTraceReader(path("r.bst")));
-    const MissRateResult got = runMissRateOn(ts, cfg, 4000, "trace");
-    expectStatsEqual(got.stats, want.stats);
-}
-
 TEST_F(TraceReplayTest, OracleCheckerRunsCleanOnTraces)
 {
     const auto captured = capturedStream(3000);
