@@ -6,7 +6,7 @@
 #
 # Keeps the three faces of the spec grammar in sync:
 #  1. The registry source of truth: the `{.name = "...",` entries of
-#     the cacheSpecEntries() table in src/sim/cache_spec.cc (ten kinds).
+#     the cacheSpecEntries() table in src/sim/cache_spec.cc (nine kinds).
 #  2. `bsim --list-caches` (when the driver binary is passed or found
 #     in build/bench/): every registered kind must appear with its
 #     synopsis, so the CLI help cannot drift from the registry.
@@ -95,6 +95,14 @@
 # names are exactly the flags `bsim --help` lists (when the driver is
 # built), and neither the retired trace-stream adapter nor its span
 # virtuals (spelled with a bracket) appear in src/, tests/ or examples/.
+#
+# And it keeps single-pass sources and no table-less variant (pass
+# 17): the retired way-halting cache, its filter and its `halt:` spec
+# appear nowhere in src/, tests/, bench/ or examples/; the retired
+# sweep progress hook appears nowhere in src/; and neither
+# workload/access_stream.hh nor workload/trace_reader.hh declares a
+# reset, name, size, position, format or path virtual (a stream or
+# reader is read once, front to back; replaying means opening another).
 set -eu
 
 repo_root=$(CDPATH= cd -- "$(dirname -- "$0")/.." && pwd)
@@ -105,8 +113,8 @@ fail=0
 # ---- the registry: kind tokens from cache_spec.cc ----
 kinds=$(sed -n 's/^ *{\.name = "\([a-z]*\)",$/\1/p' src/sim/cache_spec.cc)
 n_kinds=$(echo "$kinds" | wc -w)
-if [ "$n_kinds" -ne 10 ]; then
-    echo "check_specs: expected 10 registered kinds in" \
+if [ "$n_kinds" -ne 9 ]; then
+    echo "check_specs: expected 9 registered kinds in" \
          "src/sim/cache_spec.cc, found $n_kinds: $kinds" >&2
     fail=1
 fi
@@ -390,6 +398,30 @@ then
     fail=1
 fi
 
+# ---- pass 17: single-pass sources, no table-less variant ----
+if matches=$(grep -rn "Way[H]alting\|Halt[T]agFilter\|\<hal[t]:" \
+        src/ tests/ bench/ examples/); then
+    echo "check_specs: the retired way-halting cache is back (no table" \
+         "or harness reads it):" >&2
+    echo "$matches" >&2
+    fail=1
+fi
+if matches=$(grep -rn "Sweep[P]rogress\|on[P]rogress" src/); then
+    echo "check_specs: the retired sweep progress hook is back (the" \
+         "summary sums each outcome's events after the pool joins):" >&2
+    echo "$matches" >&2
+    fail=1
+fi
+if matches=$(grep -nE \
+        "virtual[^(]*[^A-Za-z_](reset|name|size|position|format|path)\(" \
+        src/workload/access_stream.hh src/workload/trace_reader.hh); then
+    echo "check_specs: a rewind or metadata virtual is back on a source" \
+         "interface (streams and readers are single-pass; probeTrace" \
+         "reports a trace's format and size):" >&2
+    echo "$matches" >&2
+    fail=1
+fi
+
 if [ "$fail" -ne 0 ]; then
     echo "check_specs: FAIL" >&2
     exit 1
@@ -401,5 +433,5 @@ echo "check_specs: OK ($n_kinds kinds; registry, --list-caches and" \
      "histogram; one error path; one verification campaign and one" \
      "count parser; one binary trace format; one way to run a" \
      "replay; one tag array; one feed path; one perf record; one flag" \
-     "list)"
+     "list; single-pass sources, no table-less variant)"
 exit 0

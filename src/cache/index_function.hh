@@ -7,8 +7,8 @@
  * names its mapping explicitly instead of hand-rolling the bit math:
  *
  *   moduloIndex        the plain power-of-two decode (SetAssocCache,
- *                      VictimCache, WayHaltingCache, PartialMatchCache,
- *                      HacCache subarrays, column-assoc first probe)
+ *                      VictimCache, PartialMatchCache, HacCache
+ *                      subarrays, column-assoc first probe)
  *   xorFoldIndex       index XOR the adjacent tag slice (XorIndexCache,
  *                      and bank 0 of the skewed cache)
  *   skewBankIndex      per-bank skewing functions (SkewedAssocCache)

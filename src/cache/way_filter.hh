@@ -8,9 +8,6 @@
  *   AllWays        every way activates (the conventional cache); the
  *                  scan compares every way and selects the match
  *                  without a branch
- *   HaltTagFilter  way halting: a small fully-parallel halt-tag CAM
- *                  suppresses ways whose low tag bits mismatch, and the
- *                  halted/activated counters feed the energy metric
  *   PadPredictor   partial-address matching: the PAD predicts the hit
  *                  way from the first partial match; aliases (several
  *                  partial matches) and mispredictions cost extra
@@ -45,41 +42,6 @@ struct AllWays
     static constexpr bool kScanAll = false;
 
     bool activate(std::size_t, Addr) { return true; }
-};
-
-/**
- * Way-halting filter: ways whose halt tag (low @p halt_bits of the
- * stored key) mismatches the address, or which are empty, are not
- * activated at all — their tag/data read energy is saved.
- */
-class HaltTagFilter
-{
-  public:
-    static constexpr bool kScanAll = true;
-
-    HaltTagFilter(Addr halt, unsigned halt_bits, std::uint64_t &halted,
-                  std::uint64_t &activated)
-        : halt_(halt), mask_(mask(halt_bits)), halted_(halted),
-          activated_(activated)
-    {
-    }
-
-    bool
-    activate(std::size_t, Addr key)
-    {
-        if (key == kEmptyKey || (key & mask_) != halt_) {
-            ++halted_;
-            return false;
-        }
-        ++activated_;
-        return true;
-    }
-
-  private:
-    Addr halt_;
-    Addr mask_;
-    std::uint64_t &halted_;
-    std::uint64_t &activated_;
 };
 
 /**

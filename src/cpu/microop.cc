@@ -22,7 +22,7 @@ opClassName(OpClass c)
 
 SyntheticProgram::SyntheticProgram(SpecWorkload workload,
                                    std::uint64_t seed)
-    : workload_(std::move(workload)), seed_(seed), rng_(seed)
+    : workload_(std::move(workload)), rng_(seed)
 {
 }
 
@@ -69,14 +69,6 @@ SyntheticProgram::nextBatch(MicroOp *out, std::size_t n)
                 1 + rng_.nextGeometric(0.35, 14));
         *out = op;
     }
-}
-
-void
-SyntheticProgram::reset()
-{
-    workload_.inst->reset();
-    workload_.data->reset();
-    rng_ = Rng(seed_);
 }
 
 } // namespace bsim

@@ -51,14 +51,11 @@ class SyntheticProgram
     MicroOp next();
     /** The next @p n µops into @p out, as @p n next() calls would. */
     void nextBatch(MicroOp *out, std::size_t n);
-    void reset();
 
-    const std::string &name() const { return workload_.name; }
     const CpuProfile &profile() const { return workload_.cpu; }
 
   private:
     SpecWorkload workload_;
-    std::uint64_t seed_;
     Rng rng_;
 };
 

@@ -9,7 +9,6 @@
 #include "alt/hac_cache.hh"
 #include "alt/partial_match_cache.hh"
 #include "alt/skewed_assoc_cache.hh"
-#include "alt/way_halting_cache.hh"
 #include "alt/xor_index_cache.hh"
 #include "cache/set_assoc_cache.hh"
 #include "cache/victim_cache.hh"
@@ -449,7 +448,7 @@ parseSetAssoc(const std::string &kind, std::uint64_t size, SpecParams &p,
 } // namespace
 
 // ---------------------------------------------------------------------
-// The registry: the ten variants, one entry each.
+// The registry: the nine variants, one entry each.
 
 const std::vector<CacheSpecEntry> &
 cacheSpecEntries()
@@ -725,50 +724,6 @@ cacheSpecEntries()
              const auto &pm = static_cast<const PartialMatchCache &>(cache);
              return {{"slowHits", pm.slowHits()},
                      {"padAliases", pm.padAliases()}};
-         }},
-        {.name = "halt",
-         .synopsis = "halt:<size>[,<N>w][,bits=N][,repl=R][,line=B]",
-         .help = "way-halting SA array (halt-tag filter; hits and misses "
-                 "equal sa:, the saving shows only in its side counters)",
-         .kind = CacheKind::WayHalting,
-         .parse = [](std::uint64_t size, SpecParams &p) {
-             CacheConfig c = configOf(CacheKind::WayHalting, size);
-             c.ways = count32(p, "w", 4);
-             c.partialBits = count32(p, "bits", 4);
-             c.lineBytes = count32(p, "line", 32);
-             applyCommon(c, p, false);
-             p.finish("Nw, bits=, repl=, line=");
-             requireGeometry("halt", size, c.lineBytes, c.ways);
-             require(c.ways >= 2, "halt",
-                     "way halting needs at least 2 ways (2w)");
-             require(c.partialBits >= 1 && c.partialBits <= 29, "halt",
-                     "bits=" + std::to_string(c.partialBits) +
-                         " is outside 1..29");
-             return c;
-         },
-         .label = [](const CacheConfig &c) {
-             return strprintf("halt%u-%uway", c.partialBits, c.ways);
-         },
-         .printParams = [](const CacheConfig &c) {
-             std::string out = "," + std::to_string(c.ways) + "w";
-             if (c.partialBits != 4)
-                 out += ",bits=" + std::to_string(c.partialBits);
-             return out + commonTail(c, false);
-         },
-         .build = [](const CacheConfig &c, const std::string &name,
-                     Cycles lat, MemLevel *next) -> std::unique_ptr<BaseCache> {
-             return std::make_unique<WayHaltingCache>(
-                 name, geometryOf(c, c.ways), lat, next, c.partialBits,
-                 c.repl);
-         },
-         // Timing and energy are the plain SA array's: the model reports
-         // the halting saving only through the side counters below.
-         .accessTime = setAssocAccessTime,
-         .energy = setAssocEnergy,
-         .side = [](const BaseCache &cache) -> SideCounters {
-             const auto &wh = static_cast<const WayHaltingCache &>(cache);
-             return {{"haltedWays", wh.haltedWays()},
-                     {"activatedWays", wh.activatedWays()}};
          }},
     };
     return entries;

@@ -68,7 +68,6 @@ enum class CacheKind : std::uint8_t {
     Hac,          ///< highly associative CAM-tag cache (Section 6.7)
     XorDm,        ///< XOR-mapped direct-mapped (indexing optimisation)
     PartialMatch, ///< way-predicting SA cache (Section 7.2)
-    WayHalting,   ///< SA cache behind a halt-tag way filter (Section 6.8)
 };
 
 /** Largest value a spec count may carry (CacheConfig's 32-bit fields). */
@@ -131,7 +130,7 @@ struct CacheConfig
     std::uint32_t mf = 8;   ///< B-Cache only
     std::uint32_t bas = 8;  ///< B-Cache only
     std::uint64_t hacSubarrayBytes = 1024;
-    /** Low-tag-slice width: PartialMatch's PAD, WayHalting's halt tag. */
+    /** PartialMatch only: the PAD's low-tag-slice width. */
     unsigned partialBits = 5;
 
     /** Instantiate the described cache (the registry's build hook). */

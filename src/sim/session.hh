@@ -150,8 +150,8 @@ struct StatsExport
     }
 
     /**
-     * A "-" export owns stdout: the human-readable report is
-     * suppressed so the emitted document stays machine-parseable.
+     * A "-" export owns stdout: the caller moves the human-readable
+     * report to stderr so the emitted document stays machine-parseable.
      */
     bool
     claimsStdout() const

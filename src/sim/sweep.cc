@@ -6,7 +6,6 @@
 #include <cstdint>
 #include <exception>
 #include <map>
-#include <mutex>
 #include <stdexcept>
 #include <thread>
 
@@ -450,9 +449,6 @@ runSweep(const std::vector<SweepJob> &jobs, const SweepOptions &options)
 
     const auto start = Clock::now();
     std::atomic<std::size_t> next{0};
-    std::mutex progress_mutex;
-    std::size_t done = 0;
-    std::uint64_t events = 0;
 
     auto worker = [&] {
         for (;;) {
@@ -467,20 +463,6 @@ runSweep(const std::vector<SweepJob> &jobs, const SweepOptions &options)
             else
                 run.outcomes[first] =
                     runOne(jobs[first], first, seeds[first]);
-
-            std::lock_guard<std::mutex> lock(progress_mutex);
-            for (const std::size_t i : members) {
-                ++done;
-                events += eventsOf(run.outcomes[i]);
-                if (options.onProgress) {
-                    SweepProgress p;
-                    p.done = done;
-                    p.total = jobs.size();
-                    p.events = events;
-                    p.seconds = secondsSince(start);
-                    options.onProgress(p);
-                }
-            }
         }
     };
 
@@ -497,11 +479,12 @@ runSweep(const std::vector<SweepJob> &jobs, const SweepOptions &options)
 
     run.summary.jobs = jobs.size();
     run.summary.threads = std::max(threads, 1u);
-    run.summary.events = events;
     run.summary.wallSeconds = secondsSince(start);
-    for (const auto &out : run.outcomes)
+    for (const auto &out : run.outcomes) {
+        run.summary.events += eventsOf(out);
         if (!out.ok())
             ++run.summary.failed;
+    }
     return run;
 }
 

@@ -165,8 +165,8 @@ struct SweepSummary
 
     /**
      * Fold in another sweep's metrics (a harness that runs several
-     * sweeps reports one combined perf record): counts add, wall time
-     * adds (the sweeps ran back to back).
+     * sweeps prints one printSweepSummary() table): counts add, wall
+     * time adds (the sweeps ran back to back).
      */
     void
     merge(const SweepSummary &other)
@@ -179,15 +179,6 @@ struct SweepSummary
     }
 };
 
-/** Snapshot handed to the progress hook after each job completes. */
-struct SweepProgress
-{
-    std::size_t done = 0;
-    std::size_t total = 0;
-    std::uint64_t events = 0; ///< simulated accesses + uops so far
-    double seconds = 0.0;     ///< wall time since the sweep started
-};
-
 /** Knobs for one runSweep() call. */
 struct SweepOptions
 {
@@ -195,13 +186,6 @@ struct SweepOptions
     unsigned jobs = 0;
     /** Base for per-job seed derivation (jobs without explicit seeds). */
     std::uint64_t baseSeed = kDefaultSeed;
-    /**
-     * Invoked once per job, when the job's work unit completes (the
-     * members of a shared unit report back to back). Calls are
-     * serialized (a mutex) but may come from any worker thread; the
-     * hook must not throw.
-     */
-    std::function<void(const SweepProgress &)> onProgress;
 };
 
 /** Outcomes (submission order) plus the aggregate metrics. */
@@ -232,7 +216,7 @@ planSweepUnits(const std::vector<SweepJob> &jobs,
  * grouped into work units as described at the top of this file. A job
  * that throws is captured in its outcome's `error` field; the remaining
  * jobs still run (a shared unit's other members included) and the call
- * always returns (no deadlock). onProgress fires once per job.
+ * always returns (no deadlock).
  */
 SweepRun runSweep(const std::vector<SweepJob> &jobs,
                   const SweepOptions &options = {});
@@ -245,8 +229,8 @@ const TimedResult &timedResult(const SweepOutcome &outcome);
 
 /**
  * Print the engine's metrics (jobs, wall time, aggregate simulated
- * events/s) as a one-row common/table — the progress/metrics companion
- * the bench harnesses append after their figure tables.
+ * events/s) as a one-row common/table, which the bench harnesses
+ * append after their figure tables.
  */
 void printSweepSummary(const SweepSummary &summary);
 void printSweepSummary(const SweepSummary &summary, std::FILE *out);

@@ -55,16 +55,6 @@ dmSize(Rng &rng, std::uint32_t line)
     return line * pow2(rng, 3, 10);
 }
 
-/** A way filter over a low tag slice (pad:, halt:): 1..8 slice bits. */
-std::string
-tagSliceSpec(const char *kind, Rng &rng, std::uint32_t line)
-{
-    const std::string geom = waysAndSize(rng, line);
-    const unsigned bits = 1 + (unsigned)rng.nextBounded(8);
-    return strprintf("%s:%s,bits=%u,repl=%s,line=%u", kind, geom.c_str(),
-                     bits, replToken(rng), line);
-}
-
 /**
  * The bcache row. It draws from its own fresh Rng(c.seed), in its own
  * order, and sets the case's workload knobs too.
@@ -154,11 +144,11 @@ const CaseSampler kSamplers[] = {
      }},
     {"pad",
      [](Rng &rng, std::uint32_t line, VerifyCase &) {
-         return tagSliceSpec("pad", rng, line);
-     }},
-    {"halt",
-     [](Rng &rng, std::uint32_t line, VerifyCase &) {
-         return tagSliceSpec("halt", rng, line);
+         // A PAD over a low tag slice of 1..8 bits.
+         const std::string geom = waysAndSize(rng, line);
+         const unsigned bits = 1 + (unsigned)rng.nextBounded(8);
+         return strprintf("pad:%s,bits=%u,repl=%s,line=%u", geom.c_str(),
+                          bits, replToken(rng), line);
      }},
 };
 
@@ -178,12 +168,6 @@ class MaskedStream : public AccessStream
         MemAccess a = child_->next();
         a.addr &= mask_;
         return a;
-    }
-
-    void reset() override { child_->reset(); }
-    std::string name() const override
-    {
-        return "masked(" + child_->name() + ")";
     }
 
   private:

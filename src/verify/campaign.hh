@@ -43,8 +43,8 @@ struct VerifyCase
  * Sample a case of registry kind @p kind (its canonical name): lines
  * {16,32,64}, sets 4..1024 (per-kind geometry constraints applied),
  * address widths 18..26, writebacks from above in half the cases, and
- * the kind's own knobs — ways, victim entries, PAD and halt-tag bits,
- * HAC subarrays, replacement and write policies. The bcache row draws
+ * the kind's own knobs — ways, victim entries, PAD bits, HAC
+ * subarrays, replacement and write policies. The bcache row draws
  * sets 8..1024, BAS 1..16 and MF 1..64, with a bias towards the two
  * exact-equivalence limits (BAS = 1 and a saturated PI) so a production
  * SetAssocCache oracle engages in a sizeable share of cases. The spec

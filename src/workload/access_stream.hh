@@ -1,7 +1,7 @@
 /**
  * @file
- * AccessStream: the interface every synthetic address generator and trace
- * reader implements. Streams are deterministic: two streams constructed
+ * AccessStream: the interface every synthetic address generator
+ * implements. Streams are deterministic: two streams constructed
  * with the same parameters and seed produce identical sequences.
  */
 
@@ -9,14 +9,16 @@
 #define BSIM_WORKLOAD_ACCESS_STREAM_HH
 
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "mem/access.hh"
 
 namespace bsim {
 
-/** An unbounded, restartable source of memory accesses. */
+/**
+ * An unbounded, single-pass source of memory accesses. To replay a
+ * sequence, build a second stream with the same parameters and seed.
+ */
 class AccessStream
 {
   public:
@@ -37,11 +39,6 @@ class AccessStream
         for (std::size_t i = 0; i < n; ++i)
             dst[i] = next();
     }
-
-    /** Restart from the beginning (same sequence again). */
-    virtual void reset() = 0;
-
-    virtual std::string name() const = 0;
 };
 
 using AccessStreamPtr = std::unique_ptr<AccessStream>;

@@ -33,12 +33,6 @@ SequentialStream::next()
     return {a, AccessType::Read};
 }
 
-void
-SequentialStream::reset()
-{
-    pos_ = 0;
-}
-
 // ----------------------------------------------- StridedConflictStream
 
 StridedConflictStream::StridedConflictStream(Addr base,
@@ -62,12 +56,6 @@ StridedConflictStream::next()
     ++pos_;
     return {base_ + which * stride_ + word * wordBytes_,
             AccessType::Read};
-}
-
-void
-StridedConflictStream::reset()
-{
-    pos_ = 0;
 }
 
 // ----------------------------------------------------- LoopNestStream
@@ -95,24 +83,18 @@ LoopNestStream::next()
             AccessType::Read};
 }
 
-void
-LoopNestStream::reset()
-{
-    pos_ = 0;
-}
-
 // --------------------------------------------------------- ZipfStream
 
 ZipfStream::ZipfStream(Addr base, std::uint64_t blocks,
                        std::uint32_t block_bytes, double alpha,
                        std::uint64_t seed)
     : base_(base), blockBytes_(block_bytes), sampler_(blocks, alpha),
-      seed_(seed), rng_(seed)
+      rng_(seed)
 {
     perm_.resize(blocks);
     std::iota(perm_.begin(), perm_.end(), 0u);
-    // Fisher-Yates with a dedicated generator so reset() can restore the
-    // sampling stream without re-shuffling.
+    // Fisher-Yates with a dedicated generator, so the sampling stream
+    // starts at the seed whatever the region size.
     Rng shuffle_rng(seed ^ 0xabcdef12345ULL);
     for (std::size_t i = blocks; i > 1; --i) {
         const std::size_t j = shuffle_rng.nextBounded(i);
@@ -127,12 +109,6 @@ ZipfStream::next()
     const std::uint32_t block = perm_[rank];
     const Addr off = rng_.nextBounded(blockBytes_ / 8) * 8;
     return {base_ + Addr{block} * blockBytes_ + off, AccessType::Read};
-}
-
-void
-ZipfStream::reset()
-{
-    rng_ = Rng(seed_);
 }
 
 // -------------------------------------------------- PointerChaseStream
@@ -161,18 +137,12 @@ PointerChaseStream::next()
     return {a, AccessType::Read};
 }
 
-void
-PointerChaseStream::reset()
-{
-    cur_ = 0;
-}
-
 // -------------------------------------------------------- StackStream
 
 StackStream::StackStream(Addr stack_top, std::uint32_t max_depth,
                          std::uint32_t frame_bytes, std::uint64_t seed)
     : top_(stack_top), maxDepth_(max_depth), frameBytes_(frame_bytes),
-      seed_(seed), rng_(seed)
+      rng_(seed)
 {
     bsim_assert(maxDepth_ > 0 && frameBytes_ >= 8);
 }
@@ -195,19 +165,12 @@ StackStream::next()
             is_write ? AccessType::Write : AccessType::Read};
 }
 
-void
-StackStream::reset()
-{
-    depth_ = 0;
-    rng_ = Rng(seed_);
-}
-
 // --------------------------------------------------- InterleaveStream
 
 InterleaveStream::InterleaveStream(std::vector<AccessStreamPtr> children,
                                    std::vector<double> weights,
                                    std::uint64_t seed)
-    : children_(std::move(children)), seed_(seed), rng_(seed)
+    : children_(std::move(children)), rng_(seed)
 {
     bsim_assert(!children_.empty() &&
                 children_.size() == weights.size());
@@ -235,20 +198,11 @@ InterleaveStream::next()
     return children_[i]->next();
 }
 
-void
-InterleaveStream::reset()
-{
-    for (auto &c : children_)
-        c->reset();
-    rng_ = Rng(seed_);
-}
-
 // ----------------------------------------------------- WriteMixStream
 
 WriteMixStream::WriteMixStream(AccessStreamPtr child,
                                double write_fraction, std::uint64_t seed)
-    : child_(std::move(child)), writeFraction_(write_fraction),
-      seed_(seed), rng_(seed)
+    : child_(std::move(child)), writeFraction_(write_fraction), rng_(seed)
 {
     bsim_assert(child_ != nullptr);
     bsim_assert(writeFraction_ >= 0.0 && writeFraction_ <= 1.0);
@@ -261,19 +215,6 @@ WriteMixStream::next()
     if (a.type == AccessType::Read && rng_.nextBool(writeFraction_))
         a.type = AccessType::Write;
     return a;
-}
-
-void
-WriteMixStream::reset()
-{
-    child_->reset();
-    rng_ = Rng(seed_);
-}
-
-std::string
-WriteMixStream::name() const
-{
-    return "writemix(" + child_->name() + ")";
 }
 
 // ------------------------------------------------------- VectorStream
@@ -290,12 +231,6 @@ VectorStream::next()
     const MemAccess a = accesses_[pos_];
     pos_ = (pos_ + 1) % accesses_.size();
     return a;
-}
-
-void
-VectorStream::reset()
-{
-    pos_ = 0;
 }
 
 } // namespace bsim

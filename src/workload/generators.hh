@@ -33,8 +33,6 @@ class SequentialStream : public AccessStream
                      std::uint32_t elem_bytes = 8);
 
     MemAccess next() override;
-    void reset() override;
-    std::string name() const override { return "sequential"; }
 
   private:
     Addr base_;
@@ -58,8 +56,6 @@ class StridedConflictStream : public AccessStream
                           std::uint32_t word_bytes = 8);
 
     MemAccess next() override;
-    void reset() override;
-    std::string name() const override { return "strided-conflict"; }
 
   private:
     Addr base_;
@@ -85,8 +81,6 @@ class LoopNestStream : public AccessStream
                    std::uint32_t elem_bytes = 8);
 
     MemAccess next() override;
-    void reset() override;
-    std::string name() const override { return "loop-nest"; }
 
   private:
     Addr base_;
@@ -106,14 +100,11 @@ class ZipfStream : public AccessStream
                double alpha, std::uint64_t seed);
 
     MemAccess next() override;
-    void reset() override;
-    std::string name() const override { return "zipf"; }
 
   private:
     Addr base_;
     std::uint32_t blockBytes_;
     ZipfSampler sampler_;
-    std::uint64_t seed_;
     Rng rng_;
     /** Shuffled block order so rank 0 is not always the lowest address. */
     std::vector<std::uint32_t> perm_;
@@ -130,8 +121,6 @@ class PointerChaseStream : public AccessStream
                        std::uint32_t node_bytes, std::uint64_t seed);
 
     MemAccess next() override;
-    void reset() override;
-    std::string name() const override { return "pointer-chase"; }
 
   private:
     Addr base_;
@@ -148,14 +137,11 @@ class StackStream : public AccessStream
                 std::uint32_t frame_bytes, std::uint64_t seed);
 
     MemAccess next() override;
-    void reset() override;
-    std::string name() const override { return "stack"; }
 
   private:
     Addr top_;
     std::uint32_t maxDepth_;
     std::uint32_t frameBytes_;
-    std::uint64_t seed_;
     Rng rng_;
     std::uint32_t depth_ = 0;
 };
@@ -168,13 +154,10 @@ class InterleaveStream : public AccessStream
                      std::vector<double> weights, std::uint64_t seed);
 
     MemAccess next() override;
-    void reset() override;
-    std::string name() const override { return "interleave"; }
 
   private:
     std::vector<AccessStreamPtr> children_;
     std::vector<double> cdf_;
-    std::uint64_t seed_;
     Rng rng_;
 };
 
@@ -186,13 +169,10 @@ class WriteMixStream : public AccessStream
                    std::uint64_t seed);
 
     MemAccess next() override;
-    void reset() override;
-    std::string name() const override;
 
   private:
     AccessStreamPtr child_;
     double writeFraction_;
-    std::uint64_t seed_;
     Rng rng_;
 };
 
@@ -203,8 +183,6 @@ class VectorStream : public AccessStream
     explicit VectorStream(std::vector<MemAccess> accesses);
 
     MemAccess next() override;
-    void reset() override;
-    std::string name() const override { return "vector"; }
 
     std::size_t size() const { return accesses_.size(); }
 

@@ -10,7 +10,7 @@ constexpr std::uint32_t kInstrBytes = 4;
 
 InstructionStream::InstructionStream(const CodeLayout &layout,
                                      std::uint64_t seed)
-    : layout_(layout), seed_(seed), rng_(seed)
+    : layout_(layout), rng_(seed)
 {
     bsim_assert(layout_.numFunctions > 0 &&
                 layout_.blocksPerFunction > 0);
@@ -36,7 +36,6 @@ InstructionStream::InstructionStream(const CodeLayout &layout,
             bsim_warn("function ", f, " overflows its spacing; code of "
                       "adjacent functions overlaps");
     }
-    reset();
 }
 
 std::uint64_t
@@ -99,14 +98,6 @@ InstructionStream::next()
         }
     }
     return {pc, AccessType::Fetch};
-}
-
-void
-InstructionStream::reset()
-{
-    rng_ = Rng(seed_);
-    callStack_.clear();
-    cur_ = {0, 0, 0};
 }
 
 } // namespace bsim

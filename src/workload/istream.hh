@@ -44,8 +44,6 @@ class InstructionStream : public AccessStream
     InstructionStream(const CodeLayout &layout, std::uint64_t seed);
 
     MemAccess next() override;
-    void reset() override;
-    std::string name() const override { return "istream"; }
 
     /** Total static code bytes (for footprint checks in tests). */
     std::uint64_t codeFootprint() const;
@@ -75,7 +73,6 @@ class InstructionStream : public AccessStream
     std::uint32_t successor(std::uint32_t blk);
 
     CodeLayout layout_;
-    std::uint64_t seed_;
     Rng rng_;
     std::vector<Block> blocks_;
     std::vector<Frame> callStack_;

@@ -82,16 +82,4 @@ RecordingStream::next()
     return a;
 }
 
-void
-RecordingStream::reset()
-{
-    child_->reset();
-}
-
-std::string
-RecordingStream::name() const
-{
-    return "recording(" + child_->name() + ")";
-}
-
 } // namespace bsim

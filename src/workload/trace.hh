@@ -52,8 +52,6 @@ class RecordingStream : public AccessStream
     explicit RecordingStream(AccessStreamPtr child);
 
     MemAccess next() override;
-    void reset() override;
-    std::string name() const override;
 
     const std::vector<MemAccess> &recorded() const { return recorded_; }
     void clearRecorded() { recorded_.clear(); }

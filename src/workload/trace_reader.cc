@@ -30,7 +30,6 @@ class ByteSource
     virtual ~ByteSource() = default;
     /** Read up to @p n bytes; short counts only at EOF. Fatal on error. */
     virtual std::size_t read(void *dst, std::size_t n) = 0;
-    virtual void rewind() = 0;
 };
 
 class FileByteSource : public ByteSource
@@ -55,13 +54,6 @@ class FileByteSource : public ByteSource
         if (got < n && std::ferror(file_))
             bsim_fatal("read error on trace '", path_, "'");
         return got;
-    }
-
-    void
-    rewind() override
-    {
-        if (std::fseek(file_, 0, SEEK_SET) != 0)
-            bsim_fatal("cannot rewind trace '", path_, "'");
     }
 
   private:
@@ -110,13 +102,6 @@ class InflateSource : public ByteSource
             total += static_cast<std::size_t>(got);
         }
         return total;
-    }
-
-    void
-    rewind() override
-    {
-        if (gzrewind(gz_) != 0)
-            bsim_fatal("cannot rewind gzip trace '", path_, "'");
     }
 
   private:
@@ -300,21 +285,8 @@ class Bst2MmapReader : public TraceReader
           sharedMapping_(shared_mapping)
     {
         header_ = checkBst2Mapping(path, *map_);
-        std::tie(begin_, end_) =
+        std::tie(pos_, end_) =
             shardWindow(shard, header_.recordCount, path);
-        pos_ = begin_;
-    }
-
-    std::uint64_t size() const override { return end_ - begin_; }
-    std::uint64_t position() const override { return pos_ - begin_; }
-    std::string format() const override { return "BST2/mmap"; }
-    const std::string &path() const override { return path_; }
-
-    void
-    reset() override
-    {
-        pos_ = begin_;
-        validatedChunk_ = kUnknownRecordCount;
     }
 
     std::span<const MemAccess>
@@ -383,7 +355,7 @@ class Bst2MmapReader : public TraceReader
     std::shared_ptr<MappedFile> map_;
     bool sharedMapping_ = false;
     Bst2Header header_;
-    std::uint64_t begin_ = 0, end_ = 0, pos_ = 0;
+    std::uint64_t pos_ = 0, end_ = 0;
     std::uint64_t validatedChunk_ = kUnknownRecordCount;
     /** Big-endian fallback only; unused on the zero-copy path. */
     std::vector<MemAccess> convert_;
@@ -408,9 +380,6 @@ class BufferedReader : public TraceReader
         buf_.resize(buf_records);
     }
 
-    std::uint64_t position() const override { return handed_; }
-    const std::string &path() const override { return path_; }
-
     std::span<const MemAccess>
     nextSpan(std::size_t max_n) override
     {
@@ -422,7 +391,6 @@ class BufferedReader : public TraceReader
             bufPos_ = 0;
             bufLen_ = refill(buf_.data(), buf_.size());
             if (bufLen_ == 0) {
-                sawEof();
                 windowCount_ = handed_;
                 return {};
             }
@@ -436,36 +404,11 @@ class BufferedReader : public TraceReader
         return out;
     }
 
-    void
-    reset() override
-    {
-        restart();
-        bufPos_ = bufLen_ = 0;
-        handed_ = 0;
-        skipped_ = false;
-    }
-
   protected:
     /** Decode up to @p max records into @p dst; 0 at end of input. */
     virtual std::size_t refill(MemAccess *dst, std::size_t max) = 0;
-    /** Rewind the underlying input to the first record. */
-    virtual void restart() = 0;
     /** Total records the input holds, or kUnknownRecordCount. */
     virtual std::uint64_t inputCount() const = 0;
-    /** Called once the input is exhausted (text readers learn size()). */
-    virtual void sawEof() {}
-
-    /** Window size for size(); recomputed after shard skip / EOF. */
-    std::uint64_t
-    windowOrUnknown() const
-    {
-        if (skipped_ && windowCount_ != kUnknownRecordCount)
-            return windowCount_;
-        if (inputCount() == kUnknownRecordCount)
-            return kUnknownRecordCount;
-        const auto [b, e] = shardWindow(shard_, inputCount(), path_);
-        return e - b;
-    }
 
     const std::string path_;
 
@@ -521,11 +464,9 @@ class Bst2SourceReader : public BufferedReader
         : BufferedReader(path, shard, kBufferRecords),
           src_(std::move(src))
     {
-        readHeader();
+        unsigned char hdr[kBst2HeaderBytes];
+        header_ = parseBst2Header(path_, hdr, src_->read(hdr, sizeof hdr));
     }
-
-    std::uint64_t size() const override { return windowOrUnknown(); }
-    std::string format() const override { return "BST2/gzip"; }
 
   protected:
     std::size_t
@@ -559,28 +500,12 @@ class Bst2SourceReader : public BufferedReader
         return out;
     }
 
-    void
-    restart() override
-    {
-        src_->rewind();
-        decoded_ = 0;
-        chunkLeft_ = 0;
-        readHeader();
-    }
-
     std::uint64_t inputCount() const override
     {
         return header_.recordCount;
     }
 
   private:
-    void
-    readHeader()
-    {
-        unsigned char hdr[kBst2HeaderBytes];
-        header_ = parseBst2Header(path_, hdr, src_->read(hdr, sizeof hdr));
-    }
-
     void
     openChunk()
     {
@@ -611,17 +536,9 @@ class DineroReader : public BufferedReader
 {
   public:
     DineroReader(const std::string &path, const TraceShard &shard,
-                 std::unique_ptr<ByteSource> src, bool compressed)
-        : BufferedReader(path, shard, kBufferRecords),
-          src_(std::move(src)), compressed_(compressed)
+                 std::unique_ptr<ByteSource> src)
+        : BufferedReader(path, shard, kBufferRecords), src_(std::move(src))
     {
-    }
-
-    std::uint64_t size() const override { return windowOrUnknown(); }
-    std::string
-    format() const override
-    {
-        return compressed_ ? "dinero/gzip" : "dinero";
     }
 
   protected:
@@ -666,30 +583,14 @@ class DineroReader : public BufferedReader
             dst[out++] = {static_cast<Addr>(addr),
                           static_cast<AccessType>(label)};
         }
-        count_ += out;
         return out;
     }
 
-    void
-    restart() override
-    {
-        src_->rewind();
-        linePos_ = lineLen_ = 0;
-        lineno_ = 0;
-        eof_ = false;
-        count_ = 0;
-    }
-
+    /** Text has no header: the count is unknown until EOF. */
     std::uint64_t
     inputCount() const override
     {
-        return total_;
-    }
-
-    void
-    sawEof() override
-    {
-        total_ = count_;
+        return kUnknownRecordCount;
     }
 
   private:
@@ -706,15 +607,11 @@ class DineroReader : public BufferedReader
     }
 
     std::unique_ptr<ByteSource> src_;
-    bool compressed_;
     char text_[64 * 1024];
     std::size_t linePos_ = 0, lineLen_ = 0;
     std::string line_;
     std::size_t lineno_ = 0;
     bool eof_ = false;
-    /** Records decoded since restart / total once EOF has been seen. */
-    std::uint64_t count_ = 0;
-    std::uint64_t total_ = kUnknownRecordCount;
 };
 
 } // namespace
@@ -759,8 +656,8 @@ openTraceReader(const std::string &path, const TraceShard &shard)
 {
     const TraceInfo info = probeTrace(path);
     if (info.format == "dinero")
-        return std::make_unique<DineroReader>(
-            path, shard, openByteSource(path), info.compressed);
+        return std::make_unique<DineroReader>(path, shard,
+                                              openByteSource(path));
     if (info.compressed)
         return std::make_unique<Bst2SourceReader>(path, shard,
                                                   openByteSource(path));

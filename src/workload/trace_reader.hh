@@ -33,7 +33,7 @@
 
 namespace bsim {
 
-/** size()/recordCount value of text readers before EOF is reached. */
+/** A record count no header gives: a text trace's, or "through EOF". */
 inline constexpr std::uint64_t kUnknownRecordCount = ~std::uint64_t{0};
 
 /** A contiguous record range of a trace file (default: all of it). */
@@ -47,11 +47,11 @@ struct TraceShard
 };
 
 /**
- * A bounded source of MemAccess spans over one trace window. Spans
+ * A single-pass source of MemAccess spans over one trace window. Spans
  * reference memory owned by the reader (the mmap itself on the zero-copy
- * path) and stay valid until the next nextSpan()/reset() call. An empty
- * span means the window is exhausted. Malformed or truncated input is
- * fatal with the format and path named (configuration error).
+ * path) and stay valid until the next nextSpan() call. An empty span
+ * means the window is exhausted. Malformed or truncated input is fatal
+ * with the format and path named (configuration error).
  */
 class TraceReader
 {
@@ -59,28 +59,11 @@ class TraceReader
     virtual ~TraceReader() = default;
 
     /**
-     * Records in this reader's window, or kUnknownRecordCount for text
-     * streams that have not yet seen EOF.
-     */
-    virtual std::uint64_t size() const = 0;
-
-    /**
      * Hand out 1..max_n records without per-record copying where the
      * format allows; empty at end of window. Spans never cross a chunk
      * boundary, so callers loop.
      */
     virtual std::span<const MemAccess> nextSpan(std::size_t max_n) = 0;
-
-    /** Rewind to the start of the window. */
-    virtual void reset() = 0;
-
-    /** Records handed out since construction or the last reset(). */
-    virtual std::uint64_t position() const = 0;
-
-    /** Format tag for messages, e.g. "BST2/mmap", "BST2/gzip", "dinero". */
-    virtual std::string format() const = 0;
-
-    virtual const std::string &path() const = 0;
 };
 
 using TraceReaderPtr = std::unique_ptr<TraceReader>;

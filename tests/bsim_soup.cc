@@ -58,8 +58,7 @@ flagTable(const std::string &dir)
     return {
         {"--cache",
          {"dm:16kB", "sa:8kB,4w", "bcache:16kB,mf=8,bas=8",
-          "dm:4kB+victim:16", "skew:8kB", "hac:16kB", "pad:8kB,4w",
-          "halt:8kB,4w"},
+          "dm:4kB+victim:16", "skew:8kB", "hac:16kB", "pad:8kB,4w"},
          {"bogus", "dm:0kB", "sa:16kB,3w", "bcache:16kB,mf=3", "dm:128MB",
           "dm:16kB+victim:0", "dm:16kB,wp=wt+victim:16",
           "dm:16kB,repl=random+victim:16", ""}},

@@ -185,11 +185,6 @@ TEST(BatchEquivalence, ColumnAssocTwins)
     pinnedStreamCase("column:16kB", 100000, 0xc01a5, 320, 20);
 }
 
-TEST(BatchEquivalence, WayHaltingTwins)
-{
-    pinnedStreamCase("halt:16kB,4w", 100000, 0x4a17e, 256, 20);
-}
-
 TEST(BatchEquivalence, PartialMatchTwins)
 {
     pinnedStreamCase("pad:16kB,2w,bits=5", 100000, 0x9ad5a, 224, 20);

@@ -54,7 +54,6 @@ TEST(CacheSpec, GoldenRoundTripsEveryVariant)
         {"hac:16kB,line=64", "hac16"},
         {"xor:16kB", "xor-dm"},
         {"pad:16kB,2w,bits=5", "pad5-2way"},
-        {"halt:16kB,4w", "halt4-4way"},
     };
     for (const auto &g : golden) {
         const CacheConfig c = parseCacheSpec(g.spec);
@@ -64,10 +63,10 @@ TEST(CacheSpec, GoldenRoundTripsEveryVariant)
     }
 }
 
-TEST(CacheSpec, RegistryListsAllTenVariants)
+TEST(CacheSpec, RegistryListsAllNineVariants)
 {
     const auto &entries = cacheSpecEntries();
-    EXPECT_EQ(entries.size(), 10u);
+    EXPECT_EQ(entries.size(), 9u);
     const std::string listing = listCacheSpecs();
     for (const auto &e : entries) {
         EXPECT_NE(listing.find(e.name + ":"), std::string::npos)
@@ -99,7 +98,6 @@ TEST(CacheSpec, NonDefaultParametersRoundTrip)
              "hac:16kB,sub=2kB,repl=plru",
              "xor:8kB,line=64",
              "pad:32kB,4w,bits=7,repl=random",
-             "halt:32kB,8w,bits=6,repl=fifo,line=64",
          })
         expectRoundTrip(spec);
 }
@@ -167,9 +165,6 @@ TEST(CacheSpec, AccessTimeAndEnergyPinnedPerVariant)
          1.2534080000000001, 890.38400000000001, 0, 0},
         {"pad:16kB,2w", 0.83839999999999992, 0.83839999999999992,
          1.2534080000000001, 1361.7192395292532, 0, 0},
-        // The plain 4-way array's numbers, as sa:16kB,4w above.
-        {"halt:16kB,4w", 0.9403999999999999, 0.9403999999999999,
-         1.4058979999999999, 2061.9613873194844, 0, 0},
     };
     ASSERT_EQ(std::size(pinned), cacheSpecEntries().size());
     for (const auto &p : pinned) {
@@ -222,8 +217,6 @@ TEST(CacheSpec, MalformedSpecsThrowActionableErrors)
     expectError("dm:16kB+victim:0", "at least one entry");
     expectError("pad:16kB,bits=64", "bits=64 is outside");
     expectError("pad:16kB,4w,bits=0", "bits=0 is outside");
-    expectError("halt:16kB,1w", "at least 2 ways");
-    expectError("halt:16kB,bits=30", "bits=30 is outside");
     expectError("column:32,line=32", "at least two sets");
     expectError("sa:16kB,3w", "3 ways is not a power of two");
     expectError("bcache:3kB", "size 3072 is not a power of two");
@@ -234,7 +227,7 @@ TEST(CacheSpec, MalformedSpecsThrowActionableErrors)
          {"dm:16kB,line=1", "sa:4,4w,line=1", "sa:16kB,4w,line=1",
           "victim:16kB,line=1", "bcache:16kB,line=1", "column:16kB,line=1",
           "skew:16kB,line=1", "hac:16kB,line=1", "xor:16kB,line=1",
-          "pad:16kB,4w,line=1", "halt:16kB,4w,line=1"})
+          "pad:16kB,4w,line=1"})
         expectError(spec, "lines must be at least 2 B");
     // Signed, overflowing or field-overflowing numbers are rejected
     // with the token as typed, not wrapped or narrowed into range.
@@ -357,7 +350,7 @@ TEST(CacheSpec, FuzzTokenSoupBuildsAndRunsOrThrows)
     // type fails the run.
     static const char *const kKinds[] = {
         "dm", "direct", "sa", "setassoc", "victim", "bcache", "column",
-        "skew", "hac", "xor", "pad", "halt", "DM", "Bcache", "cam",
+        "skew", "hac", "xor", "pad", "DM", "Bcache", "cam",
         "foo", "", "dm+victim", "sa "};
     static const char *const kSizes[] = {
         "16kB", "8k", "1kB", "64MB", "65536kB", "67108864", "2MB",

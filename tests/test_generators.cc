@@ -20,11 +20,14 @@ TEST(Sequential, SweepsAndWraps)
 
 TEST(Sequential, ResetRestarts)
 {
-    SequentialStream s(0, 64, 8);
-    s.next();
-    s.next();
-    s.reset();
-    EXPECT_EQ(s.next().addr, 0u);
+    // Streams are single-pass: a replay is a second stream built with
+    // the same parameters, and it starts where the first one did.
+    SequentialStream a(0, 64, 8), b(0, 64, 8);
+    a.next();
+    a.next();
+    EXPECT_EQ(b.next().addr, 0u);
+    EXPECT_EQ(b.next().addr, 8u);
+    EXPECT_EQ(a.next().addr, b.next().addr);
 }
 
 TEST(StridedConflict, VisitsAllLinesBeforeRepeating)
@@ -129,16 +132,20 @@ TEST(Interleave, RespectsWeights)
 
 TEST(Interleave, ResetReproducesSequence)
 {
-    std::vector<AccessStreamPtr> kids;
-    kids.push_back(std::make_unique<SequentialStream>(0x0, 64, 8));
-    kids.push_back(std::make_unique<SequentialStream>(0x100000, 64, 8));
-    InterleaveStream s(std::move(kids), {0.5, 0.5}, 7);
+    // A replay is a second stream with the same children and seed.
+    const auto make = [] {
+        std::vector<AccessStreamPtr> kids;
+        kids.push_back(std::make_unique<SequentialStream>(0x0, 64, 8));
+        kids.push_back(
+            std::make_unique<SequentialStream>(0x100000, 64, 8));
+        return InterleaveStream(std::move(kids), {0.5, 0.5}, 7);
+    };
+    InterleaveStream a = make(), b = make();
     std::vector<Addr> first;
     for (int i = 0; i < 50; ++i)
-        first.push_back(s.next().addr);
-    s.reset();
+        first.push_back(a.next().addr);
     for (int i = 0; i < 50; ++i)
-        EXPECT_EQ(s.next().addr, first[i]);
+        EXPECT_EQ(b.next().addr, first[i]);
 }
 
 TEST(WriteMix, ConvertsRequestedFraction)

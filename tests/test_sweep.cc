@@ -241,6 +241,8 @@ TEST(Sweep, MultiThreadBitIdenticalToSingleThread)
     for (std::size_t i = 0; i < a.outcomes.size(); ++i)
         expectIdentical(a.outcomes[i], b.outcomes[i]);
     EXPECT_EQ(a.summary.events, b.summary.events);
+    EXPECT_EQ(b.summary.events, jobs.size() * 30000u);
+    EXPECT_EQ(b.summary.jobs, jobs.size());
     EXPECT_EQ(b.summary.threads, 4u);
 }
 
@@ -327,27 +329,6 @@ TEST(Sweep, TimedJobsRunTheFullHierarchy)
         runTimed("gcc", parseCacheSpec("dm:16kB"), 30000, 7);
     EXPECT_EQ(serial.cpu.cycles, run.outcomes[0].timed->cpu.cycles);
     EXPECT_EQ(run.summary.events, 60000u);
-}
-
-TEST(Sweep, ProgressHookSeesEveryJob)
-{
-    const auto jobs = mixedJobs(20000);
-    std::size_t calls = 0;
-    std::size_t last_done = 0;
-    bool monotone = true;
-    SweepOptions opt;
-    opt.jobs = 4;
-    opt.onProgress = [&](const SweepProgress &p) {
-        ++calls;
-        monotone = monotone && p.done == last_done + 1;
-        last_done = p.done;
-        EXPECT_EQ(p.total, jobs.size());
-    };
-    const SweepRun run = runSweep(jobs, opt);
-    EXPECT_EQ(calls, jobs.size());
-    EXPECT_TRUE(monotone);
-    EXPECT_EQ(last_done, jobs.size());
-    EXPECT_EQ(run.summary.jobs, jobs.size());
 }
 
 TEST(SweepGrouped, MixedJobsMatchTheirSerialRunners)
@@ -441,17 +422,10 @@ TEST(SweepGrouped, OrderProgressAndSecondsPerJob)
           parseCacheSpec("victim:16kB,16e")})
         jobs.push_back(SweepJob::missRate("gcc", StreamSide::Data, cfg,
                                           200000, 7));
-    std::size_t calls = 0;
     SweepOptions opt;
     opt.jobs = 1;
-    opt.onProgress = [&](const SweepProgress &p) {
-        ++calls;
-        EXPECT_EQ(p.done, calls);
-        EXPECT_EQ(p.total, jobs.size());
-        EXPECT_EQ(p.events, calls * 200000u);
-    };
     const SweepRun run = runSweep(jobs, opt);
-    EXPECT_EQ(calls, jobs.size());
+    EXPECT_EQ(run.summary.events, jobs.size() * 200000u);
     double sum = 0.0;
     for (std::size_t i = 0; i < jobs.size(); ++i) {
         const SweepOutcome &out = run.outcomes[i];
@@ -582,16 +556,10 @@ TEST(SweepGroupedTimed, SecondsSumToTheUnitsWallTime)
     std::vector<SweepJob> jobs;
     for (const CacheConfig &cfg : timedConfigs())
         jobs.push_back(SweepJob::timed("gcc", cfg, 100000, 7));
-    std::size_t calls = 0;
     SweepOptions opt;
     opt.jobs = 1;
-    opt.onProgress = [&](const SweepProgress &p) {
-        ++calls;
-        EXPECT_EQ(p.done, calls);
-        EXPECT_EQ(p.events, calls * 100000u);
-    };
     const SweepRun run = runSweep(jobs, opt);
-    EXPECT_EQ(calls, jobs.size());
+    EXPECT_EQ(run.summary.events, jobs.size() * 100000u);
     double sum = 0.0;
     for (std::size_t i = 0; i < jobs.size(); ++i) {
         const SweepOutcome &out = run.outcomes[i];
@@ -904,16 +872,10 @@ TEST_F(SweepGroupedTrace, SecondsSumToTheUnitsWallTime)
     for (const CacheConfig &cfg : traceConfigs())
         jobs.push_back(
             SweepJob::traceReplay(big, TraceShard{}, cfg, 0, 0, {true, 0}));
-    std::size_t calls = 0;
     SweepOptions opt;
     opt.jobs = 1;
-    opt.onProgress = [&](const SweepProgress &p) {
-        ++calls;
-        EXPECT_EQ(p.done, calls);
-        EXPECT_EQ(p.events, calls * 400000u);
-    };
     const SweepRun run = runSweep(jobs, opt);
-    EXPECT_EQ(calls, jobs.size());
+    EXPECT_EQ(run.summary.events, jobs.size() * 400000u);
     double sum = 0.0;
     for (std::size_t i = 0; i < jobs.size(); ++i) {
         const SweepOutcome &out = run.outcomes[i];
