@@ -103,6 +103,13 @@
 # workload/access_stream.hh nor workload/trace_reader.hh declares a
 # reset, name, size, position, format or path virtual (a stream or
 # reader is read once, front to back; replaying means opening another).
+#
+# And it keeps one µop decode (pass 18): OooCore's memory pass reads a
+# DecodedBatch, so cpu/ooo_core.hh declares no memoryPass over raw
+# µops; the last fetched line lives in the decoder, so the retired core
+# member (spelled with a bracket) appears nowhere in src/; and no block
+# under src/cpu/ that holds a loop calls nextGeometric( or log1p( (the
+# µop source divides by a log1p computed once, in its constructor).
 set -eu
 
 repo_root=$(CDPATH= cd -- "$(dirname -- "$0")/.." && pwd)
@@ -422,6 +429,49 @@ if matches=$(grep -nE \
     fail=1
 fi
 
+# ---- pass 18: one µop decode ----
+if matches=$(tr -s ' \n' '  ' <src/cpu/ooo_core.hh |
+        grep -o "memoryPass([^)]*MicroOp[^)]*)"); then
+    echo "check_specs: cpu/ooo_core.hh declares a memory pass over raw" \
+         "µops (memoryPass reads a DecodedBatch, decoded once per unit):" >&2
+    echo "$matches" >&2
+    fail=1
+fi
+if matches=$(grep -rn "lastFetch[L]ine_" src/); then
+    echo "check_specs: the core's last-fetched-line member is back (the" \
+         "DecodedBatch decoder carries it):" >&2
+    echo "$matches" >&2
+    fail=1
+fi
+# A block opens on a line holding only `{` and closes at the `}` of the
+# same indent; report the nextGeometric( and log1p( lines of every
+# block that also holds a for or while loop.
+if matches=$(awk '
+        FNR == 1 { depth = 0 }
+        {
+            if (match($0, /^ *\{$/)) {
+                ++depth; indent[depth] = RLENGTH - 1
+                loop[depth] = 0; hits[depth] = ""
+            }
+            for (d = 1; d <= depth; ++d) {
+                if ($0 ~ /(for|while) \(/) loop[d] = 1
+                if ($0 ~ /(nextGeometric|log1p)\(/)
+                    hits[d] = hits[d] FILENAME ":" FNR ": " $0 "\n"
+            }
+            if (depth > 0 && match($0, /^ *\}/) &&
+                    RLENGTH - 1 == indent[depth]) {
+                if (loop[depth] && hits[depth] != "")
+                    printf "%s", hits[depth]
+                --depth
+            }
+        }' src/cpu/*.cc src/cpu/*.hh) && [ -n "$matches" ]; then
+    echo "check_specs: a per-µop loop under src/cpu/ draws through" \
+         "nextGeometric or log1p (divide by a log1p computed once, as" \
+         "GeometricDraw does):" >&2
+    echo "$matches" >&2
+    fail=1
+fi
+
 if [ "$fail" -ne 0 ]; then
     echo "check_specs: FAIL" >&2
     exit 1
@@ -433,5 +483,6 @@ echo "check_specs: OK ($n_kinds kinds; registry, --list-caches and" \
      "histogram; one error path; one verification campaign and one" \
      "count parser; one binary trace format; one way to run a" \
      "replay; one tag array; one feed path; one perf record; one flag" \
-     "list; single-pass sources, no table-less variant)"
+     "list; single-pass sources, no table-less variant; one µop" \
+     "decode)"
 exit 0

@@ -59,10 +59,13 @@ Rng::nextGeometric(double p, std::uint64_t cap)
     assert(p > 0.0 && p <= 1.0);
     if (p >= 1.0)
         return 0;
-    const double u = std::max(nextDouble(), 1e-18);
-    const double draw = std::floor(std::log(u) / std::log1p(-p));
-    const auto v = static_cast<std::uint64_t>(draw);
-    return std::min(v, cap);
+    return GeometricDraw(p, cap)(*this);
+}
+
+GeometricDraw::GeometricDraw(double p, std::uint64_t cap)
+    : logQ_(std::log1p(-p)), cap_(cap)
+{
+    assert(p > 0.0 && p < 1.0);
 }
 
 Rng

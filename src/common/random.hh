@@ -10,7 +10,9 @@
 #ifndef BSIM_COMMON_RANDOM_HH
 #define BSIM_COMMON_RANDOM_HH
 
+#include <algorithm>
 #include <bit>
+#include <cmath>
 #include <cstdint>
 #include <vector>
 
@@ -68,6 +70,29 @@ class Rng
 
   private:
     std::uint64_t s_[4];
+};
+
+/**
+ * Rng::nextGeometric(p, cap) for one p in (0, 1), with its log1p(-p)
+ * computed once. A draw divides by the same double, so it returns the
+ * same value as nextGeometric() on the same Rng.
+ */
+class GeometricDraw
+{
+  public:
+    GeometricDraw(double p, std::uint64_t cap);
+
+    std::uint64_t
+    operator()(Rng &rng) const
+    {
+        const double u = std::max(rng.nextDouble(), 1e-18);
+        const double draw = std::floor(std::log(u) / logQ_);
+        return std::min(static_cast<std::uint64_t>(draw), cap_);
+    }
+
+  private:
+    double logQ_; ///< log1p(-p)
+    std::uint64_t cap_;
 };
 
 /**

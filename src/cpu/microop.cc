@@ -22,7 +22,8 @@ opClassName(OpClass c)
 
 SyntheticProgram::SyntheticProgram(SpecWorkload workload,
                                    std::uint64_t seed)
-    : workload_(std::move(workload)), rng_(seed)
+    : workload_(std::move(workload)), rng_(seed), dep1_(0.45, 14),
+      dep2_(0.35, 14)
 {
 }
 
@@ -38,9 +39,11 @@ void
 SyntheticProgram::nextBatch(MicroOp *out, std::size_t n)
 {
     const CpuProfile &p = workload_.cpu;
+    AccessStream &inst = *workload_.inst;
+    AccessStream &data = *workload_.data;
     for (MicroOp *const end = out + n; out != end; ++out) {
         MicroOp op;
-        op.pc = workload_.inst->next().addr;
+        op.pc = pcs_.next(inst);
 
         const double u = rng_.nextDouble();
         double acc = p.loadFrac;
@@ -57,16 +60,14 @@ SyntheticProgram::nextBatch(MicroOp *out, std::size_t n)
         }
 
         if (op.cls == OpClass::Load || op.cls == OpClass::Store)
-            op.mem = workload_.data->next().addr;
+            op.mem = data_.next(data);
 
         // Register dependences: short distances dominate (typical
         // dataflow).
         if (rng_.nextBool(0.8))
-            op.dep1 = static_cast<std::uint8_t>(
-                1 + rng_.nextGeometric(0.45, 14));
+            op.dep1 = static_cast<std::uint8_t>(1 + dep1_(rng_));
         if (rng_.nextBool(0.3))
-            op.dep2 = static_cast<std::uint8_t>(
-                1 + rng_.nextGeometric(0.35, 14));
+            op.dep2 = static_cast<std::uint8_t>(1 + dep2_(rng_));
         *out = op;
     }
 }

@@ -8,6 +8,8 @@
 #ifndef BSIM_CPU_MICROOP_HH
 #define BSIM_CPU_MICROOP_HH
 
+#include <vector>
+
 #include "common/random.hh"
 #include "workload/spec2k.hh"
 
@@ -41,6 +43,12 @@ struct MicroOp
  * counters from the workload's instruction stream, effective addresses
  * from its data stream, op classes and register dependences drawn from the
  * CPU profile. Deterministic in the workload seed.
+ *
+ * The program pulls both address streams kPullLen records ahead, one
+ * nextBatch() at a time. That is exact: each stream is owned by the
+ * program and drawn from its own seed, not from the µop Rng, so its
+ * sequence does not depend on when it is read, and every µop takes the
+ * next PC and every load or store the next data address, in order.
  */
 class SyntheticProgram
 {
@@ -55,8 +63,36 @@ class SyntheticProgram
     const CpuProfile &profile() const { return workload_.cpu; }
 
   private:
+    /** Records one Pull asks its stream for at a time. */
+    static constexpr std::size_t kPullLen = 256;
+
+    /** The addresses of one of the workload's streams, read ahead. */
+    class Pull
+    {
+      public:
+        Pull() : buf_(kPullLen), at_(kPullLen) {}
+
+        Addr
+        next(AccessStream &stream)
+        {
+            if (at_ == kPullLen) {
+                stream.nextBatch(buf_.data(), kPullLen);
+                at_ = 0;
+            }
+            return buf_[at_++].addr;
+        }
+
+      private:
+        std::vector<MemAccess> buf_;
+        std::size_t at_;
+    };
+
     SpecWorkload workload_;
     Rng rng_;
+    GeometricDraw dep1_; ///< distance to the first producer, less one
+    GeometricDraw dep2_; ///< distance to the second producer, less one
+    Pull pcs_;
+    Pull data_;
 };
 
 } // namespace bsim

@@ -6,8 +6,53 @@
 
 namespace bsim {
 
+DecodedBatch::DecodedBatch(unsigned line_bits) : lineBits_(line_bits) {}
+
+void
+DecodedBatch::decode(std::span<const MicroOp> ops)
+{
+    // A µop makes at most two calls: a fetch, then a load or store.
+    if (exec_.size() < ops.size()) {
+        exec_.resize(ops.size());
+        refs_.resize(2 * ops.size());
+    }
+    Addr fetched_line = fetchedLine_;
+    std::uint64_t per_class[5] = {0, 0, 0, 0, 0};
+    std::uint64_t mispredicts = 0;
+    Ref *ref = refs_.data();
+    for (std::uint32_t i = 0; i < ops.size(); ++i) {
+        const MicroOp &op = ops[i];
+        ++per_class[static_cast<std::size_t>(op.cls)];
+        exec_[i] = op.latency;
+
+        // Sequential fetches within a line ride the same fill.
+        const Addr line = op.pc >> lineBits_;
+        if (line != fetched_line) {
+            fetched_line = line;
+            *ref++ = {op.pc, i, Ref::Kind::Fetch};
+        }
+        if (op.cls == OpClass::Load)
+            *ref++ = {op.mem, i, Ref::Kind::Load};
+        else if (op.cls == OpClass::Store)
+            *ref++ = {op.mem, i, Ref::Kind::Store};
+
+        // A redirect: the front end refetches its line.
+        if (op.cls == OpClass::Branch && op.mispredicted) {
+            ++mispredicts;
+            fetched_line = ~Addr{0};
+        }
+    }
+    fetchedLine_ = fetched_line;
+    numRefs_ = static_cast<std::size_t>(ref - refs_.data());
+    size_ = ops.size();
+    std::copy(per_class, per_class + 5, perClass_);
+    mispredicts_ = mispredicts;
+}
+
 OooCore::OooCore(const CoreParams &params, CacheHierarchy &hierarchy)
-    : params_(params), hier_(hierarchy), latency_(kBatchLen)
+    : params_(params), hier_(hierarchy),
+      decoded_(hierarchy.l1i().geometry().offsetBits()),
+      latency_(kBatchLen)
 {
     bsim_assert(params_.fetchWidth > 0 && params_.commitWidth > 0 &&
                 params_.windowSize > 0 && params_.numFus > 0);
@@ -17,7 +62,7 @@ OooCore::OooCore(const CoreParams &params, CacheHierarchy &hierarchy)
 void
 OooCore::begin()
 {
-    lastFetchLine_ = ~Addr{0};
+    decoded_.begin();
     res_ = CpuResult{};
     pending_ = 0;
     completion_.assign(params_.windowSize + 1, 0);
@@ -58,67 +103,60 @@ OooCore::step(std::span<const MicroOp> ops)
     for (std::size_t at = 0; at < ops.size(); at += kBatchLen) {
         const std::span<const MicroOp> batch =
             ops.subspan(at, std::min(kBatchLen, ops.size() - at));
-        memoryPass(batch);
+        decoded_.decode(batch);
+        memoryPass(decoded_);
         timestampPass({&self, 1}, batch);
     }
 }
 
 void
-OooCore::memoryPass(std::span<const MicroOp> ops)
+OooCore::memoryPass(const DecodedBatch &batch)
 {
-    bsim_assert(ops.size() <= kBatchLen && pending_ == 0);
+    bsim_assert(batch.size() <= kBatchLen && pending_ == 0);
+    bsim_assert(batch.lineBits() == hier_.l1i().geometry().offsetBits());
     const Cycles hit_latency = hier_.params().l1HitLatency;
-    const std::uint32_t line_bytes = hier_.l1i().geometry().lineBytes();
 
     // The hierarchy calls below are opaque, so state left in members
     // would be reloaded after each one; work on local copies and write
     // them back at the end of the pass.
-    Addr last_fetch_line = lastFetchLine_;
     CpuResult res = res_;
     UopLatency *const latency = latency_.data();
+    const std::uint8_t *const exec = batch.exec();
+    for (std::size_t i = 0; i < batch.size(); ++i)
+        latency[i] = {0, exec[i]};
 
-    for (std::size_t i = 0; i < ops.size(); ++i) {
-        const MicroOp &op = ops[i];
-        ++res.perClass[static_cast<std::size_t>(op.cls)];
-
-        // ---- Fetch: I$ access on line crossings (sequential fetches
-        // within a line ride the same fill). The front end stalls for
-        // the fill latency beyond the hit.
-        Cycles stall = 0;
-        const Addr line = op.pc / line_bytes;
-        if (line != last_fetch_line) {
-            last_fetch_line = line;
-            const Cycles ic = hier_.fetch(op.pc).latency;
-            if (ic > hit_latency)
-                stall = ic - hit_latency;
-            res.icacheStallCycles += stall;
+    for (const DecodedBatch::Ref &ref : batch.refs()) {
+        UopLatency &lat = latency[ref.uop];
+        switch (ref.kind) {
+          case DecodedBatch::Ref::Kind::Fetch: {
+            // The front end stalls for the fill latency beyond the hit.
+            const Cycles ic = hier_.fetch(ref.addr).latency;
+            if (ic > hit_latency) {
+                lat.fetchStall = ic - hit_latency;
+                res.icacheStallCycles += lat.fetchStall;
+            }
+            break;
+          }
+          case DecodedBatch::Ref::Kind::Load:
+            lat.exec = hier_.load(ref.addr).latency;
+            if (lat.exec > hit_latency)
+                res.loadMissCycles += lat.exec - hit_latency;
+            break;
+          case DecodedBatch::Ref::Kind::Store:
+            // Stores commit through a write buffer; the D$ access
+            // happens but does not stall the pipe beyond the hit.
+            hier_.store(ref.addr);
+            lat.exec = hit_latency;
+            break;
         }
-
-        // ---- Execute.
-        Cycles exec = op.latency;
-        if (op.cls == OpClass::Load) {
-            exec = hier_.load(op.mem).latency;
-            if (exec > hit_latency)
-                res.loadMissCycles += exec - hit_latency;
-        } else if (op.cls == OpClass::Store) {
-            // Stores commit through a write buffer; the D$ access happens
-            // but does not stall the pipe beyond the hit latency.
-            hier_.store(op.mem);
-            exec = hit_latency;
-        }
-
-        // ---- Branch redirect: the front end refetches its line.
-        if (op.cls == OpClass::Branch && op.mispredicted) {
-            ++res.mispredicts;
-            res.mispredictCycles += params_.mispredictPenalty;
-            last_fetch_line = ~Addr{0};
-        }
-        latency[i] = {stall, exec};
     }
 
-    lastFetchLine_ = last_fetch_line;
+    for (std::size_t c = 0; c < 5; ++c)
+        res.perClass[c] += batch.perClass()[c];
+    res.mispredicts += batch.mispredicts();
+    res.mispredictCycles += batch.mispredicts() * params_.mispredictPenalty;
     res_ = res;
-    pending_ = ops.size();
+    pending_ = batch.size();
 }
 
 void

@@ -64,6 +64,64 @@ struct CpuResult
 };
 
 /**
+ * What a batch of µops asks of the memory hierarchy, for every core
+ * whose L1I has one line size. None of it depends on the core: the
+ * I-line crossings, the refetch after a mispredicted branch, the loads
+ * and stores, the class counts and the mispredicts follow from the
+ * µops alone. So a caller that steps several cores over one µop stream
+ * decodes each batch once per L1I line size, and every core's
+ * OooCore::memoryPass() walks the same decode.
+ *
+ * The decoder carries the I-line of the last fetch from one batch to
+ * the next, so it belongs to one run: begin() starts a new one.
+ */
+class DecodedBatch
+{
+  public:
+    /** One hierarchy call of the batch. */
+    struct Ref
+    {
+        enum class Kind : std::uint8_t { Fetch, Load, Store };
+
+        Addr addr;
+        std::uint32_t uop; ///< the µop's index in the batch
+        Kind kind;
+    };
+
+    /** A decoder for L1I lines of 2^@p line_bits bytes. */
+    explicit DecodedBatch(unsigned line_bits);
+
+    /** Forget the last fetched line, as at the start of a run. */
+    void begin() { fetchedLine_ = ~Addr{0}; }
+
+    /**
+     * Decode @p ops, the run's next µops. The refs are the batch's
+     * hierarchy calls in program order: a fetch on each I-line crossing
+     * and after each mispredicted branch, then each load or store.
+     */
+    void decode(std::span<const MicroOp> ops);
+
+    unsigned lineBits() const { return lineBits_; }
+    std::size_t size() const { return size_; }
+    std::span<const Ref> refs() const { return {refs_.data(), numRefs_}; }
+    /** Each µop's own execution latency (MicroOp::latency). */
+    const std::uint8_t *exec() const { return exec_.data(); }
+    /** µops by class, indexed by OpClass. */
+    const std::uint64_t *perClass() const { return perClass_; }
+    std::uint64_t mispredicts() const { return mispredicts_; }
+
+  private:
+    unsigned lineBits_;
+    Addr fetchedLine_ = ~Addr{0}; ///< I-line of the run's last fetch
+    std::vector<Ref> refs_;
+    std::vector<std::uint8_t> exec_;
+    std::size_t numRefs_ = 0;
+    std::size_t size_ = 0;
+    std::uint64_t perClass_[5] = {0, 0, 0, 0, 0};
+    std::uint64_t mispredicts_ = 0;
+};
+
+/**
  * The core is steppable: begin() starts a run, each step() feeds the
  * next µops in program order, and result() reads the run so far. The
  * µop stream is open-loop (the core never feeds back into it), so a
@@ -71,14 +129,14 @@ struct CpuResult
  * own hierarchy, over the same batches; every core ends exactly where a
  * run() over the same µops would. Batch boundaries do not matter.
  *
- * A step runs in two passes. No hierarchy call depends on a timestamp:
- * the I-line crossings, the refetch after a mispredict and each load and
- * store follow from the µops alone. So memoryPass() makes every
- * hierarchy call of a batch in program order and records each µop's
- * fetch stall and execution latency; timestampPass() then derives the
- * fetch, ready, issue, commit and redirect times from those latencies
- * with no opaque call, for several cores at once. step() is a
- * memoryPass() followed by a one-core timestampPass().
+ * A step runs in two passes. No hierarchy call depends on a timestamp,
+ * so a DecodedBatch lists every call of a batch; memoryPass() makes
+ * them in program order on this core's hierarchy and records each µop's
+ * fetch stall and execution latency, and timestampPass() then derives
+ * the fetch, ready, issue, commit and redirect times from those
+ * latencies with no opaque call, for several cores at once. step()
+ * decodes with the core's own decoder, then runs a memoryPass() and a
+ * one-core timestampPass().
  */
 class OooCore
 {
@@ -91,6 +149,7 @@ class OooCore
     /** Cores one timestampPass() block interleaves. */
     static constexpr std::size_t kLanes = 8;
 
+    /** @p hierarchy must hold its L1s already. */
     OooCore(const CoreParams &params, CacheHierarchy &hierarchy);
 
     /**
@@ -109,12 +168,12 @@ class OooCore
     void step(std::span<const MicroOp> ops);
 
     /**
-     * The first pass over @p ops, the run's next µops (at most
-     * kBatchLen): every hierarchy call in program order, the result()
-     * counters, and each µop's latencies for the timestampPass() that
-     * must follow.
+     * The first pass over @p batch, the run's next µops (at most
+     * kBatchLen) decoded for this core's L1I line size: every hierarchy
+     * call in program order, the result() counters, and each µop's
+     * latencies for the timestampPass() that must follow.
      */
-    void memoryPass(std::span<const MicroOp> ops);
+    void memoryPass(const DecodedBatch &batch);
 
     /**
      * The second pass over @p ops on every core of @p cores, µop-major
@@ -144,9 +203,11 @@ class OooCore
     CoreParams params_;
     CacheHierarchy &hier_;
 
-    // Memory-pass state: the I-line of the last fetch, the counters, and
-    // the latencies of the batch awaiting its timestamp pass.
-    Addr lastFetchLine_ = ~Addr{0};
+    /** step()'s decoder; a caller of memoryPass() brings its own. */
+    DecodedBatch decoded_;
+
+    // Memory-pass state: the counters and the latencies of the batch
+    // awaiting its timestamp pass.
     CpuResult res_;
     std::vector<UopLatency> latency_;
     std::size_t pending_ = 0; ///< µops memory-passed but not yet timed

@@ -72,6 +72,7 @@ struct TimedMember
 {
     std::unique_ptr<CacheHierarchy> hier; ///< null once failed
     std::unique_ptr<OooCore> core;
+    std::size_t decoder = 0; ///< index of its L1I line size's decoder
     TimedDutRun run;
 
     /** Run @p step on this member's clock; a throw drops its models. */
@@ -139,21 +140,43 @@ runTimedEach(const std::string &workload_name,
             [](const TimedMember &m) { return m.core != nullptr; });
     };
 
+    // One decoder per L1I line size among the members.
+    std::vector<DecodedBatch> decoders;
+    for (TimedMember &m : members) {
+        if (!m.core)
+            continue;
+        const unsigned bits = m.hier->l1i().geometry().offsetBits();
+        while (m.decoder < decoders.size() &&
+               decoders[m.decoder].lineBits() != bits)
+            ++m.decoder;
+        if (m.decoder == decoders.size())
+            decoders.emplace_back(bits);
+    }
+
     SyntheticProgram program(makeSpecWorkload(workload_name, seed),
                              seed ^ 0xc0ffee);
     std::vector<MicroOp> batch(OooCore::kBatchLen);
+    std::vector<bool> wanted(decoders.size());
     std::vector<OooCore *> live;
     for (std::uint64_t left = uops; left > 0 && alive();) {
         const std::size_t n = static_cast<std::size_t>(
             std::min<std::uint64_t>(left, OooCore::kBatchLen));
         program.nextBatch(batch.data(), n);
         const std::span<const MicroOp> ops(batch.data(), n);
-        // Each member's hierarchy calls on its own clock, then one
-        // timestamp pass over the members that survived them.
+        // One decode per line size a live member has, then each
+        // member's hierarchy calls on its own clock, then one timestamp
+        // pass over the members that survived them.
+        std::fill(wanted.begin(), wanted.end(), false);
+        for (const TimedMember &m : members)
+            if (m.core)
+                wanted[m.decoder] = true;
+        for (std::size_t d = 0; d < decoders.size(); ++d)
+            if (wanted[d])
+                decoders[d].decode(ops);
         live.clear();
         for (TimedMember &m : members) {
             if (m.core)
-                m.timed([&] { m.core->memoryPass(ops); });
+                m.timed([&] { m.core->memoryPass(decoders[m.decoder]); });
             if (m.core)
                 live.push_back(m.core.get());
         }

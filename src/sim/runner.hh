@@ -44,9 +44,9 @@ struct DutRunOf
     /**
      * This member's own time: its build, its share of the simulation
      * and its result assembly. Pulling records or µops from the source,
-     * and a timed unit's timestamp pass over every member at once, are
-     * shared by every member and not included; the sweep engine adds an
-     * equal share of them to each member's seconds.
+     * and a timed unit's µop decode and its timestamp pass over every
+     * member at once, are shared by every member and not included; the
+     * sweep engine adds an equal share of them to each member's seconds.
      */
     double seconds = 0.0;
 
@@ -135,10 +135,12 @@ TimedResult runTimed(const std::string &workload_name,
 
 /**
  * runTimed() for every config in @p configs off one µop stream: the
- * workload's SyntheticProgram is built once, and for each batch of
- * OooCore::kBatchLen µops it generates, every member's core runs its
- * memory pass over its own hierarchy, then one OooCore::timestampPass()
- * times the batch on every member at once. The program is open-loop, so
+ * workload's SyntheticProgram is built once, and each batch of
+ * OooCore::kBatchLen µops it generates is decoded once per L1I line
+ * size among the live members (one DecodedBatch in every paper grid).
+ * Then every member's core runs its memory pass over its line size's
+ * decode and its own hierarchy, and one OooCore::timestampPass() times
+ * the batch on every member at once. The program is open-loop, so
  * each result is bit-identical to the member's own runTimed(). Results
  * come back in config order; a member whose config fails to build or
  * whose run throws fails alone. An error of the workload itself

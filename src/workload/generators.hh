@@ -184,8 +184,6 @@ class VectorStream : public AccessStream
 
     MemAccess next() override;
 
-    std::size_t size() const { return accesses_.size(); }
-
   private:
     std::vector<MemAccess> accesses_;
     std::size_t pos_ = 0;

@@ -100,4 +100,11 @@ InstructionStream::next()
     return {pc, AccessType::Fetch};
 }
 
+void
+InstructionStream::nextBatch(MemAccess *dst, std::size_t n)
+{
+    for (std::size_t i = 0; i < n; ++i)
+        dst[i] = InstructionStream::next();
+}
+
 } // namespace bsim

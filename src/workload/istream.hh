@@ -44,6 +44,8 @@ class InstructionStream : public AccessStream
     InstructionStream(const CodeLayout &layout, std::uint64_t seed);
 
     MemAccess next() override;
+    /** n next() calls, dispatched once. */
+    void nextBatch(MemAccess *dst, std::size_t n) override;
 
     /** Total static code bytes (for footprint checks in tests). */
     std::uint64_t codeFootprint() const;

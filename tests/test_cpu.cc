@@ -75,6 +75,36 @@ TEST(SyntheticProgram, DependencesBounded)
     }
 }
 
+TEST(SyntheticProgram, BatchSizesAgree)
+{
+    // The program reads its PCs and data addresses ahead in chunks of
+    // its own, so any split into nextBatch() calls, including one that
+    // ends a data chunk mid-batch, yields next()'s µops.
+    constexpr std::size_t kUops = 5000;
+    SyntheticProgram one = program("equake");
+    std::vector<MicroOp> want(kUops);
+    for (MicroOp &op : want)
+        op = one.next();
+    for (const std::size_t chunk : {std::size_t{1}, std::size_t{7},
+                                    std::size_t{1000}, std::size_t{1024}}) {
+        SCOPED_TRACE(chunk);
+        SyntheticProgram p = program("equake");
+        std::vector<MicroOp> got(kUops);
+        for (std::size_t at = 0; at < kUops; at += chunk)
+            p.nextBatch(got.data() + at, std::min(chunk, kUops - at));
+        for (std::size_t i = 0; i < kUops; ++i) {
+            SCOPED_TRACE(i);
+            EXPECT_EQ(got[i].cls, want[i].cls);
+            EXPECT_EQ(got[i].pc, want[i].pc);
+            EXPECT_EQ(got[i].mem, want[i].mem);
+            EXPECT_EQ(got[i].dep1, want[i].dep1);
+            EXPECT_EQ(got[i].dep2, want[i].dep2);
+            EXPECT_EQ(got[i].latency, want[i].latency);
+            EXPECT_EQ(got[i].mispredicted, want[i].mispredicted);
+        }
+    }
+}
+
 TEST(OooCore, IpcNeverExceedsWidth)
 {
     CacheHierarchy h = dmHierarchy();
@@ -359,6 +389,34 @@ TEST(OooCore, InterleavedTimestampPassMatchesOneCoreAtATime)
             expectSameStats(h.l1d().stats(), got.l1d);
             expectSameStats(h.l2().stats(), got.l2);
         }
+    }
+}
+
+TEST(OooCore, UnitWithMixedFetchLinesMatchesOwnRuns)
+{
+    // runTimedEach() decodes each batch once per L1I line size: here
+    // 32 bytes for two members, 64 and 16 bytes for one each. Each
+    // member walks its own line size's decode and ends where its own
+    // runTimed() does. The length ends in a partial batch.
+    constexpr std::uint64_t kUops = 2 * OooCore::kBatchLen + 77;
+    constexpr std::uint64_t kSeed = 11;
+    std::vector<CacheConfig> configs;
+    for (const char *spec : {"dm:16kB", "dm:16kB,line=64",
+                             "bcache:16kB,mf=8,bas=8", "sa:8kB,2w,line=16"})
+        configs.push_back(parseCacheSpec(spec));
+    const std::vector<TimedDutRun> runs =
+        runTimedEach("gcc", configs, kUops, kSeed);
+    ASSERT_EQ(runs.size(), configs.size());
+    for (std::size_t i = 0; i < configs.size(); ++i) {
+        SCOPED_TRACE(configs[i].label);
+        ASSERT_TRUE(runs[i].result.has_value());
+        const TimedResult &got = *runs[i].result;
+        const TimedResult own = runTimed("gcc", configs[i], kUops, kSeed);
+        expectSameCpu(own.cpu, got.cpu);
+        expectSameStats(own.l1i, got.l1i);
+        expectSameStats(own.l1d, got.l1d);
+        expectSameStats(own.l2, got.l2);
+        EXPECT_GT(got.l1i.misses, 0u);
     }
 }
 
