@@ -109,7 +109,15 @@
 # µops; the last fetched line lives in the decoder, so the retired core
 # member (spelled with a bracket) appears nowhere in src/; and no block
 # under src/cpu/ that holds a loop calls nextGeometric( or log1p( (the
-# µop source divides by a log1p computed once, in its constructor).
+# µop source divides by a log1p computed once, in its constructor), and
+# workload/istream.cc draws no rng_.nextGeometric( (its loop-back draw is
+# a GeometricDraw member).
+#
+# And it keeps one write per chunk (pass 19): Bst2Writer encodes into
+# its own buffer and hands it to the OS whole, so
+# workload/trace_format.cc calls no ftell( (every chunk's offset follows
+# from the header geometry) and no for or while loop of
+# Bst2Writer::append calls fwrite(.
 set -eu
 
 repo_root=$(CDPATH= cd -- "$(dirname -- "$0")/.." && pwd)
@@ -471,6 +479,46 @@ if matches=$(awk '
     echo "$matches" >&2
     fail=1
 fi
+if matches=$(grep -n "rng_\.nextGeometric(" src/workload/istream.cc); then
+    echo "check_specs: workload/istream.cc draws through" \
+         "rng_.nextGeometric, which recomputes its log1p on every draw" \
+         "(use a GeometricDraw member):" >&2
+    echo "$matches" >&2
+    fail=1
+fi
+
+# ---- pass 19: one write per chunk ----
+if matches=$(grep -n "ftell(" src/workload/trace_format.cc); then
+    echo "check_specs: workload/trace_format.cc calls ftell (a chunk's" \
+         "offset follows from the header geometry):" >&2
+    echo "$matches" >&2
+    fail=1
+fi
+# Within Bst2Writer::append's body, a loop runs from its for/while line
+# to the brace that closes it (or, without braces, to the first line
+# ending in `;`); report every fwrite( line inside one.
+if matches=$(awk '
+        /^Bst2Writer::append\(/ { in_fn = 1; opened = 0; depth = 0; loop = 0 }
+        in_fn {
+            if (!loop && $0 ~ /(for|while) \(/) {
+                loop = 1; loop_depth = depth; braced = $0 ~ /\{ *$/
+            }
+            if (loop && $0 ~ /fwrite\(/)
+                print FILENAME ":" FNR ": " $0
+            depth += gsub(/\{/, "{") - gsub(/\}/, "}")
+            if (depth > 0)
+                opened = 1
+            if (loop && (braced ? depth <= loop_depth : $0 ~ /; *$/))
+                loop = 0
+            if (opened && depth == 0)
+                in_fn = 0
+        }' src/workload/trace_format.cc) && [ -n "$matches" ]; then
+    echo "check_specs: a loop in Bst2Writer::append calls fwrite (encode" \
+         "into the writer's buffer; it goes out in one write per chunk" \
+         "or per full buffer):" >&2
+    echo "$matches" >&2
+    fail=1
+fi
 
 if [ "$fail" -ne 0 ]; then
     echo "check_specs: FAIL" >&2
@@ -484,5 +532,5 @@ echo "check_specs: OK ($n_kinds kinds; registry, --list-caches and" \
      "count parser; one binary trace format; one way to run a" \
      "replay; one tag array; one feed path; one perf record; one flag" \
      "list; single-pass sources, no table-less variant; one µop" \
-     "decode)"
+     "decode; one write per chunk)"
 exit 0

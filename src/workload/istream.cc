@@ -1,5 +1,7 @@
 #include "workload/istream.hh"
 
+#include <algorithm>
+
 #include "common/logging.hh"
 
 namespace bsim {
@@ -10,7 +12,7 @@ constexpr std::uint32_t kInstrBytes = 4;
 
 InstructionStream::InstructionStream(const CodeLayout &layout,
                                      std::uint64_t seed)
-    : layout_(layout), rng_(seed)
+    : layout_(layout), rng_(seed), loopBack_(0.5, ~std::uint64_t{0})
 {
     bsim_assert(layout_.numFunctions > 0 &&
                 layout_.blocksPerFunction > 0);
@@ -50,16 +52,14 @@ InstructionStream::codeFootprint() const
 std::uint32_t
 InstructionStream::successor(std::uint32_t blk)
 {
-    const std::uint32_t n = layout_.blocksPerFunction;
     if (rng_.nextBool(layout_.loopProb) && blk > 0) {
-        // Loop back: biased towards nearby blocks.
-        const std::uint32_t back =
-            1 + static_cast<std::uint32_t>(
-                    rng_.nextGeometric(0.5, blk - 1));
-        return blk - std::min(back, blk);
+        // Loop back: biased towards nearby blocks, at most to block 0.
+        return blk - 1 -
+               static_cast<std::uint32_t>(std::min<std::uint64_t>(
+                   loopBack_(rng_), blk - 1));
     }
     // Fall through, wrapping at the function end.
-    return (blk + 1) % n;
+    return blk + 1 == layout_.blocksPerFunction ? 0 : blk + 1;
 }
 
 MemAccess
@@ -103,8 +103,23 @@ InstructionStream::next()
 void
 InstructionStream::nextBatch(MemAccess *dst, std::size_t n)
 {
-    for (std::size_t i = 0; i < n; ++i)
-        dst[i] = InstructionStream::next();
+    // The rest of the current block up to its last instruction is a
+    // straight run of fetches; next() emits the last one, so it stays
+    // the one place that leaves a block.
+    std::size_t i = 0;
+    while (i < n) {
+        const Block &blk = blockAt(cur_.function, cur_.block);
+        const std::size_t run = std::min<std::size_t>(
+            n - i, blk.instructions - 1 - cur_.instr);
+        Addr pc = blk.start + Addr{cur_.instr} * kInstrBytes;
+        for (const std::size_t end = i + run; i < end; ++i) {
+            dst[i] = {pc, AccessType::Fetch};
+            pc += kInstrBytes;
+        }
+        cur_.instr += static_cast<std::uint32_t>(run);
+        if (i < n)
+            dst[i++] = InstructionStream::next();
+    }
 }
 
 } // namespace bsim

@@ -44,7 +44,7 @@ class InstructionStream : public AccessStream
     InstructionStream(const CodeLayout &layout, std::uint64_t seed);
 
     MemAccess next() override;
-    /** n next() calls, dispatched once. */
+    /** n next() calls; a block's body goes out as one straight run. */
     void nextBatch(MemAccess *dst, std::size_t n) override;
 
     /** Total static code bytes (for footprint checks in tests). */
@@ -76,6 +76,8 @@ class InstructionStream : public AccessStream
 
     CodeLayout layout_;
     Rng rng_;
+    /** Loop-back distance; successor() caps it at the block index. */
+    GeometricDraw loopBack_;
     std::vector<Block> blocks_;
     std::vector<Frame> callStack_;
     Frame cur_{};

@@ -1,5 +1,6 @@
 #include "workload/trace_format.hh"
 
+#include <algorithm>
 #include <cstring>
 #include <utility>
 
@@ -163,19 +164,21 @@ validateBst2Payload(const unsigned char *payload, std::uint64_t records)
 }
 
 Bst2Writer::Bst2Writer(const std::string &path, std::uint32_t chunk_len)
-    : path_(path), chunkLen_(chunk_len)
+    : path_(path),
+      buf_(std::make_unique_for_overwrite<unsigned char[]>(
+          kBst2WriteBufferBytes)),
+      chunkLen_(chunk_len)
 {
     bsim_assert(chunk_len > 0);
     file_ = std::fopen(path.c_str(), "wb");
     if (!file_)
         bsim_fatal("cannot open '", path, "' for writing");
+    // Every write hands over a whole buffer; a stdio buffer would only
+    // add a copy.
+    std::setvbuf(file_, nullptr, _IONBF, 0);
     // Placeholder header; finish() seeks back with the real counts.
-    unsigned char hdr[kBst2HeaderBytes];
-    encodeBst2Header(Bst2Header{0, 64, chunkLen_, 0}, hdr);
-    if (std::fwrite(hdr, 1, sizeof hdr, file_) != sizeof hdr) {
-        std::fclose(file_);
-        bsim_fatal("write failed on '", path_, "'");
-    }
+    encodeBst2Header(Bst2Header{0, 64, chunkLen_, 0}, buf_.get());
+    used_ = kBst2HeaderBytes;
 }
 
 Bst2Writer::~Bst2Writer()
@@ -185,46 +188,45 @@ Bst2Writer::~Bst2Writer()
 }
 
 void
-Bst2Writer::openChunk()
+Bst2Writer::flush()
 {
-    chunkHeaderPos_ = std::ftell(file_);
-    if (chunkHeaderPos_ < 0)
-        bsim_fatal("ftell failed on '", path_, "'");
-    unsigned char hdr[kBst2ChunkHeaderBytes];
-    encodeBst2ChunkHeader(0, written_, hdr);
-    if (std::fwrite(hdr, 1, sizeof hdr, file_) != sizeof hdr)
+    if (std::fwrite(buf_.get(), 1, used_, file_) != used_)
         bsim_fatal("write failed on '", path_, "'");
-    inChunk_ = 0;
-}
-
-void
-Bst2Writer::closeChunk()
-{
-    const long end = std::ftell(file_);
-    unsigned char hdr[kBst2ChunkHeaderBytes];
-    encodeBst2ChunkHeader(inChunk_, written_ - inChunk_, hdr);
-    if (end < 0 || std::fseek(file_, chunkHeaderPos_, SEEK_SET) != 0 ||
-        std::fwrite(hdr, 1, sizeof hdr, file_) != sizeof hdr ||
-        std::fseek(file_, end, SEEK_SET) != 0)
-        bsim_fatal("write failed on '", path_, "'");
-    inChunk_ = 0;
+    used_ = 0;
 }
 
 void
 Bst2Writer::append(std::span<const MemAccess> accesses)
 {
     bsim_assert(!finished_);
-    for (const MemAccess &a : accesses) {
-        if (inChunk_ == 0)
-            openChunk();
-        unsigned char rec[kBst2RecordBytes];
-        encodeBst2Record(a, rec);
-        if (std::fwrite(rec, 1, sizeof rec, file_) != sizeof rec)
-            bsim_fatal("write failed on '", path_, "'");
-        maxAddr_ = a.addr > maxAddr_ ? a.addr : maxAddr_;
-        ++written_;
-        if (++inChunk_ == chunkLen_)
-            closeChunk();
+    // A chunk header only opens an empty buffer (the file header aside),
+    // and a buffer without room for one more record is flushed, so every
+    // pass encodes at least one record.
+    while (!accesses.empty()) {
+        if (inChunk_ == 0) {
+            // Every chunk but the last is full; finish() corrects a short
+            // last one.
+            encodeBst2ChunkHeader(chunkLen_, written_, buf_.get() + used_);
+            used_ += kBst2ChunkHeaderBytes;
+        }
+        const std::size_t n = std::min(
+            {accesses.size(), std::size_t{chunkLen_ - inChunk_},
+             (kBst2WriteBufferBytes - used_) / kBst2RecordBytes});
+        unsigned char *out = buf_.get() + used_;
+        for (const MemAccess &a : accesses.first(n)) {
+            encodeBst2Record(a, out);
+            out += kBst2RecordBytes;
+            maxAddr_ = a.addr > maxAddr_ ? a.addr : maxAddr_;
+        }
+        accesses = accesses.subspan(n);
+        used_ += n * kBst2RecordBytes;
+        written_ += n;
+        inChunk_ += static_cast<std::uint32_t>(n);
+        if (inChunk_ == chunkLen_)
+            inChunk_ = 0;
+        if (inChunk_ == 0 ||
+            used_ + kBst2RecordBytes > kBst2WriteBufferBytes)
+            flush();
     }
 }
 
@@ -234,13 +236,22 @@ Bst2Writer::finish()
     if (finished_)
         return;
     finished_ = true;
-    if (inChunk_ > 0)
-        closeChunk();
+    flush();
+    buf_.reset();
+    const Bst2Header h{written_, bitsFor(maxAddr_), chunkLen_, 0};
+    bool wrote = true;
+    if (inChunk_ > 0) {
+        unsigned char chunk[kBst2ChunkHeaderBytes];
+        encodeBst2ChunkHeader(inChunk_, written_ - inChunk_, chunk);
+        wrote = std::fseek(file_, static_cast<long>(
+                                      h.chunkOffset(h.chunks() - 1)),
+                           SEEK_SET) == 0 &&
+                std::fwrite(chunk, 1, sizeof chunk, file_) == sizeof chunk;
+    }
     unsigned char hdr[kBst2HeaderBytes];
-    encodeBst2Header(Bst2Header{written_, bitsFor(maxAddr_), chunkLen_, 0},
-                     hdr);
-    const bool wrote = std::fseek(file_, 0, SEEK_SET) == 0 &&
-                       std::fwrite(hdr, 1, sizeof hdr, file_) == sizeof hdr;
+    encodeBst2Header(h, hdr);
+    wrote = wrote && std::fseek(file_, 0, SEEK_SET) == 0 &&
+            std::fwrite(hdr, 1, sizeof hdr, file_) == sizeof hdr;
     if (std::fclose(std::exchange(file_, nullptr)) != 0 || !wrote)
         bsim_fatal("write failed on '", path_, "'");
 }

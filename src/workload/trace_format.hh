@@ -23,6 +23,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstdio>
+#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -124,11 +125,25 @@ std::uint64_t validateBst2Payload(const unsigned char *payload,
                                   std::uint64_t records);
 
 /**
+ * Bytes a Bst2Writer holds before it hands them to the OS: one default
+ * chunk, with the file header in front of the first, whatever the
+ * writer's chunk length.
+ */
+inline constexpr std::size_t kBst2WriteBufferBytes =
+    kBst2HeaderBytes + kBst2ChunkHeaderBytes +
+    std::size_t{kBst2DefaultChunkLen} * kBst2RecordBytes;
+
+/**
  * Incremental BST2 writer: append spans in any sizes; chunk framing and
  * the header (record count, address width) are maintained internally and
- * patched on finish(). Fatal on any I/O failure. A writer destroyed
- * before finish() only closes its file (the destructor never throws),
- * leaving the placeholder header, so call finish() to complete a trace.
+ * patched on finish(). Records are encoded into a kBst2WriteBufferBytes
+ * buffer that goes to the (unbuffered) file in one write when it fills,
+ * when a chunk completes and at finish(), so an I/O failure is fatal at
+ * the latest at the next full chunk. Every chunk header goes out with
+ * count chunkLen; finish() corrects a short last chunk with one seek.
+ * A writer destroyed before finish() only closes its file (the
+ * destructor never throws) and drops what it still buffers, so call
+ * finish() to complete a trace.
  */
 class Bst2Writer
 {
@@ -147,22 +162,22 @@ class Bst2Writer
         append(std::span<const MemAccess>(&a, 1));
     }
 
-    /** Flush, patch the header, close. Idempotent. */
+    /** Flush, patch the header, close, free the buffer. Idempotent. */
     void finish();
 
     std::uint64_t recordsWritten() const { return written_; }
 
   private:
-    void openChunk();
-    void closeChunk();
+    /** Hand the buffered bytes to the OS in one write. */
+    void flush();
 
     std::string path_;
     std::FILE *file_ = nullptr;
+    std::unique_ptr<unsigned char[]> buf_;
+    std::size_t used_ = 0;
     std::uint32_t chunkLen_;
     std::uint64_t written_ = 0;
     std::uint32_t inChunk_ = 0;
-    /** File offset of the open chunk's header (patched on close). */
-    long chunkHeaderPos_ = 0;
     Addr maxAddr_ = 0;
     bool finished_ = false;
 };

@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
 
 #include "workload/istream.hh"
+#include "workload/spec2k.hh"
 
 namespace bsim {
 namespace {
@@ -77,6 +79,41 @@ TEST(IStream, ResetReplaysExactly)
     InstructionStream replay(smallLayout(), 9);
     for (int i = 0; i < 500; ++i)
         EXPECT_EQ(replay.next().addr, first[i]);
+}
+
+TEST(IStream, BatchSizesAgree)
+{
+    // nextBatch() emits a block's body as a straight run and leaves the
+    // block through next(), so any split into batches yields next()'s
+    // fetches, block ends inside a batch and at its edges included.
+    constexpr std::size_t kFetches = 20000;
+    auto make = [](const std::string &name) -> AccessStreamPtr {
+        if (name == "small")
+            return std::make_unique<InstructionStream>(smallLayout(), 11);
+        return makeSpecWorkload(name, 3).inst;
+    };
+    for (const char *name : {"small", "gcc", "crafty"}) {
+        SCOPED_TRACE(name);
+        const AccessStreamPtr one = make(name);
+        std::vector<Addr> want(kFetches);
+        for (Addr &pc : want)
+            pc = one->next().addr;
+        for (const std::size_t chunk :
+             {std::size_t{1}, std::size_t{3}, std::size_t{7},
+              std::size_t{1000}, std::size_t{1024}}) {
+            SCOPED_TRACE(chunk);
+            const AccessStreamPtr s = make(name);
+            std::vector<MemAccess> got(kFetches);
+            for (std::size_t at = 0; at < kFetches; at += chunk)
+                s->nextBatch(got.data() + at,
+                             std::min(chunk, kFetches - at));
+            std::size_t bad = 0;
+            while (bad < kFetches && got[bad].addr == want[bad] &&
+                   got[bad].type == AccessType::Fetch)
+                ++bad;
+            EXPECT_EQ(bad, kFetches) << "first mismatch at fetch " << bad;
+        }
+    }
 }
 
 TEST(IStream, VisitsMultipleFunctions)

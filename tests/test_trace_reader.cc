@@ -10,8 +10,13 @@
 
 #include <unistd.h>
 
+#include <algorithm>
+#include <bit>
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
+#include <limits>
 
 #include "common/random.hh"
 #include "workload/trace.hh"
@@ -371,6 +376,112 @@ TEST_F(TraceReaderTest, CorruptChunkRecordCountIsFatal)
     std::fclose(f);
     EXPECT_FATAL(drain(*openTraceReader(path("cc.bst")), 64),
                  "malformed BST2 trace");
+}
+
+/**
+ * The BST2 bytes of @p records, encoded from the specification in
+ * docs/TRACES.md §1 alone: the 24-byte header, then chunks of
+ * @p chunk_len records (the last may be short), each behind its 16-byte
+ * frame, each record an address, a type byte and 7 zero bytes.
+ */
+std::vector<unsigned char>
+referenceBst2(std::span<const MemAccess> records, std::uint32_t chunk_len)
+{
+    std::vector<unsigned char> out;
+    auto put = [&out](std::uint64_t v, int bytes) {
+        for (int i = 0; i < bytes; ++i)
+            out.push_back(static_cast<unsigned char>(v >> (8 * i)));
+    };
+    Addr widest = 0;
+    for (const MemAccess &a : records)
+        widest = std::max(widest, a.addr);
+    out.insert(out.end(), {'B', 'S', 'T', '2'});
+    put(0, 4); // flags
+    put(records.size(), 8);
+    put(std::max<std::uint64_t>(1, std::bit_width(widest)), 4);
+    put(chunk_len, 4);
+    for (std::size_t first = 0; first < records.size(); first += chunk_len) {
+        const std::size_t n =
+            std::min<std::size_t>(chunk_len, records.size() - first);
+        out.insert(out.end(), {'C', 'H', 'N', 'K'});
+        put(n, 4);
+        put(first, 8);
+        for (const MemAccess &a : records.subspan(first, n)) {
+            put(a.addr, 8);
+            put(static_cast<std::uint8_t>(a.type), 1);
+            put(0, 7);
+        }
+    }
+    return out;
+}
+
+std::vector<unsigned char>
+readBytes(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    return {std::istreambuf_iterator<char>(in),
+            std::istreambuf_iterator<char>()};
+}
+
+TEST_F(TraceReaderTest, WriterMatchesAReferenceEncoder)
+{
+    // Chunk lengths below, at and above the writer's buffer (one default
+    // chunk) and the largest the format allows; record counts of none,
+    // whole chunks and a short last chunk; spans of every shape.
+    constexpr std::uint32_t kMaxChunk =
+        std::numeric_limits<std::uint32_t>::max();
+    const struct
+    {
+        std::uint32_t chunkLen;
+        std::vector<std::size_t> counts;
+    } cases[] = {
+        {1, {0, 50}},
+        {8, {0, 64, 65, 67}},
+        {65536, {0, 2 * 65536, 2 * 65536 + 123}},
+        {70000, {0, 2 * 70000, 2 * 70000 + 5}},
+        {kMaxChunk, {0, 200000}},
+    };
+    Rng rng(0xb572);
+    std::vector<MemAccess> pool(200000);
+    for (std::size_t i = 0; i < pool.size(); ++i)
+        pool[i] = {rng.next() >> (24 + i % 17),
+                   static_cast<AccessType>(i % 3)};
+    const std::string file = path("w.bst");
+    for (const auto &c : cases) {
+        for (const std::size_t count : c.counts) {
+            const std::span<const MemAccess> records =
+                std::span<const MemAccess>(pool).first(count);
+            const std::vector<unsigned char> want =
+                referenceBst2(records, c.chunkLen);
+            const std::uint64_t len = c.chunkLen;
+            for (const std::uint64_t step :
+                 {std::uint64_t{1}, std::uint64_t{7}, std::uint64_t{1024},
+                  len - 1, len + 1, std::uint64_t{count}}) {
+                if (step == 0)
+                    continue;
+                SCOPED_TRACE(testing::Message()
+                             << "chunkLen " << c.chunkLen << ", " << count
+                             << " records in spans of " << step);
+                Bst2Writer w(file, c.chunkLen);
+                for (std::size_t at = 0; at < count; at += step)
+                    w.append(records.subspan(
+                        at, std::min<std::uint64_t>(step, count - at)));
+                w.finish();
+                const std::vector<unsigned char> got = readBytes(file);
+                ASSERT_EQ(got.size(), want.size());
+                EXPECT_TRUE(got == want);
+            }
+        }
+    }
+    // One chunk of 2^32 - 1 records would be 64 GiB: the writer still
+    // hands all but its bounded buffer to the file as it goes.
+    Bst2Writer w(file, kMaxChunk);
+    w.append(pool);
+    EXPECT_GE(std::filesystem::file_size(file) + kBst2WriteBufferBytes,
+              kBst2HeaderBytes + kBst2ChunkHeaderBytes +
+                  pool.size() * kBst2RecordBytes);
+    w.finish();
+    EXPECT_TRUE(readBytes(file) == referenceBst2(pool, kMaxChunk));
 }
 
 TEST_F(TraceReaderTest, WritesToAFullDeviceThrowAndWritersCloseQuietly)
